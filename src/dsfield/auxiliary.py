@@ -206,13 +206,15 @@ def _integrate_from_anchor(grad_jet, anchor: float, targets, t, n: int):
 
     Integrates the gradient value and its time derivative in one pass
     (the jet carries both), returning (phase, phase_t) shaped like targets.
+    Each distinct target coordinate is integrated once and the results are
+    gathered back, so a 2-D grid costs one integral per line coordinate.
     """
     tg = np.asarray(targets, dtype=float)
     scalar = tg.ndim == 0
-    tg = np.atleast_1d(tg)
-    span = tg - anchor
+    distinct, inverse = np.unique(tg, return_inverse=True)
+    span = distinct - anchor
     frac = np.linspace(0.0, 1.0, n + 1)
-    nodes = anchor + span[..., None] * frac          # (..., n+1)
+    nodes = anchor + span[:, None] * frac            # (distinct, n+1)
     jets = grad_jet(nodes, t)
     w = simpson_weights(n)
     h = span / n
@@ -222,7 +224,7 @@ def _integrate_from_anchor(grad_jet, anchor: float, targets, t, n: int):
     r_t = (dts @ w) * h
     if scalar:
         return float(r[0]), float(r_t[0])
-    return r, r_t
+    return r[inverse].reshape(tg.shape), r_t[inverse].reshape(tg.shape)
 
 
 @dataclass(frozen=True)

@@ -25,6 +25,7 @@ from .auxiliary import consistency_c1_c2, derive
 from .calculus import Stencil
 from .catalog import build_case, case_names
 from .field import (
+    SingularWindowError,
     analyze_extrema,
     decay_profile,
     estimate_period,
@@ -421,7 +422,7 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except DegenerateInput as exc:
+    except (DegenerateInput, SingularWindowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DEGENERATE
     except CheckFailure as exc:
@@ -429,7 +430,7 @@ def main(argv=None) -> int:
         return EXIT_VERIFY_FAILED
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DEGENERATE if "singular" in str(exc) else EXIT_USAGE
+        return EXIT_USAGE
 
 
 if __name__ == "__main__":

@@ -24,6 +24,7 @@ from .ansatz import SolutionSpec, eval_intensity, eval_phi, rotate
 from .auxiliary import Auxiliaries
 
 __all__ = [
+    "SingularWindowError",
     "FieldGrid",
     "AnalyticsResult",
     "PeakInfo",
@@ -40,6 +41,10 @@ __all__ = [
     "reflection_defect",
     "point_reflection_defect",
 ]
+
+
+class SingularWindowError(ValueError):
+    """No sample of the requested window is valid (degenerate input)."""
 
 
 @dataclass(frozen=True)
@@ -134,7 +139,7 @@ def sample_field(spec: SolutionSpec, aux: Optional[Auxiliaries], which: str,
     vals = np.asarray(vals, dtype=float)
     mask = keep & np.isfinite(vals)
     if not mask.any():
-        raise ValueError("window entirely singular")
+        raise SingularWindowError("window entirely singular")
     out = np.where(mask, vals, 0.0)
     return FieldGrid(window=((x0, x1), (y0, y1)), nx=nx, ny=ny, t=float(t),
                      values=out, mask=mask)

@@ -7,6 +7,7 @@ from dsfield.ansatz import (
     CoefficientFunctions,
     SeparationCoefficients,
     SolutionSpec,
+    rotate,
 )
 from dsfield.auxiliary import (
     consistency_c1_c2,
@@ -16,7 +17,7 @@ from dsfield.auxiliary import (
     derive_phase_gradients,
     integrate_phases,
 )
-from dsfield.catalog import build_case
+from dsfield.catalog import build_case, case_names
 from dsfield.profiles import CustomProfile, ExpSumProfile, const_fn
 
 @pytest.fixture
@@ -178,6 +179,33 @@ def test_integrate_phases_rejects_nonfinite_gradient():
     aux = derive(spec)
     with pytest.raises(ValueError, match="non-finite phase gradient"):
         integrate_phases(spec, aux, (-2, 0), (-2, 0), 0.0, 1001)
+
+
+@pytest.mark.parametrize("name", case_names())
+def test_phases_integrate_each_line_coordinate_once(name):
+    # r and s are functions of one coordinate each: a grid costs one Simpson
+    # integral per distinct coordinate, gathered back to the grid's shape
+    entry = build_case(name)
+    aux = derive(entry.spec)
+    (x0, x1), (y0, y1) = entry.window
+    zeta, eta = rotate(*np.meshgrid(np.linspace(x0, x1, 24),
+                                    np.linspace(y0, y1, 24)))
+    t = entry.reference_times[-1]
+    nodes = []
+    for attr in ("r_zeta_jet", "s_eta_jet"):
+        def counting(pos, t, grad=getattr(aux, attr)):
+            nodes.append(np.size(pos))
+            return grad(pos, t)
+        setattr(aux, attr, counting)
+    for phase, coords in ((aux.phase_r, zeta), (aux.phase_s, eta)):
+        nodes.clear()
+        with np.errstate(all="ignore"):
+            grid = phase(coords, t)
+            flat = phase(coords.ravel(), t)
+        assert nodes[0] == np.unique(coords).size * (aux.quad_n + 1)
+        assert np.unique(coords).size < coords.size
+        for g, f in zip(grid, flat):
+            np.testing.assert_array_equal(g, f.reshape(coords.shape))
 
 
 def test_c0_invariance(dromion):

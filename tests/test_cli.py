@@ -112,6 +112,25 @@ def test_render_degenerate_breather_exits_3(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_render_breather_phi_at_half_pi_exits_3(tmp_path, capsys):
+    out = tmp_path / "field.csv"
+    assert run("render", "--case", "breather", "--t", "pi/2", "--which",
+               "phi", "--out", str(out), "--res", "16") == 3
+    assert "singular" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_exit_code_follows_error_class_not_message(tmp_path, monkeypatch,
+                                                   capsys):
+    def fail(*args, **kwargs):
+        raise ValueError("singular matrix in an unrelated step")
+
+    monkeypatch.setattr("dsfield.cli.sample_field", fail)
+    assert run("render", "--case", "dromion", "--t", "0",
+               "--out", str(tmp_path / "x.csv"), "--res", "16") == 2
+    assert "singular matrix" in capsys.readouterr().err
+
+
 def test_render_unknown_case_exits_2(tmp_path, capsys):
     code = run("render", "--case", "worm", "--t", "0",
                "--out", str(tmp_path / "x.csv"))
