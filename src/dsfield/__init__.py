@@ -29,9 +29,6 @@ from .auxiliary import (
     ConsistencyReport,
     consistency_c1_c2,
     derive,
-    derive_amplitudes,
-    derive_background,
-    derive_phase_gradients,
     integrate_phases,
 )
 from .calculus import Jet, Jet3, Stencil, fd_derivative, quadrature

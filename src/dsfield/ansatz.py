@@ -34,6 +34,7 @@ __all__ = [
     "CoordinatePoint",
     "rotate",
     "unrotate",
+    "window_grid",
     "TauJets",
     "profile_jets3",
     "eval_f",
@@ -43,6 +44,7 @@ __all__ = [
     "phi_log_form",
     "Intensity",
     "AdmissibilityReport",
+    "denominator_scan",
     "check_admissibility",
 ]
 
@@ -126,6 +128,23 @@ def rotate(x, y):
 def unrotate(zeta, eta):
     """Inverse of :func:`rotate`."""
     return (zeta + eta) / SQRT2, (eta - zeta) / SQRT2
+
+
+def window_grid(window, samples, valid_mask=None):
+    """(X, Y, zeta, eta, keep) sampling an (x, y) window row-major.
+
+    ``samples`` is n or (nx, ny); ``keep`` is ``valid_mask(zeta, eta)``, or
+    all True without one.
+    """
+    (x0, x1), (y0, y1) = window
+    nx, ny = samples if isinstance(samples, tuple) else (samples, samples)
+    X, Y = np.meshgrid(np.linspace(x0, x1, nx), np.linspace(y0, y1, ny))
+    zeta, eta = rotate(X, Y)
+    if valid_mask is None:
+        keep = np.ones_like(zeta, dtype=bool)
+    else:
+        keep = np.asarray(valid_mask(zeta, eta), dtype=bool)
+    return X, Y, zeta, eta, keep
 
 
 # ---------------------------------------------------------------------------
@@ -259,7 +278,26 @@ def phi_log_form(spec: SolutionSpec, zeta, eta, t, p0, q0,
 
 
 # ---------------------------------------------------------------------------
-# admissibility
+# denominator scan and admissibility
+
+
+def denominator_scan(f, keep, X, Y, t):
+    """Scan denominator samples ``f`` over the kept points of the grid (X, Y).
+
+    Returns (finite, min_abs_f, min_f_point, flips_x, flips_y): the kept
+    finite samples, min |f| over them (inf if there are none) and its
+    (x, y, t), and the sign changes between x- and between y-neighbours.
+    """
+    with np.errstate(invalid="ignore", over="ignore", under="ignore", divide="ignore"):
+        f = np.where(keep, f, np.nan)
+        finite = np.isfinite(f)
+        absf = np.where(finite, np.abs(f), np.inf)
+        idx = np.unravel_index(np.argmin(absf), absf.shape)
+        sgn = np.sign(np.where(finite, f, 0.0))
+        flips_x = (sgn[:, 1:] * sgn[:, :-1]) < 0
+        flips_y = (sgn[1:, :] * sgn[:-1, :]) < 0
+    return (finite, float(absf[idx]), (float(X[idx]), float(Y[idx]), float(t)),
+            flips_x, flips_y)
 
 
 @dataclass(frozen=True)
@@ -289,34 +327,18 @@ def check_admissibility(spec: SolutionSpec, window, t: float,
     ``window`` is ((x0, x1), (y0, y1)); ``valid_mask(zeta, eta)`` may exclude
     known poles from the scan.
     """
-    (x0, x1), (y0, y1) = window
     nx, ny = samples
     if nx < 2 or ny < 2:
         raise ValueError("need at least 2 samples per axis")
-    x = np.linspace(x0, x1, nx)
-    y = np.linspace(y0, y1, ny)
-    X, Y = np.meshgrid(x, y)
-    zeta, eta = rotate(X, Y)
-    keep = np.ones_like(zeta, dtype=bool)
-    if valid_mask is not None:
-        keep = valid_mask(zeta, eta)
+    X, Y, zeta, eta, keep = window_grid(window, (nx, ny), valid_mask)
 
     pj, qj = profile_jets3(spec, zeta, eta, t)
     tau = eval_f(spec, zeta, eta, t, pj, qj)
     inten = eval_intensity(spec, zeta, eta, t, pj, qj)
 
-    f = np.where(keep, tau.f, np.nan)
-    finite_f = np.isfinite(f)
+    finite_f, min_abs_f, min_point, flips_x, flips_y = denominator_scan(
+        tau.f, keep, X, Y, t)
     n_invalid = int(np.count_nonzero(keep & (inten.invalid | ~finite_f)))
-
-    absf = np.where(finite_f, np.abs(f), np.inf)
-    idx = np.unravel_index(np.argmin(absf), absf.shape)
-    min_abs_f = float(absf[idx])
-    min_point = (float(X[idx]), float(Y[idx]), float(t))
-
-    sgn = np.sign(np.where(finite_f, f, 0.0))
-    flips_x = (sgn[:, 1:] * sgn[:, :-1]) < 0
-    flips_y = (sgn[1:, :] * sgn[:-1, :]) < 0
     n_flips = int(np.count_nonzero(flips_x) + np.count_nonzero(flips_y))
 
     viol = keep & inten.sign_violation
@@ -333,7 +355,7 @@ def check_admissibility(spec: SolutionSpec, window, t: float,
 
     if finite_vals.size and max_u < 1e-14:
         verdict = "degenerate"
-    elif n_flips or min_abs_f < DIV_GUARD:
+    elif n_flips or not finite_f.any() or min_abs_f < DIV_GUARD:
         verdict = "singular"
         witness = witness or min_point
     elif n_viol:

@@ -28,7 +28,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -40,9 +39,6 @@ from .profiles import TimeFunction, const_fn
 __all__ = [
     "Auxiliaries",
     "derive",
-    "derive_amplitudes",
-    "derive_phase_gradients",
-    "derive_background",
     "integrate_phases",
     "SampledPhase",
     "ConsistencyReport",
@@ -60,33 +56,19 @@ class Auxiliaries:
     """Immutable bundle of derived evaluators for one solution spec.
 
     All evaluators are vectorized over their spatial argument at fixed t.
-    The ``p0_offset`` / ``rz_offset`` / ``amplitude_scale`` hooks exist so
-    the verification suite can prove it detects corrupted ingredients; they
-    default to the identity.
+    ``c1``/``c2`` are the phase-gradient policies, ``quad_n`` the Simpson
+    panel count (rounded up to even) and the anchors the zeros of r and s.
     """
 
     def __init__(self, spec: SolutionSpec, c1=0.0, c2=0.0,
                  quad_n: int = 128, anchor_zeta: float = 0.0,
-                 anchor_eta: float = 0.0, *,
-                 p0_offset: float = 0.0, rz_offset: float = 0.0,
-                 amplitude_scale: float = 1.0):
+                 anchor_eta: float = 0.0):
         self.spec = spec
         self.c1 = _as_timefn(c1)
         self.c2 = _as_timefn(c2)
         self.quad_n = int(quad_n) + int(quad_n) % 2
         self.anchor_zeta = float(anchor_zeta)
         self.anchor_eta = float(anchor_eta)
-        self.p0_offset = float(p0_offset)
-        self.rz_offset = float(rz_offset)
-        self.amplitude_scale = float(amplitude_scale)
-
-    def perturbed(self, **kwargs) -> "Auxiliaries":
-        """Copy with corruption hooks set (negative-control support)."""
-        base = dict(p0_offset=self.p0_offset, rz_offset=self.rz_offset,
-                    amplitude_scale=self.amplitude_scale)
-        base.update(kwargs)
-        return Auxiliaries(self.spec, self.c1, self.c2, self.quad_n,
-                           self.anchor_zeta, self.anchor_eta, **base)
 
     # -- amplitude factors ---------------------------------------------------
 
@@ -94,10 +76,7 @@ class Auxiliaries:
         pj = self.spec.p.jet3(zeta, t)
         c0 = self.spec.funcs.c0.jet(t)
         rad = c0 * spatial_shift(pj)
-        out = float(self.spec.delta1) * jc.sqrt(rad)
-        if self.amplitude_scale != 1.0:
-            out = self.amplitude_scale * out
-        return out
+        return float(self.spec.delta1) * jc.sqrt(rad)
 
     def q1_jet(self, eta, t) -> Jet:
         qj = self.spec.q.jet3(eta, t)
@@ -116,10 +95,7 @@ class Auxiliaries:
                + self.c1.jet(t) * B * B
                + self.c2.jet(t) * B
                - spec.coeffs.det * spec.funcs.c3.jet(t))
-        out = num / (spec.funcs.beta.jet(t) * spatial_shift(pj))
-        if self.rz_offset:
-            out = out + self.rz_offset
-        return out
+        return num / (spec.funcs.beta.jet(t) * spatial_shift(pj))
 
     def s_eta_jet(self, eta, t) -> Jet:
         spec = self.spec
@@ -154,10 +130,7 @@ class Auxiliaries:
         c3 = spec.funcs.c3(t)
         with np.errstate(divide="ignore", invalid="ignore", over="ignore", under="ignore"):
             curvature = p1.d11 / p1.value
-            val = (c3 + r_t - 0.5 * beta * (curvature - rz.value ** 2)) / beta
-        if self.p0_offset:
-            val = val + self.p0_offset
-        return val
+            return (c3 + r_t - 0.5 * beta * (curvature - rz.value ** 2)) / beta
 
     def q0(self, eta, t, s_t=None):
         spec = self.spec
@@ -176,25 +149,6 @@ def derive(spec: SolutionSpec, c1=0.0, c2=0.0, quad_n: int = 128,
            anchor_zeta: float = 0.0, anchor_eta: float = 0.0) -> Auxiliaries:
     """Build the derived-quantity bundle for a solution spec."""
     return Auxiliaries(spec, c1, c2, quad_n, anchor_zeta, anchor_eta)
-
-
-# module-level forms of the individual derivations (thin wrappers)
-
-
-def derive_amplitudes(spec: SolutionSpec, zeta, eta, t,
-                      aux: Optional[Auxiliaries] = None) -> tuple[Jet, Jet]:
-    aux = aux or derive(spec)
-    return aux.p1_jet(zeta, t), aux.q1_jet(eta, t)
-
-
-def derive_phase_gradients(spec: SolutionSpec, zeta, eta, t,
-                           aux: Optional[Auxiliaries] = None) -> tuple[Jet, Jet]:
-    aux = aux or derive(spec)
-    return aux.r_zeta_jet(zeta, t), aux.s_eta_jet(eta, t)
-
-
-def derive_background(spec: SolutionSpec, aux: Auxiliaries, zeta, eta, t):
-    return aux.p0(zeta, t), aux.q0(eta, t)
 
 
 # ---------------------------------------------------------------------------

@@ -74,15 +74,19 @@ _PI_FORM = re.compile(
 def parse_time(text: str) -> float:
     """Decimal literal or pi expression: ``pi``, ``pi/4``, ``2pi/3``, ``-pi``."""
     m = _PI_FORM.match(text)
-    if m:
-        val = math.pi * float(m.group("coef") or 1.0)
-        if m.group("div"):
-            val /= float(m.group("div"))
-        return -val if m.group("sign") == "-" else val
     try:
-        return float(text)
-    except ValueError:
+        if m:
+            val = math.pi * float(m.group("coef") or 1.0)
+            if m.group("div"):
+                val /= float(m.group("div"))
+            val = -val if m.group("sign") == "-" else val
+        else:
+            val = float(text)
+    except (ValueError, ZeroDivisionError):
         raise UsageError(f"cannot parse time {text!r}") from None
+    if not math.isfinite(val):
+        raise UsageError(f"time must be finite, got {text!r}")
+    return val
 
 
 def parse_window(text: str):

@@ -20,8 +20,9 @@ from typing import Optional, Sequence
 import numpy as np
 from scipy import ndimage, optimize
 
-from .ansatz import SolutionSpec, eval_intensity, eval_phi, rotate
+from .ansatz import SolutionSpec, eval_intensity, eval_phi, rotate, window_grid
 from .auxiliary import Auxiliaries
+from .verify import residual_field
 
 __all__ = [
     "SingularWindowError",
@@ -109,13 +110,7 @@ def sample_field(spec: SolutionSpec, aux: Optional[Auxiliaries], which: str,
     if nx < 8 or ny < 8:
         raise ValueError("resolution must be at least 8 per axis")
     (x0, x1), (y0, y1) = window
-    x = np.linspace(x0, x1, nx)
-    y = np.linspace(y0, y1, ny)
-    X, Y = np.meshgrid(x, y)
-    zeta, eta = rotate(X, Y)
-    keep = np.ones_like(zeta, dtype=bool)
-    if valid_mask is not None:
-        keep = np.asarray(valid_mask(zeta, eta), dtype=bool)
+    _, _, zeta, eta, keep = window_grid(window, (nx, ny), valid_mask)
 
     if which == "U":
         inten = eval_intensity(spec, zeta, eta, t)
@@ -129,10 +124,7 @@ def sample_field(spec: SolutionSpec, aux: Optional[Auxiliaries], which: str,
             q0 = aux.q0(eta, t)
         vals = eval_phi(spec, zeta, eta, t, p0, q0)
     elif which in ("bilinear2", "pde2"):
-        from . import verify as _verify  # deferred: verify imports this module's types
-
-        vals = _verify.residual_field(spec, aux, which, window, t, nx, ny,
-                                      valid_mask)
+        vals = residual_field(spec, aux, which, window, t, nx, ny, valid_mask)
     else:
         raise ValueError(f"unknown field {which!r}; use U, phi, bilinear2, pde2")
 

@@ -27,11 +27,12 @@ import numpy as np
 from .ansatz import (
     CoordinatePoint,
     SolutionSpec,
+    denominator_scan,
     eval_f,
     eval_intensity,
     eval_phi,
     profile_jets3,
-    rotate,
+    window_grid,
 )
 from .auxiliary import Auxiliaries, consistency_c1_c2, derive
 from .calculus import Jet, Stencil, observed_order
@@ -185,17 +186,7 @@ def _bilinear_cross_dd(a0, a1, a2, a3, p, q, pz, qe):
 
 
 # ---------------------------------------------------------------------------
-# grid plumbing
-
-
-def _grid(window, samples):
-    (x0, x1), (y0, y1) = window
-    nx, ny = samples if isinstance(samples, tuple) else (samples, samples)
-    x = np.linspace(x0, x1, nx)
-    y = np.linspace(y0, y1, ny)
-    X, Y = np.meshgrid(x, y)
-    zeta, eta = rotate(X, Y)
-    return X, Y, zeta, eta
+# consistency gate
 
 
 def _consistency_gate(spec, aux, zeta, eta, t, gate):
@@ -212,11 +203,14 @@ def _consistency_gate(spec, aux, zeta, eta, t, gate):
 
 
 # ---------------------------------------------------------------------------
-# envelope jets at grid points
+# envelope equation
 
 
 def _envelope_terms(spec, aux, zeta, eta, t):
-    """All pieces of g = p1 q1 exp(i(r+s)) needed by the residual suites."""
+    """Envelope g = p1 q1 exp(i(r+s)) and its derivatives.
+
+    Returns ((g, g_z, g_zz, g_e, g_ee, g_t), r_t, s_t).
+    """
     p1 = aux.p1_jet(zeta, t)
     q1 = aux.q1_jet(eta, t)
     rz = aux.r_zeta_jet(zeta, t)
@@ -233,11 +227,103 @@ def _envelope_terms(spec, aux, zeta, eta, t):
     g_ee = p1.value * (q1.d11 + 2j * se.value * q1.d1
                        + (1j * se.d1 - se.value ** 2) * q1.value) * E
     g_t = (p1.dt * q1.value + p1.value * q1.dt + 1j * P * (r_t + s_t)) * E
-    return g, g_z, g_zz, g_e, g_ee, g_t, (p1, q1, rz, se, r, r_t, s, s_t)
+    return (g, g_z, g_zz, g_e, g_ee, g_t), r_t, s_t
+
+
+def _envelope_report(name, residual, spec, aux, X, Y, zeta, eta, t, keep,
+                     gate, extras=None, pj=None, qj=None) -> ResidualReport:
+    """Gate on consistency, then report |residual| of the envelope equation.
+
+    ``residual(spec, zeta, eta, t, tau, g_terms, p0, q0)`` gets f's jets,
+    the envelope terms of :func:`_envelope_terms` and the backgrounds.
+    """
+    if aux is None:
+        aux = derive(spec)
+    ok, why, crep = _consistency_gate(spec, aux, zeta, eta, t, gate)
+    variation = {"consistency_variation": crep.max_variation}
+    if not ok:
+        return ResidualReport(name, math.nan, math.nan,
+                              CoordinatePoint(math.nan, math.nan, t), 0,
+                              applicable=False, notes=why, extras=variation)
+    if pj is None:
+        pj, qj = profile_jets3(spec, zeta, eta, t)
+    tau = eval_f(spec, zeta, eta, t, pj, qj)
+    with np.errstate(invalid="ignore", over="ignore", under="ignore", divide="ignore"):
+        terms, r_t, s_t = _envelope_terms(spec, aux, zeta, eta, t)
+        p0 = aux.p0(zeta, t, r_t=r_t)
+        q0 = aux.q0(eta, t, s_t=s_t)
+        resid = residual(spec, zeta, eta, t, tau, terms, p0, q0)
+        valid = keep & np.isfinite(resid)
+    return _report(name, resid, X, Y, t, valid, extras={**(extras or {}), **variation})
+
+
+def _bilinear1_residual(spec, zeta, eta, t, tau, terms, p0, q0):
+    """Line 1 of the bilinear form, its terms scaled by 1/f^3."""
+    g, g_z, g_zz, g_e, g_ee, g_t = terms
+    f = tau.f
+    beta = spec.funcs.beta(t)
+    gamma = spec.funcs.gamma(t)
+    f2 = f * f
+    u = g / f
+    t1 = 1j * (g_t * f - g * tau.f_t) / f2
+    d2z = (g_zz * f - 2.0 * g_z * tau.f_z + g * tau.f_zz) / f2
+    d2e = (g_ee * f - 2.0 * g_e * tau.f_e + g * tau.f_ee) / f2
+    t2 = 0.5 * beta * (d2z + d2e)
+    t3 = -0.5 * beta * (np.abs(g) ** 2) * g / (f2 * f)
+    cross = 2.0 * (f * tau.f_ze - tau.f_z * tau.f_e)
+    t4 = beta * u * cross / f2
+    t5 = beta * (p0 + q0) * u
+    t6 = -1j * gamma * u
+    return np.abs(t1 + t2 + t3 + t4 + t5 + t6)
+
+
+def _pde1_residual(spec, zeta, eta, t, tau, terms, p0, q0):
+    """The envelope equation for u = g/f with the forcing field phi."""
+    g, g_z, g_zz, g_e, g_ee, g_t = terms
+    beta = spec.funcs.beta(t)
+    gamma = spec.funcs.gamma(t)
+    f = tau.f
+    f2 = f * f
+    u = g / f
+    u_t = (g_t * f - g * tau.f_t) / f2
+    dff_z = 2.0 * (f * tau.f_zz - tau.f_z ** 2)
+    dff_e = 2.0 * (f * tau.f_ee - tau.f_e ** 2)
+    u_zz = (g_zz * f - 2.0 * g_z * tau.f_z + g * tau.f_zz) / f2 - u * dff_z / f2
+    u_ee = (g_ee * f - 2.0 * g_e * tau.f_e + g * tau.f_ee) / f2 - u * dff_e / f2
+    phi = eval_phi(spec, zeta, eta, t, p0, q0, tau=tau)
+    return np.abs(
+        1j * u_t
+        + beta * (0.5 * (u_zz + u_ee)
+                  - 0.5 * np.abs(u) ** 2 * u
+                  + u * phi)
+        - 1j * gamma * u
+    )
 
 
 # ---------------------------------------------------------------------------
 # bilinear residuals
+
+
+def _bilinear2_field(spec, aux, zeta, eta, t, pj, qj):
+    """Residual of 2 D_z D_e f.f = g g* relative to |g g*|.
+
+    With ``aux``, g g* comes from the amplitude factors, falling back to the
+    exact product 4 det p_z q_e where they are non-finite; the second value
+    marks those fallbacks (None without ``aux``).
+    """
+    a = spec.coeffs
+    with np.errstate(invalid="ignore", over="ignore", under="ignore"):
+        hi, lo = _bilinear_cross_dd(a.a0, a.a1, a.a2, a.a3,
+                                    pj.value, qj.value, pj.d1, qj.d1)
+        gg = 4.0 * a.det * pj.d1 * qj.d1
+        amp_bad = None
+        if aux is not None:
+            gg_amp = (aux.p1_jet(zeta, t).value * aux.q1_jet(eta, t).value) ** 2
+            amp_bad = ~np.isfinite(gg_amp)
+            gg = np.where(amp_bad, gg, gg_amp)
+        resid = np.abs((hi - gg) + lo)
+        scale = np.abs(gg)
+        return resid / np.where(scale > 0.0, scale, 1.0), amp_bad
 
 
 def bilinear_residuals(spec: SolutionSpec, aux: Optional[Auxiliaries],
@@ -251,75 +337,19 @@ def bilinear_residuals(spec: SolutionSpec, aux: Optional[Auxiliaries],
     Line 1 terms are evaluated at envelope scale (the raw bilinear form
     scales like |f|^3, which would make absolute numbers meaningless).
     """
-    X, Y, zeta, eta = _grid(window, samples)
-    keep = np.ones_like(zeta, dtype=bool)
-    if valid_mask is not None:
-        keep = valid_mask(zeta, eta)
-
+    X, Y, zeta, eta, keep = window_grid(window, samples, valid_mask)
     pj, qj = profile_jets3(spec, zeta, eta, t)
-    a = spec.coeffs
-    with np.errstate(invalid="ignore", over="ignore", under="ignore"):
-        hi, lo = _bilinear_cross_dd(a.a0, a.a1, a.a2, a.a3,
-                                    pj.value, qj.value, pj.d1, qj.d1)
-        gg_exact = 4.0 * a.det * pj.d1 * qj.d1
-
-        flags = {}
-        if aux is not None:
-            p1 = aux.p1_jet(zeta, t)
-            q1 = aux.q1_jet(eta, t)
-            gg_amp = (p1.value * q1.value) ** 2
-            amp_bad = ~np.isfinite(gg_amp)
-            flags["amplitude_branch"] = int(np.count_nonzero(amp_bad & keep))
-            gg = np.where(amp_bad, gg_exact, gg_amp)
-        else:
-            gg = gg_exact
-
-        resid = np.abs((hi - gg) + lo)
-        scale = np.abs(gg)
-        rel = resid / np.where(scale > 0.0, scale, 1.0)
-        valid = keep & np.isfinite(rel)
-
-    line2 = _report("bilinear2", rel, X, Y, t, valid, flags=flags,
-                    extras={"normalization": "relative to |g g*|"})
-
+    rel, amp_bad = _bilinear2_field(spec, aux, zeta, eta, t, pj, qj)
+    flags = {}
+    if amp_bad is not None:
+        flags["amplitude_branch"] = int(np.count_nonzero(amp_bad & keep))
+    line2 = _report("bilinear2", rel, X, Y, t, keep & np.isfinite(rel),
+                    flags=flags, extras={"normalization": "relative to |g g*|"})
     if not check_line1:
         return line2, None
-
-    if aux is None:
-        aux = derive(spec)
-    ok, why, crep = _consistency_gate(spec, aux, zeta, eta, t, gate)
-    if not ok:
-        line1 = ResidualReport("bilinear1", math.nan, math.nan,
-                               CoordinatePoint(math.nan, math.nan, t), 0,
-                               applicable=False, notes=why,
-                               extras={"consistency_variation": crep.max_variation})
-        return line2, line1
-
-    tau = eval_f(spec, zeta, eta, t, pj, qj)
-    with np.errstate(invalid="ignore", over="ignore", under="ignore", divide="ignore"):
-        g, g_z, g_zz, g_e, g_ee, g_t, parts = _envelope_terms(spec, aux, zeta, eta, t)
-        f = tau.f
-        beta = spec.funcs.beta(t)
-        gamma = spec.funcs.gamma(t)
-        p0 = aux.p0(zeta, t, r_t=parts[5])
-        q0 = aux.q0(eta, t, s_t=parts[7])
-        f2 = f * f
-        u = g / f
-        t1 = 1j * (g_t * f - g * tau.f_t) / f2
-        d2z = (g_zz * f - 2.0 * g_z * tau.f_z + g * tau.f_zz) / f2
-        d2e = (g_ee * f - 2.0 * g_e * tau.f_e + g * tau.f_ee) / f2
-        t2 = 0.5 * beta * (d2z + d2e)
-        t3 = -0.5 * beta * (np.abs(g) ** 2) * g / (f2 * f)
-        cross = 2.0 * (f * tau.f_ze - tau.f_z * tau.f_e)
-        t4 = beta * u * cross / f2
-        t5 = beta * (p0 + q0) * u
-        t6 = -1j * gamma * u
-        resid1 = np.abs(t1 + t2 + t3 + t4 + t5 + t6)
-        valid1 = keep & np.isfinite(resid1)
-
-    line1 = _report("bilinear1", resid1, X, Y, t, valid1,
-                    extras={"normalization": "terms scaled by 1/f^3",
-                            "consistency_variation": crep.max_variation})
+    line1 = _envelope_report("bilinear1", _bilinear1_residual, spec, aux,
+                             X, Y, zeta, eta, t, keep, gate,
+                             {"normalization": "terms scaled by 1/f^3"}, pj, qj)
     return line2, line1
 
 
@@ -340,103 +370,54 @@ def pde_residuals(spec: SolutionSpec, aux: Optional[Auxiliaries], window,
     requested come back None.
     """
     stencil = stencil or Stencil(2, 2, 1e-2)
-    X, Y, zeta, eta = _grid(window, samples)
-    keep = np.ones_like(zeta, dtype=bool)
-    if valid_mask is not None:
-        keep = valid_mask(zeta, eta)
-
+    X, Y, zeta, eta, keep = window_grid(window, samples, valid_mask)
     line1 = line2 = None
-
     if "line1" in checks:
-        if aux is None:
-            aux = derive(spec)
-        ok, why, crep = _consistency_gate(spec, aux, zeta, eta, t, gate)
-        if not ok:
-            line1 = ResidualReport("pde1", math.nan, math.nan,
-                                   CoordinatePoint(math.nan, math.nan, t), 0,
-                                   applicable=False, notes=why,
-                                   extras={"consistency_variation": crep.max_variation})
-        else:
-            pj, qj = profile_jets3(spec, zeta, eta, t)
-            tau = eval_f(spec, zeta, eta, t, pj, qj)
-            with np.errstate(invalid="ignore", over="ignore",
-                             under="ignore", divide="ignore"):
-                g, g_z, g_zz, g_e, g_ee, g_t, parts = _envelope_terms(
-                    spec, aux, zeta, eta, t)
-                beta = spec.funcs.beta(t)
-                gamma = spec.funcs.gamma(t)
-                p0 = aux.p0(zeta, t, r_t=parts[5])
-                q0 = aux.q0(eta, t, s_t=parts[7])
-                f = tau.f
-                f2 = f * f
-                u = g / f
-                u_t = (g_t * f - g * tau.f_t) / f2
-                dff_z = 2.0 * (f * tau.f_zz - tau.f_z ** 2)
-                dff_e = 2.0 * (f * tau.f_ee - tau.f_e ** 2)
-                u_zz = (g_zz * f - 2.0 * g_z * tau.f_z + g * tau.f_zz) / f2 - u * dff_z / f2
-                u_ee = (g_ee * f - 2.0 * g_e * tau.f_e + g * tau.f_ee) / f2 - u * dff_e / f2
-                phi = eval_phi(spec, zeta, eta, t, p0, q0, tau=tau)
-                resid = np.abs(
-                    1j * u_t
-                    + beta * (0.5 * (u_zz + u_ee)
-                              - 0.5 * np.abs(u) ** 2 * u
-                              + u * phi)
-                    - 1j * gamma * u
-                )
-                valid = keep & np.isfinite(resid)
-            line1 = _report("pde1", resid, X, Y, t, valid,
-                            extras={"consistency_variation": crep.max_variation})
-
+        line1 = _envelope_report("pde1", _pde1_residual, spec, aux,
+                                 X, Y, zeta, eta, t, keep, gate)
     if "line2" in checks:
-        line2 = _phi_constraint_residual(spec, X, Y, zeta, eta, t, stencil, keep)
-
+        resid, stencil_ok = _pde2_field(spec, zeta, eta, t, stencil)
+        line2 = _report("pde2", resid, X, Y, t,
+                        keep & stencil_ok & np.isfinite(resid),
+                        flags={"stencil_dropped":
+                               int(np.count_nonzero(keep & ~stencil_ok))},
+                        extras={"h": stencil.h, "accuracy": stencil.accuracy})
     return line1, line2
 
 
-def _phi_nobg_and_intensity(spec, zeta, eta, t):
-    """Forcing field with zero backgrounds, and the intensity field.
+def _pde2_field(spec, zeta, eta, t, stencil: Stencil):
+    """Forcing-field constraint residual |4 phi_ze - U_zz - U_ee - 2 U_ze|.
 
-    The cross derivative taken by the line-2 check annihilates separated
-    backgrounds, so the check is exact without them and stays defined at
-    degenerate times.
+    Central differences with ``stencil``; the second value marks the points
+    whose stencil samples of U and phi are all finite.
     """
-    pj, qj = profile_jets3(spec, zeta, eta, t)
-    tau = eval_f(spec, zeta, eta, t, pj, qj)
-    phi = eval_phi(spec, zeta, eta, t, 0.0, 0.0, tau=tau)
-    inten = eval_intensity(spec, zeta, eta, t, pj, qj)
-    return phi, inten.values
-
-
-def _phi_constraint_residual(spec, X, Y, zeta, eta, t, stencil: Stencil, keep):
     h = stencil.h
     w2 = Stencil(2, stencil.accuracy, h).weights
     w1 = Stencil(1, stencil.accuracy, h).weights
     half = (len(w1) - 1) // 2
     offs = np.arange(-half, half + 1)
 
-    shape = zeta.shape
-    U = np.empty((len(offs), len(offs)) + shape)
+    U = np.empty((len(offs), len(offs)) + zeta.shape)
     PHI = np.empty_like(U)
     with np.errstate(invalid="ignore", over="ignore", under="ignore", divide="ignore"):
         for i, oi in enumerate(offs):
             for j, oj in enumerate(offs):
-                phi, u = _phi_nobg_and_intensity(spec, zeta + oi * h, eta + oj * h, t)
-                U[i, j] = u
-                PHI[i, j] = phi
+                z, e = zeta + oi * h, eta + oj * h
+                pj, qj = profile_jets3(spec, z, e, t)
+                # zero backgrounds: the cross derivative annihilates separated
+                # backgrounds, so the check is exact without them and stays
+                # defined at degenerate times
+                PHI[i, j] = eval_phi(spec, z, e, t, 0.0, 0.0,
+                                     tau=eval_f(spec, z, e, t, pj, qj))
+                U[i, j] = eval_intensity(spec, z, e, t, pj, qj).values
 
-        c = half
-        u_zz = np.tensordot(w2, U[:, c], axes=(0, 0)) / h**2
-        u_ee = np.tensordot(w2, U[c, :], axes=(0, 0)) / h**2
+        u_zz = np.tensordot(w2, U[:, half], axes=(0, 0)) / h**2
+        u_ee = np.tensordot(w2, U[half, :], axes=(0, 0)) / h**2
         u_ze = np.einsum("i,j,ij...->...", w1, w1, U) / h**2
         phi_ze = np.einsum("i,j,ij...->...", w1, w1, PHI) / h**2
         resid = np.abs(4.0 * phi_ze - u_zz - u_ee - 2.0 * u_ze)
-
-        stencil_ok = np.isfinite(U).all(axis=(0, 1)) & np.isfinite(PHI).all(axis=(0, 1))
-        valid = keep & stencil_ok & np.isfinite(resid)
-
-    return _report("pde2", resid, X, Y, t, valid,
-                   flags={"stencil_dropped": int(np.count_nonzero(keep & ~stencil_ok))},
-                   extras={"h": h, "accuracy": stencil.accuracy})
+    stencil_ok = np.isfinite(U).all(axis=(0, 1)) & np.isfinite(PHI).all(axis=(0, 1))
+    return resid, stencil_ok
 
 
 def pde_phi_convergence(spec: SolutionSpec, window, t: float, samples=24,
@@ -458,45 +439,20 @@ def pde_phi_convergence(spec: SolutionSpec, window, t: float, samples=24,
 
 def residual_field(spec: SolutionSpec, aux, which: str, window, t: float,
                    nx: int, ny: int, valid_mask=None) -> np.ndarray:
-    """Pointwise residual values (not reduced to a report) for rendering."""
-    X, Y, zeta, eta = _grid(window, (nx, ny))
+    """Pointwise residual values (not reduced to a report) for rendering.
+
+    NaN marks the samples the matching report drops.
+    """
+    X, Y, zeta, eta, keep = window_grid(window, (nx, ny), valid_mask)
     if which == "bilinear2":
         pj, qj = profile_jets3(spec, zeta, eta, t)
-        a = spec.coeffs
-        with np.errstate(invalid="ignore", over="ignore", under="ignore"):
-            hi, lo = _bilinear_cross_dd(a.a0, a.a1, a.a2, a.a3,
-                                        pj.value, qj.value, pj.d1, qj.d1)
-            gg = 4.0 * a.det * pj.d1 * qj.d1
-            resid = np.abs((hi - gg) + lo)
-            return resid / np.where(np.abs(gg) > 0.0, np.abs(gg), 1.0)
-    if which == "pde2":
-        stencil = Stencil(2, 2, 1e-2)
-        keep = np.ones_like(zeta, dtype=bool)
-        if valid_mask is not None:
-            keep = valid_mask(zeta, eta)
-        h = stencil.h
-        w2 = stencil.weights
-        w1 = Stencil(1, stencil.accuracy, h).weights
-        half = (len(w1) - 1) // 2
-        offs = np.arange(-half, half + 1)
-        U = np.empty((len(offs), len(offs)) + zeta.shape)
-        PHI = np.empty_like(U)
-        with np.errstate(invalid="ignore", over="ignore", under="ignore",
-                         divide="ignore"):
-            for i, oi in enumerate(offs):
-                for j, oj in enumerate(offs):
-                    phi, u = _phi_nobg_and_intensity(spec, zeta + oi * h,
-                                                     eta + oj * h, t)
-                    U[i, j] = u
-                    PHI[i, j] = phi
-            c = half
-            u_zz = np.tensordot(w2, U[:, c], axes=(0, 0)) / h**2
-            u_ee = np.tensordot(w2, U[c, :], axes=(0, 0)) / h**2
-            u_ze = np.einsum("i,j,ij...->...", w1, w1, U) / h**2
-            phi_ze = np.einsum("i,j,ij...->...", w1, w1, PHI) / h**2
-            resid = np.abs(4.0 * phi_ze - u_zz - u_ee - 2.0 * u_ze)
-            return np.where(keep, resid, np.nan)
-    raise ValueError(f"unknown residual field {which!r}")
+        resid, _ = _bilinear2_field(spec, aux, zeta, eta, t, pj, qj)
+    elif which == "pde2":
+        resid, stencil_ok = _pde2_field(spec, zeta, eta, t, Stencil(2, 2, 1e-2))
+        keep = keep & stencil_ok
+    else:
+        raise ValueError(f"unknown residual field {which!r}")
+    return np.where(keep & np.isfinite(resid), resid, np.nan)
 
 
 # ---------------------------------------------------------------------------
@@ -545,34 +501,20 @@ def singularity_scan(spec: SolutionSpec, window, t: float, samples=128,
     coordinate (they are one-variable features of the profiles), in addition
     to the two-dimensional denominator scan.
     """
-    X, Y, zeta, eta = _grid(window, samples)
-    keep = np.ones_like(zeta, dtype=bool)
-    if valid_mask is not None:
-        keep = valid_mask(zeta, eta)
+    X, Y, zeta, eta, keep = window_grid(window, samples, valid_mask)
     with np.errstate(invalid="ignore", over="ignore", under="ignore", divide="ignore"):
-        tau = eval_f(spec, zeta, eta, t)
-        f = np.where(keep, tau.f, np.nan)
-        finite = np.isfinite(f)
-        absf = np.where(finite, np.abs(f), np.inf)
-        idx = np.unravel_index(np.argmin(absf), absf.shape)
-        sgn = np.sign(np.where(finite, f, 0.0))
-        flips_x = (sgn[:, 1:] * sgn[:, :-1]) < 0
-        flips_y = (sgn[1:, :] * sgn[:-1, :]) < 0
-    n_flips = int(np.count_nonzero(flips_x) + np.count_nonzero(flips_y))
-    examples = []
-    if n_flips:
-        ys, xs = np.nonzero(flips_x)
-        for yy, xx in list(zip(ys, xs))[:5]:
-            examples.append((float(X[yy, xx]), float(Y[yy, xx])))
-        if not examples:
-            ys, xs = np.nonzero(flips_y)
-            for yy, xx in list(zip(ys, xs))[:5]:
-                examples.append((float(X[yy, xx]), float(Y[yy, xx])))
+        f = eval_f(spec, zeta, eta, t).f
+    finite, min_abs_f, min_point, flips_x, flips_y = denominator_scan(
+        f, keep, X, Y, t)
+    # up to five x-flip cells, or y-flip cells when there are no x-flips
+    ys, xs = np.nonzero(flips_x if flips_x.any() else flips_y)
+    examples = tuple((float(X[yy, xx]), float(Y[yy, xx]))
+                     for yy, xx in zip(ys[:5], xs[:5]))
     return ScanReport(
-        min_abs_f=float(absf[idx]),
-        min_f_point=(float(X[idx]), float(Y[idx]), float(t)),
-        sign_change_cells=n_flips,
-        sign_change_examples=tuple(examples),
+        min_abs_f=min_abs_f,
+        min_f_point=min_point,
+        sign_change_cells=int(np.count_nonzero(flips_x) + np.count_nonzero(flips_y)),
+        sign_change_examples=examples,
         nonfinite_points=int(np.count_nonzero(keep & ~finite)),
         masked_points=int(np.count_nonzero(~keep)),
         samples=int(zeta.size),

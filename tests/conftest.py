@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from dsfield.ansatz import SeparationCoefficients, SolutionSpec
+from dsfield.auxiliary import Auxiliaries
 from dsfield.profiles import ExpSumProfile
 
 # one line per acceptance criterion, echoed after the run regardless of
@@ -33,6 +34,42 @@ def random_spec(rng):
     return SolutionSpec(coeffs, random_expsum(rng), random_expsum(rng),
                         delta1=int(rng.choice([-1, 1])),
                         delta2=int(rng.choice([-1, 1])))
+
+
+class CorruptedAuxiliaries(Auxiliaries):
+    """Auxiliaries with corrupted ingredients, so negative controls can show
+    that the residual checks detect them; the hooks default to the identity."""
+
+    def __init__(self, spec, *args, p0_offset=0.0, rz_offset=0.0,
+                 amplitude_scale=1.0, **kwargs):
+        super().__init__(spec, *args, **kwargs)
+        self.p0_offset = float(p0_offset)
+        self.rz_offset = float(rz_offset)
+        self.amplitude_scale = float(amplitude_scale)
+
+    def p1_jet(self, zeta, t):
+        out = super().p1_jet(zeta, t)
+        if self.amplitude_scale != 1.0:
+            out = self.amplitude_scale * out
+        return out
+
+    def r_zeta_jet(self, zeta, t):
+        out = super().r_zeta_jet(zeta, t)
+        if self.rz_offset:
+            out = out + self.rz_offset
+        return out
+
+    def p0(self, zeta, t, r_t=None):
+        val = super().p0(zeta, t, r_t)
+        if self.p0_offset:
+            val = val + self.p0_offset
+        return val
+
+
+def perturbed(aux, **hooks) -> CorruptedAuxiliaries:
+    """Copy of ``aux`` with corruption hooks set (negative-control support)."""
+    return CorruptedAuxiliaries(aux.spec, aux.c1, aux.c2, aux.quad_n,
+                                aux.anchor_zeta, aux.anchor_eta, **hooks)
 
 
 @pytest.fixture

@@ -30,7 +30,7 @@ from dsfield.field import (
 )
 from dsfield.verify import bilinear_residuals, hirota_d, pde_phi_convergence, pde_residuals
 
-from conftest import random_spec
+from conftest import perturbed, random_spec
 
 
 import conftest
@@ -75,7 +75,7 @@ def test_criterion_2_dromion_closed_case():
                                  Stencil(2, 2, 1e-3), checks=("line1",))
         assert line1.applicable
         assert line1.max_abs < 1e-6
-        corrupted = aux.perturbed(p0_offset=0.5 - 0.375)
+        corrupted = perturbed(aux, p0_offset=0.5 - 0.375)
         bad, _ = pde_residuals(e.spec, corrupted, window, 0.0, 48,
                                checks=("line1",))
         assert bad.max_abs > 1e-2

@@ -235,6 +235,13 @@ def test_admissibility_resonant_singular():
     assert rep.witness is not None
 
 
+def test_admissibility_window_without_finite_f_is_singular(dromion):
+    rep = check_admissibility(dromion, ((-8, 8), (-8, 8)), math.inf, (16, 16))
+    assert rep.invalid_points == 16 * 16
+    assert rep.min_abs_f == math.inf
+    assert rep.verdict == "singular"
+
+
 def test_admissibility_requires_samples(dromion):
     with pytest.raises(ValueError):
         check_admissibility(dromion, ((-1, 1), (-1, 1)), 0.0, (1, 4))

@@ -12,9 +12,6 @@ from dsfield.ansatz import (
 from dsfield.auxiliary import (
     consistency_c1_c2,
     derive,
-    derive_amplitudes,
-    derive_background,
-    derive_phase_gradients,
     integrate_phases,
 )
 from dsfield.catalog import build_case, case_names
@@ -42,7 +39,7 @@ def admissible_spec(rng):
 
 def test_dromion_amplitudes(dromion):
     aux = derive(dromion)
-    p1, q1 = derive_amplitudes(dromion, 0.0, 0.0, 0.0, aux)
+    p1, q1 = aux.p1_jet(0.0, 0.0), aux.q1_jet(0.0, 0.0)
     assert p1.value == pytest.approx(math.exp(0.5), rel=1e-14)
     assert q1.value == pytest.approx(2 * math.exp(0.5), rel=1e-14)
     # analytic jets of exp((zeta + t + 1)/2)
@@ -83,7 +80,7 @@ def test_breather_amplitude_vanishes_at_degenerate_time():
 
 def test_dromion_phase_gradients(dromion):
     aux = derive(dromion)
-    rz, se = derive_phase_gradients(dromion, 1.3, -0.8, 0.45, aux)
+    rz, se = aux.r_zeta_jet(1.3, 0.45), aux.s_eta_jet(-0.8, 0.45)
     assert rz.value == pytest.approx(-1.0, rel=1e-14)
     assert se.value == pytest.approx(-1.0, rel=1e-14)
     assert rz.d1 == pytest.approx(0.0, abs=1e-14)
@@ -119,7 +116,7 @@ def test_evolution_round_trip(rng):
 
 def test_dromion_background(dromion):
     aux = derive(dromion)
-    p0, q0 = derive_background(dromion, aux, 0.9, -1.4, 0.2)
+    p0, q0 = aux.p0(0.9, 0.2), aux.q0(-1.4, 0.2)
     assert p0 == pytest.approx(0.375, rel=1e-12)
     assert q0 == pytest.approx(0.375, rel=1e-12)
 

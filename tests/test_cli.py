@@ -37,6 +37,18 @@ def test_parse_time_rejects_garbage():
         parse_time("two pies")
 
 
+@pytest.mark.parametrize("text", ["pi/0", "2pi/0.0", "nan", "inf", "-inf"])
+def test_bad_time_is_usage_error(text, tmp_path, capsys):
+    from dsfield.cli import UsageError
+    with pytest.raises(UsageError):
+        parse_time(text)
+    out = tmp_path / "x.csv"
+    assert run("render", "--case", "dromion", "--t", text,
+               "--out", str(out), "--res", "16") == 2
+    assert "error:" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_parse_window():
     assert parse_window("-1:2:-3:4.5") == ((-1.0, 2.0), (-3.0, 4.5))
     from dsfield.cli import UsageError

@@ -1,0 +1,51 @@
+"""The benchmark's span tracer must find every binding it wraps, and restore
+them all, so that a refactor cannot silently break ``perfbench/run.py --trace``."""
+
+import importlib.util
+import os
+import sys
+
+import dsfield.cli  # noqa: F401  (the tracer needs every dsfield module loaded)
+from dsfield import auxiliary, profiles
+
+TRACER = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench", "tracer.py")
+
+
+def _load_tracer():
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER)
+    mod = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(mod)
+    return mod
+
+
+def _bindings():
+    """Every attribute of the dsfield modules and of the classes the tracer patches."""
+    owners = [m for n, m in sys.modules.items()
+              if n == "dsfield" or n.startswith("dsfield.")]
+    owners.append(auxiliary.Auxiliaries)
+    owners += [c for c in vars(profiles).values()
+               if isinstance(c, type) and issubclass(c, profiles.ProfileFunction)]
+    return {(owner, key): val for owner in owners
+            for key, val in list(vars(owner).items())}
+
+
+def test_tracer_wraps_every_target_and_restores_it():
+    tracer_mod = _load_tracer()
+    before = _bindings()
+    tracer = tracer_mod.Tracer()
+    tracer.install()
+    try:
+        for targets in tracer_mod.FUNCTIONS.values():
+            for modname, attr in targets:
+                mod = sys.modules[modname]
+                assert getattr(mod, attr) is not before[(mod, attr)], (modname, attr)
+        for methods in tracer_mod.AUX_METHODS.values():
+            for attr in methods:
+                cls = auxiliary.Auxiliaries
+                assert vars(cls)[attr] is not before[(cls, attr)], attr
+    finally:
+        tracer.uninstall()
+    after = _bindings()
+    assert after.keys() == before.keys()
+    changed = [key for key, val in before.items() if after[key] is not val]
+    assert changed == []

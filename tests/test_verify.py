@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from dsfield.ansatz import CoefficientFunctions, SolutionSpec
+from dsfield.ansatz import CoefficientFunctions, SolutionSpec, check_admissibility
 from dsfield.auxiliary import derive
 from dsfield.calculus import Jet, Stencil
 from dsfield.catalog import build_case, case_names
@@ -18,7 +18,7 @@ from dsfield.verify import (
     singularity_scan,
 )
 
-from conftest import random_spec
+from conftest import perturbed, random_spec
 
 
 def exp_jet(k, omega=0.0):
@@ -136,14 +136,14 @@ def test_bilinear_line1_not_applicable_for_resonant():
 
 def test_negative_control_corrupted_background():
     e = build_case("dromion")
-    aux = derive(e.spec).perturbed(p0_offset=0.5 - 0.375)
+    aux = perturbed(derive(e.spec), p0_offset=0.5 - 0.375)
     _, line1 = bilinear_residuals(e.spec, aux, ((-4, 4), (-4, 4)), 0.0, 48)
     assert line1.max_abs > 1e-2
 
 
 def test_negative_control_corrupted_gradient():
     e = build_case("dromion")
-    aux = derive(e.spec).perturbed(rz_offset=0.1)
+    aux = perturbed(derive(e.spec), rz_offset=0.1)
     # the corrupted gradient shows up in the consistency gate...
     _, gated = bilinear_residuals(e.spec, aux, ((-4, 4), (-4, 4)), 0.0, 24)
     assert not gated.applicable
@@ -155,7 +155,7 @@ def test_negative_control_corrupted_gradient():
 
 def test_negative_control_corrupted_amplitude():
     e = build_case("dromion")
-    aux = derive(e.spec).perturbed(amplitude_scale=1.1)
+    aux = perturbed(derive(e.spec), amplitude_scale=1.1)
     line2, _ = bilinear_residuals(e.spec, aux, e.window, 0.0, 32,
                                   check_line1=False)
     assert line2.max_abs > 0.15       # (1.1^2 - 1)/1.1^2 relative mismatch
@@ -196,7 +196,7 @@ def test_pde_line1_closed_case():
 
 def test_pde_line1_negative_control():
     e = build_case("dromion")
-    aux = derive(e.spec).perturbed(p0_offset=0.125)
+    aux = perturbed(derive(e.spec), p0_offset=0.125)
     l1, _ = pde_residuals(e.spec, aux, ((-4, 4), (-4, 4)), 0.0, 48,
                           checks=("line1",))
     assert l1.max_abs > 1e-2
@@ -242,9 +242,33 @@ def test_residual_field_values_match_report():
     assert np.nanmax(vals) < 1e-12
     with pytest.raises(ValueError):
         residual_field(e.spec, None, "nope", e.window, 0.0, 8, 8)
+    # at 48 samples the double_instanton mask drops 44 points near its pole
+    for name in ("dromion", "double_instanton"):
+        e = build_case(name)
+        t = e.reference_times[0]
+        line2, _ = bilinear_residuals(e.spec, None, e.window, t, 48,
+                                      valid_mask=e.valid_mask, check_line1=False)
+        _, pde2 = pde_residuals(e.spec, None, e.window, t, 48,
+                                valid_mask=e.valid_mask, checks=("line2",))
+        for which, rep in (("bilinear2", line2), ("pde2", pde2)):
+            vals = residual_field(e.spec, None, which, e.window, t, 48, 48,
+                                  valid_mask=e.valid_mask)
+            assert np.nanmax(vals) == rep.max_abs, (name, which)
+            assert np.count_nonzero(np.isfinite(vals)) == rep.samples, (name, which)
 
 
 # -- scans -------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("name", case_names())
+def test_scan_agrees_with_admissibility(name):
+    e = build_case(name)
+    t = e.reference_times[0]
+    rep = check_admissibility(e.spec, e.window, t, (48, 48), e.valid_mask)
+    scan = singularity_scan(e.spec, e.window, t, 48, e.valid_mask)
+    assert scan.min_abs_f == rep.min_abs_f
+    assert scan.min_f_point == rep.min_f_point
+    assert scan.sign_change_cells == rep.sign_changes
 
 
 def test_scan_dromion_positive():
