@@ -12,7 +12,6 @@ time-periodicity estimates, and peak-decay series.
 
 from __future__ import annotations
 
-import io
 import math
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
@@ -370,24 +369,24 @@ def export(grid: FieldGrid, format: str):
 
 
 def to_csv(grid: FieldGrid) -> bytes:
-    """Header x,y,U plus one row per valid point, 17 significant digits."""
-    buf = io.StringIO()
-    buf.write("x,y,U\n")
-    xs, ys = grid.x, grid.y
-    for iy in range(grid.ny):
-        for ix in range(grid.nx):
-            if grid.mask[iy, ix]:
-                buf.write(f"{xs[ix]:.17g},{ys[iy]:.17g},{grid.values[iy, ix]:.17g}\n")
-    return buf.getvalue().encode("ascii")
+    """Header x,y,U plus one row per valid point, row-major with y ascending,
+    17 significant digits; masked points are omitted."""
+    iy, ix = np.nonzero(grid.mask)
+    xs = np.array(["%.17g" % v for v in grid.x.tolist()], dtype=object)
+    ys = np.array(["%.17g" % v for v in grid.y.tolist()], dtype=object)
+    cells = [None] * (3 * iy.size)
+    cells[0::3], cells[1::3] = xs[ix].tolist(), ys[iy].tolist()
+    cells[2::3] = grid.values[iy, ix].tolist()
+    return ("x,y,U\n" + "%s,%s,%.17g\n" * iy.size % tuple(cells)).encode("ascii")
 
 
 def parse_csv(data: bytes):
     """Inverse of :func:`to_csv`; returns (x, y, value) float arrays."""
     lines = data.decode("ascii").strip().splitlines()
-    if not lines or lines[0] != "x,y,U":
+    rows = [ln.split(",") for ln in lines[1:]]
+    if not lines or lines[0] != "x,y,U" or any(len(r) != 3 for r in rows):
         raise ValueError("not a field CSV")
-    cols = [tuple(float(c) for c in ln.split(",")) for ln in lines[1:]]
-    arr = np.asarray(cols, dtype=float).reshape(-1, 3)
+    arr = np.array([[float(c) for c in r] for r in rows]).reshape(-1, 3)
     return arr[:, 0], arr[:, 1], arr[:, 2]
 
 

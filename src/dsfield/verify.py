@@ -44,6 +44,7 @@ __all__ = [
     "bilinear_residuals",
     "pde_residuals",
     "pde_phi_convergence",
+    "pole_sweep",
     "singularity_scan",
     "ScanReport",
     "CONSISTENCY_GATE",
@@ -477,9 +478,10 @@ class ScanReport:
 _POLE_MAGNITUDE = 1e150
 
 
-def _pole_sweep(profile, lo: float, hi: float, t: float, n: int = 65537):
-    """Fine 1-D sweep for profile poles; returns suspect intervals."""
-    x = np.linspace(lo, hi, n)
+def pole_sweep(profile, coords, t: float, n: int = 65537):
+    """Fine 1-D sweep for profile poles over the range of ``coords``; returns
+    suspect intervals."""
+    x = np.linspace(float(np.min(coords)), float(np.max(coords)), n)
     with np.errstate(invalid="ignore", over="ignore", under="ignore", divide="ignore"):
         j = profile.jet3(x, t)
         v = np.asarray(j.value, dtype=float)
@@ -518,8 +520,6 @@ def singularity_scan(spec: SolutionSpec, window, t: float, samples=128,
         nonfinite_points=int(np.count_nonzero(keep & ~finite)),
         masked_points=int(np.count_nonzero(~keep)),
         samples=int(zeta.size),
-        pole_intervals_zeta=_pole_sweep(spec.p, float(np.min(zeta)),
-                                        float(np.max(zeta)), t),
-        pole_intervals_eta=_pole_sweep(spec.q, float(np.min(eta)),
-                                       float(np.max(eta)), t),
+        pole_intervals_zeta=pole_sweep(spec.p, zeta, t),
+        pole_intervals_eta=pole_sweep(spec.q, eta, t),
     )

@@ -92,6 +92,7 @@ def test_criterion_3_phi_equation_convergence():
                 assert abs(order - nominal) <= 0.3, (name, acc, order)
 
 
+@pytest.mark.slow
 def test_criterion_4_breather_period():
     with criterion(4, "breather period pi and pointwise periodicity"):
         e = build_case("breather")
@@ -105,6 +106,7 @@ def test_criterion_4_breather_period():
             assert float(np.max(np.abs(a.values - b.values))) < 1e-12
 
 
+@pytest.mark.slow
 def test_criterion_5_periodic_pattern():
     with criterion(5, "periodic pattern point-reflection symmetry and period"):
         e = build_case("periodic")

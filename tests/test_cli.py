@@ -205,6 +205,25 @@ def test_verify_resonant_admissibility_fails(tmp_path):
     assert "verdict: singular" in (tmp_path / "r.txt").read_text()
 
 
+@pytest.mark.parametrize("name", ["periodic", "double_instanton", "dromion"])
+def test_verify_admissibility_counts_poles_without_a_second_scan(
+        tmp_path, monkeypatch, name):
+    import dsfield.verify as verify
+    e = build_case(name)
+    t = e.reference_times[0]
+    scan = verify.singularity_scan(e.spec, e.window, t, 48, e.valid_mask)
+    expected = len(scan.pole_intervals_zeta) + len(scan.pole_intervals_eta)
+
+    def no_scan(*args, **kwargs):
+        raise AssertionError("verify ran the 2-D singularity scan")
+    monkeypatch.setattr(verify, "singularity_scan", no_scan)
+    monkeypatch.setattr("dsfield.cli.singularity_scan", no_scan, raising=False)
+    out = tmp_path / "r.txt"
+    run("verify", "--case", name, "--t", repr(t), "--checks", "admissibility",
+        "--res", "48", "--out", str(out))
+    assert f"check.admissibility.pole_intervals: {expected}\n" in out.read_text()
+
+
 def test_verify_unknown_check_exits_2(capsys):
     assert run("verify", "--case", "dromion", "--t", "0",
                "--checks", "spectral") == 2

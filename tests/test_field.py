@@ -1,9 +1,11 @@
+import io
 import math
 
 import numpy as np
 import pytest
 
 from dsfield.ansatz import SeparationCoefficients, SolutionSpec
+from dsfield.auxiliary import derive
 from dsfield.catalog import build_case
 from dsfield.field import (
     FieldGrid,
@@ -228,9 +230,75 @@ def test_csv_round_trip_is_bit_exact():
     assert np.array_equal(x, np.tile(g.x, 16))
 
 
+def test_csv_round_trip_of_masked_grid():
+    e = build_case("double_instanton")
+    g = sample_field(e.spec, None, "U", e.window, 0.0, 48, 48, e.valid_mask)
+    assert 0 < np.count_nonzero(g.mask) < g.mask.size
+    iy, ix = np.nonzero(g.mask)
+    x, y, v = parse_csv(to_csv(g))
+    assert np.array_equal(x, g.x[ix])
+    assert np.array_equal(y, g.y[iy])
+    assert np.array_equal(v, g.values[iy, ix])
+
+
+def csv_reference(grid):
+    """Per-point writer that to_csv must match byte for byte."""
+    buf = io.StringIO()
+    buf.write("x,y,U\n")
+    xs, ys = grid.x, grid.y
+    for iy in range(grid.ny):
+        for ix in range(grid.nx):
+            if grid.mask[iy, ix]:
+                buf.write(f"{xs[ix]:.17g},{ys[iy]:.17g},{grid.values[iy, ix]:.17g}\n")
+    return buf.getvalue().encode("ascii")
+
+
+def _instanton_u():
+    e = build_case("double_instanton")
+    return sample_field(e.spec, None, "U", e.window, 3.0, 48, 48, e.valid_mask)
+
+
+def _instanton_phi():
+    e = build_case("double_instanton")
+    return sample_field(e.spec, derive(e.spec), "phi", e.window, 3.0, 48, 48,
+                        e.valid_mask)
+
+
+def _non_square():
+    e = build_case("breather")
+    return sample_field(e.spec, None, "U", e.window, 0.7, 23, 37)
+
+
+def _one_valid_point():
+    mask = np.zeros((3, 4), dtype=bool)
+    mask[2, 1] = True
+    return grid_of(np.full((3, 4), -1.0 / 3.0), mask, ((-1.5, 2.0), (0.1, 0.7)))
+
+
+@pytest.mark.parametrize("make", [_instanton_u, _instanton_phi, _non_square,
+                                  _one_valid_point])
+def test_csv_matches_per_point_writer(make):
+    g = make()
+    assert g.mask.any()
+    assert to_csv(g) == csv_reference(g)
+
+
+def test_instanton_phi_masks_non_finite_points_beyond_valid_mask():
+    assert np.count_nonzero(~_instanton_phi().mask) > np.count_nonzero(
+        ~_instanton_u().mask) > 0
+
+
 def test_csv_header_checked():
     with pytest.raises(ValueError):
         parse_csv(b"a,b,c\n1,2,3\n")
+
+
+@pytest.mark.parametrize("data", [b"x,y,U\n1,2\n3,4\n5,6\n",
+                                  b"x,y,U\n1,2,3,4\n5,6\n",
+                                  b"x,y,U\n1,2,3\n4,5\n"])
+def test_csv_rows_need_three_fields(data):
+    with pytest.raises(ValueError, match="not a field CSV"):
+        parse_csv(data)
 
 
 def test_report_is_stable_text():
