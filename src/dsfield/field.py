@@ -6,8 +6,10 @@ exclusions are masked rather than raising.
 
 Analytics quantify what renders can only suggest: strict local maxima with
 plateau grouping, a continuously refined global maximum (the raw grid
-maximum moves by O(dx^2) under refinement, the polished one is stable),
-time-periodicity estimates, and peak-decay series.
+maximum moves by O(dx^2) under refinement; a projected-Newton ascent on
+log U from the grid argmax, with exact derivatives from the profile jets,
+stays in that peak's basin and is stable), time-periodicity estimates, and
+peak-decay series.  numpy is the only third-party import.
 """
 
 from __future__ import annotations
@@ -17,9 +19,17 @@ from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy import ndimage, optimize
 
-from .ansatz import SolutionSpec, eval_intensity, eval_phi, rotate, window_grid
+from .ansatz import (
+    SQRT2,
+    SolutionSpec,
+    eval_f,
+    eval_intensity,
+    eval_phi,
+    profile_jets3,
+    rotate,
+    window_grid,
+)
 from .auxiliary import Auxiliaries
 from .verify import residual_field
 
@@ -151,21 +161,21 @@ def analyze_extrema(grid: FieldGrid) -> AnalyticsResult:
     if not grid.mask.any():
         raise ValueError("grid has no valid points")
 
-    neighbor_max = _neighbor_max(v)
+    neighbor_max = np.maximum.reduce(_neighbours(v, -np.inf))
     candidates = grid.mask & (v >= neighbor_max)
 
-    labels, count = ndimage.label(candidates, structure=np.ones((3, 3), dtype=int))
+    labels = _label_components(candidates)
     xs, ys = grid.x, grid.y
     peaks = []
-    for lbl in range(1, count + 1):
+    for lbl in np.unique(labels[candidates]).tolist():
         comp = labels == lbl
         val = float(v[comp][0])
-        ring = _dilate(comp) & ~comp & grid.mask
+        ring = np.logical_or.reduce(_neighbours(comp, False)) & ~comp & grid.mask
         if not ring.any():
             continue                       # no valid surroundings to dominate
         if np.any(v[ring] >= val):
             continue                       # shoulder of an equal or higher region
-        iy, ix = np.argwhere(comp)[0]
+        iy, ix = divmod(lbl, v.shape[1])
         peaks.append(PeakInfo(val, float(xs[ix]), float(ys[iy])))
 
     peaks.sort(key=lambda p: -p.value)
@@ -178,52 +188,156 @@ def analyze_extrema(grid: FieldGrid) -> AnalyticsResult:
     )
 
 
-def _neighbor_max(v: np.ndarray) -> np.ndarray:
-    padded = np.pad(v, 1, constant_values=-np.inf)
-    best = np.full_like(v, -np.inf)
-    for dy in (-1, 0, 1):
-        for dx in (-1, 0, 1):
-            if dy == 0 and dx == 0:
-                continue
-            shifted = padded[1 + dy:1 + dy + v.shape[0], 1 + dx:1 + dx + v.shape[1]]
-            best = np.maximum(best, shifted)
-    return best
+def _neighbours(a: np.ndarray, fill) -> list:
+    """The eight 3x3-neighbour shifts of a 2-D array, padded with ``fill``."""
+    padded = np.pad(a, 1, constant_values=fill)
+    ny, nx = a.shape
+    return [padded[1 + dy:1 + dy + ny, 1 + dx:1 + dx + nx]
+            for dy in (-1, 0, 1) for dx in (-1, 0, 1) if dy or dx]
 
 
-def _dilate(mask: np.ndarray) -> np.ndarray:
-    return ndimage.binary_dilation(mask, structure=np.ones((3, 3), dtype=bool))
+def _label_components(mask: np.ndarray) -> np.ndarray:
+    """Label the 8-connected components of ``mask`` by their first pixel.
+
+    Each pixel of a component gets the row-major flat index of the
+    component's first pixel in raster order (entries outside ``mask`` get
+    ``mask.size``), so sorting the labels numbers the components in raster
+    order.  Every pass takes the minimum label over the 3x3 neighbourhood,
+    then replaces each label by the label of the pixel it names, which
+    shortens the propagation to about the log of a component's diameter.
+    """
+    none = mask.size
+    labels = np.where(mask, np.arange(none).reshape(mask.shape), none)
+    while True:
+        new = np.minimum.reduce([labels] + _neighbours(labels, none))
+        new = np.where(mask, new, none)
+        new[mask] = new.ravel()[new[mask]]
+        if np.array_equal(new, labels):
+            return labels
+        labels = new
 
 
-def refined_global_max(spec: SolutionSpec, window, t: float,
-                       nx: int = 192, ny: int = 192,
-                       valid_mask=None) -> tuple[float, tuple]:
-    """Grid argmax polished by a continuous Nelder-Mead ascent.
+def refined_global_max(spec: SolutionSpec, window, t, nx: int = 192,
+                       ny: int = 192, valid_mask=None):
+    """Grid argmax polished by a projected-Newton ascent on log U.
+
+    ``t`` is one time or a 1-D array of times.  Each time is sampled on its
+    own grid; the ascent then runs for all times at once.  It starts at the
+    grid argmax with a trust radius of one grid step and stays in that
+    peak's basin.  Gradient and Hessian of log U are exact, from the
+    profile jets.  A coordinate on a window bound whose gradient points
+    outward is frozen (Bertsekas 1982) and each candidate is clipped to the
+    window; where the free Hessian is not negative definite a gradient step
+    replaces the Newton step.  A candidate is taken only where U is finite,
+    inside ``valid_mask``, not lower, and has risen by at least a quarter of
+    the quadratic model's prediction; without a step taken the grid value
+    stands.
 
     Stable to grid refinement, unlike the raw grid maximum whose position
-    quantization shifts it by O(dx^2).
+    quantization shifts it by O(dx^2).  Returns ``(value, (x, y))``: floats
+    for a scalar ``t``, arrays for an array.
     """
-    grid = sample_field(spec, None, "U", window, t, nx, ny, valid_mask)
-    v = np.where(grid.mask, grid.values, -np.inf)
-    iy, ix = np.unravel_index(int(np.argmax(v)), v.shape)
-    x0, y0 = grid.x[ix], grid.y[iy]
+    times = np.atleast_1d(np.asarray(t, dtype=float))
+    u = np.empty(times.size)
+    xy = np.empty((times.size, 2))
+    for i, ti in enumerate(times.tolist()):
+        grid = sample_field(spec, None, "U", window, ti, nx, ny, valid_mask)
+        v = np.where(grid.mask, grid.values, -np.inf)
+        iy, ix = np.unravel_index(int(np.argmax(v)), v.shape)
+        u[i], xy[i] = v[iy, ix], (grid.x[ix], grid.y[iy])
     (xa, xb), (ya, yb) = window
+    radius = max((xb - xa) / (nx - 1), (yb - ya) / (ny - 1))
+    _newton_ascent(spec, times, u, xy, np.array([xa, ya]), np.array([xb, yb]),
+                   radius, valid_mask)
+    if np.ndim(t) == 0:
+        return float(u[0]), (float(xy[0, 0]), float(xy[0, 1]))
+    return u, (xy[:, 0], xy[:, 1])
 
-    def negU(xy):
-        x, y = xy
-        if not (xa <= x <= xb and ya <= y <= yb):
-            return np.inf
-        zeta, eta = rotate(x, y)
-        if valid_mask is not None and not np.asarray(valid_mask(zeta, eta)).all():
-            return np.inf
-        val = eval_intensity(spec, zeta, eta, t).values
-        return np.inf if not np.isfinite(val) else -float(val)
 
-    res = optimize.minimize(negU, [x0, y0], method="Nelder-Mead",
-                            options={"xatol": 1e-10, "fatol": 1e-14,
-                                     "maxiter": 400})
-    if np.isfinite(res.fun) and -res.fun >= float(v[iy, ix]):
-        return -float(res.fun), (float(res.x[0]), float(res.x[1]))
-    return float(v[iy, ix]), (float(x0), float(y0))
+# The ascent stops when its next step is shorter than _ASCENT_XTOL (window
+# units) or after _ASCENT_ITERATIONS candidate evaluations.  The model-ratio
+# test (Nocedal & Wright, Algorithm 4.1) keeps a long step from leaping over
+# a masked pole into another basin; below a predicted gain in log U of
+# _ASCENT_PRED_FLOOR rounding decides the ratio, and not falling suffices.
+_ASCENT_XTOL = 1e-13
+_ASCENT_ITERATIONS = 60
+_ASCENT_PRED_FLOOR = 1e-14
+
+
+def _newton_ascent(spec, times, u, xy, lo, hi, radius, valid_mask):
+    """Trust-region ascent from the points ``xy`` (n, 2) in the box [lo, hi]
+    where U is ``u``; updates ``u`` and ``xy`` in place."""
+    u0, g, H = _log_intensity_jets(spec, times, xy, valid_mask)
+    r = np.full(times.size, float(radius))
+    run = np.flatnonzero((u > 0) & np.isfinite(u0))
+    for _ in range(_ASCENT_ITERATIONS):
+        s = np.clip(xy[run] + _step(g[run], H[run], xy[run], lo, hi, r[run]),
+                    lo, hi) - xy[run]
+        norm = np.hypot(s[:, 0], s[:, 1])
+        moving = norm > _ASCENT_XTOL
+        run, s, norm = run[moving], s[moving], norm[moving]
+        if not run.size:
+            break
+        pred = (np.einsum("ni,ni->n", g[run], s)
+                + 0.5 * np.einsum("ni,nij,nj->n", s, H[run], s))
+        uc, gc, Hc = _log_intensity_jets(spec, times[run], xy[run] + s, valid_mask)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            rho = np.log(uc / u[run]) / pred
+        ok = (uc >= u[run]) & ((rho >= 0.25) | (pred <= _ASCENT_PRED_FLOOR))
+        acc = run[ok]
+        u[acc], xy[acc], g[acc], H[acc] = uc[ok], xy[acc] + s[ok], gc[ok], Hc[ok]
+        grow = ok & (rho >= 0.75) & (norm >= 0.99 * r[run])
+        r[run] = np.where(ok, np.where(grow, 2.0, 1.0) * r[run], 0.25 * norm)
+
+
+def _step(g, H, xy, lo, hi, r):
+    """Projected Newton step, at most ``r`` long.
+
+    Where the free Hessian is not negative definite, the step follows the
+    free gradient to the quadratic model's maximum along it or to the
+    radius (the Cauchy point).
+    """
+    free = ~(((xy <= lo) & (g < 0)) | ((xy >= hi) & (g > 0)))
+    g0, g1 = np.where(free, g, 0.0).T
+    h00 = np.where(free[:, 0], H[:, 0, 0], -1.0)
+    h11 = np.where(free[:, 1], H[:, 1, 1], -1.0)
+    h01 = np.where(free.all(axis=1), H[:, 0, 1], 0.0)
+    det = h00 * h11 - h01 * h01
+    with np.errstate(divide="ignore", invalid="ignore"):
+        nd = np.stack([h01 * g1 - h11 * g0, h01 * g0 - h00 * g1], axis=1) / det[:, None]
+        nd *= np.minimum(1.0, r / np.hypot(nd[:, 0], nd[:, 1]))[:, None]
+        gn = np.hypot(g0, g1)
+        curv = h00 * g0 * g0 + 2.0 * h01 * g0 * g1 + h11 * g1 * g1
+        cauchy = np.where(curv < 0, np.minimum(r / gn, gn * gn / -curv), r / gn)
+        d = np.where(((h00 < 0) & (det > 0))[:, None], nd,
+                     np.stack([g0, g1], axis=1) * cauchy[:, None])
+    return np.where(np.isfinite(d), d, 0.0)
+
+
+def _log_intensity_jets(spec, times, xy, valid_mask):
+    """U at the points ``xy`` (n, 2) with the gradient (n, 2) and Hessian
+    (n, 2, 2) of log U in (x, y); U is NaN outside ``valid_mask`` and where
+    any of them is not finite."""
+    zeta, eta = rotate(xy[:, 0], xy[:, 1])
+    pj, qj = profile_jets3(spec, zeta, eta, times)
+    u = eval_intensity(spec, zeta, eta, times, pj, qj).values
+    tau = eval_f(spec, zeta, eta, times, pj, qj)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        pr, qr = pj.d11 / pj.d1, qj.d11 / qj.d1
+        fz, fe = tau.f_z / tau.f, tau.f_e / tau.f
+        gz, ge = pr - 2.0 * fz, qr - 2.0 * fe
+        hzz = pj.d111 / pj.d1 - pr * pr - 2.0 * (tau.f_zz / tau.f - fz * fz)
+        hee = qj.d111 / qj.d1 - qr * qr - 2.0 * (tau.f_ee / tau.f - fe * fe)
+        hze = -2.0 * (tau.f_ze / tau.f - fz * fe)
+    # d/dx = (d/dzeta + d/deta)/sqrt2, d/dy = (d/deta - d/dzeta)/sqrt2
+    g = np.stack([gz + ge, ge - gz], axis=1) / SQRT2
+    hxy = 0.5 * (hee - hzz)
+    H = np.moveaxis(np.array([[0.5 * (hzz + hee) + hze, hxy],
+                              [hxy, 0.5 * (hzz + hee) - hze]]), -1, 0)
+    ok = np.isfinite(u) & np.isfinite(g).all(axis=1) & np.isfinite(H).all(axis=(1, 2))
+    if valid_mask is not None:
+        ok &= valid_mask(zeta, eta)
+    return np.where(ok, u, np.nan), g, H
 
 
 # ---------------------------------------------------------------------------
@@ -231,18 +345,16 @@ def refined_global_max(spec: SolutionSpec, window, t: float,
 
 
 def _statistic_series(spec, window, times, statistic, grid_n, valid_mask):
+    if statistic == "global_max":
+        return refined_global_max(spec, window, times, grid_n, grid_n,
+                                  valid_mask)[0]
+    if statistic != "L2":
+        raise ValueError(f"unknown statistic {statistic!r}")
     out = np.empty(len(times))
     for i, t in enumerate(times):
-        if statistic == "global_max":
-            out[i], _ = refined_global_max(spec, window, t, grid_n, grid_n,
-                                           valid_mask)
-        elif statistic == "L2":
-            g = sample_field(spec, None, "U", window, t, grid_n, grid_n,
-                             valid_mask)
-            vals = g.valid_values()
-            out[i] = float(np.sqrt(np.mean(vals ** 2)))
-        else:
-            raise ValueError(f"unknown statistic {statistic!r}")
+        g = sample_field(spec, None, "U", window, t, grid_n, grid_n, valid_mask)
+        vals = g.valid_values()
+        out[i] = float(np.sqrt(np.mean(vals ** 2)))
     return out
 
 
@@ -321,11 +433,10 @@ def decay_profile(spec: SolutionSpec, window, times: Sequence[float],
     """(t, refined max U) pairs across the requested times."""
     if not len(times):
         raise ValueError("need at least one time")
-    series = []
-    for t in times:
-        mx, _ = refined_global_max(spec, window, t, grid_n, grid_n, valid_mask)
-        series.append((float(t), mx))
-    return AnalyticsResult(decay_series=tuple(series))
+    peaks, _ = refined_global_max(spec, window, times, grid_n, grid_n,
+                                  valid_mask)
+    return AnalyticsResult(decay_series=tuple(
+        (float(t), mx) for t, mx in zip(times, peaks.tolist())))
 
 
 # ---------------------------------------------------------------------------

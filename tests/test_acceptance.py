@@ -144,7 +144,7 @@ def test_criterion_7_dromion_structure():
         assert len(analyze_extrema(grid).local_maxima) == 1
 
         peak, (px, py) = refined_global_max(e.spec, e.window, 0.0, 128, 128)
-        assert peak == pytest.approx(2.0 / (2.0 + math.sqrt(2.0)) ** 2, rel=1e-9)
+        assert peak == pytest.approx(2.0 / (2.0 + math.sqrt(2.0)) ** 2, rel=1e-13)
         X, Y = np.meshgrid(grid.x, grid.y)
         outside = (np.hypot(X - px, Y - py) > 6.0) & grid.mask
         tail = float(np.max(grid.values[outside]))

@@ -1,5 +1,7 @@
 import math
 import os
+import subprocess
+import sys
 
 import pytest
 
@@ -8,6 +10,7 @@ from dsfield.specfile import dumps_spec, load_spec, loads_spec, SpecFileError
 from dsfield.catalog import build_case, case_names
 
 CONFIGS = os.path.join(os.path.dirname(__file__), os.pardir, "configs")
+SRC = os.path.join(os.path.dirname(__file__), os.pardir, "src")
 
 
 def run(*argv):
@@ -250,6 +253,15 @@ def test_analyze_decay(capsys):
                "--res", "48") == 0
     out = capsys.readouterr().out
     assert "max_at_t_0" in out and "max_at_t_1" in out
+
+
+def test_cli_import_needs_no_scipy():
+    code = ("import sys, dsfield.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    env = dict(os.environ, PYTHONPATH=os.path.abspath(SRC))
+    done = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, check=True)
+    assert done.stdout.strip() == "[]"
 
 
 def test_analyze_needs_exactly_one_mode(capsys):

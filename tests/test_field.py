@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from dsfield.ansatz import SeparationCoefficients, SolutionSpec
+from dsfield.ansatz import SeparationCoefficients, SolutionSpec, eval_intensity, rotate
 from dsfield.auxiliary import derive
 from dsfield.catalog import build_case
 from dsfield.field import (
@@ -100,6 +100,20 @@ def test_extrema_shoulder_is_not_a_peak():
     assert res.local_maxima[0].value == 2.0
 
 
+def test_extrema_equal_peaks_in_raster_order():
+    # equal peaks keep the raster order of each component's first pixel;
+    # the U-shaped plateau is one component though its arms meet only at
+    # the bottom row
+    v = np.zeros((9, 11))
+    v[1:6, 2] = v[5, 2:5] = v[1:6, 4] = 1.0
+    v[1, 8] = 1.0
+    v[7, 0] = 1.0
+    g = grid_of(v, window=((0.0, 10.0), (0.0, 8.0)))
+    res = analyze_extrema(g)
+    assert [(p.x, p.y) for p in res.local_maxima] == [(2.0, 1.0), (8.0, 1.0),
+                                                      (0.0, 7.0)]
+
+
 def test_extrema_instanton_double_peak():
     e = build_case("double_instanton")
     g = sample_field(e.spec, None, "U", e.window, 0.0, 256, 256,
@@ -111,16 +125,62 @@ def test_extrema_instanton_double_peak():
 def test_refined_max_matches_closed_form():
     e = build_case("dromion")
     mx, (x, y) = refined_global_max(e.spec, e.window, 0.0, 128, 128)
-    assert mx == pytest.approx(DROMION_PEAK, rel=1e-10)
-    assert x == pytest.approx(DROMION_PEAK_X, abs=1e-5)
-    assert abs(y) < 1e-5
+    assert mx == pytest.approx(DROMION_PEAK, rel=1e-14)
+    assert x == pytest.approx(DROMION_PEAK_X, abs=1e-10)
+    assert abs(y) < 1e-10
 
 
 def test_refined_max_stable_under_grid_doubling():
     e = build_case("dromion")
     a, _ = refined_global_max(e.spec, e.window, 0.0, 96, 96)
     b, _ = refined_global_max(e.spec, e.window, 0.0, 192, 192)
-    assert abs(a - b) / b < 1e-6
+    assert abs(a - b) / b < 1e-12
+
+
+def test_refined_max_reaches_edge_maximum():
+    # the solitoff maximum at t = 0.1 lies on the window edge y = -8, where
+    # the 48^2 grid gives 1.9506 and an unprojected ascent stays there
+    e = build_case("solitoff")
+    mx, (x, y) = refined_global_max(e.spec, e.window, 0.1, 48, 48,
+                                    e.valid_mask)
+    def edge_max(xs):
+        zeta, eta = rotate(xs, np.full_like(xs, -8.0))
+        u = eval_intensity(e.spec, zeta, eta, 0.1).values
+        return float(np.max(u)), xs[np.argmax(u)]
+
+    edge, xe = edge_max(np.linspace(-8.0, 8.0, 20001))
+    assert y == -8.0
+    assert mx >= edge * (1.0 - 1e-12)
+    # resampled within one spacing of the sample argmax, the edge maximum
+    # is exact to rounding, and the polish must reach it
+    finer, xf = edge_max(np.linspace(xe - 8e-4, xe + 8e-4, 20001))
+    assert mx >= finer * (1.0 - 1e-12)
+    assert x == pytest.approx(xf, abs=1e-6)
+
+
+def test_refined_max_does_not_leap_over_masked_pole():
+    # at t = 0.3 the grid-56 argmax on [-12, 12]^2 lies at zeta = -1.23, on
+    # the far side of the masked pole at zeta = -1; the first step lands at
+    # zeta = -0.81, across the pole and higher (0.259 against 0.248), but
+    # far below the quadratic model's prediction, so it is refused and the
+    # ascent climbs its own hump (0.349, where the other one reaches 0.306)
+    e = build_case("double_instanton")
+    window = ((-12.0, 12.0), (-12.0, 12.0))
+    mx, (x, y) = refined_global_max(e.spec, window, 0.3, 56, 56, e.valid_mask)
+    fine, _ = refined_global_max(e.spec, window, 0.3, 128, 128, e.valid_mask)
+    assert rotate(x, y)[0] < -1.0
+    assert mx == pytest.approx(fine, rel=1e-12)
+
+
+def test_refined_max_batch_matches_scalar_calls():
+    e = build_case("breather")
+    times = np.linspace(0.1, 3.0, 8)
+    values, (xs, ys) = refined_global_max(e.spec, e.window, times, 32, 32)
+    assert values.shape == xs.shape == ys.shape == (8,)
+    for t, v, x, y in zip(times, values, xs, ys):
+        mx, (px, py) = refined_global_max(e.spec, e.window, float(t), 32, 32)
+        assert v == pytest.approx(mx, rel=1e-15)
+        assert (x, y) == pytest.approx((px, py), rel=1e-15)
 
 
 def test_dromion_reflection_symmetry():
@@ -143,6 +203,13 @@ def test_breather_period_refinement_beats_scan_step():
                           "global_max", grid_n=24)
     assert abs(res.estimated_period - math.pi) < 1e-4
     assert abs(res.best_candidate - math.pi) <= res.period_resolution
+
+
+def test_periodic_period_refinement_with_global_max():
+    e = build_case("periodic")
+    res = estimate_period(e.spec, e.window, (0.0, 2 * math.pi), 32,
+                          "global_max", grid_n=32, valid_mask=e.valid_mask)
+    assert abs(res.estimated_period - math.pi) < 1e-4
 
 
 def test_breather_pointwise_periodicity():
