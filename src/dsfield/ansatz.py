@@ -39,6 +39,7 @@ __all__ = [
     "profile_jets3",
     "eval_f",
     "eval_intensity",
+    "eval_intensity_dt",
     "eval_envelope",
     "eval_phi",
     "phi_log_form",
@@ -230,6 +231,16 @@ def eval_intensity(spec: SolutionSpec, zeta, eta, t,
         sign = (det * pj.d1 * qj.d1) < 0.0
         invalid = ~np.isfinite(vals)
     return Intensity(values=vals, sign_violation=sign, invalid=invalid)
+
+
+def eval_intensity_dt(spec: SolutionSpec, zeta, eta, t):
+    """U and its exact time derivative U_t, NaN where U is."""
+    pj, qj = profile_jets3(spec, zeta, eta, t)
+    u = eval_intensity(spec, zeta, eta, t, pj, qj).values
+    tau = eval_f(spec, zeta, eta, t, pj, qj)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore", under="ignore"):
+        return u, (4.0 * spec.coeffs.det * (pj.d1t * qj.d1 + pj.d1 * qj.d1t)
+                   / (tau.f * tau.f) - 2.0 * u * tau.f_t / tau.f)
 
 
 def eval_envelope(spec: SolutionSpec, zeta, eta, t, phase_r, phase_s,

@@ -330,7 +330,9 @@ def _cmd_analyze(args) -> int:
              else f"{res.estimated_period:.17g}"),
             ("resolution", f"{res.period_resolution:.17g}"),
         ]
-        if res.estimated_period is None and res.best_candidate is not None:
+        if res.period_mismatch is not None:
+            lines.append(("period_mismatch", f"{res.period_mismatch:.6e}"))
+        elif res.best_candidate is not None:
             lines.append(("best_candidate", f"{res.best_candidate:.17g}"))
     elif args.decay:
         times = [parse_time(v) for v in args.decay.split(",")]

@@ -8,14 +8,14 @@ Analytics quantify what renders can only suggest: strict local maxima with
 plateau grouping, a continuously refined global maximum (the raw grid
 maximum moves by O(dx^2) under refinement; a projected-Newton ascent on
 log U from the grid argmax, with exact derivatives from the profile jets,
-stays in that peak's basin and is stable), time-periodicity estimates, and
-peak-decay series.  numpy is the only third-party import.
+stays in that peak's basin and is stable), periods (scan, then Newton on exact
+time derivatives), peak-decay series; numpy is the only third-party import.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
@@ -25,6 +25,7 @@ from .ansatz import (
     SolutionSpec,
     eval_f,
     eval_intensity,
+    eval_intensity_dt,
     eval_phi,
     profile_jets3,
     rotate,
@@ -99,8 +100,8 @@ class AnalyticsResult:
     estimated_period: Optional[float] = None
     period_resolution: Optional[float] = None
     best_candidate: Optional[float] = None
+    period_mismatch: Optional[float] = None
     decay_series: tuple = ()
-    symmetry_defects: dict = field(default_factory=dict)
 
 
 # ---------------------------------------------------------------------------
@@ -345,31 +346,26 @@ def _log_intensity_jets(spec, times, xy, valid_mask):
 
 
 def _statistic_series(spec, window, times, statistic, grid_n, valid_mask):
-    if statistic == "global_max":
-        return refined_global_max(spec, window, times, grid_n, grid_n,
-                                  valid_mask)[0]
+    """The statistic at ``times``; L2 samples one grid at a time."""
     if statistic != "L2":
-        raise ValueError(f"unknown statistic {statistic!r}")
-    out = np.empty(len(times))
-    for i, t in enumerate(times):
-        g = sample_field(spec, None, "U", window, t, grid_n, grid_n, valid_mask)
-        vals = g.valid_values()
-        out[i] = float(np.sqrt(np.mean(vals ** 2)))
-    return out
+        return _statistic_rate(spec, window, times, statistic, grid_n, valid_mask)[0]
+    grids = (sample_field(spec, None, "U", window, t, grid_n, grid_n, valid_mask)
+             for t in times)
+    return np.array([np.sqrt(np.mean(g.valid_values() ** 2)) for g in grids])
 
 
 def estimate_period(spec: SolutionSpec, window, t_range: tuple[float, float],
                     n_t: int = 128, statistic: str = "global_max",
                     grid_n: int = 48, valid_mask=None,
-                    tie_tol: float = 1e-9, refine: bool = True) -> AnalyticsResult:
+                    tie_tol: float = 1e-9) -> AnalyticsResult:
     """Smallest time shift under which the chosen statistic repeats.
 
-    A uniform scan over shifts up to half the sampled range locates the
-    first match; golden-section refinement then polishes the shift within
-    one scan step (the claimed periods are exact symmetries, so the
-    mismatch is V-shaped there).  The reported resolution is the scan
-    step, a guaranteed bound.  A near-constant series is degenerate and
-    reports no period (best candidate None).
+    A period is reported only if a uniform scan over shifts up to half the
+    sampled range finds one whose series mismatch is below ``tie_tol``
+    times the series scale; ``_refine_period`` polishes the first such
+    shift, and ``period_mismatch`` is its probe mismatch over that scale.
+    The resolution is the scan step, a guaranteed bound.  A near-constant
+    series is degenerate and reports no period (best candidate None).
     """
     if n_t < 16:
         raise ValueError("need at least 16 time samples")
@@ -380,8 +376,7 @@ def estimate_period(spec: SolutionSpec, window, t_range: tuple[float, float],
 
     scale = float(np.max(np.abs(series))) or 1.0
     if float(np.max(series) - np.min(series)) < tie_tol * scale:
-        return AnalyticsResult(estimated_period=None, period_resolution=dt,
-                               best_candidate=None)
+        return AnalyticsResult(period_resolution=dt)
 
     best_k, best_mis = None, np.inf
     for k in range(1, n_t // 2 + 1):
@@ -389,43 +384,52 @@ def estimate_period(spec: SolutionSpec, window, t_range: tuple[float, float],
         if mis < best_mis:
             best_k, best_mis = k, mis
         if mis < tie_tol * scale:
-            period = k * dt
-            if refine:
-                period = _refine_period(spec, window, statistic, grid_n,
-                                        valid_mask, t0, period, dt)
-            return AnalyticsResult(estimated_period=period,
-                                   period_resolution=dt,
-                                   best_candidate=k * dt)
+            period, mismatch = _refine_period(spec, window, statistic, grid_n,
+                                              valid_mask, t0, k * dt, dt, scale)
+            return AnalyticsResult(estimated_period=period, period_resolution=dt,
+                                   best_candidate=k * dt, period_mismatch=mismatch)
     return AnalyticsResult(estimated_period=None, period_resolution=dt,
                            best_candidate=best_k * dt if best_k else None)
 
 
-def _refine_period(spec, window, statistic, grid_n, valid_mask,
-                   t0, period, dt, probes: int = 5, iterations: int = 20):
-    """Golden-section polish of the scan candidate within one step."""
+def _statistic_rate(spec, window, times, statistic, grid_n, valid_mask):
+    """S and S' at ``times``, in one batch: U_t at the polished argmax for
+    global_max (envelope theorem), mean(U U_t)/S over each time's mask for L2."""
+    if statistic == "global_max":
+        u, (x, y) = refined_global_max(spec, window, times, grid_n, grid_n,
+                                       valid_mask)
+        return u, eval_intensity_dt(spec, *rotate(x, y), times)[1]
+    if statistic != "L2":
+        raise ValueError(f"unknown statistic {statistic!r}")
+    _, _, zeta, eta, keep = window_grid(window, grid_n, valid_mask)
+    u, ut = eval_intensity_dt(spec, zeta, eta, times[:, None, None])
+    ok = keep & np.isfinite(u)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        s = np.sqrt(np.mean(u * u, axis=(1, 2), where=ok))
+        return s, np.mean(u * ut, axis=(1, 2), where=ok) / s
+
+
+def _refine_period(spec, window, statistic, grid_n, valid_mask, t0, period, dt,
+                   scale, probes: int = 5, iterations: int = 6):
+    """Gauss-Newton solve of g_i(T) = S(b_i + T) - S(b_i) = 0 from the scan
+    shift ``period``, ended by a step out of one scan step around it, one
+    that does not lower max|g_i|, or a zero or non-finite sum of S'^2.
+    Returns the evaluated T with the smallest max|g_i|, and that max / scale."""
     base = t0 + np.linspace(0.0, 0.9, probes) * period
-    ref = _statistic_series(spec, window, base, statistic, grid_n, valid_mask)
-
-    def mismatch(T):
-        shifted = _statistic_series(spec, window, base + T, statistic,
-                                    grid_n, valid_mask)
-        return float(np.max(np.abs(shifted - ref)))
-
-    inv_phi = (math.sqrt(5.0) - 1.0) / 2.0
-    lo, hi = period - dt, period + dt
-    a = hi - inv_phi * (hi - lo)
-    b = lo + inv_phi * (hi - lo)
-    fa, fb = mismatch(a), mismatch(b)
+    ref = _statistic_rate(spec, window, base, statistic, grid_n, valid_mask)[0]
+    T, best = period, None
     for _ in range(iterations):
-        if fa < fb:
-            hi, b, fb = b, a, fa
-            a = hi - inv_phi * (hi - lo)
-            fa = mismatch(a)
-        else:
-            lo, a, fa = a, b, fb
-            b = lo + inv_phi * (hi - lo)
-            fb = mismatch(b)
-    return 0.5 * (lo + hi)
+        s, ds = _statistic_rate(spec, window, base + T, statistic, grid_n, valid_mask)
+        g = s - ref
+        mis = float(np.max(np.abs(g)))
+        if best is not None and not mis < best[1]:
+            break
+        best = (T, mis)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            T = float(T - (ds @ g) / (ds @ ds))
+        if not abs(T - period) <= dt:
+            break
+    return best[0], best[1] / scale
 
 
 def decay_profile(spec: SolutionSpec, window, times: Sequence[float],

@@ -88,7 +88,7 @@ class BreatherPProfile(ProfileFunction):
 
     def jet3(self, x, t) -> Jet3:
         xj = jc.spatial3(x)
-        tj = jc.temporal3(_t_like(t, x))
+        tj = jc.temporal3(t)
         c = jc.cos(tj)
         return 1.0 + jc.exp(xj * c * c)
 
@@ -101,7 +101,7 @@ class BreatherQProfile(ProfileFunction):
 
     def jet3(self, x, t) -> Jet3:
         xj = jc.spatial3(x)
-        tj = jc.temporal3(_t_like(t, x))
+        tj = jc.temporal3(t)
         c = jc.cos(tj)
         return jc.exp(xj + c * c)
 
@@ -114,7 +114,7 @@ class TanCosProfile(ProfileFunction):
 
     def jet3(self, x, t) -> Jet3:
         xj = jc.spatial3(x)
-        tj = jc.temporal3(_t_like(t, x))
+        tj = jc.temporal3(t)
         return 1.0 + jc.exp(jc.tan(xj) * jc.cos(tj) + 1.0)
 
 
@@ -131,7 +131,7 @@ class InstantonPProfile(ProfileFunction):
     def jet3(self, x, t) -> Jet3:
         base = ExpSumProfile(A=(1.0, 1.0), K=(1.0, 1.0), L=(2.0, 1.0), theta=(1.0, 1.0))
         xj = jc.spatial3(x)
-        tj = jc.temporal3(_t_like(t, x))
+        tj = jc.temporal3(t)
         w = jc.powi(xj * xj * xj + 1.0, -1)
         bump = jc.exp(-w + 2.0 * tj + 1.0)
         return base.jet3(x, t) + bump
@@ -158,18 +158,12 @@ class CustomProfile(ProfileFunction):
 
     def jet3(self, x, t) -> Jet3:
         xj = jc.spatial3(np.asarray(x, dtype=float) if np.ndim(x) else float(x))
-        tj = jc.temporal3(_t_like(t, x))
+        tj = jc.temporal3(t)
         out = self.fn(xj, tj)
         if not isinstance(out, Jet3):
             raise TypeError("custom profile evaluator must return a Jet3")
         return out
 
-
-def _t_like(t, x):
-    """Broadcast scalar time against an array spatial argument."""
-    if np.ndim(x) and not np.ndim(t):
-        return np.full(np.shape(x), float(t))
-    return np.asarray(t, dtype=float) if np.ndim(t) else float(t)
 
 
 # ---------------------------------------------------------------------------

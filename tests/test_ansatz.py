@@ -11,16 +11,18 @@ from dsfield.ansatz import (
     eval_envelope,
     eval_f,
     eval_intensity,
+    eval_intensity_dt,
     eval_phi,
     phi_log_form,
     profile_jets3,
     rotate,
     unrotate,
+    window_grid,
 )
-from dsfield.catalog import build_case
+from dsfield.catalog import build_case, case_names
 from dsfield.profiles import ExpSumProfile
 
-from conftest import random_spec
+from conftest import random_spec, regular_window
 
 E = math.e
 DROMION_F0 = 1.0 + 2 * E + 2 * E * E
@@ -245,3 +247,19 @@ def test_admissibility_window_without_finite_f_is_singular(dromion):
 def test_admissibility_requires_samples(dromion):
     with pytest.raises(ValueError):
         check_admissibility(dromion, ((-1, 1), (-1, 1)), 0.0, (1, 4))
+
+
+@pytest.mark.parametrize("name", case_names())
+@pytest.mark.parametrize("t", [0.3, 1.1, 2.5])
+def test_intensity_time_derivative_matches_central_difference(name, t):
+    e = build_case(name)
+    _, _, zeta, eta, keep = window_grid(regular_window(e), 40, e.valid_mask)
+    h = 1e-5
+    u, ut = eval_intensity_dt(e.spec, zeta, eta, t)
+    fd = (eval_intensity_dt(e.spec, zeta, eta, t + h)[0]
+          - eval_intensity_dt(e.spec, zeta, eta, t - h)[0]) / (2 * h)
+    assert np.array_equal(u, eval_intensity(e.spec, zeta, eta, t).values,
+                          equal_nan=True)
+    assert np.all(np.isfinite(ut[keep]))
+    scale = np.max(np.abs(ut[keep]) + np.abs(u[keep]))
+    assert np.max(np.abs(fd - ut)[keep]) <= 1e-8 * scale

@@ -4,11 +4,20 @@ import math
 import numpy as np
 import pytest
 
-from dsfield.ansatz import SeparationCoefficients, SolutionSpec, eval_intensity, rotate
+from dsfield.ansatz import (
+    SeparationCoefficients,
+    SolutionSpec,
+    eval_intensity,
+    profile_jets3,
+    rotate,
+)
 from dsfield.auxiliary import derive
-from dsfield.catalog import build_case
+from dsfield.catalog import build_case, case_names
 from dsfield.field import (
     FieldGrid,
+    _refine_period,
+    _statistic_rate,
+    _statistic_series,
     analyze_extrema,
     decay_profile,
     estimate_period,
@@ -23,6 +32,8 @@ from dsfield.field import (
     to_report,
 )
 from dsfield.profiles import ExpSumProfile
+
+from conftest import regular_window
 
 # closed-form dromion peak: U = 2/(2+sqrt(2))^2 at x = -sqrt(2)(1+ln(2)/2)
 DROMION_PEAK = 2.0 / (2.0 + math.sqrt(2.0)) ** 2
@@ -192,7 +203,8 @@ def test_dromion_reflection_symmetry():
 def test_breather_period_scan():
     e = build_case("breather")
     res = estimate_period(e.spec, e.window, (0.0, 2 * math.pi), 64,
-                          "global_max", grid_n=32, refine=False)
+                          "global_max", grid_n=32)
+    assert res.best_candidate == pytest.approx(math.pi, abs=2 * math.pi / 64)
     assert res.estimated_period == pytest.approx(math.pi, abs=2 * math.pi / 64)
     assert res.period_resolution == pytest.approx(2 * math.pi / 64)
 
@@ -201,7 +213,7 @@ def test_breather_period_refinement_beats_scan_step():
     e = build_case("breather")
     res = estimate_period(e.spec, e.window, (0.0, 2 * math.pi), 32,
                           "global_max", grid_n=24)
-    assert abs(res.estimated_period - math.pi) < 1e-4
+    assert abs(res.estimated_period - math.pi) <= 1e-8
     assert abs(res.best_candidate - math.pi) <= res.period_resolution
 
 
@@ -209,7 +221,92 @@ def test_periodic_period_refinement_with_global_max():
     e = build_case("periodic")
     res = estimate_period(e.spec, e.window, (0.0, 2 * math.pi), 32,
                           "global_max", grid_n=32, valid_mask=e.valid_mask)
-    assert abs(res.estimated_period - math.pi) < 1e-4
+    assert abs(res.estimated_period - math.pi) <= 1e-8
+
+
+@pytest.mark.parametrize("name,statistic,start,n_t,grid_n", [
+    ("breather", "L2", 0, 32, 24),
+    ("breather", "global_max", 39, 64, 48),
+    ("periodic", "L2", 0, 32, 32),
+    ("periodic", "L2", 39, 64, 48),
+])
+def test_period_solve_reaches_pi(name, statistic, start, n_t, grid_n):
+    # the scan spans 2 pi from start*pi/64
+    e = build_case(name)
+    t0 = start * math.pi / 64
+    res = estimate_period(e.spec, e.window, (t0, t0 + 2 * math.pi), n_t,
+                          statistic, grid_n=grid_n, valid_mask=e.valid_mask)
+    assert abs(res.estimated_period - math.pi) <= 1e-8
+    assert abs(res.best_candidate - math.pi) <= res.period_resolution
+    assert res.period_mismatch <= 1e-13
+
+
+@pytest.mark.parametrize("statistic", ["L2", "global_max"])
+def test_period_solve_converges_from_a_loose_tie(statistic):
+    # a range 0.1% longer than 2 pi puts the scan shift 3.1e-3 past pi; a
+    # loose tie_tol accepts it and the solve must close the gap
+    e = build_case("breather")
+    res = estimate_period(e.spec, e.window, (0.3, 0.3 + 2.002 * math.pi), 32,
+                          statistic, grid_n=32, tie_tol=0.05)
+    assert res.best_candidate - math.pi == pytest.approx(1e-3 * math.pi)
+    assert abs(res.estimated_period - math.pi) <= 1e-12
+    assert res.period_mismatch <= 1e-13
+
+
+@pytest.mark.parametrize("rate_factor",
+                         [1.0, -1.0, 1e-3, -1e-3 / (math.pi - 1e-3), 0.0, math.nan])
+def test_period_solve_safeguards(monkeypatch, rate_factor):
+    # S = sin 2t has period pi; S' scaled by rate_factor: exact (1), wrong
+    # sign (the step raises the mismatch), too small (the step leaves the
+    # bracket; with the sign flipped too it lands on 2 pi, where the
+    # mismatch is lower), zero or NaN (no step); all but the exact one keep
+    # the scan shift and its mismatch
+    def synthetic(spec, window, times, statistic, grid_n, valid_mask):
+        return np.sin(2 * times), rate_factor * 2 * np.cos(2 * times)
+
+    monkeypatch.setattr("dsfield.field._statistic_rate", synthetic)
+    shift = math.pi + 1e-3
+    base = np.linspace(0.0, 0.9, 5) * shift
+    T, mis = _refine_period(None, None, "L2", 8, None, 0.0, shift, 0.1, 2.0)
+    if rate_factor == 1.0:
+        assert abs(T - math.pi) <= 1e-15 and mis <= 1e-15
+    else:
+        assert T == shift
+        assert mis == np.max(np.abs(np.sin(2 * (base + shift)) - np.sin(2 * base))) / 2
+
+
+def test_refined_l2_scan_samples_few_extra_grids(monkeypatch):
+    # every U grid, in the scan or at a probe time, evaluates the profile
+    # jets once on its grid_n^2 points
+    points = []
+
+    def counting(spec, zeta, eta, t):
+        points.append(np.broadcast(zeta, t).size)
+        return profile_jets3(spec, zeta, eta, t)
+
+    monkeypatch.setattr("dsfield.ansatz.profile_jets3", counting)
+    e = build_case("breather")
+    res = estimate_period(e.spec, e.window, (0.0, 2 * math.pi), 64, "L2",
+                          grid_n=32)
+    assert abs(res.estimated_period - math.pi) <= 1e-8
+    grids = sum(points) / 32 ** 2
+    assert 64 <= grids <= 64 + 20
+
+
+@pytest.mark.parametrize("name", case_names())
+@pytest.mark.parametrize("statistic", ["L2", "global_max"])
+def test_statistic_rate_matches_central_difference(name, statistic):
+    e = build_case(name)
+    window = regular_window(e)
+    times, h = np.array([0.3, 1.1, 2.5]), 1e-5
+    s, ds = _statistic_rate(e.spec, window, times, statistic, 40, e.valid_mask)
+    fd = (_statistic_rate(e.spec, window, times + h, statistic, 40, e.valid_mask)[0]
+          - _statistic_rate(e.spec, window, times - h, statistic, 40,
+                            e.valid_mask)[0]) / (2 * h)
+    assert s == pytest.approx(
+        _statistic_series(e.spec, window, times, statistic, 40, e.valid_mask),
+        rel=1e-14)
+    assert np.all(np.abs(fd - ds) <= 1e-8 * (np.abs(ds) + s))
 
 
 def test_breather_pointwise_periodicity():
@@ -236,7 +333,8 @@ def test_periodic_case_symmetry_and_period():
                       valid_mask=e.valid_mask)
     assert point_reflection_defect(ga, gb) < 1e-12
     res = estimate_period(e.spec, e.window, (0.0, 2 * math.pi), 32,
-                          grid_n=32, valid_mask=e.valid_mask, refine=False)
+                          grid_n=32, valid_mask=e.valid_mask)
+    assert res.best_candidate == pytest.approx(math.pi, abs=2 * math.pi / 32)
     assert res.estimated_period == pytest.approx(math.pi, abs=2 * math.pi / 32)
 
 
@@ -387,7 +485,8 @@ def test_export_dispatcher():
 def test_period_l2_statistic():
     e = build_case("breather")
     res = estimate_period(e.spec, e.window, (0.0, 2 * math.pi), 32,
-                          statistic="L2", grid_n=24, refine=False)
+                          statistic="L2", grid_n=24)
+    assert res.best_candidate == pytest.approx(math.pi, abs=2 * math.pi / 32)
     assert res.estimated_period == pytest.approx(math.pi, abs=2 * math.pi / 32)
 
 
