@@ -182,21 +182,22 @@ def eval_f(spec: SolutionSpec, zeta, eta, t,
         pj, qj = profile_jets3(spec, zeta, eta, t)
     a = spec.coeffs
     p, q = pj.value, qj.value
-    fa = a.a1 + a.a3 * q      # multiplies p-derivatives
-    fb = a.a2 + a.a3 * p      # multiplies q-derivatives
-    return TauJets(
-        f=a.a0 + a.a1 * p + a.a2 * q + a.a3 * p * q,
-        f_z=fa * pj.d1,
-        f_e=fb * qj.d1,
-        f_t=a.a1 * pj.dt + a.a2 * qj.dt + a.a3 * (pj.dt * q + p * qj.dt),
-        f_zz=fa * pj.d11,
-        f_ze=a.a3 * pj.d1 * qj.d1,
-        f_zt=a.a1 * pj.d1t + a.a3 * (pj.d1t * q + pj.d1 * qj.dt),
-        f_ee=fb * qj.d11,
-        f_et=a.a2 * qj.d1t + a.a3 * (pj.dt * qj.d1 + p * qj.d1t),
-        f_tt=a.a1 * pj.dtt + a.a2 * qj.dtt
-             + a.a3 * (pj.dtt * q + 2.0 * pj.dt * qj.dt + p * qj.dtt),
-    )
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore", under="ignore"):
+        fa = a.a1 + a.a3 * q      # multiplies p-derivatives
+        fb = a.a2 + a.a3 * p      # multiplies q-derivatives
+        return TauJets(
+            f=a.a0 + a.a1 * p + a.a2 * q + a.a3 * p * q,
+            f_z=fa * pj.d1,
+            f_e=fb * qj.d1,
+            f_t=a.a1 * pj.dt + a.a2 * qj.dt + a.a3 * (pj.dt * q + p * qj.dt),
+            f_zz=fa * pj.d11,
+            f_ze=a.a3 * pj.d1 * qj.d1,
+            f_zt=a.a1 * pj.d1t + a.a3 * (pj.d1t * q + pj.d1 * qj.dt),
+            f_ee=fb * qj.d11,
+            f_et=a.a2 * qj.d1t + a.a3 * (pj.dt * qj.d1 + p * qj.d1t),
+            f_tt=a.a1 * pj.dtt + a.a2 * qj.dtt
+                 + a.a3 * (pj.dtt * q + 2.0 * pj.dt * qj.dt + p * qj.dtt),
+        )
 
 
 # ---------------------------------------------------------------------------

@@ -11,9 +11,9 @@ Given the profile pair the construction determines, in order:
       r_z = (-p_t + c1*B^2 + c2*B - det*c3) / (beta * p_z),   B = a2 + a3*p,
       s_e = (-q_t - c3*A^2 - c2*A + det*c4) / (beta * q_e),   A = a1 + a3*q;
 
-* phases r, s by composite Simpson integration of the gradients from an
-  anchor (r(anchor, t) = 0, absorbing the free additive time function into
-  the background);
+* phases r, s by one cumulative Gauss-Legendre pass over the sorted line
+  coordinates, from an anchor (r(anchor, t) = 0, absorbing the free
+  additive time function into the background);
 * background levels
 
       p0 = (c3 + r_t - (beta/2)*(p1_zz/p1 - r_z^2)) / beta,
@@ -32,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import calculus as jc
-from .calculus import Jet, simpson_weights, spatial_shift, time_shift, truncate
+from .calculus import Jet, spatial_shift, time_shift, truncate
 from .ansatz import SolutionSpec
 from .profiles import TimeFunction, const_fn
 
@@ -56,17 +56,18 @@ class Auxiliaries:
     """Immutable bundle of derived evaluators for one solution spec.
 
     All evaluators are vectorized over their spatial argument at fixed t.
-    ``c1``/``c2`` are the phase-gradient policies, ``quad_n`` the Simpson
-    panel count (rounded up to even) and the anchors the zeros of r and s.
+    ``c1``/``c2`` are the phase-gradient policies, ``quad_n`` the number of
+    Gauss-Legendre nodes per gap between neighbouring line coordinates and
+    the anchors the zeros of r and s.
     """
 
     def __init__(self, spec: SolutionSpec, c1=0.0, c2=0.0,
-                 quad_n: int = 128, anchor_zeta: float = 0.0,
+                 quad_n: int = 16, anchor_zeta: float = 0.0,
                  anchor_eta: float = 0.0):
         self.spec = spec
         self.c1 = _as_timefn(c1)
         self.c2 = _as_timefn(c2)
-        self.quad_n = int(quad_n) + int(quad_n) % 2
+        self.quad_n = int(quad_n)
         self.anchor_zeta = float(anchor_zeta)
         self.anchor_eta = float(anchor_eta)
 
@@ -145,7 +146,7 @@ class Auxiliaries:
             return (-c4 + s_t - 0.5 * beta * (curvature - se.value ** 2)) / beta
 
 
-def derive(spec: SolutionSpec, c1=0.0, c2=0.0, quad_n: int = 128,
+def derive(spec: SolutionSpec, c1=0.0, c2=0.0, quad_n: int = 16,
            anchor_zeta: float = 0.0, anchor_eta: float = 0.0) -> Auxiliaries:
     """Build the derived-quantity bundle for a solution spec."""
     return Auxiliaries(spec, c1, c2, quad_n, anchor_zeta, anchor_eta)
@@ -155,30 +156,46 @@ def derive(spec: SolutionSpec, c1=0.0, c2=0.0, quad_n: int = 128,
 # phase integration
 
 
-def _integrate_from_anchor(grad_jet, anchor: float, targets, t, n: int):
-    """Composite Simpson from the anchor to each target.
+def _gauss_legendre(m: int):
+    """m-point Gauss-Legendre nodes and weights on [-1, 1] (Golub-Welsch)."""
+    k = np.arange(1.0, m)
+    nodes, vecs = np.linalg.eigh(np.diag(k / np.sqrt(4.0 * k * k - 1.0), 1), UPLO="U")
+    return nodes, 2.0 * vecs[0] ** 2 / np.sum(vecs[0] ** 2)
 
-    Integrates the gradient value and its time derivative in one pass
-    (the jet carries both), returning (phase, phase_t) shaped like targets.
-    Each distinct target coordinate is integrated once and the results are
-    gathered back, so a 2-D grid costs one integral per line coordinate.
+
+def _restarting_cumsum(gaps, broken):
+    """Prefix sums along the last axis that restart from 0 after a broken gap."""
+    total = np.cumsum(np.where(broken, 0.0, gaps), axis=-1)
+    last = np.maximum.accumulate(np.where(broken, np.arange(broken.size), -1))
+    return total - np.where(last >= 0, total[..., last], 0.0)
+
+
+def _integrate_from_anchor(grad_jet, anchor: float, targets, t, m: int):
+    """Cumulative m-point Gauss-Legendre integral from the anchor.
+
+    The breakpoints are the sorted distinct targets plus the anchor.  Each
+    gap between neighbours gets one rule (all gaps in one gradient call, for
+    the value and its time derivative), and prefix sums run outward from the
+    anchor give (phase, phase_t) at every breakpoint, gathered back to the
+    targets' shape.  A gap with a non-finite node value breaks the chain:
+    the breakpoints beyond it restart from its far end with phase 0, which
+    shifts the phase there by a function of t alone.
     """
     tg = np.asarray(targets, dtype=float)
-    scalar = tg.ndim == 0
     distinct, inverse = np.unique(tg, return_inverse=True)
-    span = distinct - anchor
-    frac = np.linspace(0.0, 1.0, n + 1)
-    nodes = anchor + span[:, None] * frac            # (distinct, n+1)
-    jets = grad_jet(nodes, t)
-    w = simpson_weights(n)
-    h = span / n
-    vals = np.asarray(jets.value, dtype=float)
-    dts = np.asarray(jets.dt, dtype=float)
-    r = (vals @ w) * h
-    r_t = (dts @ w) * h
-    if scalar:
-        return float(r[0]), float(r_t[0])
-    return r[inverse].reshape(tg.shape), r_t[inverse].reshape(tg.shape)
+    pts = np.union1d(distinct, anchor)
+    k = int(np.searchsorted(pts, anchor))
+    x, w = _gauss_legendre(m)
+    half = 0.5 * np.diff(pts)
+    jets = grad_jet((pts[:-1] + half)[:, None] + half[:, None] * x, t)
+    gaps = (np.array([jets.value, jets.dt], dtype=float) @ w) * half
+    broken = ~np.isfinite(gaps).all(axis=0)
+    phase = np.zeros((2, pts.size))
+    phase[:, k + 1:] = _restarting_cumsum(gaps[:, k:], broken[k:])
+    phase[:, :k] = -_restarting_cumsum(gaps[:, :k][:, ::-1], broken[:k][::-1])[:, ::-1]
+    phase[:, ~np.isfinite(pts)] = np.nan
+    r, r_t = phase[:, np.searchsorted(pts, distinct)][:, inverse.ravel()]
+    return r.reshape(tg.shape)[()], r_t.reshape(tg.shape)[()]
 
 
 @dataclass(frozen=True)

@@ -173,7 +173,7 @@ def _cmd_catalog(args) -> int:
 def _cmd_render(args) -> int:
     spec, window, mask, label = _resolve_spec(args)
     t = parse_time(args.t)
-    aux = derive(spec) if args.which == "phi" else None
+    aux = derive(spec) if args.which in ("phi", "bilinear2") else None
     grid = sample_field(spec, aux, args.which, window, t, args.res, args.res,
                         valid_mask=mask)
     if args.which == "U":

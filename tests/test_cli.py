@@ -2,10 +2,12 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 
 import pytest
 
 from dsfield.cli import main, parse_time, parse_window
+from dsfield.field import parse_csv
 from dsfield.specfile import dumps_spec, load_spec, loads_spec, SpecFileError
 from dsfield.catalog import build_case, case_names
 
@@ -125,6 +127,26 @@ def test_render_degenerate_breather_exits_3(tmp_path, capsys):
     assert code == 3
     assert "degenerate" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("res", ["263", "512"])
+def test_render_periodic_emits_no_numpy_warnings(tmp_path, res):
+    # the tan poles make f's time jets non-finite off the valid box
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run("render", "--case", "periodic", "--t", "0.3", "--res", res,
+                   "--out", str(tmp_path / "u.csv")) == 0
+
+
+def test_render_bilinear2_matches_verify_report(tmp_path):
+    # the render normalizes g g* by the amplitude factors, as the report does
+    csv, rep = tmp_path / "b2.csv", tmp_path / "r.txt"
+    assert run("render", "--case", "dromion", "--which", "bilinear2", "--t", "0",
+               "--res", "64", "--out", str(csv)) == 0
+    assert run("verify", "--case", "dromion", "--t", "0", "--res", "64",
+               "--checks", "bilinear2", "--out", str(rep)) == 0
+    top = max(abs(v) for v in parse_csv(csv.read_bytes())[2])
+    assert f"check.bilinear2.max_abs: {top:.6e}\n" in rep.read_text()
 
 
 def test_render_breather_phi_at_half_pi_exits_3(tmp_path, capsys):
@@ -256,8 +278,10 @@ def test_analyze_decay(capsys):
 
 
 def test_cli_import_needs_no_scipy():
+    # numpy.polynomial costs about 0.1 s of import on its own
     code = ("import sys, dsfield.cli; "
-            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'"
+            " or m.startswith('numpy.polynomial')))")
     env = dict(os.environ, PYTHONPATH=os.path.abspath(SRC))
     done = subprocess.run([sys.executable, "-c", code], env=env,
                           capture_output=True, text=True, check=True)

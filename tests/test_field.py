@@ -10,6 +10,7 @@ from dsfield.ansatz import (
     eval_intensity,
     profile_jets3,
     rotate,
+    window_grid,
 )
 from dsfield.auxiliary import derive
 from dsfield.catalog import build_case, case_names
@@ -448,9 +449,17 @@ def test_csv_matches_per_point_writer(make):
     assert to_csv(g) == csv_reference(g)
 
 
-def test_instanton_phi_masks_non_finite_points_beyond_valid_mask():
-    assert np.count_nonzero(~_instanton_phi().mask) > np.count_nonzero(
-        ~_instanton_u().mask) > 0
+@pytest.mark.parametrize("res,dropped", [(48, 44), (128, 117)])
+@pytest.mark.parametrize("t", [3.0, 6.0])
+def test_instanton_phi_masks_only_what_valid_mask_drops(t, res, dropped):
+    # beyond the profile pole at zeta = -1 phi stays finite: the phases
+    # there never pick up a non-finite gap from the other side of the pole
+    e = build_case("double_instanton")
+    _, _, _, _, keep = window_grid(e.window, res, e.valid_mask)
+    phi = sample_field(e.spec, derive(e.spec), "phi", e.window, t, res, res,
+                       e.valid_mask)
+    assert np.count_nonzero(~keep) == dropped
+    np.testing.assert_array_equal(phi.mask, keep)
 
 
 def test_csv_header_checked():
