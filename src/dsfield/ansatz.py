@@ -34,12 +34,14 @@ __all__ = [
     "CoordinatePoint",
     "rotate",
     "unrotate",
+    "WindowGrid",
     "window_grid",
     "TauJets",
     "profile_jets3",
     "eval_f",
     "eval_intensity",
     "eval_intensity_dt",
+    "grid_intensity",
     "eval_envelope",
     "eval_phi",
     "phi_log_form",
@@ -131,21 +133,57 @@ def unrotate(zeta, eta):
     return (zeta + eta) / SQRT2, (eta - zeta) / SQRT2
 
 
-def window_grid(window, samples, valid_mask=None):
-    """(X, Y, zeta, eta, keep) sampling an (x, y) window row-major.
+@dataclass(frozen=True)
+class WindowGrid:
+    """An (x, y) window sampled row-major, y along axis 0.
 
-    ``samples`` is n or (nx, ny); ``keep`` is ``valid_mask(zeta, eta)``, or
-    all True without one.
+    ``X``, ``Y`` and ``zeta``, ``eta`` (= ``rotate(X, Y)``) are the (ny, nx)
+    sample coordinates and ``keep`` is ``valid_mask(zeta, eta)``, or all
+    True without one.  On a square grid with equal spacing on both axes,
+    zeta at row i, column j depends on j - i alone and eta on i + j alone:
+    ``zeta_lines`` and ``eta_lines`` then hold the 2N - 1 line coordinates
+    and ``zeta_index``, ``eta_index`` (N, N) gather them onto the grid.
+    Otherwise the lines are ``zeta`` and ``eta`` themselves and the indices
+    are None.
+    """
+
+    X: np.ndarray
+    Y: np.ndarray
+    zeta: np.ndarray
+    eta: np.ndarray
+    keep: np.ndarray
+    zeta_lines: np.ndarray
+    eta_lines: np.ndarray
+    zeta_index: Optional[np.ndarray]
+    eta_index: Optional[np.ndarray]
+
+
+def window_grid(window, samples, valid_mask=None) -> WindowGrid:
+    """Sample an (x, y) window; ``samples`` is n or (nx, ny).
+
+    Each line coordinate is taken from one grid point on it, zeta_k from
+    the first row (k >= 0) or column and eta_m from the first row or the
+    last column, so those points keep the bits of ``rotate``; elsewhere
+    the two differ by rounding in x - y and x + y.
     """
     (x0, x1), (y0, y1) = window
     nx, ny = samples if isinstance(samples, tuple) else (samples, samples)
-    X, Y = np.meshgrid(np.linspace(x0, x1, nx), np.linspace(y0, y1, ny))
+    x, y = np.linspace(x0, x1, nx), np.linspace(y0, y1, ny)
+    X, Y = np.meshgrid(x, y, copy=False)      # read-only views, no copies
     zeta, eta = rotate(X, Y)
     if valid_mask is None:
         keep = np.ones_like(zeta, dtype=bool)
     else:
         keep = np.asarray(valid_mask(zeta, eta), dtype=bool)
-    return X, Y, zeta, eta, keep
+    if nx != ny or x1 - x0 != y1 - y0:
+        return WindowGrid(X, Y, zeta, eta, keep, zeta, eta, None, None)
+    k, m = np.arange(1 - nx, nx), np.arange(2 * nx - 1)
+    i, j = np.arange(nx)[:, None], np.arange(nx)       # row (y) and column (x)
+    return WindowGrid(
+        X, Y, zeta, eta, keep,
+        (x[np.maximum(k, 0)] - y[np.maximum(-k, 0)]) / SQRT2,
+        (x[np.minimum(m, nx - 1)] + y[np.maximum(m - nx + 1, 0)]) / SQRT2,
+        j - i + (nx - 1), i + j)
 
 
 # ---------------------------------------------------------------------------
@@ -218,30 +256,63 @@ class Intensity:
     invalid: object
 
 
+def _intensity(spec: SolutionSpec, pj: Jet3, qj: Jet3, dt: bool = False):
+    """The one U kernel: (U, U_t), U_t only with ``dt`` (else None).
+
+    It reads the jets' ``value`` and ``d1`` alone, and for U_t also ``dt``
+    and ``d1t``.  U is NaN where |f| falls under the guard.
+    """
+    a = spec.coeffs
+    p, q = pj.value, qj.value
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore", under="ignore"):
+        f = a.a0 + a.a1 * p + a.a2 * q + a.a3 * p * q
+        num = 4.0 * a.det * pj.d1 * qj.d1
+        bad = ~(np.abs(f) >= DIV_GUARD * (1.0 + np.abs(num)))
+        fsafe = np.where(bad, np.nan, f)
+        u = num / (fsafe * fsafe)
+        if not dt:
+            return u, None
+        f_t = a.a1 * pj.dt + a.a2 * qj.dt + a.a3 * (pj.dt * q + p * qj.dt)
+        return u, (4.0 * a.det * (pj.d1t * qj.d1 + pj.d1 * qj.d1t) / (f * f)
+                   - 2.0 * u * f_t / f)
+
+
 def eval_intensity(spec: SolutionSpec, zeta, eta, t,
                    pj: Optional[Jet3] = None, qj: Optional[Jet3] = None) -> Intensity:
     if pj is None or qj is None:
         pj, qj = profile_jets3(spec, zeta, eta, t)
-    tau = eval_f(spec, zeta, eta, t, pj, qj)
-    det = spec.coeffs.det
-    num = 4.0 * det * pj.d1 * qj.d1
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore", under="ignore"):
-        bad = ~(np.abs(tau.f) >= DIV_GUARD * (1.0 + np.abs(num)))
-        fsafe = np.where(bad, np.nan, tau.f)
-        vals = num / (fsafe * fsafe)
-        sign = (det * pj.d1 * qj.d1) < 0.0
-        invalid = ~np.isfinite(vals)
-    return Intensity(values=vals, sign_violation=sign, invalid=invalid)
+    vals = _intensity(spec, pj, qj)[0]
+    with np.errstate(invalid="ignore", over="ignore", under="ignore"):
+        sign = (spec.coeffs.det * pj.d1 * qj.d1) < 0.0
+    return Intensity(values=vals, sign_violation=sign, invalid=~np.isfinite(vals))
 
 
 def eval_intensity_dt(spec: SolutionSpec, zeta, eta, t):
     """U and its exact time derivative U_t, NaN where U is."""
-    pj, qj = profile_jets3(spec, zeta, eta, t)
-    u = eval_intensity(spec, zeta, eta, t, pj, qj).values
-    tau = eval_f(spec, zeta, eta, t, pj, qj)
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore", under="ignore"):
-        return u, (4.0 * spec.coeffs.det * (pj.d1t * qj.d1 + pj.d1 * qj.d1t)
-                   / (tau.f * tau.f) - 2.0 * u * tau.f_t / tau.f)
+    return _intensity(spec, *profile_jets3(spec, zeta, eta, t), dt=True)
+
+
+def grid_intensity(spec: SolutionSpec, grid: WindowGrid, t, dt: bool = False):
+    """(U, U_t) on ``grid`` at ``t`` as :func:`eval_intensity_dt`, U_t only
+    with ``dt``; a 1-D array of times leads the shape, (n_t, ny, nx).
+
+    Each profile is evaluated once per line coordinate for all times, and
+    only the entries the kernel reads are gathered onto the grid.
+    """
+    t = np.asarray(t, dtype=float)
+    tt = t.reshape(t.shape + (1,) * grid.zeta_lines.ndim) if t.ndim else float(t)
+    names = ("value", "d1", "dt", "d1t") if dt else ("value", "d1")
+
+    def on_grid(profile, lines, index):
+        jet = profile.jet3(lines, tt)
+        if index is None:
+            return jet
+        shape = t.shape + lines.shape
+        return Jet3(**{n: np.take(np.broadcast_to(getattr(jet, n), shape), index,
+                                  axis=-1) for n in names})
+
+    return _intensity(spec, on_grid(spec.p, grid.zeta_lines, grid.zeta_index),
+                      on_grid(spec.q, grid.eta_lines, grid.eta_index), dt)
 
 
 def eval_envelope(spec: SolutionSpec, zeta, eta, t, phase_r, phase_s,
@@ -342,14 +413,15 @@ def check_admissibility(spec: SolutionSpec, window, t: float,
     nx, ny = samples
     if nx < 2 or ny < 2:
         raise ValueError("need at least 2 samples per axis")
-    X, Y, zeta, eta, keep = window_grid(window, (nx, ny), valid_mask)
+    grid = window_grid(window, (nx, ny), valid_mask)
+    keep = grid.keep
 
-    pj, qj = profile_jets3(spec, zeta, eta, t)
-    tau = eval_f(spec, zeta, eta, t, pj, qj)
-    inten = eval_intensity(spec, zeta, eta, t, pj, qj)
+    pj, qj = profile_jets3(spec, grid.zeta, grid.eta, t)
+    tau = eval_f(spec, grid.zeta, grid.eta, t, pj, qj)
+    inten = eval_intensity(spec, grid.zeta, grid.eta, t, pj, qj)
 
     finite_f, min_abs_f, min_point, flips_x, flips_y = denominator_scan(
-        tau.f, keep, X, Y, t)
+        tau.f, keep, grid.X, grid.Y, t)
     n_invalid = int(np.count_nonzero(keep & (inten.invalid | ~finite_f)))
     n_flips = int(np.count_nonzero(flips_x) + np.count_nonzero(flips_y))
 
@@ -363,7 +435,7 @@ def check_admissibility(spec: SolutionSpec, window, t: float,
     witness = None
     if n_viol:
         widx = np.unravel_index(np.argmax(viol), viol.shape)
-        witness = (float(X[widx]), float(Y[widx]), float(t))
+        witness = (float(grid.X[widx]), float(grid.Y[widx]), float(t))
 
     if finite_vals.size and max_u < 1e-14:
         verdict = "degenerate"

@@ -20,7 +20,7 @@ import tempfile
 import numpy as np
 
 from . import __version__
-from .ansatz import check_admissibility, window_grid
+from .ansatz import SQRT2, check_admissibility
 from .auxiliary import consistency_c1_c2, derive
 from .calculus import Stencil
 from .catalog import build_case, case_names
@@ -281,8 +281,9 @@ def _cmd_verify(args) -> int:
     if "admissibility" in requested:
         rep = check_admissibility(spec, window, t, (args.res, args.res),
                                   valid_mask=mask)
-        _, _, zeta, eta, _ = window_grid(window, args.res)
-        poles = len(pole_sweep(spec.p, zeta, t)) + len(pole_sweep(spec.q, eta, t))
+        (x0, x1), (y0, y1) = window
+        poles = (len(pole_sweep(spec.p, [(x0 - y1) / SQRT2, (x1 - y0) / SQRT2], t))
+                 + len(pole_sweep(spec.q, [(x0 + y0) / SQRT2, (x1 + y1) / SQRT2], t)))
         ok = rep.verdict == "admissible"
         statuses["admissibility"] = "pass" if ok else "fail"
         lines += [

@@ -6,10 +6,11 @@ exclusions are masked rather than raising.
 
 Analytics quantify what renders can only suggest: strict local maxima with
 plateau grouping, a continuously refined global maximum (the raw grid
-maximum moves by O(dx^2) under refinement; a projected-Newton ascent on
-log U from the grid argmax, with exact derivatives from the profile jets,
-stays in that peak's basin and is stable), periods (scan, then Newton on exact
-time derivatives), peak-decay series; numpy is the only third-party import.
+maximum moves by O(dx^2) under refinement; projected-Newton ascents on
+log U from the local maxima of the grid's two checkerboard sublattices, with
+exact derivatives from the profile jets, stay in their peaks' basins and are
+stable), periods (scan, then Newton on exact time derivatives), peak-decay
+series; numpy is the only third-party import.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ from .ansatz import (
     eval_intensity,
     eval_intensity_dt,
     eval_phi,
+    grid_intensity,
     profile_jets3,
     rotate,
     window_grid,
@@ -115,33 +117,33 @@ def sample_field(spec: SolutionSpec, aux: Optional[Auxiliaries], which: str,
 
     ``which`` is one of ``U`` (intensity), ``phi`` (forcing field, needs
     ``aux`` for the backgrounds), ``bilinear2`` or ``pde2`` (residual
-    fields).  Raises if the window is entirely invalid.
+    fields).  ``U`` comes from :func:`grid_intensity`, so on a square
+    window with equal spacing the profiles are evaluated once per zeta and
+    eta line.  Raises if the window is entirely invalid.
     """
     if nx < 8 or ny < 8:
         raise ValueError("resolution must be at least 8 per axis")
     (x0, x1), (y0, y1) = window
-    _, _, zeta, eta, keep = window_grid(window, (nx, ny), valid_mask)
+    grid = window_grid(window, (nx, ny), valid_mask)
 
     if which == "U":
-        inten = eval_intensity(spec, zeta, eta, t)
-        vals = inten.values
+        vals = grid_intensity(spec, grid, t)[0]
     elif which == "phi":
         if aux is None:
             raise ValueError("phi sampling needs derived auxiliaries")
         with np.errstate(invalid="ignore", over="ignore", under="ignore",
                          divide="ignore"):
-            p0 = aux.p0(zeta, t)
-            q0 = aux.q0(eta, t)
-        vals = eval_phi(spec, zeta, eta, t, p0, q0)
+            p0 = aux.p0(grid.zeta, t)
+            q0 = aux.q0(grid.eta, t)
+        vals = eval_phi(spec, grid.zeta, grid.eta, t, p0, q0)
     elif which in ("bilinear2", "pde2"):
         vals = residual_field(spec, aux, which, window, t, nx, ny, valid_mask)
     else:
         raise ValueError(f"unknown field {which!r}; use U, phi, bilinear2, pde2")
 
     vals = np.asarray(vals, dtype=float)
-    mask = keep & np.isfinite(vals)
-    if not mask.any():
-        raise SingularWindowError("window entirely singular")
+    mask = grid.keep & np.isfinite(vals)
+    _require_valid(mask.any())
     out = np.where(mask, vals, 0.0)
     return FieldGrid(window=((x0, x1), (y0, y1)), nx=nx, ny=ny, t=float(t),
                      values=out, mask=mask)
@@ -189,12 +191,37 @@ def analyze_extrema(grid: FieldGrid) -> AnalyticsResult:
     )
 
 
-def _neighbours(a: np.ndarray, fill) -> list:
-    """The eight 3x3-neighbour shifts of a 2-D array, padded with ``fill``."""
-    padded = np.pad(a, 1, constant_values=fill)
-    ny, nx = a.shape
-    return [padded[1 + dy:1 + dy + ny, 1 + dx:1 + dx + nx]
-            for dy in (-1, 0, 1) for dx in (-1, 0, 1) if dy or dx]
+def _require_valid(valid):
+    """Raise unless ``valid`` (one flag per time) is all True."""
+    if not np.all(valid):
+        raise SingularWindowError("window entirely singular")
+
+
+# Times are sampled in batches of about this many grid points, which keeps a
+# batch's temporaries as small as those of one 181^2 grid sampled alone.
+_BATCH_POINTS = 2 ** 15
+
+
+def _batches(grid, n_t: int) -> list:
+    """Slices that cut ``n_t`` times into batches of about _BATCH_POINTS
+    samples of ``grid``, at least one time each."""
+    step = max(1, _BATCH_POINTS // grid.keep.size)
+    return [slice(i, i + step) for i in range(0, n_t, step)]
+
+
+# (dy, dx) neighbour shifts: the 3x3 ring, and the 8-neighbourhood of a point
+# on its own checkerboard sublattice (i + j even, or odd): the four diagonal
+# points and the four two steps away along an axis
+_RING = tuple((dy, dx) for dy in (-1, 0, 1) for dx in (-1, 0, 1) if dy or dx)
+_SUBLATTICE = ((-1, -1), (-1, 1), (1, -1), (1, 1), (-2, 0), (2, 0), (0, -2), (0, 2))
+
+
+def _neighbours(a: np.ndarray, fill, shifts=_RING) -> list:
+    """The ``shifts`` of ``a`` over its last two axes, padded with ``fill``."""
+    r = max(max(abs(dy), abs(dx)) for dy, dx in shifts)
+    padded = np.pad(a, [(0, 0)] * (a.ndim - 2) + [(r, r)] * 2, constant_values=fill)
+    ny, nx = a.shape[-2:]
+    return [padded[..., r + dy:r + dy + ny, r + dx:r + dx + nx] for dy, dx in shifts]
 
 
 def _label_components(mask: np.ndarray) -> np.ndarray:
@@ -220,12 +247,21 @@ def _label_components(mask: np.ndarray) -> np.ndarray:
 
 def refined_global_max(spec: SolutionSpec, window, t, nx: int = 192,
                        ny: int = 192, valid_mask=None):
-    """Grid argmax polished by a projected-Newton ascent on log U.
+    """Grid maximum polished by a projected-Newton ascent on log U.
 
-    ``t`` is one time or a 1-D array of times.  Each time is sampled on its
-    own grid; the ascent then runs for all times at once.  It starts at the
-    grid argmax with a trust radius of one grid step and stays in that
-    peak's basin.  Gradient and Hessian of log U are exact, from the
+    ``t`` is one time or a 1-D array of times, sampled in batches of
+    :func:`_batches` on one grid.  An ascent runs from every valid grid
+    point that is not below any valid point of its 8-neighbourhood on its
+    own checkerboard sublattice, for all times at once, and the best result
+    of each time is kept; of equal-valued starts at one time (a plateau)
+    only the first runs.  The starts include each time's grid argmax.  On a
+    grid with equal spacing each sublattice holds every other zeta line, so
+    they also include a hump that lies between two zeta lines next to a
+    pole, where each grid point on the hump's flank has a higher 3x3
+    neighbour across the pole.
+
+    Each ascent starts with a trust radius of one grid step and stays in
+    its peak's basin.  Gradient and Hessian of log U are exact, from the
     profile jets.  A coordinate on a window bound whose gradient points
     outward is frozen (Bertsekas 1982) and each candidate is clipped to the
     window; where the free Hessian is not negative definite a gradient step
@@ -239,17 +275,29 @@ def refined_global_max(spec: SolutionSpec, window, t, nx: int = 192,
     for a scalar ``t``, arrays for an array.
     """
     times = np.atleast_1d(np.asarray(t, dtype=float))
-    u = np.empty(times.size)
-    xy = np.empty((times.size, 2))
-    for i, ti in enumerate(times.tolist()):
-        grid = sample_field(spec, None, "U", window, ti, nx, ny, valid_mask)
-        v = np.where(grid.mask, grid.values, -np.inf)
-        iy, ix = np.unravel_index(int(np.argmax(v)), v.shape)
-        u[i], xy[i] = v[iy, ix], (grid.x[ix], grid.y[iy])
+    grid = window_grid(window, (nx, ny), valid_mask)
+    starts = []
+    for batch in _batches(grid, times.size):
+        u = grid_intensity(spec, grid, times[batch])[0]
+        ok = grid.keep & np.isfinite(u)
+        _require_valid(ok.any(axis=(1, 2)))
+        v = np.where(ok, u, -np.inf)
+        top = np.maximum.reduce(_neighbours(v, -np.inf, _SUBLATTICE))
+        it, iy, ix = np.nonzero(ok & (v >= top))
+        starts.append(np.column_stack([it + batch.start, v[it, iy, ix],
+                                       grid.X[iy, ix], grid.Y[iy, ix]]))
+    starts = np.concatenate(starts)
+    starts = starts[np.sort(np.unique(starts[:, :2], axis=0, return_index=True)[1])]
+    it, u, xy = starts[:, 0].astype(int), starts[:, 1].copy(), starts[:, 2:].copy()
     (xa, xb), (ya, yb) = window
     radius = max((xb - xa) / (nx - 1), (yb - ya) / (ny - 1))
-    _newton_ascent(spec, times, u, xy, np.array([xa, ya]), np.array([xb, yb]),
+    _newton_ascent(spec, times[it], u, xy, np.array([xa, ya]), np.array([xb, yb]),
                    radius, valid_mask)
+    best = np.full(times.size, -np.inf)
+    np.maximum.at(best, it, u)
+    top = np.flatnonzero(u == best[it])             # the first start of each time wins ties
+    pick = top[np.unique(it[top], return_index=True)[1]]
+    u, xy = u[pick], xy[pick]
     if np.ndim(t) == 0:
         return float(u[0]), (float(xy[0, 0]), float(xy[0, 1]))
     return u, (xy[:, 0], xy[:, 1])
@@ -346,12 +394,31 @@ def _log_intensity_jets(spec, times, xy, valid_mask):
 
 
 def _statistic_series(spec, window, times, statistic, grid_n, valid_mask):
-    """The statistic at ``times``; L2 samples one grid at a time."""
+    """The statistic at ``times``, sampled in batches; raises
+    SingularWindowError if some time has no valid sample."""
     if statistic != "L2":
         return _statistic_rate(spec, window, times, statistic, grid_n, valid_mask)[0]
-    grids = (sample_field(spec, None, "U", window, t, grid_n, grid_n, valid_mask)
-             for t in times)
-    return np.array([np.sqrt(np.mean(g.valid_values() ** 2)) for g in grids])
+    s, _, valid = _l2(spec, window, times, grid_n, valid_mask)
+    _require_valid(valid)
+    return s
+
+
+def _l2(spec, window, times, grid_n, valid_mask, dt=False):
+    """(S, S', valid) at ``times``: the L2 norm S of U over each time's
+    valid samples, S' = mean(U U_t)/S (only with ``dt``, else None), and
+    whether the time has a valid sample."""
+    grid = window_grid(window, grid_n, valid_mask)
+    parts = []
+    for batch in _batches(grid, times.size):
+        u, ut = grid_intensity(spec, grid, times[batch], dt)
+        ok = grid.keep & np.isfinite(u)
+        n = np.count_nonzero(ok, axis=(1, 2))       # a sum over none is 0/0 = NaN
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            s = np.sqrt(np.sum(u * u, axis=(1, 2), where=ok) / n)
+            ds = np.sum(u * ut, axis=(1, 2), where=ok) / n / s if dt else s
+        parts.append((s, ds, n > 0))
+    s, ds, valid = (np.concatenate(p) for p in zip(*parts))
+    return s, ds if dt else None, valid
 
 
 def estimate_period(spec: SolutionSpec, window, t_range: tuple[float, float],
@@ -401,12 +468,7 @@ def _statistic_rate(spec, window, times, statistic, grid_n, valid_mask):
         return u, eval_intensity_dt(spec, *rotate(x, y), times)[1]
     if statistic != "L2":
         raise ValueError(f"unknown statistic {statistic!r}")
-    _, _, zeta, eta, keep = window_grid(window, grid_n, valid_mask)
-    u, ut = eval_intensity_dt(spec, zeta, eta, times[:, None, None])
-    ok = keep & np.isfinite(u)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        s = np.sqrt(np.mean(u * u, axis=(1, 2), where=ok))
-        return s, np.mean(u * ut, axis=(1, 2), where=ok) / s
+    return _l2(spec, window, times, grid_n, valid_mask, dt=True)[:2]
 
 
 def _refine_period(spec, window, statistic, grid_n, valid_mask, t0, period, dt,

@@ -338,18 +338,18 @@ def bilinear_residuals(spec: SolutionSpec, aux: Optional[Auxiliaries],
     Line 1 terms are evaluated at envelope scale (the raw bilinear form
     scales like |f|^3, which would make absolute numbers meaningless).
     """
-    X, Y, zeta, eta, keep = window_grid(window, samples, valid_mask)
-    pj, qj = profile_jets3(spec, zeta, eta, t)
-    rel, amp_bad = _bilinear2_field(spec, aux, zeta, eta, t, pj, qj)
+    grid = window_grid(window, samples, valid_mask)
+    pj, qj = profile_jets3(spec, grid.zeta, grid.eta, t)
+    rel, amp_bad = _bilinear2_field(spec, aux, grid.zeta, grid.eta, t, pj, qj)
     flags = {}
     if amp_bad is not None:
-        flags["amplitude_branch"] = int(np.count_nonzero(amp_bad & keep))
-    line2 = _report("bilinear2", rel, X, Y, t, keep & np.isfinite(rel),
+        flags["amplitude_branch"] = int(np.count_nonzero(amp_bad & grid.keep))
+    line2 = _report("bilinear2", rel, grid.X, grid.Y, t, grid.keep & np.isfinite(rel),
                     flags=flags, extras={"normalization": "relative to |g g*|"})
     if not check_line1:
         return line2, None
     line1 = _envelope_report("bilinear1", _bilinear1_residual, spec, aux,
-                             X, Y, zeta, eta, t, keep, gate,
+                             grid.X, grid.Y, grid.zeta, grid.eta, t, grid.keep, gate,
                              {"normalization": "terms scaled by 1/f^3"}, pj, qj)
     return line2, line1
 
@@ -371,17 +371,17 @@ def pde_residuals(spec: SolutionSpec, aux: Optional[Auxiliaries], window,
     requested come back None.
     """
     stencil = stencil or Stencil(2, 2, 1e-2)
-    X, Y, zeta, eta, keep = window_grid(window, samples, valid_mask)
+    grid = window_grid(window, samples, valid_mask)
     line1 = line2 = None
     if "line1" in checks:
-        line1 = _envelope_report("pde1", _pde1_residual, spec, aux,
-                                 X, Y, zeta, eta, t, keep, gate)
+        line1 = _envelope_report("pde1", _pde1_residual, spec, aux, grid.X,
+                                 grid.Y, grid.zeta, grid.eta, t, grid.keep, gate)
     if "line2" in checks:
-        resid, stencil_ok = _pde2_field(spec, zeta, eta, t, stencil)
-        line2 = _report("pde2", resid, X, Y, t,
-                        keep & stencil_ok & np.isfinite(resid),
+        resid, stencil_ok = _pde2_field(spec, grid.zeta, grid.eta, t, stencil)
+        line2 = _report("pde2", resid, grid.X, grid.Y, t,
+                        grid.keep & stencil_ok & np.isfinite(resid),
                         flags={"stencil_dropped":
-                               int(np.count_nonzero(keep & ~stencil_ok))},
+                               int(np.count_nonzero(grid.keep & ~stencil_ok))},
                         extras={"h": stencil.h, "accuracy": stencil.accuracy})
     return line1, line2
 
@@ -444,12 +444,14 @@ def residual_field(spec: SolutionSpec, aux, which: str, window, t: float,
 
     NaN marks the samples the matching report drops.
     """
-    X, Y, zeta, eta, keep = window_grid(window, (nx, ny), valid_mask)
+    grid = window_grid(window, (nx, ny), valid_mask)
+    keep = grid.keep
     if which == "bilinear2":
-        pj, qj = profile_jets3(spec, zeta, eta, t)
-        resid, _ = _bilinear2_field(spec, aux, zeta, eta, t, pj, qj)
+        pj, qj = profile_jets3(spec, grid.zeta, grid.eta, t)
+        resid, _ = _bilinear2_field(spec, aux, grid.zeta, grid.eta, t, pj, qj)
     elif which == "pde2":
-        resid, stencil_ok = _pde2_field(spec, zeta, eta, t, Stencil(2, 2, 1e-2))
+        resid, stencil_ok = _pde2_field(spec, grid.zeta, grid.eta, t,
+                                        Stencil(2, 2, 1e-2))
         keep = keep & stencil_ok
     else:
         raise ValueError(f"unknown residual field {which!r}")
@@ -503,23 +505,23 @@ def singularity_scan(spec: SolutionSpec, window, t: float, samples=128,
     coordinate (they are one-variable features of the profiles), in addition
     to the two-dimensional denominator scan.
     """
-    X, Y, zeta, eta, keep = window_grid(window, samples, valid_mask)
+    grid = window_grid(window, samples, valid_mask)
     with np.errstate(invalid="ignore", over="ignore", under="ignore", divide="ignore"):
-        f = eval_f(spec, zeta, eta, t).f
+        f = eval_f(spec, grid.zeta, grid.eta, t).f
     finite, min_abs_f, min_point, flips_x, flips_y = denominator_scan(
-        f, keep, X, Y, t)
+        f, grid.keep, grid.X, grid.Y, t)
     # up to five x-flip cells, or y-flip cells when there are no x-flips
     ys, xs = np.nonzero(flips_x if flips_x.any() else flips_y)
-    examples = tuple((float(X[yy, xx]), float(Y[yy, xx]))
+    examples = tuple((float(grid.X[yy, xx]), float(grid.Y[yy, xx]))
                      for yy, xx in zip(ys[:5], xs[:5]))
     return ScanReport(
         min_abs_f=min_abs_f,
         min_f_point=min_point,
         sign_change_cells=int(np.count_nonzero(flips_x) + np.count_nonzero(flips_y)),
         sign_change_examples=examples,
-        nonfinite_points=int(np.count_nonzero(keep & ~finite)),
-        masked_points=int(np.count_nonzero(~keep)),
-        samples=int(zeta.size),
-        pole_intervals_zeta=pole_sweep(spec.p, zeta, t),
-        pole_intervals_eta=pole_sweep(spec.q, eta, t),
+        nonfinite_points=int(np.count_nonzero(grid.keep & ~finite)),
+        masked_points=int(np.count_nonzero(~grid.keep)),
+        samples=int(grid.zeta.size),
+        pole_intervals_zeta=pole_sweep(spec.p, grid.zeta, t),
+        pole_intervals_eta=pole_sweep(spec.q, grid.eta, t),
     )

@@ -13,6 +13,7 @@ from dsfield.ansatz import (
     eval_intensity,
     eval_intensity_dt,
     eval_phi,
+    grid_intensity,
     phi_log_form,
     profile_jets3,
     rotate,
@@ -253,7 +254,8 @@ def test_admissibility_requires_samples(dromion):
 @pytest.mark.parametrize("t", [0.3, 1.1, 2.5])
 def test_intensity_time_derivative_matches_central_difference(name, t):
     e = build_case(name)
-    _, _, zeta, eta, keep = window_grid(regular_window(e), 40, e.valid_mask)
+    g = window_grid(regular_window(e), 40, e.valid_mask)
+    zeta, eta, keep = g.zeta, g.eta, g.keep
     h = 1e-5
     u, ut = eval_intensity_dt(e.spec, zeta, eta, t)
     fd = (eval_intensity_dt(e.spec, zeta, eta, t + h)[0]
@@ -263,3 +265,75 @@ def test_intensity_time_derivative_matches_central_difference(name, t):
     assert np.all(np.isfinite(ut[keep]))
     scale = np.max(np.abs(ut[keep]) + np.abs(u[keep]))
     assert np.max(np.abs(fd - ut)[keep]) <= 1e-8 * scale
+
+
+# -- line lattice ---------------------------------------------------------------
+
+
+@pytest.mark.parametrize("name", case_names())
+@pytest.mark.parametrize("n", [9, 48, 97])
+def test_lattice_intensity_is_pointwise_intensity_at_line_coordinates(name, n):
+    # on an equally spaced window U comes from the 2n - 1 zeta and eta lines;
+    # gathered, it is eval_intensity at the gathered line coordinates bit for
+    # bit, one time or a batch of them, U_t included
+    e = build_case(name)
+    g = window_grid(e.window, n, e.valid_mask)
+    assert g.zeta_lines.shape == g.eta_lines.shape == (2 * n - 1,)
+    zeta, eta = g.zeta_lines[g.zeta_index], g.eta_lines[g.eta_index]
+    u, ut = grid_intensity(e.spec, g, 0.3)
+    assert ut is None
+    np.testing.assert_array_equal(u, eval_intensity(e.spec, zeta, eta, 0.3).values)
+    times = np.array([0.3, 1.1, 2.5])
+    u, ut = grid_intensity(e.spec, g, times, dt=True)
+    ref_u, ref_ut = eval_intensity_dt(e.spec, zeta, eta, times[:, None, None])
+    np.testing.assert_array_equal(u, ref_u)
+    np.testing.assert_array_equal(ut, ref_ut)
+
+
+@pytest.mark.parametrize("window", [build_case(name).window for name in case_names()]
+                         + [((-16.4, 27.0), (-20.7, 22.7)),
+                            ((-11.5, 31.9), (-13.4, 30.0))])
+def test_lattice_coordinates_stay_within_rounding_of_rotate(window):
+    # equal spans give x and y the same linspace step s, so rotate and the
+    # line coordinate share the exact value (k s + x0 -+ y0)/sqrt(2) up to
+    # the errors of the samples involved; with M the largest |bound| and
+    # u = ulp(M), a sample fl(fl(k s) + x0) is off by <= 1.5u, the last one
+    # (set to the bound) by < 3u, the first by none.  eta on the last
+    # column involves the most: 3 + 3 * 1.5 = 7.5u, plus u for each of the
+    # two sums, over sqrt(2), plus u for each of the two quotients: < 9u.
+    # rotate itself spreads by 4u along a line on the last two windows, so
+    # a value taken from one point of a line can lie 4u from another.  The
+    # first row keeps the bits of rotate, and so does the first column for
+    # zeta and the last column for eta
+    ulp = np.spacing(np.max(np.abs(window)))
+    for n in range(8, 200, 3):
+        g = window_grid(window, n)
+        zeta, eta = g.zeta_lines[g.zeta_index], g.eta_lines[g.eta_index]
+        assert np.max(np.abs(zeta - g.zeta)) < 9 * ulp
+        assert np.max(np.abs(eta - g.eta)) < 9 * ulp
+        for a, b in ((zeta[0], g.zeta[0]), (zeta[:, 0], g.zeta[:, 0]),
+                     (eta[0], g.eta[0]), (eta[:, -1], g.eta[:, -1])):
+            np.testing.assert_array_equal(a, b)
+
+
+@pytest.mark.parametrize("window,samples", [
+    (((-7.44, 7.44), (-7.76, 7.76)), 64),          # x and y scaled apart
+    (((-8.0, 8.0), (-8.0, 8.0)), (64, 48)),
+    (((-3.0, 5.0), (1.0, 9.5)), 40),
+])
+@pytest.mark.parametrize("name", case_names())
+def test_unequal_spacing_samples_every_point(name, window, samples):
+    # without equal spacing the lines are the grid points themselves, so U
+    # is eval_intensity at rotate(X, Y), bit for bit, per time or batched
+    e = build_case(name)
+    g = window_grid(window, samples, e.valid_mask)
+    assert g.zeta_index is None and g.eta_index is None
+    assert g.zeta_lines is g.zeta and g.eta_lines is g.eta
+    zeta, eta = rotate(g.X, g.Y)
+    np.testing.assert_array_equal(grid_intensity(e.spec, g, 0.3)[0],
+                                  eval_intensity(e.spec, zeta, eta, 0.3).values)
+    times = np.array([0.3, 1.1])
+    u, ut = grid_intensity(e.spec, g, times, dt=True)
+    ref_u, ref_ut = eval_intensity_dt(e.spec, zeta, eta, times[:, None, None])
+    np.testing.assert_array_equal(u, ref_u)
+    np.testing.assert_array_equal(ut, ref_ut)

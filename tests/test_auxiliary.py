@@ -228,10 +228,10 @@ def test_phases_converge_under_refinement(name):
     entry = build_case(name)
     aux = derive(entry.spec)
     fine = derive(entry.spec, quad_n=2 * aux.quad_n)
-    _, _, zeta, eta, _ = window_grid(entry.window, 48)
+    grid = window_grid(entry.window, 48)
     for t in sorted({0.3, *entry.reference_times}):
         for (side, _, phase, _), (_, _, phase_fine, _), coords in zip(
-                _lines(entry, aux), _lines(entry, fine), (zeta, eta)):
+                _lines(entry, aux), _lines(entry, fine), (grid.zeta, grid.eta)):
             z = _valid_run(entry, side, np.unique(coords))
             for a, b in zip(phase(z, t), phase_fine(z, t)):
                 assert np.max(np.abs(a - b)) <= 1e-13 * max(1.0, np.max(np.abs(b)))

@@ -249,6 +249,34 @@ def test_verify_admissibility_counts_poles_without_a_second_scan(
     assert f"check.admissibility.pole_intervals: {expected}\n" in out.read_text()
 
 
+@pytest.mark.parametrize("name", case_names())
+def test_verify_admissibility_takes_pole_ranges_from_window_corners(
+        tmp_path, monkeypatch, name):
+    # the sweeps cover the zeta and eta ranges of the admissibility grid,
+    # which is the only window grid built; the count equals that of sweeps
+    # over the grid's own coordinates
+    import dsfield.ansatz as ansatz
+    from dsfield.verify import pole_sweep
+    e = build_case(name)
+    t = e.reference_times[-1]
+    orig = ansatz.window_grid
+    grids = []
+
+    def counting(*args, **kwargs):
+        grids.append(args)
+        return orig(*args, **kwargs)
+
+    g = orig(e.window, 40)
+    expected = (len(pole_sweep(e.spec.p, g.zeta, t))
+                + len(pole_sweep(e.spec.q, g.eta, t)))
+    monkeypatch.setattr(ansatz, "window_grid", counting)
+    out = tmp_path / "r.txt"
+    run("verify", "--case", name, "--t", repr(t), "--checks", "admissibility",
+        "--res", "40", "--out", str(out))
+    assert len(grids) == 1
+    assert f"check.admissibility.pole_intervals: {expected}\n" in out.read_text()
+
+
 def test_verify_unknown_check_exits_2(capsys):
     assert run("verify", "--case", "dromion", "--t", "0",
                "--checks", "spectral") == 2

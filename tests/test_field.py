@@ -4,11 +4,11 @@ import math
 import numpy as np
 import pytest
 
+from dsfield import field
 from dsfield.ansatz import (
     SeparationCoefficients,
     SolutionSpec,
     eval_intensity,
-    profile_jets3,
     rotate,
     window_grid,
 )
@@ -16,6 +16,7 @@ from dsfield.auxiliary import derive
 from dsfield.catalog import build_case, case_names
 from dsfield.field import (
     FieldGrid,
+    SingularWindowError,
     _refine_period,
     _statistic_rate,
     _statistic_series,
@@ -68,6 +69,18 @@ def test_dromion_grid_all_valid_single_peak():
     res = analyze_extrema(g)
     assert len(res.local_maxima) == 1
     assert res.global_max == pytest.approx(DROMION_PEAK, rel=1e-3)
+
+
+@pytest.mark.parametrize("name", case_names())
+def test_unequal_spacing_u_grid_is_pointwise_intensity(name):
+    # x and y scaled apart, as a zoomed render window: no lattice, and every
+    # valid sample is eval_intensity at rotate(X, Y) bit for bit
+    e = build_case(name)
+    window = ((-7.44, 7.44), (-7.76, 7.76))
+    g = sample_field(e.spec, None, "U", window, 0.7, 40, 40, e.valid_mask)
+    X, Y = np.meshgrid(g.x, g.y)
+    u = eval_intensity(e.spec, *rotate(X, Y), 0.7).values
+    np.testing.assert_array_equal(g.values[g.mask], u[g.mask])
 
 
 def test_breather_degenerate_grid_is_zero():
@@ -277,21 +290,71 @@ def test_period_solve_safeguards(monkeypatch, rate_factor):
 
 
 def test_refined_l2_scan_samples_few_extra_grids(monkeypatch):
-    # every U grid, in the scan or at a probe time, evaluates the profile
-    # jets once on its grid_n^2 points
-    points = []
-
-    def counting(spec, zeta, eta, t):
-        points.append(np.broadcast(zeta, t).size)
-        return profile_jets3(spec, zeta, eta, t)
-
-    monkeypatch.setattr("dsfield.ansatz.profile_jets3", counting)
+    # each profile's jets are evaluated once per batch of times, on the
+    # 2N - 1 = 63 line coordinates of the 32^2 lattice: the scan's batches
+    # cover its 64 times, and every Newton evaluation is one batch of the 5
+    # probe times, the reference and at most 3 iterations; no call sees the
+    # N^2 grid points
     e = build_case("breather")
+    points = {}
+    for profile in (e.spec.p, e.spec.q):
+        cls = type(profile)
+
+        def counting(self, x, t, jet3=cls.jet3, cls=cls):
+            points[cls].append(np.broadcast(x, t).size)
+            return jet3(self, x, t)
+
+        points[cls] = []
+        monkeypatch.setattr(cls, "jet3", counting)
     res = estimate_period(e.spec, e.window, (0.0, 2 * math.pi), 64, "L2",
                           grid_n=32)
     assert abs(res.estimated_period - math.pi) <= 1e-8
-    grids = sum(points) / 32 ** 2
-    assert 64 <= grids <= 64 + 20
+    batch = max(1, field._BATCH_POINTS // 32 ** 2)
+    scan = -(-64 // batch)
+    for sizes in points.values():
+        assert sizes[:scan] == [min(batch, 64 - k * batch) * 63 for k in range(scan)]
+        probes = sizes[scan:]
+        assert 2 <= len(probes) <= 4 and set(probes) == {5 * 63}
+
+
+def _l2_per_time(spec, window, times, grid_n, valid_mask=None):
+    grids = (sample_field(spec, None, "U", window, t, grid_n, grid_n, valid_mask)
+             for t in times)
+    return np.array([np.sqrt(np.mean(g.valid_values() ** 2)) for g in grids])
+
+
+@pytest.mark.parametrize("name", case_names())
+@pytest.mark.parametrize("grid_n", [32, 48])
+def test_batched_l2_series_matches_per_time_grids(name, grid_n):
+    # 80 times cross a batch boundary at both resolutions
+    e = build_case(name)
+    window = regular_window(e)
+    times = np.linspace(0.05, 3.0, 80)
+    batched = _statistic_series(e.spec, window, times, "L2", grid_n, e.valid_mask)
+    ref = _l2_per_time(e.spec, window, times, grid_n, e.valid_mask)
+    assert np.max(np.abs(batched - ref) / ref) <= 1e-14
+
+
+def test_batched_l2_series_raises_where_a_time_is_singular():
+    # q = e^eta sqrt(1 - t) is NaN for t > 1, so every sample at t = 2 is
+    # invalid; the per-time grids and the batch raise alike, and a series
+    # that stops short of t = 1 does not
+    from dsfield import calculus as jc
+    from dsfield.profiles import CustomProfile
+    e = build_case("dromion")
+    spec = SolutionSpec(e.spec.coeffs, e.spec.p,
+                        CustomProfile(lambda x, t: jc.exp(x) * jc.sqrt(1.0 - t)))
+    bad = np.array([0.0, 0.5, 2.0])
+
+    def batched(spec, window, times, grid_n):
+        return _statistic_series(spec, window, times, "L2", grid_n, None)
+
+    for series in (_l2_per_time, batched):
+        with pytest.raises(SingularWindowError):
+            series(spec, e.window, bad, 32)
+        assert np.all(np.isfinite(series(spec, e.window, bad[:2], 32)))
+    with pytest.raises(SingularWindowError):
+        refined_global_max(spec, e.window, bad, 32, 32)
 
 
 @pytest.mark.parametrize("name", case_names())
@@ -346,6 +409,22 @@ def test_decay_profile_deterministic():
     assert a.decay_series == b.decay_series
     with pytest.raises(ValueError):
         decay_profile(e.spec, e.window, ())
+
+
+def test_refined_max_finds_hump_between_coarse_zeta_lines():
+    # on [-12, 12]^2 at grid 32 the higher hump at zeta = -0.887 lies between
+    # the zeta lines -1.095 and -0.547, across the pole at zeta = -1 from the
+    # only 3x3 grid maximum (on the lower hump, which gave 4.83e-3 and
+    # 2.42e-4); its flank on the zeta = -0.547 sublattice starts an ascent
+    e = build_case("double_instanton")
+    window = ((-12.0, 12.0), (-12.0, 12.0))
+    times = (2.5, 4.0)
+    coarse = decay_profile(e.spec, window, times, grid_n=32, valid_mask=e.valid_mask)
+    fine = decay_profile(e.spec, window, times, grid_n=256, valid_mask=e.valid_mask)
+    for (_, a), (_, b), expected in zip(coarse.decay_series, fine.decay_series,
+                                        (1.459e-2, 8.09e-4)):
+        assert a == pytest.approx(b, rel=1e-10)
+        assert b == pytest.approx(expected, rel=1e-3)
 
 
 def test_instanton_decay_series():
@@ -455,7 +534,7 @@ def test_instanton_phi_masks_only_what_valid_mask_drops(t, res, dropped):
     # beyond the profile pole at zeta = -1 phi stays finite: the phases
     # there never pick up a non-finite gap from the other side of the pole
     e = build_case("double_instanton")
-    _, _, _, _, keep = window_grid(e.window, res, e.valid_mask)
+    keep = window_grid(e.window, res, e.valid_mask).keep
     phi = sample_field(e.spec, derive(e.spec), "phi", e.window, t, res, res,
                        e.valid_mask)
     assert np.count_nonzero(~keep) == dropped
