@@ -15,9 +15,7 @@ from .ansatz import (
     Intensity,
     SeparationCoefficients,
     SolutionSpec,
-    TauJets,
     check_admissibility,
-    eval_envelope,
     eval_f,
     eval_intensity,
     eval_phi,
@@ -29,9 +27,8 @@ from .auxiliary import (
     ConsistencyReport,
     consistency_c1_c2,
     derive,
-    integrate_phases,
 )
-from .calculus import Jet, Jet3, Stencil, fd_derivative, quadrature
+from .calculus import Jet, Stencil, fd_derivative
 from .catalog import CatalogEntry, build_case, case_names
 from .field import (
     AnalyticsResult,

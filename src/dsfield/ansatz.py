@@ -24,7 +24,7 @@ from typing import Optional
 
 import numpy as np
 
-from .calculus import DIV_GUARD, Jet3
+from .calculus import DIV_GUARD, Jet
 from .profiles import ProfileFunction, TimeFunction, const_fn
 
 __all__ = [
@@ -36,15 +36,12 @@ __all__ = [
     "unrotate",
     "WindowGrid",
     "window_grid",
-    "TauJets",
     "profile_jets3",
     "eval_f",
     "eval_intensity",
     "eval_intensity_dt",
     "grid_intensity",
-    "eval_envelope",
     "eval_phi",
-    "phi_log_form",
     "Intensity",
     "AdmissibilityReport",
     "denominator_scan",
@@ -187,59 +184,37 @@ def window_grid(window, samples, valid_mask=None) -> WindowGrid:
 
 
 # ---------------------------------------------------------------------------
-# tau-function jets
+# the denominator field
 
 
-@dataclass(frozen=True)
-class TauJets:
-    """f and all its partial derivatives through second order in (zeta, eta, t)."""
-
-    f: object
-    f_z: object
-    f_e: object
-    f_t: object
-    f_zz: object
-    f_ze: object
-    f_zt: object
-    f_ee: object
-    f_et: object
-    f_tt: object
-
-
-def profile_jets3(spec: SolutionSpec, zeta, eta, t) -> tuple[Jet3, Jet3]:
+def profile_jets3(spec: SolutionSpec, zeta, eta, t) -> tuple[Jet, Jet]:
     return spec.p.jet3(zeta, t), spec.q.jet3(eta, t)
 
 
-def eval_f(spec: SolutionSpec, zeta, eta, t,
-           pj: Optional[Jet3] = None, qj: Optional[Jet3] = None) -> TauJets:
-    """Assemble the denominator field f from the two profile jets.
+def _assemble(a: SeparationCoefficients, p, q):
+    """f = a0 + a1 p + a2 q + a3 p q, of arrays or of jets; a0 enters f alone."""
+    return a.a0 + a.a1 * p + a.a2 * q + a.a3 * p * q
 
-    The mixed derivative comes out structurally: f_ze = a3 * p_z * q_e.
+
+def eval_f(spec: SolutionSpec, zeta, eta, t, pj: Optional[Jet] = None,
+           qj: Optional[Jet] = None, order: int = 2, time: bool = True) -> Jet:
+    """The denominator field f as a jet in (zeta, eta, t) to ``order``, or
+    in (zeta, eta) alone without ``time``.
+
+    The entries of the order-2 jet in (zeta, eta, t) come in the order f,
+    f_z, f_e, f_t, f_zz, f_ze, f_zt, f_ee, f_et, f_tt; the mixed derivative
+    comes out structurally, a3 * p_z * q_e.
     """
     if pj is None or qj is None:
         pj, qj = profile_jets3(spec, zeta, eta, t)
-    a = spec.coeffs
-    p, q = pj.value, qj.value
+    n, t_axis = (3, 2) if time else (2, None)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore", under="ignore"):
-        fa = a.a1 + a.a3 * q      # multiplies p-derivatives
-        fb = a.a2 + a.a3 * p      # multiplies q-derivatives
-        return TauJets(
-            f=a.a0 + a.a1 * p + a.a2 * q + a.a3 * p * q,
-            f_z=fa * pj.d1,
-            f_e=fb * qj.d1,
-            f_t=a.a1 * pj.dt + a.a2 * qj.dt + a.a3 * (pj.dt * q + p * qj.dt),
-            f_zz=fa * pj.d11,
-            f_ze=a.a3 * pj.d1 * qj.d1,
-            f_zt=a.a1 * pj.d1t + a.a3 * (pj.d1t * q + pj.d1 * qj.dt),
-            f_ee=fb * qj.d11,
-            f_et=a.a2 * qj.d1t + a.a3 * (pj.dt * qj.d1 + p * qj.d1t),
-            f_tt=a.a1 * pj.dtt + a.a2 * qj.dtt
-                 + a.a3 * (pj.dtt * q + 2.0 * pj.dt * qj.dt + p * qj.dtt),
-        )
+        return _assemble(spec.coeffs, pj.shift(order=order, axes=(0, t_axis), n=n),
+                         qj.shift(order=order, axes=(1, t_axis), n=n))
 
 
 # ---------------------------------------------------------------------------
-# intensity, envelope, forcing field
+# intensity and forcing field
 
 
 @dataclass(frozen=True)
@@ -256,34 +231,38 @@ class Intensity:
     invalid: object
 
 
-def _intensity(spec: SolutionSpec, pj: Jet3, qj: Jet3, dt: bool = False):
+def _intensity(spec: SolutionSpec, pj: Jet, qj: Jet, dt: bool = False, f=None):
     """The one U kernel: (U, U_t), U_t only with ``dt`` (else None).
 
-    It reads the jets' ``value`` and ``d1`` alone, and for U_t also ``dt``
-    and ``d1t``.  U is NaN where |f| falls under the guard.
+    It reads the jets' value and first derivative in x alone, and for U_t
+    also (0, 1) and (1, 1); ``f`` is f's value if the caller has it.  U is
+    NaN where |f| falls under the guard.
     """
     a = spec.coeffs
     p, q = pj.value, qj.value
     with np.errstate(divide="ignore", invalid="ignore", over="ignore", under="ignore"):
-        f = a.a0 + a.a1 * p + a.a2 * q + a.a3 * p * q
-        num = 4.0 * a.det * pj.d1 * qj.d1
+        if f is None:
+            f = _assemble(a, p, q)
+        num = 4.0 * a.det * pj[1, 0] * qj[1, 0]
         bad = ~(np.abs(f) >= DIV_GUARD * (1.0 + np.abs(num)))
         fsafe = np.where(bad, np.nan, f)
         u = num / (fsafe * fsafe)
         if not dt:
             return u, None
-        f_t = a.a1 * pj.dt + a.a2 * qj.dt + a.a3 * (pj.dt * q + p * qj.dt)
-        return u, (4.0 * a.det * (pj.d1t * qj.d1 + pj.d1 * qj.d1t) / (f * f)
+        p_t, q_t = pj[0, 1], qj[0, 1]
+        f_t = a.a1 * p_t + a.a2 * q_t + a.a3 * (p_t * q + p * q_t)
+        return u, (4.0 * a.det * (pj[1, 1] * qj[1, 0] + pj[1, 0] * qj[1, 1]) / (f * f)
                    - 2.0 * u * f_t / f)
 
 
 def eval_intensity(spec: SolutionSpec, zeta, eta, t,
-                   pj: Optional[Jet3] = None, qj: Optional[Jet3] = None) -> Intensity:
+                   pj: Optional[Jet] = None, qj: Optional[Jet] = None, f=None) -> Intensity:
+    """U at the points, from f's value ``f`` when the caller has it."""
     if pj is None or qj is None:
         pj, qj = profile_jets3(spec, zeta, eta, t)
-    vals = _intensity(spec, pj, qj)[0]
+    vals = _intensity(spec, pj, qj, f=f)[0]
     with np.errstate(invalid="ignore", over="ignore", under="ignore"):
-        sign = (spec.coeffs.det * pj.d1 * qj.d1) < 0.0
+        sign = (spec.coeffs.det * pj[1, 0] * qj[1, 0]) < 0.0
     return Intensity(values=vals, sign_violation=sign, invalid=~np.isfinite(vals))
 
 
@@ -301,63 +280,31 @@ def grid_intensity(spec: SolutionSpec, grid: WindowGrid, t, dt: bool = False):
     """
     t = np.asarray(t, dtype=float)
     tt = t.reshape(t.shape + (1,) * grid.zeta_lines.ndim) if t.ndim else float(t)
-    names = ("value", "d1", "dt", "d1t") if dt else ("value", "d1")
+    reads = {(0, 0), (1, 0)} | ({(0, 1), (1, 1)} if dt else set())
 
     def on_grid(profile, lines, index):
         jet = profile.jet3(lines, tt)
         if index is None:
             return jet
         shape = t.shape + lines.shape
-        return Jet3(**{n: np.take(np.broadcast_to(getattr(jet, n), shape), index,
-                                  axis=-1) for n in names})
+        return Jet((np.take(np.broadcast_to(e, shape), index, axis=-1) if m in reads
+                    else 0.0 for m, e in zip(jet.layout.index, jet.entries)), jet.layout)
 
     return _intensity(spec, on_grid(spec.p, grid.zeta_lines, grid.zeta_index),
                       on_grid(spec.q, grid.eta_lines, grid.eta_index), dt)
 
 
-def eval_envelope(spec: SolutionSpec, zeta, eta, t, phase_r, phase_s,
-                  pj: Optional[Jet3] = None, qj: Optional[Jet3] = None):
-    """Complex envelope u with caller-supplied phases.
-
-    |u|^2 equals :func:`eval_intensity` wherever both are defined.
-    """
-    if pj is None or qj is None:
-        pj, qj = profile_jets3(spec, zeta, eta, t)
-    tau = eval_f(spec, zeta, eta, t, pj, qj)
-    det = spec.coeffs.det
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore", under="ignore"):
-        rad = det * pj.d1 * qj.d1
-        radsafe = np.where(rad < 0.0, np.nan, rad)
-        amp = 2.0 * spec.delta1 * spec.delta2 * np.sqrt(radsafe)
-        bad = ~(np.abs(tau.f) >= DIV_GUARD * (1.0 + np.abs(amp)))
-        fsafe = np.where(bad, np.nan, tau.f)
-        return amp * np.exp(1j * (phase_r + phase_s)) / fsafe
-
-
-def eval_phi(spec: SolutionSpec, zeta, eta, t, p0, q0,
-             tau: Optional[TauJets] = None):
+def eval_phi(spec: SolutionSpec, zeta, eta, t, p0, q0, tau: Optional[Jet] = None):
     """Forcing field phi = -(f_z+f_e)^2/f^2 + (f_zz+2 f_ze+f_ee)/f + p0 + q0."""
     if tau is None:
         tau = eval_f(spec, zeta, eta, t)
+    f, f_z, f_e, _, f_zz, f_ze, _, f_ee, _, _ = tau.entries
     with np.errstate(divide="ignore", invalid="ignore", over="ignore", under="ignore"):
-        grad = tau.f_z + tau.f_e
-        lap = tau.f_zz + 2.0 * tau.f_ze + tau.f_ee
-        bad = ~(np.abs(tau.f) >= DIV_GUARD * (1.0 + np.abs(lap)))
-        fsafe = np.where(bad, np.nan, tau.f)
+        grad = f_z + f_e
+        lap = f_zz + 2.0 * f_ze + f_ee
+        bad = ~(np.abs(f) >= DIV_GUARD * (1.0 + np.abs(lap)))
+        fsafe = np.where(bad, np.nan, f)
         return -(grad * grad) / (fsafe * fsafe) + lap / fsafe + p0 + q0
-
-
-def phi_log_form(spec: SolutionSpec, zeta, eta, t, p0, q0,
-                 tau: Optional[TauJets] = None):
-    """Same field computed through second derivatives of log f (cross-check)."""
-    if tau is None:
-        tau = eval_f(spec, zeta, eta, t)
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore", under="ignore"):
-        f = np.where(np.abs(tau.f) < DIV_GUARD, np.nan, tau.f)
-        lzz = tau.f_zz / f - (tau.f_z / f) ** 2
-        lze = tau.f_ze / f - (tau.f_z / f) * (tau.f_e / f)
-        lee = tau.f_ee / f - (tau.f_e / f) ** 2
-        return lzz + 2.0 * lze + lee + p0 + q0
 
 
 # ---------------------------------------------------------------------------
@@ -417,11 +364,11 @@ def check_admissibility(spec: SolutionSpec, window, t: float,
     keep = grid.keep
 
     pj, qj = profile_jets3(spec, grid.zeta, grid.eta, t)
-    tau = eval_f(spec, grid.zeta, grid.eta, t, pj, qj)
-    inten = eval_intensity(spec, grid.zeta, grid.eta, t, pj, qj)
+    f = eval_f(spec, grid.zeta, grid.eta, t, pj, qj, order=0).value
+    inten = eval_intensity(spec, grid.zeta, grid.eta, t, pj, qj, f=f)
 
     finite_f, min_abs_f, min_point, flips_x, flips_y = denominator_scan(
-        tau.f, keep, grid.X, grid.Y, t)
+        f, keep, grid.X, grid.Y, t)
     n_invalid = int(np.count_nonzero(keep & (inten.invalid | ~finite_f)))
     n_flips = int(np.count_nonzero(flips_x) + np.count_nonzero(flips_y))
 

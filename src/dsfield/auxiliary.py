@@ -32,15 +32,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import calculus as jc
-from .calculus import Jet, spatial_shift, time_shift, truncate
+from .calculus import Jet
 from .ansatz import SolutionSpec
 from .profiles import TimeFunction, const_fn
 
 __all__ = [
     "Auxiliaries",
     "derive",
-    "integrate_phases",
-    "SampledPhase",
     "ConsistencyReport",
     "consistency_c1_c2",
 ]
@@ -55,7 +53,8 @@ def _as_timefn(v) -> TimeFunction:
 class Auxiliaries:
     """Immutable bundle of derived evaluators for one solution spec.
 
-    All evaluators are vectorized over their spatial argument at fixed t.
+    All evaluators are vectorized over their spatial argument at fixed t;
+    the ``*_jet`` methods return order-2 jets in (own coordinate, t).
     ``c1``/``c2`` are the phase-gradient policies, ``quad_n`` the number of
     Gauss-Legendre nodes per gap between neighbouring line coordinates and
     the anchors the zeros of r and s.
@@ -76,37 +75,35 @@ class Auxiliaries:
     def p1_jet(self, zeta, t) -> Jet:
         pj = self.spec.p.jet3(zeta, t)
         c0 = self.spec.funcs.c0.jet(t)
-        rad = c0 * spatial_shift(pj)
+        rad = c0 * pj.shift((1, 0))
         return float(self.spec.delta1) * jc.sqrt(rad)
 
     def q1_jet(self, eta, t) -> Jet:
         qj = self.spec.q.jet3(eta, t)
         c0 = self.spec.funcs.c0.jet(t)
         det = self.spec.coeffs.det
-        rad = (det * spatial_shift(qj)) / c0
+        rad = (det * qj.shift((1, 0))) / c0
         return float(2 * self.spec.delta2) * jc.sqrt(rad)
 
     # -- phase gradients -----------------------------------------------------
 
     def r_zeta_jet(self, zeta, t) -> Jet:
         spec = self.spec
-        pj = spec.p.jet3(zeta, t)
-        B = spec.coeffs.a2 + spec.coeffs.a3 * truncate(pj)
-        num = (-time_shift(pj)
-               + self.c1.jet(t) * B * B
-               + self.c2.jet(t) * B
-               - spec.coeffs.det * spec.funcs.c3.jet(t))
-        return num / (spec.funcs.beta.jet(t) * spatial_shift(pj))
+        return self._gradient(spec.p, zeta, t, spec.coeffs.a2, self.c1.jet(t),
+                              self.c2.jet(t), -spec.coeffs.det * spec.funcs.c3.jet(t))
 
     def s_eta_jet(self, eta, t) -> Jet:
         spec = self.spec
-        qj = spec.q.jet3(eta, t)
-        A = spec.coeffs.a1 + spec.coeffs.a3 * truncate(qj)
-        num = (-time_shift(qj)
-               - spec.funcs.c3.jet(t) * A * A
-               - self.c2.jet(t) * A
-               + spec.coeffs.det * spec.funcs.c4.jet(t))
-        return num / (spec.funcs.beta.jet(t) * spatial_shift(qj))
+        return self._gradient(spec.q, eta, t, spec.coeffs.a1, -spec.funcs.c3.jet(t),
+                              -self.c2.jet(t), spec.coeffs.det * spec.funcs.c4.jet(t))
+
+    def _gradient(self, profile, coord, t, a, c_sq, c_lin, c_0) -> Jet:
+        """(-x_t + c_sq X^2 + c_lin X + c_0) / (beta x_s) with X = a + a3 x,
+        for the profile x: r_z from p (a = a2) or s_e from q (a = a1)."""
+        j = profile.jet3(coord, t)
+        X = a + self.spec.coeffs.a3 * j.shift(order=2)
+        num = -j.shift((0, 1)) + c_sq * X * X + c_lin * X + c_0
+        return num / (self.spec.funcs.beta.jet(t) * j.shift((1, 0)))
 
     # -- phases ---------------------------------------------------------------
 
@@ -122,28 +119,23 @@ class Auxiliaries:
     # -- backgrounds -----------------------------------------------------------
 
     def p0(self, zeta, t, r_t=None):
-        spec = self.spec
         if r_t is None:
             _, r_t = self.phase_r(zeta, t)
-        p1 = self.p1_jet(zeta, t)
-        rz = self.r_zeta_jet(zeta, t)
-        beta = spec.funcs.beta(t)
-        c3 = spec.funcs.c3(t)
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore", under="ignore"):
-            curvature = p1.d11 / p1.value
-            return (c3 + r_t - 0.5 * beta * (curvature - rz.value ** 2)) / beta
+        return _background(self.spec.funcs.c3(t), r_t, self.p1_jet(zeta, t),
+                           self.r_zeta_jet(zeta, t), self.spec.funcs.beta(t))
 
     def q0(self, eta, t, s_t=None):
-        spec = self.spec
         if s_t is None:
             _, s_t = self.phase_s(eta, t)
-        q1 = self.q1_jet(eta, t)
-        se = self.s_eta_jet(eta, t)
-        beta = spec.funcs.beta(t)
-        c4 = spec.funcs.c4(t)
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore", under="ignore"):
-            curvature = q1.d11 / q1.value
-            return (-c4 + s_t - 0.5 * beta * (curvature - se.value ** 2)) / beta
+        return _background(-self.spec.funcs.c4(t), s_t, self.q1_jet(eta, t),
+                           self.s_eta_jet(eta, t), self.spec.funcs.beta(t))
+
+
+def _background(c, phase_t, amp, grad, beta):
+    """(c + phase_t - (beta/2) (amp''/amp - grad^2)) / beta: p0 from p1 and
+    r_z, or q0 from q1 and s_e."""
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore", under="ignore"):
+        return (c + phase_t - 0.5 * beta * (amp[2, 0] / amp.value - grad.value ** 2)) / beta
 
 
 def derive(spec: SolutionSpec, c1=0.0, c2=0.0, quad_n: int = 16,
@@ -187,8 +179,10 @@ def _integrate_from_anchor(grad_jet, anchor: float, targets, t, m: int):
     k = int(np.searchsorted(pts, anchor))
     x, w = _gauss_legendre(m)
     half = 0.5 * np.diff(pts)
-    jets = grad_jet((pts[:-1] + half)[:, None] + half[:, None] * x, t)
-    gaps = (np.array([jets.value, jets.dt], dtype=float) @ w) * half
+    nodes = (pts[:-1] + half)[:, None] + half[:, None] * x
+    jets = grad_jet(nodes, t)
+    gaps = (np.array(np.broadcast_arrays(jets.value, jets[0, 1], nodes)[:2], dtype=float)
+            @ w) * half
     broken = ~np.isfinite(gaps).all(axis=0)
     phase = np.zeros((2, pts.size))
     phase[:, k + 1:] = _restarting_cumsum(gaps[:, k:], broken[k:])
@@ -196,39 +190,6 @@ def _integrate_from_anchor(grad_jet, anchor: float, targets, t, m: int):
     phase[:, ~np.isfinite(pts)] = np.nan
     r, r_t = phase[:, np.searchsorted(pts, distinct)][:, inverse.ravel()]
     return r.reshape(tg.shape)[()], r_t.reshape(tg.shape)[()]
-
-
-@dataclass(frozen=True)
-class SampledPhase:
-    positions: np.ndarray
-    values: np.ndarray
-    t_derivatives: np.ndarray
-    anchor: float
-
-
-def integrate_phases(spec: SolutionSpec, aux: Auxiliaries,
-                     zeta_range: tuple[float, float],
-                     eta_range: tuple[float, float],
-                     t: float, n: int = 257) -> tuple[SampledPhase, SampledPhase]:
-    """Sample the integrated phases on uniform grids over the given ranges.
-
-    Raises if a gradient is non-finite anywhere inside a range, naming the
-    offending location.
-    """
-    out = []
-    for (lo, hi), grad, anchor in (
-        (zeta_range, aux.r_zeta_jet, aux.anchor_zeta),
-        (eta_range, aux.s_eta_jet, aux.anchor_eta),
-    ):
-        pos = np.linspace(lo, hi, n)
-        probe = grad(pos, t)
-        finite = np.isfinite(np.asarray(probe.value, dtype=float))
-        if not finite.all():
-            bad = pos[~finite][0]
-            raise ValueError(f"non-finite phase gradient at coordinate {bad!r}")
-        vals, dts = _integrate_from_anchor(grad, anchor, pos, t, aux.quad_n)
-        out.append(SampledPhase(pos, vals, dts, anchor))
-    return out[0], out[1]
 
 
 # ---------------------------------------------------------------------------
@@ -269,25 +230,16 @@ def consistency_c1_c2(spec: SolutionSpec, aux: Auxiliaries,
     gamma = spec.funcs.gamma(t)
     c4 = spec.funcs.c4(t)
 
-    pj = spec.p.jet3(zeta_probes, t)
-    p1 = aux.p1_jet(zeta_probes, t)
-    rz = aux.r_zeta_jet(zeta_probes, t)
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore", under="ignore"):
-        bracket_p = (p1.dt / p1.value
-                     + beta * (p1.d1 * rz.value / p1.value + 0.5 * rz.d1)
-                     - gamma - c4)
-        denom_p = a3 * (spec.coeffs.a2 + a3 * pj.value)
-        c1_vals = bracket_p / denom_p
+    def bracket(amp, grad):
+        return (amp[0, 1] / amp.value
+                + beta * (amp[1, 0] * grad.value / amp.value + 0.5 * grad[1, 0]))
 
-    qj = spec.q.jet3(eta_probes, t)
-    q1 = aux.q1_jet(eta_probes, t)
-    se = aux.s_eta_jet(eta_probes, t)
+    pj, qj = spec.p.jet3(zeta_probes, t), spec.q.jet3(eta_probes, t)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore", under="ignore"):
-        bracket_q = (q1.dt / q1.value
-                     + beta * (q1.d1 * se.value / q1.value + 0.5 * se.d1)
-                     + c4)
-        denom_q = a3 * (spec.coeffs.a1 + a3 * qj.value)
-        c2_vals = -bracket_q / denom_q
+        c1_vals = ((bracket(aux.p1_jet(zeta_probes, t), aux.r_zeta_jet(zeta_probes, t))
+                    - gamma - c4) / (a3 * (spec.coeffs.a2 + a3 * pj.value)))
+        c2_vals = (-(bracket(aux.q1_jet(eta_probes, t), aux.s_eta_jet(eta_probes, t)) + c4)
+                   / (a3 * (spec.coeffs.a1 + a3 * qj.value)))
 
     def spread(v):
         v = v[np.isfinite(v)]

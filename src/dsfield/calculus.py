@@ -1,29 +1,36 @@
-"""Exact Taylor-jet arithmetic plus finite-difference stencils and quadrature.
+"""Truncated Taylor jets plus finite-difference stencils.
 
-Two jet orders are provided.  :class:`Jet` is the working currency of the
-package: a function value together with its partial derivatives through
-second order in one spatial variable and time, composed exactly by Leibniz
-and chain rules (no truncation error).  :class:`Jet3` carries the same data
-through third order; profile evaluation uses it so that derived quantities
-built from profile derivatives (amplitude factors, phase gradients) still
-come out with complete second-order jets.
+:class:`Jet` is the one derivative carrier of the package: the partial
+derivatives of a function through some total order in some variables,
+held in a tuple in the graded order of a cached :func:`layout`.  Profiles
+evaluate order-3 jets in (own spatial variable, t), f is an order-2 jet in
+(zeta, eta, t), and the peak ascent takes the gradient and Hessian of log U
+from an order-2 jet in (zeta, eta).  Products follow the Leibniz rule from
+the layout's pair table, and every elementary function is the one
+composition sum_k f^(k)(a0)/k! (a - a0)^k with the Taylor coefficients of
+:func:`_tables` (Griewank & Walther, *Evaluating Derivatives*, ch. 13), so
+there is no truncation error, only rounding.
 
-Entries may be Python floats or numpy arrays of a common shape.  Domain
-violations and guarded divisions mark affected entries NaN; non-finite data
-propagates through every operation and is never silently repaired.
+Entries may be scalars or numpy arrays; each broadcasts on its own, so
+factors of t alone keep scalar entries.  An entry that is the Python float
+0.0 is a structural zero, which sums and products skip.  Domain violations
+and guarded divisions mark values NaN; non-finite data propagates through
+every operation and is never silently repaired.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
 # Relative threshold below which a divisor is treated as a genuine zero of
-# the denominator field rather than roundoff.
+# the denominator field rather than roundoff: b is a zero divisor of a / b
+# where |b| < DIV_GUARD * (1 + |a|), and of 1 / b where |b| < 2 * DIV_GUARD.
 DIV_GUARD = 1e-12
 
 
@@ -40,14 +47,11 @@ def _quiet(fn):
 __all__ = [
     "DIV_GUARD",
     "Jet",
-    "Jet3",
-    "Stencil",
+    "Layout",
+    "layout",
     "constant",
-    "spatial",
-    "temporal",
-    "constant3",
-    "spatial3",
-    "temporal3",
+    "variables",
+    "Stencil",
     "exp",
     "log",
     "sqrt",
@@ -55,11 +59,7 @@ __all__ = [
     "cos",
     "tan",
     "powi",
-    "truncate",
-    "spatial_shift",
-    "time_shift",
     "fd_derivative",
-    "quadrature",
     "observed_order",
 ]
 
@@ -69,316 +69,275 @@ def _mask_bad(bad, x):
     return np.where(bad, np.nan, x)
 
 
+def _zero(e) -> bool:
+    """True for a structural zero: a Python float 0.0.  Data are numpy
+    scalars or arrays, so a sample that happens to be 0 still multiplies
+    (and 0 * NaN stays NaN)."""
+    return type(e) is float and e == 0.0
+
+
 # ---------------------------------------------------------------------------
-# order-2 jets
+# layouts
 
 
-@dataclass(frozen=True)
-class Jet:
-    """Order-2 jet in (own spatial variable, t).
+class Layout:
+    """The multi-indices of a jet's entries and the Leibniz table of products.
 
-    Entry names follow derivative multi-indices: ``d1`` is the first spatial
-    derivative, ``dt`` the time derivative, ``d11``/``d1t``/``dtt`` the three
-    second derivatives.
+    ``index`` lists the multi-indices in graded order (by total order, then
+    by decreasing exponent of the first variable, and so on), so the
+    entries of a lower order are a prefix.  ``pairs[i]`` holds the terms
+    (ia, ib, binomial) of entry i of a product, alpha = index[ia] running
+    in decreasing lexicographic order.  Any index set closed under taking
+    smaller multi-indices makes a layout.
     """
 
-    value: object
-    d1: object = 0.0
-    dt: object = 0.0
-    d11: object = 0.0
-    d1t: object = 0.0
-    dtt: object = 0.0
+    def __init__(self, index):
+        self.index = tuple(index)
+        self.n = len(self.index[0])
+        self.order = max(sum(m) for m in self.index)
+        self.pos = {m: i for i, m in enumerate(self.index)}
+        self.pairs = tuple(tuple(
+            (self.pos[a], self.pos[tuple(g - e for g, e in zip(m, a))],
+             float(math.prod(math.comb(g, e) for g, e in zip(m, a))))
+            for a in sorted(itertools.product(*(range(g + 1) for g in m)), reverse=True))
+            for m in self.index)
 
-    def entries(self):
-        return (self.value, self.d1, self.dt, self.d11, self.d1t, self.dtt)
 
-    def is_finite(self):
-        """Elementwise finiteness across all entries."""
-        ok = np.isfinite(self.value)
-        for e in self.entries()[1:]:
-            ok = ok & np.isfinite(e)
-        return ok
+@functools.lru_cache(maxsize=None)
+def layout(n: int, order: int) -> Layout:
+    """The layout of all partial derivatives of total order <= ``order`` in
+    ``n`` variables."""
+    index = [m for m in itertools.product(range(order + 1), repeat=n) if sum(m) <= order]
+    return Layout(sorted(index, key=lambda m: (sum(m), [-e for e in m])))
 
-    def partial(self, i: int, j: int):
-        """Return the (d/dx)^i (d/dt)^j entry; i + j <= 2."""
-        table = {
-            (0, 0): self.value,
-            (1, 0): self.d1,
-            (0, 1): self.dt,
-            (2, 0): self.d11,
-            (1, 1): self.d1t,
-            (0, 2): self.dtt,
-        }
+
+@functools.lru_cache(maxsize=None)
+def _gather(src: Layout, d: tuple, axes: tuple, dst: Layout) -> tuple:
+    """Positions in ``src`` of the entries of :meth:`Jet.shift`; None marks
+    a structural zero."""
+    kept = {a for a in axes if a is not None}
+    out = []
+    for m in dst.index:
+        if any(e for k, e in enumerate(m) if k not in kept):
+            out.append(None)
+            continue
+        key = tuple(di + (0 if a is None else m[a]) for di, a in zip(d, axes))
+        if key not in src.pos:
+            raise ValueError(f"derivative {key} exceeds jet order {src.order}")
+        out.append(src.pos[key])
+    return tuple(out)
+
+
+# ---------------------------------------------------------------------------
+# jets
+
+
+class Jet:
+    """Partial derivatives of one function, ``entries`` in ``layout`` order.
+
+    ``jet[m]`` is the derivative of multi-index m; ``value`` is ``jet[0, ..]``.
+    Jets of different layouts do not mix; :meth:`shift` converts.
+    """
+
+    __slots__ = ("entries", "layout")
+    __array_ufunc__ = None          # numpy operands defer to the jet's operators
+
+    def __init__(self, entries, layout: Layout):
+        self.entries = tuple(entries)
+        self.layout = layout
+
+    @property
+    def value(self):
+        return self.entries[0]
+
+    @property
+    def order(self) -> int:
+        return self.layout.order
+
+    def __getitem__(self, m):
         try:
-            return table[(i, j)]
+            return self.entries[self.layout.pos[m]]
         except KeyError:
-            raise ValueError(f"derivative order ({i},{j}) exceeds jet order 2") from None
+            raise ValueError(f"derivative {m} exceeds jet order {self.order}") from None
+
+    def shift(self, d=None, order=None, axes=None, n=None) -> "Jet":
+        """The jet of the derivative of multi-index ``d`` (default none),
+        to ``order`` (default: all that is known), with variable i renamed
+        to variable ``axes[i]`` of an ``n``-variable layout (default: the
+        same variables); an axis None fixes that variable at its point."""
+        src = self.layout
+        d = tuple(d or (0,) * src.n)
+        axes = tuple(range(src.n) if axes is None else axes)
+        dst = layout(n or src.n, src.order - sum(d) if order is None else order)
+        return Jet([0.0 if i is None else self.entries[i]
+                    for i in _gather(src, d, axes, dst)], dst)
 
     # -- ring operations ----------------------------------------------------
 
     def __add__(self, other):
-        o = _lift(other)
-        return Jet(*(a + b for a, b in zip(self.entries(), o.entries())))
+        if not isinstance(other, Jet):
+            return Jet((self.entries[0] + other,) + self.entries[1:], self.layout)
+        _same(self, other)
+        return Jet([b if type(a) is float and a == 0.0 else
+                    a if type(b) is float and b == 0.0 else a + b
+                    for a, b in zip(self.entries, other.entries)], self.layout)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Jet(*(-e for e in self.entries()))
+        return Jet([-e for e in self.entries], self.layout)
 
     def __sub__(self, other):
-        return self + (-_lift(other))
+        return self + (-other)
 
     def __rsub__(self, other):
-        return _lift(other) + (-self)
+        return (-self) + other
 
     @_quiet
     def __mul__(self, other):
-        a, b = self, _lift(other)
-        return Jet(
-            a.value * b.value,
-            a.d1 * b.value + a.value * b.d1,
-            a.dt * b.value + a.value * b.dt,
-            a.d11 * b.value + 2.0 * a.d1 * b.d1 + a.value * b.d11,
-            a.d1t * b.value + a.d1 * b.dt + a.dt * b.d1 + a.value * b.d1t,
-            a.dtt * b.value + 2.0 * a.dt * b.dt + a.value * b.dtt,
-        )
+        return _product(self, other) if isinstance(other, Jet) else _scale(self, other)
 
     __rmul__ = __mul__
 
-    @_quiet
     def __truediv__(self, other):
-        return _div(self, _lift(other))
+        if not isinstance(other, Jet):
+            other = constant(other, self.layout)
+        return self * _reciprocal(other, self.value)
 
-    @_quiet
     def __rtruediv__(self, other):
-        return _div(_lift(other), self)
+        return constant(other, self.layout) * _reciprocal(self, other)
 
 
-def _lift(x) -> Jet:
-    if isinstance(x, Jet):
-        return x
-    if isinstance(x, Jet3):
-        raise TypeError("cannot mix Jet3 with Jet; truncate() first")
-    return Jet(x, 0.0, 0.0, 0.0, 0.0, 0.0)
+def _same(a: Jet, b: Jet):
+    if a.layout is not b.layout:
+        raise TypeError("cannot combine jets of different layouts; shift() first")
 
 
-def constant(v) -> Jet:
-    return Jet(v)
+def _scale(a: Jet, s) -> Jet:
+    return Jet([e if type(e) is float and e == 0.0 else e * s for e in a.entries], a.layout)
 
 
-def spatial(v) -> Jet:
-    """Seed jet of the spatial coordinate itself."""
-    one = np.ones_like(v) if np.ndim(v) else 1.0
-    return Jet(v, one, 0.0, 0.0, 0.0, 0.0)
+def _nonzero(entries) -> int:
+    """Bit mask of the entries that are not structural zeros."""
+    return sum(1 << k for k, e in enumerate(entries) if type(e) is not float or e != 0.0)
 
 
-def temporal(v) -> Jet:
-    one = np.ones_like(v) if np.ndim(v) else 1.0
-    return Jet(v, 0.0, one, 0.0, 0.0, 0.0)
+@functools.lru_cache(maxsize=4096)
+def _plan(lay: Layout, mx: int, my: int) -> tuple:
+    """The Leibniz terms of a product of factors with nonzero entries mx and
+    my: (entry, terms) for each entry that has any."""
+    plan = ((g, tuple((i, j, c) for i, j, c in terms if mx >> i & 1 and my >> j & 1))
+            for g, terms in enumerate(lay.pairs))
+    return tuple((g, terms) for g, terms in plan if terms)
 
 
-@_quiet
-def _div(a: Jet, b: Jet) -> Jet:
-    bad = np.abs(b.value) < DIV_GUARD * (1.0 + np.abs(a.value))
-    bv = _mask_bad(bad, b.value)
-    inv = _compose2(Jet(bv, b.d1, b.dt, b.d11, b.d1t, b.dtt),
-                    1.0 / bv, -1.0 / bv**2, 2.0 / bv**3)
-    return a * inv
+def _product(a: Jet, b: Jet) -> Jet:
+    """The Leibniz product from the layout's pair table, skipping structural
+    zeros; the terms of an entry add up in table order."""
+    _same(a, b)
+    x, y = a.entries, b.entries
+    out = [0.0] * len(x)
+    for g, terms in _plan(a.layout, _nonzero(x), _nonzero(y)):
+        ts = [x[i] * y[j] if c == 1.0 else c * x[i] * y[j] for i, j, c in terms]
+        out[g] = sum(ts[1:], ts[0])
+    return Jet(out, a.layout)
 
 
-def _compose2(a: Jet, f0, f1, f2) -> Jet:
-    """Chain rule through order 2 for a scalar map with derivatives f0..f2."""
-    return Jet(
-        f0,
-        f1 * a.d1,
-        f1 * a.dt,
-        f1 * a.d11 + f2 * a.d1 * a.d1,
-        f1 * a.d1t + f2 * a.d1 * a.dt,
-        f1 * a.dtt + f2 * a.dt * a.dt,
-    )
+def constant(value, layout: Layout) -> Jet:
+    """The jet of a constant: ``value`` and structural zeros."""
+    return Jet((value,) + (0.0,) * (len(layout.index) - 1), layout)
+
+
+def variables(*values, order: int) -> tuple:
+    """Seed jets of independent variables at ``values``, to ``order``."""
+    lay = layout(len(values), order)
+    seeds = []
+    for i, v in enumerate(values):
+        entries = [0.0] * len(lay.index)
+        entries[0] = v if np.ndim(v) else np.float64(v)
+        entries[lay.pos[tuple(int(k == i) for k in range(lay.n))]] = (
+            np.ones_like(v) if np.ndim(v) else 1.0)
+        seeds.append(Jet(entries, lay))
+    return tuple(seeds)
+
+
+def _compose(a: Jet, c) -> Jet:
+    """sum_k c[k] (a - a(0))^k: the jet of f(a) from the Taylor coefficients
+    c[k] = f^(k)(a(0))/k! (zero scalars skipped)."""
+    d = Jet((0.0,) + a.entries[1:], a.layout)
+    out, power = [c[0]] + [0.0] * (len(d.entries) - 1), d
+    for k, ck in enumerate(c[1:]):
+        power = _product(power, d) if k else d
+        if _zero(ck):
+            continue
+        for i, e in enumerate(power.entries):
+            if not _zero(e):
+                out[i] = e * ck if _zero(out[i]) else out[i] + e * ck
+    return Jet(out, a.layout)
 
 
 # ---------------------------------------------------------------------------
-# order-3 jets
+# elementary functions
 
 
-@dataclass(frozen=True)
-class Jet3:
-    """Order-3 jet in (own spatial variable, t)."""
-
-    value: object
-    d1: object = 0.0
-    dt: object = 0.0
-    d11: object = 0.0
-    d1t: object = 0.0
-    dtt: object = 0.0
-    d111: object = 0.0
-    d11t: object = 0.0
-    d1tt: object = 0.0
-    dttt: object = 0.0
-
-    def entries(self):
-        return (self.value, self.d1, self.dt, self.d11, self.d1t, self.dtt,
-                self.d111, self.d11t, self.d1tt, self.dttt)
-
-    def is_finite(self):
-        ok = np.isfinite(self.value)
-        for e in self.entries()[1:]:
-            ok = ok & np.isfinite(e)
-        return ok
-
-    def __add__(self, other):
-        o = _lift3(other)
-        return Jet3(*(a + b for a, b in zip(self.entries(), o.entries())))
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return Jet3(*(-e for e in self.entries()))
-
-    def __sub__(self, other):
-        return self + (-_lift3(other))
-
-    def __rsub__(self, other):
-        return _lift3(other) + (-self)
-
-    @_quiet
-    def __mul__(self, other):
-        a, b = self, _lift3(other)
-        return Jet3(
-            a.value * b.value,
-            a.d1 * b.value + a.value * b.d1,
-            a.dt * b.value + a.value * b.dt,
-            a.d11 * b.value + 2.0 * a.d1 * b.d1 + a.value * b.d11,
-            a.d1t * b.value + a.d1 * b.dt + a.dt * b.d1 + a.value * b.d1t,
-            a.dtt * b.value + 2.0 * a.dt * b.dt + a.value * b.dtt,
-            a.d111 * b.value + 3.0 * a.d11 * b.d1 + 3.0 * a.d1 * b.d11 + a.value * b.d111,
-            (a.d11t * b.value + a.d11 * b.dt + 2.0 * a.d1t * b.d1
-             + 2.0 * a.d1 * b.d1t + a.dt * b.d11 + a.value * b.d11t),
-            (a.d1tt * b.value + 2.0 * a.d1t * b.dt + a.d1 * b.dtt
-             + a.dtt * b.d1 + 2.0 * a.dt * b.d1t + a.value * b.d1tt),
-            a.dttt * b.value + 3.0 * a.dtt * b.dt + 3.0 * a.dt * b.dtt + a.value * b.dttt,
-        )
-
-    __rmul__ = __mul__
-
-    @_quiet
-    def __truediv__(self, other):
-        return _div3(self, _lift3(other))
-
-    @_quiet
-    def __rtruediv__(self, other):
-        return _div3(_lift3(other), self)
+def _binom(a, k: int) -> float:
+    """Generalized binomial coefficient a (a - 1) ... (a - k + 1) / k!."""
+    return math.prod((a - j) / (j + 1) for j in range(k))
 
 
-def _lift3(x) -> Jet3:
-    if isinstance(x, Jet3):
-        return x
-    if isinstance(x, Jet):
-        raise TypeError("cannot mix Jet with Jet3; lift explicitly")
-    return Jet3(x)
+def _taylor(derivs) -> list:
+    """Derivatives f^(k) to Taylor coefficients f^(k)/k!."""
+    return [f if k < 2 else f / math.factorial(k) for k, f in enumerate(derivs)]
 
 
-def constant3(v) -> Jet3:
-    return Jet3(v)
+def _tables(name: str, v, n: int, k: int = 1) -> list:
+    """Taylor coefficients f^(j)(v)/j!, j = 0..n, of an elementary map.
 
-
-def spatial3(v) -> Jet3:
-    one = np.ones_like(v) if np.ndim(v) else 1.0
-    return Jet3(v, d1=one)
-
-
-def temporal3(v) -> Jet3:
-    one = np.ones_like(v) if np.ndim(v) else 1.0
-    return Jet3(v, dt=one)
-
-
-def _compose3(a: Jet3, f0, f1, f2, f3) -> Jet3:
-    """Faa di Bruno through order 3 in two variables."""
-    a1, at = a.d1, a.dt
-    return Jet3(
-        f0,
-        f1 * a1,
-        f1 * at,
-        f1 * a.d11 + f2 * a1 * a1,
-        f1 * a.d1t + f2 * a1 * at,
-        f1 * a.dtt + f2 * at * at,
-        f1 * a.d111 + 3.0 * f2 * a1 * a.d11 + f3 * a1 * a1 * a1,
-        f1 * a.d11t + f2 * (a.d11 * at + 2.0 * a1 * a.d1t) + f3 * a1 * a1 * at,
-        f1 * a.d1tt + f2 * (a.dtt * a1 + 2.0 * at * a.d1t) + f3 * a1 * at * at,
-        f1 * a.dttt + 3.0 * f2 * at * a.dtt + f3 * at * at * at,
-    )
-
-
-@_quiet
-def _div3(a: Jet3, b: Jet3) -> Jet3:
-    bad = np.abs(b.value) < DIV_GUARD * (1.0 + np.abs(a.value))
-    bv = _mask_bad(bad, b.value)
-    guarded = Jet3(bv, b.d1, b.dt, b.d11, b.d1t, b.dtt, b.d111, b.d11t, b.d1tt, b.dttt)
-    inv = _compose3(guarded, 1.0 / bv, -1.0 / bv**2, 2.0 / bv**3, -6.0 / bv**4)
-    return a * inv
-
-
-def truncate(j: Jet3) -> Jet:
-    """Forget third-order information."""
-    return Jet(j.value, j.d1, j.dt, j.d11, j.d1t, j.dtt)
-
-
-def spatial_shift(j: Jet3) -> Jet:
-    """Order-2 jet of the spatial derivative of a Jet3-valued function."""
-    return Jet(j.d1, j.d11, j.d1t, j.d111, j.d11t, j.d1tt)
-
-
-def time_shift(j: Jet3) -> Jet:
-    """Order-2 jet of the time derivative of a Jet3-valued function."""
-    return Jet(j.dt, j.d1t, j.dtt, j.d11t, j.d1tt, j.dttt)
-
-
-# ---------------------------------------------------------------------------
-# elementary functions (both jet orders)
-
-
-def _tables(name: str, v):
-    """Value and derivative tables for the supported elementary maps.
-
-    Returns (bad, f0, f1, f2, f3); ``bad`` flags domain violations.
+    Domain violations (and, for ``reciprocal``, a zero divisor) are NaN;
+    ``powi`` is the power ``k`` >= 1.
     """
     if name == "exp":
-        e = np.exp(v)
-        return None, e, e, e, e
-    if name == "log":
-        bad = ~(v > 0)
-        s = _mask_bad(bad, v)
-        return bad, np.log(s), 1.0 / s, -1.0 / s**2, 2.0 / s**3
-    if name == "sqrt":
-        bad = v < 0
-        s = _mask_bad(bad, v)
-        r = np.sqrt(s)
-        return bad, r, 0.5 / r, -0.25 / (r * s), 0.375 / (r * s * s)
-    if name == "sin":
+        return _taylor([np.exp(v)] * (n + 1))
+    if name in ("sin", "cos"):
         sv, cv = np.sin(v), np.cos(v)
-        return None, sv, cv, -sv, -cv
-    if name == "cos":
-        sv, cv = np.sin(v), np.cos(v)
-        return None, cv, -sv, -cv, sv
+        cycle = (sv, cv, -sv, -cv)
+        return _taylor([cycle[(j + (name == "cos")) % 4] for j in range(n + 1)])
     if name == "tan":
         sv, cv = np.sin(v), np.cos(v)
-        bad = np.abs(cv) < DIV_GUARD * (1.0 + np.abs(sv))
-        cs = _mask_bad(bad, cv)
-        T = sv / cs
-        f1 = 1.0 + T * T
-        return bad, T, f1, 2.0 * T * f1, 2.0 * f1 * (1.0 + 3.0 * T * T)
+        T = sv / _mask_bad(np.abs(cv) < DIV_GUARD * (1.0 + np.abs(sv)), cv)
+        derivs, poly = [T], [0, 1]          # tan^(j) = P_j(T), P_j+1 = (1 + T^2) P_j'
+        for _ in range(n):
+            dp = [i * c for i, c in enumerate(poly)][1:]
+            poly = [a + b for a, b in zip(dp + [0, 0], [0, 0] + dp)]
+            derivs.append(functools.reduce(lambda acc, c: acc * T + c,
+                                           reversed(poly[:-1]), float(poly[-1])))
+        return _taylor(derivs)
+    if name == "log":
+        s = _mask_bad(~(v > 0), v)
+        return ([np.log(s), 1.0 / s]
+                + [(-1.0) ** (j + 1) / (j * s ** j) for j in range(2, n + 1)])[:n + 1]
+    if name == "sqrt":
+        s = _mask_bad(v < 0, v)
+        r = np.sqrt(s)
+        return [r] + [_binom(0.5, j) / (r * s ** (j - 1)) for j in range(1, n + 1)]
+    if name == "reciprocal":
+        return [(-1.0) ** j * v ** (-1 - j) for j in range(n + 1)]
+    if name == "powi":
+        return [_binom(k, j) * v ** (k - j) if j <= k else 0.0 for j in range(n + 1)]
     raise ValueError(f"unknown elementary function {name!r}")
 
 
 @_quiet
-def _elementary(j, name: str):
-    bad, f0, f1, f2, f3 = _tables(name, j.value)
-    if bad is not None:
-        f0 = _mask_bad(bad, f0)
-    if isinstance(j, Jet3):
-        return _compose3(j, f0, f1, f2, f3)
-    return _compose2(j, f0, f1, f2)
+def _elementary(j: Jet, name: str, k: int = 1) -> Jet:
+    return _compose(j, _tables(name, j.value, j.order, k))
+
+
+@_quiet
+def _reciprocal(b: Jet, num=1.0) -> Jet:
+    """1 / b under the one division guard: NaN where |b| < DIV_GUARD (1 + |num|),
+    ``num`` being the numerator's value."""
+    v = _mask_bad(np.abs(b.value) < DIV_GUARD * (1.0 + np.abs(num)), b.value)
+    return _compose(b, _tables("reciprocal", v, b.order))
 
 
 def exp(j):
@@ -407,23 +366,13 @@ def tan(j):
 
 @_quiet
 def powi(j, k: int):
-    """Integer power; negative exponents use the division guard."""
+    """Integer power; a negative power is that of the reciprocal 1 / j."""
     if k == 0:
-        keep = np.isfinite(j.value)
-        one = np.where(keep, 1.0, np.nan)
-        return Jet3(one) if isinstance(j, Jet3) else Jet(one)
-    v = j.value
+        one = np.where(np.isfinite(j.value), 1.0, np.nan)
+        return constant(one, j.layout)
     if k < 0:
-        bad = np.abs(v) < DIV_GUARD
-        v = _mask_bad(bad, v)
-    f0 = v ** k
-    f1 = k * v ** (k - 1)
-    f2 = k * (k - 1) * v ** (k - 2)
-    f3 = k * (k - 1) * (k - 2) * v ** (k - 3)
-    src = type(j)(*((v,) + j.entries()[1:]))
-    if isinstance(j, Jet3):
-        return _compose3(src, f0, f1, f2, f3)
-    return _compose2(src, f0, f1, f2)
+        j, k = _reciprocal(j), -k
+    return j if k == 1 else _elementary(j, "powi", k)
 
 
 # ---------------------------------------------------------------------------
@@ -485,35 +434,3 @@ def observed_order(err_coarse: float, err_fine: float) -> float:
     if not (err_coarse > 0 and err_fine > 0):
         return float("nan")
     return math.log2(err_coarse / err_fine)
-
-
-# ---------------------------------------------------------------------------
-# quadrature
-
-
-def quadrature(f: Callable, a: float, b: float, n: int) -> float:
-    """Composite Simpson integral of ``f`` over [a, b] with n subintervals.
-
-    ``f`` must accept a numpy array of abscissae.  Raises on a non-finite
-    integrand, naming the first offending abscissa.
-    """
-    if n < 2:
-        raise ValueError("need at least 2 subintervals")
-    n += n % 2
-    x = np.linspace(a, b, n + 1)
-    y = np.asarray(f(x), dtype=float)
-    finite = np.isfinite(y)
-    if not finite.all():
-        where = x[~finite][0]
-        raise ValueError(f"non-finite integrand at x={where!r}")
-    return float(simpson_weights(n) @ y * (b - a) / n)
-
-
-def simpson_weights(n: int) -> np.ndarray:
-    """Unscaled Simpson weights for n (even) subintervals; multiply by h."""
-    if n % 2:
-        raise ValueError("Simpson rule needs an even subinterval count")
-    w = np.ones(n + 1)
-    w[1:-1:2] = 4.0
-    w[2:-1:2] = 2.0
-    return w / 3.0

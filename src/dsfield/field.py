@@ -21,6 +21,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
+from . import calculus as jc
 from .ansatz import (
     SQRT2,
     SolutionSpec,
@@ -365,19 +366,23 @@ def _step(g, H, xy, lo, hi, r):
 
 def _log_intensity_jets(spec, times, xy, valid_mask):
     """U at the points ``xy`` (n, 2) with the gradient (n, 2) and Hessian
-    (n, 2, 2) of log U in (x, y); U is NaN outside ``valid_mask`` and where
-    any of them is not finite."""
+    (n, 2, 2) of log U in (x, y), from the order-2 series of
+    log|p_z| + log|q_e| - 2 log|f| in (zeta, eta); U is NaN outside
+    ``valid_mask`` and where any of them is not finite."""
     zeta, eta = rotate(xy[:, 0], xy[:, 1])
     pj, qj = profile_jets3(spec, zeta, eta, times)
     u = eval_intensity(spec, zeta, eta, times, pj, qj).values
-    tau = eval_f(spec, zeta, eta, times, pj, qj)
+
+    def log_abs(j):
+        return jc.log(j * np.sign(j.value))
+
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        pr, qr = pj.d11 / pj.d1, qj.d11 / qj.d1
-        fz, fe = tau.f_z / tau.f, tau.f_e / tau.f
-        gz, ge = pr - 2.0 * fz, qr - 2.0 * fe
-        hzz = pj.d111 / pj.d1 - pr * pr - 2.0 * (tau.f_zz / tau.f - fz * fz)
-        hee = qj.d111 / qj.d1 - qr * qr - 2.0 * (tau.f_ee / tau.f - fe * fe)
-        hze = -2.0 * (tau.f_ze / tau.f - fz * fe)
+        # log|p_z| and log|q_e| are series in one variable each
+        logu = (log_abs(pj.shift((1, 0), axes=(0, None), n=1)).shift(axes=(0,), n=2)
+                + log_abs(qj.shift((1, 0), axes=(0, None), n=1)).shift(axes=(1,), n=2)
+                - 2.0 * log_abs(eval_f(spec, zeta, eta, times, pj, qj, time=False)))
+    gz, ge, hzz, hze, hee = np.broadcast_arrays(zeta, *(
+        logu[m] for m in ((1, 0), (0, 1), (2, 0), (1, 1), (0, 2))))[1:]
     # d/dx = (d/dzeta + d/deta)/sqrt2, d/dy = (d/deta - d/dzeta)/sqrt2
     g = np.stack([gz + ge, ge - gz], axis=1) / SQRT2
     hxy = 0.5 * (hee - hzz)

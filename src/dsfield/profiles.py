@@ -11,13 +11,17 @@ jet-valued callable for exploration beyond the built-in forms.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
 
 from . import calculus as jc
-from .calculus import Jet3
+from .calculus import Jet
+
+# profiles are order-3 jets in (own spatial variable, t)
+ST3 = jc.layout(2, 3)
 
 
 __all__ = [
@@ -40,11 +44,8 @@ class ProfileFunction:
 
     family = "abstract"
 
-    def jet3(self, x, t) -> Jet3:
+    def jet3(self, x, t) -> Jet:
         raise NotImplementedError
-
-    def jet(self, x, t):
-        return jc.truncate(self.jet3(x, t))
 
 
 @dataclass(frozen=True)
@@ -69,13 +70,13 @@ class ExpSumProfile(ProfileFunction):
         for name, seq in (("A", self.A), ("K", self.K), ("L", self.L), ("theta", self.theta)):
             object.__setattr__(self, name, tuple(float(v) for v in seq))
 
-    def jet3(self, x, t) -> Jet3:
+    def jet3(self, x, t) -> Jet:
         x = np.asarray(x, dtype=float) if np.ndim(x) else float(x)
         total = None
         for a, k, l, th in zip(self.A, self.K, self.L, self.theta):
             e = a * np.exp(k * x + l * t + th)
-            term = Jet3(e, k * e, l * e, k * k * e, k * l * e, l * l * e,
-                        k ** 3 * e, k * k * l * e, k * l * l * e, l ** 3 * e)
+            coeffs = (k ** i * l ** j for i, j in ST3.index)
+            term = Jet((0.0 if c == 0.0 else e if c == 1.0 else c * e for c in coeffs), ST3)
             total = term if total is None else total + term
         return total
 
@@ -86,9 +87,8 @@ class BreatherPProfile(ProfileFunction):
 
     family = "breather_p"
 
-    def jet3(self, x, t) -> Jet3:
-        xj = jc.spatial3(x)
-        tj = jc.temporal3(t)
+    def jet3(self, x, t) -> Jet:
+        xj, tj = jc.variables(x, t, order=3)
         c = jc.cos(tj)
         return 1.0 + jc.exp(xj * c * c)
 
@@ -99,9 +99,8 @@ class BreatherQProfile(ProfileFunction):
 
     family = "breather_q"
 
-    def jet3(self, x, t) -> Jet3:
-        xj = jc.spatial3(x)
-        tj = jc.temporal3(t)
+    def jet3(self, x, t) -> Jet:
+        xj, tj = jc.variables(x, t, order=3)
         c = jc.cos(tj)
         return jc.exp(xj + c * c)
 
@@ -112,9 +111,8 @@ class TanCosProfile(ProfileFunction):
 
     family = "tancos"
 
-    def jet3(self, x, t) -> Jet3:
-        xj = jc.spatial3(x)
-        tj = jc.temporal3(t)
+    def jet3(self, x, t) -> Jet:
+        xj, tj = jc.variables(x, t, order=3)
         return 1.0 + jc.exp(jc.tan(xj) * jc.cos(tj) + 1.0)
 
 
@@ -128,10 +126,9 @@ class InstantonPProfile(ProfileFunction):
 
     family = "instanton_p"
 
-    def jet3(self, x, t) -> Jet3:
+    def jet3(self, x, t) -> Jet:
         base = ExpSumProfile(A=(1.0, 1.0), K=(1.0, 1.0), L=(2.0, 1.0), theta=(1.0, 1.0))
-        xj = jc.spatial3(x)
-        tj = jc.temporal3(t)
+        xj, tj = jc.variables(x, t, order=3)
         w = jc.powi(xj * xj * xj + 1.0, -1)
         bump = jc.exp(-w + 2.0 * tj + 1.0)
         return base.jet3(x, t) + bump
@@ -143,25 +140,25 @@ class InstantonQProfile(ProfileFunction):
 
     family = "instanton_q"
 
-    def jet3(self, x, t) -> Jet3:
+    def jet3(self, x, t) -> Jet:
         base = ExpSumProfile(A=(1.0, 1.0), K=(1.0, 1.0), L=(2.0, 1.0), theta=(1.0, 1.0))
         return base.jet3(x, t)
 
 
 @dataclass(frozen=True)
 class CustomProfile(ProfileFunction):
-    """Caller-supplied evaluator mapping seed jets (x, t) to a Jet3."""
+    """Caller-supplied evaluator mapping seed jets (x, t) to a jet of them."""
 
-    fn: Callable[[Jet3, Jet3], Jet3]
+    fn: Callable[[Jet, Jet], Jet]
     label: str = "custom"
     family = "custom"
 
-    def jet3(self, x, t) -> Jet3:
-        xj = jc.spatial3(np.asarray(x, dtype=float) if np.ndim(x) else float(x))
-        tj = jc.temporal3(t)
+    def jet3(self, x, t) -> Jet:
+        xj, tj = jc.variables(np.asarray(x, dtype=float) if np.ndim(x) else float(x),
+                              t, order=3)
         out = self.fn(xj, tj)
-        if not isinstance(out, Jet3):
-            raise TypeError("custom profile evaluator must return a Jet3")
+        if not isinstance(out, Jet) or out.layout is not ST3:
+            raise TypeError("custom profile evaluator must return an order-3 jet in (x, t)")
         return out
 
 
@@ -190,24 +187,16 @@ class TimeFunction:
             acc = acc * t + c
         return acc
 
-    def _derivs(self, t):
-        d = [0.0, 0.0, 0.0, 0.0]
+    def jet(self, t, order: int = 2) -> Jet:
+        """The function of t as a jet in (x, t) to ``order``; its derivatives
+        that vanish identically are structural zeros."""
+        t = np.asarray(t) if np.ndim(t) else np.float64(t)
+        lay = jc.layout(2, order)
+        d = [0.0] * (order + 1)
         for power, c in enumerate(self.coeffs):
-            for k in range(4):
-                if power >= k:
-                    fall = 1.0
-                    for i in range(k):
-                        fall *= power - i
-                    d[k] += c * fall * t ** (power - k)
-        return d
-
-    def jet(self, t) -> jc.Jet:
-        v, d1, d2, _ = self._derivs(float(t) if not np.ndim(t) else np.asarray(t))
-        return jc.Jet(v, 0.0, d1, 0.0, 0.0, d2)
-
-    def jet3(self, t) -> Jet3:
-        v, d1, d2, d3 = self._derivs(float(t) if not np.ndim(t) else np.asarray(t))
-        return Jet3(v, dt=d1, dtt=d2, dttt=d3)
+            for k in range(min(power, order) + 1 if c else 0):
+                d[k] += c * math.perm(power, k) * t ** (power - k)
+        return Jet((d[j] if i == 0 else 0.0 for i, j in lay.index), lay)
 
     @property
     def is_constant(self) -> bool:

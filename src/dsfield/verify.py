@@ -7,9 +7,14 @@ Three independent suites certify a solution spec:
   arithmetic so a true zero is measurable at the 1e-15 level even where
   the subtracted products are ~1e10 times larger than the result;
 * the governing equations in the rotated frame: the envelope equation from
-  exact jets and integrated phases, and the forcing-field constraint by
-  finite differences of the jet-computed fields (with a convergence mode);
-* window scans for denominator zeros, profile poles and the sign condition.
+  the entries of f's order-2 jet in (zeta, eta, t), the amplitude and
+  phase-gradient jets and the integrated phases, and the forcing-field
+  constraint by finite differences of the jet-computed fields (with a
+  convergence mode);
+* window scans for denominator zeros, which read f's value alone, profile
+  poles and the sign condition.
+
+The Hirota operator expands jets in (x, t) of any order.
 
 Envelope-equation checks are gated on the consistency report: when the
 separation is not certified the report is marked not applicable instead of
@@ -35,7 +40,7 @@ from .ansatz import (
     window_grid,
 )
 from .auxiliary import Auxiliaries, consistency_c1_c2, derive
-from .calculus import Jet, Stencil, observed_order
+from .calculus import Stencil, observed_order
 
 __all__ = [
     "ResidualReport",
@@ -96,28 +101,30 @@ def _report(name, resid_abs, X, Y, t, valid, flags=None, extras=None,
 
 
 def hirota_d(a: Callable, b: Callable, m: int, n: int, pt):
-    """D_x^m D_t^n a.b at pt, expanded from order-2 jets.
+    """D_x^m D_t^n a.b at pt, expanded from jets in (x, t).
 
-    ``a`` and ``b`` map a point (x, t) to a :class:`Jet`.  Requesting
-    m + n > 2 raises; there is no finite-difference fallback.
+    ``a`` and ``b`` map a point (x, t) to a :class:`~dsfield.calculus.Jet`.
+    Requesting m + n above the jets' order raises; there is no
+    finite-difference fallback.
     """
     if m < 0 or n < 0:
         raise ValueError("operator orders must be nonnegative")
-    if m + n > 2:
-        raise ValueError("operator order m + n exceeds jet order 2")
     ja, jb = a(pt), b(pt)
+    order = min(ja.order, jb.order)
+    if m + n > order:
+        raise ValueError(f"operator order m + n exceeds jet order {order}")
     total = 0.0
     for k in range(m + 1):
         for l in range(n + 1):
             sign = -1.0 if (m - k + n - l) % 2 else 1.0
             coeff = math.comb(m, k) * math.comb(n, l)
-            total = total + sign * coeff * ja.partial(k, l) * jb.partial(m - k, n - l)
+            total = total + sign * coeff * ja[k, l] * jb[m - k, n - l]
     return total
 
 
 def hirota_cross(tau) -> float:
-    """D_z D_e f.f from a tau-function derivative bundle: 2 (f f_ze - f_z f_e)."""
-    return 2.0 * (tau.f * tau.f_ze - tau.f_z * tau.f_e)
+    """D_z D_e f.f from f's jet in (zeta, eta, t): 2 (f f_ze - f_z f_e)."""
+    return 2.0 * (tau.value * tau[1, 1, 0] - tau[1, 0, 0] * tau[0, 1, 0])
 
 
 # ---------------------------------------------------------------------------
@@ -221,13 +228,13 @@ def _envelope_terms(spec, aux, zeta, eta, t):
     E = np.exp(1j * (r + s))
     P = p1.value * q1.value
     g = P * E
-    g_z = (p1.d1 + 1j * rz.value * p1.value) * q1.value * E
-    g_zz = (p1.d11 + 2j * rz.value * p1.d1
-            + (1j * rz.d1 - rz.value ** 2) * p1.value) * q1.value * E
-    g_e = p1.value * (q1.d1 + 1j * se.value * q1.value) * E
-    g_ee = p1.value * (q1.d11 + 2j * se.value * q1.d1
-                       + (1j * se.d1 - se.value ** 2) * q1.value) * E
-    g_t = (p1.dt * q1.value + p1.value * q1.dt + 1j * P * (r_t + s_t)) * E
+    g_z = (p1[1, 0] + 1j * rz.value * p1.value) * q1.value * E
+    g_zz = (p1[2, 0] + 2j * rz.value * p1[1, 0]
+            + (1j * rz[1, 0] - rz.value ** 2) * p1.value) * q1.value * E
+    g_e = p1.value * (q1[1, 0] + 1j * se.value * q1.value) * E
+    g_ee = p1.value * (q1[2, 0] + 2j * se.value * q1[1, 0]
+                       + (1j * se[1, 0] - se.value ** 2) * q1.value) * E
+    g_t = (p1[0, 1] * q1.value + p1.value * q1[0, 1] + 1j * P * (r_t + s_t)) * E
     return (g, g_z, g_zz, g_e, g_ee, g_t), r_t, s_t
 
 
@@ -261,17 +268,17 @@ def _envelope_report(name, residual, spec, aux, X, Y, zeta, eta, t, keep,
 def _bilinear1_residual(spec, zeta, eta, t, tau, terms, p0, q0):
     """Line 1 of the bilinear form, its terms scaled by 1/f^3."""
     g, g_z, g_zz, g_e, g_ee, g_t = terms
-    f = tau.f
+    f, f_z, f_e, f_t, f_zz, f_ze, _, f_ee, _, _ = tau.entries
     beta = spec.funcs.beta(t)
     gamma = spec.funcs.gamma(t)
     f2 = f * f
     u = g / f
-    t1 = 1j * (g_t * f - g * tau.f_t) / f2
-    d2z = (g_zz * f - 2.0 * g_z * tau.f_z + g * tau.f_zz) / f2
-    d2e = (g_ee * f - 2.0 * g_e * tau.f_e + g * tau.f_ee) / f2
+    t1 = 1j * (g_t * f - g * f_t) / f2
+    d2z = (g_zz * f - 2.0 * g_z * f_z + g * f_zz) / f2
+    d2e = (g_ee * f - 2.0 * g_e * f_e + g * f_ee) / f2
     t2 = 0.5 * beta * (d2z + d2e)
     t3 = -0.5 * beta * (np.abs(g) ** 2) * g / (f2 * f)
-    cross = 2.0 * (f * tau.f_ze - tau.f_z * tau.f_e)
+    cross = 2.0 * (f * f_ze - f_z * f_e)
     t4 = beta * u * cross / f2
     t5 = beta * (p0 + q0) * u
     t6 = -1j * gamma * u
@@ -281,16 +288,16 @@ def _bilinear1_residual(spec, zeta, eta, t, tau, terms, p0, q0):
 def _pde1_residual(spec, zeta, eta, t, tau, terms, p0, q0):
     """The envelope equation for u = g/f with the forcing field phi."""
     g, g_z, g_zz, g_e, g_ee, g_t = terms
+    f, f_z, f_e, f_t, f_zz, _, _, f_ee, _, _ = tau.entries
     beta = spec.funcs.beta(t)
     gamma = spec.funcs.gamma(t)
-    f = tau.f
     f2 = f * f
     u = g / f
-    u_t = (g_t * f - g * tau.f_t) / f2
-    dff_z = 2.0 * (f * tau.f_zz - tau.f_z ** 2)
-    dff_e = 2.0 * (f * tau.f_ee - tau.f_e ** 2)
-    u_zz = (g_zz * f - 2.0 * g_z * tau.f_z + g * tau.f_zz) / f2 - u * dff_z / f2
-    u_ee = (g_ee * f - 2.0 * g_e * tau.f_e + g * tau.f_ee) / f2 - u * dff_e / f2
+    u_t = (g_t * f - g * f_t) / f2
+    dff_z = 2.0 * (f * f_zz - f_z ** 2)
+    dff_e = 2.0 * (f * f_ee - f_e ** 2)
+    u_zz = (g_zz * f - 2.0 * g_z * f_z + g * f_zz) / f2 - u * dff_z / f2
+    u_ee = (g_ee * f - 2.0 * g_e * f_e + g * f_ee) / f2 - u * dff_e / f2
     phi = eval_phi(spec, zeta, eta, t, p0, q0, tau=tau)
     return np.abs(
         1j * u_t
@@ -315,8 +322,8 @@ def _bilinear2_field(spec, aux, zeta, eta, t, pj, qj):
     a = spec.coeffs
     with np.errstate(invalid="ignore", over="ignore", under="ignore"):
         hi, lo = _bilinear_cross_dd(a.a0, a.a1, a.a2, a.a3,
-                                    pj.value, qj.value, pj.d1, qj.d1)
-        gg = 4.0 * a.det * pj.d1 * qj.d1
+                                    pj.value, qj.value, pj[1, 0], qj[1, 0])
+        gg = 4.0 * a.det * pj[1, 0] * qj[1, 0]
         amp_bad = None
         if aux is not None:
             gg_amp = (aux.p1_jet(zeta, t).value * aux.q1_jet(eta, t).value) ** 2
@@ -507,7 +514,7 @@ def singularity_scan(spec: SolutionSpec, window, t: float, samples=128,
     """
     grid = window_grid(window, samples, valid_mask)
     with np.errstate(invalid="ignore", over="ignore", under="ignore", divide="ignore"):
-        f = eval_f(spec, grid.zeta, grid.eta, t).f
+        f = eval_f(spec, grid.zeta, grid.eta, t, order=0).value
     finite, min_abs_f, min_point, flips_x, flips_y = denominator_scan(
         f, grid.keep, grid.X, grid.Y, t)
     # up to five x-flip cells, or y-flip cells when there are no x-flips

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from dsfield.auxiliary import consistency_c1_c2, derive
-from dsfield.calculus import Jet, Stencil
+from dsfield.calculus import Jet, Stencil, layout
 from dsfield.catalog import build_case, case_names
 from dsfield.cli import main as cli_main
 from dsfield.field import (
@@ -161,7 +161,7 @@ def test_criterion_8_hirota_engine(rng):
     with criterion(8, "bilinear operator antisymmetry and eigen-identity"):
         for _ in range(1000):
             ent = rng.uniform(-3, 3, 6)
-            a = lambda pt: Jet(*ent)
+            a = lambda pt: Jet(ent, layout(2, 2))
             assert hirota_d(a, a, 1, 0, (0.0, 0.0)) == 0.0
             assert hirota_d(a, a, 0, 1, (0.0, 0.0)) == 0.0
         for _ in range(300):
@@ -170,9 +170,9 @@ def test_criterion_8_hirota_engine(rng):
             x = float(rng.uniform(-1, 1))
 
             def ek(k):
-                return lambda pt: Jet(math.exp(k * pt[0]),
-                                      k * math.exp(k * pt[0]), 0.0,
-                                      k * k * math.exp(k * pt[0]), 0.0, 0.0)
+                return lambda pt: Jet((math.exp(k * pt[0]),
+                                       k * math.exp(k * pt[0]), 0.0,
+                                       k * k * math.exp(k * pt[0]), 0.0, 0.0), layout(2, 2))
 
             for m in (1, 2):
                 got = hirota_d(ek(k1), ek(k2), m, 0, (x, 0.0))

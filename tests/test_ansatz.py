@@ -8,18 +8,18 @@ from dsfield.ansatz import (
     SeparationCoefficients,
     SolutionSpec,
     check_admissibility,
-    eval_envelope,
     eval_f,
     eval_intensity,
     eval_intensity_dt,
     eval_phi,
     grid_intensity,
-    phi_log_form,
     profile_jets3,
     rotate,
     unrotate,
     window_grid,
 )
+from dsfield.auxiliary import derive
+from dsfield.calculus import DIV_GUARD
 from dsfield.catalog import build_case, case_names
 from dsfield.profiles import ExpSumProfile
 
@@ -32,6 +32,29 @@ DROMION_F0 = 1.0 + 2 * E + 2 * E * E
 @pytest.fixture
 def dromion():
     return build_case("dromion").spec
+
+
+def envelope(spec, zeta, eta, t, phase_r, phase_s):
+    """u = p1 q1 exp(i (r + s)) / f from the amplitude factors, as the
+    envelope checks assemble it, with caller-supplied phases."""
+    aux = derive(spec)
+    amp = aux.p1_jet(zeta, t).value * aux.q1_jet(eta, t).value
+    return amp * np.exp(1j * (phase_r + phase_s)) / eval_f(spec, zeta, eta, t).value
+
+
+def phi_log_form(spec, zeta, eta, t, p0, q0, tau=None):
+    """The forcing field through second derivatives of log f (the oracle of
+    eval_phi's two-form test)."""
+    if tau is None:
+        tau = eval_f(spec, zeta, eta, t)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore", under="ignore"):
+        f = np.where(np.abs(tau.value) < DIV_GUARD, np.nan, tau.value)
+        f_z, f_e, f_zz, f_ze, f_ee = (tau[m] for m in ((1, 0, 0), (0, 1, 0), (2, 0, 0),
+                                                       (1, 1, 0), (0, 2, 0)))
+        lzz = f_zz / f - (f_z / f) ** 2
+        lze = f_ze / f - (f_z / f) * (f_e / f)
+        lee = f_ee / f - (f_e / f) ** 2
+        return lzz + 2.0 * lze + lee + p0 + q0
 
 
 def test_coefficients_cache_det():
@@ -70,7 +93,7 @@ def test_coordinate_point_carries_rotated_values():
 
 def test_f_at_origin_dromion(dromion):
     tau = eval_f(dromion, 0.0, 0.0, 0.0)
-    assert tau.f == pytest.approx(DROMION_F0, rel=1e-14)
+    assert tau.value == pytest.approx(DROMION_F0, rel=1e-14)
 
 
 def test_f_constant_when_only_a0():
@@ -78,9 +101,10 @@ def test_f_constant_when_only_a0():
                         ExpSumProfile((1.0,), (1.0,), (1.0,), (1.0,)),
                         ExpSumProfile((1.0,), (1.0,), (1.0,), (1.0,)))
     tau = eval_f(spec, 0.3, -0.8, 0.5)
-    assert tau.f == 1.0
-    for name in ("f_z", "f_e", "f_t", "f_zz", "f_ze", "f_zt", "f_ee", "f_et", "f_tt"):
-        assert getattr(tau, name) == 0.0
+    assert tau.value == 1.0
+    assert len(tau.entries) == 10      # f, f_z, f_e, f_t, f_zz, f_ze, f_zt, f_ee, f_et, f_tt
+    for entry in tau.entries[1:]:
+        assert entry == 0.0
 
 
 def test_f_gradient_structure(rng):
@@ -90,8 +114,8 @@ def test_f_gradient_structure(rng):
         z, e, t = rng.uniform(-2, 2, 3)
         pj, qj = profile_jets3(spec, z, e, t)
         tau = eval_f(spec, z, e, t, pj, qj)
-        want = (spec.coeffs.a1 + spec.coeffs.a3 * qj.value) * pj.d1
-        assert tau.f_z == pytest.approx(want, rel=1e-13, abs=1e-13)
+        want = (spec.coeffs.a1 + spec.coeffs.a3 * qj.value) * pj[1, 0]
+        assert tau[1, 0, 0] == pytest.approx(want, rel=1e-13, abs=1e-13)
 
 
 def test_bilinear_closure_identity(rng):
@@ -101,9 +125,10 @@ def test_bilinear_closure_identity(rng):
         z, e, t = rng.uniform(-3, 3, 3)
         pj, qj = profile_jets3(spec, z, e, t)
         tau = eval_f(spec, z, e, t, pj, qj)
-        lhs = tau.f * tau.f_ze - tau.f_z * tau.f_e
-        rhs = spec.coeffs.det * pj.d1 * qj.d1
-        scale = abs(tau.f * tau.f_ze) + abs(tau.f_z * tau.f_e) + abs(rhs) + 1e-300
+        f, f_z, f_e, f_ze = tau.value, tau[1, 0, 0], tau[0, 1, 0], tau[1, 1, 0]
+        lhs = f * f_ze - f_z * f_e
+        rhs = spec.coeffs.det * pj[1, 0] * qj[1, 0]
+        scale = abs(f * f_ze) + abs(f_z * f_e) + abs(rhs) + 1e-300
         assert abs(lhs - rhs) / scale < 1e-13
 
 
@@ -129,23 +154,23 @@ def test_breather_degenerate_time():
 
 def test_envelope_modulus_matches_intensity(rng, dromion):
     z, e, t = rng.uniform(-2, 2, 3)
-    u = eval_envelope(dromion, z, e, t, 0.123, -0.5)
+    u = envelope(dromion, z, e, t, 0.123, -0.5)
     U = eval_intensity(dromion, z, e, t).values
     assert abs(u) ** 2 == pytest.approx(U, rel=1e-14)
 
 
 def test_envelope_zero_phase_sign(dromion):
-    u = eval_envelope(dromion, 0.0, 0.0, 0.0, 0.0, 0.0)
+    u = envelope(dromion, 0.0, 0.0, 0.0, 0.0, 0.0)
     assert u.imag == 0.0 and u.real > 0.0
     flipped = SolutionSpec(dromion.coeffs, dromion.p, dromion.q,
                            dromion.funcs, delta1=-1, delta2=1)
-    uf = eval_envelope(flipped, 0.0, 0.0, 0.0, 0.0, 0.0)
+    uf = envelope(flipped, 0.0, 0.0, 0.0, 0.0, 0.0)
     assert uf.real == pytest.approx(-u.real, rel=1e-15)
 
 
 def test_envelope_value_dromion_origin(dromion):
     # phases r = -zeta, s = -eta vanish at the origin
-    u = eval_envelope(dromion, 0.0, 0.0, 0.0, 0.0, 0.0)
+    u = envelope(dromion, 0.0, 0.0, 0.0, 0.0, 0.0)
     assert u.real == pytest.approx(2 * E / DROMION_F0, rel=1e-14)
 
 
@@ -184,7 +209,7 @@ def test_phi_agrees_with_log_fd(dromion):
 
     def logf(xx):
         z, e = rotate(xx, y)
-        return math.log(eval_f(dromion, z, e, t).f)
+        return math.log(eval_f(dromion, z, e, t).value)
 
     h = 1e-4
     fd = 2 * (logf(x + h) - 2 * logf(x) + logf(x - h)) / h**2
@@ -337,3 +362,46 @@ def test_unequal_spacing_samples_every_point(name, window, samples):
     ref_u, ref_ut = eval_intensity_dt(e.spec, zeta, eta, times[:, None, None])
     np.testing.assert_array_equal(u, ref_u)
     np.testing.assert_array_equal(ut, ref_ut)
+
+
+# -- one assembly of f -----------------------------------------------------------
+
+
+class CountingCoefficients:
+    """Separation coefficients that count the reads of a0.  a0 enters f
+    alone (the determinant is cached), so each read is one assembly of f."""
+
+    def __init__(self, coeffs):
+        self._coeffs = coeffs
+        self.a0_reads = 0
+
+    def __getattr__(self, name):
+        if name == "a0":
+            self.a0_reads += 1
+        return getattr(self._coeffs, name)
+
+
+@pytest.mark.parametrize("name", case_names())
+def test_admissibility_and_scan_assemble_f_once(name, monkeypatch):
+    import dsfield.verify as verify
+    e = build_case(name)
+    coeffs = CountingCoefficients(e.spec.coeffs)
+    spec = SolutionSpec(coeffs, e.spec.p, e.spec.q, e.spec.funcs)
+    # the admissibility scan takes U from the f it scans
+    rep = check_admissibility(spec, e.window, 0.3, (24, 24), e.valid_mask)
+    assert coeffs.a0_reads == 1
+    ref = check_admissibility(e.spec, e.window, 0.3, (24, 24), e.valid_mask)
+    assert (rep.verdict, rep.min_abs_f, rep.max_intensity) == (
+        ref.verdict, ref.min_abs_f, ref.max_intensity)
+    # the singularity scan reads f's value alone: a jet of one entry
+    built = []
+
+    def recording_eval_f(*args, **kwargs):
+        built.append(eval_f(*args, **kwargs))
+        return built[-1]
+
+    monkeypatch.setattr(verify, "eval_f", recording_eval_f)
+    coeffs.a0_reads = 0
+    verify.singularity_scan(spec, e.window, 0.3, 24, e.valid_mask)
+    assert coeffs.a0_reads == 1
+    assert [len(f.entries) for f in built] == [1]

@@ -6,70 +6,115 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dsfield import calculus as jc
-from dsfield.calculus import Jet, Jet3, Stencil, fd_derivative, quadrature
+from dsfield.auxiliary import derive
+from dsfield.calculus import DIV_GUARD, Jet, Stencil, fd_derivative
+from dsfield.catalog import build_case
 
+L2 = jc.layout(2, 2)    # (value, d1, dt, d11, d1t, dtt) in (x, t)
 finite = st.floats(min_value=-10, max_value=10, allow_nan=False)
-jets = st.builds(Jet, finite, finite, finite, finite, finite, finite)
+jets = st.builds(lambda *e: Jet(e, L2), finite, finite, finite, finite, finite, finite)
+
+
+def const(v, order=2):
+    return jc.constant(v, jc.layout(2, order))
+
+
+def spatial(v, order=2):
+    return jc.variables(v, 0.0, order=order)[0]
+
+
+def temporal(v, order=2):
+    return jc.variables(0.0, v, order=order)[1]
+
+
+def test_layout_is_graded():
+    # lower orders are a prefix, so the order-2 entries of an order-3 jet are its first six
+    assert jc.layout(2, 3).index == ((0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (0, 2),
+                                     (3, 0), (2, 1), (1, 2), (0, 3))
+    assert jc.layout(3, 2).index[:4] == ((0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1))
+    assert jc.layout(2, 2) is L2
 
 
 def test_mul_square_of_linear():
     # (x+1)^2 at x=0
-    a = Jet(1.0, 1.0, 0.0, 0.0, 0.0, 0.0)
+    a = Jet((1.0, 1.0, 0.0, 0.0, 0.0, 0.0), L2)
     m = a * a
-    assert (m.value, m.d1, m.d11) == (1.0, 2.0, 2.0)
-    assert m.dt == m.d1t == m.dtt == 0.0
+    assert (m.value, m[1, 0], m[2, 0]) == (1.0, 2.0, 2.0)
+    assert m[0, 1] == m[1, 1] == m[0, 2] == 0.0
 
 
 def test_sub_self_is_zero():
-    a = Jet(3.0, -1.0, 2.0, 0.5, 0.25, -4.0)
+    a = Jet((3.0, -1.0, 2.0, 0.5, 0.25, -4.0), L2)
     z = a - a
-    assert all(e == 0.0 for e in z.entries())
+    assert all(e == 0.0 for e in z.entries)
 
 
 def test_div_of_equal_exponentials_is_constant():
     z = 0.0
-    e = jc.exp(jc.spatial(z))
+    e = jc.exp(spatial(z))
     r = e / e
     assert r.value == pytest.approx(1.0, abs=0)
-    for entry in r.entries()[1:]:
+    for entry in r.entries[1:]:
         assert entry == pytest.approx(0.0, abs=1e-15)
 
 
 def test_exp_seed():
-    e = jc.exp(jc.spatial(0.0))
-    assert (e.value, e.d1, e.d11) == (1.0, 1.0, 1.0)
+    e = jc.exp(spatial(0.0))
+    assert (e.value, e[1, 0], e[2, 0]) == (1.0, 1.0, 1.0)
 
 
 def test_cos_of_time_seed():
-    c = jc.cos(jc.temporal(0.0))
-    assert (c.value, c.dt, c.dtt) == (1.0, 0.0, -1.0)
+    c = jc.cos(temporal(0.0))
+    assert (c.value, c[0, 1], c[0, 2]) == (1.0, 0.0, -1.0)
 
 
 def test_sqrt_of_exponential():
     # oracle: derivatives of exp(x/2) at 0 are 1, 1/2, 1/4
-    s = jc.sqrt(jc.exp(jc.spatial(0.0)))
+    s = jc.sqrt(jc.exp(spatial(0.0)))
     assert s.value == pytest.approx(1.0, rel=1e-15)
-    assert s.d1 == pytest.approx(0.5, rel=1e-15)
-    assert s.d11 == pytest.approx(0.25, rel=1e-15)
+    assert s[1, 0] == pytest.approx(0.5, rel=1e-15)
+    assert s[2, 0] == pytest.approx(0.25, rel=1e-15)
 
 
 def test_division_guard_marks_nonfinite():
-    num = Jet(1.0, 0.0, 0.0, 0.0, 0.0, 0.0)
-    den = Jet(0.0, 1.0, 0.0, 0.0, 0.0, 0.0)
+    num = Jet((1.0, 0.0, 0.0, 0.0, 0.0, 0.0), L2)
+    den = Jet((0.0, 1.0, 0.0, 0.0, 0.0, 0.0), L2)
     r = num / den
-    assert not np.all(r.is_finite())
+    assert not all(np.all(np.isfinite(e)) for e in r.entries)
     assert not np.isfinite(r.value)
 
 
+@pytest.mark.parametrize("num", [1.0, -3.0, 250.0])
+def test_one_division_guard_decides_every_division(num):
+    # b divides a only where |b| >= DIV_GUARD (1 + |a|): a / b, a reciprocal
+    # (a = 1) and a negative power (the power of the reciprocal) follow the
+    # same relative rule, just below and just above the threshold
+    edge = DIV_GUARD * (1.0 + abs(num))
+    for b, finite in ((0.99 * edge, False), (1.01 * edge, True),
+                      (-0.99 * edge, False), (-1.01 * edge, True)):
+        x = spatial(b, order=3)
+        assert np.isfinite((const(num, 3) / x).value) == finite
+        assert np.isfinite((num / x).value) == finite
+        assert np.all([np.isfinite(e) for e in (num / x).entries]) == finite
+    edge = 2.0 * DIV_GUARD
+    for b, finite in ((0.99 * edge, False), (1.01 * edge, True), (-0.99 * edge, False)):
+        x = spatial(b, order=3)
+        assert np.isfinite((1.0 / x).value) == finite
+        assert np.isfinite(jc.powi(x, -1).value) == finite
+        assert np.isfinite(jc.powi(x, -2).value) == finite
+    inv = jc.powi(spatial(0.5, order=3), -2)       # x^-2 at 1/2: 4, -16, 96, -768
+    assert [inv[k, 0] for k in range(4)] == [4.0, -16.0, 96.0, -768.0]
+
+
 def test_domain_violations_mark_nonfinite():
-    assert not np.isfinite(jc.log(Jet(-1.0)).value)
-    assert not np.isfinite(jc.sqrt(Jet(-0.5)).value)
+    assert not np.isfinite(jc.log(const(-1.0)).value)
+    assert not np.isfinite(jc.sqrt(const(-0.5)).value)
     near_pole = math.pi / 2 + 1e-14
-    assert not np.isfinite(jc.tan(Jet(near_pole)).value)
+    assert not np.isfinite(jc.tan(const(near_pole)).value)
 
 
 def test_nonfinite_propagates_through_arithmetic():
-    bad = jc.log(Jet(-1.0))
+    bad = jc.log(const(-1.0))
     out = (bad + 1.0) * 2.0 - bad
     assert not np.isfinite(out.value)
     assert not np.isfinite(jc.powi(bad, 0).value)  # even x**0 stays marked
@@ -78,9 +123,9 @@ def test_nonfinite_propagates_through_arithmetic():
 @given(jets, jets)
 def test_leibniz_rule_is_exact(a, b):
     m = a * b
-    assert m.d1 == a.d1 * b.value + a.value * b.d1
-    assert m.dt == a.dt * b.value + a.value * b.dt
-    assert m.d11 == a.d11 * b.value + 2.0 * a.d1 * b.d1 + a.value * b.d11
+    assert m[1, 0] == a[1, 0] * b.value + a.value * b[1, 0]
+    assert m[0, 1] == a[0, 1] * b.value + a.value * b[0, 1]
+    assert m[2, 0] == a[2, 0] * b.value + 2.0 * a[1, 0] * b[1, 0] + a.value * b[2, 0]
 
 
 @settings(max_examples=60)
@@ -91,26 +136,26 @@ def test_jets_agree_with_finite_differences(x, t):
     def f(xx, tt):
         return np.exp(np.sin(xx) * np.cos(tt) + 0.3 * xx * tt)
 
-    j = jc.exp(jc.sin(jc.spatial(x)) * jc.cos(jc.temporal(t))
-               + 0.3 * jc.spatial(x) * jc.temporal(t))
+    xj, tj = jc.variables(x, t, order=2)
+    j = jc.exp(jc.sin(xj) * jc.cos(tj) + 0.3 * xj * tj)
     h = 1e-5
     d1 = (f(x + h, t) - f(x - h, t)) / (2 * h)
     dt = (f(x, t + h) - f(x, t - h)) / (2 * h)
     d11 = (f(x + h, t) - 2 * f(x, t) + f(x - h, t)) / h**2
     scale = abs(j.value) + 1.0
     assert j.value == pytest.approx(f(x, t), rel=1e-12)
-    assert j.d1 == pytest.approx(d1, abs=1e-8 * scale)
-    assert j.dt == pytest.approx(dt, abs=1e-8 * scale)
-    assert j.d11 == pytest.approx(d11, abs=1e-4 * scale)
+    assert j[1, 0] == pytest.approx(d1, abs=1e-8 * scale)
+    assert j[0, 1] == pytest.approx(dt, abs=1e-8 * scale)
+    assert j[2, 0] == pytest.approx(d11, abs=1e-4 * scale)
 
 
 def test_jet3_matches_analytic_tan_derivatives():
     v = 0.3
-    j = jc.tan(jc.spatial3(v))
+    j = jc.tan(spatial(v, order=3))
     T, S = math.tan(v), 1.0 / math.cos(v) ** 2
-    assert j.d1 == pytest.approx(S, rel=1e-14)
-    assert j.d11 == pytest.approx(2 * S * T, rel=1e-14)
-    assert j.d111 == pytest.approx(4 * S * T * T + 2 * S * S, rel=1e-14)
+    assert j[1, 0] == pytest.approx(S, rel=1e-14)
+    assert j[2, 0] == pytest.approx(2 * S * T, rel=1e-14)
+    assert j[3, 0] == pytest.approx(4 * S * T * T + 2 * S * S, rel=1e-14)
 
 
 def test_jet3_third_derivative_against_finite_differences():
@@ -118,28 +163,47 @@ def test_jet3_third_derivative_against_finite_differences():
         return np.exp(np.sin(xx))
 
     x, h = 0.4, 1e-2
-    j = jc.exp(jc.sin(jc.spatial3(x)))
+    j = jc.exp(jc.sin(spatial(x, order=3)))
     fd3 = (f(x + 2 * h) - 2 * f(x + h) + 2 * f(x - h) - f(x - 2 * h)) / (2 * h**3)
-    assert j.d111 == pytest.approx(fd3, abs=1e-3)
+    assert j[3, 0] == pytest.approx(fd3, abs=1e-3)
 
 
 def test_jet3_truncates_to_jet():
-    j3 = jc.exp(jc.spatial3(0.7))
-    j2 = jc.truncate(j3)
-    assert isinstance(j2, Jet)
-    assert j2.entries() == j3.entries()[:6]
+    j3 = jc.exp(spatial(0.7, order=3))
+    j2 = j3.shift(order=2)
+    assert isinstance(j2, Jet) and j2.order == 2
+    assert j2.entries == j3.entries[:6]
+
+
+def test_shift_differentiates_and_renames_variables():
+    x, t = jc.variables(0.4, 0.9, order=3)
+    j = jc.exp(2.0 * x + 3.0 * t)
+    e = math.exp(0.8 + 2.7)
+    # the derivative in x to order 2: entries 2^(a+1) 3^b e
+    dx = j.shift((1, 0))
+    assert dx.order == 2
+    assert [dx[m] / e for m in dx.layout.index] == pytest.approx(
+        [2 ** (a + 1) * 3 ** b for a, b in dx.layout.index], rel=1e-14)
+    # x becomes the second of three variables; the others are structural zeros
+    moved = j.shift(order=2, axes=(1, 2), n=3)
+    assert moved[0, 1, 1] == j[1, 1] and moved[0, 2, 0] == j[2, 0]
+    assert moved[1, 0, 0] == 0.0 and moved[1, 1, 0] == 0.0
+    # an axis None fixes that variable
+    assert j.shift(axes=(0, None), n=1).entries == (j[0, 0], j[1, 0], j[2, 0], j[3, 0])
+    with pytest.raises(ValueError, match="exceeds jet order"):
+        j.shift((1, 0), order=3)
 
 
 def test_jet_mixing_orders_raises():
     with pytest.raises(TypeError):
-        Jet(1.0) + Jet3(1.0)
+        const(1.0, 2) + const(1.0, 3)
 
 
 def test_partial_lookup_and_overflow():
-    j = Jet(1.0, 2.0, 3.0, 4.0, 5.0, 6.0)
-    assert j.partial(1, 1) == 5.0
+    j = Jet((1.0, 2.0, 3.0, 4.0, 5.0, 6.0), L2)
+    assert j[1, 1] == 5.0
     with pytest.raises(ValueError):
-        j.partial(2, 1)
+        j[2, 1]
 
 
 # -- stencils ----------------------------------------------------------------
@@ -198,31 +262,23 @@ def test_fd_nonfinite_sample_flags_result():
     assert not np.isfinite(out)
 
 
-# -- quadrature ---------------------------------------------------------------
+# -- quadrature: the phase rule of Auxiliaries.phase_r ---------------------------
 
 
-def test_quadrature_constant():
-    assert quadrature(lambda x: np.ones_like(x), 0.0, 1.0, 16) == pytest.approx(1.0, abs=0)
+def phase_rule(integrand, a, b):
+    """The integral of ``integrand`` over [a, b] by the cumulative
+    Gauss-Legendre rule of the phases: phase_r anchored at a, with the
+    integrand as its gradient."""
+    aux = derive(build_case("dromion").spec, anchor_zeta=a)
+    aux.r_zeta_jet = lambda z, t: Jet((integrand(z),) + (0.0,) * 5, L2)
+    return aux.phase_r(b, 0.0)[0]
 
 
 def test_quadrature_cubic_exact():
-    got = quadrature(lambda x: x**3, 0.0, 1.0, 8)
+    got = phase_rule(lambda x: x**3, 0.0, 1.0)
     assert got == pytest.approx(0.25, rel=1e-14)
 
 
 def test_quadrature_sine():
-    got = quadrature(np.sin, 0.0, math.pi, 256)
+    got = phase_rule(np.sin, 0.0, math.pi)
     assert got == pytest.approx(2.0, abs=1e-8)
-
-
-def test_quadrature_reports_bad_abscissa():
-    def f(x):
-        return np.where(x > 0.5, np.nan, 1.0)
-
-    with pytest.raises(ValueError, match="non-finite integrand"):
-        quadrature(f, 0.0, 1.0, 8)
-
-
-def test_quadrature_needs_two_subintervals():
-    with pytest.raises(ValueError):
-        quadrature(np.sin, 0.0, 1.0, 1)

@@ -91,7 +91,7 @@ def _sign_product_range(entry, t):
     zeta, eta = rotate(X, Y)
     keep = entry.valid_mask(zeta, eta)
     pj, qj = profile_jets3(entry.spec, zeta, eta, t)
-    prod = entry.spec.coeffs.det * pj.d1 * qj.d1
+    prod = entry.spec.coeffs.det * pj[1, 0] * qj[1, 0]
     vals = prod[keep & np.isfinite(prod)]
     return float(np.min(vals)), float(np.max(vals))
 

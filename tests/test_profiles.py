@@ -49,12 +49,12 @@ def test_profile_jets_match_finite_differences(prof):
     scalar = lambda xx, tt: float(prof.jet3(xx, tt).value)
     j = prof.jet3(x, t)
     scale = abs(j.value) + 1.0
-    assert j.d1 == pytest.approx(fd(scalar, x, t, "d1"), abs=2e-7 * scale)
-    assert j.dt == pytest.approx(fd(scalar, x, t, "dt"), abs=2e-7 * scale)
-    assert j.d11 == pytest.approx(fd(scalar, x, t, "d11"), abs=2e-5 * scale)
-    assert j.d1t == pytest.approx(fd(scalar, x, t, "d1t"), abs=2e-5 * scale)
-    assert j.dtt == pytest.approx(fd(scalar, x, t, "dtt"), abs=2e-5 * scale)
-    assert j.d111 == pytest.approx(fd(scalar, x, t, "d111", 1e-3), abs=2e-4 * scale)
+    assert j[1, 0] == pytest.approx(fd(scalar, x, t, "d1"), abs=2e-7 * scale)
+    assert j[0, 1] == pytest.approx(fd(scalar, x, t, "dt"), abs=2e-7 * scale)
+    assert j[2, 0] == pytest.approx(fd(scalar, x, t, "d11"), abs=2e-5 * scale)
+    assert j[1, 1] == pytest.approx(fd(scalar, x, t, "d1t"), abs=2e-5 * scale)
+    assert j[0, 2] == pytest.approx(fd(scalar, x, t, "dtt"), abs=2e-5 * scale)
+    assert j[3, 0] == pytest.approx(fd(scalar, x, t, "d111", 1e-3), abs=2e-4 * scale)
 
 
 def test_expsum_closed_form():
@@ -63,9 +63,9 @@ def test_expsum_closed_form():
     e = 2.0 * math.exp(0.7 * x - 0.3 * t + 0.1)
     j = prof.jet3(x, t)
     assert j.value == pytest.approx(e, rel=1e-15)
-    assert j.d1 == pytest.approx(0.7 * e, rel=1e-15)
-    assert j.d111 == pytest.approx(0.7**3 * e, rel=1e-15)
-    assert j.dttt == pytest.approx((-0.3)**3 * e, rel=1e-15)
+    assert j[1, 0] == pytest.approx(0.7 * e, rel=1e-15)
+    assert j[3, 0] == pytest.approx(0.7**3 * e, rel=1e-15)
+    assert j[0, 3] == pytest.approx((-0.3)**3 * e, rel=1e-15)
 
 
 def test_expsum_validation():
@@ -84,24 +84,24 @@ def test_vectorized_evaluation_matches_scalar():
     for i, x in enumerate(xs):
         ji = prof.jet3(float(x), 0.3)
         assert j.value[i] == ji.value
-        assert j.d111[i] == ji.d111
+        assert j[3, 0][i] == ji[3, 0]
 
 
 def test_instanton_pole_goes_nonfinite():
     prof = InstantonPProfile()
     j = prof.jet3(-1.0, 0.0)
-    assert not np.all(np.isfinite(np.asarray(j.entries()[0])))
+    assert not np.all(np.isfinite(np.asarray(j.value)))
 
 
 def test_breather_spatial_derivative_vanishes_at_half_pi():
     j = BreatherPProfile().jet3(0.8, math.pi / 2)
-    assert abs(j.d1) < 1e-30
+    assert abs(j[1, 0]) < 1e-30
 
 
 def test_custom_profile_roundtrip():
     lin = CustomProfile(lambda xj, tj: xj + 0.0 * tj, label="linear")
     j = lin.jet3(2.5, 1.0)
-    assert j.value == 2.5 and j.d1 == 1.0 and j.d11 == 0.0
+    assert j.value == 2.5 and j[1, 0] == 1.0 and j[2, 0] == 0.0
 
     with pytest.raises(TypeError):
         CustomProfile(lambda xj, tj: 1.0).jet3(0.0, 0.0)
@@ -111,11 +111,11 @@ def test_timefunction_polynomial_jets():
     f = poly_fn([1.0, -2.0, 0.5])     # 1 - 2t + 0.5 t^2
     t = 0.7
     assert f(t) == pytest.approx(1 - 2 * t + 0.5 * t * t, rel=1e-15)
-    j = f.jet3(t)
-    assert j.dt == pytest.approx(-2.0 + t, rel=1e-15)
-    assert j.dtt == pytest.approx(1.0, rel=1e-15)
-    assert j.dttt == 0.0
-    assert j.d1 == 0.0
+    j = f.jet(t, 3)
+    assert j[0, 1] == pytest.approx(-2.0 + t, rel=1e-15)
+    assert j[0, 2] == pytest.approx(1.0, rel=1e-15)
+    assert j[0, 3] == 0.0
+    assert j[1, 0] == 0.0
 
     c = const_fn(3.0)
     assert c.is_constant and c(123.0) == 3.0

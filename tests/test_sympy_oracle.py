@@ -1,0 +1,107 @@
+"""Independent symbolic oracle: sympy differentiates the catalog's closed
+forms and mpmath evaluates them at 40 digits, against the jets of the
+profiles, of f and of log U at a few points per case."""
+
+import mpmath
+import numpy as np
+import pytest
+import sympy as sp
+
+from dsfield.ansatz import eval_f, rotate
+from dsfield.catalog import build_case, case_names
+from dsfield.field import _log_intensity_jets
+
+Z, E, T = sp.symbols("zeta eta t", real=True)
+
+# (x, y, t) inside every case window, clear of the tan pole box of periodic
+# (|zeta|, |eta| < 1.24) and of the double_instanton pole at zeta = -1
+POINTS = ((0.37, -0.81, 0.3), (1.3, 0.45, 1.1), (-0.2, 0.9, 2.5))
+REL = 1e-12
+
+
+def closed_form(profile, s):
+    """The profile as a sympy expression in (s, T)."""
+    family = profile.family
+    if family == "expsum":
+        return sum(sp.Float(a) * sp.exp(sp.Float(k) * s + sp.Float(l) * T + sp.Float(th))
+                   for a, k, l, th in zip(profile.A, profile.K, profile.L, profile.theta))
+    base = sp.exp(s + 2 * T + 1) + sp.exp(s + T + 1)
+    return {
+        "breather_p": 1 + sp.exp(s * sp.cos(T) ** 2),
+        "breather_q": sp.exp(s + sp.cos(T) ** 2),
+        "tancos": 1 + sp.exp(sp.tan(s) * sp.cos(T) + 1),
+        "instanton_p": base + sp.exp(-1 / (s ** 3 + 1) + 2 * T + 1),
+        "instanton_q": base,
+    }[family]
+
+
+def evaluate(expr, points, names):
+    """expr at each point, its coordinates named ``names``."""
+    fn = sp.lambdify([sp.Symbol(k, real=True) for k in names], expr, "mpmath")
+    with mpmath.workdps(40):
+        return [float(fn(*(mpmath.mpf(v) for v in pt))) for pt in points]
+
+
+def assert_close(got, want, what):
+    assert abs(got - want) <= REL * abs(want), (what, got, want)
+
+
+@pytest.mark.parametrize("name", case_names())
+def test_profile_jets_match_sympy(name):
+    # all ten entries of each profile's order-3 jet in (s, t)
+    spec = build_case(name).spec
+    s = sp.Symbol("s", real=True)
+    at = [(c, t) for x, y, t in POINTS for c in rotate(x, y)]
+    for profile in (spec.p, spec.q):
+        expr = closed_form(profile, s)
+        jets = [profile.jet3(c, t) for c, t in at]
+        for k, (a, b) in enumerate(jets[0].layout.index):
+            want = evaluate(sp.diff(expr, s, a, T, b), at, "st")
+            for jet, w, pt in zip(jets, want, at):
+                assert_close(float(jet.entries[k]), w, (profile.family, pt, a, b))
+
+
+@pytest.mark.parametrize("name", case_names())
+def test_f_jet_matches_sympy(name):
+    # all entries of f's order-2 jet in (zeta, eta, t)
+    spec = build_case(name).spec
+    a = spec.coeffs
+    p, q = closed_form(spec.p, Z), closed_form(spec.q, E)
+    f = a.a0 + a.a1 * p + a.a2 * q + a.a3 * p * q
+    at = [rotate(x, y) + (t,) for x, y, t in POINTS]
+    taus = [eval_f(spec, *pt) for pt in at]
+    assert all(len(tau.entries) == 10 for tau in taus)
+    for n, (i, j, k) in enumerate(taus[0].layout.index):
+        want = evaluate(sp.diff(f, Z, i, E, j, T, k), at, ("zeta", "eta", "t"))
+        for tau, w, pt in zip(taus, want, at):
+            assert_close(float(tau.entries[n]), w, (i, j, k, pt))
+
+
+@pytest.mark.parametrize("name", case_names())
+def test_log_intensity_gradient_and_hessian_match_sympy(name):
+    # gradient and Hessian of log U in (x, y), U = 4 det p_zeta q_eta / f^2:
+    # sympy differentiates log U = log|p_zeta| + log|q_eta| - 2 log|f| + c
+    # in (zeta, eta), and d/dx = (d/dzeta + d/deta)/sqrt2,
+    # d/dy = (d/deta - d/dzeta)/sqrt2
+    spec = build_case(name).spec
+    a = spec.coeffs
+    p, q = closed_form(spec.p, Z), closed_form(spec.q, E)
+    f = a.a0 + a.a1 * p + a.a2 * q + a.a3 * p * q
+    u = 4 * a.det * sp.diff(p, Z) * sp.diff(q, E) / f ** 2
+    log_u = sp.log(sp.diff(p, Z)) + sp.log(sp.diff(q, E)) - 2 * sp.log(f)
+    dx = lambda g: (sp.diff(g, Z) + sp.diff(g, E)) / sp.sqrt(2)    # noqa: E731
+    dy = lambda g: (sp.diff(g, E) - sp.diff(g, Z)) / sp.sqrt(2)    # noqa: E731
+    grad = [dx(log_u), dy(log_u)]
+    hess = [[dx(g), dy(g)] for g in grad]
+    at = [rotate(x, y) + (t,) for x, y, t in POINTS]
+    names = ("zeta", "eta", "t")
+    got_u, got_g, got_h = _log_intensity_jets(spec, np.array([pt[2] for pt in POINTS]),
+                                              np.array([pt[:2] for pt in POINTS]), None)
+    for n, w in enumerate(evaluate(u, at, names)):
+        assert_close(got_u[n], w, ("U", POINTS[n]))
+    for i in range(2):
+        for n, w in enumerate(evaluate(grad[i], at, names)):
+            assert_close(got_g[n, i], w, ("g", i, POINTS[n]))
+        for j in range(2):
+            for n, w in enumerate(evaluate(hess[i][j], at, names)):
+                assert_close(got_h[n, i, j], w, ("H", i, j, POINTS[n]))

@@ -49,3 +49,28 @@ def test_tracer_wraps_every_target_and_restores_it():
     assert after.keys() == before.keys()
     changed = [key for key, val in before.items() if after[key] is not val]
     assert changed == []
+
+
+def test_traced_cli_runs_count_every_layer(tmp_path):
+    # one traced verify (all checks) and one traced decay analysis write the
+    # same bytes as untraced runs, and every layer's counters move; the
+    # elementary-function counter reads the first argument's ``.value``
+    from dsfield import cli
+    runs = (["verify", "--case", "breather", "--t", "0.3", "--res", "16", "--checks",
+             "bilinear2,bilinear1,pde2,pde1,consistency,admissibility"],
+            ["analyze", "--case", "double_instanton", "--decay", "0.3,1.1", "--res", "16"])
+    plain = []
+    for k, argv in enumerate(runs):
+        out = tmp_path / f"plain{k}.txt"
+        plain.append((cli.main(argv + ["--out", str(out)]), out.read_bytes()))
+    tracer = _load_tracer().Tracer()
+    tracer.install()
+    try:
+        for k, argv in enumerate(runs):
+            out = tmp_path / f"traced{k}.txt"
+            assert (cli.main(argv + ["--out", str(out)]), out.read_bytes()) == plain[k]
+    finally:
+        tracer.uninstall()
+    for name in ("calculus.elementary", "ansatz.eval_f", "profiles.jet3", "auxiliary.phase"):
+        assert tracer.stats[name]["calls"] > 0, name
+        assert tracer.stats[name]["points"] > 0, name
