@@ -60,6 +60,8 @@ from .verify import (
     ResidualReport,
     ScanReport,
     bilinear_residuals,
+    consistency_gate,
+    envelope_residuals,
     hirota_cross,
     hirota_d,
     pde_phi_convergence,

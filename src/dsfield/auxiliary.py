@@ -5,11 +5,10 @@ Given the profile pair the construction determines, in order:
 * amplitude factors  p1 = delta1 * sqrt(c0 * p_z)  and
   q1 = 2 * delta2 * sqrt(det * q_e / c0)  (their squared product is
   4 * det * p_z * q_e, independent of c0);
-* phase gradients, solved pointwise from the profile evolution relations
-  with caller-chosen scalar policies c1(t), c2(t) (default zero):
+* phase gradients, solved pointwise from the profile evolution relations:
 
-      r_z = (-p_t + c1*B^2 + c2*B - det*c3) / (beta * p_z),   B = a2 + a3*p,
-      s_e = (-q_t - c3*A^2 - c2*A + det*c4) / (beta * q_e),   A = a1 + a3*q;
+      r_z = (-p_t - det*c3) / (beta * p_z),
+      s_e = (-q_t - c3*A^2 + det*c4) / (beta * q_e),   A = a1 + a3*q;
 
 * phases r, s by one cumulative Gauss-Legendre pass over the sorted line
   coordinates, from an anchor (r(anchor, t) = 0, absorbing the free
@@ -19,9 +18,9 @@ Given the profile pair the construction determines, in order:
       p0 = (c3 + r_t - (beta/2)*(p1_zz/p1 - r_z^2)) / beta,
       q0 = (-c4 + s_t - (beta/2)*(q1_ee/q1 - s_e^2)) / beta.
 
-The consistency report evaluates the two bracket ratios whose
-time-independence certifies that the chosen c1, c2 make the separation
-exact; spatial variation in them flags an inconsistent configuration.
+The consistency report evaluates the two bracket ratios c1(t), c2(t) that
+the separation needs to be time functions alone; spatial variation in
+them flags an inconsistent configuration.
 """
 
 from __future__ import annotations
@@ -34,7 +33,6 @@ import numpy as np
 from . import calculus as jc
 from .calculus import Jet
 from .ansatz import SolutionSpec
-from .profiles import TimeFunction, const_fn
 
 __all__ = [
     "Auxiliaries",
@@ -44,28 +42,18 @@ __all__ = [
 ]
 
 
-def _as_timefn(v) -> TimeFunction:
-    if isinstance(v, TimeFunction):
-        return v
-    return const_fn(float(v))
-
-
 class Auxiliaries:
     """Immutable bundle of derived evaluators for one solution spec.
 
     All evaluators are vectorized over their spatial argument at fixed t;
     the ``*_jet`` methods return order-2 jets in (own coordinate, t).
-    ``c1``/``c2`` are the phase-gradient policies, ``quad_n`` the number of
-    Gauss-Legendre nodes per gap between neighbouring line coordinates and
-    the anchors the zeros of r and s.
+    ``quad_n`` is the number of Gauss-Legendre nodes per gap between
+    neighbouring line coordinates and the anchors are the zeros of r and s.
     """
 
-    def __init__(self, spec: SolutionSpec, c1=0.0, c2=0.0,
-                 quad_n: int = 16, anchor_zeta: float = 0.0,
-                 anchor_eta: float = 0.0):
+    def __init__(self, spec: SolutionSpec, quad_n: int = 16,
+                 anchor_zeta: float = 0.0, anchor_eta: float = 0.0):
         self.spec = spec
-        self.c1 = _as_timefn(c1)
-        self.c2 = _as_timefn(c2)
         self.quad_n = int(quad_n)
         self.anchor_zeta = float(anchor_zeta)
         self.anchor_eta = float(anchor_eta)
@@ -89,21 +77,17 @@ class Auxiliaries:
 
     def r_zeta_jet(self, zeta, t) -> Jet:
         spec = self.spec
-        return self._gradient(spec.p, zeta, t, spec.coeffs.a2, self.c1.jet(t),
-                              self.c2.jet(t), -spec.coeffs.det * spec.funcs.c3.jet(t))
+        j = spec.p.jet3(zeta, t)
+        num = -j.shift((0, 1)) - spec.coeffs.det * spec.funcs.c3.jet(t)
+        return num / (spec.funcs.beta.jet(t) * j.shift((1, 0)))
 
     def s_eta_jet(self, eta, t) -> Jet:
         spec = self.spec
-        return self._gradient(spec.q, eta, t, spec.coeffs.a1, -spec.funcs.c3.jet(t),
-                              -self.c2.jet(t), spec.coeffs.det * spec.funcs.c4.jet(t))
-
-    def _gradient(self, profile, coord, t, a, c_sq, c_lin, c_0) -> Jet:
-        """(-x_t + c_sq X^2 + c_lin X + c_0) / (beta x_s) with X = a + a3 x,
-        for the profile x: r_z from p (a = a2) or s_e from q (a = a1)."""
-        j = profile.jet3(coord, t)
-        X = a + self.spec.coeffs.a3 * j.shift(order=2)
-        num = -j.shift((0, 1)) + c_sq * X * X + c_lin * X + c_0
-        return num / (self.spec.funcs.beta.jet(t) * j.shift((1, 0)))
+        j = spec.q.jet3(eta, t)
+        A = spec.coeffs.a1 + spec.coeffs.a3 * j.shift(order=2)
+        num = (-j.shift((0, 1)) - spec.funcs.c3.jet(t) * A * A
+               + spec.coeffs.det * spec.funcs.c4.jet(t))
+        return num / (spec.funcs.beta.jet(t) * j.shift((1, 0)))
 
     # -- phases ---------------------------------------------------------------
 
@@ -118,17 +102,18 @@ class Auxiliaries:
 
     # -- backgrounds -----------------------------------------------------------
 
-    def p0(self, zeta, t, r_t=None):
-        if r_t is None:
-            _, r_t = self.phase_r(zeta, t)
-        return _background(self.spec.funcs.c3(t), r_t, self.p1_jet(zeta, t),
-                           self.r_zeta_jet(zeta, t), self.spec.funcs.beta(t))
+    def p0(self, zeta, t, line=None):
+        """p0 from ``line`` = (r_t, p1 jet, r_z jet) when the caller has them
+        in hand, else from fresh ones."""
+        r_t, p1, rz = line or (self.phase_r(zeta, t)[1], self.p1_jet(zeta, t),
+                               self.r_zeta_jet(zeta, t))
+        return _background(self.spec.funcs.c3(t), r_t, p1, rz, self.spec.funcs.beta(t))
 
-    def q0(self, eta, t, s_t=None):
-        if s_t is None:
-            _, s_t = self.phase_s(eta, t)
-        return _background(-self.spec.funcs.c4(t), s_t, self.q1_jet(eta, t),
-                           self.s_eta_jet(eta, t), self.spec.funcs.beta(t))
+    def q0(self, eta, t, line=None):
+        """q0 from ``line`` = (s_t, q1 jet, s_e jet), as :meth:`p0`."""
+        s_t, q1, se = line or (self.phase_s(eta, t)[1], self.q1_jet(eta, t),
+                               self.s_eta_jet(eta, t))
+        return _background(-self.spec.funcs.c4(t), s_t, q1, se, self.spec.funcs.beta(t))
 
 
 def _background(c, phase_t, amp, grad, beta):
@@ -138,10 +123,10 @@ def _background(c, phase_t, amp, grad, beta):
         return (c + phase_t - 0.5 * beta * (amp[2, 0] / amp.value - grad.value ** 2)) / beta
 
 
-def derive(spec: SolutionSpec, c1=0.0, c2=0.0, quad_n: int = 16,
-           anchor_zeta: float = 0.0, anchor_eta: float = 0.0) -> Auxiliaries:
+def derive(spec: SolutionSpec, quad_n: int = 16, anchor_zeta: float = 0.0,
+           anchor_eta: float = 0.0) -> Auxiliaries:
     """Build the derived-quantity bundle for a solution spec."""
-    return Auxiliaries(spec, c1, c2, quad_n, anchor_zeta, anchor_eta)
+    return Auxiliaries(spec, quad_n, anchor_zeta, anchor_eta)
 
 
 # ---------------------------------------------------------------------------

@@ -20,9 +20,8 @@ import tempfile
 import numpy as np
 
 from . import __version__
-from .ansatz import SQRT2, check_admissibility
-from .auxiliary import consistency_c1_c2, derive
-from .calculus import Stencil
+from .ansatz import SQRT2, check_admissibility, window_grid
+from .auxiliary import derive
 from .catalog import build_case, case_names
 from .field import (
     SingularWindowError,
@@ -37,8 +36,9 @@ from .specfile import SpecFileError, load_spec
 from .verify import (
     CONSISTENCY_GATE,
     bilinear_residuals,
+    consistency_gate,
+    envelope_residuals,
     pde_phi_convergence,
-    pde_residuals,
     pole_sweep,
 )
 
@@ -97,6 +97,8 @@ def parse_window(text: str):
         x0, x1, y0, y1 = (float(p) for p in parts)
     except ValueError:
         raise UsageError(f"window must be numeric, got {text!r}") from None
+    if not all(map(math.isfinite, (x0, x1, y0, y1))):
+        raise UsageError(f"window bounds must be finite, got {text!r}")
     if not (x1 > x0 and y1 > y0):
         raise UsageError("window bounds must be increasing")
     return (x0, x1), (y0, y1)
@@ -216,6 +218,8 @@ def _cmd_verify(args) -> int:
     unknown = [c for c in requested if c not in ALL_CHECKS]
     if unknown:
         raise UsageError(f"unknown checks {unknown}; valid: {', '.join(ALL_CHECKS)}")
+    if not requested:
+        raise UsageError(f"no checks requested; valid: {', '.join(ALL_CHECKS)}")
     tol = args.tol
     tol_pde = args.tol_pde
     aux = derive(spec)
@@ -226,28 +230,26 @@ def _cmd_verify(args) -> int:
              ("res", str(args.res))]
     statuses = {}
 
-    if "bilinear2" in requested or "bilinear1" in requested:
-        r2, r1 = bilinear_residuals(spec, aux, window, t, args.res,
-                                    valid_mask=mask,
-                                    check_line1="bilinear1" in requested)
-        if "bilinear2" in requested:
-            statuses["bilinear2"], new = _check_lines(r2, tol)
-            lines += new
-        if "bilinear1" in requested and r1 is not None:
-            statuses["bilinear1"], new = _check_lines(r1, tol_pde)
-            lines += new
-
-    if "pde1" in requested:
-        r1, _ = pde_residuals(spec, aux, window, t, min(args.res, 48),
-                              Stencil(2, 2, args.h), valid_mask=mask,
-                              checks=("line1",))
-        statuses["pde1"], new = _check_lines(r1, tol_pde)
+    if "bilinear2" in requested:
+        statuses["bilinear2"], new = _check_lines(
+            bilinear_residuals(spec, aux, window, t, args.res, valid_mask=mask), tol)
         lines += new
 
+    # one consistency report gates the envelope checks and is the one the
+    # consistency check prints
+    if "bilinear1" in requested or "pde1" in requested:
+        *envelope, crep = envelope_residuals(spec, aux, window, t, args.res, mask,
+                                             args.tol_consistency)
+        for rep in envelope:
+            if rep.check_name in requested:
+                statuses[rep.check_name], new = _check_lines(rep, tol_pde)
+                lines += new
+    elif "consistency" in requested:
+        grid = window_grid(window, args.res, mask)
+        crep, _ = consistency_gate(spec, aux, grid.zeta, grid.eta, t)
+
     if "pde2" in requested:
-        coarse, fine, order = pde_phi_convergence(spec, window, t,
-                                                  min(args.res, 24),
-                                                  Stencil(2, 2, 1e-2),
+        coarse, fine, order = pde_phi_convergence(spec, window, t, min(args.res, 24),
                                                   valid_mask=mask)
         ok = math.isfinite(order) and abs(order - 2.0) <= 0.3
         statuses["pde2"] = "pass" if ok else "fail"
@@ -260,20 +262,16 @@ def _cmd_verify(args) -> int:
         ]
 
     if "consistency" in requested:
-        zr = sorted(np.abs([window[0][0], window[0][1], window[1][0], window[1][1]]))
-        span = zr[-1] * math.sqrt(2.0)
-        probes = np.linspace(-span, span, 65)
-        rep = consistency_c1_c2(spec, aux, probes, probes, t)
-        if not rep.applicable:
+        if not crep.applicable:
             statuses["consistency"] = "skipped"
             lines += [("check.consistency.status", "skipped"),
-                      ("check.consistency.notes", rep.note)]
+                      ("check.consistency.notes", crep.note)]
         else:
-            ok = rep.max_variation < args.tol_consistency
+            ok = crep.max_variation <= args.tol_consistency
             statuses["consistency"] = "pass" if ok else "fail"
             lines += [
-                ("check.consistency.c1_variation", f"{rep.c1_variation:.6e}"),
-                ("check.consistency.c2_variation", f"{rep.c2_variation:.6e}"),
+                ("check.consistency.c1_variation", f"{crep.c1_variation:.6e}"),
+                ("check.consistency.c2_variation", f"{crep.c2_variation:.6e}"),
                 ("check.consistency.threshold", f"{args.tol_consistency:.1e}"),
                 ("check.consistency.status", statuses["consistency"]),
             ]
@@ -322,6 +320,8 @@ def _cmd_analyze(args) -> int:
         if len(parts) != 3:
             raise UsageError("--period wants t0:t1:n")
         t0, t1 = parse_time(parts[0]), parse_time(parts[1])
+        if not t1 > t0:
+            raise UsageError(f"--period wants t1 > t0, got {args.period!r}")
         n_t = int(parts[2])
         res = estimate_period(spec, window, (t0, t1), n_t, args.statistic,
                               grid_n=args.res, valid_mask=mask)
@@ -368,8 +368,10 @@ def _cmd_analyze(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    # no prefix matching: a mistyped or retired option is a usage error,
+    # not an alias of another (``verify --h`` would read as ``--help``)
     parser = argparse.ArgumentParser(
-        prog="dsfield",
+        prog="dsfield", allow_abbrev=False,
         description="Evaluate, render and verify separable wave-envelope "
                     "solutions of the coupled (2+1)-dimensional system.")
     parser.add_argument("--version", action="version", version=__version__)
@@ -377,7 +379,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     sub.add_parser("catalog", help="list the built-in excitation cases")
 
-    rp = sub.add_parser("render", help="sample a field and write it to a file")
+    rp = sub.add_parser("render", help="sample a field and write it to a file",
+                        allow_abbrev=False)
     _add_common(rp)
     rp.add_argument("--t", required=True, help="time (decimal or pi form)")
     rp.add_argument("--out", required=True)
@@ -386,7 +389,8 @@ def build_parser() -> argparse.ArgumentParser:
                     default="U")
     rp.add_argument("--res", type=int, default=128)
 
-    vp = sub.add_parser("verify", help="run residual checks, write a report")
+    vp = sub.add_parser("verify", help="run residual checks, write a report",
+                        allow_abbrev=False)
     _add_common(vp)
     vp.add_argument("--t", required=True)
     vp.add_argument("--checks", default="bilinear2,consistency,admissibility")
@@ -395,12 +399,14 @@ def build_parser() -> argparse.ArgumentParser:
     vp.add_argument("--tol-pde", type=float, default=1e-6, dest="tol_pde",
                     help="threshold for end-to-end equation checks")
     vp.add_argument("--tol-consistency", type=float, default=CONSISTENCY_GATE,
-                    dest="tol_consistency")
-    vp.add_argument("--h", type=float, default=1e-3)
+                    dest="tol_consistency",
+                    help="threshold for the consistency check, which also "
+                         "gates bilinear1 and pde1")
     vp.add_argument("--res", type=int, default=64)
     vp.add_argument("--out", default=None)
 
-    ap = sub.add_parser("analyze", help="periods, peak decay, extrema counts")
+    ap = sub.add_parser("analyze", help="periods, peak decay, extrema counts",
+                        allow_abbrev=False)
     _add_common(ap)
     ap.add_argument("--period", help="t0:t1:n scan range")
     ap.add_argument("--decay", help="comma-separated times")

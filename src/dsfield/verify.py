@@ -6,19 +6,21 @@ Three independent suites certify a solution spec:
   of the separable form, evaluated in compensated (double-double) float
   arithmetic so a true zero is measurable at the 1e-15 level even where
   the subtracted products are ~1e10 times larger than the result;
-* the governing equations in the rotated frame: the envelope equation from
-  the entries of f's order-2 jet in (zeta, eta, t), the amplitude and
-  phase-gradient jets and the integrated phases, and the forcing-field
-  constraint by finite differences of the jet-computed fields (with a
-  convergence mode);
+* the governing equations in the rotated frame: the envelope equation,
+  as line 1 of the bilinear form and as the u-form with the forcing field,
+  both from one evaluation of f's order-2 jet in (zeta, eta, t), the
+  amplitude and phase-gradient jets, the integrated phases and the
+  backgrounds on the window grid; and the forcing-field constraint by
+  finite differences of the jet-computed fields (with a convergence mode);
 * window scans for denominator zeros, which read f's value alone, profile
   poles and the sign condition.
 
 The Hirota operator expands jets in (x, t) of any order.
 
-Envelope-equation checks are gated on the consistency report: when the
-separation is not certified the report is marked not applicable instead of
-emitting a large residual that means nothing.
+Both envelope-equation checks are gated on one consistency report, which
+is also the report of the consistency check: when the separation is not
+certified they are marked not applicable instead of emitting a large
+residual that means nothing.
 """
 
 from __future__ import annotations
@@ -39,7 +41,7 @@ from .ansatz import (
     profile_jets3,
     window_grid,
 )
-from .auxiliary import Auxiliaries, consistency_c1_c2, derive
+from .auxiliary import Auxiliaries, consistency_c1_c2
 from .calculus import Stencil, observed_order
 
 __all__ = [
@@ -47,6 +49,8 @@ __all__ = [
     "hirota_d",
     "hirota_cross",
     "bilinear_residuals",
+    "envelope_residuals",
+    "consistency_gate",
     "pde_residuals",
     "pde_phi_convergence",
     "pole_sweep",
@@ -55,8 +59,8 @@ __all__ = [
     "CONSISTENCY_GATE",
 ]
 
-# envelope-equation checks run only when the separation consistency
-# variation is below this gate
+# default threshold on the separation consistency variation; the envelope
+# checks run only at or below it
 CONSISTENCY_GATE = 1e-8
 
 
@@ -197,27 +201,30 @@ def _bilinear_cross_dd(a0, a1, a2, a3, p, q, pz, qe):
 # consistency gate
 
 
-def _consistency_gate(spec, aux, zeta, eta, t, gate):
-    """Evaluate the separation-consistency gate over the window's ranges."""
+def consistency_gate(spec, aux, zeta, eta, t, tol=CONSISTENCY_GATE):
+    """The separation-consistency report on 33 probes over each of the
+    ranges of ``zeta`` and ``eta``, and the reason it fails ``tol`` ("" when
+    the separation is certified)."""
     zp = np.linspace(float(np.min(zeta)), float(np.max(zeta)), 33)
     ep = np.linspace(float(np.min(eta)), float(np.max(eta)), 33)
     rep = consistency_c1_c2(spec, aux, zp, ep, t)
     if not rep.applicable:
-        return False, "not applicable: consistency undefined for a3 = 0", rep
-    if not np.isfinite(rep.max_variation) or rep.max_variation > gate:
-        return False, (f"not applicable: inconsistent separation "
-                       f"(variation {rep.max_variation:.3e} > gate {gate:.1e})"), rep
-    return True, "", rep
+        return rep, "not applicable: consistency undefined for a3 = 0"
+    if not rep.max_variation <= tol:
+        return rep, (f"not applicable: inconsistent separation "
+                     f"(variation {rep.max_variation:.3e} > gate {tol:.1e})")
+    return rep, ""
 
 
 # ---------------------------------------------------------------------------
 # envelope equation
 
 
-def _envelope_terms(spec, aux, zeta, eta, t):
+def _envelope_terms(aux, zeta, eta, t):
     """Envelope g = p1 q1 exp(i(r+s)) and its derivatives.
 
-    Returns ((g, g_z, g_zz, g_e, g_ee, g_t), r_t, s_t).
+    Returns ((g, g_z, g_zz, g_e, g_ee, g_t), (r_t, p1, r_z), (s_t, q1, s_e)),
+    the line ingredients in the form the backgrounds take them.
     """
     p1 = aux.p1_jet(zeta, t)
     q1 = aux.q1_jet(eta, t)
@@ -235,38 +242,12 @@ def _envelope_terms(spec, aux, zeta, eta, t):
     g_ee = p1.value * (q1[2, 0] + 2j * se.value * q1[1, 0]
                        + (1j * se[1, 0] - se.value ** 2) * q1.value) * E
     g_t = (p1[0, 1] * q1.value + p1.value * q1[0, 1] + 1j * P * (r_t + s_t)) * E
-    return (g, g_z, g_zz, g_e, g_ee, g_t), r_t, s_t
+    return (g, g_z, g_zz, g_e, g_ee, g_t), (r_t, p1, rz), (s_t, q1, se)
 
 
-def _envelope_report(name, residual, spec, aux, X, Y, zeta, eta, t, keep,
-                     gate, extras=None, pj=None, qj=None) -> ResidualReport:
-    """Gate on consistency, then report |residual| of the envelope equation.
-
-    ``residual(spec, zeta, eta, t, tau, g_terms, p0, q0)`` gets f's jets,
-    the envelope terms of :func:`_envelope_terms` and the backgrounds.
-    """
-    if aux is None:
-        aux = derive(spec)
-    ok, why, crep = _consistency_gate(spec, aux, zeta, eta, t, gate)
-    variation = {"consistency_variation": crep.max_variation}
-    if not ok:
-        return ResidualReport(name, math.nan, math.nan,
-                              CoordinatePoint(math.nan, math.nan, t), 0,
-                              applicable=False, notes=why, extras=variation)
-    if pj is None:
-        pj, qj = profile_jets3(spec, zeta, eta, t)
-    tau = eval_f(spec, zeta, eta, t, pj, qj)
-    with np.errstate(invalid="ignore", over="ignore", under="ignore", divide="ignore"):
-        terms, r_t, s_t = _envelope_terms(spec, aux, zeta, eta, t)
-        p0 = aux.p0(zeta, t, r_t=r_t)
-        q0 = aux.q0(eta, t, s_t=s_t)
-        resid = residual(spec, zeta, eta, t, tau, terms, p0, q0)
-        valid = keep & np.isfinite(resid)
-    return _report(name, resid, X, Y, t, valid, extras={**(extras or {}), **variation})
-
-
-def _bilinear1_residual(spec, zeta, eta, t, tau, terms, p0, q0):
-    """Line 1 of the bilinear form, its terms scaled by 1/f^3."""
+def _envelope_fields(spec, zeta, eta, t, tau, terms, p0, q0):
+    """|residual| of line 1 of the bilinear form, its terms scaled by 1/f^3,
+    and of the envelope equation for u = g/f with the forcing field phi."""
     g, g_z, g_zz, g_e, g_ee, g_t = terms
     f, f_z, f_e, f_t, f_zz, f_ze, _, f_ee, _, _ = tau.entries
     beta = spec.funcs.beta(t)
@@ -282,30 +263,44 @@ def _bilinear1_residual(spec, zeta, eta, t, tau, terms, p0, q0):
     t4 = beta * u * cross / f2
     t5 = beta * (p0 + q0) * u
     t6 = -1j * gamma * u
-    return np.abs(t1 + t2 + t3 + t4 + t5 + t6)
-
-
-def _pde1_residual(spec, zeta, eta, t, tau, terms, p0, q0):
-    """The envelope equation for u = g/f with the forcing field phi."""
-    g, g_z, g_zz, g_e, g_ee, g_t = terms
-    f, f_z, f_e, f_t, f_zz, _, _, f_ee, _, _ = tau.entries
-    beta = spec.funcs.beta(t)
-    gamma = spec.funcs.gamma(t)
-    f2 = f * f
-    u = g / f
-    u_t = (g_t * f - g * f_t) / f2
-    dff_z = 2.0 * (f * f_zz - f_z ** 2)
-    dff_e = 2.0 * (f * f_ee - f_e ** 2)
-    u_zz = (g_zz * f - 2.0 * g_z * f_z + g * f_zz) / f2 - u * dff_z / f2
-    u_ee = (g_ee * f - 2.0 * g_e * f_e + g * f_ee) / f2 - u * dff_e / f2
+    # u_zz + u_ee, with u_zz = d2z - u D_z^2 f.f / f^2
+    lap = ((d2z - u * 2.0 * (f * f_zz - f_z ** 2) / f2)
+           + (d2e - u * 2.0 * (f * f_ee - f_e ** 2) / f2))
     phi = eval_phi(spec, zeta, eta, t, p0, q0, tau=tau)
-    return np.abs(
-        1j * u_t
-        + beta * (0.5 * (u_zz + u_ee)
-                  - 0.5 * np.abs(u) ** 2 * u
-                  + u * phi)
-        - 1j * gamma * u
-    )
+    pde1 = t1 + beta * (0.5 * lap - 0.5 * np.abs(u) ** 2 * u + u * phi) + t6
+    return np.abs(t1 + t2 + t3 + t4 + t5 + t6), np.abs(pde1)
+
+
+def envelope_residuals(spec: SolutionSpec, aux: Auxiliaries, window, t: float,
+                       samples=64, valid_mask=None, tol: float = CONSISTENCY_GATE):
+    """The envelope equation twice over from one evaluation on the window grid.
+
+    Returns (bilinear1, pde1, consistency report): line 1 of the bilinear
+    form with its terms at envelope scale (the raw form scales like |f|^3,
+    which would make absolute numbers meaningless), the u-form with the
+    forcing field phi, and the report that gated both.  When the
+    separation is not certified to ``tol`` both come back not applicable,
+    instead of a large residual that means nothing.
+    """
+    grid = window_grid(window, samples, valid_mask)
+    crep, why = consistency_gate(spec, aux, grid.zeta, grid.eta, t, tol)
+    extras = {"consistency_variation": crep.max_variation}
+    if why:
+        return (*(ResidualReport(name, math.nan, math.nan,
+                                 CoordinatePoint(math.nan, math.nan, t), 0,
+                                 applicable=False, notes=why, extras=extras)
+                  for name in ("bilinear1", "pde1")), crep)
+    tau = eval_f(spec, grid.zeta, grid.eta, t, *profile_jets3(spec, grid.zeta, grid.eta, t))
+    with np.errstate(invalid="ignore", over="ignore", under="ignore", divide="ignore"):
+        terms, p_line, q_line = _envelope_terms(aux, grid.zeta, grid.eta, t)
+        p0 = aux.p0(grid.zeta, t, p_line)
+        q0 = aux.q0(grid.eta, t, q_line)
+        line1, pde1 = _envelope_fields(spec, grid.zeta, grid.eta, t, tau, terms, p0, q0)
+    return (_report("bilinear1", line1, grid.X, grid.Y, t, grid.keep & np.isfinite(line1),
+                    extras={"normalization": "terms scaled by 1/f^3", **extras}),
+            _report("pde1", pde1, grid.X, grid.Y, t, grid.keep & np.isfinite(pde1),
+                    extras=extras),
+            crep)
 
 
 # ---------------------------------------------------------------------------
@@ -336,61 +331,38 @@ def _bilinear2_field(spec, aux, zeta, eta, t, pj, qj):
 
 def bilinear_residuals(spec: SolutionSpec, aux: Optional[Auxiliaries],
                        window, t: float, samples=64,
-                       valid_mask=None, gate: float = CONSISTENCY_GATE,
-                       check_line1: bool = True):
-    """Residuals of the two bilinear relations on a window.
-
-    Returns (line2 report, line1 report).  Line 2 is the constraint
-    2 D_z D_e f.f = g g*; its residual is reported relative to |g g*|.
-    Line 1 terms are evaluated at envelope scale (the raw bilinear form
-    scales like |f|^3, which would make absolute numbers meaningless).
-    """
+                       valid_mask=None) -> ResidualReport:
+    """Residual of the bilinear constraint 2 D_z D_e f.f = g g* on a window,
+    relative to |g g*| (line 2 of the bilinear form; :func:`envelope_residuals`
+    reports line 1)."""
     grid = window_grid(window, samples, valid_mask)
     pj, qj = profile_jets3(spec, grid.zeta, grid.eta, t)
     rel, amp_bad = _bilinear2_field(spec, aux, grid.zeta, grid.eta, t, pj, qj)
     flags = {}
     if amp_bad is not None:
         flags["amplitude_branch"] = int(np.count_nonzero(amp_bad & grid.keep))
-    line2 = _report("bilinear2", rel, grid.X, grid.Y, t, grid.keep & np.isfinite(rel),
-                    flags=flags, extras={"normalization": "relative to |g g*|"})
-    if not check_line1:
-        return line2, None
-    line1 = _envelope_report("bilinear1", _bilinear1_residual, spec, aux,
-                             grid.X, grid.Y, grid.zeta, grid.eta, t, grid.keep, gate,
-                             {"normalization": "terms scaled by 1/f^3"}, pj, qj)
-    return line2, line1
+    return _report("bilinear2", rel, grid.X, grid.Y, t, grid.keep & np.isfinite(rel),
+                   flags=flags, extras={"normalization": "relative to |g g*|"})
 
 
 # ---------------------------------------------------------------------------
-# governing-equation residuals
+# forcing-field constraint
 
 
-def pde_residuals(spec: SolutionSpec, aux: Optional[Auxiliaries], window,
-                  t: float, samples=32, stencil: Optional[Stencil] = None,
-                  valid_mask=None, gate: float = CONSISTENCY_GATE,
-                  checks=("line1", "line2")):
-    """Residuals of the rotated-frame governing equations.
-
-    Line 1 (envelope equation) is evaluated from exact jets and integrated
-    phases; line 2 (forcing-field constraint, fourth order in log f) by
-    central differences of the jet-computed intensity and forcing fields
-    using ``stencil``.  Returns (line1 report, line2 report); entries not
-    requested come back None.
-    """
+def pde_residuals(spec: SolutionSpec, window, t: float, samples=32,
+                  stencil: Optional[Stencil] = None,
+                  valid_mask=None) -> ResidualReport:
+    """Residual of the forcing-field constraint (line 2 of the rotated-frame
+    equations, fourth order in log f) by central differences of the
+    jet-computed intensity and forcing fields using ``stencil``."""
     stencil = stencil or Stencil(2, 2, 1e-2)
     grid = window_grid(window, samples, valid_mask)
-    line1 = line2 = None
-    if "line1" in checks:
-        line1 = _envelope_report("pde1", _pde1_residual, spec, aux, grid.X,
-                                 grid.Y, grid.zeta, grid.eta, t, grid.keep, gate)
-    if "line2" in checks:
-        resid, stencil_ok = _pde2_field(spec, grid.zeta, grid.eta, t, stencil)
-        line2 = _report("pde2", resid, grid.X, grid.Y, t,
-                        grid.keep & stencil_ok & np.isfinite(resid),
-                        flags={"stencil_dropped":
-                               int(np.count_nonzero(grid.keep & ~stencil_ok))},
-                        extras={"h": stencil.h, "accuracy": stencil.accuracy})
-    return line1, line2
+    resid, stencil_ok = _pde2_field(spec, grid.zeta, grid.eta, t, stencil)
+    return _report("pde2", resid, grid.X, grid.Y, t,
+                   grid.keep & stencil_ok & np.isfinite(resid),
+                   flags={"stencil_dropped":
+                          int(np.count_nonzero(grid.keep & ~stencil_ok))},
+                   extras={"h": stencil.h, "accuracy": stencil.accuracy})
 
 
 def _pde2_field(spec, zeta, eta, t, stencil: Stencil):
@@ -432,11 +404,9 @@ def pde_phi_convergence(spec: SolutionSpec, window, t: float, samples=24,
                         stencil: Optional[Stencil] = None, valid_mask=None):
     """Rerun the forcing-field check at h and h/2; report the observed order."""
     stencil = stencil or Stencil(2, 2, 1e-2)
-    _, coarse = pde_residuals(spec, None, window, t, samples, stencil,
-                              valid_mask, checks=("line2",))
+    coarse = pde_residuals(spec, window, t, samples, stencil, valid_mask)
     finer = Stencil(stencil.order, stencil.accuracy, stencil.h / 2)
-    _, fine = pde_residuals(spec, None, window, t, samples, finer,
-                            valid_mask, checks=("line2",))
+    fine = pde_residuals(spec, window, t, samples, finer, valid_mask)
     order = observed_order(coarse.mean_abs, fine.mean_abs)
     return coarse, fine, order
 

@@ -59,8 +59,8 @@ class CorruptedAuxiliaries(Auxiliaries):
             out = out + self.rz_offset
         return out
 
-    def p0(self, zeta, t, r_t=None):
-        val = super().p0(zeta, t, r_t)
+    def p0(self, zeta, t, line=None):
+        val = super().p0(zeta, t, line)
         if self.p0_offset:
             val = val + self.p0_offset
         return val
@@ -68,8 +68,8 @@ class CorruptedAuxiliaries(Auxiliaries):
 
 def perturbed(aux, **hooks) -> CorruptedAuxiliaries:
     """Copy of ``aux`` with corruption hooks set (negative-control support)."""
-    return CorruptedAuxiliaries(aux.spec, aux.c1, aux.c2, aux.quad_n,
-                                aux.anchor_zeta, aux.anchor_eta, **hooks)
+    return CorruptedAuxiliaries(aux.spec, aux.quad_n, aux.anchor_zeta,
+                                aux.anchor_eta, **hooks)
 
 
 def regular_window(entry):

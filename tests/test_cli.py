@@ -282,6 +282,81 @@ def test_verify_unknown_check_exits_2(capsys):
                "--checks", "spectral") == 2
 
 
+ALL = "bilinear2,bilinear1,pde2,pde1,consistency,admissibility"
+
+
+@pytest.mark.parametrize("argv", [
+    # a non-finite bound used to drop most samples as NaN, with warnings
+    ("render", "--case", "dromion", "--t", "0", "--window=-inf:0:0:1", "--res", "16"),
+    # a reversed scan used to print a negative resolution
+    ("analyze", "--case", "breather", "--period", "1:0:32"),
+    # an empty check list used to run nothing and print overall: pass
+    ("verify", "--case", "dromion", "--t", "0", "--checks", ","),
+])
+def test_bad_input_exits_2(argv, tmp_path, capsys):
+    out = tmp_path / "out.txt"
+    assert run(*argv, "--out", str(out)) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not out.exists()
+
+
+def test_option_prefixes_are_not_aliases(tmp_path, capsys):
+    # the retired verify --h would otherwise read as --help and exit 0
+    # without a report
+    out = tmp_path / "r.txt"
+    assert run("verify", "--case", "dromion", "--t", "0", "--h", "1e-3",
+               "--out", str(out)) == 2
+    assert "unrecognized arguments: --h" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_verify_evaluates_consistency_and_phases_once(tmp_path, monkeypatch):
+    # one envelope pass for bilinear1 and pde1, gated on the one consistency
+    # report that the consistency check prints
+    import dsfield
+    from dsfield.auxiliary import Auxiliaries
+    calls = {}
+
+    def counted(key, fn):
+        def wrapper(*args, **kwargs):
+            calls[key] = calls.get(key, 0) + 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    orig = dsfield.auxiliary.consistency_c1_c2
+    for name, mod in list(sys.modules.items()):
+        if name.split(".")[0] == "dsfield" and getattr(mod, "consistency_c1_c2", None) is orig:
+            monkeypatch.setattr(mod, "consistency_c1_c2", counted("consistency", orig))
+    for attr in ("phase_r", "phase_s"):
+        monkeypatch.setattr(Auxiliaries, attr, counted(attr, getattr(Auxiliaries, attr)))
+    assert run("verify", "--case", "breather", "--t", "0.3", "--res", "32",
+               "--checks", ALL, "--out", str(tmp_path / "r.txt")) == 0
+    assert calls == {"consistency": 1, "phase_r": 1, "phase_s": 1}
+
+
+def test_verify_tol_consistency_moves_the_gate(tmp_path):
+    cfg = tmp_path / "gained.cfg"
+    base = open(os.path.join(CONFIGS, "dromion.cfg")).read()
+    cfg.write_text(base.replace("gamma = 0", "gamma = 0.5"))
+    out = tmp_path / "r.txt"
+    run("verify", "--spec", str(cfg), "--t", "0", "--res", "32", "--checks", ALL,
+        "--tol-consistency", "1", "--out", str(out))
+    rep = dict(ln.split(": ", 1) for ln in out.read_text().splitlines())
+    assert rep["check.consistency.status"] == "pass"
+    for check in ("bilinear1", "pde1"):
+        assert rep[f"check.{check}.status"] != "skipped", check
+        assert int(rep[f"check.{check}.samples"]) == 32 * 32, check
+
+
+def test_verify_envelope_checks_share_the_res_grid(tmp_path):
+    out = tmp_path / "r.txt"
+    run("verify", "--case", "double_instanton", "--t", "0.3", "--res", "96",
+        "--checks", ALL, "--out", str(out))
+    rep = dict(ln.split(": ", 1) for ln in out.read_text().splitlines())
+    assert rep["check.pde1.status"] == "pass"
+    assert rep["check.pde1.samples"] == rep["check.bilinear1.samples"]
+
+
 def test_analyze_peaks(capsys):
     assert run("analyze", "--case", "dromion", "--peaks", "--t", "0",
                "--res", "64") == 0

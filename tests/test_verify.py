@@ -10,6 +10,7 @@ from dsfield.catalog import build_case, case_names
 from dsfield.profiles import const_fn
 from dsfield.verify import (
     bilinear_residuals,
+    envelope_residuals,
     hirota_cross,
     hirota_d,
     pde_phi_convergence,
@@ -96,8 +97,7 @@ def test_bilinear_constraint_on_catalog(name):
     e = build_case(name)
     t = e.reference_times[0]
     aux = derive(e.spec)
-    line2, _ = bilinear_residuals(e.spec, aux, e.window, t, 64,
-                                  valid_mask=e.valid_mask, check_line1=False)
+    line2 = bilinear_residuals(e.spec, aux, e.window, t, 64, valid_mask=e.valid_mask)
     assert line2.max_abs < 1e-12
     assert line2.mean_abs <= line2.max_abs
 
@@ -105,16 +105,15 @@ def test_bilinear_constraint_on_catalog(name):
 def test_bilinear_constraint_on_random_specs(rng):
     for _ in range(30):
         spec = random_spec(rng)
-        line2, _ = bilinear_residuals(spec, None, ((-8, 8), (-8, 8)),
-                                      float(rng.uniform(-1, 1)), 32,
-                                      check_line1=False)
+        line2 = bilinear_residuals(spec, None, ((-8, 8), (-8, 8)),
+                                   float(rng.uniform(-1, 1)), 32)
         assert line2.max_abs < 1e-12
 
 
 def test_bilinear_line1_closed_case():
     e = build_case("dromion")
     aux = derive(e.spec)
-    _, line1 = bilinear_residuals(e.spec, aux, ((-4, 4), (-4, 4)), 0.0, 48)
+    line1, _, _ = envelope_residuals(e.spec, aux, ((-4, 4), (-4, 4)), 0.0, 48)
     assert line1.applicable
     assert line1.max_abs < 1e-8
 
@@ -123,21 +122,21 @@ def test_bilinear_line1_gated_for_inconsistent_spec():
     d = build_case("dromion").spec
     spec = SolutionSpec(d.coeffs, d.p, d.q,
                         CoefficientFunctions(gamma=const_fn(0.5)))
-    _, line1 = bilinear_residuals(spec, derive(spec), ((-4, 4), (-4, 4)), 0.0, 24)
+    line1, _, _ = envelope_residuals(spec, derive(spec), ((-4, 4), (-4, 4)), 0.0, 24)
     assert not line1.applicable
     assert "inconsistent" in line1.notes
 
 
 def test_bilinear_line1_not_applicable_for_resonant():
     e = build_case("resonant")
-    _, line1 = bilinear_residuals(e.spec, derive(e.spec), e.window, 0.0, 24)
+    line1, _, _ = envelope_residuals(e.spec, derive(e.spec), e.window, 0.0, 24)
     assert not line1.applicable
 
 
 def test_negative_control_corrupted_background():
     e = build_case("dromion")
     aux = perturbed(derive(e.spec), p0_offset=0.5 - 0.375)
-    _, line1 = bilinear_residuals(e.spec, aux, ((-4, 4), (-4, 4)), 0.0, 48)
+    line1, _, _ = envelope_residuals(e.spec, aux, ((-4, 4), (-4, 4)), 0.0, 48)
     assert line1.max_abs > 1e-2
 
 
@@ -145,19 +144,18 @@ def test_negative_control_corrupted_gradient():
     e = build_case("dromion")
     aux = perturbed(derive(e.spec), rz_offset=0.1)
     # the corrupted gradient shows up in the consistency gate...
-    _, gated = bilinear_residuals(e.spec, aux, ((-4, 4), (-4, 4)), 0.0, 24)
+    gated, _, _ = envelope_residuals(e.spec, aux, ((-4, 4), (-4, 4)), 0.0, 24)
     assert not gated.applicable
     # ...and in the ungated residual itself
-    _, line1 = bilinear_residuals(e.spec, aux, ((-4, 4), (-4, 4)), 0.0, 24,
-                                  gate=math.inf)
+    line1, _, _ = envelope_residuals(e.spec, aux, ((-4, 4), (-4, 4)), 0.0, 24,
+                                     tol=math.inf)
     assert line1.max_abs > 1e-3
 
 
 def test_negative_control_corrupted_amplitude():
     e = build_case("dromion")
     aux = perturbed(derive(e.spec), amplitude_scale=1.1)
-    line2, _ = bilinear_residuals(e.spec, aux, e.window, 0.0, 32,
-                                  check_line1=False)
+    line2 = bilinear_residuals(e.spec, aux, e.window, 0.0, 32)
     assert line2.max_abs > 0.15       # (1.1^2 - 1)/1.1^2 relative mismatch
 
 
@@ -166,15 +164,16 @@ def test_periodic_amplitude_branch_fallback():
     # exist for c0 > 0 and the check falls back to the exact product form
     e = build_case("periodic")
     aux = derive(e.spec)
-    line2, _ = bilinear_residuals(e.spec, aux, e.window, 2 * math.pi / 3, 32,
-                                  valid_mask=e.valid_mask, check_line1=False)
+    line2 = bilinear_residuals(e.spec, aux, e.window, 2 * math.pi / 3, 32,
+                               valid_mask=e.valid_mask)
     assert line2.flags["amplitude_branch"] > 0
     assert line2.max_abs < 1e-12
 
 
 def test_report_invariants():
     e = build_case("solitoff")
-    line2, line1 = bilinear_residuals(e.spec, derive(e.spec), e.window, 0.0, 32)
+    line2 = bilinear_residuals(e.spec, derive(e.spec), e.window, 0.0, 32)
+    line1, _, _ = envelope_residuals(e.spec, derive(e.spec), e.window, 0.0, 32)
     for rep in (line2, line1):
         assert rep.max_abs >= rep.mean_abs >= 0.0
         (x0, x1), (y0, y1) = e.window
@@ -188,8 +187,7 @@ def test_report_invariants():
 
 def test_pde_line1_closed_case():
     e = build_case("dromion")
-    l1, _ = pde_residuals(e.spec, derive(e.spec), ((-4, 4), (-4, 4)), 0.0, 48,
-                          Stencil(2, 2, 1e-3), checks=("line1",))
+    _, l1, _ = envelope_residuals(e.spec, derive(e.spec), ((-4, 4), (-4, 4)), 0.0, 48)
     assert l1.applicable
     assert l1.max_abs < 1e-6
 
@@ -197,8 +195,7 @@ def test_pde_line1_closed_case():
 def test_pde_line1_negative_control():
     e = build_case("dromion")
     aux = perturbed(derive(e.spec), p0_offset=0.125)
-    l1, _ = pde_residuals(e.spec, aux, ((-4, 4), (-4, 4)), 0.0, 48,
-                          checks=("line1",))
+    _, l1, _ = envelope_residuals(e.spec, aux, ((-4, 4), (-4, 4)), 0.0, 48)
     assert l1.max_abs > 1e-2
 
 
@@ -220,16 +217,14 @@ def test_pde_line2_fourth_order_stencil():
 
 def test_pde_line2_breather_degenerate_time():
     e = build_case("breather")
-    _, l2 = pde_residuals(e.spec, None, e.window, math.pi / 2, 20,
-                          checks=("line2",))
+    l2 = pde_residuals(e.spec, e.window, math.pi / 2, 20)
     assert l2.max_abs < 1e-20
 
 
 def test_pde_line2_drops_stencil_hits_near_pole():
     e = build_case("double_instanton")
-    _, l2 = pde_residuals(e.spec, None, ((-3, 1), (-3, 1)), 0.0, 24,
-                          Stencil(2, 2, 1e-2), valid_mask=e.valid_mask,
-                          checks=("line2",))
+    l2 = pde_residuals(e.spec, ((-3, 1), (-3, 1)), 0.0, 24, Stencil(2, 2, 1e-2),
+                       valid_mask=e.valid_mask)
     # truncation is honest but large right at the mask edge where the pole
     # term's high derivatives blow up; the bulk of the window stays clean
     assert l2.flags["dropped"] > 0
@@ -246,10 +241,8 @@ def test_residual_field_values_match_report():
     for name in ("dromion", "double_instanton"):
         e = build_case(name)
         t = e.reference_times[0]
-        line2, _ = bilinear_residuals(e.spec, None, e.window, t, 48,
-                                      valid_mask=e.valid_mask, check_line1=False)
-        _, pde2 = pde_residuals(e.spec, None, e.window, t, 48,
-                                valid_mask=e.valid_mask, checks=("line2",))
+        line2 = bilinear_residuals(e.spec, None, e.window, t, 48, valid_mask=e.valid_mask)
+        pde2 = pde_residuals(e.spec, e.window, t, 48, valid_mask=e.valid_mask)
         for which, rep in (("bilinear2", line2), ("pde2", pde2)):
             vals = residual_field(e.spec, None, which, e.window, t, 48, 48,
                                   valid_mask=e.valid_mask)
