@@ -25,6 +25,7 @@ from .ansatz import (
 from .auxiliary import (
     Auxiliaries,
     ConsistencyReport,
+    Ingredients,
     consistency_c1_c2,
     derive,
 )
@@ -36,7 +37,6 @@ from .field import (
     analyze_extrema,
     decay_profile,
     estimate_period,
-    export,
     refined_global_max,
     sample_field,
     to_csv,
@@ -60,7 +60,6 @@ from .verify import (
     ResidualReport,
     ScanReport,
     bilinear_residuals,
-    consistency_gate,
     envelope_residuals,
     hirota_cross,
     hirota_d,

@@ -349,21 +349,16 @@ class AdmissibilityReport:
     witness: Optional[tuple] = None
 
 
-def check_admissibility(spec: SolutionSpec, window, t: float,
-                        samples: tuple[int, int] = (64, 64),
-                        valid_mask=None) -> AdmissibilityReport:
-    """Scan a rectangular (x, y) window and classify the solution there.
+def check_admissibility(spec: SolutionSpec, grid: WindowGrid, t: float,
+                        pj: Jet, qj: Jet) -> AdmissibilityReport:
+    """Scan a window grid and classify the solution there, from the profile
+    jets ``pj``, ``qj`` on the grid's zeta and eta.
 
-    ``window`` is ((x0, x1), (y0, y1)); ``valid_mask(zeta, eta)`` may exclude
-    known poles from the scan.
+    Points outside ``grid.keep`` (known poles, say) are left out of the scan.
     """
-    nx, ny = samples
-    if nx < 2 or ny < 2:
+    if min(grid.zeta.shape) < 2:
         raise ValueError("need at least 2 samples per axis")
-    grid = window_grid(window, (nx, ny), valid_mask)
     keep = grid.keep
-
-    pj, qj = profile_jets3(spec, grid.zeta, grid.eta, t)
     f = eval_f(spec, grid.zeta, grid.eta, t, pj, qj, order=0).value
     inten = eval_intensity(spec, grid.zeta, grid.eta, t, pj, qj, f=f)
 

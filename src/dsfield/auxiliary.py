@@ -21,10 +21,16 @@ Given the profile pair the construction determines, in order:
 The consistency report evaluates the two bracket ratios c1(t), c2(t) that
 the separation needs to be time functions alone; spatial variation in
 them flags an inconsistent configuration.
+
+The amplitude and gradient jets take the profile jet of their coordinate,
+so a caller evaluates each profile once for all of them.  An
+:class:`Ingredients` bundle holds every one of these line quantities for
+one window grid at one time, for all the checks and renders on that grid.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -36,6 +42,7 @@ from .ansatz import SolutionSpec
 
 __all__ = [
     "Auxiliaries",
+    "Ingredients",
     "derive",
     "ConsistencyReport",
     "consistency_c1_c2",
@@ -46,7 +53,8 @@ class Auxiliaries:
     """Immutable bundle of derived evaluators for one solution spec.
 
     All evaluators are vectorized over their spatial argument at fixed t;
-    the ``*_jet`` methods return order-2 jets in (own coordinate, t).
+    the ``*_jet`` methods map the order-3 profile jet of their coordinate
+    to an order-2 jet in (own coordinate, t).
     ``quad_n`` is the number of Gauss-Legendre nodes per gap between
     neighbouring line coordinates and the anchors are the zeros of r and s.
     """
@@ -60,14 +68,12 @@ class Auxiliaries:
 
     # -- amplitude factors ---------------------------------------------------
 
-    def p1_jet(self, zeta, t) -> Jet:
-        pj = self.spec.p.jet3(zeta, t)
+    def p1_jet(self, pj: Jet, t) -> Jet:
         c0 = self.spec.funcs.c0.jet(t)
         rad = c0 * pj.shift((1, 0))
         return float(self.spec.delta1) * jc.sqrt(rad)
 
-    def q1_jet(self, eta, t) -> Jet:
-        qj = self.spec.q.jet3(eta, t)
+    def q1_jet(self, qj: Jet, t) -> Jet:
         c0 = self.spec.funcs.c0.jet(t)
         det = self.spec.coeffs.det
         rad = (det * qj.shift((1, 0))) / c0
@@ -75,15 +81,13 @@ class Auxiliaries:
 
     # -- phase gradients -----------------------------------------------------
 
-    def r_zeta_jet(self, zeta, t) -> Jet:
+    def r_zeta_jet(self, j: Jet, t) -> Jet:
         spec = self.spec
-        j = spec.p.jet3(zeta, t)
         num = -j.shift((0, 1)) - spec.coeffs.det * spec.funcs.c3.jet(t)
         return num / (spec.funcs.beta.jet(t) * j.shift((1, 0)))
 
-    def s_eta_jet(self, eta, t) -> Jet:
+    def s_eta_jet(self, j: Jet, t) -> Jet:
         spec = self.spec
-        j = spec.q.jet3(eta, t)
         A = spec.coeffs.a1 + spec.coeffs.a3 * j.shift(order=2)
         num = (-j.shift((0, 1)) - spec.funcs.c3.jet(t) * A * A
                + spec.coeffs.det * spec.funcs.c4.jet(t))
@@ -92,27 +96,23 @@ class Auxiliaries:
     # -- phases ---------------------------------------------------------------
 
     def phase_r(self, zeta, t):
-        """(r, r_t) at the requested points, integrated from the anchor."""
-        return _integrate_from_anchor(self.r_zeta_jet, self.anchor_zeta,
+        """(r, r_t) at the requested points, integrated from the anchor; the
+        profile is evaluated at the quadrature nodes."""
+        return _integrate_from_anchor(self.r_zeta_jet, self.spec.p, self.anchor_zeta,
                                       zeta, t, self.quad_n)
 
     def phase_s(self, eta, t):
-        return _integrate_from_anchor(self.s_eta_jet, self.anchor_eta,
+        return _integrate_from_anchor(self.s_eta_jet, self.spec.q, self.anchor_eta,
                                       eta, t, self.quad_n)
 
     # -- backgrounds -----------------------------------------------------------
 
-    def p0(self, zeta, t, line=None):
-        """p0 from ``line`` = (r_t, p1 jet, r_z jet) when the caller has them
-        in hand, else from fresh ones."""
-        r_t, p1, rz = line or (self.phase_r(zeta, t)[1], self.p1_jet(zeta, t),
-                               self.r_zeta_jet(zeta, t))
+    def p0(self, r_t, p1: Jet, rz: Jet, t):
+        """p0 from r_t and the p1 and r_z jets at the same points."""
         return _background(self.spec.funcs.c3(t), r_t, p1, rz, self.spec.funcs.beta(t))
 
-    def q0(self, eta, t, line=None):
-        """q0 from ``line`` = (s_t, q1 jet, s_e jet), as :meth:`p0`."""
-        s_t, q1, se = line or (self.phase_s(eta, t)[1], self.q1_jet(eta, t),
-                               self.s_eta_jet(eta, t))
+    def q0(self, s_t, q1: Jet, se: Jet, t):
+        """q0 from s_t and the q1 and s_e jets, as :meth:`p0`."""
         return _background(-self.spec.funcs.c4(t), s_t, q1, se, self.spec.funcs.beta(t))
 
 
@@ -127,6 +127,46 @@ def derive(spec: SolutionSpec, quad_n: int = 16, anchor_zeta: float = 0.0,
            anchor_eta: float = 0.0) -> Auxiliaries:
     """Build the derived-quantity bundle for a solution spec."""
     return Auxiliaries(spec, quad_n, anchor_zeta, anchor_eta)
+
+
+def _entry(fn):
+    """An :class:`Ingredients` entry: evaluated on first read, then kept.
+    Non-finite values are data here, so numpy's warnings are off."""
+    return functools.cached_property(jc._quiet(fn))
+
+
+class Ingredients:
+    """The one-variable ingredients of ``spec`` on one window grid at ``t``.
+
+    Every check and render on the grid reads this one evaluation: the
+    profile jets ``pj``, ``qj`` on the grid's zeta and eta, the amplitude
+    jets ``p1``, ``q1`` and gradient jets ``rz``, ``se`` from them, the
+    phase pairs ``r`` = (r, r_t) and ``s`` = (s, s_t), the backgrounds
+    ``p0``, ``q0``, and the ``consistency`` report on 33 probes over each
+    coordinate's range.  Each entry is evaluated when first read, so a run
+    that reads no phase integrates none.  ``aux`` may be None when only the
+    profile jets are read.
+    """
+
+    def __init__(self, spec: SolutionSpec, aux, grid, t: float):
+        self.spec, self.aux, self.grid, self.t = spec, aux, grid, t
+
+    pj = _entry(lambda self: self.spec.p.jet3(self.grid.zeta, self.t))
+    qj = _entry(lambda self: self.spec.q.jet3(self.grid.eta, self.t))
+    p1 = _entry(lambda self: self.aux.p1_jet(self.pj, self.t))
+    q1 = _entry(lambda self: self.aux.q1_jet(self.qj, self.t))
+    rz = _entry(lambda self: self.aux.r_zeta_jet(self.pj, self.t))
+    se = _entry(lambda self: self.aux.s_eta_jet(self.qj, self.t))
+    r = _entry(lambda self: self.aux.phase_r(self.grid.zeta, self.t))
+    s = _entry(lambda self: self.aux.phase_s(self.grid.eta, self.t))
+    p0 = _entry(lambda self: self.aux.p0(self.r[1], self.p1, self.rz, self.t))
+    q0 = _entry(lambda self: self.aux.q0(self.s[1], self.q1, self.se, self.t))
+
+    @_entry
+    def consistency(self):
+        zp, ep = (np.linspace(float(np.min(c)), float(np.max(c)), 33)
+                  for c in (self.grid.zeta, self.grid.eta))
+        return consistency_c1_c2(self.spec, self.aux, zp, ep, self.t)
 
 
 # ---------------------------------------------------------------------------
@@ -147,14 +187,15 @@ def _restarting_cumsum(gaps, broken):
     return total - np.where(last >= 0, total[..., last], 0.0)
 
 
-def _integrate_from_anchor(grad_jet, anchor: float, targets, t, m: int):
-    """Cumulative m-point Gauss-Legendre integral from the anchor.
+def _integrate_from_anchor(grad_jet, profile, anchor: float, targets, t, m: int):
+    """Cumulative m-point Gauss-Legendre integral from the anchor of the
+    gradient ``grad_jet`` of ``profile``'s jet.
 
     The breakpoints are the sorted distinct targets plus the anchor.  Each
-    gap between neighbours gets one rule (all gaps in one gradient call, for
-    the value and its time derivative), and prefix sums run outward from the
-    anchor give (phase, phase_t) at every breakpoint, gathered back to the
-    targets' shape.  A gap with a non-finite node value breaks the chain:
+    gap between neighbours gets one rule (all gaps in one profile and one
+    gradient call, for the value and its time derivative), and prefix sums
+    run outward from the anchor give (phase, phase_t) at every breakpoint,
+    gathered back to the targets' shape.  A gap with a non-finite node value breaks the chain:
     the breakpoints beyond it restart from its far end with phase 0, which
     shifts the phase there by a function of t alone.
     """
@@ -165,7 +206,7 @@ def _integrate_from_anchor(grad_jet, anchor: float, targets, t, m: int):
     x, w = _gauss_legendre(m)
     half = 0.5 * np.diff(pts)
     nodes = (pts[:-1] + half)[:, None] + half[:, None] * x
-    jets = grad_jet(nodes, t)
+    jets = grad_jet(profile.jet3(nodes, t), t)
     gaps = (np.array(np.broadcast_arrays(jets.value, jets[0, 1], nodes)[:2], dtype=float)
             @ w) * half
     broken = ~np.isfinite(gaps).all(axis=0)
@@ -221,9 +262,9 @@ def consistency_c1_c2(spec: SolutionSpec, aux: Auxiliaries,
 
     pj, qj = spec.p.jet3(zeta_probes, t), spec.q.jet3(eta_probes, t)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore", under="ignore"):
-        c1_vals = ((bracket(aux.p1_jet(zeta_probes, t), aux.r_zeta_jet(zeta_probes, t))
+        c1_vals = ((bracket(aux.p1_jet(pj, t), aux.r_zeta_jet(pj, t))
                     - gamma - c4) / (a3 * (spec.coeffs.a2 + a3 * pj.value)))
-        c2_vals = (-(bracket(aux.q1_jet(eta_probes, t), aux.s_eta_jet(eta_probes, t)) + c4)
+        c2_vals = (-(bracket(aux.q1_jet(qj, t), aux.s_eta_jet(qj, t)) + c4)
                    / (a3 * (spec.coeffs.a1 + a3 * qj.value)))
 
     def spread(v):

@@ -255,8 +255,9 @@ def variables(*values, order: int) -> tuple:
     for i, v in enumerate(values):
         entries = [0.0] * len(lay.index)
         entries[0] = v if np.ndim(v) else np.float64(v)
-        entries[lay.pos[tuple(int(k == i) for k in range(lay.n))]] = (
-            np.ones_like(v) if np.ndim(v) else 1.0)
+        if order:
+            entries[lay.pos[tuple(int(k == i) for k in range(lay.n))]] = (
+                np.ones_like(v) if np.ndim(v) else 1.0)
         seeds.append(Jet(entries, lay))
     return tuple(seeds)
 

@@ -21,7 +21,7 @@ import numpy as np
 
 from . import __version__
 from .ansatz import SQRT2, check_admissibility, window_grid
-from .auxiliary import derive
+from .auxiliary import Ingredients, derive
 from .catalog import build_case, case_names
 from .field import (
     SingularWindowError,
@@ -36,7 +36,6 @@ from .specfile import SpecFileError, load_spec
 from .verify import (
     CONSISTENCY_GATE,
     bilinear_residuals,
-    consistency_gate,
     envelope_residuals,
     pde_phi_convergence,
     pole_sweep,
@@ -220,9 +219,12 @@ def _cmd_verify(args) -> int:
         raise UsageError(f"unknown checks {unknown}; valid: {', '.join(ALL_CHECKS)}")
     if not requested:
         raise UsageError(f"no checks requested; valid: {', '.join(ALL_CHECKS)}")
-    tol = args.tol
-    tol_pde = args.tol_pde
-    aux = derive(spec)
+    for option in ("tol", "tol_pde", "tol_consistency"):
+        if not 0.0 < getattr(args, option) < math.inf:
+            raise UsageError(f"--{option.replace('_', '-')} must be finite and "
+                             f"positive, got {getattr(args, option)!r}")
+    # every check on the --res grid reads this one bundle
+    ing = Ingredients(spec, derive(spec), window_grid(window, args.res, mask), t)
 
     lines = [("case", label), ("t", f"{t:.17g}"),
              ("window", f"{window[0][0]:g}:{window[0][1]:g}"
@@ -232,21 +234,16 @@ def _cmd_verify(args) -> int:
 
     if "bilinear2" in requested:
         statuses["bilinear2"], new = _check_lines(
-            bilinear_residuals(spec, aux, window, t, args.res, valid_mask=mask), tol)
+            bilinear_residuals(ing), args.tol)
         lines += new
 
-    # one consistency report gates the envelope checks and is the one the
-    # consistency check prints
+    # the bundle's one consistency report gates the envelope checks and is
+    # the one the consistency check prints
     if "bilinear1" in requested or "pde1" in requested:
-        *envelope, crep = envelope_residuals(spec, aux, window, t, args.res, mask,
-                                             args.tol_consistency)
-        for rep in envelope:
+        for rep in envelope_residuals(ing, args.tol_consistency):
             if rep.check_name in requested:
-                statuses[rep.check_name], new = _check_lines(rep, tol_pde)
+                statuses[rep.check_name], new = _check_lines(rep, args.tol_pde)
                 lines += new
-    elif "consistency" in requested:
-        grid = window_grid(window, args.res, mask)
-        crep, _ = consistency_gate(spec, aux, grid.zeta, grid.eta, t)
 
     if "pde2" in requested:
         coarse, fine, order = pde_phi_convergence(spec, window, t, min(args.res, 24),
@@ -262,6 +259,7 @@ def _cmd_verify(args) -> int:
         ]
 
     if "consistency" in requested:
+        crep = ing.consistency
         if not crep.applicable:
             statuses["consistency"] = "skipped"
             lines += [("check.consistency.status", "skipped"),
@@ -277,8 +275,7 @@ def _cmd_verify(args) -> int:
             ]
 
     if "admissibility" in requested:
-        rep = check_admissibility(spec, window, t, (args.res, args.res),
-                                  valid_mask=mask)
+        rep = check_admissibility(spec, ing.grid, t, ing.pj, ing.qj)
         (x0, x1), (y0, y1) = window
         poles = (len(pole_sweep(spec.p, [(x0 - y1) / SQRT2, (x1 - y0) / SQRT2], t))
                  + len(pole_sweep(spec.q, [(x0 + y0) / SQRT2, (x1 + y1) / SQRT2], t)))

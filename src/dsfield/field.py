@@ -34,7 +34,7 @@ from .ansatz import (
     rotate,
     window_grid,
 )
-from .auxiliary import Auxiliaries
+from .auxiliary import Auxiliaries, Ingredients
 from .verify import residual_field
 
 __all__ = [
@@ -47,7 +47,6 @@ __all__ = [
     "refined_global_max",
     "estimate_period",
     "decay_profile",
-    "export",
     "to_csv",
     "parse_csv",
     "to_pgm16",
@@ -120,25 +119,25 @@ def sample_field(spec: SolutionSpec, aux: Optional[Auxiliaries], which: str,
     ``aux`` for the backgrounds), ``bilinear2`` or ``pde2`` (residual
     fields).  ``U`` comes from :func:`grid_intensity`, so on a square
     window with equal spacing the profiles are evaluated once per zeta and
-    eta line.  Raises if the window is entirely invalid.
+    eta line; the other fields read one
+    :class:`~dsfield.auxiliary.Ingredients` bundle on the grid.  Raises if
+    the window is entirely invalid.
     """
     if nx < 8 or ny < 8:
         raise ValueError("resolution must be at least 8 per axis")
     (x0, x1), (y0, y1) = window
     grid = window_grid(window, (nx, ny), valid_mask)
 
+    ing = Ingredients(spec, aux, grid, t)       # evaluates nothing until read
     if which == "U":
         vals = grid_intensity(spec, grid, t)[0]
     elif which == "phi":
         if aux is None:
             raise ValueError("phi sampling needs derived auxiliaries")
-        with np.errstate(invalid="ignore", over="ignore", under="ignore",
-                         divide="ignore"):
-            p0 = aux.p0(grid.zeta, t)
-            q0 = aux.q0(grid.eta, t)
-        vals = eval_phi(spec, grid.zeta, grid.eta, t, p0, q0)
+        vals = eval_phi(spec, grid.zeta, grid.eta, t, ing.p0, ing.q0,
+                        tau=eval_f(spec, grid.zeta, grid.eta, t, ing.pj, ing.qj))
     elif which in ("bilinear2", "pde2"):
-        vals = residual_field(spec, aux, which, window, t, nx, ny, valid_mask)
+        vals = residual_field(ing, which)
     else:
         raise ValueError(f"unknown field {which!r}; use U, phi, bilinear2, pde2")
 
@@ -536,18 +535,6 @@ def point_reflection_defect(grid_a: FieldGrid, grid_b: FieldGrid) -> float:
 
 # ---------------------------------------------------------------------------
 # export
-
-
-def export(grid: FieldGrid, format: str):
-    """Dispatch to one of the writers: csv or report bytes, or for pgm16 a
-    (image bytes, sidecar text) pair."""
-    if format == "csv":
-        return to_csv(grid)
-    if format == "pgm16":
-        return to_pgm16(grid)
-    if format == "report":
-        return to_report(grid).encode("utf-8")
-    raise ValueError(f"unknown export format {format!r}")
 
 
 def to_csv(grid: FieldGrid) -> bytes:

@@ -3,10 +3,11 @@
 A profile is a real function of one spatial variable (its own rotated
 coordinate) and time.  Each family evaluates to an order-3 jet so that
 downstream derivations, which differentiate profile derivatives once more,
-remain exact.  The exponential-sum family covers localized and line-type
-data; the remaining families are the fixed forms behind the breather,
-periodic and instanton catalog cases.  ``CustomProfile`` accepts any
-jet-valued callable for exploration beyond the built-in forms.
+remain exact; a caller that reads the value alone asks for order 0.  The
+exponential-sum family covers localized and line-type data; the remaining
+families are the fixed forms behind the breather, periodic and instanton
+catalog cases.  ``CustomProfile`` accepts any jet-valued callable for
+exploration beyond the built-in forms.
 """
 
 from __future__ import annotations
@@ -19,10 +20,6 @@ import numpy as np
 
 from . import calculus as jc
 from .calculus import Jet
-
-# profiles are order-3 jets in (own spatial variable, t)
-ST3 = jc.layout(2, 3)
-
 
 __all__ = [
     "ProfileFunction",
@@ -40,11 +37,12 @@ __all__ = [
 
 
 class ProfileFunction:
-    """Common interface: ``jet3(x, t)`` returns an order-3 jet in (x, t)."""
+    """Common interface: ``jet3(x, t, order)`` returns a jet in (x, t) to
+    ``order``, 3 by default."""
 
     family = "abstract"
 
-    def jet3(self, x, t) -> Jet:
+    def jet3(self, x, t, order: int = 3) -> Jet:
         raise NotImplementedError
 
 
@@ -70,13 +68,14 @@ class ExpSumProfile(ProfileFunction):
         for name, seq in (("A", self.A), ("K", self.K), ("L", self.L), ("theta", self.theta)):
             object.__setattr__(self, name, tuple(float(v) for v in seq))
 
-    def jet3(self, x, t) -> Jet:
+    def jet3(self, x, t, order: int = 3) -> Jet:
         x = np.asarray(x, dtype=float) if np.ndim(x) else float(x)
+        lay = jc.layout(2, order)
         total = None
         for a, k, l, th in zip(self.A, self.K, self.L, self.theta):
             e = a * np.exp(k * x + l * t + th)
-            coeffs = (k ** i * l ** j for i, j in ST3.index)
-            term = Jet((0.0 if c == 0.0 else e if c == 1.0 else c * e for c in coeffs), ST3)
+            coeffs = (k ** i * l ** j for i, j in lay.index)
+            term = Jet((0.0 if c == 0.0 else e if c == 1.0 else c * e for c in coeffs), lay)
             total = term if total is None else total + term
         return total
 
@@ -87,8 +86,8 @@ class BreatherPProfile(ProfileFunction):
 
     family = "breather_p"
 
-    def jet3(self, x, t) -> Jet:
-        xj, tj = jc.variables(x, t, order=3)
+    def jet3(self, x, t, order: int = 3) -> Jet:
+        xj, tj = jc.variables(x, t, order=order)
         c = jc.cos(tj)
         return 1.0 + jc.exp(xj * c * c)
 
@@ -99,8 +98,8 @@ class BreatherQProfile(ProfileFunction):
 
     family = "breather_q"
 
-    def jet3(self, x, t) -> Jet:
-        xj, tj = jc.variables(x, t, order=3)
+    def jet3(self, x, t, order: int = 3) -> Jet:
+        xj, tj = jc.variables(x, t, order=order)
         c = jc.cos(tj)
         return jc.exp(xj + c * c)
 
@@ -111,8 +110,8 @@ class TanCosProfile(ProfileFunction):
 
     family = "tancos"
 
-    def jet3(self, x, t) -> Jet:
-        xj, tj = jc.variables(x, t, order=3)
+    def jet3(self, x, t, order: int = 3) -> Jet:
+        xj, tj = jc.variables(x, t, order=order)
         return 1.0 + jc.exp(jc.tan(xj) * jc.cos(tj) + 1.0)
 
 
@@ -126,12 +125,12 @@ class InstantonPProfile(ProfileFunction):
 
     family = "instanton_p"
 
-    def jet3(self, x, t) -> Jet:
+    def jet3(self, x, t, order: int = 3) -> Jet:
         base = ExpSumProfile(A=(1.0, 1.0), K=(1.0, 1.0), L=(2.0, 1.0), theta=(1.0, 1.0))
-        xj, tj = jc.variables(x, t, order=3)
+        xj, tj = jc.variables(x, t, order=order)
         w = jc.powi(xj * xj * xj + 1.0, -1)
         bump = jc.exp(-w + 2.0 * tj + 1.0)
-        return base.jet3(x, t) + bump
+        return base.jet3(x, t, order) + bump
 
 
 @dataclass(frozen=True)
@@ -140,9 +139,9 @@ class InstantonQProfile(ProfileFunction):
 
     family = "instanton_q"
 
-    def jet3(self, x, t) -> Jet:
+    def jet3(self, x, t, order: int = 3) -> Jet:
         base = ExpSumProfile(A=(1.0, 1.0), K=(1.0, 1.0), L=(2.0, 1.0), theta=(1.0, 1.0))
-        return base.jet3(x, t)
+        return base.jet3(x, t, order)
 
 
 @dataclass(frozen=True)
@@ -153,12 +152,13 @@ class CustomProfile(ProfileFunction):
     label: str = "custom"
     family = "custom"
 
-    def jet3(self, x, t) -> Jet:
+    def jet3(self, x, t, order: int = 3) -> Jet:
         xj, tj = jc.variables(np.asarray(x, dtype=float) if np.ndim(x) else float(x),
-                              t, order=3)
+                              t, order=order)
         out = self.fn(xj, tj)
-        if not isinstance(out, Jet) or out.layout is not ST3:
-            raise TypeError("custom profile evaluator must return an order-3 jet in (x, t)")
+        if not isinstance(out, Jet) or out.layout is not xj.layout:
+            raise TypeError("custom profile evaluator must return a jet in (x, t) "
+                            "of its seeds' order")
         return out
 
 

@@ -105,9 +105,10 @@ def loads_spec(text: str) -> SolutionSpec:
     )
     sk = cp["signs"] if "signs" in cp else {}
     try:
-        delta1 = int(float(sk.get("delta1", "1")))
-        delta2 = int(float(sk.get("delta2", "1")))
-        return SolutionSpec(coeffs, p, q, funcs, delta1, delta2)
+        signs = [float(sk.get(k, "1")) for k in ("delta1", "delta2")]
+        if not all(d in (1.0, -1.0) for d in signs):
+            raise ValueError(f"delta1 and delta2 must be +1 or -1, got {signs}")
+        return SolutionSpec(coeffs, p, q, funcs, *map(int, signs))
     except ValueError as exc:
         raise SpecFileError(str(exc)) from exc
 

@@ -8,19 +8,22 @@ Three independent suites certify a solution spec:
   the subtracted products are ~1e10 times larger than the result;
 * the governing equations in the rotated frame: the envelope equation,
   as line 1 of the bilinear form and as the u-form with the forcing field,
-  both from one evaluation of f's order-2 jet in (zeta, eta, t), the
-  amplitude and phase-gradient jets, the integrated phases and the
-  backgrounds on the window grid; and the forcing-field constraint by
-  finite differences of the jet-computed fields (with a convergence mode);
+  both from one evaluation of f's order-2 jet in (zeta, eta, t) on the
+  window grid; and the forcing-field constraint by finite differences of
+  the jet-computed fields (with a convergence mode);
 * window scans for denominator zeros, which read f's value alone, profile
-  poles and the sign condition.
+  poles, whose sweeps read profile values alone, and the sign condition.
 
-The Hirota operator expands jets in (x, t) of any order.
+The checks on one window grid read one
+:class:`~dsfield.auxiliary.Ingredients` bundle: the profile, amplitude
+and gradient jets, the phases and the backgrounds are each evaluated once
+there, whichever checks read them.  The Hirota operator expands jets in
+(x, t) of any order.
 
-Both envelope-equation checks are gated on one consistency report, which
-is also the report of the consistency check: when the separation is not
-certified they are marked not applicable instead of emitting a large
-residual that means nothing.
+Both envelope-equation checks are gated on the bundle's consistency
+report, which is also the report of the consistency check: when the
+separation is not certified they are marked not applicable instead of
+emitting a large residual that means nothing.
 """
 
 from __future__ import annotations
@@ -41,7 +44,7 @@ from .ansatz import (
     profile_jets3,
     window_grid,
 )
-from .auxiliary import Auxiliaries, consistency_c1_c2
+from .auxiliary import Ingredients
 from .calculus import Stencil, observed_order
 
 __all__ = [
@@ -50,7 +53,6 @@ __all__ = [
     "hirota_cross",
     "bilinear_residuals",
     "envelope_residuals",
-    "consistency_gate",
     "pde_residuals",
     "pde_phi_convergence",
     "pole_sweep",
@@ -198,40 +200,14 @@ def _bilinear_cross_dd(a0, a1, a2, a3, p, q, pz, qe):
 
 
 # ---------------------------------------------------------------------------
-# consistency gate
-
-
-def consistency_gate(spec, aux, zeta, eta, t, tol=CONSISTENCY_GATE):
-    """The separation-consistency report on 33 probes over each of the
-    ranges of ``zeta`` and ``eta``, and the reason it fails ``tol`` ("" when
-    the separation is certified)."""
-    zp = np.linspace(float(np.min(zeta)), float(np.max(zeta)), 33)
-    ep = np.linspace(float(np.min(eta)), float(np.max(eta)), 33)
-    rep = consistency_c1_c2(spec, aux, zp, ep, t)
-    if not rep.applicable:
-        return rep, "not applicable: consistency undefined for a3 = 0"
-    if not rep.max_variation <= tol:
-        return rep, (f"not applicable: inconsistent separation "
-                     f"(variation {rep.max_variation:.3e} > gate {tol:.1e})")
-    return rep, ""
-
-
-# ---------------------------------------------------------------------------
 # envelope equation
 
 
-def _envelope_terms(aux, zeta, eta, t):
-    """Envelope g = p1 q1 exp(i(r+s)) and its derivatives.
-
-    Returns ((g, g_z, g_zz, g_e, g_ee, g_t), (r_t, p1, r_z), (s_t, q1, s_e)),
-    the line ingredients in the form the backgrounds take them.
-    """
-    p1 = aux.p1_jet(zeta, t)
-    q1 = aux.q1_jet(eta, t)
-    rz = aux.r_zeta_jet(zeta, t)
-    se = aux.s_eta_jet(eta, t)
-    r, r_t = aux.phase_r(zeta, t)
-    s, s_t = aux.phase_s(eta, t)
+def _envelope_terms(ing: Ingredients):
+    """Envelope g = p1 q1 exp(i(r+s)) and its derivatives
+    (g, g_z, g_zz, g_e, g_ee, g_t)."""
+    p1, q1, rz, se = ing.p1, ing.q1, ing.rz, ing.se
+    (r, r_t), (s, s_t) = ing.r, ing.s
     E = np.exp(1j * (r + s))
     P = p1.value * q1.value
     g = P * E
@@ -242,13 +218,14 @@ def _envelope_terms(aux, zeta, eta, t):
     g_ee = p1.value * (q1[2, 0] + 2j * se.value * q1[1, 0]
                        + (1j * se[1, 0] - se.value ** 2) * q1.value) * E
     g_t = (p1[0, 1] * q1.value + p1.value * q1[0, 1] + 1j * P * (r_t + s_t)) * E
-    return (g, g_z, g_zz, g_e, g_ee, g_t), (r_t, p1, rz), (s_t, q1, se)
+    return g, g_z, g_zz, g_e, g_ee, g_t
 
 
-def _envelope_fields(spec, zeta, eta, t, tau, terms, p0, q0):
+def _envelope_fields(ing: Ingredients, tau):
     """|residual| of line 1 of the bilinear form, its terms scaled by 1/f^3,
     and of the envelope equation for u = g/f with the forcing field phi."""
-    g, g_z, g_zz, g_e, g_ee, g_t = terms
+    spec, t, p0, q0 = ing.spec, ing.t, ing.p0, ing.q0
+    g, g_z, g_zz, g_e, g_ee, g_t = _envelope_terms(ing)
     f, f_z, f_e, f_t, f_zz, f_ze, _, f_ee, _, _ = tau.entries
     beta = spec.funcs.beta(t)
     gamma = spec.funcs.gamma(t)
@@ -266,62 +243,62 @@ def _envelope_fields(spec, zeta, eta, t, tau, terms, p0, q0):
     # u_zz + u_ee, with u_zz = d2z - u D_z^2 f.f / f^2
     lap = ((d2z - u * 2.0 * (f * f_zz - f_z ** 2) / f2)
            + (d2e - u * 2.0 * (f * f_ee - f_e ** 2) / f2))
-    phi = eval_phi(spec, zeta, eta, t, p0, q0, tau=tau)
+    phi = eval_phi(spec, ing.grid.zeta, ing.grid.eta, t, p0, q0, tau=tau)
     pde1 = t1 + beta * (0.5 * lap - 0.5 * np.abs(u) ** 2 * u + u * phi) + t6
     return np.abs(t1 + t2 + t3 + t4 + t5 + t6), np.abs(pde1)
 
 
-def envelope_residuals(spec: SolutionSpec, aux: Auxiliaries, window, t: float,
-                       samples=64, valid_mask=None, tol: float = CONSISTENCY_GATE):
-    """The envelope equation twice over from one evaluation on the window grid.
+def envelope_residuals(ing: Ingredients, tol: float = CONSISTENCY_GATE):
+    """The envelope equation twice over from one evaluation on the bundle's
+    grid.
 
-    Returns (bilinear1, pde1, consistency report): line 1 of the bilinear
-    form with its terms at envelope scale (the raw form scales like |f|^3,
-    which would make absolute numbers meaningless), the u-form with the
-    forcing field phi, and the report that gated both.  When the
-    separation is not certified to ``tol`` both come back not applicable,
-    instead of a large residual that means nothing.
+    Returns (bilinear1, pde1): line 1 of the bilinear form with its terms
+    at envelope scale (the raw form scales like |f|^3, which would make
+    absolute numbers meaningless) and the u-form with the forcing field
+    phi.  When the bundle's consistency report does not certify the
+    separation to ``tol`` both come back not applicable, instead of a large
+    residual that means nothing.
     """
-    grid = window_grid(window, samples, valid_mask)
-    crep, why = consistency_gate(spec, aux, grid.zeta, grid.eta, t, tol)
+    grid, t, crep = ing.grid, ing.t, ing.consistency
     extras = {"consistency_variation": crep.max_variation}
+    why = ("not applicable: consistency undefined for a3 = 0" if not crep.applicable
+           else "" if crep.max_variation <= tol
+           else (f"not applicable: inconsistent separation "
+                 f"(variation {crep.max_variation:.3e} > gate {tol:.1e})"))
     if why:
-        return (*(ResidualReport(name, math.nan, math.nan,
-                                 CoordinatePoint(math.nan, math.nan, t), 0,
-                                 applicable=False, notes=why, extras=extras)
-                  for name in ("bilinear1", "pde1")), crep)
-    tau = eval_f(spec, grid.zeta, grid.eta, t, *profile_jets3(spec, grid.zeta, grid.eta, t))
+        return tuple(ResidualReport(name, math.nan, math.nan,
+                                    CoordinatePoint(math.nan, math.nan, t), 0,
+                                    applicable=False, notes=why, extras=extras)
+                     for name in ("bilinear1", "pde1"))
+    tau = eval_f(ing.spec, grid.zeta, grid.eta, t, ing.pj, ing.qj)
     with np.errstate(invalid="ignore", over="ignore", under="ignore", divide="ignore"):
-        terms, p_line, q_line = _envelope_terms(aux, grid.zeta, grid.eta, t)
-        p0 = aux.p0(grid.zeta, t, p_line)
-        q0 = aux.q0(grid.eta, t, q_line)
-        line1, pde1 = _envelope_fields(spec, grid.zeta, grid.eta, t, tau, terms, p0, q0)
+        line1, pde1 = _envelope_fields(ing, tau)
     return (_report("bilinear1", line1, grid.X, grid.Y, t, grid.keep & np.isfinite(line1),
                     extras={"normalization": "terms scaled by 1/f^3", **extras}),
             _report("pde1", pde1, grid.X, grid.Y, t, grid.keep & np.isfinite(pde1),
-                    extras=extras),
-            crep)
+                    extras=extras))
 
 
 # ---------------------------------------------------------------------------
 # bilinear residuals
 
 
-def _bilinear2_field(spec, aux, zeta, eta, t, pj, qj):
+def _bilinear2_field(ing: Ingredients):
     """Residual of 2 D_z D_e f.f = g g* relative to |g g*|.
 
-    With ``aux``, g g* comes from the amplitude factors, falling back to the
-    exact product 4 det p_z q_e where they are non-finite; the second value
-    marks those fallbacks (None without ``aux``).
+    With the bundle's ``aux``, g g* comes from the amplitude factors,
+    falling back to the exact product 4 det p_z q_e where they are
+    non-finite; the second value marks those fallbacks (None without
+    ``aux``).
     """
-    a = spec.coeffs
+    a, pj, qj = ing.spec.coeffs, ing.pj, ing.qj
     with np.errstate(invalid="ignore", over="ignore", under="ignore"):
         hi, lo = _bilinear_cross_dd(a.a0, a.a1, a.a2, a.a3,
                                     pj.value, qj.value, pj[1, 0], qj[1, 0])
         gg = 4.0 * a.det * pj[1, 0] * qj[1, 0]
         amp_bad = None
-        if aux is not None:
-            gg_amp = (aux.p1_jet(zeta, t).value * aux.q1_jet(eta, t).value) ** 2
+        if ing.aux is not None:
+            gg_amp = (ing.p1.value * ing.q1.value) ** 2
             amp_bad = ~np.isfinite(gg_amp)
             gg = np.where(amp_bad, gg, gg_amp)
         resid = np.abs((hi - gg) + lo)
@@ -329,19 +306,16 @@ def _bilinear2_field(spec, aux, zeta, eta, t, pj, qj):
         return resid / np.where(scale > 0.0, scale, 1.0), amp_bad
 
 
-def bilinear_residuals(spec: SolutionSpec, aux: Optional[Auxiliaries],
-                       window, t: float, samples=64,
-                       valid_mask=None) -> ResidualReport:
-    """Residual of the bilinear constraint 2 D_z D_e f.f = g g* on a window,
-    relative to |g g*| (line 2 of the bilinear form; :func:`envelope_residuals`
-    reports line 1)."""
-    grid = window_grid(window, samples, valid_mask)
-    pj, qj = profile_jets3(spec, grid.zeta, grid.eta, t)
-    rel, amp_bad = _bilinear2_field(spec, aux, grid.zeta, grid.eta, t, pj, qj)
+def bilinear_residuals(ing: Ingredients) -> ResidualReport:
+    """Residual of the bilinear constraint 2 D_z D_e f.f = g g* on the
+    bundle's grid, relative to |g g*| (line 2 of the bilinear form;
+    :func:`envelope_residuals` reports line 1)."""
+    grid = ing.grid
+    rel, amp_bad = _bilinear2_field(ing)
     flags = {}
     if amp_bad is not None:
         flags["amplitude_branch"] = int(np.count_nonzero(amp_bad & grid.keep))
-    return _report("bilinear2", rel, grid.X, grid.Y, t, grid.keep & np.isfinite(rel),
+    return _report("bilinear2", rel, grid.X, grid.Y, ing.t, grid.keep & np.isfinite(rel),
                    flags=flags, extras={"normalization": "relative to |g g*|"})
 
 
@@ -415,19 +389,18 @@ def pde_phi_convergence(spec: SolutionSpec, window, t: float, samples=24,
 # residual fields for rendering
 
 
-def residual_field(spec: SolutionSpec, aux, which: str, window, t: float,
-                   nx: int, ny: int, valid_mask=None) -> np.ndarray:
-    """Pointwise residual values (not reduced to a report) for rendering.
+def residual_field(ing: Ingredients, which: str) -> np.ndarray:
+    """Pointwise residual values on the bundle's grid (not reduced to a
+    report) for rendering.
 
     NaN marks the samples the matching report drops.
     """
-    grid = window_grid(window, (nx, ny), valid_mask)
+    grid = ing.grid
     keep = grid.keep
     if which == "bilinear2":
-        pj, qj = profile_jets3(spec, grid.zeta, grid.eta, t)
-        resid, _ = _bilinear2_field(spec, aux, grid.zeta, grid.eta, t, pj, qj)
+        resid, _ = _bilinear2_field(ing)
     elif which == "pde2":
-        resid, stencil_ok = _pde2_field(spec, grid.zeta, grid.eta, t,
+        resid, stencil_ok = _pde2_field(ing.spec, grid.zeta, grid.eta, ing.t,
                                         Stencil(2, 2, 1e-2))
         keep = keep & stencil_ok
     else:
@@ -459,11 +432,10 @@ _POLE_MAGNITUDE = 1e150
 
 def pole_sweep(profile, coords, t: float, n: int = 65537):
     """Fine 1-D sweep for profile poles over the range of ``coords``; returns
-    suspect intervals."""
+    suspect intervals.  It reads profile values alone."""
     x = np.linspace(float(np.min(coords)), float(np.max(coords)), n)
     with np.errstate(invalid="ignore", over="ignore", under="ignore", divide="ignore"):
-        j = profile.jet3(x, t)
-        v = np.asarray(j.value, dtype=float)
+        v = np.asarray(profile.jet3(x, t, order=0).value, dtype=float)
         suspect = ~np.isfinite(v) | (np.abs(v) > _POLE_MAGNITUDE)
     if not suspect.any():
         return ()

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from dsfield.ansatz import SeparationCoefficients, SolutionSpec
-from dsfield.auxiliary import Auxiliaries
+from dsfield.ansatz import SeparationCoefficients, SolutionSpec, window_grid
+from dsfield.auxiliary import Auxiliaries, Ingredients
 from dsfield.profiles import ExpSumProfile
 
 # one line per acceptance criterion, echoed after the run regardless of
@@ -47,20 +47,20 @@ class CorruptedAuxiliaries(Auxiliaries):
         self.rz_offset = float(rz_offset)
         self.amplitude_scale = float(amplitude_scale)
 
-    def p1_jet(self, zeta, t):
-        out = super().p1_jet(zeta, t)
+    def p1_jet(self, pj, t):
+        out = super().p1_jet(pj, t)
         if self.amplitude_scale != 1.0:
             out = self.amplitude_scale * out
         return out
 
-    def r_zeta_jet(self, zeta, t):
-        out = super().r_zeta_jet(zeta, t)
+    def r_zeta_jet(self, pj, t):
+        out = super().r_zeta_jet(pj, t)
         if self.rz_offset:
             out = out + self.rz_offset
         return out
 
-    def p0(self, zeta, t, line=None):
-        val = super().p0(zeta, t, line)
+    def p0(self, r_t, p1, rz, t):
+        val = super().p0(r_t, p1, rz, t)
         if self.p0_offset:
             val = val + self.p0_offset
         return val
@@ -70,6 +70,18 @@ def perturbed(aux, **hooks) -> CorruptedAuxiliaries:
     """Copy of ``aux`` with corruption hooks set (negative-control support)."""
     return CorruptedAuxiliaries(aux.spec, aux.quad_n, aux.anchor_zeta,
                                 aux.anchor_eta, **hooks)
+
+
+def bundle(spec, aux, window, t, samples, valid_mask=None) -> Ingredients:
+    """The ingredient bundle of ``spec`` on a window grid, as verify builds it."""
+    return Ingredients(spec, aux, window_grid(window, samples, valid_mask), t)
+
+
+def line_backgrounds(aux, zeta, eta, t):
+    """(p0, q0) at the points, from their own line ingredients."""
+    pj, qj = aux.spec.p.jet3(zeta, t), aux.spec.q.jet3(eta, t)
+    return (aux.p0(aux.phase_r(zeta, t)[1], aux.p1_jet(pj, t), aux.r_zeta_jet(pj, t), t),
+            aux.q0(aux.phase_s(eta, t)[1], aux.q1_jet(qj, t), aux.s_eta_jet(qj, t), t))
 
 
 def regular_window(entry):

@@ -35,7 +35,7 @@ from dsfield.verify import (
     pde_phi_convergence,
 )
 
-from conftest import perturbed, random_spec
+from conftest import bundle, perturbed, random_spec
 
 
 import conftest
@@ -56,14 +56,13 @@ def test_criterion_1_bilinear_identity(rng):
         start = time.monotonic()
         for name in case_names():
             e = build_case(name)
-            line2 = bilinear_residuals(e.spec, derive(e.spec), e.window,
-                                       e.reference_times[0], 64,
-                                       valid_mask=e.valid_mask)
+            line2 = bilinear_residuals(bundle(e.spec, derive(e.spec), e.window,
+                                              e.reference_times[0], 64, e.valid_mask))
             assert line2.max_abs < 1e-12, name
         for _ in range(100):
             spec = random_spec(rng)
-            line2 = bilinear_residuals(spec, None, ((-8, 8), (-8, 8)),
-                                       float(rng.uniform(-1, 1)), 64)
+            line2 = bilinear_residuals(bundle(spec, None, ((-8, 8), (-8, 8)),
+                                              float(rng.uniform(-1, 1)), 64))
             assert line2.max_abs < 1e-12
         assert time.monotonic() - start < 10.0
 
@@ -74,11 +73,11 @@ def test_criterion_2_dromion_closed_case():
         e = build_case("dromion")
         aux = derive(e.spec)
         window = ((-4, 4), (-4, 4))
-        _, line1, _ = envelope_residuals(e.spec, aux, window, 0.0, 48)
+        _, line1 = envelope_residuals(bundle(e.spec, aux, window, 0.0, 48))
         assert line1.applicable
         assert line1.max_abs < 1e-6
         corrupted = perturbed(aux, p0_offset=0.5 - 0.375)
-        _, bad, _ = envelope_residuals(e.spec, corrupted, window, 0.0, 48)
+        _, bad = envelope_residuals(bundle(e.spec, corrupted, window, 0.0, 48))
         assert bad.max_abs > 1e-2
         assert time.monotonic() - start < 30.0
 

@@ -38,7 +38,8 @@ def envelope(spec, zeta, eta, t, phase_r, phase_s):
     """u = p1 q1 exp(i (r + s)) / f from the amplitude factors, as the
     envelope checks assemble it, with caller-supplied phases."""
     aux = derive(spec)
-    amp = aux.p1_jet(zeta, t).value * aux.q1_jet(eta, t).value
+    pj, qj = profile_jets3(spec, zeta, eta, t)
+    amp = aux.p1_jet(pj, t).value * aux.q1_jet(qj, t).value
     return amp * np.exp(1j * (phase_r + phase_s)) / eval_f(spec, zeta, eta, t).value
 
 
@@ -242,8 +243,14 @@ def test_intensity_sign_violation_flagged():
 # -- admissibility -------------------------------------------------------------
 
 
+def admissibility(spec, window, t, samples, valid_mask=None):
+    """check_admissibility on a window grid, from the profile jets there."""
+    g = window_grid(window, samples, valid_mask)
+    return check_admissibility(spec, g, t, *profile_jets3(spec, g.zeta, g.eta, t))
+
+
 def test_admissibility_dromion(dromion):
-    rep = check_admissibility(dromion, ((-8, 8), (-8, 8)), 0.0, (48, 48))
+    rep = admissibility(dromion, ((-8, 8), (-8, 8)), 0.0, (48, 48))
     assert rep.verdict == "admissible"
     assert rep.min_abs_f > 1.0
     assert rep.sign_changes == 0
@@ -251,20 +258,20 @@ def test_admissibility_dromion(dromion):
 
 def test_admissibility_breather_degenerate():
     spec = build_case("breather").spec
-    rep = check_admissibility(spec, ((-8, 8), (-8, 8)), math.pi / 2, (32, 32))
+    rep = admissibility(spec, ((-8, 8), (-8, 8)), math.pi / 2, (32, 32))
     assert rep.verdict == "degenerate"
 
 
 def test_admissibility_resonant_singular():
     e = build_case("resonant")
-    rep = check_admissibility(e.spec, e.window, 0.0, (64, 64))
+    rep = admissibility(e.spec, e.window, 0.0, (64, 64))
     assert rep.verdict == "singular"
     assert rep.sign_changes > 0
     assert rep.witness is not None
 
 
 def test_admissibility_window_without_finite_f_is_singular(dromion):
-    rep = check_admissibility(dromion, ((-8, 8), (-8, 8)), math.inf, (16, 16))
+    rep = admissibility(dromion, ((-8, 8), (-8, 8)), math.inf, (16, 16))
     assert rep.invalid_points == 16 * 16
     assert rep.min_abs_f == math.inf
     assert rep.verdict == "singular"
@@ -272,7 +279,7 @@ def test_admissibility_window_without_finite_f_is_singular(dromion):
 
 def test_admissibility_requires_samples(dromion):
     with pytest.raises(ValueError):
-        check_admissibility(dromion, ((-1, 1), (-1, 1)), 0.0, (1, 4))
+        admissibility(dromion, ((-1, 1), (-1, 1)), 0.0, (1, 4))
 
 
 @pytest.mark.parametrize("name", case_names())
@@ -388,9 +395,9 @@ def test_admissibility_and_scan_assemble_f_once(name, monkeypatch):
     coeffs = CountingCoefficients(e.spec.coeffs)
     spec = SolutionSpec(coeffs, e.spec.p, e.spec.q, e.spec.funcs)
     # the admissibility scan takes U from the f it scans
-    rep = check_admissibility(spec, e.window, 0.3, (24, 24), e.valid_mask)
+    rep = admissibility(spec, e.window, 0.3, (24, 24), e.valid_mask)
     assert coeffs.a0_reads == 1
-    ref = check_admissibility(e.spec, e.window, 0.3, (24, 24), e.valid_mask)
+    ref = admissibility(e.spec, e.window, 0.3, (24, 24), e.valid_mask)
     assert (rep.verdict, rep.min_abs_f, rep.max_intensity) == (
         ref.verdict, ref.min_abs_f, ref.max_intensity)
     # the singularity scan reads f's value alone: a jet of one entry

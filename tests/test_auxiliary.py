@@ -17,6 +17,8 @@ from dsfield.catalog import build_case, case_names
 from dsfield.profiles import CustomProfile, ExpSumProfile, const_fn
 from dsfield.verify import pole_sweep
 
+from conftest import line_backgrounds
+
 @pytest.fixture
 def dromion():
     return build_case("dromion").spec
@@ -39,7 +41,8 @@ def admissible_spec(rng):
 
 def test_dromion_amplitudes(dromion):
     aux = derive(dromion)
-    p1, q1 = aux.p1_jet(0.0, 0.0), aux.q1_jet(0.0, 0.0)
+    p1 = aux.p1_jet(dromion.p.jet3(0.0, 0.0), 0.0)
+    q1 = aux.q1_jet(dromion.q.jet3(0.0, 0.0), 0.0)
     assert p1.value == pytest.approx(math.exp(0.5), rel=1e-14)
     assert q1.value == pytest.approx(2 * math.exp(0.5), rel=1e-14)
     # analytic jets of exp((zeta + t + 1)/2)
@@ -55,10 +58,10 @@ def test_amplitude_product_identity(rng):
         spec = admissible_spec(rng)
         aux = derive(spec)
         z, e, t = rng.uniform(-2, 2, 3)
-        p1 = aux.p1_jet(z, t)
-        q1 = aux.q1_jet(e, t)
         pj = spec.p.jet3(z, t)
         qj = spec.q.jet3(e, t)
+        p1 = aux.p1_jet(pj, t)
+        q1 = aux.q1_jet(qj, t)
         want = 4.0 * spec.coeffs.det * pj[1, 0] * qj[1, 0]
         assert (p1.value * q1.value) ** 2 == pytest.approx(want, rel=1e-12)
 
@@ -68,19 +71,20 @@ def test_amplitude_negative_radicand_flagged():
     spec = SolutionSpec(SeparationCoefficients(1, 1, 1, 2),
                         ExpSumProfile((1.0,), (-1.0,), (1.0,), (0.0,)),
                         ExpSumProfile((1.0,), (1.0,), (1.0,), (0.0,)))
-    p1 = derive(spec).p1_jet(0.0, 0.0)
+    p1 = derive(spec).p1_jet(spec.p.jet3(0.0, 0.0), 0.0)
     assert not np.isfinite(p1.value)
 
 
 def test_breather_amplitude_vanishes_at_degenerate_time():
     spec = build_case("breather").spec
-    p1 = derive(spec).p1_jet(0.7, math.pi / 2)
+    p1 = derive(spec).p1_jet(spec.p.jet3(0.7, math.pi / 2), math.pi / 2)
     assert abs(p1.value) < 1e-12
 
 
 def test_dromion_phase_gradients(dromion):
     aux = derive(dromion)
-    rz, se = aux.r_zeta_jet(1.3, 0.45), aux.s_eta_jet(-0.8, 0.45)
+    rz = aux.r_zeta_jet(dromion.p.jet3(1.3, 0.45), 0.45)
+    se = aux.s_eta_jet(dromion.q.jet3(-0.8, 0.45), 0.45)
     assert rz.value == pytest.approx(-1.0, rel=1e-14)
     assert se.value == pytest.approx(-1.0, rel=1e-14)
     assert rz[1, 0] == pytest.approx(0.0, abs=1e-14)
@@ -90,13 +94,13 @@ def test_static_profile_zero_gradient():
     spec = SolutionSpec(SeparationCoefficients(1, 1, 1, 2),
                         ExpSumProfile((1.0,), (1.0,), (0.0,), (0.0,)),
                         ExpSumProfile((1.0,), (1.0,), (0.0,), (0.0,)))
-    rz = derive(spec).r_zeta_jet(0.4, 0.0)
+    rz = derive(spec).r_zeta_jet(spec.p.jet3(0.4, 0.0), 0.0)
     assert rz.value == 0.0
 
 
 def test_gradient_blows_up_where_p_z_vanishes():
     spec = build_case("breather").spec
-    rz = derive(spec).r_zeta_jet(0.0, math.pi / 2)
+    rz = derive(spec).r_zeta_jet(spec.p.jet3(0.0, math.pi / 2), math.pi / 2)
     # p_z underflows to ~1e-33 while p_t stays finite: ratio is huge or
     # guarded, never silently wrong
     assert not np.isfinite(rz.value) or abs(rz.value) > 1e10
@@ -109,14 +113,14 @@ def test_evolution_round_trip(rng):
         aux = derive(spec)
         z, t = rng.uniform(-2, 2, 2)
         pj = spec.p.jet3(z, t)
-        rz = aux.r_zeta_jet(z, t)
+        rz = aux.r_zeta_jet(pj, t)
         beta = spec.funcs.beta(t)
         assert -beta * rz.value * pj[1, 0] == pytest.approx(pj[0, 1], rel=1e-12)
 
 
 def test_dromion_background(dromion):
     aux = derive(dromion)
-    p0, q0 = aux.p0(0.9, 0.2), aux.q0(-1.4, 0.2)
+    p0, q0 = line_backgrounds(aux, 0.9, -1.4, 0.2)
     assert p0 == pytest.approx(0.375, rel=1e-12)
     assert q0 == pytest.approx(0.375, rel=1e-12)
 
@@ -126,8 +130,8 @@ def test_background_zero_for_linear_custom_profile():
     lin = CustomProfile(lambda xj, tj: xj + 0.0 * tj, label="linear")
     spec = SolutionSpec(SeparationCoefficients(1, 1, 1, 2), lin, lin)
     aux = derive(spec)
-    assert aux.p0(0.3, 0.0) == pytest.approx(0.0, abs=1e-14)
-    assert aux.r_zeta_jet(0.3, 0.0).value == 0.0
+    assert line_backgrounds(aux, 0.3, 0.3, 0.0)[0] == pytest.approx(0.0, abs=1e-14)
+    assert aux.r_zeta_jet(lin.jet3(0.3, 0.0), 0.0).value == 0.0
 
 
 def test_phases_dromion_pipeline(dromion):
@@ -202,7 +206,7 @@ def test_phases_match_mpmath_quadrature(name):
 
         @functools.lru_cache(maxsize=None)
         def g(x):
-            j = grad(x, t)
+            j = grad(profile.jet3(x, t), t)
             return complex(float(j.value), float(j[0, 1]))
 
         pts = np.union1d(z, 0.0).tolist()
@@ -248,9 +252,9 @@ def test_phases_integrate_each_line_coordinate_once(name):
     t = entry.reference_times[-1]
     nodes = []
     for attr in ("r_zeta_jet", "s_eta_jet"):
-        def counting(pos, t, grad=getattr(aux, attr)):
-            nodes.append(np.size(pos))
-            return grad(pos, t)
+        def counting(j, t, grad=getattr(aux, attr)):
+            nodes.append(np.size(j.value))
+            return grad(j, t)
         setattr(aux, attr, counting)
     for phase, coords in ((aux.phase_r, zeta), (aux.phase_s, eta)):
         nodes.clear()
@@ -272,10 +276,12 @@ def test_c0_invariance(dromion):
     a1 = derive(dromion)
     a2 = derive(scaled)
     z, e, t = 0.5, -0.3, 0.8
-    assert a2.p0(z, t) == pytest.approx(a1.p0(z, t), rel=1e-12)
-    assert a2.q0(e, t) == pytest.approx(a1.q0(e, t), rel=1e-12)
-    p1a, q1a = a1.p1_jet(z, t), a1.q1_jet(e, t)
-    p1b, q1b = a2.p1_jet(z, t), a2.q1_jet(e, t)
+    (p0a, q0a), (p0b, q0b) = (line_backgrounds(a, z, e, t) for a in (a1, a2))
+    assert p0b == pytest.approx(p0a, rel=1e-12)
+    assert q0b == pytest.approx(q0a, rel=1e-12)
+    pj, qj = dromion.p.jet3(z, t), dromion.q.jet3(e, t)
+    p1a, q1a = a1.p1_jet(pj, t), a1.q1_jet(qj, t)
+    p1b, q1b = a2.p1_jet(pj, t), a2.q1_jet(qj, t)
     assert p1b.value * q1b.value == pytest.approx(p1a.value * q1a.value, rel=1e-13)
     ra, _ = a1.phase_r(z, t)
     rb, _ = a2.phase_r(z, t)
@@ -315,7 +321,7 @@ def test_closed_case_satisfies_background_and_consistency(dromion):
     # with gradients -1 and backgrounds 3/8 both relations hold at once
     aux = derive(dromion)
     zs = np.linspace(-3, 3, 7)
-    assert np.allclose(aux.p0(zs, 0.0), 0.375, rtol=1e-12)
+    assert np.allclose(line_backgrounds(aux, zs, zs, 0.0)[0], 0.375, rtol=1e-12)
     rep = consistency_c1_c2(dromion, aux, zs, zs, 0.0)
     assert rep.max_variation < 1e-12
 

@@ -6,9 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dsfield import calculus as jc
+from dsfield.ansatz import SeparationCoefficients, SolutionSpec
 from dsfield.auxiliary import derive
 from dsfield.calculus import DIV_GUARD, Jet, Stencil, fd_derivative
-from dsfield.catalog import build_case
+from dsfield.profiles import CustomProfile
 
 L2 = jc.layout(2, 2)    # (value, d1, dt, d11, d1t, dtt) in (x, t)
 finite = st.floats(min_value=-10, max_value=10, allow_nan=False)
@@ -269,8 +270,10 @@ def phase_rule(integrand, a, b):
     """The integral of ``integrand`` over [a, b] by the cumulative
     Gauss-Legendre rule of the phases: phase_r anchored at a, with the
     integrand as its gradient."""
-    aux = derive(build_case("dromion").spec, anchor_zeta=a)
-    aux.r_zeta_jet = lambda z, t: Jet((integrand(z),) + (0.0,) * 5, L2)
+    lin = CustomProfile(lambda xj, tj: xj + 0.0 * tj)
+    aux = derive(SolutionSpec(SeparationCoefficients(1, 1, 1, 2), lin, lin), anchor_zeta=a)
+    # the profile is zeta itself, so its jet's value is the node
+    aux.r_zeta_jet = lambda pj, t: Jet((integrand(pj.value),) + (0.0,) * 5, L2)
     return aux.phase_r(b, 0.0)[0]
 
 

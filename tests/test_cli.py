@@ -4,6 +4,7 @@ import subprocess
 import sys
 import warnings
 
+import numpy as np
 import pytest
 
 from dsfield.cli import main, parse_time, parse_window
@@ -85,6 +86,14 @@ def test_spec_file_errors():
         loads_spec("[coeffs]\na0=1\na1=1\na2=1\na3=1\n"
                    "[p]\nfamily = expsum\nA=1\nK=1\nL=1\n"
                    "[q]\nfamily = tancos\n")
+    # a sign is +1 or -1: inf used to crash with OverflowError, and 1.5
+    # was truncated to +1
+    base = "[coeffs]\na0=1\na1=1\na2=1\na3=2\n[p]\nfamily = tancos\n[q]\nfamily = tancos\n"
+    for bad in ("inf", "1.5"):
+        with pytest.raises(SpecFileError, match="delta1"):
+            loads_spec(base + f"[signs]\ndelta1 = {bad}\n")
+    spec = loads_spec(base + "[signs]\ndelta1 = -1.0\ndelta2 = +1\n")
+    assert (spec.delta1, spec.delta2) == (-1, 1)
 
 
 # -- subcommands ----------------------------------------------------------------
@@ -269,7 +278,10 @@ def test_verify_admissibility_takes_pole_ranges_from_window_corners(
     g = orig(e.window, 40)
     expected = (len(pole_sweep(e.spec.p, g.zeta, t))
                 + len(pole_sweep(e.spec.q, g.eta, t)))
-    monkeypatch.setattr(ansatz, "window_grid", counting)
+    # every module's binding, so a grid built anywhere counts
+    for modname, mod in list(sys.modules.items()):
+        if modname.split(".")[0] == "dsfield" and getattr(mod, "window_grid", None) is orig:
+            monkeypatch.setattr(mod, "window_grid", counting)
     out = tmp_path / "r.txt"
     run("verify", "--case", name, "--t", repr(t), "--checks", "admissibility",
         "--res", "40", "--out", str(out))
@@ -292,6 +304,11 @@ ALL = "bilinear2,bilinear1,pde2,pde1,consistency,admissibility"
     ("analyze", "--case", "breather", "--period", "1:0:32"),
     # an empty check list used to run nothing and print overall: pass
     ("verify", "--case", "dromion", "--t", "0", "--checks", ","),
+    # a tolerance of nan or 0 used to fail every check, and inf to pass it
+    ("verify", "--case", "dromion", "--t", "0", "--tol", "nan"),
+    ("verify", "--case", "dromion", "--t", "0", "--tol", "0"),
+    ("verify", "--case", "dromion", "--t", "0", "--tol-pde", "inf"),
+    ("verify", "--case", "dromion", "--t", "0", "--tol-consistency=-1e-8"),
 ])
 def test_bad_input_exits_2(argv, tmp_path, capsys):
     out = tmp_path / "out.txt"
@@ -332,6 +349,40 @@ def test_verify_evaluates_consistency_and_phases_once(tmp_path, monkeypatch):
     assert run("verify", "--case", "breather", "--t", "0.3", "--res", "32",
                "--checks", ALL, "--out", str(tmp_path / "r.txt")) == 0
     assert calls == {"consistency": 1, "phase_r": 1, "phase_s": 1}
+
+
+def test_verify_and_render_evaluate_each_profile_jet_once(tmp_path, monkeypatch):
+    # one ingredient bundle per grid: a six-check verify evaluates each
+    # profile's jet, and p1 and q1, on the --res grid once; the pole sweeps
+    # read profile values alone; a phi render evaluates each profile on its
+    # grid once
+    from dsfield.auxiliary import Auxiliaries
+    e = build_case("breather")
+    on_grid, sweep_entries, amplitudes = [], [], []
+    for cls in (type(e.spec.p), type(e.spec.q)):
+        def counting(self, x, t, *args, jet3=cls.jet3, **kwargs):
+            out = jet3(self, x, t, *args, **kwargs)
+            if np.shape(x) == (64, 64):
+                on_grid.append(type(self).__name__)
+            if np.size(x) == 65537:
+                sweep_entries.append(len(out.entries))
+            return out
+        monkeypatch.setattr(cls, "jet3", counting)
+    for attr in ("p1_jet", "q1_jet"):
+        def counting_amplitude(self, j, t, attr=attr, amp=getattr(Auxiliaries, attr)):
+            if np.shape(j.value) == (64, 64):
+                amplitudes.append(attr)
+            return amp(self, j, t)
+        monkeypatch.setattr(Auxiliaries, attr, counting_amplitude)
+    assert run("verify", "--case", "breather", "--t", "0.3", "--res", "64",
+               "--checks", ALL, "--out", str(tmp_path / "r.txt")) == 0
+    assert sorted(on_grid) == ["BreatherPProfile", "BreatherQProfile"]
+    assert sorted(amplitudes) == ["p1_jet", "q1_jet"]
+    assert sweep_entries == [1, 1]
+    on_grid.clear()
+    assert run("render", "--case", "breather", "--t", "0.3", "--which", "phi",
+               "--res", "64", "--out", str(tmp_path / "phi.csv")) == 0
+    assert sorted(on_grid) == ["BreatherPProfile", "BreatherQProfile"]
 
 
 def test_verify_tol_consistency_moves_the_gate(tmp_path):

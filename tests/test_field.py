@@ -23,7 +23,6 @@ from dsfield.field import (
     analyze_extrema,
     decay_profile,
     estimate_period,
-    export,
     parse_csv,
     point_reflection_defect,
     reflection_defect,
@@ -559,15 +558,6 @@ def test_report_is_stable_text():
     rep = to_report(g)
     assert rep == to_report(g)
     assert "max: 3" in rep and "valid: 4" in rep
-
-
-def test_export_dispatcher():
-    g = grid_of([[0.0, 1.0], [2.0, 3.0]])
-    assert export(g, "csv") == to_csv(g)
-    assert export(g, "pgm16") == to_pgm16(g)
-    assert export(g, "report") == to_report(g).encode()
-    with pytest.raises(ValueError):
-        export(g, "png")
 
 
 def test_period_l2_statistic():

@@ -3,7 +3,13 @@ import math
 import numpy as np
 import pytest
 
-from dsfield.ansatz import CoefficientFunctions, SolutionSpec, check_admissibility
+from dsfield.ansatz import (
+    CoefficientFunctions,
+    SolutionSpec,
+    check_admissibility,
+    profile_jets3,
+    window_grid,
+)
 from dsfield.auxiliary import derive
 from dsfield.calculus import Jet, Stencil, layout
 from dsfield.catalog import build_case, case_names
@@ -19,7 +25,7 @@ from dsfield.verify import (
     singularity_scan,
 )
 
-from conftest import perturbed, random_spec
+from conftest import bundle, perturbed, random_spec
 
 
 def exp_jet(k, omega=0.0):
@@ -97,7 +103,7 @@ def test_bilinear_constraint_on_catalog(name):
     e = build_case(name)
     t = e.reference_times[0]
     aux = derive(e.spec)
-    line2 = bilinear_residuals(e.spec, aux, e.window, t, 64, valid_mask=e.valid_mask)
+    line2 = bilinear_residuals(bundle(e.spec, aux, e.window, t, 64, e.valid_mask))
     assert line2.max_abs < 1e-12
     assert line2.mean_abs <= line2.max_abs
 
@@ -105,15 +111,15 @@ def test_bilinear_constraint_on_catalog(name):
 def test_bilinear_constraint_on_random_specs(rng):
     for _ in range(30):
         spec = random_spec(rng)
-        line2 = bilinear_residuals(spec, None, ((-8, 8), (-8, 8)),
-                                   float(rng.uniform(-1, 1)), 32)
+        line2 = bilinear_residuals(bundle(spec, None, ((-8, 8), (-8, 8)),
+                                          float(rng.uniform(-1, 1)), 32))
         assert line2.max_abs < 1e-12
 
 
 def test_bilinear_line1_closed_case():
     e = build_case("dromion")
     aux = derive(e.spec)
-    line1, _, _ = envelope_residuals(e.spec, aux, ((-4, 4), (-4, 4)), 0.0, 48)
+    line1, _ = envelope_residuals(bundle(e.spec, aux, ((-4, 4), (-4, 4)), 0.0, 48))
     assert line1.applicable
     assert line1.max_abs < 1e-8
 
@@ -122,21 +128,21 @@ def test_bilinear_line1_gated_for_inconsistent_spec():
     d = build_case("dromion").spec
     spec = SolutionSpec(d.coeffs, d.p, d.q,
                         CoefficientFunctions(gamma=const_fn(0.5)))
-    line1, _, _ = envelope_residuals(spec, derive(spec), ((-4, 4), (-4, 4)), 0.0, 24)
+    line1, _ = envelope_residuals(bundle(spec, derive(spec), ((-4, 4), (-4, 4)), 0.0, 24))
     assert not line1.applicable
     assert "inconsistent" in line1.notes
 
 
 def test_bilinear_line1_not_applicable_for_resonant():
     e = build_case("resonant")
-    line1, _, _ = envelope_residuals(e.spec, derive(e.spec), e.window, 0.0, 24)
+    line1, _ = envelope_residuals(bundle(e.spec, derive(e.spec), e.window, 0.0, 24))
     assert not line1.applicable
 
 
 def test_negative_control_corrupted_background():
     e = build_case("dromion")
     aux = perturbed(derive(e.spec), p0_offset=0.5 - 0.375)
-    line1, _, _ = envelope_residuals(e.spec, aux, ((-4, 4), (-4, 4)), 0.0, 48)
+    line1, _ = envelope_residuals(bundle(e.spec, aux, ((-4, 4), (-4, 4)), 0.0, 48))
     assert line1.max_abs > 1e-2
 
 
@@ -144,18 +150,18 @@ def test_negative_control_corrupted_gradient():
     e = build_case("dromion")
     aux = perturbed(derive(e.spec), rz_offset=0.1)
     # the corrupted gradient shows up in the consistency gate...
-    gated, _, _ = envelope_residuals(e.spec, aux, ((-4, 4), (-4, 4)), 0.0, 24)
+    ing = bundle(e.spec, aux, ((-4, 4), (-4, 4)), 0.0, 24)
+    gated, _ = envelope_residuals(ing)
     assert not gated.applicable
     # ...and in the ungated residual itself
-    line1, _, _ = envelope_residuals(e.spec, aux, ((-4, 4), (-4, 4)), 0.0, 24,
-                                     tol=math.inf)
+    line1, _ = envelope_residuals(ing, tol=math.inf)
     assert line1.max_abs > 1e-3
 
 
 def test_negative_control_corrupted_amplitude():
     e = build_case("dromion")
     aux = perturbed(derive(e.spec), amplitude_scale=1.1)
-    line2 = bilinear_residuals(e.spec, aux, e.window, 0.0, 32)
+    line2 = bilinear_residuals(bundle(e.spec, aux, e.window, 0.0, 32))
     assert line2.max_abs > 0.15       # (1.1^2 - 1)/1.1^2 relative mismatch
 
 
@@ -164,16 +170,17 @@ def test_periodic_amplitude_branch_fallback():
     # exist for c0 > 0 and the check falls back to the exact product form
     e = build_case("periodic")
     aux = derive(e.spec)
-    line2 = bilinear_residuals(e.spec, aux, e.window, 2 * math.pi / 3, 32,
-                               valid_mask=e.valid_mask)
+    line2 = bilinear_residuals(bundle(e.spec, aux, e.window, 2 * math.pi / 3, 32,
+                                      e.valid_mask))
     assert line2.flags["amplitude_branch"] > 0
     assert line2.max_abs < 1e-12
 
 
 def test_report_invariants():
     e = build_case("solitoff")
-    line2 = bilinear_residuals(e.spec, derive(e.spec), e.window, 0.0, 32)
-    line1, _, _ = envelope_residuals(e.spec, derive(e.spec), e.window, 0.0, 32)
+    ing = bundle(e.spec, derive(e.spec), e.window, 0.0, 32)
+    line2 = bilinear_residuals(ing)
+    line1, _ = envelope_residuals(ing)
     for rep in (line2, line1):
         assert rep.max_abs >= rep.mean_abs >= 0.0
         (x0, x1), (y0, y1) = e.window
@@ -187,7 +194,7 @@ def test_report_invariants():
 
 def test_pde_line1_closed_case():
     e = build_case("dromion")
-    _, l1, _ = envelope_residuals(e.spec, derive(e.spec), ((-4, 4), (-4, 4)), 0.0, 48)
+    _, l1 = envelope_residuals(bundle(e.spec, derive(e.spec), ((-4, 4), (-4, 4)), 0.0, 48))
     assert l1.applicable
     assert l1.max_abs < 1e-6
 
@@ -195,7 +202,7 @@ def test_pde_line1_closed_case():
 def test_pde_line1_negative_control():
     e = build_case("dromion")
     aux = perturbed(derive(e.spec), p0_offset=0.125)
-    _, l1, _ = envelope_residuals(e.spec, aux, ((-4, 4), (-4, 4)), 0.0, 48)
+    _, l1 = envelope_residuals(bundle(e.spec, aux, ((-4, 4), (-4, 4)), 0.0, 48))
     assert l1.max_abs > 1e-2
 
 
@@ -233,19 +240,19 @@ def test_pde_line2_drops_stencil_hits_near_pole():
 
 def test_residual_field_values_match_report():
     e = build_case("dromion")
-    vals = residual_field(e.spec, None, "bilinear2", e.window, 0.0, 32, 32)
+    vals = residual_field(bundle(e.spec, None, e.window, 0.0, (32, 32)), "bilinear2")
     assert np.nanmax(vals) < 1e-12
     with pytest.raises(ValueError):
-        residual_field(e.spec, None, "nope", e.window, 0.0, 8, 8)
+        residual_field(bundle(e.spec, None, e.window, 0.0, (8, 8)), "nope")
     # at 48 samples the double_instanton mask drops 44 points near its pole
     for name in ("dromion", "double_instanton"):
         e = build_case(name)
         t = e.reference_times[0]
-        line2 = bilinear_residuals(e.spec, None, e.window, t, 48, valid_mask=e.valid_mask)
+        line2 = bilinear_residuals(bundle(e.spec, None, e.window, t, 48, e.valid_mask))
         pde2 = pde_residuals(e.spec, e.window, t, 48, valid_mask=e.valid_mask)
         for which, rep in (("bilinear2", line2), ("pde2", pde2)):
-            vals = residual_field(e.spec, None, which, e.window, t, 48, 48,
-                                  valid_mask=e.valid_mask)
+            vals = residual_field(bundle(e.spec, None, e.window, t, (48, 48), e.valid_mask),
+                                  which)
             assert np.nanmax(vals) == rep.max_abs, (name, which)
             assert np.count_nonzero(np.isfinite(vals)) == rep.samples, (name, which)
 
@@ -257,7 +264,8 @@ def test_residual_field_values_match_report():
 def test_scan_agrees_with_admissibility(name):
     e = build_case(name)
     t = e.reference_times[0]
-    rep = check_admissibility(e.spec, e.window, t, (48, 48), e.valid_mask)
+    g = window_grid(e.window, (48, 48), e.valid_mask)
+    rep = check_admissibility(e.spec, g, t, *profile_jets3(e.spec, g.zeta, g.eta, t))
     scan = singularity_scan(e.spec, e.window, t, 48, e.valid_mask)
     assert scan.min_abs_f == rep.min_abs_f
     assert scan.min_f_point == rep.min_f_point
