@@ -187,8 +187,8 @@ def window_grid(window, samples, valid_mask=None) -> WindowGrid:
 # the denominator field
 
 
-def profile_jets3(spec: SolutionSpec, zeta, eta, t) -> tuple[Jet, Jet]:
-    return spec.p.jet3(zeta, t), spec.q.jet3(eta, t)
+def profile_jets3(spec: SolutionSpec, zeta, eta, t, order=3) -> tuple[Jet, Jet]:
+    return spec.p.jet3(zeta, t, order), spec.q.jet3(eta, t, order)
 
 
 def _assemble(a: SeparationCoefficients, p, q):
@@ -234,9 +234,9 @@ class Intensity:
 def _intensity(spec: SolutionSpec, pj: Jet, qj: Jet, dt: bool = False, f=None):
     """The one U kernel: (U, U_t), U_t only with ``dt`` (else None).
 
-    It reads the jets' value and first derivative in x alone, and for U_t
-    also (0, 1) and (1, 1); ``f`` is f's value if the caller has it.  U is
-    NaN where |f| falls under the guard.
+    It reads the jets' box (1, 0), the value and first derivative in x,
+    and for U_t the box (1, 1); ``f`` is f's value if the caller has it.
+    U is NaN where |f| falls under the guard.
     """
     a = spec.coeffs
     p, q = pj.value, qj.value
@@ -259,7 +259,7 @@ def eval_intensity(spec: SolutionSpec, zeta, eta, t,
                    pj: Optional[Jet] = None, qj: Optional[Jet] = None, f=None) -> Intensity:
     """U at the points, from f's value ``f`` when the caller has it."""
     if pj is None or qj is None:
-        pj, qj = profile_jets3(spec, zeta, eta, t)
+        pj, qj = profile_jets3(spec, zeta, eta, t, (1, 0))
     vals = _intensity(spec, pj, qj, f=f)[0]
     with np.errstate(invalid="ignore", over="ignore", under="ignore"):
         sign = (spec.coeffs.det * pj[1, 0] * qj[1, 0]) < 0.0
@@ -268,27 +268,26 @@ def eval_intensity(spec: SolutionSpec, zeta, eta, t,
 
 def eval_intensity_dt(spec: SolutionSpec, zeta, eta, t):
     """U and its exact time derivative U_t, NaN where U is."""
-    return _intensity(spec, *profile_jets3(spec, zeta, eta, t), dt=True)
+    return _intensity(spec, *profile_jets3(spec, zeta, eta, t, (1, 1)), dt=True)
 
 
 def grid_intensity(spec: SolutionSpec, grid: WindowGrid, t, dt: bool = False):
     """(U, U_t) on ``grid`` at ``t`` as :func:`eval_intensity_dt`, U_t only
     with ``dt``; a 1-D array of times leads the shape, (n_t, ny, nx).
 
-    Each profile is evaluated once per line coordinate for all times, and
-    only the entries the kernel reads are gathered onto the grid.
+    Each profile is evaluated once per line coordinate for all times, to
+    the box the kernel reads, and that jet is gathered onto the grid.
     """
     t = np.asarray(t, dtype=float)
     tt = t.reshape(t.shape + (1,) * grid.zeta_lines.ndim) if t.ndim else float(t)
-    reads = {(0, 0), (1, 0)} | ({(0, 1), (1, 1)} if dt else set())
 
     def on_grid(profile, lines, index):
-        jet = profile.jet3(lines, tt)
+        jet = profile.jet3(lines, tt, (1, 1) if dt else (1, 0))
         if index is None:
             return jet
         shape = t.shape + lines.shape
-        return Jet((np.take(np.broadcast_to(e, shape), index, axis=-1) if m in reads
-                    else 0.0 for m, e in zip(jet.layout.index, jet.entries)), jet.layout)
+        return Jet((np.take(np.broadcast_to(e, shape), index, axis=-1)
+                    for e in jet.entries), jet.layout)
 
     return _intensity(spec, on_grid(spec.p, grid.zeta_lines, grid.zeta_index),
                       on_grid(spec.q, grid.eta_lines, grid.eta_index), dt)

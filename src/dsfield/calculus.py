@@ -1,15 +1,16 @@
 """Truncated Taylor jets plus finite-difference stencils.
 
 :class:`Jet` is the one derivative carrier of the package: the partial
-derivatives of a function through some total order in some variables,
-held in a tuple in the graded order of a cached :func:`layout`.  Profiles
-evaluate order-3 jets in (own spatial variable, t), f is an order-2 jet in
-(zeta, eta, t), and the peak ascent takes the gradient and Hessian of log U
-from an order-2 jet in (zeta, eta).  Products follow the Leibniz rule from
-the layout's pair table, and every elementary function is the one
-composition sum_k f^(k)(a0)/k! (a - a0)^k with the Taylor coefficients of
-:func:`_tables` (Griewank & Walther, *Evaluating Derivatives*, ch. 13), so
-there is no truncation error, only rounding.
+derivatives of a function through a total order or a box of per-variable
+orders, in the graded order of a cached :func:`layout`.  Profiles are
+jets in (own spatial variable, t) to the order or box their reader asks
+for, f is an order-2 jet in (zeta, eta, t), and the peak ascent takes the
+gradient and Hessian of log U from an order-2 jet in (zeta, eta).
+Products follow the Leibniz rule from the layout's pair table, and every
+elementary function is the one composition sum_k f^(k)(a0)/k! (a - a0)^k
+with the Taylor coefficients of :func:`_tables` (Griewank & Walther,
+*Evaluating Derivatives*, ch. 13), so there is no truncation error, only
+rounding.
 
 Entries may be scalars or numpy arrays; each broadcasts on its own, so
 factors of t alone keep scalar entries.  An entry that is the Python float
@@ -104,10 +105,13 @@ class Layout:
 
 
 @functools.lru_cache(maxsize=None)
-def layout(n: int, order: int) -> Layout:
-    """The layout of all partial derivatives of total order <= ``order`` in
-    ``n`` variables."""
-    index = [m for m in itertools.product(range(order + 1), repeat=n) if sum(m) <= order]
+def layout(n: int, order) -> Layout:
+    """The layout of the partial derivatives in ``n`` variables of total
+    order <= ``order``, or, for a tuple ``order`` (a box), of order <=
+    ``order[i]`` in variable i."""
+    box = order if isinstance(order, tuple) else (order,) * n
+    index = [m for m in itertools.product(*(range(b + 1) for b in box))
+             if box is order or sum(m) <= order]
     return Layout(sorted(index, key=lambda m: (sum(m), [-e for e in m])))
 
 
@@ -167,6 +171,8 @@ class Jet:
         same variables); an axis None fixes that variable at its point."""
         src = self.layout
         d = tuple(d or (0,) * src.n)
+        if d not in src.pos:
+            raise ValueError(f"derivative {d} exceeds jet order {src.order}")
         axes = tuple(range(src.n) if axes is None else axes)
         dst = layout(n or src.n, src.order - sum(d) if order is None else order)
         return Jet([0.0 if i is None else self.entries[i]
@@ -248,16 +254,17 @@ def constant(value, layout: Layout) -> Jet:
     return Jet((value,) + (0.0,) * (len(layout.index) - 1), layout)
 
 
-def variables(*values, order: int) -> tuple:
-    """Seed jets of independent variables at ``values``, to ``order``."""
+def variables(*values, order) -> tuple:
+    """Seed jets of independent variables at ``values``, to ``order`` as in
+    :func:`layout`; a box without a variable's first derivative holds it fixed."""
     lay = layout(len(values), order)
     seeds = []
     for i, v in enumerate(values):
         entries = [0.0] * len(lay.index)
         entries[0] = v if np.ndim(v) else np.float64(v)
-        if order:
-            entries[lay.pos[tuple(int(k == i) for k in range(lay.n))]] = (
-                np.ones_like(v) if np.ndim(v) else 1.0)
+        unit = lay.pos.get(tuple(int(k == i) for k in range(lay.n)))
+        if unit is not None:
+            entries[unit] = np.ones_like(v) if np.ndim(v) else 1.0
         seeds.append(Jet(entries, lay))
     return tuple(seeds)
 

@@ -336,7 +336,7 @@ def _cmd_analyze(args) -> int:
         times = [parse_time(v) for v in args.decay.split(",")]
         res = decay_profile(spec, window, times, grid_n=args.res, valid_mask=mask)
         for t, mx in res.decay_series:
-            lines.append((f"max_at_t_{t:g}", f"{mx:.17g}"))
+            lines.append((f"max_at_t_{t!r}", f"{mx:.17g}"))
     else:
         t = parse_time(args.t)
         grid = sample_field(spec, None, "U", window, t, args.res, args.res,

@@ -367,9 +367,10 @@ def _log_intensity_jets(spec, times, xy, valid_mask):
     """U at the points ``xy`` (n, 2) with the gradient (n, 2) and Hessian
     (n, 2, 2) of log U in (x, y), from the order-2 series of
     log|p_z| + log|q_e| - 2 log|f| in (zeta, eta); U is NaN outside
-    ``valid_mask`` and where any of them is not finite."""
+    ``valid_mask`` and where any of them is not finite.  The Hessian of
+    log|p_z| needs p_zzz, and nothing here differentiates in t: box (3, 0)."""
     zeta, eta = rotate(xy[:, 0], xy[:, 1])
-    pj, qj = profile_jets3(spec, zeta, eta, times)
+    pj, qj = profile_jets3(spec, zeta, eta, times, (3, 0))
     u = eval_intensity(spec, zeta, eta, times, pj, qj).values
 
     def log_abs(j):

@@ -1,9 +1,10 @@
 """Separable profile families and scalar-in-time coefficient functions.
 
 A profile is a real function of one spatial variable (its own rotated
-coordinate) and time.  Each family evaluates to an order-3 jet so that
-downstream derivations, which differentiate profile derivatives once more,
-remain exact; a caller that reads the value alone asks for order 0.  The
+coordinate) and time.  Each family evaluates to a jet to the order or box
+its reader asks for: the verify ingredients, which differentiate profile
+derivatives once more, read order 3; U reads the box (1, 0), with U_t
+(1, 1); the peak ascent (3, 0); a pole sweep the value alone, order 0.  The
 exponential-sum family covers localized and line-type data; the remaining
 families are the fixed forms behind the breather, periodic and instanton
 catalog cases.  ``CustomProfile`` accepts any jet-valued callable for
@@ -38,11 +39,12 @@ __all__ = [
 
 class ProfileFunction:
     """Common interface: ``jet3(x, t, order)`` returns a jet in (x, t) to
-    ``order``, 3 by default."""
+    ``order``, 3 by default, or a box such as ``(1, 0)``; each entry is
+    bitwise that of the order-3 jet."""
 
     family = "abstract"
 
-    def jet3(self, x, t, order: int = 3) -> Jet:
+    def jet3(self, x, t, order=3) -> Jet:
         raise NotImplementedError
 
 
@@ -68,7 +70,7 @@ class ExpSumProfile(ProfileFunction):
         for name, seq in (("A", self.A), ("K", self.K), ("L", self.L), ("theta", self.theta)):
             object.__setattr__(self, name, tuple(float(v) for v in seq))
 
-    def jet3(self, x, t, order: int = 3) -> Jet:
+    def jet3(self, x, t, order=3) -> Jet:
         x = np.asarray(x, dtype=float) if np.ndim(x) else float(x)
         lay = jc.layout(2, order)
         total = None
@@ -86,7 +88,7 @@ class BreatherPProfile(ProfileFunction):
 
     family = "breather_p"
 
-    def jet3(self, x, t, order: int = 3) -> Jet:
+    def jet3(self, x, t, order=3) -> Jet:
         xj, tj = jc.variables(x, t, order=order)
         c = jc.cos(tj)
         return 1.0 + jc.exp(xj * c * c)
@@ -98,7 +100,7 @@ class BreatherQProfile(ProfileFunction):
 
     family = "breather_q"
 
-    def jet3(self, x, t, order: int = 3) -> Jet:
+    def jet3(self, x, t, order=3) -> Jet:
         xj, tj = jc.variables(x, t, order=order)
         c = jc.cos(tj)
         return jc.exp(xj + c * c)
@@ -110,7 +112,7 @@ class TanCosProfile(ProfileFunction):
 
     family = "tancos"
 
-    def jet3(self, x, t, order: int = 3) -> Jet:
+    def jet3(self, x, t, order=3) -> Jet:
         xj, tj = jc.variables(x, t, order=order)
         return 1.0 + jc.exp(jc.tan(xj) * jc.cos(tj) + 1.0)
 
@@ -125,7 +127,7 @@ class InstantonPProfile(ProfileFunction):
 
     family = "instanton_p"
 
-    def jet3(self, x, t, order: int = 3) -> Jet:
+    def jet3(self, x, t, order=3) -> Jet:
         base = ExpSumProfile(A=(1.0, 1.0), K=(1.0, 1.0), L=(2.0, 1.0), theta=(1.0, 1.0))
         xj, tj = jc.variables(x, t, order=order)
         w = jc.powi(xj * xj * xj + 1.0, -1)
@@ -139,7 +141,7 @@ class InstantonQProfile(ProfileFunction):
 
     family = "instanton_q"
 
-    def jet3(self, x, t, order: int = 3) -> Jet:
+    def jet3(self, x, t, order=3) -> Jet:
         base = ExpSumProfile(A=(1.0, 1.0), K=(1.0, 1.0), L=(2.0, 1.0), theta=(1.0, 1.0))
         return base.jet3(x, t, order)
 
@@ -152,7 +154,7 @@ class CustomProfile(ProfileFunction):
     label: str = "custom"
     family = "custom"
 
-    def jet3(self, x, t, order: int = 3) -> Jet:
+    def jet3(self, x, t, order=3) -> Jet:
         xj, tj = jc.variables(np.asarray(x, dtype=float) if np.ndim(x) else float(x),
                               t, order=order)
         out = self.fn(xj, tj)

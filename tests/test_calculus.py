@@ -195,6 +195,34 @@ def test_shift_differentiates_and_renames_variables():
         j.shift((1, 0), order=3)
 
 
+def test_box_layout_pairs_restrict_the_total_order_table():
+    def named(lay):
+        return {m: [(lay.index[i], lay.index[j], c) for i, j, c in terms]
+                for m, terms in zip(lay.index, lay.pairs)}
+
+    box, total = jc.layout(2, (1, 1)), jc.layout(2, 2)
+    assert box.index == ((0, 0), (1, 0), (0, 1), (1, 1))
+    assert named(box) == {m: named(total)[m] for m in box.index}
+    assert len(jc.layout(2, (3, 3)).index) == 16
+
+
+def test_box_jet_holds_only_its_box():
+    # t is a constant of the box (1, 0); a derivative outside the box raises
+    # rather than reading as a structural zero
+    x, t = jc.variables(0.4, 0.9, order=(1, 0))
+    assert t.entries == (0.9, 0.0)
+    j = jc.exp(2.0 * x + 3.0 * t)
+    assert j[1, 0] == 2.0 * j.value
+    for bad in ((0, 1), (1, 1)):
+        with pytest.raises(ValueError, match="exceeds jet order"):
+            j.shift(bad)
+        with pytest.raises(ValueError, match="exceeds jet order"):
+            j[bad]
+    x, t = jc.variables(0.4, 0.9, order=(3, 0))
+    with pytest.raises(ValueError, match="exceeds jet order"):
+        jc.exp(x * t).shift((1, 0), order=2)
+
+
 def test_jet_mixing_orders_raises():
     with pytest.raises(TypeError):
         const(1.0, 2) + const(1.0, 3)

@@ -431,6 +431,52 @@ def test_analyze_decay(capsys):
     assert "max_at_t_0" in out and "max_at_t_1" in out
 
 
+def test_analyze_decay_labels_each_time_by_its_round_trip_repr(tmp_path):
+    # times that agree to six digits keep three distinct keys
+    out = tmp_path / "d.txt"
+    assert run("analyze", "--case", "dromion", "--decay",
+               "0.30000001,0.30000002,0.3", "--res", "32", "--out", str(out)) == 0
+    rep = dict(ln.split(": ", 1) for ln in out.read_text().splitlines())
+    labels = [k for k in rep if k.startswith("max_at_t_")]
+    assert [float(k[len("max_at_t_"):]) for k in labels] == [0.30000001, 0.30000002, 0.3]
+
+
+def test_each_reader_asks_its_profiles_for_the_entries_it_reads(tmp_path, monkeypatch):
+    # U reads the box (1, 0) of each profile jet and U_t the box (1, 1), the
+    # peak ascent (3, 0), a pole sweep the value and the verify bundle order
+    # 3; each call is booked to its first caller outside the profiles
+    e = build_case("breather")
+    asked = {}
+    for cls in (type(e.spec.p), type(e.spec.q)):
+        def counting(self, x, t, order=3, jet3=cls.jet3):
+            frame = sys._getframe(1)
+            while frame.f_code.co_name in ("jet3", "profile_jets3"):
+                frame = frame.f_back
+            reader = frame.f_code.co_qualname
+            if reader == "grid_intensity.<locals>.on_grid" and frame.f_back.f_locals["dt"]:
+                reader += " dt"
+            asked.setdefault(reader, set()).add(order)
+            return jet3(self, x, t, order)
+        monkeypatch.setattr(cls, "jet3", counting)
+    grid, rate = "grid_intensity.<locals>.on_grid", "grid_intensity.<locals>.on_grid dt"
+    common = ("--case", "breather", "--res", "24", "--out", str(tmp_path / "out"))
+    for argv, want in [
+        (("render", "--t", "0.3", "--which", "U"), {grid: {(1, 0)}}),
+        (("analyze", "--t", "0.3", "--peaks"), {grid: {(1, 0)}}),
+        (("analyze", "--period", "0:2pi:32", "--statistic", "L2"),
+         {grid: {(1, 0)}, rate: {(1, 1)}}),
+        (("analyze", "--period", "0:2pi:32", "--statistic", "global_max"),
+         {grid: {(1, 0)}, "_log_intensity_jets": {(3, 0)}, "eval_intensity_dt": {(1, 1)}}),
+    ]:
+        asked.clear()
+        assert run(*argv, *common) == 0
+        assert asked == want, argv
+    asked.clear()
+    assert run("verify", "--t", "0.3", "--checks", ALL, *common) == 0
+    assert asked["Ingredients.<lambda>"] == {3} and asked["pole_sweep"] == {0}
+    assert not {grid, rate, "_log_intensity_jets", "eval_intensity_dt"} & set(asked)
+
+
 def test_cli_import_needs_no_scipy():
     # numpy.polynomial costs about 0.1 s of import on its own
     code = ("import sys, dsfield.cli; "

@@ -299,9 +299,9 @@ def test_refined_l2_scan_samples_few_extra_grids(monkeypatch):
     for profile in (e.spec.p, e.spec.q):
         cls = type(profile)
 
-        def counting(self, x, t, jet3=cls.jet3, cls=cls):
+        def counting(self, x, t, order=3, jet3=cls.jet3, cls=cls):
             points[cls].append(np.broadcast(x, t).size)
-            return jet3(self, x, t)
+            return jet3(self, x, t, order)
 
         points[cls] = []
         monkeypatch.setattr(cls, "jet3", counting)

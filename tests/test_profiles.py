@@ -3,6 +3,9 @@ import math
 import numpy as np
 import pytest
 
+from dsfield import calculus as jc
+from dsfield.catalog import build_case, case_names
+
 from dsfield.profiles import (
     BreatherPProfile,
     BreatherQProfile,
@@ -55,6 +58,28 @@ def test_profile_jets_match_finite_differences(prof):
     assert j[1, 1] == pytest.approx(fd(scalar, x, t, "d1t"), abs=2e-5 * scale)
     assert j[0, 2] == pytest.approx(fd(scalar, x, t, "dtt"), abs=2e-5 * scale)
     assert j[3, 0] == pytest.approx(fd(scalar, x, t, "d111", 1e-3), abs=2e-4 * scale)
+
+
+BOX_PROFILES = (
+    [p for name in case_names() for p in (build_case(name).spec.p, build_case(name).spec.q)]
+    + [ExpSumProfile((1.0, -0.5, 2.0, 0.25), (1.0, -0.7, 0.0, 1.3), (0.5, 1.2, -0.4, 0.0),
+                     (0.0, 0.3, -1.0, 0.2)),
+       CustomProfile(lambda xj, tj: jc.sin(xj * tj) + jc.exp(xj) * tj * tj, label="mixed")])
+
+
+@pytest.mark.parametrize("prof", BOX_PROFILES, ids=lambda p: p.family)
+@pytest.mark.parametrize("box", [(0, 0), (1, 0), (1, 1), (3, 0)])
+def test_box_jets_are_the_order3_entries_bit_for_bit(prof, box):
+    # clear of the tan poles and the instanton pole at x = -1
+    x = np.linspace(-0.8, 1.2, 7)
+    ts = np.linspace(0.1, 2.9, 7)
+    for t in (0.7, ts, ts[:5, None]):
+        full, part = prof.jet3(x, t), prof.jet3(x, t, box)
+        assert part.layout.index == tuple(
+            m for m in full.layout.index if all(e <= b for e, b in zip(m, box)))
+        for m, e in zip(part.layout.index, part.entries):
+            got, want = np.asarray(e), np.asarray(full[m])
+            assert got.shape == want.shape and got.tobytes() == want.tobytes(), (m, t)
 
 
 def test_expsum_closed_form():

@@ -48,17 +48,22 @@ def assert_close(got, want, what):
 
 @pytest.mark.parametrize("name", case_names())
 def test_profile_jets_match_sympy(name):
-    # all ten entries of each profile's order-3 jet in (s, t)
+    # all ten entries of each profile's order-3 jet in (s, t), and those of
+    # the box jets (1, 1) and (3, 0) that U_t and the peak ascent read
     spec = build_case(name).spec
     s = sp.Symbol("s", real=True)
     at = [(c, t) for x, y, t in POINTS for c in rotate(x, y)]
     for profile in (spec.p, spec.q):
         expr = closed_form(profile, s)
-        jets = [profile.jet3(c, t) for c, t in at]
-        for k, (a, b) in enumerate(jets[0].layout.index):
+        jets = {order: [profile.jet3(c, t, order) for c, t in at]
+                for order in (3, (1, 1), (3, 0))}
+        for a, b in jets[3][0].layout.index:
             want = evaluate(sp.diff(expr, s, a, T, b), at, "st")
-            for jet, w, pt in zip(jets, want, at):
-                assert_close(float(jet.entries[k]), w, (profile.family, pt, a, b))
+            for order, js in jets.items():
+                if (a, b) not in js[0].layout.pos:
+                    continue
+                for jet, w, pt in zip(js, want, at):
+                    assert_close(float(jet[a, b]), w, (profile.family, order, pt, a, b))
 
 
 @pytest.mark.parametrize("name", case_names())
