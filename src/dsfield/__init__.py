@@ -12,7 +12,6 @@ from .ansatz import (
     AdmissibilityReport,
     CoefficientFunctions,
     CoordinatePoint,
-    Intensity,
     SeparationCoefficients,
     SolutionSpec,
     check_admissibility,

@@ -42,13 +42,21 @@ __all__ = [
     "eval_intensity_dt",
     "grid_intensity",
     "eval_phi",
-    "Intensity",
+    "batches",
     "AdmissibilityReport",
+    "DEGENERATE_LEVEL",
     "denominator_scan",
     "check_admissibility",
 ]
 
 SQRT2 = math.sqrt(2.0)
+
+# intensity samples whose largest |U| falls below this are degenerate
+DEGENERATE_LEVEL = 1e-14
+
+# work on many samples runs in batches of about this many, which keeps a
+# batch's temporaries as small as those of one 181^2 grid sampled alone
+_BATCH_POINTS = 2 ** 15
 
 
 @dataclass(frozen=True)
@@ -183,6 +191,13 @@ def window_grid(window, samples, valid_mask=None) -> WindowGrid:
         j - i + (nx - 1), i + j)
 
 
+def batches(n: int, points_each: int) -> list:
+    """Slices that cut ``n`` items of ``points_each`` samples each into
+    batches of about _BATCH_POINTS samples, at least one item each."""
+    step = max(1, _BATCH_POINTS // points_each)
+    return [slice(i, i + step) for i in range(0, n, step)]
+
+
 # ---------------------------------------------------------------------------
 # the denominator field
 
@@ -217,20 +232,6 @@ def eval_f(spec: SolutionSpec, zeta, eta, t, pj: Optional[Jet] = None,
 # intensity and forcing field
 
 
-@dataclass(frozen=True)
-class Intensity:
-    """Intensity samples with diagnostic masks.
-
-    ``sign_violation`` marks points where det * p_z * q_e < 0 (the value is
-    still reported, negative, for diagnostics).  ``invalid`` marks guarded
-    divisions and non-finite profile data.
-    """
-
-    values: object
-    sign_violation: object
-    invalid: object
-
-
 def _intensity(spec: SolutionSpec, pj: Jet, qj: Jet, dt: bool = False, f=None):
     """The one U kernel: (U, U_t), U_t only with ``dt`` (else None).
 
@@ -256,14 +257,11 @@ def _intensity(spec: SolutionSpec, pj: Jet, qj: Jet, dt: bool = False, f=None):
 
 
 def eval_intensity(spec: SolutionSpec, zeta, eta, t,
-                   pj: Optional[Jet] = None, qj: Optional[Jet] = None, f=None) -> Intensity:
+                   pj: Optional[Jet] = None, qj: Optional[Jet] = None, f=None):
     """U at the points, from f's value ``f`` when the caller has it."""
     if pj is None or qj is None:
         pj, qj = profile_jets3(spec, zeta, eta, t, (1, 0))
-    vals = _intensity(spec, pj, qj, f=f)[0]
-    with np.errstate(invalid="ignore", over="ignore", under="ignore"):
-        sign = (spec.coeffs.det * pj[1, 0] * qj[1, 0]) < 0.0
-    return Intensity(values=vals, sign_violation=sign, invalid=~np.isfinite(vals))
+    return _intensity(spec, pj, qj, f=f)[0]
 
 
 def eval_intensity_dt(spec: SolutionSpec, zeta, eta, t):
@@ -359,26 +357,27 @@ def check_admissibility(spec: SolutionSpec, grid: WindowGrid, t: float,
         raise ValueError("need at least 2 samples per axis")
     keep = grid.keep
     f = eval_f(spec, grid.zeta, grid.eta, t, pj, qj, order=0).value
-    inten = eval_intensity(spec, grid.zeta, grid.eta, t, pj, qj, f=f)
+    u = eval_intensity(spec, grid.zeta, grid.eta, t, pj, qj, f=f)
+    finite_u = np.isfinite(u)
+    with np.errstate(invalid="ignore", over="ignore", under="ignore"):
+        # det * p_z * q_e < 0 breaks the sign condition; U there is negative
+        viol = keep & ((spec.coeffs.det * pj[1, 0] * qj[1, 0]) < 0.0)
 
     finite_f, min_abs_f, min_point, flips_x, flips_y = denominator_scan(
         f, keep, grid.X, grid.Y, t)
-    n_invalid = int(np.count_nonzero(keep & (inten.invalid | ~finite_f)))
+    n_invalid = int(np.count_nonzero(keep & ~(finite_u & finite_f)))
     n_flips = int(np.count_nonzero(flips_x) + np.count_nonzero(flips_y))
-
-    viol = keep & inten.sign_violation
     n_viol = int(np.count_nonzero(viol))
 
-    vals = np.where(keep & ~inten.invalid, inten.values, np.nan)
-    finite_vals = vals[np.isfinite(vals)]
-    max_u = float(np.max(np.abs(finite_vals))) if finite_vals.size else 0.0
+    kept_u = u[keep & finite_u]
+    max_u = float(np.max(np.abs(kept_u))) if kept_u.size else 0.0
 
     witness = None
     if n_viol:
         widx = np.unravel_index(np.argmax(viol), viol.shape)
         witness = (float(grid.X[widx]), float(grid.Y[widx]), float(t))
 
-    if finite_vals.size and max_u < 1e-14:
+    if kept_u.size and max_u < DEGENERATE_LEVEL:
         verdict = "degenerate"
     elif n_flips or not finite_f.any() or min_abs_f < DIV_GUARD:
         verdict = "singular"

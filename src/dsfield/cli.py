@@ -20,7 +20,7 @@ import tempfile
 import numpy as np
 
 from . import __version__
-from .ansatz import SQRT2, check_admissibility, window_grid
+from .ansatz import DEGENERATE_LEVEL, SQRT2, check_admissibility, window_grid
 from .auxiliary import Ingredients, derive
 from .catalog import build_case, case_names
 from .field import (
@@ -48,9 +48,6 @@ EXIT_DEGENERATE = 3
 
 ALL_CHECKS = ("bilinear2", "bilinear1", "pde2", "pde1", "consistency",
               "admissibility")
-
-# intensity grids whose largest value falls below this are degenerate
-DEGENERATE_LEVEL = 1e-14
 
 
 class UsageError(Exception):

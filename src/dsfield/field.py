@@ -25,6 +25,7 @@ from . import calculus as jc
 from .ansatz import (
     SQRT2,
     SolutionSpec,
+    batches,
     eval_f,
     eval_intensity,
     eval_intensity_dt,
@@ -197,18 +198,6 @@ def _require_valid(valid):
         raise SingularWindowError("window entirely singular")
 
 
-# Times are sampled in batches of about this many grid points, which keeps a
-# batch's temporaries as small as those of one 181^2 grid sampled alone.
-_BATCH_POINTS = 2 ** 15
-
-
-def _batches(grid, n_t: int) -> list:
-    """Slices that cut ``n_t`` times into batches of about _BATCH_POINTS
-    samples of ``grid``, at least one time each."""
-    step = max(1, _BATCH_POINTS // grid.keep.size)
-    return [slice(i, i + step) for i in range(0, n_t, step)]
-
-
 # (dy, dx) neighbour shifts: the 3x3 ring, and the 8-neighbourhood of a point
 # on its own checkerboard sublattice (i + j even, or odd): the four diagonal
 # points and the four two steps away along an axis
@@ -249,16 +238,16 @@ def refined_global_max(spec: SolutionSpec, window, t, nx: int = 192,
                        ny: int = 192, valid_mask=None):
     """Grid maximum polished by a projected-Newton ascent on log U.
 
-    ``t`` is one time or a 1-D array of times, sampled in batches of
-    :func:`_batches` on one grid.  An ascent runs from every valid grid
-    point that is not below any valid point of its 8-neighbourhood on its
-    own checkerboard sublattice, for all times at once, and the best result
-    of each time is kept; of equal-valued starts at one time (a plateau)
-    only the first runs.  The starts include each time's grid argmax.  On a
-    grid with equal spacing each sublattice holds every other zeta line, so
-    they also include a hump that lies between two zeta lines next to a
-    pole, where each grid point on the hump's flank has a higher 3x3
-    neighbour across the pole.
+    ``t`` is one time or a 1-D array of times, sampled on one grid in
+    :func:`~dsfield.ansatz.batches` of times.  An ascent runs from every
+    valid grid point that is not below any valid point of its
+    8-neighbourhood on its own checkerboard sublattice, for all times at
+    once, and the best result of each time is kept; of equal-valued starts
+    at one time (a plateau) only the first runs.  The starts include each
+    time's grid argmax.  On a grid with equal spacing each sublattice holds
+    every other zeta line, so they also include a hump that lies between
+    two zeta lines next to a pole, where each grid point on the hump's
+    flank has a higher 3x3 neighbour across the pole.
 
     Each ascent starts with a trust radius of one grid step and stays in
     its peak's basin.  Gradient and Hessian of log U are exact, from the
@@ -277,7 +266,7 @@ def refined_global_max(spec: SolutionSpec, window, t, nx: int = 192,
     times = np.atleast_1d(np.asarray(t, dtype=float))
     grid = window_grid(window, (nx, ny), valid_mask)
     starts = []
-    for batch in _batches(grid, times.size):
+    for batch in batches(times.size, grid.keep.size):
         u = grid_intensity(spec, grid, times[batch])[0]
         ok = grid.keep & np.isfinite(u)
         _require_valid(ok.any(axis=(1, 2)))
@@ -371,7 +360,7 @@ def _log_intensity_jets(spec, times, xy, valid_mask):
     log|p_z| needs p_zzz, and nothing here differentiates in t: box (3, 0)."""
     zeta, eta = rotate(xy[:, 0], xy[:, 1])
     pj, qj = profile_jets3(spec, zeta, eta, times, (3, 0))
-    u = eval_intensity(spec, zeta, eta, times, pj, qj).values
+    u = eval_intensity(spec, zeta, eta, times, pj, qj)
 
     def log_abs(j):
         return jc.log(j * np.sign(j.value))
@@ -414,7 +403,7 @@ def _l2(spec, window, times, grid_n, valid_mask, dt=False):
     whether the time has a valid sample."""
     grid = window_grid(window, grid_n, valid_mask)
     parts = []
-    for batch in _batches(grid, times.size):
+    for batch in batches(times.size, grid.keep.size):
         u, ut = grid_intensity(spec, grid, times[batch], dt)
         ok = grid.keep & np.isfinite(u)
         n = np.count_nonzero(ok, axis=(1, 2))       # a sum over none is 0/0 = NaN

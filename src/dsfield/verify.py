@@ -10,7 +10,8 @@ Three independent suites certify a solution spec:
   as line 1 of the bilinear form and as the u-form with the forcing field,
   both from one evaluation of f's order-2 jet in (zeta, eta, t) on the
   window grid; and the forcing-field constraint by finite differences of
-  the jet-computed fields (with a convergence mode);
+  the jet-computed fields (with a convergence mode), from each profile
+  once per stencil line and U and phi broadcast onto the stencil;
 * window scans for denominator zeros, which read f's value alone, profile
   poles, whose sweeps read profile values alone, and the sign condition.
 
@@ -30,13 +31,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
 from .ansatz import (
     CoordinatePoint,
     SolutionSpec,
+    batches,
     denominator_scan,
     eval_f,
     eval_intensity,
@@ -64,6 +66,9 @@ __all__ = [
 # default threshold on the separation consistency variation; the envelope
 # checks run only at or below it
 CONSISTENCY_GATE = 1e-8
+
+# default stencil of the forcing-field check: second order, step 1e-2
+PDE2_STENCIL = Stencil(2, 2, 1e-2)
 
 
 @dataclass(frozen=True)
@@ -236,8 +241,7 @@ def _envelope_fields(ing: Ingredients, tau):
     d2e = (g_ee * f - 2.0 * g_e * f_e + g * f_ee) / f2
     t2 = 0.5 * beta * (d2z + d2e)
     t3 = -0.5 * beta * (np.abs(g) ** 2) * g / (f2 * f)
-    cross = 2.0 * (f * f_ze - f_z * f_e)
-    t4 = beta * u * cross / f2
+    t4 = beta * u * hirota_cross(tau) / f2
     t5 = beta * (p0 + q0) * u
     t6 = -1j * gamma * u
     # u_zz + u_ee, with u_zz = d2z - u D_z^2 f.f / f^2
@@ -324,12 +328,10 @@ def bilinear_residuals(ing: Ingredients) -> ResidualReport:
 
 
 def pde_residuals(spec: SolutionSpec, window, t: float, samples=32,
-                  stencil: Optional[Stencil] = None,
-                  valid_mask=None) -> ResidualReport:
+                  stencil: Stencil = PDE2_STENCIL, valid_mask=None) -> ResidualReport:
     """Residual of the forcing-field constraint (line 2 of the rotated-frame
     equations, fourth order in log f) by central differences of the
     jet-computed intensity and forcing fields using ``stencil``."""
-    stencil = stencil or Stencil(2, 2, 1e-2)
     grid = window_grid(window, samples, valid_mask)
     resid, stencil_ok = _pde2_field(spec, grid.zeta, grid.eta, t, stencil)
     return _report("pde2", resid, grid.X, grid.Y, t,
@@ -343,27 +345,33 @@ def _pde2_field(spec, zeta, eta, t, stencil: Stencil):
     """Forcing-field constraint residual |4 phi_ze - U_zz - U_ee - 2 U_ze|.
 
     Central differences with ``stencil``; the second value marks the points
-    whose stencil samples of U and phi are all finite.
+    whose stencil samples of U and phi are all finite.  A point's k x k
+    stencil samples lie on k shifted zeta and k shifted eta lines, so per
+    batch of rows p is evaluated once on its lines, (k, 1, rows, nx), q on
+    its own, (1, k, rows, nx), both to order 2, and U and phi come out on
+    the stencil by broadcasting.  The stencils then run over all rows at
+    once: their matrix product rounds an operand's last entries its own
+    way, so stencils per batch would move bits at the seams.
     """
     h = stencil.h
     w2 = Stencil(2, stencil.accuracy, h).weights
     w1 = Stencil(1, stencil.accuracy, h).weights
     half = (len(w1) - 1) // 2
-    offs = np.arange(-half, half + 1)
+    d = np.arange(-half, half + 1) * h
 
-    U = np.empty((len(offs), len(offs)) + zeta.shape)
+    U = np.empty((len(d), len(d)) + zeta.shape)
     PHI = np.empty_like(U)
     with np.errstate(invalid="ignore", over="ignore", under="ignore", divide="ignore"):
-        for i, oi in enumerate(offs):
-            for j, oj in enumerate(offs):
-                z, e = zeta + oi * h, eta + oj * h
-                pj, qj = profile_jets3(spec, z, e, t)
-                # zero backgrounds: the cross derivative annihilates separated
-                # backgrounds, so the check is exact without them and stays
-                # defined at degenerate times
-                PHI[i, j] = eval_phi(spec, z, e, t, 0.0, 0.0,
-                                     tau=eval_f(spec, z, e, t, pj, qj))
-                U[i, j] = eval_intensity(spec, z, e, t, pj, qj).values
+        for rows in batches(zeta.shape[0], U[:, :, 0].size):
+            z = zeta[rows] + d[:, None, None, None]
+            e = (eta[rows] + d[:, None, None])[None]
+            pj, qj = profile_jets3(spec, z, e, t, 2)
+            # zero backgrounds: the cross derivative annihilates separated
+            # backgrounds, so the check is exact without them and stays
+            # defined at degenerate times
+            PHI[:, :, rows] = eval_phi(spec, z, e, t, 0.0, 0.0,
+                                       tau=eval_f(spec, z, e, t, pj, qj))
+            U[:, :, rows] = eval_intensity(spec, z, e, t, pj, qj)
 
         u_zz = np.tensordot(w2, U[:, half], axes=(0, 0)) / h**2
         u_ee = np.tensordot(w2, U[half, :], axes=(0, 0)) / h**2
@@ -375,9 +383,8 @@ def _pde2_field(spec, zeta, eta, t, stencil: Stencil):
 
 
 def pde_phi_convergence(spec: SolutionSpec, window, t: float, samples=24,
-                        stencil: Optional[Stencil] = None, valid_mask=None):
+                        stencil: Stencil = PDE2_STENCIL, valid_mask=None):
     """Rerun the forcing-field check at h and h/2; report the observed order."""
-    stencil = stencil or Stencil(2, 2, 1e-2)
     coarse = pde_residuals(spec, window, t, samples, stencil, valid_mask)
     finer = Stencil(stencil.order, stencil.accuracy, stencil.h / 2)
     fine = pde_residuals(spec, window, t, samples, finer, valid_mask)
@@ -400,8 +407,7 @@ def residual_field(ing: Ingredients, which: str) -> np.ndarray:
     if which == "bilinear2":
         resid, _ = _bilinear2_field(ing)
     elif which == "pde2":
-        resid, stencil_ok = _pde2_field(ing.spec, grid.zeta, grid.eta, ing.t,
-                                        Stencil(2, 2, 1e-2))
+        resid, stencil_ok = _pde2_field(ing.spec, grid.zeta, grid.eta, ing.t, PDE2_STENCIL)
         keep = keep & stencil_ok
     else:
         raise ValueError(f"unknown residual field {which!r}")

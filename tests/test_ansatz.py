@@ -134,7 +134,7 @@ def test_bilinear_closure_identity(rng):
 
 
 def test_intensity_at_origin_dromion(dromion):
-    got = eval_intensity(dromion, 0.0, 0.0, 0.0).values
+    got = eval_intensity(dromion, 0.0, 0.0, 0.0)
     assert got == pytest.approx(4 * E * E / DROMION_F0**2, rel=1e-14)
 
 
@@ -142,21 +142,21 @@ def test_intensity_zero_det():
     spec = SolutionSpec(SeparationCoefficients(1, 1, 1, 1),
                         ExpSumProfile((1.0,), (1.0,), (1.0,), (1.0,)),
                         ExpSumProfile((1.0,), (1.0,), (1.0,), (1.0,)))
-    vals = eval_intensity(spec, np.linspace(-2, 2, 9), np.zeros(9), 0.0).values
+    vals = eval_intensity(spec, np.linspace(-2, 2, 9), np.zeros(9), 0.0)
     assert np.all(vals == 0.0)
 
 
 def test_breather_degenerate_time():
     spec = build_case("breather").spec
     z = np.linspace(-5, 5, 21)
-    vals = eval_intensity(spec, z, z, math.pi / 2).values
+    vals = eval_intensity(spec, z, z, math.pi / 2)
     assert np.all(np.abs(vals) < 1e-30)
 
 
 def test_envelope_modulus_matches_intensity(rng, dromion):
     z, e, t = rng.uniform(-2, 2, 3)
     u = envelope(dromion, z, e, t, 0.123, -0.5)
-    U = eval_intensity(dromion, z, e, t).values
+    U = eval_intensity(dromion, z, e, t)
     assert abs(u) ** 2 == pytest.approx(U, rel=1e-14)
 
 
@@ -235,9 +235,10 @@ def test_intensity_sign_violation_flagged():
                         ExpSumProfile((1.0,), (1.0,), (1.0,), (0.0,)),
                         ExpSumProfile((1.0,), (1.0,), (1.0,), (0.0,)))
     assert spec.coeffs.det < 0
-    out = eval_intensity(spec, 0.0, 0.0, 0.0)
-    assert bool(out.sign_violation)
-    assert out.values < 0.0          # raw value still reported
+    assert eval_intensity(spec, 0.0, 0.0, 0.0) < 0.0      # raw value still reported
+    rep = admissibility(spec, ((-1, 1), (-1, 1)), 0.0, 8)
+    assert rep.verdict == "sign-violating"
+    assert rep.sign_violations >= 1
 
 
 # -- admissibility -------------------------------------------------------------
@@ -292,7 +293,7 @@ def test_intensity_time_derivative_matches_central_difference(name, t):
     u, ut = eval_intensity_dt(e.spec, zeta, eta, t)
     fd = (eval_intensity_dt(e.spec, zeta, eta, t + h)[0]
           - eval_intensity_dt(e.spec, zeta, eta, t - h)[0]) / (2 * h)
-    assert np.array_equal(u, eval_intensity(e.spec, zeta, eta, t).values,
+    assert np.array_equal(u, eval_intensity(e.spec, zeta, eta, t),
                           equal_nan=True)
     assert np.all(np.isfinite(ut[keep]))
     scale = np.max(np.abs(ut[keep]) + np.abs(u[keep]))
@@ -314,7 +315,7 @@ def test_lattice_intensity_is_pointwise_intensity_at_line_coordinates(name, n):
     zeta, eta = g.zeta_lines[g.zeta_index], g.eta_lines[g.eta_index]
     u, ut = grid_intensity(e.spec, g, 0.3)
     assert ut is None
-    np.testing.assert_array_equal(u, eval_intensity(e.spec, zeta, eta, 0.3).values)
+    np.testing.assert_array_equal(u, eval_intensity(e.spec, zeta, eta, 0.3))
     times = np.array([0.3, 1.1, 2.5])
     u, ut = grid_intensity(e.spec, g, times, dt=True)
     ref_u, ref_ut = eval_intensity_dt(e.spec, zeta, eta, times[:, None, None])
@@ -363,7 +364,7 @@ def test_unequal_spacing_samples_every_point(name, window, samples):
     assert g.zeta_lines is g.zeta and g.eta_lines is g.eta
     zeta, eta = rotate(g.X, g.Y)
     np.testing.assert_array_equal(grid_intensity(e.spec, g, 0.3)[0],
-                                  eval_intensity(e.spec, zeta, eta, 0.3).values)
+                                  eval_intensity(e.spec, zeta, eta, 0.3))
     times = np.array([0.3, 1.1])
     u, ut = grid_intensity(e.spec, g, times, dt=True)
     ref_u, ref_ut = eval_intensity_dt(e.spec, zeta, eta, times[:, None, None])

@@ -7,6 +7,8 @@ import warnings
 import numpy as np
 import pytest
 
+from dsfield import profiles
+from dsfield.ansatz import batches
 from dsfield.cli import main, parse_time, parse_window
 from dsfield.field import parse_csv
 from dsfield.specfile import dumps_spec, load_spec, loads_spec, SpecFileError
@@ -474,7 +476,39 @@ def test_each_reader_asks_its_profiles_for_the_entries_it_reads(tmp_path, monkey
     asked.clear()
     assert run("verify", "--t", "0.3", "--checks", ALL, *common) == 0
     assert asked["Ingredients.<lambda>"] == {3} and asked["pole_sweep"] == {0}
+    assert asked["_pde2_field"] == {2}
     assert not {grid, rate, "_log_intensity_jets", "eval_intensity_dt"} & set(asked)
+
+
+@pytest.mark.parametrize("name", case_names())
+def test_pde2_evaluates_each_profile_once_per_row_batch(name, tmp_path, monkeypatch):
+    # the pde2 check evaluates p on all its shifted zeta lines at once,
+    # shape (3, 1, rows, nx), and q on its eta lines, (1, 3, rows, nx), to
+    # order 2: once per step size (h, h/2) on the <= 24^2 verify grid, and
+    # once per row batch of a render
+    calls = []
+    for cls in vars(profiles).values():
+        if (isinstance(cls, type) and issubclass(cls, profiles.ProfileFunction)
+                and "jet3" in cls.__dict__):
+            def counting(self, x, t, order=3, jet3=cls.jet3):
+                if sys._getframe(1).f_code.co_name != "jet3":
+                    calls.append((np.shape(x), order))
+                return jet3(self, x, t, order)
+            monkeypatch.setattr(cls, "jet3", counting)
+
+    def lines(rows, n):
+        return [((3, 1, rows, n), 2), ((1, 3, rows, n), 2)]
+
+    out = str(tmp_path / "out")
+    assert run("verify", "--case", name, "--t", "0.3", "--res", "64",
+               "--checks", "pde2", "--out", out) == 0
+    assert calls == 2 * lines(24, 24)
+    calls.clear()
+    assert run("render", "--case", name, "--t", "0.3", "--res", "64",
+               "--which", "pde2", "--out", out) == 0
+    steps = batches(64, 9 * 64)
+    assert len(steps) > 1
+    assert calls == [c for b in steps for c in lines(len(range(64)[b]), 64)]
 
 
 def test_cli_import_needs_no_scipy():

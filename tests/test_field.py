@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from dsfield import field
+from dsfield import ansatz
 from dsfield.ansatz import (
     SeparationCoefficients,
     SolutionSpec,
@@ -78,7 +78,7 @@ def test_unequal_spacing_u_grid_is_pointwise_intensity(name):
     window = ((-7.44, 7.44), (-7.76, 7.76))
     g = sample_field(e.spec, None, "U", window, 0.7, 40, 40, e.valid_mask)
     X, Y = np.meshgrid(g.x, g.y)
-    u = eval_intensity(e.spec, *rotate(X, Y), 0.7).values
+    u = eval_intensity(e.spec, *rotate(X, Y), 0.7)
     np.testing.assert_array_equal(g.values[g.mask], u[g.mask])
 
 
@@ -169,7 +169,7 @@ def test_refined_max_reaches_edge_maximum():
                                     e.valid_mask)
     def edge_max(xs):
         zeta, eta = rotate(xs, np.full_like(xs, -8.0))
-        u = eval_intensity(e.spec, zeta, eta, 0.1).values
+        u = eval_intensity(e.spec, zeta, eta, 0.1)
         return float(np.max(u)), xs[np.argmax(u)]
 
     edge, xe = edge_max(np.linspace(-8.0, 8.0, 20001))
@@ -308,7 +308,7 @@ def test_refined_l2_scan_samples_few_extra_grids(monkeypatch):
     res = estimate_period(e.spec, e.window, (0.0, 2 * math.pi), 64, "L2",
                           grid_n=32)
     assert abs(res.estimated_period - math.pi) <= 1e-8
-    batch = max(1, field._BATCH_POINTS // 32 ** 2)
+    batch = max(1, ansatz._BATCH_POINTS // 32 ** 2)
     scan = -(-64 // batch)
     for sizes in points.values():
         assert sizes[:scan] == [min(batch, 64 - k * batch) * 63 for k in range(scan)]

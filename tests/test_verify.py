@@ -6,7 +6,11 @@ import pytest
 from dsfield.ansatz import (
     CoefficientFunctions,
     SolutionSpec,
+    batches,
     check_admissibility,
+    eval_f,
+    eval_intensity,
+    eval_phi,
     profile_jets3,
     window_grid,
 )
@@ -15,6 +19,7 @@ from dsfield.calculus import Jet, Stencil, layout
 from dsfield.catalog import build_case, case_names
 from dsfield.profiles import const_fn
 from dsfield.verify import (
+    _pde2_field,
     bilinear_residuals,
     envelope_residuals,
     hirota_cross,
@@ -236,6 +241,52 @@ def test_pde_line2_drops_stencil_hits_near_pole():
     # term's high derivatives blow up; the bulk of the window stays clean
     assert l2.flags["dropped"] > 0
     assert l2.mean_abs < 0.1
+
+
+def _pde2_field_per_point(spec, zeta, eta, t, stencil):
+    """The forcing-field residual as first written: order-3 profile jets, U
+    and phi evaluated on the whole grid once per stencil point."""
+    h = stencil.h
+    w2 = Stencil(2, stencil.accuracy, h).weights
+    w1 = Stencil(1, stencil.accuracy, h).weights
+    half = (len(w1) - 1) // 2
+    offs = np.arange(-half, half + 1)
+    U = np.empty((len(offs), len(offs)) + zeta.shape)
+    PHI = np.empty_like(U)
+    with np.errstate(invalid="ignore", over="ignore", under="ignore", divide="ignore"):
+        for i, oi in enumerate(offs):
+            for j, oj in enumerate(offs):
+                z, e = zeta + oi * h, eta + oj * h
+                pj, qj = profile_jets3(spec, z, e, t)
+                PHI[i, j] = eval_phi(spec, z, e, t, 0.0, 0.0,
+                                     tau=eval_f(spec, z, e, t, pj, qj))
+                U[i, j] = eval_intensity(spec, z, e, t, pj, qj)
+        u_zz = np.tensordot(w2, U[:, half], axes=(0, 0)) / h**2
+        u_ee = np.tensordot(w2, U[half, :], axes=(0, 0)) / h**2
+        u_ze = np.einsum("i,j,ij...->...", w1, w1, U) / h**2
+        phi_ze = np.einsum("i,j,ij...->...", w1, w1, PHI) / h**2
+        resid = np.abs(4.0 * phi_ze - u_zz - u_ee - 2.0 * u_ze)
+    stencil_ok = np.isfinite(U).all(axis=(0, 1)) & np.isfinite(PHI).all(axis=(0, 1))
+    return resid, stencil_ok
+
+
+@pytest.mark.parametrize("name", case_names())
+def test_pde2_field_is_the_per_point_stencil_bit_for_bit(name):
+    # profiles once per stencil line, to order 2, and U and phi by
+    # broadcasting, in row batches: the residual (NaNs in place) and the
+    # stencil mask keep every bit of the per-point evaluation; 97 columns
+    # put the batch seams mid-vector for the stencils' matrix products
+    e = build_case(name)
+    grid = window_grid(e.window, (97, 80))
+    for t in (e.reference_times[0], 0.3):
+        for accuracy in (2, 4):
+            stencil = Stencil(2, accuracy, 1e-2)
+            k = len(Stencil(1, accuracy, 1e-2).weights)
+            assert len(batches(80, k * k * 97)) > 2
+            want = _pde2_field_per_point(e.spec, grid.zeta, grid.eta, t, stencil)
+            got = _pde2_field(e.spec, grid.zeta, grid.eta, t, stencil)
+            np.testing.assert_array_equal(got[0], want[0], strict=True)
+            np.testing.assert_array_equal(got[1], want[1], strict=True)
 
 
 def test_residual_field_values_match_report():
