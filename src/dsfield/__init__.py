@@ -57,7 +57,6 @@ from .profiles import (
 from .specfile import dumps_spec, load_spec, loads_spec
 from .verify import (
     ResidualReport,
-    ScanReport,
     bilinear_residuals,
     envelope_residuals,
     hirota_cross,

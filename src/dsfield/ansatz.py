@@ -45,7 +45,7 @@ __all__ = [
     "batches",
     "AdmissibilityReport",
     "DEGENERATE_LEVEL",
-    "denominator_scan",
+    "pole_sweep",
     "check_admissibility",
 ]
 
@@ -305,53 +305,64 @@ def eval_phi(spec: SolutionSpec, zeta, eta, t, p0, q0, tau: Optional[Jet] = None
 
 
 # ---------------------------------------------------------------------------
-# denominator scan and admissibility
+# the window scan: zeros of f, the sign condition and profile poles
 
 
-def denominator_scan(f, keep, X, Y, t):
-    """Scan denominator samples ``f`` over the kept points of the grid (X, Y).
+# magnitude treated as a pole signature in the 1-D profile sweep; legitimate
+# exponential-sum growth on sane windows stays far below this
+_POLE_MAGNITUDE = 1e150
 
-    Returns (finite, min_abs_f, min_f_point, flips_x, flips_y): the kept
-    finite samples, min |f| over them (inf if there are none) and its
-    (x, y, t), and the sign changes between x- and between y-neighbours.
-    """
+
+def pole_sweep(profile, coords, t: float, n: int = 65537):
+    """Fine 1-D sweep for profile poles over the range of ``coords``; returns
+    suspect intervals.  It reads profile values alone."""
+    x = np.linspace(float(np.min(coords)), float(np.max(coords)), n)
     with np.errstate(invalid="ignore", over="ignore", under="ignore", divide="ignore"):
-        f = np.where(keep, f, np.nan)
-        finite = np.isfinite(f)
-        absf = np.where(finite, np.abs(f), np.inf)
-        idx = np.unravel_index(np.argmin(absf), absf.shape)
-        sgn = np.sign(np.where(finite, f, 0.0))
-        flips_x = (sgn[:, 1:] * sgn[:, :-1]) < 0
-        flips_y = (sgn[1:, :] * sgn[:-1, :]) < 0
-    return (finite, float(absf[idx]), (float(X[idx]), float(Y[idx]), float(t)),
-            flips_x, flips_y)
+        v = np.asarray(profile.jet3(x, t, order=0).value, dtype=float)
+        suspect = ~np.isfinite(v) | (np.abs(v) > _POLE_MAGNITUDE)
+    if not suspect.any():
+        return ()
+    idx = np.nonzero(suspect)[0]
+    gaps = np.nonzero(np.diff(idx) > 1)[0]
+    starts = np.concatenate(([0], gaps + 1))
+    ends = np.concatenate((gaps, [len(idx) - 1]))
+    return tuple((float(x[idx[s]]), float(x[idx[e]])) for s, e in zip(starts, ends))
 
 
 @dataclass(frozen=True)
 class AdmissibilityReport:
-    """Outcome of a window scan.
+    """Outcome of the window scan.
 
     verdict is one of ``admissible``, ``degenerate`` (U identically zero on
     the window), ``singular`` (denominator zero crossing or guard hits), or
-    ``sign-violating``.
+    ``sign-violating``.  ``sign_change_examples`` holds up to five (x, y)
+    grid points, each the first point of a cell where f changes sign
+    (between x-neighbours, or between y-neighbours when there are none);
+    ``pole_intervals_zeta`` and ``pole_intervals_eta`` are the suspect
+    intervals of the pole sweeps of p and q over the grid's zeta and eta.
     """
 
     verdict: str
     min_abs_f: float
     min_f_point: tuple
     sign_changes: int
+    sign_change_examples: tuple
     sign_violations: int
     invalid_points: int
     max_intensity: float
-    witness: Optional[tuple] = None
+    witness: Optional[tuple]
+    pole_intervals_zeta: tuple
+    pole_intervals_eta: tuple
 
 
 def check_admissibility(spec: SolutionSpec, grid: WindowGrid, t: float,
                         pj: Jet, qj: Jet) -> AdmissibilityReport:
     """Scan a window grid and classify the solution there, from the profile
-    jets ``pj``, ``qj`` on the grid's zeta and eta.
+    jets ``pj``, ``qj`` (box (1, 0) at least) on the grid's zeta and eta:
+    min |f| and the sign changes of f between neighbours, the sign
+    condition, and the pole sweeps of p and q over the grid's ranges.
 
-    Points outside ``grid.keep`` (known poles, say) are left out of the scan.
+    Points outside ``grid.keep`` (known poles, say) are left out of the 2-D scan.
     """
     if min(grid.zeta.shape) < 2:
         raise ValueError("need at least 2 samples per axis")
@@ -362,12 +373,21 @@ def check_admissibility(spec: SolutionSpec, grid: WindowGrid, t: float,
     with np.errstate(invalid="ignore", over="ignore", under="ignore"):
         # det * p_z * q_e < 0 breaks the sign condition; U there is negative
         viol = keep & ((spec.coeffs.det * pj[1, 0] * qj[1, 0]) < 0.0)
-
-    finite_f, min_abs_f, min_point, flips_x, flips_y = denominator_scan(
-        f, keep, grid.X, grid.Y, t)
+        f = np.where(keep, f, np.nan)
+        finite_f = np.isfinite(f)
+        absf = np.where(finite_f, np.abs(f), np.inf)
+        sgn = np.sign(np.where(finite_f, f, 0.0))
+        flips_x = (sgn[:, 1:] * sgn[:, :-1]) < 0
+        flips_y = (sgn[1:, :] * sgn[:-1, :]) < 0
+    idx = np.unravel_index(np.argmin(absf), absf.shape)
+    min_abs_f = float(absf[idx])
+    min_point = (float(grid.X[idx]), float(grid.Y[idx]), float(t))
     n_invalid = int(np.count_nonzero(keep & ~(finite_u & finite_f)))
     n_flips = int(np.count_nonzero(flips_x) + np.count_nonzero(flips_y))
     n_viol = int(np.count_nonzero(viol))
+    ys, xs = np.nonzero(flips_x if flips_x.any() else flips_y)
+    examples = tuple((float(grid.X[i, j]), float(grid.Y[i, j]))
+                     for i, j in zip(ys[:5], xs[:5]))
 
     kept_u = u[keep & finite_u]
     max_u = float(np.max(np.abs(kept_u))) if kept_u.size else 0.0
@@ -392,8 +412,11 @@ def check_admissibility(spec: SolutionSpec, grid: WindowGrid, t: float,
         min_abs_f=min_abs_f,
         min_f_point=min_point,
         sign_changes=n_flips,
+        sign_change_examples=examples,
         sign_violations=n_viol,
         invalid_points=n_invalid,
         max_intensity=max_u,
         witness=witness,
+        pole_intervals_zeta=pole_sweep(spec.p, grid.zeta, t),
+        pole_intervals_eta=pole_sweep(spec.q, grid.eta, t),
     )

@@ -53,8 +53,8 @@ class Auxiliaries:
     """Immutable bundle of derived evaluators for one solution spec.
 
     All evaluators are vectorized over their spatial argument at fixed t;
-    the ``*_jet`` methods map the order-3 profile jet of their coordinate
-    to an order-2 jet in (own coordinate, t).
+    the ``*_jet`` methods map the profile jet of their coordinate, to order
+    k, to a jet in (own coordinate, t) to order k - 1.
     ``quad_n`` is the number of Gauss-Legendre nodes per gap between
     neighbouring line coordinates and the anchors are the zeros of r and s.
     """
@@ -69,12 +69,12 @@ class Auxiliaries:
     # -- amplitude factors ---------------------------------------------------
 
     def p1_jet(self, pj: Jet, t) -> Jet:
-        c0 = self.spec.funcs.c0.jet(t)
+        c0 = self.spec.funcs.c0.jet(t, pj.order - 1)
         rad = c0 * pj.shift((1, 0))
         return float(self.spec.delta1) * jc.sqrt(rad)
 
     def q1_jet(self, qj: Jet, t) -> Jet:
-        c0 = self.spec.funcs.c0.jet(t)
+        c0 = self.spec.funcs.c0.jet(t, qj.order - 1)
         det = self.spec.coeffs.det
         rad = (det * qj.shift((1, 0))) / c0
         return float(2 * self.spec.delta2) * jc.sqrt(rad)
@@ -82,16 +82,16 @@ class Auxiliaries:
     # -- phase gradients -----------------------------------------------------
 
     def r_zeta_jet(self, j: Jet, t) -> Jet:
-        spec = self.spec
-        num = -j.shift((0, 1)) - spec.coeffs.det * spec.funcs.c3.jet(t)
-        return num / (spec.funcs.beta.jet(t) * j.shift((1, 0)))
+        spec, k = self.spec, j.order - 1
+        num = -j.shift((0, 1)) - spec.coeffs.det * spec.funcs.c3.jet(t, k)
+        return num / (spec.funcs.beta.jet(t, k) * j.shift((1, 0)))
 
     def s_eta_jet(self, j: Jet, t) -> Jet:
-        spec = self.spec
-        A = spec.coeffs.a1 + spec.coeffs.a3 * j.shift(order=2)
-        num = (-j.shift((0, 1)) - spec.funcs.c3.jet(t) * A * A
-               + spec.coeffs.det * spec.funcs.c4.jet(t))
-        return num / (spec.funcs.beta.jet(t) * j.shift((1, 0)))
+        spec, k = self.spec, j.order - 1
+        A = spec.coeffs.a1 + spec.coeffs.a3 * j.shift(order=k)
+        num = (-j.shift((0, 1)) - spec.funcs.c3.jet(t, k) * A * A
+               + spec.coeffs.det * spec.funcs.c4.jet(t, k))
+        return num / (spec.funcs.beta.jet(t, k) * j.shift((1, 0)))
 
     # -- phases ---------------------------------------------------------------
 
@@ -206,7 +206,8 @@ def _integrate_from_anchor(grad_jet, profile, anchor: float, targets, t, m: int)
     x, w = _gauss_legendre(m)
     half = 0.5 * np.diff(pts)
     nodes = (pts[:-1] + half)[:, None] + half[:, None] * x
-    jets = grad_jet(profile.jet3(nodes, t), t)
+    # the rule reads the gradient's value and t-derivative: order 1 of order 2
+    jets = grad_jet(profile.jet3(nodes, t, 2), t)
     gaps = (np.array(np.broadcast_arrays(jets.value, jets[0, 1], nodes)[:2], dtype=float)
             @ w) * half
     broken = ~np.isfinite(gaps).all(axis=0)
@@ -260,7 +261,8 @@ def consistency_c1_c2(spec: SolutionSpec, aux: Auxiliaries,
         return (amp[0, 1] / amp.value
                 + beta * (amp[1, 0] * grad.value / amp.value + 0.5 * grad[1, 0]))
 
-    pj, qj = spec.p.jet3(zeta_probes, t), spec.q.jet3(eta_probes, t)
+    # the brackets read the amplitude and gradient jets to first order
+    pj, qj = spec.p.jet3(zeta_probes, t, 2), spec.q.jet3(eta_probes, t, 2)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore", under="ignore"):
         c1_vals = ((bracket(aux.p1_jet(pj, t), aux.r_zeta_jet(pj, t))
                     - gamma - c4) / (a3 * (spec.coeffs.a2 + a3 * pj.value)))

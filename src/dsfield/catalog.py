@@ -38,7 +38,6 @@ class CatalogEntry:
     notes: tuple
     degenerate_times: tuple = ()
     zeta_exclusions: tuple = ()      # (center, halfwidth) pairs
-    eta_exclusions: tuple = ()
     zeta_limit: float | None = None  # |zeta| bound (tan poles)
     eta_limit: float | None = None
 
@@ -51,8 +50,6 @@ class CatalogEntry:
             ok &= np.abs(eta) <= self.eta_limit
         for c, hw in self.zeta_exclusions:
             ok &= np.abs(np.asarray(zeta) - c) > hw
-        for c, hw in self.eta_exclusions:
-            ok &= np.abs(np.asarray(eta) - c) > hw
         return ok
 
 

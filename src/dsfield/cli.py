@@ -20,7 +20,7 @@ import tempfile
 import numpy as np
 
 from . import __version__
-from .ansatz import DEGENERATE_LEVEL, SQRT2, check_admissibility, window_grid
+from .ansatz import DEGENERATE_LEVEL, check_admissibility, window_grid
 from .auxiliary import Ingredients, derive
 from .catalog import build_case, case_names
 from .field import (
@@ -38,7 +38,6 @@ from .verify import (
     bilinear_residuals,
     envelope_residuals,
     pde_phi_convergence,
-    pole_sweep,
 )
 
 EXIT_OK = 0
@@ -189,22 +188,23 @@ def _cmd_render(args) -> int:
     return EXIT_OK
 
 
-def _check_lines(report, threshold):
-    status = "pass"
-    if not report.applicable:
-        status = "skipped"
-    elif not (report.max_abs < threshold):
-        status = "fail"
-    lines = [
-        (f"check.{report.check_name}.max_abs", f"{report.max_abs:.6e}"),
-        (f"check.{report.check_name}.mean_abs", f"{report.mean_abs:.6e}"),
-        (f"check.{report.check_name}.samples", str(report.samples)),
-        (f"check.{report.check_name}.threshold", f"{threshold:.1e}"),
-        (f"check.{report.check_name}.status", status),
-    ]
-    if report.notes:
-        lines.append((f"check.{report.check_name}.notes", report.notes))
-    return status, lines
+def _check_lines(name, status, fields=(), notes=""):
+    """The report lines of one check: its fields, its status, its notes."""
+    lines = [(f"check.{name}.{key}", value) for key, value in fields]
+    lines.append((f"check.{name}.status", status))
+    if notes:
+        lines.append((f"check.{name}.notes", notes))
+    return lines
+
+
+def _residual(report, threshold):
+    """(status, fields, notes) of a residual check against ``threshold``."""
+    status = ("skipped" if not report.applicable
+              else "pass" if report.max_abs < threshold else "fail")
+    return status, [("max_abs", f"{report.max_abs:.6e}"),
+                    ("mean_abs", f"{report.mean_abs:.6e}"),
+                    ("samples", str(report.samples)),
+                    ("threshold", f"{threshold:.1e}")], report.notes
 
 
 def _cmd_verify(args) -> int:
@@ -227,66 +227,52 @@ def _cmd_verify(args) -> int:
              ("window", f"{window[0][0]:g}:{window[0][1]:g}"
                         f":{window[1][0]:g}:{window[1][1]:g}"),
              ("res", str(args.res))]
-    statuses = {}
-
+    # (status, fields[, notes]) per check, in report order
+    checks = {}
     if "bilinear2" in requested:
-        statuses["bilinear2"], new = _check_lines(
-            bilinear_residuals(ing), args.tol)
-        lines += new
+        checks["bilinear2"] = _residual(bilinear_residuals(ing), args.tol)
 
     # the bundle's one consistency report gates the envelope checks and is
     # the one the consistency check prints
     if "bilinear1" in requested or "pde1" in requested:
         for rep in envelope_residuals(ing, args.tol_consistency):
             if rep.check_name in requested:
-                statuses[rep.check_name], new = _check_lines(rep, args.tol_pde)
-                lines += new
+                checks[rep.check_name] = _residual(rep, args.tol_pde)
 
     if "pde2" in requested:
         coarse, fine, order = pde_phi_convergence(spec, window, t, min(args.res, 24),
                                                   valid_mask=mask)
         ok = math.isfinite(order) and abs(order - 2.0) <= 0.3
-        statuses["pde2"] = "pass" if ok else "fail"
-        lines += [
-            ("check.pde2.mean_abs_h", f"{coarse.mean_abs:.6e}"),
-            ("check.pde2.mean_abs_h2", f"{fine.mean_abs:.6e}"),
-            ("check.pde2.observed_order", f"{order:.3f}"),
-            ("check.pde2.nominal_order", "2"),
-            ("check.pde2.status", statuses["pde2"]),
-        ]
+        checks["pde2"] = ("pass" if ok else "fail", [
+            ("mean_abs_h", f"{coarse.mean_abs:.6e}"),
+            ("mean_abs_h2", f"{fine.mean_abs:.6e}"),
+            ("observed_order", f"{order:.3f}"),
+            ("nominal_order", "2")])
 
     if "consistency" in requested:
         crep = ing.consistency
         if not crep.applicable:
-            statuses["consistency"] = "skipped"
-            lines += [("check.consistency.status", "skipped"),
-                      ("check.consistency.notes", crep.note)]
+            checks["consistency"] = ("skipped", (), crep.note)
         else:
             ok = crep.max_variation <= args.tol_consistency
-            statuses["consistency"] = "pass" if ok else "fail"
-            lines += [
-                ("check.consistency.c1_variation", f"{crep.c1_variation:.6e}"),
-                ("check.consistency.c2_variation", f"{crep.c2_variation:.6e}"),
-                ("check.consistency.threshold", f"{args.tol_consistency:.1e}"),
-                ("check.consistency.status", statuses["consistency"]),
-            ]
+            checks["consistency"] = ("pass" if ok else "fail", [
+                ("c1_variation", f"{crep.c1_variation:.6e}"),
+                ("c2_variation", f"{crep.c2_variation:.6e}"),
+                ("threshold", f"{args.tol_consistency:.1e}")])
 
     if "admissibility" in requested:
         rep = check_admissibility(spec, ing.grid, t, ing.pj, ing.qj)
-        (x0, x1), (y0, y1) = window
-        poles = (len(pole_sweep(spec.p, [(x0 - y1) / SQRT2, (x1 - y0) / SQRT2], t))
-                 + len(pole_sweep(spec.q, [(x0 + y0) / SQRT2, (x1 + y1) / SQRT2], t)))
-        ok = rep.verdict == "admissible"
-        statuses["admissibility"] = "pass" if ok else "fail"
-        lines += [
-            ("check.admissibility.verdict", rep.verdict),
-            ("check.admissibility.min_abs_f", f"{rep.min_abs_f:.6e}"),
-            ("check.admissibility.sign_changes", str(rep.sign_changes)),
-            ("check.admissibility.sign_violations", str(rep.sign_violations)),
-            ("check.admissibility.pole_intervals", str(poles)),
-            ("check.admissibility.status", statuses["admissibility"]),
-        ]
+        checks["admissibility"] = ("pass" if rep.verdict == "admissible" else "fail", [
+            ("verdict", rep.verdict),
+            ("min_abs_f", f"{rep.min_abs_f:.6e}"),
+            ("sign_changes", str(rep.sign_changes)),
+            ("sign_violations", str(rep.sign_violations)),
+            ("pole_intervals",
+             str(len(rep.pole_intervals_zeta) + len(rep.pole_intervals_eta)))])
 
+    for name, check in checks.items():
+        lines += _check_lines(name, *check)
+    statuses = {name: check[0] for name, check in checks.items()}
     overall = "pass" if all(s in ("pass", "skipped") for s in statuses.values()) else "fail"
     lines.append(("overall", overall))
     text = "".join(f"{k}: {v}\n" for k, v in lines)

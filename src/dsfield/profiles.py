@@ -3,8 +3,9 @@
 A profile is a real function of one spatial variable (its own rotated
 coordinate) and time.  Each family evaluates to a jet to the order or box
 its reader asks for: the verify ingredients, which differentiate profile
-derivatives once more, read order 3; U reads the box (1, 0), with U_t
-(1, 1); the peak ascent (3, 0); a pole sweep the value alone, order 0.  The
+derivatives once more, read order 3; the pde2 stencils, phase nodes and
+consistency probes order 2; U reads the box (1, 0), with U_t (1, 1); the
+peak ascent (3, 0); a pole sweep the value alone, order 0.  The
 exponential-sum family covers localized and line-type data; the remaining
 families are the fixed forms behind the breather, periodic and instanton
 catalog cases.  ``CustomProfile`` accepts any jet-valued callable for

@@ -12,8 +12,9 @@ Three independent suites certify a solution spec:
   window grid; and the forcing-field constraint by finite differences of
   the jet-computed fields (with a convergence mode), from each profile
   once per stencil line and U and phi broadcast onto the stencil;
-* window scans for denominator zeros, which read f's value alone, profile
-  poles, whose sweeps read profile values alone, and the sign condition.
+* the window scan, :func:`~dsfield.ansatz.check_admissibility`: zeros of
+  f from f's value alone, the sign condition, and profile poles from
+  sweeps of profile values alone.
 
 The checks on one window grid read one
 :class:`~dsfield.auxiliary.Ingredients` bundle: the profile, amplitude
@@ -36,10 +37,11 @@ from typing import Callable
 import numpy as np
 
 from .ansatz import (
+    AdmissibilityReport,
     CoordinatePoint,
     SolutionSpec,
     batches,
-    denominator_scan,
+    check_admissibility,
     eval_f,
     eval_intensity,
     eval_phi,
@@ -57,9 +59,7 @@ __all__ = [
     "envelope_residuals",
     "pde_residuals",
     "pde_phi_convergence",
-    "pole_sweep",
     "singularity_scan",
-    "ScanReport",
     "CONSISTENCY_GATE",
 ]
 
@@ -418,65 +418,11 @@ def residual_field(ing: Ingredients, which: str) -> np.ndarray:
 # singularity scan
 
 
-@dataclass(frozen=True)
-class ScanReport:
-    min_abs_f: float
-    min_f_point: tuple
-    sign_change_cells: int
-    sign_change_examples: tuple
-    nonfinite_points: int
-    masked_points: int
-    samples: int
-    pole_intervals_zeta: tuple = ()
-    pole_intervals_eta: tuple = ()
-
-
-# magnitude treated as a pole signature in the 1-D profile sweep; legitimate
-# exponential-sum growth on sane windows stays far below this
-_POLE_MAGNITUDE = 1e150
-
-
-def pole_sweep(profile, coords, t: float, n: int = 65537):
-    """Fine 1-D sweep for profile poles over the range of ``coords``; returns
-    suspect intervals.  It reads profile values alone."""
-    x = np.linspace(float(np.min(coords)), float(np.max(coords)), n)
-    with np.errstate(invalid="ignore", over="ignore", under="ignore", divide="ignore"):
-        v = np.asarray(profile.jet3(x, t, order=0).value, dtype=float)
-        suspect = ~np.isfinite(v) | (np.abs(v) > _POLE_MAGNITUDE)
-    if not suspect.any():
-        return ()
-    idx = np.nonzero(suspect)[0]
-    gaps = np.nonzero(np.diff(idx) > 1)[0]
-    starts = np.concatenate(([0], gaps + 1))
-    ends = np.concatenate((gaps, [len(idx) - 1]))
-    return tuple((float(x[idx[s]]), float(x[idx[e]])) for s, e in zip(starts, ends))
-
-
+# kept while perfbench/tracer.py wraps this name
 def singularity_scan(spec: SolutionSpec, window, t: float, samples=128,
-                     valid_mask=None) -> ScanReport:
-    """Locate denominator zero crossings and profile poles on a window.
-
-    Poles are searched with a fine one-dimensional sweep along each rotated
-    coordinate (they are one-variable features of the profiles), in addition
-    to the two-dimensional denominator scan.
-    """
+                     valid_mask=None) -> AdmissibilityReport:
+    """:func:`~dsfield.ansatz.check_admissibility` on a fresh window grid,
+    from the profiles' box (1, 0) jets there."""
     grid = window_grid(window, samples, valid_mask)
-    with np.errstate(invalid="ignore", over="ignore", under="ignore", divide="ignore"):
-        f = eval_f(spec, grid.zeta, grid.eta, t, order=0).value
-    finite, min_abs_f, min_point, flips_x, flips_y = denominator_scan(
-        f, grid.keep, grid.X, grid.Y, t)
-    # up to five x-flip cells, or y-flip cells when there are no x-flips
-    ys, xs = np.nonzero(flips_x if flips_x.any() else flips_y)
-    examples = tuple((float(grid.X[yy, xx]), float(grid.Y[yy, xx]))
-                     for yy, xx in zip(ys[:5], xs[:5]))
-    return ScanReport(
-        min_abs_f=min_abs_f,
-        min_f_point=min_point,
-        sign_change_cells=int(np.count_nonzero(flips_x) + np.count_nonzero(flips_y)),
-        sign_change_examples=examples,
-        nonfinite_points=int(np.count_nonzero(grid.keep & ~finite)),
-        masked_points=int(np.count_nonzero(~grid.keep)),
-        samples=int(grid.zeta.size),
-        pole_intervals_zeta=pole_sweep(spec.p, grid.zeta, t),
-        pole_intervals_eta=pole_sweep(spec.q, grid.eta, t),
-    )
+    return check_admissibility(spec, grid, t,
+                               *profile_jets3(spec, grid.zeta, grid.eta, t, (1, 0)))

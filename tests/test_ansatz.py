@@ -391,6 +391,7 @@ class CountingCoefficients:
 
 @pytest.mark.parametrize("name", case_names())
 def test_admissibility_and_scan_assemble_f_once(name, monkeypatch):
+    import dsfield.ansatz as ansatz
     import dsfield.verify as verify
     e = build_case(name)
     coeffs = CountingCoefficients(e.spec.coeffs)
@@ -408,7 +409,7 @@ def test_admissibility_and_scan_assemble_f_once(name, monkeypatch):
         built.append(eval_f(*args, **kwargs))
         return built[-1]
 
-    monkeypatch.setattr(verify, "eval_f", recording_eval_f)
+    monkeypatch.setattr(ansatz, "eval_f", recording_eval_f)
     coeffs.a0_reads = 0
     verify.singularity_scan(spec, e.window, 0.3, 24, e.valid_mask)
     assert coeffs.a0_reads == 1

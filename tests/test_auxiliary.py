@@ -9,13 +9,13 @@ from dsfield.ansatz import (
     CoefficientFunctions,
     SeparationCoefficients,
     SolutionSpec,
+    pole_sweep,
     rotate,
     window_grid,
 )
 from dsfield.auxiliary import consistency_c1_c2, derive
 from dsfield.catalog import build_case, case_names
 from dsfield.profiles import CustomProfile, ExpSumProfile, const_fn
-from dsfield.verify import pole_sweep
 
 from conftest import line_backgrounds
 

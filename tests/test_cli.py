@@ -267,7 +267,7 @@ def test_verify_admissibility_takes_pole_ranges_from_window_corners(
     # which is the only window grid built; the count equals that of sweeps
     # over the grid's own coordinates
     import dsfield.ansatz as ansatz
-    from dsfield.verify import pole_sweep
+    from dsfield.ansatz import pole_sweep
     e = build_case(name)
     t = e.reference_times[-1]
     orig = ansatz.window_grid
@@ -445,8 +445,9 @@ def test_analyze_decay_labels_each_time_by_its_round_trip_repr(tmp_path):
 
 def test_each_reader_asks_its_profiles_for_the_entries_it_reads(tmp_path, monkeypatch):
     # U reads the box (1, 0) of each profile jet and U_t the box (1, 1), the
-    # peak ascent (3, 0), a pole sweep the value and the verify bundle order
-    # 3; each call is booked to its first caller outside the profiles
+    # peak ascent (3, 0), a pole sweep the value, the verify bundle order 3,
+    # and the pde2 stencils, phase nodes and consistency probes order 2; each
+    # call is booked to its first caller outside the profiles
     e = build_case("breather")
     asked = {}
     for cls in (type(e.spec.p), type(e.spec.q)):
@@ -475,8 +476,8 @@ def test_each_reader_asks_its_profiles_for_the_entries_it_reads(tmp_path, monkey
         assert asked == want, argv
     asked.clear()
     assert run("verify", "--t", "0.3", "--checks", ALL, *common) == 0
-    assert asked["Ingredients.<lambda>"] == {3} and asked["pole_sweep"] == {0}
-    assert asked["_pde2_field"] == {2}
+    assert asked == {"Ingredients.<lambda>": {3}, "pole_sweep": {0}, "_pde2_field": {2},
+                     "_integrate_from_anchor": {2}, "consistency_c1_c2": {2}}
     assert not {grid, rate, "_log_intensity_jets", "eval_intensity_dt"} & set(asked)
 
 

@@ -11,6 +11,7 @@ from dsfield.ansatz import (
     eval_f,
     eval_intensity,
     eval_phi,
+    pole_sweep,
     profile_jets3,
     window_grid,
 )
@@ -320,20 +321,20 @@ def test_scan_agrees_with_admissibility(name):
     scan = singularity_scan(e.spec, e.window, t, 48, e.valid_mask)
     assert scan.min_abs_f == rep.min_abs_f
     assert scan.min_f_point == rep.min_f_point
-    assert scan.sign_change_cells == rep.sign_changes
+    assert scan.sign_changes == rep.sign_changes
 
 
 def test_scan_dromion_positive():
     rep = singularity_scan(build_case("dromion").spec, ((-8, 8), (-8, 8)), 0.0, 64)
     assert rep.min_abs_f > 1.0
-    assert rep.sign_change_cells == 0
+    assert rep.sign_changes == 0
     assert rep.pole_intervals_zeta == ()
 
 
 def test_scan_resonant_reports_sign_changes():
     e = build_case("resonant")
     rep = singularity_scan(e.spec, e.window, 0.0, 96)
-    assert rep.sign_change_cells > 0
+    assert rep.sign_changes > 0
     assert len(rep.sign_change_examples) > 0
 
 
@@ -352,3 +353,26 @@ def test_scan_detects_instanton_pole():
     assert len(rep.pole_intervals_zeta) == 1
     lo, hi = rep.pole_intervals_zeta[0]
     assert lo <= -1.0 <= hi + 0.01
+
+
+@pytest.mark.parametrize("name", case_names())
+def test_admissibility_is_the_one_window_scan(name):
+    # the pole sweeps run over the grid's own zeta and eta, each example is
+    # the first point of a cell where f changes sign, and singularity_scan
+    # is the same scan on the same grid
+    e = build_case(name)
+    t = e.reference_times[0]
+    g = window_grid(e.window, (48, 48), e.valid_mask)
+    rep = check_admissibility(e.spec, g, t, *profile_jets3(e.spec, g.zeta, g.eta, t))
+    assert rep.pole_intervals_zeta == pole_sweep(e.spec.p, g.zeta, t)
+    assert rep.pole_intervals_eta == pole_sweep(e.spec.q, g.eta, t)
+    assert singularity_scan(e.spec, e.window, t, 48, e.valid_mask) == rep
+
+    f = np.where(g.keep, eval_f(e.spec, g.zeta, g.eta, t, order=0).value, np.nan)
+    assert len(rep.sign_change_examples) <= 5
+    assert bool(rep.sign_change_examples) == bool(rep.sign_changes)
+    for x, y in rep.sign_change_examples:
+        (i,), (j,) = np.nonzero(g.Y[:, 0] == y), np.nonzero(g.X[0] == x)
+        right = f[i, j] * f[i, j + 1] if j + 1 < f.shape[1] else np.nan
+        below = f[i, j] * f[i + 1, j] if i + 1 < f.shape[0] else np.nan
+        assert right < 0 or below < 0, (x, y)
