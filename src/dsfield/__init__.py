@@ -26,9 +26,8 @@ from .auxiliary import (
     ConsistencyReport,
     Ingredients,
     consistency_c1_c2,
-    derive,
 )
-from .calculus import Jet, Stencil, fd_derivative
+from .calculus import Jet, Stencil
 from .catalog import CatalogEntry, build_case, case_names
 from .field import (
     AnalyticsResult,

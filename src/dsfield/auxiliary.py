@@ -43,14 +43,13 @@ from .ansatz import SolutionSpec
 __all__ = [
     "Auxiliaries",
     "Ingredients",
-    "derive",
     "ConsistencyReport",
     "consistency_c1_c2",
 ]
 
 
 class Auxiliaries:
-    """Immutable bundle of derived evaluators for one solution spec.
+    """The derived-quantity formulas of one solution spec.
 
     All evaluators are vectorized over their spatial argument at fixed t;
     the ``*_jet`` methods map the profile jet of their coordinate, to order
@@ -123,12 +122,6 @@ def _background(c, phase_t, amp, grad, beta):
         return (c + phase_t - 0.5 * beta * (amp[2, 0] / amp.value - grad.value ** 2)) / beta
 
 
-def derive(spec: SolutionSpec, quad_n: int = 16, anchor_zeta: float = 0.0,
-           anchor_eta: float = 0.0) -> Auxiliaries:
-    """Build the derived-quantity bundle for a solution spec."""
-    return Auxiliaries(spec, quad_n, anchor_zeta, anchor_eta)
-
-
 def _entry(fn):
     """An :class:`Ingredients` entry: evaluated on first read, then kept.
     Non-finite values are data here, so numpy's warnings are off."""
@@ -139,18 +132,20 @@ class Ingredients:
     """The one-variable ingredients of ``spec`` on one window grid at ``t``.
 
     Every check and render on the grid reads this one evaluation: the
-    profile jets ``pj``, ``qj`` on the grid's zeta and eta, the amplitude
-    jets ``p1``, ``q1`` and gradient jets ``rz``, ``se`` from them, the
-    phase pairs ``r`` = (r, r_t) and ``s`` = (s, s_t), the backgrounds
-    ``p0``, ``q0``, and the ``consistency`` report on 33 probes over each
+    formulas ``aux``, the :class:`Auxiliaries` of ``spec``; the profile
+    jets ``pj``, ``qj`` on the grid's zeta and eta, the amplitude jets
+    ``p1``, ``q1`` and gradient jets ``rz``, ``se`` from them, the phase
+    pairs ``r`` = (r, r_t) and ``s`` = (s, s_t), the backgrounds ``p0``,
+    ``q0``, and the ``consistency`` report on 33 probes over each
     coordinate's range.  Each entry is evaluated when first read, so a run
-    that reads no phase integrates none.  ``aux`` may be None when only the
-    profile jets are read.
+    that reads no phase integrates none; an entry assigned before its
+    first read replaces it.
     """
 
-    def __init__(self, spec: SolutionSpec, aux, grid, t: float):
-        self.spec, self.aux, self.grid, self.t = spec, aux, grid, t
+    def __init__(self, spec: SolutionSpec, grid, t: float):
+        self.spec, self.grid, self.t = spec, grid, t
 
+    aux = _entry(lambda self: Auxiliaries(self.spec))
     pj = _entry(lambda self: self.spec.p.jet3(self.grid.zeta, self.t))
     qj = _entry(lambda self: self.spec.q.jet3(self.grid.eta, self.t))
     p1 = _entry(lambda self: self.aux.p1_jet(self.pj, self.t))
@@ -166,7 +161,7 @@ class Ingredients:
     def consistency(self):
         zp, ep = (np.linspace(float(np.min(c)), float(np.max(c)), 33)
                   for c in (self.grid.zeta, self.grid.eta))
-        return consistency_c1_c2(self.spec, self.aux, zp, ep, self.t)
+        return consistency_c1_c2(self.aux, zp, ep, self.t)
 
 
 # ---------------------------------------------------------------------------
@@ -228,7 +223,8 @@ class ConsistencyReport:
     """Spatial variation of the two t-only candidate ratios.
 
     ``applicable`` is False when a3 = 0 (the ratios divide by a3).  The
-    separation is certified when both variations are at the rounding level.
+    separation is certified when both variations are at the rounding level;
+    ``max_variation`` is NaN when either is, so the gate fails closed.
     """
 
     applicable: bool
@@ -242,11 +238,13 @@ class ConsistencyReport:
 
     @property
     def max_variation(self) -> float:
-        return max(self.c1_variation, self.c2_variation)
+        return float(np.maximum(self.c1_variation, self.c2_variation))
 
 
-def consistency_c1_c2(spec: SolutionSpec, aux: Auxiliaries,
-                      zeta_probes, eta_probes, t: float) -> ConsistencyReport:
+def consistency_c1_c2(aux: Auxiliaries, zeta_probes, eta_probes,
+                      t: float) -> ConsistencyReport:
+    """The bracket ratios c1, c2 of ``aux``'s spec at the probes."""
+    spec = aux.spec
     a3 = spec.coeffs.a3
     if a3 == 0.0:
         return ConsistencyReport(False, math.nan, math.nan, math.nan, math.nan,

@@ -25,7 +25,6 @@ import functools
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -60,7 +59,6 @@ __all__ = [
     "cos",
     "tan",
     "powi",
-    "fd_derivative",
     "observed_order",
 ]
 
@@ -392,8 +390,6 @@ _STENCIL_WEIGHTS = {
     (1, 4): (1 / 12, -2 / 3, 0.0, 2 / 3, -1 / 12),
     (2, 2): (1.0, -2.0, 1.0),
     (2, 4): (-1 / 12, 4 / 3, -5 / 2, 4 / 3, -1 / 12),
-    (4, 2): (1.0, -4.0, 6.0, -4.0, 1.0),
-    (4, 4): (-1 / 6, 2.0, -13 / 2, 28 / 3, -13 / 2, 2.0, -1 / 6),
 }
 
 
@@ -414,27 +410,6 @@ class Stencil:
     @property
     def weights(self) -> np.ndarray:
         return np.asarray(_STENCIL_WEIGHTS[(self.order, self.accuracy)])
-
-    @property
-    def offsets(self) -> np.ndarray:
-        half = (len(self.weights) - 1) // 2
-        return np.arange(-half, half + 1)
-
-    @property
-    def width(self) -> int:
-        return len(self.weights)
-
-
-@_quiet
-def fd_derivative(samples: Sequence[float], stencil: Stencil):
-    """Apply a central stencil to uniformly spaced samples.
-
-    Non-finite samples yield a non-finite result (the flag is the NaN itself).
-    """
-    s = np.asarray(samples, dtype=float)
-    if s.shape[-1] != stencil.width:
-        raise ValueError(f"expected {stencil.width} samples, got {s.shape[-1]}")
-    return s @ stencil.weights / stencil.h ** stencil.order
 
 
 def observed_order(err_coarse: float, err_fine: float) -> float:

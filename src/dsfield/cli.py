@@ -21,7 +21,7 @@ import numpy as np
 
 from . import __version__
 from .ansatz import DEGENERATE_LEVEL, check_admissibility, window_grid
-from .auxiliary import Ingredients, derive
+from .auxiliary import Ingredients
 from .catalog import build_case, case_names
 from .field import (
     SingularWindowError,
@@ -170,8 +170,7 @@ def _cmd_catalog(args) -> int:
 def _cmd_render(args) -> int:
     spec, window, mask, label = _resolve_spec(args)
     t = parse_time(args.t)
-    aux = derive(spec) if args.which in ("phi", "bilinear2") else None
-    grid = sample_field(spec, aux, args.which, window, t, args.res, args.res,
+    grid = sample_field(spec, args.which, window, t, nx=args.res, ny=args.res,
                         valid_mask=mask)
     if args.which == "U":
         top = float(np.max(np.abs(grid.valid_values()), initial=0.0))
@@ -221,7 +220,7 @@ def _cmd_verify(args) -> int:
             raise UsageError(f"--{option.replace('_', '-')} must be finite and "
                              f"positive, got {getattr(args, option)!r}")
     # every check on the --res grid reads this one bundle
-    ing = Ingredients(spec, derive(spec), window_grid(window, args.res, mask), t)
+    ing = Ingredients(spec, window_grid(window, args.res, mask), t)
 
     lines = [("case", label), ("t", f"{t:.17g}"),
              ("window", f"{window[0][0]:g}:{window[0][1]:g}"
@@ -240,8 +239,9 @@ def _cmd_verify(args) -> int:
                 checks[rep.check_name] = _residual(rep, args.tol_pde)
 
     if "pde2" in requested:
-        coarse, fine, order = pde_phi_convergence(spec, window, t, min(args.res, 24),
-                                                  valid_mask=mask)
+        # pde2 reads its own bundle, on a grid of at most 24^2 points
+        coarse, fine, order = pde_phi_convergence(
+            Ingredients(spec, window_grid(window, min(args.res, 24), mask), t))
         ok = math.isfinite(order) and abs(order - 2.0) <= 0.3
         checks["pde2"] = ("pass" if ok else "fail", [
             ("mean_abs_h", f"{coarse.mean_abs:.6e}"),
@@ -322,7 +322,7 @@ def _cmd_analyze(args) -> int:
             lines.append((f"max_at_t_{t!r}", f"{mx:.17g}"))
     else:
         t = parse_time(args.t)
-        grid = sample_field(spec, None, "U", window, t, args.res, args.res,
+        grid = sample_field(spec, "U", window, t, nx=args.res, ny=args.res,
                             valid_mask=mask)
         res = analyze_extrema(grid)
         lines += [

@@ -35,7 +35,7 @@ from .ansatz import (
     rotate,
     window_grid,
 )
-from .auxiliary import Auxiliaries, Ingredients
+from .auxiliary import Ingredients
 from .verify import residual_field
 
 __all__ = [
@@ -111,30 +111,26 @@ class AnalyticsResult:
 # sampling
 
 
-def sample_field(spec: SolutionSpec, aux: Optional[Auxiliaries], which: str,
-                 window, t: float, nx: int, ny: int,
+def sample_field(spec: SolutionSpec, which: str, window, t: float, nx: int, ny: int,
                  valid_mask=None) -> FieldGrid:
     """Sample one of the derived fields over an (x, y) window.
 
-    ``which`` is one of ``U`` (intensity), ``phi`` (forcing field, needs
-    ``aux`` for the backgrounds), ``bilinear2`` or ``pde2`` (residual
-    fields).  ``U`` comes from :func:`grid_intensity`, so on a square
-    window with equal spacing the profiles are evaluated once per zeta and
-    eta line; the other fields read one
-    :class:`~dsfield.auxiliary.Ingredients` bundle on the grid.  Raises if
-    the window is entirely invalid.
+    ``which`` is one of ``U`` (intensity), ``phi`` (forcing field) or
+    ``bilinear2`` or ``pde2`` (residual fields).  ``U`` comes from
+    :func:`grid_intensity`, so on a square window with equal spacing the
+    profiles are evaluated once per zeta and eta line; the other fields
+    read one :class:`~dsfield.auxiliary.Ingredients` bundle on the grid.
+    Raises if the window is entirely invalid.
     """
     if nx < 8 or ny < 8:
         raise ValueError("resolution must be at least 8 per axis")
     (x0, x1), (y0, y1) = window
     grid = window_grid(window, (nx, ny), valid_mask)
 
-    ing = Ingredients(spec, aux, grid, t)       # evaluates nothing until read
+    ing = Ingredients(spec, grid, t)            # evaluates nothing until read
     if which == "U":
         vals = grid_intensity(spec, grid, t)[0]
     elif which == "phi":
-        if aux is None:
-            raise ValueError("phi sampling needs derived auxiliaries")
         vals = eval_phi(spec, grid.zeta, grid.eta, t, ing.p0, ing.q0,
                         tau=eval_f(spec, grid.zeta, grid.eta, t, ing.pj, ing.qj))
     elif which in ("bilinear2", "pde2"):

@@ -16,11 +16,12 @@ Three independent suites certify a solution spec:
   f from f's value alone, the sign condition, and profile poles from
   sweeps of profile values alone.
 
-The checks on one window grid read one
-:class:`~dsfield.auxiliary.Ingredients` bundle: the profile, amplitude
-and gradient jets, the phases and the backgrounds are each evaluated once
-there, whichever checks read them.  The Hirota operator expands jets in
-(x, t) of any order.
+Every check reads the :class:`~dsfield.auxiliary.Ingredients` bundle of
+its window grid, which builds its own formulas from the spec: the
+profile, amplitude and gradient jets, the phases and the backgrounds are
+each evaluated once there, whichever checks read them; ``pde2`` reads
+only the bundle's spec, grid and time.  The Hirota operator expands jets
+in (x, t) of any order.
 
 Both envelope-equation checks are gated on the bundle's consistency
 report, which is also the report of the consistency check: when the
@@ -290,21 +291,17 @@ def envelope_residuals(ing: Ingredients, tol: float = CONSISTENCY_GATE):
 def _bilinear2_field(ing: Ingredients):
     """Residual of 2 D_z D_e f.f = g g* relative to |g g*|.
 
-    With the bundle's ``aux``, g g* comes from the amplitude factors,
-    falling back to the exact product 4 det p_z q_e where they are
-    non-finite; the second value marks those fallbacks (None without
-    ``aux``).
+    g g* comes from the bundle's amplitude factors, falling back to the
+    exact product 4 det p_z q_e where they are non-finite; the second value
+    marks those fallbacks.
     """
     a, pj, qj = ing.spec.coeffs, ing.pj, ing.qj
     with np.errstate(invalid="ignore", over="ignore", under="ignore"):
         hi, lo = _bilinear_cross_dd(a.a0, a.a1, a.a2, a.a3,
                                     pj.value, qj.value, pj[1, 0], qj[1, 0])
-        gg = 4.0 * a.det * pj[1, 0] * qj[1, 0]
-        amp_bad = None
-        if ing.aux is not None:
-            gg_amp = (ing.p1.value * ing.q1.value) ** 2
-            amp_bad = ~np.isfinite(gg_amp)
-            gg = np.where(amp_bad, gg, gg_amp)
+        gg = (ing.p1.value * ing.q1.value) ** 2
+        amp_bad = ~np.isfinite(gg)
+        gg = np.where(amp_bad, 4.0 * a.det * pj[1, 0] * qj[1, 0], gg)
         resid = np.abs((hi - gg) + lo)
         scale = np.abs(gg)
         return resid / np.where(scale > 0.0, scale, 1.0), amp_bad
@@ -316,25 +313,23 @@ def bilinear_residuals(ing: Ingredients) -> ResidualReport:
     :func:`envelope_residuals` reports line 1)."""
     grid = ing.grid
     rel, amp_bad = _bilinear2_field(ing)
-    flags = {}
-    if amp_bad is not None:
-        flags["amplitude_branch"] = int(np.count_nonzero(amp_bad & grid.keep))
     return _report("bilinear2", rel, grid.X, grid.Y, ing.t, grid.keep & np.isfinite(rel),
-                   flags=flags, extras={"normalization": "relative to |g g*|"})
+                   flags={"amplitude_branch": int(np.count_nonzero(amp_bad & grid.keep))},
+                   extras={"normalization": "relative to |g g*|"})
 
 
 # ---------------------------------------------------------------------------
 # forcing-field constraint
 
 
-def pde_residuals(spec: SolutionSpec, window, t: float, samples=32,
-                  stencil: Stencil = PDE2_STENCIL, valid_mask=None) -> ResidualReport:
+def pde_residuals(ing: Ingredients, stencil: Stencil = PDE2_STENCIL) -> ResidualReport:
     """Residual of the forcing-field constraint (line 2 of the rotated-frame
-    equations, fourth order in log f) by central differences of the
-    jet-computed intensity and forcing fields using ``stencil``."""
-    grid = window_grid(window, samples, valid_mask)
-    resid, stencil_ok = _pde2_field(spec, grid.zeta, grid.eta, t, stencil)
-    return _report("pde2", resid, grid.X, grid.Y, t,
+    equations, fourth order in log f) on the bundle's grid, by central
+    differences of the jet-computed intensity and forcing fields using
+    ``stencil``."""
+    grid = ing.grid
+    resid, stencil_ok = _pde2_field(ing.spec, grid.zeta, grid.eta, ing.t, stencil)
+    return _report("pde2", resid, grid.X, grid.Y, ing.t,
                    grid.keep & stencil_ok & np.isfinite(resid),
                    flags={"stencil_dropped":
                           int(np.count_nonzero(grid.keep & ~stencil_ok))},
@@ -382,12 +377,11 @@ def _pde2_field(spec, zeta, eta, t, stencil: Stencil):
     return resid, stencil_ok
 
 
-def pde_phi_convergence(spec: SolutionSpec, window, t: float, samples=24,
-                        stencil: Stencil = PDE2_STENCIL, valid_mask=None):
+def pde_phi_convergence(ing: Ingredients, stencil: Stencil = PDE2_STENCIL):
     """Rerun the forcing-field check at h and h/2; report the observed order."""
-    coarse = pde_residuals(spec, window, t, samples, stencil, valid_mask)
+    coarse = pde_residuals(ing, stencil)
     finer = Stencil(stencil.order, stencil.accuracy, stencil.h / 2)
-    fine = pde_residuals(spec, window, t, samples, finer, valid_mask)
+    fine = pde_residuals(ing, finer)
     order = observed_order(coarse.mean_abs, fine.mean_abs)
     return coarse, fine, order
 

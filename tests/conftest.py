@@ -66,15 +66,15 @@ class CorruptedAuxiliaries(Auxiliaries):
         return val
 
 
-def perturbed(aux, **hooks) -> CorruptedAuxiliaries:
-    """Copy of ``aux`` with corruption hooks set (negative-control support)."""
-    return CorruptedAuxiliaries(aux.spec, aux.quad_n, aux.anchor_zeta,
-                                aux.anchor_eta, **hooks)
+def bundle(spec, window, t, samples, valid_mask=None, **hooks) -> Ingredients:
+    """The ingredient bundle of ``spec`` on a window grid, as verify builds it.
 
-
-def bundle(spec, aux, window, t, samples, valid_mask=None) -> Ingredients:
-    """The ingredient bundle of ``spec`` on a window grid, as verify builds it."""
-    return Ingredients(spec, aux, window_grid(window, samples, valid_mask), t)
+    Corruption ``hooks`` put :class:`CorruptedAuxiliaries` formulas into the
+    bundle before their first read (negative-control support)."""
+    ing = Ingredients(spec, window_grid(window, samples, valid_mask), t)
+    if hooks:
+        ing.aux = CorruptedAuxiliaries(spec, **hooks)
+    return ing
 
 
 def line_backgrounds(aux, zeta, eta, t):

@@ -13,7 +13,7 @@ import time
 import numpy as np
 import pytest
 
-from dsfield.auxiliary import consistency_c1_c2, derive
+from dsfield.auxiliary import Auxiliaries, consistency_c1_c2
 from dsfield.calculus import Jet, Stencil, layout
 from dsfield.catalog import build_case, case_names
 from dsfield.cli import main as cli_main
@@ -35,7 +35,7 @@ from dsfield.verify import (
     pde_phi_convergence,
 )
 
-from conftest import bundle, perturbed, random_spec
+from conftest import bundle, random_spec
 
 
 import conftest
@@ -56,13 +56,13 @@ def test_criterion_1_bilinear_identity(rng):
         start = time.monotonic()
         for name in case_names():
             e = build_case(name)
-            line2 = bilinear_residuals(bundle(e.spec, derive(e.spec), e.window,
-                                              e.reference_times[0], 64, e.valid_mask))
+            line2 = bilinear_residuals(bundle(e.spec, e.window, e.reference_times[0], 64,
+                                              e.valid_mask))
             assert line2.max_abs < 1e-12, name
         for _ in range(100):
             spec = random_spec(rng)
-            line2 = bilinear_residuals(bundle(spec, None, ((-8, 8), (-8, 8)),
-                                              float(rng.uniform(-1, 1)), 64))
+            line2 = bilinear_residuals(bundle(spec, ((-8, 8), (-8, 8)), float(rng.uniform(-1, 1)),
+                                              64))
             assert line2.max_abs < 1e-12
         assert time.monotonic() - start < 10.0
 
@@ -71,13 +71,11 @@ def test_criterion_2_dromion_closed_case():
     with criterion(2, "dromion closed-case envelope equation + negative control"):
         start = time.monotonic()
         e = build_case("dromion")
-        aux = derive(e.spec)
         window = ((-4, 4), (-4, 4))
-        _, line1 = envelope_residuals(bundle(e.spec, aux, window, 0.0, 48))
+        _, line1 = envelope_residuals(bundle(e.spec, window, 0.0, 48))
         assert line1.applicable
         assert line1.max_abs < 1e-6
-        corrupted = perturbed(aux, p0_offset=0.5 - 0.375)
-        _, bad = envelope_residuals(bundle(e.spec, corrupted, window, 0.0, 48))
+        _, bad = envelope_residuals(bundle(e.spec, window, 0.0, 48, p0_offset=0.5 - 0.375))
         assert bad.max_abs > 1e-2
         assert time.monotonic() - start < 30.0
 
@@ -87,8 +85,8 @@ def test_criterion_3_phi_equation_convergence():
         for name in ("dromion", "solitoff"):
             e = build_case(name)
             for acc, h, nominal in ((2, 2e-2, 2.0), (4, 5e-2, 4.0)):
-                _, _, order = pde_phi_convergence(e.spec, ((-3, 3), (-3, 3)),
-                                                  0.0, 20, Stencil(2, acc, h))
+                _, _, order = pde_phi_convergence(bundle(e.spec, ((-3, 3), (-3, 3)), 0.0, 20),
+                                                  Stencil(2, acc, h))
                 assert abs(order - nominal) <= 0.3, (name, acc, order)
 
 
@@ -100,8 +98,8 @@ def test_criterion_4_breather_period():
         assert res.estimated_period == pytest.approx(math.pi,
                                                      abs=2 * math.pi / 128)
         for t in (0.0, 0.7, 2.5):
-            a = sample_field(e.spec, None, "U", e.window, t, 64, 64)
-            b = sample_field(e.spec, None, "U", e.window, t + math.pi, 64, 64)
+            a = sample_field(e.spec, "U", e.window, t, 64, 64)
+            b = sample_field(e.spec, "U", e.window, t + math.pi, 64, 64)
             assert float(np.max(np.abs(a.values - b.values))) < 1e-12
 
 
@@ -109,9 +107,9 @@ def test_criterion_5_periodic_pattern():
     with criterion(5, "periodic pattern point-reflection symmetry and period"):
         e = build_case("periodic")
         for t in (0.4, 1.1):
-            ga = sample_field(e.spec, None, "U", e.window, t + math.pi, 96, 96,
+            ga = sample_field(e.spec, "U", e.window, t + math.pi, 96, 96,
                               valid_mask=e.valid_mask)
-            gb = sample_field(e.spec, None, "U", e.window, t, 96, 96,
+            gb = sample_field(e.spec, "U", e.window, t, 96, 96,
                               valid_mask=e.valid_mask)
             assert point_reflection_defect(ga, gb) < 1e-12
         res = estimate_period(e.spec, e.window, (0.0, 2 * math.pi), 32,
@@ -130,7 +128,7 @@ def test_criterion_6_double_instanton_decay():
         maxima = [m for _, m in res.decay_series]
         for got, ref in zip(maxima, (0.6, 0.006, 1.5e-5)):
             assert abs(got - ref) <= 0.25 * ref, (got, ref)
-        grid = sample_field(e.spec, None, "U", e.window, 0.0, 256, 256,
+        grid = sample_field(e.spec, "U", e.window, 0.0, 256, 256,
                             valid_mask=e.valid_mask)
         assert len(analyze_extrema(grid).local_maxima) == 2
 
@@ -138,7 +136,7 @@ def test_criterion_6_double_instanton_decay():
 def test_criterion_7_dromion_structure():
     with criterion(7, "dromion: single peak, tail containment, reflection"):
         e = build_case("dromion")
-        grid = sample_field(e.spec, None, "U", e.window, 0.0, 512, 512)
+        grid = sample_field(e.spec, "U", e.window, 0.0, 512, 512)
         assert len(analyze_extrema(grid).local_maxima) == 1
 
         peak, (px, py) = refined_global_max(e.spec, e.window, 0.0, 128, 128)
@@ -196,7 +194,7 @@ def test_criterion_9_determinism(tmp_path):
         assert outs[0] == outs[1]
 
         e = build_case("dromion")
-        grid = sample_field(e.spec, None, "U", e.window, 0.0, 48, 48)
+        grid = sample_field(e.spec, "U", e.window, 0.0, 48, 48)
         x, y, v = parse_csv(to_csv(grid))
         assert np.array_equal(v, grid.values.ravel())
 
@@ -205,7 +203,7 @@ def test_criterion_10_consistency_diagnostics(tmp_path):
     with criterion(10, "consistency certifies gain-free case, flags gain"):
         e = build_case("dromion")
         probes = np.linspace(-4, 4, 65)
-        clean = consistency_c1_c2(e.spec, derive(e.spec), probes, probes, 0.0)
+        clean = consistency_c1_c2(Auxiliaries(e.spec), probes, probes, 0.0)
         assert clean.max_variation < 1e-12
 
         cfg = tmp_path / "gained.cfg"

@@ -18,7 +18,7 @@ from dsfield.ansatz import (
     unrotate,
     window_grid,
 )
-from dsfield.auxiliary import derive
+from dsfield.auxiliary import Auxiliaries
 from dsfield.calculus import DIV_GUARD
 from dsfield.catalog import build_case, case_names
 from dsfield.profiles import ExpSumProfile
@@ -37,7 +37,7 @@ def dromion():
 def envelope(spec, zeta, eta, t, phase_r, phase_s):
     """u = p1 q1 exp(i (r + s)) / f from the amplitude factors, as the
     envelope checks assemble it, with caller-supplied phases."""
-    aux = derive(spec)
+    aux = Auxiliaries(spec)
     pj, qj = profile_jets3(spec, zeta, eta, t)
     amp = aux.p1_jet(pj, t).value * aux.q1_jet(qj, t).value
     return amp * np.exp(1j * (phase_r + phase_s)) / eval_f(spec, zeta, eta, t).value

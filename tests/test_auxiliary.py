@@ -13,7 +13,7 @@ from dsfield.ansatz import (
     rotate,
     window_grid,
 )
-from dsfield.auxiliary import consistency_c1_c2, derive
+from dsfield.auxiliary import Auxiliaries, consistency_c1_c2
 from dsfield.catalog import build_case, case_names
 from dsfield.profiles import CustomProfile, ExpSumProfile, const_fn
 
@@ -40,7 +40,7 @@ def admissible_spec(rng):
 
 
 def test_dromion_amplitudes(dromion):
-    aux = derive(dromion)
+    aux = Auxiliaries(dromion)
     p1 = aux.p1_jet(dromion.p.jet3(0.0, 0.0), 0.0)
     q1 = aux.q1_jet(dromion.q.jet3(0.0, 0.0), 0.0)
     assert p1.value == pytest.approx(math.exp(0.5), rel=1e-14)
@@ -56,7 +56,7 @@ def test_amplitude_product_identity(rng):
     # p1^2 q1^2 = 4 det p_z q_e at admissible points, any c0 > 0
     for _ in range(20):
         spec = admissible_spec(rng)
-        aux = derive(spec)
+        aux = Auxiliaries(spec)
         z, e, t = rng.uniform(-2, 2, 3)
         pj = spec.p.jet3(z, t)
         qj = spec.q.jet3(e, t)
@@ -71,18 +71,18 @@ def test_amplitude_negative_radicand_flagged():
     spec = SolutionSpec(SeparationCoefficients(1, 1, 1, 2),
                         ExpSumProfile((1.0,), (-1.0,), (1.0,), (0.0,)),
                         ExpSumProfile((1.0,), (1.0,), (1.0,), (0.0,)))
-    p1 = derive(spec).p1_jet(spec.p.jet3(0.0, 0.0), 0.0)
+    p1 = Auxiliaries(spec).p1_jet(spec.p.jet3(0.0, 0.0), 0.0)
     assert not np.isfinite(p1.value)
 
 
 def test_breather_amplitude_vanishes_at_degenerate_time():
     spec = build_case("breather").spec
-    p1 = derive(spec).p1_jet(spec.p.jet3(0.7, math.pi / 2), math.pi / 2)
+    p1 = Auxiliaries(spec).p1_jet(spec.p.jet3(0.7, math.pi / 2), math.pi / 2)
     assert abs(p1.value) < 1e-12
 
 
 def test_dromion_phase_gradients(dromion):
-    aux = derive(dromion)
+    aux = Auxiliaries(dromion)
     rz = aux.r_zeta_jet(dromion.p.jet3(1.3, 0.45), 0.45)
     se = aux.s_eta_jet(dromion.q.jet3(-0.8, 0.45), 0.45)
     assert rz.value == pytest.approx(-1.0, rel=1e-14)
@@ -94,13 +94,13 @@ def test_static_profile_zero_gradient():
     spec = SolutionSpec(SeparationCoefficients(1, 1, 1, 2),
                         ExpSumProfile((1.0,), (1.0,), (0.0,), (0.0,)),
                         ExpSumProfile((1.0,), (1.0,), (0.0,), (0.0,)))
-    rz = derive(spec).r_zeta_jet(spec.p.jet3(0.4, 0.0), 0.0)
+    rz = Auxiliaries(spec).r_zeta_jet(spec.p.jet3(0.4, 0.0), 0.0)
     assert rz.value == 0.0
 
 
 def test_gradient_blows_up_where_p_z_vanishes():
     spec = build_case("breather").spec
-    rz = derive(spec).r_zeta_jet(spec.p.jet3(0.0, math.pi / 2), math.pi / 2)
+    rz = Auxiliaries(spec).r_zeta_jet(spec.p.jet3(0.0, math.pi / 2), math.pi / 2)
     # p_z underflows to ~1e-33 while p_t stays finite: ratio is huge or
     # guarded, never silently wrong
     assert not np.isfinite(rz.value) or abs(rz.value) > 1e10
@@ -110,7 +110,7 @@ def test_evolution_round_trip(rng):
     # -beta r_z p_z + (policy terms) reproduces p_t
     for _ in range(10):
         spec = admissible_spec(rng)
-        aux = derive(spec)
+        aux = Auxiliaries(spec)
         z, t = rng.uniform(-2, 2, 2)
         pj = spec.p.jet3(z, t)
         rz = aux.r_zeta_jet(pj, t)
@@ -119,7 +119,7 @@ def test_evolution_round_trip(rng):
 
 
 def test_dromion_background(dromion):
-    aux = derive(dromion)
+    aux = Auxiliaries(dromion)
     p0, q0 = line_backgrounds(aux, 0.9, -1.4, 0.2)
     assert p0 == pytest.approx(0.375, rel=1e-12)
     assert q0 == pytest.approx(0.375, rel=1e-12)
@@ -129,13 +129,13 @@ def test_background_zero_for_linear_custom_profile():
     # p = zeta: constant slope, no drift, so the background level vanishes
     lin = CustomProfile(lambda xj, tj: xj + 0.0 * tj, label="linear")
     spec = SolutionSpec(SeparationCoefficients(1, 1, 1, 2), lin, lin)
-    aux = derive(spec)
+    aux = Auxiliaries(spec)
     assert line_backgrounds(aux, 0.3, 0.3, 0.0)[0] == pytest.approx(0.0, abs=1e-14)
     assert aux.r_zeta_jet(lin.jet3(0.3, 0.0), 0.0).value == 0.0
 
 
 def test_phases_dromion_pipeline(dromion):
-    aux = derive(dromion)
+    aux = Auxiliaries(dromion)
     positions = np.linspace(-5, 5, 101)
     r, r_t = aux.phase_r(positions, 0.0)
     s, _ = aux.phase_s(positions, 0.0)
@@ -145,18 +145,18 @@ def test_phases_dromion_pipeline(dromion):
 
 
 def test_phase_constant_gradient(dromion):
-    aux = derive(dromion)
+    aux = Auxiliaries(dromion)
     r, _ = aux.phase_r(2.0, 0.0)
     assert r == pytest.approx(-2.0, abs=1e-10)
-    zero = derive(SolutionSpec(dromion.coeffs,
-                               ExpSumProfile((1.0,), (1.0,), (0.0,), (0.0,)),
-                               ExpSumProfile((1.0,), (1.0,), (0.0,), (0.0,))))
+    zero = Auxiliaries(SolutionSpec(dromion.coeffs,
+                                    ExpSumProfile((1.0,), (1.0,), (0.0,), (0.0,)),
+                                    ExpSumProfile((1.0,), (1.0,), (0.0,), (0.0,))))
     r0, _ = zero.phase_r(3.0, 0.0)
     assert r0 == 0.0
 
 
 def test_phase_anchor_is_zero(dromion):
-    aux = derive(dromion)
+    aux = Auxiliaries(dromion)
     r, r_t = aux.phase_r(0.0, 1.7)
     assert r == 0.0 and r_t == 0.0
 
@@ -165,7 +165,7 @@ def test_phases_against_analytic_oracle():
     # p = exp(z + t) + exp(2z + 3t): the gradient integrates in closed form
     prof = ExpSumProfile((1.0, 1.0), (1.0, 2.0), (1.0, 3.0), (0.0, 0.0))
     spec = SolutionSpec(SeparationCoefficients(1, 1, 1, 2), prof, prof)
-    aux = derive(spec)
+    aux = Auxiliaries(spec)
     t = 0.37
     grid, _ = rotate(*np.meshgrid(np.linspace(-5, 5, 97), np.linspace(-5, 5, 97)))
     for z in (np.linspace(-5, 5, 11), grid):
@@ -197,7 +197,7 @@ def test_phases_match_mpmath_quadrature(name):
     # as the real part, t-derivative as the imaginary part) gap by gap
     # between 25 targets on the anchor's pole-free valid run
     entry = build_case(name)
-    aux = derive(entry.spec)
+    aux = Auxiliaries(entry.spec)
     t = 0.3
     for side, grad, phase, profile in _lines(entry, aux):
         run = _valid_run(entry, side, np.linspace(-8.0, 8.0, 161))
@@ -228,8 +228,8 @@ def test_phases_converge_under_refinement(name):
     # doubling the nodes per gap moves neither phase on the distinct line
     # coordinates of a 48^2 window grid, inside the anchor's valid run
     entry = build_case(name)
-    aux = derive(entry.spec)
-    fine = derive(entry.spec, quad_n=2 * aux.quad_n)
+    aux = Auxiliaries(entry.spec)
+    fine = Auxiliaries(entry.spec, quad_n=2 * aux.quad_n)
     grid = window_grid(entry.window, 48)
     for t in sorted({0.3, *entry.reference_times}):
         for (side, _, phase, _), (_, _, phase_fine, _), coords in zip(
@@ -245,7 +245,7 @@ def test_phases_integrate_each_line_coordinate_once(name):
     # quadrature rule per gap between its sorted distinct coordinates (and
     # the anchor), all in one gradient call, gathered back to the grid's shape
     entry = build_case(name)
-    aux = derive(entry.spec)
+    aux = Auxiliaries(entry.spec)
     (x0, x1), (y0, y1) = entry.window
     zeta, eta = rotate(*np.meshgrid(np.linspace(x0, x1, 24),
                                     np.linspace(y0, y1, 24)))
@@ -273,8 +273,8 @@ def test_c0_invariance(dromion):
     lam = 2.7
     scaled = SolutionSpec(dromion.coeffs, dromion.p, dromion.q,
                           CoefficientFunctions(c0=const_fn(lam)))
-    a1 = derive(dromion)
-    a2 = derive(scaled)
+    a1 = Auxiliaries(dromion)
+    a2 = Auxiliaries(scaled)
     z, e, t = 0.5, -0.3, 0.8
     (p0a, q0a), (p0b, q0b) = (line_backgrounds(a, z, e, t) for a in (a1, a2))
     assert p0b == pytest.approx(p0a, rel=1e-12)
@@ -289,9 +289,9 @@ def test_c0_invariance(dromion):
 
 
 def test_consistency_dromion(dromion):
-    aux = derive(dromion)
+    aux = Auxiliaries(dromion)
     probes = np.linspace(-4, 4, 33)
-    rep = consistency_c1_c2(dromion, aux, probes, probes, 0.0)
+    rep = consistency_c1_c2(aux, probes, probes, 0.0)
     assert rep.applicable
     assert rep.c1_variation < 1e-12
     assert rep.c2_variation < 1e-12
@@ -301,28 +301,27 @@ def test_consistency_dromion(dromion):
 def test_consistency_gain_breaks_p_side(dromion):
     spec = SolutionSpec(dromion.coeffs, dromion.p, dromion.q,
                         CoefficientFunctions(gamma=const_fn(0.5)))
-    aux = derive(spec)
+    aux = Auxiliaries(spec)
     probes = np.linspace(-4, 4, 33)
-    rep = consistency_c1_c2(spec, aux, probes, probes, 0.0)
+    rep = consistency_c1_c2(aux, probes, probes, 0.0)
     assert rep.c1_variation > 1e-3
     assert rep.c2_variation < 1e-12     # the q-side bracket has no gain term
 
 
 def test_consistency_not_applicable_without_a3():
     e = build_case("resonant")
-    aux = derive(e.spec)
-    rep = consistency_c1_c2(e.spec, aux, np.linspace(-2, 2, 9),
-                            np.linspace(-2, 2, 9), 0.0)
+    aux = Auxiliaries(e.spec)
+    rep = consistency_c1_c2(aux, np.linspace(-2, 2, 9), np.linspace(-2, 2, 9), 0.0)
     assert not rep.applicable
     assert "a3" in rep.note
 
 
 def test_closed_case_satisfies_background_and_consistency(dromion):
     # with gradients -1 and backgrounds 3/8 both relations hold at once
-    aux = derive(dromion)
+    aux = Auxiliaries(dromion)
     zs = np.linspace(-3, 3, 7)
     assert np.allclose(line_backgrounds(aux, zs, zs, 0.0)[0], 0.375, rtol=1e-12)
-    rep = consistency_c1_c2(dromion, aux, zs, zs, 0.0)
+    rep = consistency_c1_c2(aux, zs, zs, 0.0)
     assert rep.max_variation < 1e-12
 
 
@@ -330,7 +329,7 @@ def test_random_profiles_consistent_without_gain(rng):
     # zero-policy separation is exact for any profile when gamma = c4 = 0
     for _ in range(5):
         spec = admissible_spec(rng)
-        aux = derive(spec)
+        aux = Auxiliaries(spec)
         probes = np.linspace(-2, 2, 17)
-        rep = consistency_c1_c2(spec, aux, probes, probes, 0.3)
+        rep = consistency_c1_c2(aux, probes, probes, 0.3)
         assert rep.max_variation < 1e-10

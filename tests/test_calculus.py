@@ -7,8 +7,8 @@ from hypothesis import strategies as st
 
 from dsfield import calculus as jc
 from dsfield.ansatz import SeparationCoefficients, SolutionSpec
-from dsfield.auxiliary import derive
-from dsfield.calculus import DIV_GUARD, Jet, Stencil, fd_derivative
+from dsfield.auxiliary import Auxiliaries
+from dsfield.calculus import DIV_GUARD, Jet, Stencil
 from dsfield.profiles import CustomProfile
 
 L2 = jc.layout(2, 2)    # (value, d1, dt, d11, d1t, dtt) in (x, t)
@@ -238,16 +238,16 @@ def test_partial_lookup_and_overflow():
 # -- stencils ----------------------------------------------------------------
 
 
-@pytest.mark.parametrize("order,accuracy", [(1, 2), (1, 4), (2, 2), (2, 4),
-                                            (4, 2), (4, 4)])
+@pytest.mark.parametrize("order,accuracy", [(1, 2), (1, 4), (2, 2), (2, 4)])
 def test_stencil_polynomial_exactness(order, accuracy):
     # exact for monomials up to degree order + accuracy - 1
     st_ = Stencil(order, accuracy, 0.5)
-    xs = st_.offsets * st_.h
+    half = (len(st_.weights) - 1) // 2
+    xs = np.arange(-half, half + 1) * st_.h
     for deg in range(order + accuracy):
         samples = (1.0 + xs) ** deg
         want = math.perm(deg, order) * 1.0 ** (deg - order) if deg >= order else 0.0
-        got = fd_derivative(samples, st_)
+        got = samples @ st_.weights / st_.h ** order
         assert got == pytest.approx(want, abs=1e-9 * max(1.0, abs(want)))
 
 
@@ -258,39 +258,6 @@ def test_stencil_rejects_bad_parameters():
         Stencil(2, 2, -1.0)
 
 
-def test_fd_second_derivative_of_square():
-    st_ = Stencil(2, 2, 0.37)
-    xs = 1.3 + st_.offsets * st_.h
-    assert fd_derivative(xs**2, st_) == pytest.approx(2.0, rel=1e-12)
-
-
-def test_fd_second_derivative_of_sin_at_zero():
-    st_ = Stencil(2, 2, 1e-3)
-    assert abs(fd_derivative(np.sin(st_.offsets * st_.h), st_)) < 1e-6
-
-
-def test_fd_fourth_derivative_convergence():
-    # halving h cuts the accuracy-4 error by about 16x; h large enough that
-    # truncation still dominates the eps/h^4 roundoff floor
-    errs = []
-    for h in (0.1, 0.05):
-        st_ = Stencil(4, 4, h)
-        samples = np.exp(st_.offsets * st_.h)
-        errs.append(abs(fd_derivative(samples, st_) - 1.0))
-    ratio = errs[0] / errs[1]
-    assert 12.0 < ratio < 20.0
-
-
-def test_fd_wrong_sample_count():
-    with pytest.raises(ValueError):
-        fd_derivative([1.0, 2.0], Stencil(2, 2, 0.1))
-
-
-def test_fd_nonfinite_sample_flags_result():
-    out = fd_derivative([1.0, np.nan, 1.0], Stencil(2, 2, 0.1))
-    assert not np.isfinite(out)
-
-
 # -- quadrature: the phase rule of Auxiliaries.phase_r ---------------------------
 
 
@@ -299,7 +266,7 @@ def phase_rule(integrand, a, b):
     Gauss-Legendre rule of the phases: phase_r anchored at a, with the
     integrand as its gradient."""
     lin = CustomProfile(lambda xj, tj: xj + 0.0 * tj)
-    aux = derive(SolutionSpec(SeparationCoefficients(1, 1, 1, 2), lin, lin), anchor_zeta=a)
+    aux = Auxiliaries(SolutionSpec(SeparationCoefficients(1, 1, 1, 2), lin, lin), anchor_zeta=a)
     # the profile is zeta itself, so its jet's value is the node
     aux.r_zeta_jet = lambda pj, t: Jet((integrand(pj.value),) + (0.0,) * 5, L2)
     return aux.phase_r(b, 0.0)[0]

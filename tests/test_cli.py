@@ -226,6 +226,26 @@ def test_verify_gain_fails_consistency(tmp_path, capsys):
     assert "check.consistency.status: fail" in (tmp_path / "r.txt").read_text()
 
 
+def test_verify_consistency_gate_fails_closed_on_an_undefined_variation(tmp_path, capsys):
+    # a3 = 0.5 gives det < 0, so q1 and with it c2 are NaN on every probe
+    # while c1 stays finite: the gate must fail, and the envelope checks are
+    # skipped with the undefined variation in their notes, not run
+    cfg = tmp_path / "a3.cfg"
+    base = open(os.path.join(CONFIGS, "dromion.cfg")).read()
+    cfg.write_text(base.replace("a3 = 2", "a3 = 0.5"))
+    out = tmp_path / "r.txt"
+    assert run("verify", "--spec", str(cfg), "--t", "0.3", "--checks", ALL,
+               "--out", str(out)) == 1
+    assert "checks failed: consistency, admissibility" in capsys.readouterr().err
+    rep = dict(ln.split(": ", 1) for ln in out.read_text().splitlines())
+    assert rep["check.consistency.c1_variation"] != "nan"
+    assert rep["check.consistency.c2_variation"] == "nan"
+    assert rep["check.consistency.status"] == "fail"
+    for check in ("bilinear1", "pde1"):
+        assert rep[f"check.{check}.status"] == "skipped", check
+        assert "variation nan" in rep[f"check.{check}.notes"], check
+
+
 def test_verify_resonant_skips_consistency(tmp_path):
     code = run("verify", "--case", "resonant", "--t", "0",
                "--checks", "consistency", "--out", str(tmp_path / "r.txt"))

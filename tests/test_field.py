@@ -12,7 +12,6 @@ from dsfield.ansatz import (
     rotate,
     window_grid,
 )
-from dsfield.auxiliary import derive
 from dsfield.catalog import build_case, case_names
 from dsfield.field import (
     FieldGrid,
@@ -52,18 +51,18 @@ def grid_of(values, mask=None, window=((0.0, 1.0), (0.0, 1.0)), t=0.0):
 def test_sample_rejects_tiny_resolution():
     e = build_case("dromion")
     with pytest.raises(ValueError):
-        sample_field(e.spec, None, "U", e.window, 0.0, 4, 64)
+        sample_field(e.spec, "U", e.window, 0.0, 4, 64)
 
 
 def test_sample_unknown_field():
     e = build_case("dromion")
     with pytest.raises(ValueError, match="unknown field"):
-        sample_field(e.spec, None, "V", e.window, 0.0, 16, 16)
+        sample_field(e.spec, "V", e.window, 0.0, 16, 16)
 
 
 def test_dromion_grid_all_valid_single_peak():
     e = build_case("dromion")
-    g = sample_field(e.spec, None, "U", e.window, 0.0, 256, 256)
+    g = sample_field(e.spec, "U", e.window, 0.0, 256, 256)
     assert g.mask.all()
     res = analyze_extrema(g)
     assert len(res.local_maxima) == 1
@@ -76,7 +75,7 @@ def test_unequal_spacing_u_grid_is_pointwise_intensity(name):
     # valid sample is eval_intensity at rotate(X, Y) bit for bit
     e = build_case(name)
     window = ((-7.44, 7.44), (-7.76, 7.76))
-    g = sample_field(e.spec, None, "U", window, 0.7, 40, 40, e.valid_mask)
+    g = sample_field(e.spec, "U", window, 0.7, 40, 40, e.valid_mask)
     X, Y = np.meshgrid(g.x, g.y)
     u = eval_intensity(e.spec, *rotate(X, Y), 0.7)
     np.testing.assert_array_equal(g.values[g.mask], u[g.mask])
@@ -84,7 +83,7 @@ def test_unequal_spacing_u_grid_is_pointwise_intensity(name):
 
 def test_breather_degenerate_grid_is_zero():
     e = build_case("breather")
-    g = sample_field(e.spec, None, "U", e.window, math.pi / 2, 32, 32)
+    g = sample_field(e.spec, "U", e.window, math.pi / 2, 32, 32)
     assert np.max(np.abs(g.valid_values())) < 1e-30
 
 
@@ -92,14 +91,8 @@ def test_entirely_masked_window_raises():
     e = build_case("periodic")
     # window far outside the tan box: everything masked
     with pytest.raises(ValueError, match="entirely singular"):
-        sample_field(e.spec, None, "U", ((5.0, 6.0), (5.0, 6.0)), 0.0,
+        sample_field(e.spec, "U", ((5.0, 6.0), (5.0, 6.0)), 0.0,
                      16, 16, valid_mask=e.valid_mask)
-
-
-def test_phi_field_needs_aux():
-    e = build_case("dromion")
-    with pytest.raises(ValueError, match="aux"):
-        sample_field(e.spec, None, "phi", e.window, 0.0, 16, 16)
 
 
 def test_extrema_all_zero_grid():
@@ -140,7 +133,7 @@ def test_extrema_equal_peaks_in_raster_order():
 
 def test_extrema_instanton_double_peak():
     e = build_case("double_instanton")
-    g = sample_field(e.spec, None, "U", e.window, 0.0, 256, 256,
+    g = sample_field(e.spec, "U", e.window, 0.0, 256, 256,
                      valid_mask=e.valid_mask)
     res = analyze_extrema(g)
     assert len(res.local_maxima) == 2
@@ -209,7 +202,7 @@ def test_refined_max_batch_matches_scalar_calls():
 
 def test_dromion_reflection_symmetry():
     e = build_case("dromion")
-    g = sample_field(e.spec, None, "U", e.window, 0.0, 128, 128)
+    g = sample_field(e.spec, "U", e.window, 0.0, 128, 128)
     assert reflection_defect(g) < 1e-12
 
 
@@ -317,7 +310,7 @@ def test_refined_l2_scan_samples_few_extra_grids(monkeypatch):
 
 
 def _l2_per_time(spec, window, times, grid_n, valid_mask=None):
-    grids = (sample_field(spec, None, "U", window, t, grid_n, grid_n, valid_mask)
+    grids = (sample_field(spec, "U", window, t, grid_n, grid_n, valid_mask)
              for t in times)
     return np.array([np.sqrt(np.mean(g.valid_values() ** 2)) for g in grids])
 
@@ -374,8 +367,8 @@ def test_statistic_rate_matches_central_difference(name, statistic):
 
 def test_breather_pointwise_periodicity():
     e = build_case("breather")
-    a = sample_field(e.spec, None, "U", e.window, 0.4, 64, 64)
-    b = sample_field(e.spec, None, "U", e.window, 0.4 + math.pi, 64, 64)
+    a = sample_field(e.spec, "U", e.window, 0.4, 64, 64)
+    b = sample_field(e.spec, "U", e.window, 0.4 + math.pi, 64, 64)
     assert np.max(np.abs(a.values - b.values)) < 1e-12
 
 
@@ -390,9 +383,9 @@ def test_static_case_has_no_period():
 
 def test_periodic_case_symmetry_and_period():
     e = build_case("periodic")
-    ga = sample_field(e.spec, None, "U", e.window, 0.4 + math.pi, 96, 96,
+    ga = sample_field(e.spec, "U", e.window, 0.4 + math.pi, 96, 96,
                       valid_mask=e.valid_mask)
-    gb = sample_field(e.spec, None, "U", e.window, 0.4, 96, 96,
+    gb = sample_field(e.spec, "U", e.window, 0.4, 96, 96,
                       valid_mask=e.valid_mask)
     assert point_reflection_defect(ga, gb) < 1e-12
     res = estimate_period(e.spec, e.window, (0.0, 2 * math.pi), 32,
@@ -467,7 +460,7 @@ def test_pgm_masks_to_zero():
 
 def test_csv_round_trip_is_bit_exact():
     e = build_case("dromion")
-    g = sample_field(e.spec, None, "U", e.window, 0.0, 16, 16)
+    g = sample_field(e.spec, "U", e.window, 0.0, 16, 16)
     x, y, v = parse_csv(to_csv(g))
     assert v.shape == (256,)
     assert np.array_equal(v, g.values.ravel())
@@ -476,7 +469,7 @@ def test_csv_round_trip_is_bit_exact():
 
 def test_csv_round_trip_of_masked_grid():
     e = build_case("double_instanton")
-    g = sample_field(e.spec, None, "U", e.window, 0.0, 48, 48, e.valid_mask)
+    g = sample_field(e.spec, "U", e.window, 0.0, 48, 48, e.valid_mask)
     assert 0 < np.count_nonzero(g.mask) < g.mask.size
     iy, ix = np.nonzero(g.mask)
     x, y, v = parse_csv(to_csv(g))
@@ -499,18 +492,17 @@ def csv_reference(grid):
 
 def _instanton_u():
     e = build_case("double_instanton")
-    return sample_field(e.spec, None, "U", e.window, 3.0, 48, 48, e.valid_mask)
+    return sample_field(e.spec, "U", e.window, 3.0, 48, 48, e.valid_mask)
 
 
 def _instanton_phi():
     e = build_case("double_instanton")
-    return sample_field(e.spec, derive(e.spec), "phi", e.window, 3.0, 48, 48,
-                        e.valid_mask)
+    return sample_field(e.spec, "phi", e.window, 3.0, 48, 48, e.valid_mask)
 
 
 def _non_square():
     e = build_case("breather")
-    return sample_field(e.spec, None, "U", e.window, 0.7, 23, 37)
+    return sample_field(e.spec, "U", e.window, 0.7, 23, 37)
 
 
 def _one_valid_point():
@@ -534,8 +526,7 @@ def test_instanton_phi_masks_only_what_valid_mask_drops(t, res, dropped):
     # there never pick up a non-finite gap from the other side of the pole
     e = build_case("double_instanton")
     keep = window_grid(e.window, res, e.valid_mask).keep
-    phi = sample_field(e.spec, derive(e.spec), "phi", e.window, t, res, res,
-                       e.valid_mask)
+    phi = sample_field(e.spec, "phi", e.window, t, res, res, e.valid_mask)
     assert np.count_nonzero(~keep) == dropped
     np.testing.assert_array_equal(phi.mask, keep)
 
@@ -572,7 +563,7 @@ def test_render_deterministic_bytes():
     e = build_case("dromion")
     outs = []
     for _ in range(2):
-        g = sample_field(e.spec, None, "U", e.window, 0.0, 64, 64)
+        g = sample_field(e.spec, "U", e.window, 0.0, 64, 64)
         outs.append((to_csv(g), to_pgm16(g)[0]))
     assert outs[0][0] == outs[1][0]
     assert outs[0][1] == outs[1][1]

@@ -52,12 +52,15 @@ def test_tracer_wraps_every_target_and_restores_it():
 
 
 def test_traced_cli_runs_count_every_layer(tmp_path):
-    # one traced verify (all checks) and one traced decay analysis write the
-    # same bytes as untraced runs, and every layer's counters move; the
-    # elementary-function counter reads the first argument's ``.value``
+    # one traced verify (all checks), one traced phi render and one traced
+    # decay analysis write the same bytes as untraced runs, and every
+    # layer's counters move; the elementary-function counter reads the first
+    # argument's ``.value``, the sample counter reads nx and ny, and the
+    # bundle calls its formulas through the class the tracer patches
     from dsfield import cli
     runs = (["verify", "--case", "breather", "--t", "0.3", "--res", "16", "--checks",
              "bilinear2,bilinear1,pde2,pde1,consistency,admissibility"],
+            ["render", "--case", "dromion", "--t", "0.3", "--res", "16", "--which", "phi"],
             ["analyze", "--case", "double_instanton", "--decay", "0.3,1.1", "--res", "16"])
     plain = []
     for k, argv in enumerate(runs):
@@ -71,6 +74,8 @@ def test_traced_cli_runs_count_every_layer(tmp_path):
             assert (cli.main(argv + ["--out", str(out)]), out.read_bytes()) == plain[k]
     finally:
         tracer.uninstall()
-    for name in ("calculus.elementary", "ansatz.eval_f", "profiles.jet3", "auxiliary.phase"):
+    for name in ("calculus.elementary", "ansatz.eval_f", "profiles.jet3", "auxiliary.phase",
+                 "field.sample_field", "auxiliary.amplitude", "auxiliary.gradient",
+                 "auxiliary.background"):
         assert tracer.stats[name]["calls"] > 0, name
         assert tracer.stats[name]["points"] > 0, name

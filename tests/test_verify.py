@@ -15,7 +15,6 @@ from dsfield.ansatz import (
     profile_jets3,
     window_grid,
 )
-from dsfield.auxiliary import derive
 from dsfield.calculus import Jet, Stencil, layout
 from dsfield.catalog import build_case, case_names
 from dsfield.profiles import const_fn
@@ -31,7 +30,7 @@ from dsfield.verify import (
     singularity_scan,
 )
 
-from conftest import bundle, perturbed, random_spec
+from conftest import bundle, random_spec
 
 
 def exp_jet(k, omega=0.0):
@@ -108,8 +107,7 @@ def test_first_order_values():
 def test_bilinear_constraint_on_catalog(name):
     e = build_case(name)
     t = e.reference_times[0]
-    aux = derive(e.spec)
-    line2 = bilinear_residuals(bundle(e.spec, aux, e.window, t, 64, e.valid_mask))
+    line2 = bilinear_residuals(bundle(e.spec, e.window, t, 64, e.valid_mask))
     assert line2.max_abs < 1e-12
     assert line2.mean_abs <= line2.max_abs
 
@@ -117,15 +115,13 @@ def test_bilinear_constraint_on_catalog(name):
 def test_bilinear_constraint_on_random_specs(rng):
     for _ in range(30):
         spec = random_spec(rng)
-        line2 = bilinear_residuals(bundle(spec, None, ((-8, 8), (-8, 8)),
-                                          float(rng.uniform(-1, 1)), 32))
+        line2 = bilinear_residuals(bundle(spec, ((-8, 8), (-8, 8)), float(rng.uniform(-1, 1)), 32))
         assert line2.max_abs < 1e-12
 
 
 def test_bilinear_line1_closed_case():
     e = build_case("dromion")
-    aux = derive(e.spec)
-    line1, _ = envelope_residuals(bundle(e.spec, aux, ((-4, 4), (-4, 4)), 0.0, 48))
+    line1, _ = envelope_residuals(bundle(e.spec, ((-4, 4), (-4, 4)), 0.0, 48))
     assert line1.applicable
     assert line1.max_abs < 1e-8
 
@@ -134,29 +130,28 @@ def test_bilinear_line1_gated_for_inconsistent_spec():
     d = build_case("dromion").spec
     spec = SolutionSpec(d.coeffs, d.p, d.q,
                         CoefficientFunctions(gamma=const_fn(0.5)))
-    line1, _ = envelope_residuals(bundle(spec, derive(spec), ((-4, 4), (-4, 4)), 0.0, 24))
+    line1, _ = envelope_residuals(bundle(spec, ((-4, 4), (-4, 4)), 0.0, 24))
     assert not line1.applicable
     assert "inconsistent" in line1.notes
 
 
 def test_bilinear_line1_not_applicable_for_resonant():
     e = build_case("resonant")
-    line1, _ = envelope_residuals(bundle(e.spec, derive(e.spec), e.window, 0.0, 24))
+    line1, _ = envelope_residuals(bundle(e.spec, e.window, 0.0, 24))
     assert not line1.applicable
 
 
 def test_negative_control_corrupted_background():
     e = build_case("dromion")
-    aux = perturbed(derive(e.spec), p0_offset=0.5 - 0.375)
-    line1, _ = envelope_residuals(bundle(e.spec, aux, ((-4, 4), (-4, 4)), 0.0, 48))
+    line1, _ = envelope_residuals(bundle(e.spec, ((-4, 4), (-4, 4)), 0.0, 48,
+                                         p0_offset=0.5 - 0.375))
     assert line1.max_abs > 1e-2
 
 
 def test_negative_control_corrupted_gradient():
     e = build_case("dromion")
-    aux = perturbed(derive(e.spec), rz_offset=0.1)
     # the corrupted gradient shows up in the consistency gate...
-    ing = bundle(e.spec, aux, ((-4, 4), (-4, 4)), 0.0, 24)
+    ing = bundle(e.spec, ((-4, 4), (-4, 4)), 0.0, 24, rz_offset=0.1)
     gated, _ = envelope_residuals(ing)
     assert not gated.applicable
     # ...and in the ungated residual itself
@@ -166,8 +161,7 @@ def test_negative_control_corrupted_gradient():
 
 def test_negative_control_corrupted_amplitude():
     e = build_case("dromion")
-    aux = perturbed(derive(e.spec), amplitude_scale=1.1)
-    line2 = bilinear_residuals(bundle(e.spec, aux, e.window, 0.0, 32))
+    line2 = bilinear_residuals(bundle(e.spec, e.window, 0.0, 32, amplitude_scale=1.1))
     assert line2.max_abs > 0.15       # (1.1^2 - 1)/1.1^2 relative mismatch
 
 
@@ -175,16 +169,14 @@ def test_periodic_amplitude_branch_fallback():
     # cos t < 0 flips the profile slopes; the real amplitude factors do not
     # exist for c0 > 0 and the check falls back to the exact product form
     e = build_case("periodic")
-    aux = derive(e.spec)
-    line2 = bilinear_residuals(bundle(e.spec, aux, e.window, 2 * math.pi / 3, 32,
-                                      e.valid_mask))
+    line2 = bilinear_residuals(bundle(e.spec, e.window, 2 * math.pi / 3, 32, e.valid_mask))
     assert line2.flags["amplitude_branch"] > 0
     assert line2.max_abs < 1e-12
 
 
 def test_report_invariants():
     e = build_case("solitoff")
-    ing = bundle(e.spec, derive(e.spec), e.window, 0.0, 32)
+    ing = bundle(e.spec, e.window, 0.0, 32)
     line2 = bilinear_residuals(ing)
     line1, _ = envelope_residuals(ing)
     for rep in (line2, line1):
@@ -200,44 +192,43 @@ def test_report_invariants():
 
 def test_pde_line1_closed_case():
     e = build_case("dromion")
-    _, l1 = envelope_residuals(bundle(e.spec, derive(e.spec), ((-4, 4), (-4, 4)), 0.0, 48))
+    _, l1 = envelope_residuals(bundle(e.spec, ((-4, 4), (-4, 4)), 0.0, 48))
     assert l1.applicable
     assert l1.max_abs < 1e-6
 
 
 def test_pde_line1_negative_control():
     e = build_case("dromion")
-    aux = perturbed(derive(e.spec), p0_offset=0.125)
-    _, l1 = envelope_residuals(bundle(e.spec, aux, ((-4, 4), (-4, 4)), 0.0, 48))
+    _, l1 = envelope_residuals(bundle(e.spec, ((-4, 4), (-4, 4)), 0.0, 48, p0_offset=0.125))
     assert l1.max_abs > 1e-2
 
 
 @pytest.mark.parametrize("name", ["dromion", "solitoff"])
 def test_pde_line2_convergence_order(name):
     e = build_case(name)
-    coarse, fine, order = pde_phi_convergence(e.spec, ((-3, 3), (-3, 3)), 0.0,
-                                              20, Stencil(2, 2, 2e-2))
+    coarse, fine, order = pde_phi_convergence(bundle(e.spec, ((-3, 3), (-3, 3)), 0.0, 20),
+                                              Stencil(2, 2, 2e-2))
     assert abs(order - 2.0) <= 0.3
     assert fine.max_abs < coarse.max_abs
 
 
 def test_pde_line2_fourth_order_stencil():
     e = build_case("dromion")
-    _, _, order = pde_phi_convergence(e.spec, ((-3, 3), (-3, 3)), 0.0,
-                                      16, Stencil(2, 4, 5e-2))
+    _, _, order = pde_phi_convergence(bundle(e.spec, ((-3, 3), (-3, 3)), 0.0, 16),
+                                      Stencil(2, 4, 5e-2))
     assert abs(order - 4.0) <= 0.3
 
 
 def test_pde_line2_breather_degenerate_time():
     e = build_case("breather")
-    l2 = pde_residuals(e.spec, e.window, math.pi / 2, 20)
+    l2 = pde_residuals(bundle(e.spec, e.window, math.pi / 2, 20))
     assert l2.max_abs < 1e-20
 
 
 def test_pde_line2_drops_stencil_hits_near_pole():
     e = build_case("double_instanton")
-    l2 = pde_residuals(e.spec, ((-3, 1), (-3, 1)), 0.0, 24, Stencil(2, 2, 1e-2),
-                       valid_mask=e.valid_mask)
+    l2 = pde_residuals(bundle(e.spec, ((-3, 1), (-3, 1)), 0.0, 24, e.valid_mask),
+                       Stencil(2, 2, 1e-2))
     # truncation is honest but large right at the mask edge where the pole
     # term's high derivatives blow up; the bulk of the window stays clean
     assert l2.flags["dropped"] > 0
@@ -292,18 +283,18 @@ def test_pde2_field_is_the_per_point_stencil_bit_for_bit(name):
 
 def test_residual_field_values_match_report():
     e = build_case("dromion")
-    vals = residual_field(bundle(e.spec, None, e.window, 0.0, (32, 32)), "bilinear2")
+    vals = residual_field(bundle(e.spec, e.window, 0.0, (32, 32)), "bilinear2")
     assert np.nanmax(vals) < 1e-12
     with pytest.raises(ValueError):
-        residual_field(bundle(e.spec, None, e.window, 0.0, (8, 8)), "nope")
+        residual_field(bundle(e.spec, e.window, 0.0, (8, 8)), "nope")
     # at 48 samples the double_instanton mask drops 44 points near its pole
     for name in ("dromion", "double_instanton"):
         e = build_case(name)
         t = e.reference_times[0]
-        line2 = bilinear_residuals(bundle(e.spec, None, e.window, t, 48, e.valid_mask))
-        pde2 = pde_residuals(e.spec, e.window, t, 48, valid_mask=e.valid_mask)
+        ing = bundle(e.spec, e.window, t, 48, e.valid_mask)
+        line2, pde2 = bilinear_residuals(ing), pde_residuals(ing)
         for which, rep in (("bilinear2", line2), ("pde2", pde2)):
-            vals = residual_field(bundle(e.spec, None, e.window, t, (48, 48), e.valid_mask),
+            vals = residual_field(bundle(e.spec, e.window, t, (48, 48), e.valid_mask),
                                   which)
             assert np.nanmax(vals) == rep.max_abs, (name, which)
             assert np.count_nonzero(np.isfinite(vals)) == rep.samples, (name, which)
