@@ -255,10 +255,11 @@ def _cmd_verify(args) -> int:
             checks["consistency"] = ("skipped", (), crep.note)
         else:
             ok = crep.max_variation <= args.tol_consistency
+            var = {"c1_variation": crep.c1_variation, "c2_variation": crep.c2_variation}
             checks["consistency"] = ("pass" if ok else "fail", [
-                ("c1_variation", f"{crep.c1_variation:.6e}"),
-                ("c2_variation", f"{crep.c2_variation:.6e}"),
-                ("threshold", f"{args.tol_consistency:.1e}")])
+                *((key, f"{v:.6e}") for key, v in var.items()),
+                ("threshold", f"{args.tol_consistency:.1e}")],
+                "; ".join(f"{key} undefined (nan)" for key, v in var.items() if math.isnan(v)))
 
     if "admissibility" in requested:
         rep = check_admissibility(spec, ing.grid, t, ing.pj, ing.qj)

@@ -523,16 +523,81 @@ def point_reflection_defect(grid_a: FieldGrid, grid_b: FieldGrid) -> float:
 # export
 
 
+# "%.17g" for whole arrays: with X the decimal exponent and s = 16 - X, the 17
+# digits D = round-half-even(v 10^s) = round(M 5^s 2^(E+s)) of v = M 2^E are
+# exact on two uint64 limbs and a right shift for s in [2, 27]; x, y, +-0 and
+# the values outside, about 1e-11 <= |v| < 1e15, take Python's "%.17g".
+_U64 = np.uint64
+_POW5 = np.array([5 ** s for s in range(28)], dtype=np.uint64)
+
+
+def _round_scaled(M, E, s):
+    """Exact round-half-even(M 5^s 2^(E+s)) for M < 2^53, s <= 27, E + s < 0."""
+    f, low, r = _POW5[s], _U64(2 ** 32 - 1), (-(E + s)).astype(_U64)
+    ml, mh, fl, fh = M & low, M >> _U64(32), f & low, f >> _U64(32)
+    mid, ll = ml * fh + mh * fl, ml * fl
+    lo = ll + (mid << _U64(32))
+    hi = mh * fh + (mid >> _U64(32)) + (lo < ll).astype(_U64)
+    q = (hi << (_U64(64) - r)) | (lo >> r)
+    rem, half = lo & ((_U64(1) << r) - _U64(1)), _U64(1) << (r - _U64(1))
+    return q + (rem > half) + (rem == half) * (q & _U64(1))
+
+
+def _python_g17(v, end: str) -> np.ndarray:
+    """Python's "%.17g" and ``end`` per value, as rows of 25 bytes: right-
+    justified to 24, the longest "%.17g", with the padding made zero."""
+    text = (f"%24.17g{end}" * v.size % tuple(v.tolist())).encode()
+    return np.frombuffer(text.replace(b" ", b"\0"), np.uint8).reshape(v.size, 25)
+
+
+def _write_g17(v, out):
+    """Writes "%.17g" % v and a newline for each value into the zero rows
+    of ``out``, a (v.size, 29) byte matrix; zero bytes are padding."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        X = np.floor(np.log10(np.abs(v)) - 1e-12)  # never above the true exponent
+    inside = (X >= -11) & (X <= 14)
+    fallback, lanes = np.flatnonzero(~inside), np.flatnonzero(inside)
+    out[fallback, :25] = _python_g17(v[fallback], "\n")
+    v, X = v[lanes], X[lanes]
+    m, e = np.frexp(np.abs(v))
+    M, E, s = (m * 2.0 ** 53).astype(_U64), e.astype(np.int64) - 53, 16 - X.astype(np.int64)
+    D = _round_scaled(M, E, s)
+    # D >= 10^17 (X one too low, or rounded up to 10^17) is below it one place coarser
+    low = np.flatnonzero(D >= _U64(10 ** 17))
+    s[low] -= 1
+    D[low], X = _round_scaled(M[low], E[low], s[low]), 16 - s
+    G, part = np.empty((17, v.size), np.uint8), D  # G[j]: digit j, most significant first
+    for j in range(16, -1, -1):
+        q = part // _U64(10)
+        G[j], part = part - q * _U64(10), q
+    # %g: fixed for -4 <= X < 17, else d.ddde-XX; kept digits, dot before digit 0 < p < kept
+    fixed, j = X >= -4, np.arange(17)[:, None]
+    kept = np.maximum((np.arange(1, 18, dtype=np.uint8)[:, None] * (G != 0)).max(axis=0), X + 1)
+    p = np.where(fixed, X + 1, 1)
+    Gk = (G + np.uint8(48)) * (j < kept)
+    K = np.zeros((29, v.size), np.uint8)        # the rows of out, transposed
+    K[0] = np.uint8(45) * (v < 0)
+    K[1:6] = np.frombuffer(b"0.000", np.uint8)[:, None] * ((j[:5] < 1 - X) & fixed & (X < 0))
+    K[6:23] = Gk * (j < p)
+    K[7:24] += Gk * (j >= p) + np.uint8(46) * ((j + 1 == p) & (kept > p))
+    K[24:28] = ~fixed * np.stack([0 * X + 101, 0 * X + 45, 48 + (-X) // 10, 48 + (-X) % 10])
+    K[28] = 10
+    out[lanes] = K.T
+
+
 def to_csv(grid: FieldGrid) -> bytes:
-    """Header x,y,U plus one row per valid point, row-major with y ascending,
-    17 significant digits; masked points are omitted."""
+    """Header x,y,U plus one row per valid point, row-major with y ascending;
+    masked points are omitted.  Every number reads as Python's "%.17g": an exact
+    vectorized kernel writes the values in about 1e-11 <= |v| < 1e15, "%.17g" the rest."""
     iy, ix = np.nonzero(grid.mask)
-    xs = np.array(["%.17g" % v for v in grid.x.tolist()], dtype=object)
-    ys = np.array(["%.17g" % v for v in grid.y.tolist()], dtype=object)
-    cells = [None] * (3 * iy.size)
-    cells[0::3], cells[1::3] = xs[ix].tolist(), ys[iy].tolist()
-    cells[2::3] = grid.values[iy, ix].tolist()
-    return ("x,y,U\n" + "%s,%s,%.17g\n" * iy.size % tuple(cells)).encode("ascii")
+    xs, ys = (r[:, r.any(axis=0)] for r in (_python_g17(grid.x, ","), _python_g17(grid.y, ",")))
+    vals, rows = grid.values[iy, ix], [b"x,y,U\n"]
+    for b in batches(iy.size, 1):
+        mat = np.hstack([xs.take(ix[b], axis=0), ys.take(iy[b], axis=0),
+                         np.zeros((ix[b].size, 29), np.uint8)])
+        _write_g17(vals[b], mat[:, -29:])
+        rows.append(mat.tobytes().translate(None, b"\0"))
+    return b"".join(rows)
 
 
 def parse_csv(data: bytes):

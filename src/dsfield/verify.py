@@ -268,6 +268,8 @@ def envelope_residuals(ing: Ingredients, tol: float = CONSISTENCY_GATE):
     extras = {"consistency_variation": crep.max_variation}
     why = ("not applicable: consistency undefined for a3 = 0" if not crep.applicable
            else "" if crep.max_variation <= tol
+           else "not applicable: undefined consistency (variation nan)"
+           if math.isnan(crep.max_variation)
            else (f"not applicable: inconsistent separation "
                  f"(variation {crep.max_variation:.3e} > gate {tol:.1e})"))
     if why:

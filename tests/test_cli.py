@@ -246,6 +246,29 @@ def test_verify_consistency_gate_fails_closed_on_an_undefined_variation(tmp_path
         assert "variation nan" in rep[f"check.{check}.notes"], check
 
 
+@pytest.mark.parametrize("name,edit,t", [("dromion.cfg", ("a3 = 2", "a3 = 0.5"), "0.3"),
+                                         ("periodic.cfg", ("", ""), "2")],
+                         ids=["dromion-a3-0.5", "periodic-t-2"])
+def test_verify_notes_name_an_undefined_consistency_variation(tmp_path, name, edit, t):
+    # a NaN variation compares with no gate: the envelope checks say it is
+    # undefined, not "nan > gate", and the consistency check names it
+    cfg = tmp_path / name
+    cfg.write_text(open(os.path.join(CONFIGS, name)).read().replace(*edit))
+    out = tmp_path / "r.txt"
+    assert run("verify", "--spec", str(cfg), "--t", t, "--checks", ALL,
+               "--out", str(out)) == 1
+    rep = dict(ln.split(": ", 1) for ln in out.read_text().splitlines())
+    undefined = [k for k in ("c1_variation", "c2_variation")
+                 if rep[f"check.consistency.{k}"] == "nan"]
+    assert undefined and rep["check.consistency.status"] == "fail"
+    assert rep["check.consistency.notes"] == "; ".join(f"{k} undefined (nan)"
+                                                      for k in undefined)
+    for check in ("bilinear1", "pde1"):
+        assert rep[f"check.{check}.status"] == "skipped", check
+        assert (rep[f"check.{check}.notes"]
+                == "not applicable: undefined consistency (variation nan)"), check
+
+
 def test_verify_resonant_skips_consistency(tmp_path):
     code = run("verify", "--case", "resonant", "--t", "0",
                "--checks", "consistency", "--out", str(tmp_path / "r.txt"))

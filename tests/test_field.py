@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dsfield import ansatz
 from dsfield.ansatz import (
@@ -19,6 +21,7 @@ from dsfield.field import (
     _refine_period,
     _statistic_rate,
     _statistic_series,
+    _write_g17,
     analyze_extrema,
     decay_profile,
     estimate_period,
@@ -511,12 +514,92 @@ def _one_valid_point():
     return grid_of(np.full((3, 4), -1.0 / 3.0), mask, ((-1.5, 2.0), (0.1, 0.7)))
 
 
+def _resonant_u():
+    # values up to 1.6e9 over 69169 points: three batches, the last partial
+    e = build_case("resonant")
+    return sample_field(e.spec, "U", e.window, 0.5, 263, 263, e.valid_mask)
+
+
+def _bilinear2_residual():
+    # every value below 1e-15: each one takes the "%.17g" fallback
+    e = build_case("dromion")
+    return sample_field(e.spec, "bilinear2", e.window, 0.3, 48, 48, e.valid_mask)
+
+
+def _breather_phi():
+    e = build_case("breather")
+    return sample_field(e.spec, "phi", e.window, e.reference_times[0], 48, 48,
+                        e.valid_mask)
+
+
+def _masked_rows():
+    # row 1 partly masked, row 2 fully masked; values across every form of
+    # %g, the kernel's range edges, +-0 and the fallback on both sides
+    values = np.array([[1e-11, -9.999999999999999e-12, 1e15, -999999999999999.9],
+                       [0.0, -0.0, 2.0 ** -25, 1.5e-5],
+                       [1.0, 2.0, 3.0, 4.0],
+                       [-1e300, 5e-324, 123456.789, 0.1]])
+    mask = np.ones_like(values, dtype=bool)
+    mask[1, [0, 2]] = False
+    mask[2] = False
+    return grid_of(values, mask, ((-2.5, 1e-7), (0.0, 3e15)))
+
+
 @pytest.mark.parametrize("make", [_instanton_u, _instanton_phi, _non_square,
-                                  _one_valid_point])
+                                  _one_valid_point, _resonant_u,
+                                  _bilinear2_residual, _breather_phi, _masked_rows])
 def test_csv_matches_per_point_writer(make):
     g = make()
     assert g.mask.any()
     assert to_csv(g) == csv_reference(g)
+
+
+def test_csv_fixtures_reach_every_path():
+    # the cases above cover the kernel, the fallback and their batching
+    u, b2, phi = _resonant_u(), _bilinear2_residual(), _breather_phi()
+    assert u.valid_values().max() > 1e9 and u.mask.sum() % ansatz._BATCH_POINTS
+    assert u.mask.sum() > 2 * ansatz._BATCH_POINTS
+    assert np.abs(b2.valid_values()).max() < 1e-15
+    assert phi.valid_values().min() < 0
+    m = _masked_rows().mask
+    assert not m[2].any() and 0 < m[1].sum() < m.shape[1]
+
+
+def _kernel_bytes(v):
+    out = np.zeros((v.size, 29), np.uint8)
+    _write_g17(v, out)
+    return out.tobytes().translate(None, b"\0")
+
+
+def _printf_bytes(v):
+    return ("%.17g\n" * v.size % tuple(v.tolist())).encode()
+
+
+def test_g17_kernel_matches_printf():
+    rng = np.random.default_rng(17)
+    n = 1_000_000
+    log_uniform = rng.choice([-1.0, 1.0], n) * 10.0 ** rng.uniform(-323.3, 308.25, n)
+    ulps = np.arange(-40, 41)
+    near_powers = np.concatenate([(np.float64(f"1e{k}").view(np.int64) + ulps)
+                                  .view(np.float64) for k in range(-12, 18)])
+    # odd c 2^-k with c 5^k of 18 digits ending in 5: ties at 17 digits
+    ties = [2.0 ** -25]
+    for k in range(2, 26):
+        lo, hi = -(-10 ** 17 // 5 ** k), min(10 ** 18 // 5 ** k, 2 ** 53)
+        ties += [c * 2.0 ** -k for c in rng.integers(lo, hi, 200) | 1]
+    edges = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e-310, 1e300,
+             -1e300, 1.7976931348623157e308, 1e-11, -1e-11, 1e15, -1e15]
+    subnormals = rng.integers(1, 2 ** 52, 1000).view(np.float64)
+    for v in (log_uniform, near_powers, np.array(ties), -np.array(ties),
+              np.array(edges), subnormals):
+        assert _kernel_bytes(v) == _printf_bytes(v)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1))
+def test_g17_kernel_matches_printf_on_any_float(values):
+    v = np.array(values, dtype=float)
+    assert _kernel_bytes(v) == _printf_bytes(v)
 
 
 @pytest.mark.parametrize("res,dropped", [(48, 44), (128, 117)])
