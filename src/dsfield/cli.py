@@ -61,6 +61,13 @@ class CheckFailure(Exception):
     pass
 
 
+# error class -> exit code; the first class that matches decides, so
+# SingularWindowError, a ValueError, comes before ValueError
+_EXIT_CODES = ((UsageError, EXIT_USAGE), (DegenerateInput, EXIT_DEGENERATE),
+               (SingularWindowError, EXIT_DEGENERATE),
+               (CheckFailure, EXIT_VERIFY_FAILED), (ValueError, EXIT_USAGE))
+
+
 _PI_FORM = re.compile(
     r"^\s*(?P<sign>[+-]?)\s*(?P<coef>\d+(?:\.\d*)?)?\s*\*?\s*pi"
     r"\s*(?:/\s*(?P<div>\d+(?:\.\d*)?))?\s*$", re.IGNORECASE)
@@ -112,6 +119,15 @@ def _atomic_write(path: str, data: bytes):
         except OSError:
             pass
         raise
+
+
+def _write_report(lines, out):
+    """``key: value`` lines to the file ``out``, or to stdout without one."""
+    text = "".join(f"{k}: {v}\n" for k, v in lines)
+    if out:
+        _atomic_write(out, text.encode("utf-8"))
+    else:
+        sys.stdout.write(text)
 
 
 def _resolve_spec(args):
@@ -276,11 +292,7 @@ def _cmd_verify(args) -> int:
     statuses = {name: check[0] for name, check in checks.items()}
     overall = "pass" if all(s in ("pass", "skipped") for s in statuses.values()) else "fail"
     lines.append(("overall", overall))
-    text = "".join(f"{k}: {v}\n" for k, v in lines)
-    if args.out:
-        _atomic_write(args.out, text.encode("utf-8"))
-    else:
-        sys.stdout.write(text)
+    _write_report(lines, args.out)
     if overall != "pass":
         failed = [k for k, s in statuses.items() if s == "fail"]
         raise CheckFailure(f"checks failed: {', '.join(failed)}")
@@ -336,11 +348,7 @@ def _cmd_analyze(args) -> int:
         for i, pk in enumerate(res.local_maxima):
             lines.append((f"peak_{i}", f"{pk.value:.17g} at {pk.x:.17g},{pk.y:.17g}"))
 
-    text = "".join(f"{k}: {v}\n" for k, v in lines)
-    if args.out:
-        _atomic_write(args.out, text.encode("utf-8"))
-    else:
-        sys.stdout.write(text)
+    _write_report(lines, args.out)
     return EXIT_OK
 
 
@@ -413,18 +421,9 @@ def main(argv=None) -> int:
         if getattr(args, "res", None) is not None and args.res < 8:
             raise UsageError("resolution must be at least 8")
         return handlers[args.command](args)
-    except UsageError as exc:
+    except tuple(cls for cls, _ in _EXIT_CODES) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except (DegenerateInput, SingularWindowError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DEGENERATE
-    except CheckFailure as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VERIFY_FAILED
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        return next(code for cls, code in _EXIT_CODES if isinstance(exc, cls))
 
 
 if __name__ == "__main__":

@@ -9,8 +9,10 @@ plateau grouping, a continuously refined global maximum (the raw grid
 maximum moves by O(dx^2) under refinement; projected-Newton ascents on
 log U from the local maxima of the grid's two checkerboard sublattices, with
 exact derivatives from the profile jets, stay in their peaks' basins and are
-stable), periods (scan, then Newton on exact time derivatives), peak-decay
-series; numpy is the only third-party import.
+stable), periods (a scan of one time statistic, global max or L2, then
+Gauss-Newton steps, the only place U_t is evaluated) and peak-decay
+series; one batched U sampler feeds the ascent and the L2 norm.  numpy is
+the only third-party import.
 """
 
 from __future__ import annotations
@@ -194,6 +196,17 @@ def _require_valid(valid):
         raise SingularWindowError("window entirely singular")
 
 
+def _sample_u(spec, grid, times, dt=False):
+    """Yields (batch, U, U_t, valid mask) for each of the
+    :func:`~dsfield.ansatz.batches` of ``times`` on ``grid``, U_t only with
+    ``dt``; raises SingularWindowError for a time without a valid sample."""
+    for batch in batches(times.size, grid.keep.size):
+        u, ut = grid_intensity(spec, grid, times[batch], dt)
+        ok = grid.keep & np.isfinite(u)
+        _require_valid(ok.any(axis=(1, 2)))
+        yield batch, u, ut, ok
+
+
 # (dy, dx) neighbour shifts: the 3x3 ring, and the 8-neighbourhood of a point
 # on its own checkerboard sublattice (i + j even, or odd): the four diagonal
 # points and the four two steps away along an axis
@@ -262,10 +275,7 @@ def refined_global_max(spec: SolutionSpec, window, t, nx: int = 192,
     times = np.atleast_1d(np.asarray(t, dtype=float))
     grid = window_grid(window, (nx, ny), valid_mask)
     starts = []
-    for batch in batches(times.size, grid.keep.size):
-        u = grid_intensity(spec, grid, times[batch])[0]
-        ok = grid.keep & np.isfinite(u)
-        _require_valid(ok.any(axis=(1, 2)))
+    for batch, u, _, ok in _sample_u(spec, grid, times):
         v = np.where(ok, u, -np.inf)
         top = np.maximum.reduce(_neighbours(v, -np.inf, _SUBLATTICE))
         it, iy, ix = np.nonzero(ok & (v >= top))
@@ -296,6 +306,10 @@ def refined_global_max(spec: SolutionSpec, window, t, nx: int = 192,
 _ASCENT_XTOL = 1e-13
 _ASCENT_ITERATIONS = 60
 _ASCENT_PRED_FLOOR = 1e-14
+# The period solve compares S at _PERIOD_PROBES base times with S one period
+# later and takes at most _PERIOD_ITERATIONS Gauss-Newton steps.
+_PERIOD_PROBES = 5
+_PERIOD_ITERATIONS = 6
 
 
 def _newton_ascent(spec, times, u, xy, lo, hi, radius, valid_mask):
@@ -383,32 +397,25 @@ def _log_intensity_jets(spec, times, xy, valid_mask):
 # time analytics
 
 
-def _statistic_series(spec, window, times, statistic, grid_n, valid_mask):
-    """The statistic at ``times``, sampled in batches; raises
-    SingularWindowError if some time has no valid sample."""
+def _statistic(spec, window, times, statistic, grid_n, valid_mask, rate=False):
+    """(S, S') at ``times``: S the refined global max of U or the L2 norm of
+    U over each time's valid samples; S' only with ``rate``, else None: U_t
+    at the polished argmax for global_max (envelope theorem), mean(U U_t)/S
+    for L2.  Raises SingularWindowError if some time has no valid sample."""
+    if statistic == "global_max":
+        u, (x, y) = refined_global_max(spec, window, times, grid_n, grid_n,
+                                       valid_mask)
+        return u, eval_intensity_dt(spec, *rotate(x, y), times)[1] if rate else None
     if statistic != "L2":
-        return _statistic_rate(spec, window, times, statistic, grid_n, valid_mask)[0]
-    s, _, valid = _l2(spec, window, times, grid_n, valid_mask)
-    _require_valid(valid)
-    return s
-
-
-def _l2(spec, window, times, grid_n, valid_mask, dt=False):
-    """(S, S', valid) at ``times``: the L2 norm S of U over each time's
-    valid samples, S' = mean(U U_t)/S (only with ``dt``, else None), and
-    whether the time has a valid sample."""
-    grid = window_grid(window, grid_n, valid_mask)
+        raise ValueError(f"unknown statistic {statistic!r}")
     parts = []
-    for batch in batches(times.size, grid.keep.size):
-        u, ut = grid_intensity(spec, grid, times[batch], dt)
-        ok = grid.keep & np.isfinite(u)
-        n = np.count_nonzero(ok, axis=(1, 2))       # a sum over none is 0/0 = NaN
+    for _, u, ut, ok in _sample_u(spec, window_grid(window, grid_n, valid_mask), times, rate):
+        n = np.count_nonzero(ok, axis=(1, 2))
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             s = np.sqrt(np.sum(u * u, axis=(1, 2), where=ok) / n)
-            ds = np.sum(u * ut, axis=(1, 2), where=ok) / n / s if dt else s
-        parts.append((s, ds, n > 0))
-    s, ds, valid = (np.concatenate(p) for p in zip(*parts))
-    return s, ds if dt else None, valid
+            parts.append((s, np.sum(u * ut, axis=(1, 2), where=ok) / n / s if rate else s))
+    s, ds = (np.concatenate(p) for p in zip(*parts))
+    return s, ds if rate else None
 
 
 def estimate_period(spec: SolutionSpec, window, t_range: tuple[float, float],
@@ -429,7 +436,7 @@ def estimate_period(spec: SolutionSpec, window, t_range: tuple[float, float],
     t0, t1 = t_range
     times = np.linspace(t0, t1, n_t, endpoint=False)
     dt = (t1 - t0) / n_t
-    series = _statistic_series(spec, window, times, statistic, grid_n, valid_mask)
+    series = _statistic(spec, window, times, statistic, grid_n, valid_mask)[0]
 
     scale = float(np.max(np.abs(series))) or 1.0
     if float(np.max(series) - np.min(series)) < tie_tol * scale:
@@ -449,29 +456,16 @@ def estimate_period(spec: SolutionSpec, window, t_range: tuple[float, float],
                            best_candidate=best_k * dt if best_k else None)
 
 
-def _statistic_rate(spec, window, times, statistic, grid_n, valid_mask):
-    """S and S' at ``times``, in one batch: U_t at the polished argmax for
-    global_max (envelope theorem), mean(U U_t)/S over each time's mask for L2."""
-    if statistic == "global_max":
-        u, (x, y) = refined_global_max(spec, window, times, grid_n, grid_n,
-                                       valid_mask)
-        return u, eval_intensity_dt(spec, *rotate(x, y), times)[1]
-    if statistic != "L2":
-        raise ValueError(f"unknown statistic {statistic!r}")
-    return _l2(spec, window, times, grid_n, valid_mask, dt=True)[:2]
-
-
-def _refine_period(spec, window, statistic, grid_n, valid_mask, t0, period, dt,
-                   scale, probes: int = 5, iterations: int = 6):
+def _refine_period(spec, window, statistic, grid_n, valid_mask, t0, period, dt, scale):
     """Gauss-Newton solve of g_i(T) = S(b_i + T) - S(b_i) = 0 from the scan
     shift ``period``, ended by a step out of one scan step around it, one
     that does not lower max|g_i|, or a zero or non-finite sum of S'^2.
     Returns the evaluated T with the smallest max|g_i|, and that max / scale."""
-    base = t0 + np.linspace(0.0, 0.9, probes) * period
-    ref = _statistic_rate(spec, window, base, statistic, grid_n, valid_mask)[0]
+    base = t0 + np.linspace(0.0, 0.9, _PERIOD_PROBES) * period
+    ref = _statistic(spec, window, base, statistic, grid_n, valid_mask)[0]
     T, best = period, None
-    for _ in range(iterations):
-        s, ds = _statistic_rate(spec, window, base + T, statistic, grid_n, valid_mask)
+    for _ in range(_PERIOD_ITERATIONS):
+        s, ds = _statistic(spec, window, base + T, statistic, grid_n, valid_mask, rate=True)
         g = s - ref
         mis = float(np.max(np.abs(g)))
         if best is not None and not mis < best[1]:

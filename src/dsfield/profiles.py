@@ -118,6 +118,10 @@ class TanCosProfile(ProfileFunction):
         return 1.0 + jc.exp(jc.tan(xj) * jc.cos(tj) + 1.0)
 
 
+# exp(x+2t+1) + exp(x+t+1), shared by both instanton profiles
+_INSTANTON_BASE = ExpSumProfile(A=(1.0, 1.0), K=(1.0, 1.0), L=(2.0, 1.0), theta=(1.0, 1.0))
+
+
 @dataclass(frozen=True)
 class InstantonPProfile(ProfileFunction):
     """exp(x+2t+1) + exp(x+t+1) + exp(-(x^3+1)^-1 + 2t + 1).
@@ -129,11 +133,10 @@ class InstantonPProfile(ProfileFunction):
     family = "instanton_p"
 
     def jet3(self, x, t, order=3) -> Jet:
-        base = ExpSumProfile(A=(1.0, 1.0), K=(1.0, 1.0), L=(2.0, 1.0), theta=(1.0, 1.0))
         xj, tj = jc.variables(x, t, order=order)
         w = jc.powi(xj * xj * xj + 1.0, -1)
         bump = jc.exp(-w + 2.0 * tj + 1.0)
-        return base.jet3(x, t, order) + bump
+        return _INSTANTON_BASE.jet3(x, t, order) + bump
 
 
 @dataclass(frozen=True)
@@ -143,8 +146,7 @@ class InstantonQProfile(ProfileFunction):
     family = "instanton_q"
 
     def jet3(self, x, t, order=3) -> Jet:
-        base = ExpSumProfile(A=(1.0, 1.0), K=(1.0, 1.0), L=(2.0, 1.0), theta=(1.0, 1.0))
-        return base.jet3(x, t, order)
+        return _INSTANTON_BASE.jet3(x, t, order)
 
 
 @dataclass(frozen=True)

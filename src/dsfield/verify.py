@@ -191,18 +191,16 @@ def _dd_mul(x, y):
 
 def _bilinear_cross_dd(a0, a1, a2, a3, p, q, pz, qe):
     """4 (f f_ze - f_z f_e) in double-double, from profile samples."""
-    zero = np.zeros_like(p)
     pq = _two_prod(p, q)
-    f = _dd_add(_dd_add((np.full_like(p, a0), zero), _two_prod(a1, p)),
-                _dd_add(_two_prod(a2, q), _dd_mul((np.full_like(p, a3), zero), pq)))
-    A = _dd_add((np.full_like(p, a1), zero), _two_prod(a3, q))
-    B = _dd_add((np.full_like(p, a2), zero), _two_prod(a3, p))
-    fz = _dd_mul(A, (pz, zero))
-    fe = _dd_mul(B, (qe, zero))
-    fze = _dd_mul((np.full_like(p, a3), zero), _two_prod(pz, qe))
+    f = _dd_add(_dd_add((a0, 0.0), _two_prod(a1, p)),
+                _dd_add(_two_prod(a2, q), _dd_mul((a3, 0.0), pq)))
+    A = _dd_add((a1, 0.0), _two_prod(a3, q))
+    B = _dd_add((a2, 0.0), _two_prod(a3, p))
+    fz = _dd_mul(A, (pz, 0.0))
+    fe = _dd_mul(B, (qe, 0.0))
+    fze = _dd_mul((a3, 0.0), _two_prod(pz, qe))
     cross = _dd_add(_dd_mul(f, fze), _dd_neg(_dd_mul(fz, fe)))
-    hi, lo = _dd_mul(cross, (np.full_like(p, 4.0), zero))
-    return hi, lo
+    return _dd_mul(cross, (4.0, 0.0))
 
 
 # ---------------------------------------------------------------------------

@@ -524,6 +524,33 @@ def test_each_reader_asks_its_profiles_for_the_entries_it_reads(tmp_path, monkey
     assert not {grid, rate, "_log_intensity_jets", "eval_intensity_dt"} & set(asked)
 
 
+@pytest.mark.parametrize("statistic", ["L2", "global_max"])
+def test_period_solve_evaluates_u_t_only_in_its_steps(tmp_path, monkeypatch, statistic):
+    # the scan and the reference probes read S alone; only the Gauss-Newton
+    # iterations, at the probe times shifted by about the scan's period pi,
+    # evaluate U_t, once each
+    from dsfield import field
+    seen = []
+
+    def counting_dt(spec, zeta, eta, t, f=field.eval_intensity_dt):
+        seen.append(np.min(t))
+        return f(spec, zeta, eta, t)
+
+    def counting_grid(spec, grid, t, dt=False, f=field.grid_intensity):
+        if dt:
+            seen.append(np.min(t))
+        return f(spec, grid, t, dt)
+
+    monkeypatch.setattr(field, "eval_intensity_dt", counting_dt)
+    monkeypatch.setattr(field, "grid_intensity", counting_grid)
+    out = tmp_path / "p.txt"
+    assert run("analyze", "--case", "breather", "--res", "24", "--period", "0:2pi:32",
+               "--statistic", statistic, "--out", str(out)) == 0
+    assert "period_mismatch" in out.read_text()
+    assert 1 <= len(seen) <= field._PERIOD_ITERATIONS
+    assert min(seen) >= math.pi - 2 * math.pi / 32
+
+
 @pytest.mark.parametrize("name", case_names())
 def test_pde2_evaluates_each_profile_once_per_row_batch(name, tmp_path, monkeypatch):
     # the pde2 check evaluates p on all its shifted zeta lines at once,

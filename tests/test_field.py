@@ -19,8 +19,7 @@ from dsfield.field import (
     FieldGrid,
     SingularWindowError,
     _refine_period,
-    _statistic_rate,
-    _statistic_series,
+    _statistic,
     _write_g17,
     analyze_extrema,
     decay_profile,
@@ -270,10 +269,10 @@ def test_period_solve_safeguards(monkeypatch, rate_factor):
     # bracket; with the sign flipped too it lands on 2 pi, where the
     # mismatch is lower), zero or NaN (no step); all but the exact one keep
     # the scan shift and its mismatch
-    def synthetic(spec, window, times, statistic, grid_n, valid_mask):
+    def synthetic(spec, window, times, statistic, grid_n, valid_mask, rate=False):
         return np.sin(2 * times), rate_factor * 2 * np.cos(2 * times)
 
-    monkeypatch.setattr("dsfield.field._statistic_rate", synthetic)
+    monkeypatch.setattr("dsfield.field._statistic", synthetic)
     shift = math.pi + 1e-3
     base = np.linspace(0.0, 0.9, 5) * shift
     T, mis = _refine_period(None, None, "L2", 8, None, 0.0, shift, 0.1, 2.0)
@@ -325,7 +324,7 @@ def test_batched_l2_series_matches_per_time_grids(name, grid_n):
     e = build_case(name)
     window = regular_window(e)
     times = np.linspace(0.05, 3.0, 80)
-    batched = _statistic_series(e.spec, window, times, "L2", grid_n, e.valid_mask)
+    batched = _statistic(e.spec, window, times, "L2", grid_n, e.valid_mask)[0]
     ref = _l2_per_time(e.spec, window, times, grid_n, e.valid_mask)
     assert np.max(np.abs(batched - ref) / ref) <= 1e-14
 
@@ -342,7 +341,7 @@ def test_batched_l2_series_raises_where_a_time_is_singular():
     bad = np.array([0.0, 0.5, 2.0])
 
     def batched(spec, window, times, grid_n):
-        return _statistic_series(spec, window, times, "L2", grid_n, None)
+        return _statistic(spec, window, times, "L2", grid_n, None)[0]
 
     for series in (_l2_per_time, batched):
         with pytest.raises(SingularWindowError):
@@ -352,18 +351,35 @@ def test_batched_l2_series_raises_where_a_time_is_singular():
         refined_global_max(spec, e.window, bad, 32, 32)
 
 
+@pytest.mark.parametrize("statistic", ["L2", "global_max"])
+def test_statistic_rate_raises_where_a_time_is_singular(statistic):
+    # the rate path applies the singular-time rule of the series: on the
+    # sqrt(1 - t) spec every sample at t = 2 is invalid
+    from dsfield import calculus as jc
+    from dsfield.profiles import CustomProfile
+    e = build_case("dromion")
+    spec = SolutionSpec(e.spec.coeffs, e.spec.p,
+                        CustomProfile(lambda x, t: jc.exp(x) * jc.sqrt(1.0 - t)))
+    with pytest.raises(SingularWindowError):
+        _statistic(spec, e.window, np.array([0.0, 0.5, 2.0]), statistic, 32, None,
+                   rate=True)
+    s, ds = _statistic(spec, e.window, np.array([0.0, 0.5]), statistic, 32, None,
+                       rate=True)
+    assert np.all(np.isfinite(s)) and np.all(np.isfinite(ds))
+
+
 @pytest.mark.parametrize("name", case_names())
 @pytest.mark.parametrize("statistic", ["L2", "global_max"])
 def test_statistic_rate_matches_central_difference(name, statistic):
     e = build_case(name)
     window = regular_window(e)
     times, h = np.array([0.3, 1.1, 2.5]), 1e-5
-    s, ds = _statistic_rate(e.spec, window, times, statistic, 40, e.valid_mask)
-    fd = (_statistic_rate(e.spec, window, times + h, statistic, 40, e.valid_mask)[0]
-          - _statistic_rate(e.spec, window, times - h, statistic, 40,
-                            e.valid_mask)[0]) / (2 * h)
+    s, ds = _statistic(e.spec, window, times, statistic, 40, e.valid_mask, rate=True)
+    fd = (_statistic(e.spec, window, times + h, statistic, 40, e.valid_mask)[0]
+          - _statistic(e.spec, window, times - h, statistic, 40,
+                       e.valid_mask)[0]) / (2 * h)
     assert s == pytest.approx(
-        _statistic_series(e.spec, window, times, statistic, 40, e.valid_mask),
+        _statistic(e.spec, window, times, statistic, 40, e.valid_mask)[0],
         rel=1e-14)
     assert np.all(np.abs(fd - ds) <= 1e-8 * (np.abs(ds) + s))
 

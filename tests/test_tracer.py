@@ -52,16 +52,19 @@ def test_tracer_wraps_every_target_and_restores_it():
 
 
 def test_traced_cli_runs_count_every_layer(tmp_path):
-    # one traced verify (all checks), one traced phi render and one traced
-    # decay analysis write the same bytes as untraced runs, and every
-    # layer's counters move; the elementary-function counter reads the first
-    # argument's ``.value``, the sample counter reads nx and ny, and the
-    # bundle calls its formulas through the class the tracer patches
+    # one traced verify (all checks), one traced phi render, one traced
+    # decay analysis and a traced period scan under each statistic write the
+    # same bytes as untraced runs, and every layer's counters move; the
+    # elementary-function counter reads the first argument's ``.value``, the
+    # sample counter reads nx and ny, and the bundle calls its formulas
+    # through the class the tracer patches
     from dsfield import cli
     runs = (["verify", "--case", "breather", "--t", "0.3", "--res", "16", "--checks",
              "bilinear2,bilinear1,pde2,pde1,consistency,admissibility"],
             ["render", "--case", "dromion", "--t", "0.3", "--res", "16", "--which", "phi"],
-            ["analyze", "--case", "double_instanton", "--decay", "0.3,1.1", "--res", "16"])
+            ["analyze", "--case", "double_instanton", "--decay", "0.3,1.1", "--res", "16"],
+            *(["analyze", "--case", "breather", "--period", "0:2pi:32", "--res", "16",
+               "--statistic", statistic] for statistic in ("L2", "global_max")))
     plain = []
     for k, argv in enumerate(runs):
         out = tmp_path / f"plain{k}.txt"
@@ -79,3 +82,5 @@ def test_traced_cli_runs_count_every_layer(tmp_path):
                  "auxiliary.background"):
         assert tracer.stats[name]["calls"] > 0, name
         assert tracer.stats[name]["points"] > 0, name
+    for name in ("field.estimate_period", "field.refined_global_max"):
+        assert tracer.stats[name]["calls"] > 0, name
