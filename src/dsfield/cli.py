@@ -62,10 +62,12 @@ class CheckFailure(Exception):
 
 
 # error class -> exit code; the first class that matches decides, so
-# SingularWindowError, a ValueError, comes before ValueError
+# SingularWindowError, a ValueError, comes before ValueError.  An OSError
+# is an output path that cannot be written.
 _EXIT_CODES = ((UsageError, EXIT_USAGE), (DegenerateInput, EXIT_DEGENERATE),
                (SingularWindowError, EXIT_DEGENERATE),
-               (CheckFailure, EXIT_VERIFY_FAILED), (ValueError, EXIT_USAGE))
+               (CheckFailure, EXIT_VERIFY_FAILED), (ValueError, EXIT_USAGE),
+               (OSError, EXIT_USAGE))
 
 
 _PI_FORM = re.compile(
@@ -212,14 +214,16 @@ def _check_lines(name, status, fields=(), notes=""):
     return lines
 
 
-def _residual(report, threshold):
-    """(status, fields, notes) of a residual check against ``threshold``."""
+def _residual(report, threshold, *flags):
+    """(status, fields, notes) of a residual check against ``threshold``,
+    its fields ending with the report's ``flags`` named."""
     status = ("skipped" if not report.applicable
               else "pass" if report.max_abs < threshold else "fail")
     return status, [("max_abs", f"{report.max_abs:.6e}"),
                     ("mean_abs", f"{report.mean_abs:.6e}"),
                     ("samples", str(report.samples)),
-                    ("threshold", f"{threshold:.1e}")], report.notes
+                    ("threshold", f"{threshold:.1e}"),
+                    *((key, str(report.flags[key])) for key in flags)], report.notes
 
 
 def _cmd_verify(args) -> int:
@@ -245,7 +249,8 @@ def _cmd_verify(args) -> int:
     # (status, fields[, notes]) per check, in report order
     checks = {}
     if "bilinear2" in requested:
-        checks["bilinear2"] = _residual(bilinear_residuals(ing), args.tol)
+        # a sample on the amplitude branch reads 0 and checks nothing
+        checks["bilinear2"] = _residual(bilinear_residuals(ing), args.tol, "amplitude_branch")
 
     # the bundle's one consistency report gates the envelope checks and is
     # the one the consistency check prints
@@ -330,6 +335,8 @@ def _cmd_analyze(args) -> int:
             lines.append(("best_candidate", f"{res.best_candidate:.17g}"))
     elif args.decay:
         times = [parse_time(v) for v in args.decay.split(",")]
+        if len(set(times)) != len(times):
+            raise UsageError(f"--decay repeats a time: {args.decay!r}")
         res = decay_profile(spec, window, times, grid_n=args.res, valid_mask=mask)
         for t, mx in res.decay_series:
             lines.append((f"max_at_t_{t!r}", f"{mx:.17g}"))

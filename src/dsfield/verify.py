@@ -2,10 +2,10 @@
 
 Three independent suites certify a solution spec:
 
-* the bilinear constraint 2 D_z D_e f.f - g g* = 0, an algebraic identity
-  of the separable form, evaluated in compensated (double-double) float
-  arithmetic so a true zero is measurable at the 1e-15 level even where
-  the subtracted products are ~1e10 times larger than the result;
+* the bilinear constraint 2 D_z D_e f.f - g g* = 0: for the separable f
+  the left side is identically 4 det p_z q_e, so the check compares that
+  closed form with g g* from the amplitude factors, to a few roundings of
+  |g g*|;
 * the governing equations in the rotated frame: the envelope equation,
   as line 1 of the bilinear form and as the u-form with the forcing field,
   both from one evaluation of f's order-2 jet in (zeta, eta, t) on the
@@ -82,11 +82,9 @@ class ResidualReport:
     flags: dict = field(default_factory=dict)
     applicable: bool = True
     notes: str = ""
-    extras: dict = field(default_factory=dict)
 
 
-def _report(name, resid_abs, X, Y, t, valid, flags=None, extras=None,
-            notes="") -> ResidualReport:
+def _report(name, resid_abs, X, Y, t, valid, flags=None, notes="") -> ResidualReport:
     vals = np.where(valid, resid_abs, np.nan)
     finite = np.isfinite(vals)
     n = int(np.count_nonzero(finite))
@@ -95,8 +93,7 @@ def _report(name, resid_abs, X, Y, t, valid, flags=None, extras=None,
     if n == 0:
         return ResidualReport(name, math.nan, math.nan,
                               CoordinatePoint(math.nan, math.nan, t),
-                              0, flags, notes=notes or "no valid samples",
-                              extras=dict(extras or {}))
+                              0, flags, notes=notes or "no valid samples")
     flat = vals[finite]
     mx = float(np.max(flat))
     mean = float(math.fsum(flat.tolist()) / n)
@@ -104,8 +101,7 @@ def _report(name, resid_abs, X, Y, t, valid, flags=None, extras=None,
     masked = np.where(finite, vals, -np.inf)
     idx = np.unravel_index(np.argmax(masked), masked.shape)
     worst = CoordinatePoint(float(X[idx]), float(Y[idx]), float(t))
-    return ResidualReport(name, mx, mean, worst, n, flags, notes=notes,
-                          extras=dict(extras or {}))
+    return ResidualReport(name, mx, mean, worst, n, flags, notes=notes)
 
 
 # ---------------------------------------------------------------------------
@@ -137,70 +133,6 @@ def hirota_d(a: Callable, b: Callable, m: int, n: int, pt):
 def hirota_cross(tau) -> float:
     """D_z D_e f.f from f's jet in (zeta, eta, t): 2 (f f_ze - f_z f_e)."""
     return 2.0 * (tau.value * tau[1, 1, 0] - tau[1, 0, 0] * tau[0, 1, 0])
-
-
-# ---------------------------------------------------------------------------
-# double-double helpers (Dekker/Knuth), vectorized over numpy arrays
-
-
-_SPLITTER = 134217729.0  # 2**27 + 1
-
-
-def _two_sum(a, b):
-    s = a + b
-    bv = s - a
-    err = (a - (s - bv)) + (b - bv)
-    return s, err
-
-
-def _fast_two_sum(a, b):
-    s = a + b
-    err = b - (s - a)
-    return s, err
-
-
-def _split(a):
-    c = _SPLITTER * a
-    hi = c - (c - a)
-    return hi, a - hi
-
-
-def _two_prod(a, b):
-    p = a * b
-    ah, al = _split(a)
-    bh, bl = _split(b)
-    err = ((ah * bh - p) + ah * bl + al * bh) + al * bl
-    return p, err
-
-
-def _dd_add(x, y):
-    s, e = _two_sum(x[0], y[0])
-    e = e + x[1] + y[1]
-    return _fast_two_sum(s, e)
-
-
-def _dd_neg(x):
-    return -x[0], -x[1]
-
-
-def _dd_mul(x, y):
-    p, e = _two_prod(x[0], y[0])
-    e = e + x[0] * y[1] + x[1] * y[0]
-    return _fast_two_sum(p, e)
-
-
-def _bilinear_cross_dd(a0, a1, a2, a3, p, q, pz, qe):
-    """4 (f f_ze - f_z f_e) in double-double, from profile samples."""
-    pq = _two_prod(p, q)
-    f = _dd_add(_dd_add((a0, 0.0), _two_prod(a1, p)),
-                _dd_add(_two_prod(a2, q), _dd_mul((a3, 0.0), pq)))
-    A = _dd_add((a1, 0.0), _two_prod(a3, q))
-    B = _dd_add((a2, 0.0), _two_prod(a3, p))
-    fz = _dd_mul(A, (pz, 0.0))
-    fe = _dd_mul(B, (qe, 0.0))
-    fze = _dd_mul((a3, 0.0), _two_prod(pz, qe))
-    cross = _dd_add(_dd_mul(f, fze), _dd_neg(_dd_mul(fz, fe)))
-    return _dd_mul(cross, (4.0, 0.0))
 
 
 # ---------------------------------------------------------------------------
@@ -263,7 +195,6 @@ def envelope_residuals(ing: Ingredients, tol: float = CONSISTENCY_GATE):
     residual that means nothing.
     """
     grid, t, crep = ing.grid, ing.t, ing.consistency
-    extras = {"consistency_variation": crep.max_variation}
     why = ("not applicable: consistency undefined for a3 = 0" if not crep.applicable
            else "" if crep.max_variation <= tol
            else "not applicable: undefined consistency (variation nan)"
@@ -273,15 +204,13 @@ def envelope_residuals(ing: Ingredients, tol: float = CONSISTENCY_GATE):
     if why:
         return tuple(ResidualReport(name, math.nan, math.nan,
                                     CoordinatePoint(math.nan, math.nan, t), 0,
-                                    applicable=False, notes=why, extras=extras)
+                                    applicable=False, notes=why)
                      for name in ("bilinear1", "pde1"))
     tau = eval_f(ing.spec, grid.zeta, grid.eta, t, ing.pj, ing.qj)
     with np.errstate(invalid="ignore", over="ignore", under="ignore", divide="ignore"):
         line1, pde1 = _envelope_fields(ing, tau)
-    return (_report("bilinear1", line1, grid.X, grid.Y, t, grid.keep & np.isfinite(line1),
-                    extras={"normalization": "terms scaled by 1/f^3", **extras}),
-            _report("pde1", pde1, grid.X, grid.Y, t, grid.keep & np.isfinite(pde1),
-                    extras=extras))
+    return (_report("bilinear1", line1, grid.X, grid.Y, t, grid.keep & np.isfinite(line1)),
+            _report("pde1", pde1, grid.X, grid.Y, t, grid.keep & np.isfinite(pde1)))
 
 
 # ---------------------------------------------------------------------------
@@ -291,31 +220,31 @@ def envelope_residuals(ing: Ingredients, tol: float = CONSISTENCY_GATE):
 def _bilinear2_field(ing: Ingredients):
     """Residual of 2 D_z D_e f.f = g g* relative to |g g*|.
 
-    g g* comes from the bundle's amplitude factors, falling back to the
-    exact product 4 det p_z q_e where they are non-finite; the second value
-    marks those fallbacks.
+    The left side of every separable f is the closed form 4 det p_z q_e.
+    g g* comes from the bundle's amplitude factors, falling back to that
+    product, so reading exactly 0, where they are non-finite; the second
+    value marks those fallbacks.
     """
     a, pj, qj = ing.spec.coeffs, ing.pj, ing.qj
     with np.errstate(invalid="ignore", over="ignore", under="ignore"):
-        hi, lo = _bilinear_cross_dd(a.a0, a.a1, a.a2, a.a3,
-                                    pj.value, qj.value, pj[1, 0], qj[1, 0])
+        exact = 4.0 * a.det * pj[1, 0] * qj[1, 0]
         gg = (ing.p1.value * ing.q1.value) ** 2
         amp_bad = ~np.isfinite(gg)
-        gg = np.where(amp_bad, 4.0 * a.det * pj[1, 0] * qj[1, 0], gg)
-        resid = np.abs((hi - gg) + lo)
+        gg = np.where(amp_bad, exact, gg)
         scale = np.abs(gg)
-        return resid / np.where(scale > 0.0, scale, 1.0), amp_bad
+        return np.abs(exact - gg) / np.where(scale > 0.0, scale, 1.0), amp_bad
 
 
 def bilinear_residuals(ing: Ingredients) -> ResidualReport:
     """Residual of the bilinear constraint 2 D_z D_e f.f = g g* on the
     bundle's grid, relative to |g g*| (line 2 of the bilinear form;
-    :func:`envelope_residuals` reports line 1)."""
+    :func:`envelope_residuals` reports line 1): the amplitude factors
+    against the closed form 4 det p_z q_e, its flag ``amplitude_branch``
+    counting the samples where they are non-finite and checked nothing."""
     grid = ing.grid
     rel, amp_bad = _bilinear2_field(ing)
     return _report("bilinear2", rel, grid.X, grid.Y, ing.t, grid.keep & np.isfinite(rel),
-                   flags={"amplitude_branch": int(np.count_nonzero(amp_bad & grid.keep))},
-                   extras={"normalization": "relative to |g g*|"})
+                   flags={"amplitude_branch": int(np.count_nonzero(amp_bad & grid.keep))})
 
 
 # ---------------------------------------------------------------------------
@@ -332,8 +261,7 @@ def pde_residuals(ing: Ingredients, stencil: Stencil = PDE2_STENCIL) -> Residual
     return _report("pde2", resid, grid.X, grid.Y, ing.t,
                    grid.keep & stencil_ok & np.isfinite(resid),
                    flags={"stencil_dropped":
-                          int(np.count_nonzero(grid.keep & ~stencil_ok))},
-                   extras={"h": stencil.h, "accuracy": stencil.accuracy})
+                          int(np.count_nonzero(grid.keep & ~stencil_ok))})
 
 
 def _pde2_field(spec, zeta, eta, t, stencil: Stencil):

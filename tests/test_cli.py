@@ -179,6 +179,20 @@ def test_exit_code_follows_error_class_not_message(tmp_path, monkeypatch,
     assert "singular matrix" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    ("render", "--case", "dromion", "--t", "0", "--res", "16"),
+    ("verify", "--case", "dromion", "--t", "0", "--res", "16"),
+    ("analyze", "--case", "dromion", "--peaks", "--res", "16"),
+])
+def test_unwritable_out_is_a_usage_error(tmp_path, capsys, argv):
+    out = tmp_path / "missing" / "x.csv"
+    assert run(*argv, "--out", str(out)) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:")
+    assert not out.exists()
+    assert not list(tmp_path.rglob(".dsfield-*"))
+
+
 def test_render_unknown_case_exits_2(tmp_path, capsys):
     code = run("render", "--case", "worm", "--t", "0",
                "--out", str(tmp_path / "x.csv"))
@@ -201,6 +215,23 @@ def test_verify_dromion_bilinear2(tmp_path):
     text = out.read_text()
     assert "check.bilinear2.status: pass" in text
     assert "overall: pass" in text
+
+
+@pytest.mark.parametrize("case,t,all_fell_back", [("periodic", "2pi/3", True),
+                                                    ("dromion", "0", False)])
+def test_verify_prints_the_amplitude_branch_count(tmp_path, case, t, all_fell_back):
+    # periodic at 2pi/3 has no finite amplitude factors on the window, so
+    # every sample falls back to the closed form and reads 0
+    out = tmp_path / "report.txt"
+    assert run("verify", "--case", case, "--t", t, "--res", "32",
+               "--checks", "bilinear2", "--out", str(out)) == 0
+    rep = dict(ln.split(": ", 1) for ln in out.read_text().splitlines())
+    samples = int(rep["check.bilinear2.samples"])
+    assert samples > 0
+    count = int(rep["check.bilinear2.amplitude_branch"])
+    assert count == (samples if all_fell_back else 0)
+    if all_fell_back:
+        assert float(rep["check.bilinear2.max_abs"]) == 0.0
 
 
 def test_verify_full_suite_dromion(tmp_path):
@@ -474,6 +505,15 @@ def test_analyze_decay(capsys):
                "--res", "48") == 0
     out = capsys.readouterr().out
     assert "max_at_t_0" in out and "max_at_t_1" in out
+
+
+def test_analyze_decay_rejects_a_repeated_time(tmp_path, capsys):
+    # two spellings of one time would print one key twice
+    out = tmp_path / "d.txt"
+    assert run("analyze", "--case", "dromion", "--decay", "0.3,0.30000",
+               "--res", "16", "--out", str(out)) == 2
+    assert "repeats" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_analyze_decay_labels_each_time_by_its_round_trip_repr(tmp_path):

@@ -1,6 +1,7 @@
 """Independent symbolic oracle: sympy differentiates the catalog's closed
 forms and mpmath evaluates them at 40 digits, against the jets of the
-profiles, of f and of log U at a few points per case."""
+profiles, of f and of log U at a few points per case; and sympy proves the
+separable identity that the bilinear2 check reads."""
 
 import mpmath
 import numpy as np
@@ -110,3 +111,13 @@ def test_log_intensity_gradient_and_hessian_match_sympy(name):
         for j in range(2):
             for n, w in enumerate(evaluate(hess[i][j], at, names)):
                 assert_close(got_h[n, i, j], w, ("H", i, j, POINTS[n]))
+
+
+def test_separable_cross_identity():
+    # every f = a0 + a1 p + a2 q + a3 p q has f f_ze - f_z f_e =
+    # (a0 a3 - a1 a2) p_z q_e, the closed form the bilinear2 check reads
+    p, q = sp.Function("p")(Z), sp.Function("q")(E)
+    a0, a1, a2, a3 = sp.symbols("a0:4")
+    f = a0 + a1 * p + a2 * q + a3 * p * q
+    cross = f * sp.diff(f, Z, E) - sp.diff(f, Z) * sp.diff(f, E)
+    assert sp.simplify(cross - (a0 * a3 - a1 * a2) * sp.diff(p, Z) * sp.diff(q, E)) == 0

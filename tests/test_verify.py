@@ -163,6 +163,13 @@ def test_negative_control_corrupted_amplitude():
     e = build_case("dromion")
     line2 = bilinear_residuals(bundle(e.spec, e.window, 0.0, 32, amplitude_scale=1.1))
     assert line2.max_abs > 0.15       # (1.1^2 - 1)/1.1^2 relative mismatch
+    # near the default --tol of 1e-10: a scale of 1 + 1e-9 mismatches g g*
+    # by about 2e-9 relative on every case
+    for name in case_names():
+        e = build_case(name)
+        line2 = bilinear_residuals(bundle(e.spec, e.window, e.reference_times[0], 32,
+                                          e.valid_mask, amplitude_scale=1 + 1e-9))
+        assert line2.max_abs > 1e-10, name
 
 
 def test_periodic_amplitude_branch_fallback():
