@@ -25,6 +25,7 @@ import numpy as np
 
 from . import calculus as jc
 from .ansatz import (
+    _BATCH_POINTS,
     SQRT2,
     SolutionSpec,
     batches,
@@ -519,22 +520,28 @@ def point_reflection_defect(grid_a: FieldGrid, grid_b: FieldGrid) -> float:
 
 # "%.17g" for whole arrays: with X the decimal exponent and s = 16 - X, the 17
 # digits D = round-half-even(v 10^s) = round(M 5^s 2^(E+s)) of v = M 2^E are
-# exact on two uint64 limbs and a right shift for s in [2, 27]; x, y, +-0 and
-# the values outside, about 1e-11 <= |v| < 1e15, take Python's "%.17g".
+# exact on two uint64 limbs and a right shift for s in [2, 27].  Every value runs
+# the kernel with X clipped into [-11, 14]; x, y, +-0 and the values outside,
+# about 1e-11 <= |v| < 1e15, are then rewritten with Python's "%.17g".  The row
+# bytes other than digits and dot come from _FRAMES, by sign and final X.
 _U64 = np.uint64
 _POW5 = np.array([5 ** s for s in range(28)], dtype=np.uint64)
+_J = np.arange(18, dtype=np.int8)[:, None]       # digit and slot index
+_FRAMES = np.frombuffer(b"".join(                 # sign, "0.000"[:1 - X], "e-XX", newline
+    ("-" * neg + "0.000"[:(1 - x) * (-4 <= x < 0)]).ljust(24, "\0").encode()
+    + (f"e-{-x:02d}" * (x < -4)).ljust(4, "\0").encode() + b"\n"
+    for neg in (0, 1) for x in range(-11, 16)), "V29")
 
 
 def _round_scaled(M, E, s):
     """Exact round-half-even(M 5^s 2^(E+s)) for M < 2^53, s <= 27, E + s < 0."""
-    f, low, r = _POW5[s], _U64(2 ** 32 - 1), (-(E + s)).astype(_U64)
+    f, low, r = _POW5.take(s), _U64(2 ** 32 - 1), (-(E + s)).astype(_U64)
     ml, mh, fl, fh = M & low, M >> _U64(32), f & low, f >> _U64(32)
     mid, ll = ml * fh + mh * fl, ml * fl
     lo = ll + (mid << _U64(32))
-    hi = mh * fh + (mid >> _U64(32)) + (lo < ll).astype(_U64)
-    q = (hi << (_U64(64) - r)) | (lo >> r)
-    rem, half = lo & ((_U64(1) << r) - _U64(1)), _U64(1) << (r - _U64(1))
-    return q + (rem > half) + (rem == half) * (q & _U64(1))
+    hi = mh * fh + (mid >> _U64(32)) + (lo < ll)
+    q, cut = (hi << (_U64(64) - r)) | (lo >> r), lo << (_U64(64) - r)  # cut: bits shifted out
+    return q + ((cut | (q & _U64(1))) > _U64(2 ** 63))  # above half, or half and q odd
 
 
 def _python_g17(v, end: str) -> np.ndarray:
@@ -545,50 +552,53 @@ def _python_g17(v, end: str) -> np.ndarray:
 
 
 def _write_g17(v, out):
-    """Writes "%.17g" % v and a newline for each value into the zero rows
-    of ``out``, a (v.size, 29) byte matrix; zero bytes are padding."""
+    """Writes "%.17g" % v and a newline for each value into the rows of
+    ``out``, a (v.size, 29) byte matrix; zero bytes are padding."""
+    a = np.abs(v)
     with np.errstate(divide="ignore", invalid="ignore"):
-        X = np.floor(np.log10(np.abs(v)) - 1e-12)  # never above the true exponent
-    inside = (X >= -11) & (X <= 14)
-    fallback, lanes = np.flatnonzero(~inside), np.flatnonzero(inside)
-    out[fallback, :25] = _python_g17(v[fallback], "\n")
-    v, X = v[lanes], X[lanes]
-    m, e = np.frexp(np.abs(v))
-    M, E, s = (m * 2.0 ** 53).astype(_U64), e.astype(np.int64) - 53, 16 - X.astype(np.int64)
+        X = np.floor(np.log10(a) - 1e-12)  # never above the true exponent
+        Xk, (m, e) = np.fmax(np.fmin(X, 14), -11), np.frexp(a)
+        M, E, s = (m * 2.0 ** 53).astype(_U64), e - 53, (16 - Xk).astype(np.int8)
+    fallback = np.flatnonzero(X != Xk)
     D = _round_scaled(M, E, s)
     # D >= 10^17 (X one too low, or rounded up to 10^17) is below it one place coarser
     low = np.flatnonzero(D >= _U64(10 ** 17))
     s[low] -= 1
     D[low], X = _round_scaled(M[low], E[low], s[low]), 16 - s
-    G, part = np.empty((17, v.size), np.uint8), D  # G[j]: digit j, most significant first
-    for j in range(16, -1, -1):
-        q = part // _U64(10)
-        G[j], part = part - q * _U64(10), q
+    # P[1 + j]: digit j, most significant first; digits 0-7 and 8-16 as two uint32 of 9
+    hi = D // _U64(10 ** 9)
+    part = np.stack([hi, D - hi * _U64(10 ** 9)]).astype(np.uint32)
+    P = np.empty((2, 9, v.size), np.uint8)
+    for j in range(8, -1, -1):
+        q = part // np.uint32(10)
+        P[:, j], part = part - q * np.uint32(10), q
+    P = P.reshape(18, v.size)
     # %g: fixed for -4 <= X < 17, else d.ddde-XX; kept digits, dot before digit 0 < p < kept
-    fixed, j = X >= -4, np.arange(17)[:, None]
-    kept = np.maximum((np.arange(1, 18, dtype=np.uint8)[:, None] * (G != 0)).max(axis=0), X + 1)
-    p = np.where(fixed, X + 1, 1)
-    Gk = (G + np.uint8(48)) * (j < kept)
-    K = np.zeros((29, v.size), np.uint8)        # the rows of out, transposed
-    K[0] = np.uint8(45) * (v < 0)
-    K[1:6] = np.frombuffer(b"0.000", np.uint8)[:, None] * ((j[:5] < 1 - X) & fixed & (X < 0))
-    K[6:23] = Gk * (j < p)
-    K[7:24] += Gk * (j >= p) + np.uint8(46) * ((j + 1 == p) & (kept > p))
-    K[24:28] = ~fixed * np.stack([0 * X + 101, 0 * X + 45, 48 + (-X) // 10, 48 + (-X) % 10])
-    K[28] = 10
-    out[lanes] = K.T
+    kept, p = np.maximum((_J * (P != 0)).max(axis=0), X + 1), np.where(X >= -4, X + 1, 1)
+    C = (P + np.uint8(48)) * (_J <= kept)
+    C[0] = 0
+    out.view(_FRAMES.dtype)[:, 0] = _FRAMES.take(X + 11 + 27 * (v < 0))
+    K = C * (_J > p) + np.uint8(46) * ((kept > p) & (p > 0)) * (_J == p)  # digits < p, dot, rest
+    K[:17] += C[1:] * (_J[:17] < p)
+    out[:, 6:24] = K.T
+    out[fallback, :4] = 0
+    out[fallback, 4:] = _python_g17(v[fallback], "\n")
 
 
 def to_csv(grid: FieldGrid) -> bytes:
     """Header x,y,U plus one row per valid point, row-major with y ascending;
-    masked points are omitted.  Every number reads as Python's "%.17g": an exact
-    vectorized kernel writes the values in about 1e-11 <= |v| < 1e15, "%.17g" the rest."""
+    masked points are omitted.  Every number reads as Python's "%.17g"; the rows
+    of each batch are laid out in one reused byte matrix, zero bytes padding."""
+    xs, ys = (np.compress(r.any(axis=0), r, axis=1) for r in (_python_g17(grid.x, ","),
+                                                            _python_g17(grid.y, ",")))
+    xs, ys = (r.view(f"V{r.shape[1]}").ravel() for r in (xs, ys))  # one element per text
     iy, ix = np.nonzero(grid.mask)
-    xs, ys = (r[:, r.any(axis=0)] for r in (_python_g17(grid.x, ","), _python_g17(grid.y, ",")))
-    vals, rows = grid.values[iy, ix], [b"x,y,U\n"]
-    for b in batches(iy.size, 1):
-        mat = np.hstack([xs.take(ix[b], axis=0), ys.take(iy[b], axis=0),
-                         np.zeros((ix[b].size, 29), np.uint8)])
+    vals, rows = grid.values[grid.mask], [b"x,y,U\n"]
+    buf = np.empty((min(vals.size, _BATCH_POINTS), xs.itemsize + ys.itemsize + 29), np.uint8)
+    for b in batches(vals.size, 1):
+        mat = buf[:vals[b].size]
+        mat[:, :xs.itemsize].view(xs.dtype)[:, 0] = xs.take(ix[b])
+        mat[:, xs.itemsize:-29].view(ys.dtype)[:, 0] = ys.take(iy[b])
         _write_g17(vals[b], mat[:, -29:])
         rows.append(mat.tobytes().translate(None, b"\0"))
     return b"".join(rows)
@@ -608,43 +618,50 @@ def to_pgm16(grid: FieldGrid) -> tuple[bytes, str]:
     """16-bit binary PGM plus a sidecar describing the linear scaling.
 
     Pixels scale linearly from [0, grid max] to [0, 65535]; masked points
-    are 0.  A zero-range grid maps to an all-zero image.
+    are 0.  A zero-range grid maps to an all-zero image.  Negative values
+    also map to 0; the sidecar counts them as clipped_below_zero, a line it
+    has only when there are any.
     """
-    vmax = float(np.max(grid.values[grid.mask])) if grid.mask.any() else 0.0
-    if vmax > 0:
-        scaled = np.clip(grid.values / vmax, 0.0, 1.0) * 65535.0
-    else:
-        scaled = np.zeros_like(grid.values)
+    vals = grid.valid_values()
+    vmax = float(np.max(vals)) if vals.size else 0.0
+    scaled = (np.clip(grid.values / vmax, 0.0, 1.0) * 65535.0 if vmax > 0
+              else np.zeros_like(grid.values))
     pixels = np.where(grid.mask, np.rint(scaled), 0.0).astype(">u2")
     header = f"P5\n{grid.nx} {grid.ny}\n65535\n".encode("ascii")
-    sidecar = to_report(grid) + (
+    clipped = int(np.count_nonzero(vals < 0))
+    sidecar = _report(grid, vals, vmax) + (
         f"format: pgm16\nscale_max: {vmax:.17g}\n"
         "pixel_value: round(value / scale_max * 65535)\n"
-        "masked_pixel: 0\nrow_order: y ascending\n"
+        + (f"clipped_below_zero: {clipped}\n" if clipped else "")
+        + "masked_pixel: 0\nrow_order: y ascending\n"
     )
     return header + pixels.tobytes(), sidecar
 
 
 def to_report(grid: FieldGrid) -> str:
     """Line-oriented key: value summary, stable for golden-file tests."""
-    (x0, x1), (y0, y1) = grid.window
     vals = grid.valid_values()
+    return _report(grid, vals, float(np.max(vals)) if vals.size else 0.0)
+
+
+def _report(grid, vals, vmax):
+    """:func:`to_report` of ``grid`` from its valid values and their max."""
+    (x0, x1), (y0, y1) = grid.window
     lines = [
         f"window: {x0:.17g}:{x1:.17g}:{y0:.17g}:{y1:.17g}",
         f"nx: {grid.nx}",
         f"ny: {grid.ny}",
         f"t: {grid.t:.17g}",
-        f"valid: {int(np.count_nonzero(grid.mask))}",
-        f"masked: {int(grid.mask.size - np.count_nonzero(grid.mask))}",
+        f"valid: {vals.size}",
+        f"masked: {grid.mask.size - vals.size}",
     ]
     if vals.size:
-        mean = math.fsum(vals.tolist()) / vals.size
         idx = np.unravel_index(int(np.argmax(np.where(grid.mask, grid.values,
                                                       -np.inf))), grid.values.shape)
         lines += [
             f"min: {float(np.min(vals)):.17g}",
-            f"max: {float(np.max(vals)):.17g}",
-            f"mean: {mean:.17g}",
+            f"max: {vmax:.17g}",
+            f"mean: {math.fsum(memoryview(vals)) / vals.size:.17g}",
             f"max_at: {grid.x[idx[1]]:.17g},{grid.y[idx[0]]:.17g}",
         ]
     return "\n".join(lines) + "\n"

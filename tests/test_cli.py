@@ -131,6 +131,17 @@ def test_render_pgm_with_sidecar(tmp_path):
     assert "scale_max" in (tmp_path / "field.pgm.txt").read_text()
 
 
+def test_pgm_sidecar_counts_negative_values_written_as_zero(tmp_path):
+    # 152 of breather phi's 1024 values at t = 0.4 are negative (min -15.59)
+    phi, u = tmp_path / "phi.pgm", tmp_path / "u.pgm"
+    assert run("render", "--case", "breather", "--which", "phi", "--t", "0.4",
+               "--res", "32", "--format", "pgm16", "--out", str(phi)) == 0
+    assert "clipped_below_zero: 152" in (tmp_path / "phi.pgm.txt").read_text().splitlines()
+    assert run("render", "--case", "dromion", "--t", "0", "--res", "32",
+               "--format", "pgm16", "--out", str(u)) == 0
+    assert "clipped_below_zero" not in (tmp_path / "u.pgm.txt").read_text()
+
+
 def test_render_degenerate_breather_exits_3(tmp_path, capsys):
     out = tmp_path / "field.csv"
     code = run("render", "--case", "breather", "--t", "1.5707963",

@@ -561,9 +561,36 @@ def _masked_rows():
     return grid_of(values, mask, ((-2.5, 1e-7), (0.0, 3e15)))
 
 
+def _in_range(n, seed):
+    # n values of either sign in the kernel's range, 1e-11 <= |v| < 1e15
+    rng = np.random.default_rng(seed)
+    return rng.choice([-1.0, 1.0], n) * 10.0 ** rng.uniform(-11.0, 14.99, n)
+
+
+def _one_full_batch():
+    # exactly one batch, every value in range: no row falls back
+    return grid_of(_in_range(ansatz._BATCH_POINTS, 20).reshape(128, -1))
+
+
+def _batch_seams():
+    # fallback values on both sides of the first seam; 1e15, whose first X is
+    # one too low and is redone as X = 15, on both sides of the second; two
+    # masked points before them, as seams count valid points
+    n = ansatz._BATCH_POINTS
+    valid = _in_range(2 * n + 254, 21)
+    valid[[n - 1, n, 2 * n - 1, 2 * n]] = [0.0, -1e300, 1e15, -1e15]
+    values = np.insert(valid, [5, n + 7], np.nan).reshape(-1, 128)
+    return grid_of(values, np.isfinite(values))
+
+
+def _falls_back(v):
+    return v == 0 or not 1e-11 <= abs(v) < 1e15
+
+
 @pytest.mark.parametrize("make", [_instanton_u, _instanton_phi, _non_square,
                                   _one_valid_point, _resonant_u,
-                                  _bilinear2_residual, _breather_phi, _masked_rows])
+                                  _bilinear2_residual, _breather_phi, _masked_rows,
+                                  _one_full_batch, _batch_seams])
 def test_csv_matches_per_point_writer(make):
     g = make()
     assert g.mask.any()
@@ -579,6 +606,23 @@ def test_csv_fixtures_reach_every_path():
     assert phi.valid_values().min() < 0
     m = _masked_rows().mask
     assert not m[2].any() and 0 < m[1].sum() < m.shape[1]
+    n = ansatz._BATCH_POINTS
+    full = _one_full_batch().valid_values()
+    assert full.size == n and not any(map(_falls_back, full.tolist()))
+    seams = _batch_seams().valid_values()
+    assert seams.size > 2 * n and ansatz.batches(seams.size, 1)[1] == slice(n, 2 * n)
+    assert [_falls_back(v) for v in seams[n - 2:n + 2].tolist()] == [False, True, True, False]
+    assert abs(seams[2 * n - 1]) == abs(seams[2 * n]) == 1e15
+    assert math.floor(math.log10(1e15) - 1e-12) == 14      # the kernel's first X
+
+
+@pytest.mark.parametrize("make", [_masked_rows, _breather_phi, _resonant_u])
+def test_report_mean_is_the_exact_sum_over_the_count(make):
+    g = make()
+    valid = g.valid_values()
+    mean = f"mean: {math.fsum(valid.tolist()) / valid.size:.17g}"
+    assert mean in to_report(g).splitlines()
+    assert mean in to_pgm16(g)[1].splitlines()
 
 
 def _kernel_bytes(v):
