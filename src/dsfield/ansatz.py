@@ -82,17 +82,12 @@ class SeparationCoefficients:
 class CoefficientFunctions:
     """Scalar functions of time entering the construction.
 
-    ``beta`` scales dispersion and nonlinearity (must stay nonzero),
-    ``gamma`` is the gain/dissipation rate, ``c0`` splits the amplitude
-    product between the two factors, ``c3``/``c4`` shift phase gradients
-    and backgrounds.
+    ``beta`` scales dispersion and nonlinearity (must stay nonzero) and
+    ``gamma`` is the gain/dissipation rate.
     """
 
     beta: TimeFunction = field(default_factory=lambda: const_fn(1.0))
     gamma: TimeFunction = field(default_factory=lambda: const_fn(0.0))
-    c0: TimeFunction = field(default_factory=lambda: const_fn(1.0))
-    c3: TimeFunction = field(default_factory=lambda: const_fn(0.0))
-    c4: TimeFunction = field(default_factory=lambda: const_fn(0.0))
 
 
 @dataclass(frozen=True)

@@ -2,21 +2,20 @@
 
 Given the profile pair the construction determines, in order:
 
-* amplitude factors  p1 = delta1 * sqrt(c0 * p_z)  and
-  q1 = 2 * delta2 * sqrt(det * q_e / c0)  (their squared product is
-  4 * det * p_z * q_e, independent of c0);
-* phase gradients, solved pointwise from the profile evolution relations:
-
-      r_z = (-p_t - det*c3) / (beta * p_z),
-      s_e = (-q_t - c3*A^2 + det*c4) / (beta * q_e),   A = a1 + a3*q;
-
+* amplitude factors  p1 = delta1 * sqrt(s * p_z)  and
+  q1 = 2 * delta2 * sqrt(s * det * q_e), whose squared product is
+  4 * det * p_z * q_e; the branch s(t), the sign of p_z at the zeta
+  anchor (+1 where that is 0 or not finite), makes both real wherever
+  det * p_z * q_e >= 0;
+* phase gradients r_z = -p_t / (beta * p_z) and s_e = -q_t / (beta * q_e),
+  solved pointwise from the profile evolution relations;
 * phases r, s by one cumulative Gauss-Legendre pass over the sorted line
   coordinates, from an anchor (r(anchor, t) = 0, absorbing the free
   additive time function into the background);
 * background levels
 
-      p0 = (c3 + r_t - (beta/2)*(p1_zz/p1 - r_z^2)) / beta,
-      q0 = (-c4 + s_t - (beta/2)*(q1_ee/q1 - s_e^2)) / beta.
+      p0 = (r_t - (beta/2)*(p1_zz/p1 - r_z^2)) / beta,
+      q0 = (s_t - (beta/2)*(q1_ee/q1 - s_e^2)) / beta.
 
 The consistency report evaluates the two bracket ratios c1(t), c2(t) that
 the separation needs to be time functions alone; spatial variation in
@@ -67,30 +66,25 @@ class Auxiliaries:
 
     # -- amplitude factors ---------------------------------------------------
 
+    def branch(self, t):
+        """s(t), the sign both amplitude radicands carry: that of p_z at the
+        zeta anchor, or +1 where p_z is 0 or not finite there."""
+        pz = self.spec.p.jet3(self.anchor_zeta, t, (1, 0))[1, 0]
+        return np.where(pz < 0.0, -1.0, 1.0)
+
     def p1_jet(self, pj: Jet, t) -> Jet:
-        c0 = self.spec.funcs.c0.jet(t, pj.order - 1)
-        rad = c0 * pj.shift((1, 0))
-        return float(self.spec.delta1) * jc.sqrt(rad)
+        return float(self.spec.delta1) * jc.sqrt(self.branch(t) * pj.shift((1, 0)))
 
     def q1_jet(self, qj: Jet, t) -> Jet:
-        c0 = self.spec.funcs.c0.jet(t, qj.order - 1)
-        det = self.spec.coeffs.det
-        rad = (det * qj.shift((1, 0))) / c0
+        rad = (self.branch(t) * self.spec.coeffs.det) * qj.shift((1, 0))
         return float(2 * self.spec.delta2) * jc.sqrt(rad)
 
     # -- phase gradients -----------------------------------------------------
 
     def r_zeta_jet(self, j: Jet, t) -> Jet:
-        spec, k = self.spec, j.order - 1
-        num = -j.shift((0, 1)) - spec.coeffs.det * spec.funcs.c3.jet(t, k)
-        return num / (spec.funcs.beta.jet(t, k) * j.shift((1, 0)))
+        return -j.shift((0, 1)) / (self.spec.funcs.beta.jet(t, j.order - 1) * j.shift((1, 0)))
 
-    def s_eta_jet(self, j: Jet, t) -> Jet:
-        spec, k = self.spec, j.order - 1
-        A = spec.coeffs.a1 + spec.coeffs.a3 * j.shift(order=k)
-        num = (-j.shift((0, 1)) - spec.funcs.c3.jet(t, k) * A * A
-               + spec.coeffs.det * spec.funcs.c4.jet(t, k))
-        return num / (spec.funcs.beta.jet(t, k) * j.shift((1, 0)))
+    s_eta_jet = r_zeta_jet
 
     # -- phases ---------------------------------------------------------------
 
@@ -107,19 +101,13 @@ class Auxiliaries:
     # -- backgrounds -----------------------------------------------------------
 
     def p0(self, r_t, p1: Jet, rz: Jet, t):
-        """p0 from r_t and the p1 and r_z jets at the same points."""
-        return _background(self.spec.funcs.c3(t), r_t, p1, rz, self.spec.funcs.beta(t))
+        """(r_t - (beta/2) (p1_zz/p1 - r_z^2)) / beta from r_t and the p1 and
+        r_z jets at the same points; q0 is the same formula in eta."""
+        beta = self.spec.funcs.beta(t)
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore", under="ignore"):
+            return (r_t - 0.5 * beta * (p1[2, 0] / p1.value - rz.value ** 2)) / beta
 
-    def q0(self, s_t, q1: Jet, se: Jet, t):
-        """q0 from s_t and the q1 and s_e jets, as :meth:`p0`."""
-        return _background(-self.spec.funcs.c4(t), s_t, q1, se, self.spec.funcs.beta(t))
-
-
-def _background(c, phase_t, amp, grad, beta):
-    """(c + phase_t - (beta/2) (amp''/amp - grad^2)) / beta: p0 from p1 and
-    r_z, or q0 from q1 and s_e."""
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore", under="ignore"):
-        return (c + phase_t - 0.5 * beta * (amp[2, 0] / amp.value - grad.value ** 2)) / beta
+    q0 = p0
 
 
 def _entry(fn):
@@ -253,7 +241,6 @@ def consistency_c1_c2(aux: Auxiliaries, zeta_probes, eta_probes,
     eta_probes = np.asarray(eta_probes, dtype=float)
     beta = spec.funcs.beta(t)
     gamma = spec.funcs.gamma(t)
-    c4 = spec.funcs.c4(t)
 
     def bracket(amp, grad):
         return (amp[0, 1] / amp.value
@@ -262,9 +249,9 @@ def consistency_c1_c2(aux: Auxiliaries, zeta_probes, eta_probes,
     # the brackets read the amplitude and gradient jets to first order
     pj, qj = spec.p.jet3(zeta_probes, t, 2), spec.q.jet3(eta_probes, t, 2)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore", under="ignore"):
-        c1_vals = ((bracket(aux.p1_jet(pj, t), aux.r_zeta_jet(pj, t))
-                    - gamma - c4) / (a3 * (spec.coeffs.a2 + a3 * pj.value)))
-        c2_vals = (-(bracket(aux.q1_jet(qj, t), aux.s_eta_jet(qj, t)) + c4)
+        c1_vals = ((bracket(aux.p1_jet(pj, t), aux.r_zeta_jet(pj, t)) - gamma)
+                   / (a3 * (spec.coeffs.a2 + a3 * pj.value)))
+        c2_vals = (-bracket(aux.q1_jet(qj, t), aux.s_eta_jet(qj, t))
                    / (a3 * (spec.coeffs.a1 + a3 * qj.value)))
 
     def spread(v):

@@ -6,11 +6,13 @@ Schema (all sections required except [funcs] and [signs], which default):
     [p] / [q]               family = expsum | breather_p | breather_q |
                             tancos | instanton_p | instanton_q
                             expsum takes comma lists A, K, L, theta
-    [funcs]                 beta, gamma, c0, c3, c4: a float constant or
-                            "poly: c0, c1, c2" for c0 + c1*t + c2*t^2
+    [funcs]                 beta (default 1), gamma (default 0): a float
+                            constant or "poly: b0, b1, b2" for
+                            b0 + b1*t + b2*t^2
     [signs]                 delta1, delta2 in {+1, -1}
 
-Custom (callable) profiles cannot round-trip through a file.
+Any other section or key is an error.  Custom (callable) profiles cannot
+round-trip through a file.
 """
 
 from __future__ import annotations
@@ -37,6 +39,10 @@ __all__ = ["load_spec", "loads_spec", "dumps_spec", "SpecFileError"]
 class SpecFileError(ValueError):
     pass
 
+
+_KEYS = {"coeffs": ("a0", "a1", "a2", "a3"), "funcs": ("beta", "gamma"),
+         "signs": ("delta1", "delta2"), "p": ("family", "a", "k", "l", "theta")}
+_KEYS["q"] = _KEYS["p"]
 
 _FIXED_FAMILIES = {
     "breather_p": BreatherPProfile,
@@ -86,9 +92,17 @@ def loads_spec(text: str) -> SolutionSpec:
     for section in ("coeffs", "p", "q"):
         if section not in cp:
             raise SpecFileError(f"missing [{section}] section")
+    for section in cp.sections():
+        if section not in _KEYS:
+            raise SpecFileError(f"unknown section [{section}]")
+        for key in cp[section]:
+            if section == "funcs" and key in ("c0", "c3", "c4"):
+                raise SpecFileError(f"[funcs] {key} was removed: the amplitude branch "
+                                    "comes from the profiles; beta and gamma remain")
+            if key not in _KEYS[section]:
+                raise SpecFileError(f"unknown key {key!r} in [{section}]")
     try:
-        coeffs = SeparationCoefficients(*(float(cp["coeffs"][k])
-                                          for k in ("a0", "a1", "a2", "a3")))
+        coeffs = SeparationCoefficients(*(float(cp["coeffs"][k]) for k in _KEYS["coeffs"]))
     except (KeyError, ValueError) as exc:
         raise SpecFileError(f"bad [coeffs] section: {exc}") from exc
 
@@ -96,16 +110,10 @@ def loads_spec(text: str) -> SolutionSpec:
     q = _profile(cp["q"])
 
     fk = cp["funcs"] if "funcs" in cp else {}
-    funcs = CoefficientFunctions(
-        beta=_timefn(fk.get("beta", "1")),
-        gamma=_timefn(fk.get("gamma", "0")),
-        c0=_timefn(fk.get("c0", "1")),
-        c3=_timefn(fk.get("c3", "0")),
-        c4=_timefn(fk.get("c4", "0")),
-    )
+    funcs = CoefficientFunctions(**{k: _timefn(v) for k, v in fk.items()})
     sk = cp["signs"] if "signs" in cp else {}
     try:
-        signs = [float(sk.get(k, "1")) for k in ("delta1", "delta2")]
+        signs = [float(sk.get(k, "1")) for k in _KEYS["signs"]]
         if not all(d in (1.0, -1.0) for d in signs):
             raise ValueError(f"delta1 and delta2 must be +1 or -1, got {signs}")
         return SolutionSpec(coeffs, p, q, funcs, *map(int, signs))
@@ -126,8 +134,7 @@ def _timefn_str(fn: TimeFunction) -> str:
 
 def dumps_spec(spec: SolutionSpec) -> str:
     cp = configparser.ConfigParser()
-    cp["coeffs"] = {k: f"{getattr(spec.coeffs, k):.17g}"
-                    for k in ("a0", "a1", "a2", "a3")}
+    cp["coeffs"] = {k: f"{getattr(spec.coeffs, k):.17g}" for k in _KEYS["coeffs"]}
     for name, prof in (("p", spec.p), ("q", spec.q)):
         if isinstance(prof, ExpSumProfile):
             cp[name] = {
@@ -141,8 +148,7 @@ def dumps_spec(spec: SolutionSpec) -> str:
             cp[name] = {"family": prof.family}
         else:
             raise SpecFileError(f"profile family {prof.family!r} has no file form")
-    cp["funcs"] = {k: _timefn_str(getattr(spec.funcs, k))
-                   for k in ("beta", "gamma", "c0", "c3", "c4")}
+    cp["funcs"] = {k: _timefn_str(getattr(spec.funcs, k)) for k in _KEYS["funcs"]}
     cp["signs"] = {"delta1": str(spec.delta1), "delta2": str(spec.delta2)}
     buf = io.StringIO()
     cp.write(buf)

@@ -1,9 +1,25 @@
+import os
+
 import numpy as np
 import pytest
 
 from dsfield.ansatz import SeparationCoefficients, SolutionSpec, window_grid
 from dsfield.auxiliary import Auxiliaries, Ingredients
 from dsfield.profiles import ExpSumProfile
+
+CONFIGS = os.path.join(os.path.dirname(__file__), os.pardir, "configs")
+
+# the edit that makes the p of configs/dromion.cfg (its first "K = 1") a
+# decaying exponential: then p_z < 0 < q_e with det > 0, so the sign
+# condition det p_z q_e >= 0 fails everywhere and no branch makes p1 q1 real
+DECAYING_P = ("K = 1", "K = -1", 1)
+
+
+def decaying_p_text() -> str:
+    """configs/dromion.cfg with :data:`DECAYING_P` applied."""
+    with open(os.path.join(CONFIGS, "dromion.cfg"), encoding="utf-8") as fh:
+        return fh.read().replace(*DECAYING_P)
+
 
 # one line per acceptance criterion, echoed after the run regardless of
 # capture settings

@@ -14,7 +14,8 @@ from dsfield.field import parse_csv
 from dsfield.specfile import dumps_spec, load_spec, loads_spec, SpecFileError
 from dsfield.catalog import build_case, case_names
 
-CONFIGS = os.path.join(os.path.dirname(__file__), os.pardir, "configs")
+from conftest import CONFIGS, DECAYING_P, decaying_p_text
+
 SRC = os.path.join(os.path.dirname(__file__), os.pardir, "src")
 
 
@@ -75,7 +76,9 @@ def test_configs_round_trip_catalog():
         entry = build_case(name)
         assert spec.coeffs == entry.spec.coeffs
         assert spec.p.family == entry.spec.p.family
-        assert loads_spec(dumps_spec(spec)).coeffs == spec.coeffs
+    for name in sorted(os.listdir(CONFIGS)):
+        spec = load_spec(os.path.join(CONFIGS, name))
+        assert loads_spec(dumps_spec(spec)) == spec, name
 
 
 def test_spec_file_errors():
@@ -96,6 +99,30 @@ def test_spec_file_errors():
             loads_spec(base + f"[signs]\ndelta1 = {bad}\n")
     spec = loads_spec(base + "[signs]\ndelta1 = -1.0\ndelta2 = +1\n")
     assert (spec.delta1, spec.delta2) == (-1, 1)
+
+
+@pytest.mark.parametrize("anchor,line,named", [
+    ("[funcs]\n", "betta = 2\n", "unknown key 'betta' in [funcs]"),
+    ("[coeffs]\n", "a4 = 1\n", "unknown key 'a4' in [coeffs]"),
+    ("[signs]\n", "delta3 = 1\n", "unknown key 'delta3' in [signs]"),
+    ("[p]\n", "width = 1\n", "unknown key 'width' in [p]"),
+    ("delta2 = 1\n", "[extra]\nx = 1\n", "unknown section [extra]"),
+    ("[funcs]\n", "c0 = 1\n", "[funcs] c0 was removed"),
+    ("[funcs]\n", "c3 = 0\n", "[funcs] c3 was removed"),
+    ("[funcs]\n", "c4 = 0\n", "[funcs] c4 was removed"),
+], ids=["betta", "a4", "delta3", "p-width", "extra-section", "c0", "c3", "c4"])
+def test_spec_file_rejects_keys_outside_its_schema(tmp_path, capsys, anchor, line, named):
+    # a misspelt or removed key used to load silently with its default
+    text = open(os.path.join(CONFIGS, "dromion.cfg")).read().replace(anchor, anchor + line)
+    with pytest.raises(SpecFileError) as err:
+        loads_spec(text)
+    assert named in str(err.value)
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(text)
+    out = tmp_path / "r.txt"
+    assert run("verify", "--spec", str(cfg), "--t", "0", "--out", str(out)) == 2
+    assert named in capsys.readouterr().err
+    assert not out.exists()
 
 
 # -- subcommands ----------------------------------------------------------------
@@ -228,13 +255,18 @@ def test_verify_dromion_bilinear2(tmp_path):
     assert "overall: pass" in text
 
 
-@pytest.mark.parametrize("case,t,all_fell_back", [("periodic", "2pi/3", True),
-                                                    ("dromion", "0", False)])
-def test_verify_prints_the_amplitude_branch_count(tmp_path, case, t, all_fell_back):
-    # periodic at 2pi/3 has no finite amplitude factors on the window, so
-    # every sample falls back to the closed form and reads 0
+@pytest.mark.parametrize("source,t,all_fell_back", [("decaying_p", "0.3", True),
+                                                      ("dromion", "0", False)])
+def test_verify_prints_the_amplitude_branch_count(tmp_path, source, t, all_fell_back):
+    # a decaying p has no finite amplitude factors on the window, so every
+    # sample falls back to the closed form and reads 0
+    where = ("--case", source)
+    if source == "decaying_p":
+        cfg = tmp_path / "decaying_p.cfg"
+        cfg.write_text(decaying_p_text())
+        where = ("--spec", str(cfg))
     out = tmp_path / "report.txt"
-    assert run("verify", "--case", case, "--t", t, "--res", "32",
+    assert run("verify", *where, "--t", t, "--res", "32",
                "--checks", "bilinear2", "--out", str(out)) == 0
     rep = dict(ln.split(": ", 1) for ln in out.read_text().splitlines())
     samples = int(rep["check.bilinear2.samples"])
@@ -255,6 +287,50 @@ def test_verify_full_suite_dromion(tmp_path):
     for check in ("bilinear2", "bilinear1", "pde1", "pde2", "consistency",
                   "admissibility"):
         assert f"check.{check}.status: pass" in text
+
+
+def _verify_report(tmp_path, *argv):
+    out = tmp_path / "r.txt"
+    code = run("verify", *argv, "--checks", ALL, "--out", str(out))
+    return code, dict(ln.split(": ", 1) for ln in out.read_text().splitlines())
+
+
+@pytest.mark.parametrize("t", ["0", "0.3", "2"])
+def test_verify_time_varying_beta_config(tmp_path, t):
+    # beta(t) = 1 + t/2 enters the phase gradients and the backgrounds
+    code, rep = _verify_report(tmp_path, "--spec", os.path.join(CONFIGS, "dromion_beta.cfg"),
+                               "--t", t, "--res", "64")
+    assert code == 0
+    for check in ALL.split(","):
+        assert rep[f"check.{check}.status"] == "pass", check
+    for check in ("bilinear1", "pde1"):
+        assert float(rep[f"check.{check}.max_abs"]) < 1e-14, check
+
+
+@pytest.mark.parametrize("res", ["64", "128"])
+@pytest.mark.parametrize("t", ["2pi/3", "3pi/4", "pi"])
+def test_verify_periodic_where_cos_t_is_negative(tmp_path, t, res):
+    # p_z and q_e are negative together there; the branch s(t) = -1 makes
+    # both amplitude factors real, so nothing falls back and every check runs
+    code, rep = _verify_report(tmp_path, "--case", "periodic", "--t", t, "--res", res)
+    assert code == 0
+    assert rep["check.bilinear2.amplitude_branch"] == "0"
+    for check in ALL.split(","):
+        assert rep[f"check.{check}.status"] == "pass", check
+    if res == "128":
+        for check in ("bilinear1", "pde1"):
+            assert float(rep[f"check.{check}.max_abs"]) <= 1e-12, check
+
+
+def test_verify_periodic_config_takes_no_division_guard(tmp_path):
+    # beyond the tan poles |det q_e| exceeds 1e12 at 31 samples; the
+    # amplitude factors no longer divide, so none of them falls back
+    code, rep = _verify_report(tmp_path, "--spec", os.path.join(CONFIGS, "periodic.cfg"),
+                               "--window=-3:3:-3:3", "--res", "48", "--t", "0.3")
+    assert code == 0
+    assert rep["check.bilinear2.amplitude_branch"] == "0"
+    assert [rep[f"check.{c}.max_abs"] for c in ("bilinear2", "bilinear1", "pde1")] == [
+        "6.311437e-16", "1.140333e-13", "1.319656e-13"]
 
 
 def test_verify_gain_fails_consistency(tmp_path, capsys):
@@ -289,8 +365,8 @@ def test_verify_consistency_gate_fails_closed_on_an_undefined_variation(tmp_path
 
 
 @pytest.mark.parametrize("name,edit,t", [("dromion.cfg", ("a3 = 2", "a3 = 0.5"), "0.3"),
-                                         ("periodic.cfg", ("", ""), "2")],
-                         ids=["dromion-a3-0.5", "periodic-t-2"])
+                                         ("dromion.cfg", DECAYING_P, "0.3")],
+                         ids=["dromion-a3-0.5", "dromion-decaying-p"])
 def test_verify_notes_name_an_undefined_consistency_variation(tmp_path, name, edit, t):
     # a NaN variation compares with no gate: the envelope checks say it is
     # undefined, not "nan > gate", and the consistency check names it
@@ -540,8 +616,9 @@ def test_analyze_decay_labels_each_time_by_its_round_trip_repr(tmp_path):
 def test_each_reader_asks_its_profiles_for_the_entries_it_reads(tmp_path, monkeypatch):
     # U reads the box (1, 0) of each profile jet and U_t the box (1, 1), the
     # peak ascent (3, 0), a pole sweep the value, the verify bundle order 3,
-    # and the pde2 stencils, phase nodes and consistency probes order 2; each
-    # call is booked to its first caller outside the profiles
+    # the pde2 stencils, phase nodes and consistency probes order 2, and the
+    # amplitude branch s(t) the box (1, 0) at the anchor; each call is
+    # booked to its first caller outside the profiles
     e = build_case("breather")
     asked = {}
     for cls in (type(e.spec.p), type(e.spec.q)):
@@ -571,7 +648,8 @@ def test_each_reader_asks_its_profiles_for_the_entries_it_reads(tmp_path, monkey
     asked.clear()
     assert run("verify", "--t", "0.3", "--checks", ALL, *common) == 0
     assert asked == {"Ingredients.<lambda>": {3}, "pole_sweep": {0}, "_pde2_field": {2},
-                     "_integrate_from_anchor": {2}, "consistency_c1_c2": {2}}
+                     "_integrate_from_anchor": {2}, "consistency_c1_c2": {2},
+                     "Auxiliaries.branch": {(1, 0)}}
     assert not {grid, rate, "_log_intensity_jets", "eval_intensity_dt"} & set(asked)
 
 

@@ -18,6 +18,7 @@ from dsfield.ansatz import (
 from dsfield.calculus import Jet, Stencil, layout
 from dsfield.catalog import build_case, case_names
 from dsfield.profiles import const_fn
+from dsfield.specfile import loads_spec
 from dsfield.verify import (
     _pde2_field,
     bilinear_residuals,
@@ -30,7 +31,7 @@ from dsfield.verify import (
     singularity_scan,
 )
 
-from conftest import bundle, random_spec
+from conftest import bundle, decaying_p_text, random_spec
 
 
 def exp_jet(k, omega=0.0):
@@ -172,13 +173,13 @@ def test_negative_control_corrupted_amplitude():
         assert line2.max_abs > 1e-10, name
 
 
-def test_periodic_amplitude_branch_fallback():
-    # cos t < 0 flips the profile slopes; the real amplitude factors do not
-    # exist for c0 > 0 and the check falls back to the exact product form
-    e = build_case("periodic")
-    line2 = bilinear_residuals(bundle(e.spec, e.window, 2 * math.pi / 3, 32, e.valid_mask))
-    assert line2.flags["amplitude_branch"] > 0
-    assert line2.max_abs < 1e-12
+def test_amplitude_branch_fallback_where_the_sign_condition_fails():
+    # with a decaying p the real amplitude factors exist on neither branch,
+    # and the check falls back to the exact product form
+    spec = loads_spec(decaying_p_text())
+    line2 = bilinear_residuals(bundle(spec, ((-4.0, 4.0), (-4.0, 4.0)), 0.3, 32))
+    assert line2.flags["amplitude_branch"] == line2.samples > 0
+    assert line2.max_abs == 0.0
 
 
 def test_report_invariants():
