@@ -4,9 +4,9 @@ Given the profile pair the construction determines, in order:
 
 * amplitude factors  p1 = delta1 * sqrt(s * p_z)  and
   q1 = 2 * delta2 * sqrt(s * det * q_e), whose squared product is
-  4 * det * p_z * q_e; the branch s(t), the sign of p_z at the zeta
-  anchor (+1 where that is 0 or not finite), makes both real wherever
-  det * p_z * q_e >= 0;
+  4 * det * p_z * q_e; the branch s(t) is -1 where p_z and det * q_e are
+  both negative at the phase anchors, else +1, so the + branch is kept
+  wherever it is real at either anchor;
 * phase gradients r_z = -p_t / (beta * p_z) and s_e = -q_t / (beta * q_e),
   solved pointwise from the profile evolution relations;
 * phases r, s by one cumulative Gauss-Legendre pass over the sorted line
@@ -67,10 +67,11 @@ class Auxiliaries:
     # -- amplitude factors ---------------------------------------------------
 
     def branch(self, t):
-        """s(t), the sign both amplitude radicands carry: that of p_z at the
-        zeta anchor, or +1 where p_z is 0 or not finite there."""
+        """s(t), the sign both amplitude radicands carry: -1 where p_z and
+        det * q_e are both negative at their anchors, else +1."""
         pz = self.spec.p.jet3(self.anchor_zeta, t, (1, 0))[1, 0]
-        return np.where(pz < 0.0, -1.0, 1.0)
+        qe = self.spec.coeffs.det * self.spec.q.jet3(self.anchor_eta, t, (1, 0))[1, 0]
+        return np.where((pz < 0.0) & (qe < 0.0), -1.0, 1.0)
 
     def p1_jet(self, pj: Jet, t) -> Jet:
         return float(self.spec.delta1) * jc.sqrt(self.branch(t) * pj.shift((1, 0)))

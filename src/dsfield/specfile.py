@@ -5,7 +5,8 @@ Schema (all sections required except [funcs] and [signs], which default):
     [coeffs]                a0..a3 as floats
     [p] / [q]               family = expsum | breather_p | breather_q |
                             tancos | instanton_p | instanton_q
-                            expsum takes comma lists A, K, L, theta
+                            only expsum takes keys, the comma lists
+                            A, K, L, theta
     [funcs]                 beta (default 1), gamma (default 0): a float
                             constant or "poly: b0, b1, b2" for
                             b0 + b1*t + b2*t^2
@@ -40,9 +41,10 @@ class SpecFileError(ValueError):
     pass
 
 
+_EXPSUM = ("A", "K", "L", "theta")
 _KEYS = {"coeffs": ("a0", "a1", "a2", "a3"), "funcs": ("beta", "gamma"),
-         "signs": ("delta1", "delta2"), "p": ("family", "a", "k", "l", "theta")}
-_KEYS["q"] = _KEYS["p"]
+         "signs": ("delta1", "delta2")}
+_KEYS["p"] = _KEYS["q"] = ("family",) + tuple(k.lower() for k in _EXPSUM)
 
 _FIXED_FAMILIES = {
     "breather_p": BreatherPProfile,
@@ -63,12 +65,14 @@ def _floats(raw: str) -> tuple:
 def _profile(sec) -> object:
     family = sec.get("family", "").strip().lower()
     if family == "expsum":
-        missing = [k for k in ("a", "k", "l", "theta") if k not in sec]
+        missing = [k.lower() for k in _EXPSUM if k not in sec]
         if missing:
             raise SpecFileError(f"expsum profile is missing {missing}")
-        return ExpSumProfile(A=_floats(sec["a"]), K=_floats(sec["k"]),
-                             L=_floats(sec["l"]), theta=_floats(sec["theta"]))
+        return ExpSumProfile(**{k: _floats(sec[k]) for k in _EXPSUM})
     if family in _FIXED_FAMILIES:
+        extra = [k for k in sec if k != "family"]
+        if extra:
+            raise SpecFileError(f"[{sec.name}] family {family} takes no key {extra[0]!r}")
         return _FIXED_FAMILIES[family]()
     raise SpecFileError(f"unknown profile family {family!r}")
 
@@ -137,13 +141,8 @@ def dumps_spec(spec: SolutionSpec) -> str:
     cp["coeffs"] = {k: f"{getattr(spec.coeffs, k):.17g}" for k in _KEYS["coeffs"]}
     for name, prof in (("p", spec.p), ("q", spec.q)):
         if isinstance(prof, ExpSumProfile):
-            cp[name] = {
-                "family": "expsum",
-                "A": ", ".join(f"{v:.17g}" for v in prof.A),
-                "K": ", ".join(f"{v:.17g}" for v in prof.K),
-                "L": ", ".join(f"{v:.17g}" for v in prof.L),
-                "theta": ", ".join(f"{v:.17g}" for v in prof.theta),
-            }
+            cp[name] = {"family": "expsum", **{
+                k: ", ".join(f"{v:.17g}" for v in getattr(prof, k)) for k in _EXPSUM}}
         elif prof.family in _FIXED_FAMILIES:
             cp[name] = {"family": prof.family}
         else:

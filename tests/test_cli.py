@@ -101,26 +101,28 @@ def test_spec_file_errors():
     assert (spec.delta1, spec.delta2) == (-1, 1)
 
 
-@pytest.mark.parametrize("anchor,line,named", [
-    ("[funcs]\n", "betta = 2\n", "unknown key 'betta' in [funcs]"),
-    ("[coeffs]\n", "a4 = 1\n", "unknown key 'a4' in [coeffs]"),
-    ("[signs]\n", "delta3 = 1\n", "unknown key 'delta3' in [signs]"),
-    ("[p]\n", "width = 1\n", "unknown key 'width' in [p]"),
-    ("delta2 = 1\n", "[extra]\nx = 1\n", "unknown section [extra]"),
-    ("[funcs]\n", "c0 = 1\n", "[funcs] c0 was removed"),
-    ("[funcs]\n", "c3 = 0\n", "[funcs] c3 was removed"),
-    ("[funcs]\n", "c4 = 0\n", "[funcs] c4 was removed"),
-], ids=["betta", "a4", "delta3", "p-width", "extra-section", "c0", "c3", "c4"])
-def test_spec_file_rejects_keys_outside_its_schema(tmp_path, capsys, anchor, line, named):
-    # a misspelt or removed key used to load silently with its default
-    text = open(os.path.join(CONFIGS, "dromion.cfg")).read().replace(anchor, anchor + line)
+@pytest.mark.parametrize("cfg,anchor,line,named", [
+    ("dromion.cfg", "[funcs]\n", "betta = 2\n", "unknown key 'betta' in [funcs]"),
+    ("dromion.cfg", "[coeffs]\n", "a4 = 1\n", "unknown key 'a4' in [coeffs]"),
+    ("dromion.cfg", "[signs]\n", "delta3 = 1\n", "unknown key 'delta3' in [signs]"),
+    ("dromion.cfg", "[p]\n", "width = 1\n", "unknown key 'width' in [p]"),
+    ("dromion.cfg", "delta2 = 1\n", "[extra]\nx = 1\n", "unknown section [extra]"),
+    ("dromion.cfg", "[funcs]\n", "c0 = 1\n", "[funcs] c0 was removed"),
+    ("dromion.cfg", "[funcs]\n", "c3 = 0\n", "[funcs] c3 was removed"),
+    ("dromion.cfg", "[funcs]\n", "c4 = 0\n", "[funcs] c4 was removed"),
+    ("periodic.cfg", "family = tancos\n", "K = 2\n", "[p] family tancos takes no key 'k'"),
+], ids=["betta", "a4", "delta3", "p-width", "extra-section", "c0", "c3", "c4", "tancos-K"])
+def test_spec_file_rejects_keys_outside_its_schema(tmp_path, capsys, cfg, anchor, line, named):
+    # a misspelt or removed key, or an expsum key on a fixed family, used to
+    # load silently and be ignored
+    text = open(os.path.join(CONFIGS, cfg)).read().replace(anchor, anchor + line, 1)
     with pytest.raises(SpecFileError) as err:
         loads_spec(text)
     assert named in str(err.value)
-    cfg = tmp_path / "bad.cfg"
-    cfg.write_text(text)
+    bad = tmp_path / "bad.cfg"
+    bad.write_text(text)
     out = tmp_path / "r.txt"
-    assert run("verify", "--spec", str(cfg), "--t", "0", "--out", str(out)) == 2
+    assert run("verify", "--spec", str(bad), "--t", "0", "--out", str(out)) == 2
     assert named in capsys.readouterr().err
     assert not out.exists()
 
@@ -331,6 +333,27 @@ def test_verify_periodic_config_takes_no_division_guard(tmp_path):
     assert rep["check.bilinear2.amplitude_branch"] == "0"
     assert [rep[f"check.{c}.max_abs"] for c in ("bilinear2", "bilinear1", "pde1")] == [
         "6.311437e-16", "1.140333e-13", "1.319656e-13"]
+
+
+def test_verify_keeps_the_plus_branch_where_p_z_turns_negative_off_the_window(tmp_path):
+    # p = e^zeta + e^(1 - zeta) has p_z < 0 at the anchor zeta = 0 but
+    # p_z > 0 on this window (zeta >= sqrt 2), with det q_e > 0 everywhere:
+    # the + branch is real on the whole window, so the branch keeps it
+    text = open(os.path.join(CONFIGS, "dromion.cfg")).read().replace(
+        "A = 1\nK = 1\nL = 1\ntheta = 1", "A = 1, 1\nK = 1, -1\nL = 0, 0\ntheta = 0, 1", 1)
+    cfg = tmp_path / "sign_changing_p.cfg"
+    cfg.write_text(text)
+    argv = ("--spec", str(cfg), "--window=3:6:-2:1", "--t", "0.3")
+    code, rep = _verify_report(tmp_path, *argv, "--res", "64")
+    assert code == 0
+    assert rep["check.bilinear2.amplitude_branch"] == "0"
+    for check in ALL.split(","):
+        assert rep[f"check.{check}.status"] == "pass", check
+    for check in ("bilinear1", "pde1"):
+        assert float(rep[f"check.{check}.max_abs"]) < 1e-14, check
+    out = tmp_path / "phi.csv"
+    assert run("render", *argv, "--res", "32", "--which", "phi", "--out", str(out)) == 0
+    assert out.exists()
 
 
 def test_verify_gain_fails_consistency(tmp_path, capsys):
