@@ -213,7 +213,7 @@ class ConsistencyReport:
 
     ``applicable`` is False when a3 = 0 (the ratios divide by a3).  The
     separation is certified when both variations are at the rounding level;
-    ``max_variation`` is NaN when either is, so the gate fails closed.
+    ``max_variation`` is NaN when either is, so the check fails closed.
     """
 
     applicable: bool

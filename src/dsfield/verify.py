@@ -23,10 +23,10 @@ each evaluated once there, whichever checks read them; ``pde2`` reads
 only the bundle's spec, grid and time.  The Hirota operator expands jets
 in (x, t) of any order.
 
-Both envelope-equation checks are gated on the bundle's consistency
-report, which is also the report of the consistency check: when the
-separation is not certified they are marked not applicable instead of
-emitting a large residual that means nothing.
+No check gates another: the envelope-equation checks run on every spec
+with a3 != 0, whatever the consistency report says, so a non-solution
+fails them.  At a3 = 0 they are marked not applicable, because their
+residuals near the zeros of f have no rounding floor to be judged by.
 """
 
 from __future__ import annotations
@@ -61,12 +61,7 @@ __all__ = [
     "pde_residuals",
     "pde_phi_convergence",
     "singularity_scan",
-    "CONSISTENCY_GATE",
 ]
-
-# default threshold on the separation consistency variation; the envelope
-# checks run only at or below it
-CONSISTENCY_GATE = 1e-8
 
 # default stencil of the forcing-field check: second order, step 1e-2
 PDE2_STENCIL = Stencil(2, 2, 1e-2)
@@ -74,6 +69,9 @@ PDE2_STENCIL = Stencil(2, 2, 1e-2)
 
 @dataclass(frozen=True)
 class ResidualReport:
+    """A residual field reduced to its maximum, mean and worst point;
+    ``notes`` say why it is not applicable or cannot pass."""
+
     check_name: str
     max_abs: float
     mean_abs: float
@@ -93,7 +91,7 @@ def _report(name, resid_abs, X, Y, t, valid, flags=None, notes="") -> ResidualRe
     if n == 0:
         return ResidualReport(name, math.nan, math.nan,
                               CoordinatePoint(math.nan, math.nan, t),
-                              0, flags, notes=notes or "no valid samples")
+                              0, flags, notes="no valid samples")
     flat = vals[finite]
     mx = float(np.max(flat))
     mean = float(math.fsum(flat.tolist()) / n)
@@ -183,28 +181,23 @@ def _envelope_fields(ing: Ingredients, tau):
     return np.abs(t1 + t2 + t3 + t4 + t5 + t6), np.abs(pde1)
 
 
-def envelope_residuals(ing: Ingredients, tol: float = CONSISTENCY_GATE):
+def envelope_residuals(ing: Ingredients):
     """The envelope equation twice over from one evaluation on the bundle's
     grid.
 
     Returns (bilinear1, pde1): line 1 of the bilinear form with its terms
     at envelope scale (the raw form scales like |f|^3, which would make
     absolute numbers meaningless) and the u-form with the forcing field
-    phi.  When the bundle's consistency report does not certify the
-    separation to ``tol`` both come back not applicable, instead of a large
-    residual that means nothing.
+    phi.  Both come back not applicable where a3 = 0: there the residuals
+    beside the zeros of f are rounding, and no floor tells it from a defect.
     """
-    grid, t, crep = ing.grid, ing.t, ing.consistency
-    why = ("not applicable: consistency undefined for a3 = 0" if not crep.applicable
-           else "" if crep.max_variation <= tol
-           else "not applicable: undefined consistency (variation nan)"
-           if math.isnan(crep.max_variation)
-           else (f"not applicable: inconsistent separation "
-                 f"(variation {crep.max_variation:.3e} > gate {tol:.1e})"))
-    if why:
+    grid, t = ing.grid, ing.t
+    if ing.spec.coeffs.a3 == 0.0:
         return tuple(ResidualReport(name, math.nan, math.nan,
                                     CoordinatePoint(math.nan, math.nan, t), 0,
-                                    applicable=False, notes=why)
+                                    applicable=False,
+                                    notes="not applicable: a3 = 0 (no rounding floor "
+                                          "for the residual near the zeros of f)")
                      for name in ("bilinear1", "pde1"))
     tau = eval_f(ing.spec, grid.zeta, grid.eta, t, ing.pj, ing.qj)
     with np.errstate(invalid="ignore", over="ignore", under="ignore", divide="ignore"):
@@ -240,11 +233,15 @@ def bilinear_residuals(ing: Ingredients) -> ResidualReport:
     bundle's grid, relative to |g g*| (line 2 of the bilinear form;
     :func:`envelope_residuals` reports line 1): the amplitude factors
     against the closed form 4 det p_z q_e, its flag ``amplitude_branch``
-    counting the samples where they are non-finite and checked nothing."""
+    counting the samples where they are non-finite and checked nothing.  A
+    report where every sample fell back says so in its notes."""
     grid = ing.grid
     rel, amp_bad = _bilinear2_field(ing)
-    return _report("bilinear2", rel, grid.X, grid.Y, ing.t, grid.keep & np.isfinite(rel),
-                   flags={"amplitude_branch": int(np.count_nonzero(amp_bad & grid.keep))})
+    valid = grid.keep & np.isfinite(rel)
+    return _report("bilinear2", rel, grid.X, grid.Y, ing.t, valid,
+                   flags={"amplitude_branch": int(np.count_nonzero(amp_bad & grid.keep))},
+                   notes="" if np.any(valid & ~amp_bad)
+                   else "every sample fell back to the closed form: nothing checked")
 
 
 # ---------------------------------------------------------------------------

@@ -261,7 +261,8 @@ def test_verify_dromion_bilinear2(tmp_path):
                                                       ("dromion", "0", False)])
 def test_verify_prints_the_amplitude_branch_count(tmp_path, source, t, all_fell_back):
     # a decaying p has no finite amplitude factors on the window, so every
-    # sample falls back to the closed form and reads 0
+    # sample falls back to the closed form and reads 0: the check tested
+    # nothing, and fails closed
     where = ("--case", source)
     if source == "decaying_p":
         cfg = tmp_path / "decaying_p.cfg"
@@ -269,7 +270,7 @@ def test_verify_prints_the_amplitude_branch_count(tmp_path, source, t, all_fell_
         where = ("--spec", str(cfg))
     out = tmp_path / "report.txt"
     assert run("verify", *where, "--t", t, "--res", "32",
-               "--checks", "bilinear2", "--out", str(out)) == 0
+               "--checks", "bilinear2", "--out", str(out)) == (1 if all_fell_back else 0)
     rep = dict(ln.split(": ", 1) for ln in out.read_text().splitlines())
     samples = int(rep["check.bilinear2.samples"])
     assert samples > 0
@@ -277,6 +278,12 @@ def test_verify_prints_the_amplitude_branch_count(tmp_path, source, t, all_fell_
     assert count == (samples if all_fell_back else 0)
     if all_fell_back:
         assert float(rep["check.bilinear2.max_abs"]) == 0.0
+        assert rep["check.bilinear2.status"] == "fail"
+        assert (rep["check.bilinear2.notes"]
+                == "every sample fell back to the closed form: nothing checked")
+    else:
+        assert rep["check.bilinear2.status"] == "pass"
+        assert "check.bilinear2.notes" not in rep
 
 
 def test_verify_full_suite_dromion(tmp_path):
@@ -369,30 +376,28 @@ def test_verify_gain_fails_consistency(tmp_path, capsys):
 
 def test_verify_consistency_gate_fails_closed_on_an_undefined_variation(tmp_path, capsys):
     # a3 = 0.5 gives det < 0, so q1 and with it c2 are NaN on every probe
-    # while c1 stays finite: the gate must fail, and the envelope checks are
-    # skipped with the undefined variation in their notes, not run
+    # while c1 stays finite: the consistency check must fail, and every
+    # check that reads q1 fails with it
     cfg = tmp_path / "a3.cfg"
     base = open(os.path.join(CONFIGS, "dromion.cfg")).read()
     cfg.write_text(base.replace("a3 = 2", "a3 = 0.5"))
     out = tmp_path / "r.txt"
     assert run("verify", "--spec", str(cfg), "--t", "0.3", "--checks", ALL,
                "--out", str(out)) == 1
-    assert "checks failed: consistency, admissibility" in capsys.readouterr().err
+    assert ("checks failed: bilinear2, bilinear1, pde1, consistency, admissibility"
+            in capsys.readouterr().err)
     rep = dict(ln.split(": ", 1) for ln in out.read_text().splitlines())
     assert rep["check.consistency.c1_variation"] != "nan"
     assert rep["check.consistency.c2_variation"] == "nan"
     assert rep["check.consistency.status"] == "fail"
-    for check in ("bilinear1", "pde1"):
-        assert rep[f"check.{check}.status"] == "skipped", check
-        assert "variation nan" in rep[f"check.{check}.notes"], check
 
 
 @pytest.mark.parametrize("name,edit,t", [("dromion.cfg", ("a3 = 2", "a3 = 0.5"), "0.3"),
                                          ("dromion.cfg", DECAYING_P, "0.3")],
                          ids=["dromion-a3-0.5", "dromion-decaying-p"])
 def test_verify_notes_name_an_undefined_consistency_variation(tmp_path, name, edit, t):
-    # a NaN variation compares with no gate: the envelope checks say it is
-    # undefined, not "nan > gate", and the consistency check names it
+    # a NaN variation compares with no threshold: the consistency check
+    # names it undefined
     cfg = tmp_path / name
     cfg.write_text(open(os.path.join(CONFIGS, name)).read().replace(*edit))
     out = tmp_path / "r.txt"
@@ -404,10 +409,49 @@ def test_verify_notes_name_an_undefined_consistency_variation(tmp_path, name, ed
     assert undefined and rep["check.consistency.status"] == "fail"
     assert rep["check.consistency.notes"] == "; ".join(f"{k} undefined (nan)"
                                                       for k in undefined)
+
+
+@pytest.mark.parametrize("edit,t", [(("gamma = 0", "gamma = 0.5"), "0"),
+                                    (("a3 = 2", "a3 = 0.5"), "0.3")],
+                         ids=["gamma-0.5", "a3-0.5"])
+def test_verify_envelope_checks_fail_a_non_solution(tmp_path, capsys, edit, t):
+    # no check gates the envelope checks: a gain the ansatz cannot carry
+    # fails them with its residual on every sample, and a q1 that is NaN
+    # everywhere fails them on no sample at all
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(open(os.path.join(CONFIGS, "dromion.cfg")).read().replace(*edit))
+    out = tmp_path / "r.txt"
+    assert run("verify", "--spec", str(cfg), "--t", t, "--res", "32",
+               "--checks", "bilinear1,pde1", "--out", str(out)) == 1
+    assert "checks failed: bilinear1, pde1" in capsys.readouterr().err
+    rep = dict(ln.split(": ", 1) for ln in out.read_text().splitlines())
+    assert rep["overall"] == "fail"
     for check in ("bilinear1", "pde1"):
-        assert rep[f"check.{check}.status"] == "skipped", check
-        assert (rep[f"check.{check}.notes"]
-                == "not applicable: undefined consistency (variation nan)"), check
+        assert rep[f"check.{check}.status"] == "fail", check
+        if edit[0] == "gamma = 0":
+            assert int(rep[f"check.{check}.samples"]) == 32 * 32, check
+            assert float(rep[f"check.{check}.max_abs"]) > 0.2, check
+        else:
+            assert rep[f"check.{check}.samples"] == "0", check
+            assert rep[f"check.{check}.notes"] == "no valid samples", check
+
+
+def test_verify_envelope_checks_read_no_consistency_report(tmp_path, monkeypatch):
+    from dsfield import auxiliary
+    calls = []
+    report = auxiliary.consistency_c1_c2
+
+    def counting(*args):
+        calls.append(args)
+        return report(*args)
+
+    monkeypatch.setattr(auxiliary, "consistency_c1_c2", counting)
+    assert run("verify", "--case", "dromion", "--t", "0", "--res", "32",
+               "--checks", "bilinear1,pde1", "--out", str(tmp_path / "r.txt")) == 0
+    assert calls == []
+    assert run("verify", "--case", "dromion", "--t", "0", "--res", "32",
+               "--checks", ALL, "--out", str(tmp_path / "r.txt")) == 0
+    assert len(calls) == 1
 
 
 def test_verify_resonant_skips_consistency(tmp_path):
@@ -571,18 +615,46 @@ def test_verify_and_render_evaluate_each_profile_jet_once(tmp_path, monkeypatch)
     assert sorted(on_grid) == ["BreatherPProfile", "BreatherQProfile"]
 
 
-def test_verify_tol_consistency_moves_the_gate(tmp_path):
+def test_verify_tol_consistency_sets_only_the_consistency_threshold(tmp_path):
     cfg = tmp_path / "gained.cfg"
     base = open(os.path.join(CONFIGS, "dromion.cfg")).read()
     cfg.write_text(base.replace("gamma = 0", "gamma = 0.5"))
-    out = tmp_path / "r.txt"
-    run("verify", "--spec", str(cfg), "--t", "0", "--res", "32", "--checks", ALL,
-        "--tol-consistency", "1", "--out", str(out))
-    rep = dict(ln.split(": ", 1) for ln in out.read_text().splitlines())
-    assert rep["check.consistency.status"] == "pass"
-    for check in ("bilinear1", "pde1"):
-        assert rep[f"check.{check}.status"] != "skipped", check
-        assert int(rep[f"check.{check}.samples"]) == 32 * 32, check
+    reports = []
+    for extra in ((), ("--tol-consistency", "1")):
+        out = tmp_path / "r.txt"
+        run("verify", "--spec", str(cfg), "--t", "0", "--res", "32", "--checks", ALL,
+            *extra, "--out", str(out))
+        reports.append(dict(ln.split(": ", 1) for ln in out.read_text().splitlines()))
+    default, loose = reports
+    assert default["check.consistency.status"] == "fail"
+    assert loose["check.consistency.status"] == "pass"
+    assert loose["check.consistency.threshold"] == "1.0e+00"
+    # every other line is the same at either threshold
+    moved = {k for k in default if default[k] != loose[k]}
+    assert moved == {"check.consistency.status", "check.consistency.threshold"}
+
+
+# (case, t) -> (checks that fail, checks that are skipped) of six-check
+# verify at --res 64; every other catalog case-time passes all six
+CATALOG_VERDICTS = {
+    ("resonant", 0.0): ({"pde2", "admissibility"}, {"bilinear1", "pde1", "consistency"}),
+    ("resonant", 0.3): ({"admissibility"}, {"bilinear1", "pde1", "consistency"}),
+    ("double_instanton", 6.0): ({"pde2"}, set()),
+}
+
+
+def test_verify_catalog_verdicts(tmp_path):
+    seen = set()
+    for name in case_names():
+        for t in sorted({*build_case(name).reference_times, 0.3}):
+            code, rep = _verify_report(tmp_path, "--case", name, "--t", repr(t), "--res", "64")
+            statuses = {c: rep[f"check.{c}.status"] for c in ALL.split(",")}
+            failed, skipped = CATALOG_VERDICTS.get((name, t), (set(), set()))
+            assert {c for c, s in statuses.items() if s == "fail"} == failed, (name, t)
+            assert {c for c, s in statuses.items() if s == "skipped"} == skipped, (name, t)
+            assert code == (1 if failed else 0), (name, t)
+            seen.add((name, t))
+    assert len(seen) == 22 and set(CATALOG_VERDICTS) <= seen
 
 
 def test_verify_envelope_checks_share_the_res_grid(tmp_path):
