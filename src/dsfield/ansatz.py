@@ -207,9 +207,8 @@ def _assemble(a: SeparationCoefficients, p, q):
 
 
 def eval_f(spec: SolutionSpec, zeta, eta, t, pj: Optional[Jet] = None,
-           qj: Optional[Jet] = None, order: int = 2, time: bool = True) -> Jet:
-    """The denominator field f as a jet in (zeta, eta, t) to ``order``, or
-    in (zeta, eta) alone without ``time``.
+           qj: Optional[Jet] = None, order: int = 2) -> Jet:
+    """The denominator field f as a jet in (zeta, eta, t) to ``order``.
 
     The entries of the order-2 jet in (zeta, eta, t) come in the order f,
     f_z, f_e, f_t, f_zz, f_ze, f_zt, f_ee, f_et, f_tt; the mixed derivative
@@ -217,10 +216,9 @@ def eval_f(spec: SolutionSpec, zeta, eta, t, pj: Optional[Jet] = None,
     """
     if pj is None or qj is None:
         pj, qj = profile_jets3(spec, zeta, eta, t)
-    n, t_axis = (3, 2) if time else (2, None)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore", under="ignore"):
-        return _assemble(spec.coeffs, pj.shift(order=order, axes=(0, t_axis), n=n),
-                         qj.shift(order=order, axes=(1, t_axis), n=n))
+        return _assemble(spec.coeffs, pj.shift(order=order, axes=(0, 2), n=3),
+                         qj.shift(order=order, axes=(1, 2), n=3))
 
 
 # ---------------------------------------------------------------------------

@@ -214,6 +214,8 @@ class ConsistencyReport:
     ``applicable`` is False when a3 = 0 (the ratios divide by a3).  The
     separation is certified when both variations are at the rounding level;
     ``max_variation`` is NaN when either is, so the check fails closed.
+    ``probes`` counts the zeta and eta probes, ``finite_probes`` those whose
+    ratio is finite, the only ones the variations and means read.
     """
 
     applicable: bool
@@ -223,6 +225,7 @@ class ConsistencyReport:
     c2_mean: float
     t: float
     probes: int
+    finite_probes: int
     note: str = ""
 
     @property
@@ -237,7 +240,7 @@ def consistency_c1_c2(aux: Auxiliaries, zeta_probes, eta_probes,
     a3 = spec.coeffs.a3
     if a3 == 0.0:
         return ConsistencyReport(False, math.nan, math.nan, math.nan, math.nan,
-                                 t, 0, note="not applicable: a3 = 0")
+                                 t, 0, 0, note="not applicable: a3 = 0")
     zeta_probes = np.asarray(zeta_probes, dtype=float)
     eta_probes = np.asarray(eta_probes, dtype=float)
     beta = spec.funcs.beta(t)
@@ -258,10 +261,10 @@ def consistency_c1_c2(aux: Auxiliaries, zeta_probes, eta_probes,
     def spread(v):
         v = v[np.isfinite(v)]
         if v.size == 0:
-            return math.nan, math.nan
-        return float(np.max(v) - np.min(v)), float(np.mean(v))
+            return math.nan, math.nan, 0
+        return float(np.max(v) - np.min(v)), float(np.mean(v)), v.size
 
-    var1, mean1 = spread(np.atleast_1d(c1_vals))
-    var2, mean2 = spread(np.atleast_1d(c2_vals))
+    var1, mean1, n1 = spread(np.atleast_1d(c1_vals))
+    var2, mean2, n2 = spread(np.atleast_1d(c2_vals))
     return ConsistencyReport(True, var1, var2, mean1, mean2, t,
-                             int(zeta_probes.size + eta_probes.size))
+                             int(zeta_probes.size + eta_probes.size), n1 + n2)

@@ -4,8 +4,8 @@
 derivatives of a function through a total order or a box of per-variable
 orders, in the graded order of a cached :func:`layout`.  Profiles are
 jets in (own spatial variable, t) to the order or box their reader asks
-for, f is an order-2 jet in (zeta, eta, t), and the peak ascent takes the
-gradient and Hessian of log U from an order-2 jet in (zeta, eta).
+for, and f is an order-2 jet in (zeta, eta, t); the peak ascent reads its
+profile jets as plain arrays, since f is bilinear in p and q.
 Products follow the Leibniz rule from the layout's pair table, and every
 elementary function is the one composition sum_k f^(k)(a0)/k! (a - a0)^k
 with the Taylor coefficients of :func:`_tables` (Griewank & Walther,

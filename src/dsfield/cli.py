@@ -215,15 +215,17 @@ def _check_lines(name, status, fields=(), notes=""):
 
 def _residual(report, threshold, *flags):
     """(status, fields, notes) of a residual check against ``threshold``,
-    its fields ending with the report's ``flags`` named.  An applicable
-    report with notes fails: they say why it checked nothing."""
+    its fields ending with the report's counts of masked and dropped
+    samples, if it is applicable, and its ``flags`` named.  An applicable report
+    with notes fails: they say why it checked nothing."""
     status = ("skipped" if not report.applicable
               else "pass" if report.max_abs < threshold and not report.notes else "fail")
+    counts = ("masked", "dropped") if report.applicable else ()
     return status, [("max_abs", f"{report.max_abs:.6e}"),
                     ("mean_abs", f"{report.mean_abs:.6e}"),
                     ("samples", str(report.samples)),
                     ("threshold", f"{threshold:.1e}"),
-                    *((key, str(report.flags[key])) for key in flags)], report.notes
+                    *((key, str(report.flags[key])) for key in counts + flags)], report.notes
 
 
 def _cmd_verify(args) -> int:
@@ -266,7 +268,10 @@ def _cmd_verify(args) -> int:
             ("mean_abs_h", f"{coarse.mean_abs:.6e}"),
             ("mean_abs_h2", f"{fine.mean_abs:.6e}"),
             ("observed_order", f"{order:.3f}"),
-            ("nominal_order", "2")])
+            ("nominal_order", "2"),
+            ("masked", str(coarse.flags["masked"])),
+            ("dropped_h", str(coarse.flags["dropped"])),
+            ("dropped_h2", str(fine.flags["dropped"]))])
 
     if "consistency" in requested:
         crep = ing.consistency
@@ -277,7 +282,9 @@ def _cmd_verify(args) -> int:
             var = {"c1_variation": crep.c1_variation, "c2_variation": crep.c2_variation}
             checks["consistency"] = ("pass" if ok else "fail", [
                 *((key, f"{v:.6e}") for key, v in var.items()),
-                ("threshold", f"{args.tol_consistency:.1e}")],
+                ("threshold", f"{args.tol_consistency:.1e}"),
+                ("probes", str(crep.probes)),
+                ("finite_probes", str(crep.finite_probes))],
                 "; ".join(f"{key} undefined (nan)" for key, v in var.items() if math.isnan(v)))
 
     if "admissibility" in requested:

@@ -23,11 +23,11 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from . import calculus as jc
 from .ansatz import (
     _BATCH_POINTS,
     SQRT2,
     SolutionSpec,
+    _assemble,
     batches,
     eval_f,
     eval_intensity,
@@ -259,15 +259,15 @@ def refined_global_max(spec: SolutionSpec, window, t, nx: int = 192,
     two zeta lines next to a pole, where each grid point on the hump's
     flank has a higher 3x3 neighbour across the pole.
 
-    Each ascent starts with a trust radius of one grid step and stays in
-    its peak's basin.  Gradient and Hessian of log U are exact, from the
-    profile jets.  A coordinate on a window bound whose gradient points
-    outward is frozen (Bertsekas 1982) and each candidate is clipped to the
-    window; where the free Hessian is not negative definite a gradient step
-    replaces the Newton step.  A candidate is taken only where U is finite,
-    inside ``valid_mask``, not lower, and has risen by at least a quarter of
-    the quadratic model's prediction; without a step taken the grid value
-    stands.
+    Each ascent starts with a trust radius of one grid step and stays in its
+    peak's basin.  Gradient and Hessian of log U are exact, ratios of the
+    profiles' derivatives.  A coordinate on a window bound whose gradient
+    points outward is frozen (Bertsekas 1982) and each candidate is clipped
+    to the window; where the free Hessian is not negative definite a
+    gradient step replaces the Newton step.  A candidate is taken only where
+    U is finite, inside ``valid_mask``, not lower, and has risen by at least
+    a quarter of the quadratic model's prediction; without a step taken the
+    grid value stands.
 
     Stable to grid refinement, unlike the raw grid maximum whose position
     quantization shifts it by O(dx^2).  Returns ``(value, (x, y))``: floats
@@ -307,8 +307,8 @@ def refined_global_max(spec: SolutionSpec, window, t, nx: int = 192,
 _ASCENT_XTOL = 1e-13
 _ASCENT_ITERATIONS = 60
 _ASCENT_PRED_FLOOR = 1e-14
-# The period solve compares S at _PERIOD_PROBES base times with S one period
-# later and takes at most _PERIOD_ITERATIONS Gauss-Newton steps.
+# The period solve compares S at up to _PERIOD_PROBES scan times with S one
+# period later and takes at most _PERIOD_ITERATIONS Gauss-Newton steps.
 _PERIOD_PROBES = 5
 _PERIOD_ITERATIONS = 6
 
@@ -365,29 +365,28 @@ def _step(g, H, xy, lo, hi, r):
 
 def _log_intensity_jets(spec, times, xy, valid_mask):
     """U at the points ``xy`` (n, 2) with the gradient (n, 2) and Hessian
-    (n, 2, 2) of log U in (x, y), from the order-2 series of
-    log|p_z| + log|q_e| - 2 log|f| in (zeta, eta); U is NaN outside
-    ``valid_mask`` and where any of them is not finite.  The Hessian of
-    log|p_z| needs p_zzz, and nothing here differentiates in t: box (3, 0)."""
+    (n, 2, 2) in (x, y) of log U = log|p_z| + log|q_e| - 2 log|f|, as ratios
+    of the profiles' box (3, 0) jets (f_z = (a1 + a3 q) p_z, f_ze = a3 p_z q_e,
+    ...); U is NaN outside ``valid_mask`` and where any of them is not finite."""
     zeta, eta = rotate(xy[:, 0], xy[:, 1])
     pj, qj = profile_jets3(spec, zeta, eta, times, (3, 0))
-    u = eval_intensity(spec, zeta, eta, times, pj, qj)
-
-    def log_abs(j):
-        return jc.log(j * np.sign(j.value))
-
+    a, p, q = spec.coeffs, pj.value, qj.value
+    f = _assemble(a, p, q)
+    u = eval_intensity(spec, zeta, eta, times, pj, qj, f=f)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        # log|p_z| and log|q_e| are series in one variable each
-        logu = (log_abs(pj.shift((1, 0), axes=(0, None), n=1)).shift(axes=(0,), n=2)
-                + log_abs(qj.shift((1, 0), axes=(0, None), n=1)).shift(axes=(1,), n=2)
-                - 2.0 * log_abs(eval_f(spec, zeta, eta, times, pj, qj, time=False)))
-    gz, ge, hzz, hze, hee = np.broadcast_arrays(zeta, *(
-        logu[m] for m in ((1, 0), (0, 1), (2, 0), (1, 1), (0, 2))))[1:]
+        p1, p2, p3, q1, q2, q3 = (j[m, 0] for j in (pj, qj) for m in (1, 2, 3))
+        cz, ce = a.a1 + a.a3 * q, a.a2 + a.a3 * p     # f_z / p_z, f_e / q_e
+        lz, le = p2 / p1, q2 / q1                     # (log|p_z|)_z, (log|q_e|)_e
+        rz, re = cz * p1 / f, ce * q1 / f             # (log|f|)_z, (log|f|)_e
+        gz, ge = lz - 2.0 * rz, le - 2.0 * re
+        hzz = p3 / p1 - lz * lz - 2.0 * (cz * p2 / f - rz * rz)
+        hee = q3 / q1 - le * le - 2.0 * (ce * q2 / f - re * re)
+        hze = 2.0 * (rz * re - a.a3 * p1 * q1 / f)
+    g, H = np.empty((zeta.size, 2)), np.empty((zeta.size, 2, 2))
     # d/dx = (d/dzeta + d/deta)/sqrt2, d/dy = (d/deta - d/dzeta)/sqrt2
-    g = np.stack([gz + ge, ge - gz], axis=1) / SQRT2
-    hxy = 0.5 * (hee - hzz)
-    H = np.moveaxis(np.array([[0.5 * (hzz + hee) + hze, hxy],
-                              [hxy, 0.5 * (hzz + hee) - hze]]), -1, 0)
+    g[:, 0], g[:, 1] = (gz + ge) / SQRT2, (ge - gz) / SQRT2
+    H[:, 0, 0], H[:, 1, 1] = 0.5 * (hzz + hee) + hze, 0.5 * (hzz + hee) - hze
+    H[:, 0, 1] = H[:, 1, 0] = 0.5 * (hee - hzz)
     ok = np.isfinite(u) & np.isfinite(g).all(axis=1) & np.isfinite(H).all(axis=(1, 2))
     if valid_mask is not None:
         ok &= valid_mask(zeta, eta)
@@ -426,11 +425,11 @@ def estimate_period(spec: SolutionSpec, window, t_range: tuple[float, float],
     """Smallest time shift under which the chosen statistic repeats.
 
     A period is reported only if a uniform scan over shifts up to half the
-    sampled range finds one whose series mismatch is below ``tie_tol``
-    times the series scale; ``_refine_period`` polishes the first such
-    shift, and ``period_mismatch`` is its probe mismatch over that scale.
-    The resolution is the scan step, a guaranteed bound.  A near-constant
-    series is degenerate and reports no period (best candidate None).
+    sampled range finds one whose series mismatch is below ``tie_tol`` times
+    the series scale; ``_refine_period`` polishes the first such shift from
+    probes at scan times, and ``period_mismatch`` is its probe mismatch over
+    that scale.  The resolution is the scan step, a guaranteed bound.  A
+    near-constant series reports no period (best candidate None).
     """
     if n_t < 16:
         raise ValueError("need at least 16 time samples")
@@ -450,20 +449,21 @@ def estimate_period(spec: SolutionSpec, window, t_range: tuple[float, float],
             best_k, best_mis = k, mis
         if mis < tie_tol * scale:
             period, mismatch = _refine_period(spec, window, statistic, grid_n,
-                                              valid_mask, t0, k * dt, dt, scale)
+                                              valid_mask, times, series, k, dt, scale)
             return AnalyticsResult(estimated_period=period, period_resolution=dt,
                                    best_candidate=k * dt, period_mismatch=mismatch)
     return AnalyticsResult(estimated_period=None, period_resolution=dt,
                            best_candidate=best_k * dt if best_k else None)
 
 
-def _refine_period(spec, window, statistic, grid_n, valid_mask, t0, period, dt, scale):
+def _refine_period(spec, window, statistic, grid_n, valid_mask, times, series, k, dt, scale):
     """Gauss-Newton solve of g_i(T) = S(b_i + T) - S(b_i) = 0 from the scan
-    shift ``period``, ended by a step out of one scan step around it, one
+    shift k dt, b_i up to _PERIOD_PROBES scan ``times`` in its first 0.9 with
+    S(b_i) in ``series``, ended by a step out of one scan step around k dt, one
     that does not lower max|g_i|, or a zero or non-finite sum of S'^2.
     Returns the evaluated T with the smallest max|g_i|, and that max / scale."""
-    base = t0 + np.linspace(0.0, 0.9, _PERIOD_PROBES) * period
-    ref = _statistic(spec, window, base, statistic, grid_n, valid_mask)[0]
+    pick = np.unique(np.rint(np.linspace(0.0, 0.9, _PERIOD_PROBES) * k).astype(int))
+    base, ref, period = times[pick], series[pick], k * dt
     T, best = period, None
     for _ in range(_PERIOD_ITERATIONS):
         s, ds = _statistic(spec, window, base + T, statistic, grid_n, valid_mask, rate=True)

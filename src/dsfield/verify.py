@@ -82,12 +82,15 @@ class ResidualReport:
     notes: str = ""
 
 
-def _report(name, resid_abs, X, Y, t, valid, flags=None, notes="") -> ResidualReport:
+def _report(name, resid_abs, grid, t, valid, flags=None, notes="") -> ResidualReport:
+    """The report of the samples ``valid`` marks inside ``grid.keep``; its
+    flags count the ``masked`` samples, outside ``grid.keep``, apart from
+    the ``dropped`` ones, inside it but not counted."""
     vals = np.where(valid, resid_abs, np.nan)
     finite = np.isfinite(vals)
     n = int(np.count_nonzero(finite))
-    flags = dict(flags or {})
-    flags.setdefault("dropped", int(valid.size - n))
+    kept = int(np.count_nonzero(grid.keep))
+    flags = {"masked": grid.keep.size - kept, "dropped": kept - n, **(flags or {})}
     if n == 0:
         return ResidualReport(name, math.nan, math.nan,
                               CoordinatePoint(math.nan, math.nan, t),
@@ -98,7 +101,7 @@ def _report(name, resid_abs, X, Y, t, valid, flags=None, notes="") -> ResidualRe
     # argmax over the masked field
     masked = np.where(finite, vals, -np.inf)
     idx = np.unravel_index(np.argmax(masked), masked.shape)
-    worst = CoordinatePoint(float(X[idx]), float(Y[idx]), float(t))
+    worst = CoordinatePoint(float(grid.X[idx]), float(grid.Y[idx]), float(t))
     return ResidualReport(name, mx, mean, worst, n, flags, notes=notes)
 
 
@@ -202,8 +205,8 @@ def envelope_residuals(ing: Ingredients):
     tau = eval_f(ing.spec, grid.zeta, grid.eta, t, ing.pj, ing.qj)
     with np.errstate(invalid="ignore", over="ignore", under="ignore", divide="ignore"):
         line1, pde1 = _envelope_fields(ing, tau)
-    return (_report("bilinear1", line1, grid.X, grid.Y, t, grid.keep & np.isfinite(line1)),
-            _report("pde1", pde1, grid.X, grid.Y, t, grid.keep & np.isfinite(pde1)))
+    return (_report("bilinear1", line1, grid, t, grid.keep & np.isfinite(line1)),
+            _report("pde1", pde1, grid, t, grid.keep & np.isfinite(pde1)))
 
 
 # ---------------------------------------------------------------------------
@@ -238,7 +241,7 @@ def bilinear_residuals(ing: Ingredients) -> ResidualReport:
     grid = ing.grid
     rel, amp_bad = _bilinear2_field(ing)
     valid = grid.keep & np.isfinite(rel)
-    return _report("bilinear2", rel, grid.X, grid.Y, ing.t, valid,
+    return _report("bilinear2", rel, grid, ing.t, valid,
                    flags={"amplitude_branch": int(np.count_nonzero(amp_bad & grid.keep))},
                    notes="" if np.any(valid & ~amp_bad)
                    else "every sample fell back to the closed form: nothing checked")
@@ -255,10 +258,7 @@ def pde_residuals(ing: Ingredients, stencil: Stencil = PDE2_STENCIL) -> Residual
     ``stencil``."""
     grid = ing.grid
     resid, stencil_ok = _pde2_field(ing.spec, grid.zeta, grid.eta, ing.t, stencil)
-    return _report("pde2", resid, grid.X, grid.Y, ing.t,
-                   grid.keep & stencil_ok & np.isfinite(resid),
-                   flags={"stencil_dropped":
-                          int(np.count_nonzero(grid.keep & ~stencil_ok))})
+    return _report("pde2", resid, grid, ing.t, grid.keep & stencil_ok & np.isfinite(resid))
 
 
 def _pde2_field(spec, zeta, eta, t, stencil: Stencil):

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from dsfield import profiles
-from dsfield.ansatz import batches
+from dsfield.ansatz import batches, window_grid
 from dsfield.cli import main, parse_time, parse_window
 from dsfield.field import parse_csv
 from dsfield.specfile import dumps_spec, load_spec, loads_spec, SpecFileError
@@ -361,6 +361,45 @@ def test_verify_keeps_the_plus_branch_where_p_z_turns_negative_off_the_window(tm
     out = tmp_path / "phi.csv"
     assert run("render", *argv, "--res", "32", "--which", "phi", "--out", str(out)) == 0
     assert out.exists()
+
+
+def test_verify_counts_dropped_samples_and_finite_probes(tmp_path):
+    # on this window p = e^zeta + e^(1 - zeta) has p_z < 0 for zeta < 1/2,
+    # where p1 is NaN: 465 of the 1024 samples, none of them masked.  The
+    # envelope checks pass on the other 559 and say what they dropped, and
+    # the consistency check says how many of its probes counted
+    text = open(os.path.join(CONFIGS, "dromion.cfg")).read().replace(
+        "A = 1\nK = 1\nL = 1\ntheta = 1", "A = 1, 1\nK = 1, -1\nL = 0, 0\ntheta = 0, 1", 1)
+    cfg = tmp_path / "sign_changing_p.cfg"
+    cfg.write_text(text)
+    code, rep = _verify_report(tmp_path, "--spec", str(cfg), "--window=-2:4:-3:3",
+                               "--t", "0.3", "--res", "32")
+    assert code == 1 and rep["check.admissibility.verdict"] == "sign-violating"
+    for check in ("bilinear1", "pde1"):
+        assert (rep[f"check.{check}.samples"], rep[f"check.{check}.masked"],
+                rep[f"check.{check}.dropped"]) == ("559", "0", "465"), check
+    assert (rep["check.bilinear2.masked"], rep["check.bilinear2.dropped"],
+            rep["check.bilinear2.amplitude_branch"]) == ("0", "0", "465")
+    assert (rep["check.pde2.masked"], rep["check.pde2.dropped_h"],
+            rep["check.pde2.dropped_h2"]) == ("0", "0", "0")
+    assert (rep["check.consistency.probes"], rep["check.consistency.finite_probes"]) \
+        == ("66", "50")
+
+
+def test_verify_counts_masked_samples_apart_from_dropped_ones(tmp_path):
+    # double_instanton's valid mask cuts its pole out of the window: those
+    # samples are masked, not dropped (pde2 runs on a 24^2 grid)
+    e = build_case("double_instanton")
+    code, rep = _verify_report(tmp_path, "--case", "double_instanton", "--t", "0.3",
+                               "--res", "48")
+    masked = {n: np.count_nonzero(~window_grid(e.window, n, e.valid_mask).keep)
+              for n in (24, 48)}
+    assert code == 0 and masked == {24: 22, 48: 44}
+    for check in ("bilinear2", "bilinear1", "pde1"):
+        assert rep[f"check.{check}.masked"] == "44", check
+        assert rep[f"check.{check}.dropped"] == "0", check
+        assert rep[f"check.{check}.samples"] == str(48 * 48 - 44), check
+    assert rep["check.pde2.masked"] == "22"
 
 
 def test_verify_gain_fails_consistency(tmp_path, capsys):
@@ -750,9 +789,9 @@ def test_each_reader_asks_its_profiles_for_the_entries_it_reads(tmp_path, monkey
 
 @pytest.mark.parametrize("statistic", ["L2", "global_max"])
 def test_period_solve_evaluates_u_t_only_in_its_steps(tmp_path, monkeypatch, statistic):
-    # the scan and the reference probes read S alone; only the Gauss-Newton
-    # iterations, at the probe times shifted by about the scan's period pi,
-    # evaluate U_t, once each
+    # the scan reads S alone, and the probes' S comes from it; only the
+    # Gauss-Newton iterations, at the probe times shifted by about the
+    # scan's period pi, evaluate U_t, once each
     from dsfield import field
     seen = []
 

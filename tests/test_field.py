@@ -272,23 +272,51 @@ def test_period_solve_safeguards(monkeypatch, rate_factor):
     def synthetic(spec, window, times, statistic, grid_n, valid_mask, rate=False):
         return np.sin(2 * times), rate_factor * 2 * np.cos(2 * times)
 
+    # a scan of 64 times at the step dt whose 32nd shift is pi + 1e-3; the
+    # probes are the scan times at 0, 7, 14, 22 and 29 steps
     monkeypatch.setattr("dsfield.field._statistic", synthetic)
-    shift = math.pi + 1e-3
-    base = np.linspace(0.0, 0.9, 5) * shift
-    T, mis = _refine_period(None, None, "L2", 8, None, 0.0, shift, 0.1, 2.0)
+    dt = (math.pi + 1e-3) / 32
+    times = np.arange(64) * dt
+    series = np.sin(2 * times)
+    shift, pick = 32 * dt, [0, 7, 14, 22, 29]
+    T, mis = _refine_period(None, None, "L2", 8, None, times, series, 32, dt, 2.0)
     if rate_factor == 1.0:
         assert abs(T - math.pi) <= 1e-15 and mis <= 1e-15
     else:
         assert T == shift
-        assert mis == np.max(np.abs(np.sin(2 * (base + shift)) - np.sin(2 * base))) / 2
+        assert mis == np.max(np.abs(np.sin(2 * (times[pick] + shift)) - series[pick])) / 2
+
+
+@pytest.mark.parametrize("statistic", ["L2", "global_max"])
+def test_period_solve_reads_its_references_from_the_scan(monkeypatch, statistic):
+    # after the scan, S is evaluated only at b_i + T, one shift T per call,
+    # with every b_i a scan time: S(b_i) itself is read from the scan series
+    calls = []
+
+    def recording(spec, window, times, *args, real=_statistic, **kwargs):
+        calls.append(np.array(times))
+        return real(spec, window, times, *args, **kwargs)
+
+    monkeypatch.setattr("dsfield.field._statistic", recording)
+    e = build_case("breather")
+    res = estimate_period(e.spec, e.window, (0.3, 0.3 + 2 * math.pi), 32, statistic,
+                          grid_n=24)
+    assert abs(res.estimated_period - math.pi) <= 1e-12
+    scan, steps = calls[0], calls[1:]
+    assert 1 <= len(steps) <= 6
+    for times in steps:
+        base = times - (times[0] - scan[0])
+        k = np.rint((base - scan[0]) / res.period_resolution).astype(int)
+        assert 1 <= times.size <= 5 and np.all(np.diff(k) > 0) and k[-1] < scan.size
+        assert np.max(np.abs(base - scan[k])) <= 1e-14
 
 
 def test_refined_l2_scan_samples_few_extra_grids(monkeypatch):
     # each profile's jets are evaluated once per batch of times, on the
     # 2N - 1 = 63 line coordinates of the 32^2 lattice: the scan's batches
     # cover its 64 times, and every Newton evaluation is one batch of the 5
-    # probe times, the reference and at most 3 iterations; no call sees the
-    # N^2 grid points
+    # probe times, at most 3 iterations (S at the probe times themselves
+    # comes from the scan); no call sees the N^2 grid points
     e = build_case("breather")
     points = {}
     for profile in (e.spec.p, e.spec.q):
@@ -308,7 +336,7 @@ def test_refined_l2_scan_samples_few_extra_grids(monkeypatch):
     for sizes in points.values():
         assert sizes[:scan] == [min(batch, 64 - k * batch) * 63 for k in range(scan)]
         probes = sizes[scan:]
-        assert 2 <= len(probes) <= 4 and set(probes) == {5 * 63}
+        assert 1 <= len(probes) <= 3 and set(probes) == {5 * 63}
 
 
 def _l2_per_time(spec, window, times, grid_n, valid_mask=None):

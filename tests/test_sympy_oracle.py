@@ -3,14 +3,18 @@ forms and mpmath evaluates them at 40 digits, against the jets of the
 profiles, of f and of log U at a few points per case; and sympy proves the
 separable identity that the bilinear2 check reads."""
 
+import dataclasses
+
 import mpmath
 import numpy as np
 import pytest
 import sympy as sp
 
-from dsfield.ansatz import eval_f, rotate
+from dsfield.ansatz import SeparationCoefficients, eval_f, eval_intensity, rotate
 from dsfield.catalog import build_case, case_names
 from dsfield.field import _log_intensity_jets
+
+from conftest import random_spec
 
 Z, E, T = sp.symbols("zeta eta t", real=True)
 
@@ -83,34 +87,60 @@ def test_f_jet_matches_sympy(name):
             assert_close(float(tau.entries[n]), w, (i, j, k, pt))
 
 
-@pytest.mark.parametrize("name", case_names())
+# seeded conftest.random_spec specs off the catalog (det < 0 for seeds 0,
+# 4 and 5); seed 2 is taken with a3 = 0
+RANDOM_SPECS = {f"random{seed}": seed for seed in (0, 1, 2, 4, 5)}
+
+
+def _spec_and_points(name):
+    """The spec ``name`` names and (x, y, t) points to check it at: POINTS
+    for a catalog case; for a random spec the first three of a fixed set
+    where U > 0 and |f| > 0.1."""
+    if name not in RANDOM_SPECS:
+        return build_case(name).spec, POINTS
+    spec = random_spec(np.random.default_rng(RANDOM_SPECS[name]))
+    if name == "random2":
+        a = spec.coeffs
+        spec = dataclasses.replace(spec, coeffs=SeparationCoefficients(a.a0, a.a1, a.a2, 0.0))
+    x, y, t = np.array([(x, y, t) for x in (-1.1, -0.4, 0.3, 0.9)
+                        for y in (-0.8, 0.2, 1.0) for t in (0.3, 1.2)]).T
+    zeta, eta = rotate(x, y)
+    u = eval_intensity(spec, zeta, eta, t)
+    f = eval_f(spec, zeta, eta, t, order=0).value
+    points = [tuple(pt) for pt in np.column_stack([x, y, t])[(u > 0) & (np.abs(f) > 0.1)]]
+    assert len(points) >= 3, name
+    return spec, points[:3]
+
+
+@pytest.mark.parametrize("name", (*case_names(), *RANDOM_SPECS))
 def test_log_intensity_gradient_and_hessian_match_sympy(name):
     # gradient and Hessian of log U in (x, y), U = 4 det p_zeta q_eta / f^2:
     # sympy differentiates log U = log|p_zeta| + log|q_eta| - 2 log|f| + c
     # in (zeta, eta), and d/dx = (d/dzeta + d/deta)/sqrt2,
     # d/dy = (d/deta - d/dzeta)/sqrt2
-    spec = build_case(name).spec
+    spec, points = _spec_and_points(name)
     a = spec.coeffs
     p, q = closed_form(spec.p, Z), closed_form(spec.q, E)
     f = a.a0 + a.a1 * p + a.a2 * q + a.a3 * p * q
     u = 4 * a.det * sp.diff(p, Z) * sp.diff(q, E) / f ** 2
-    log_u = sp.log(sp.diff(p, Z)) + sp.log(sp.diff(q, E)) - 2 * sp.log(f)
+    log_abs = lambda g: sp.log(g ** 2) / 2                         # noqa: E731
+    log_u = log_abs(sp.diff(p, Z)) + log_abs(sp.diff(q, E)) - 2 * log_abs(f)
     dx = lambda g: (sp.diff(g, Z) + sp.diff(g, E)) / sp.sqrt(2)    # noqa: E731
     dy = lambda g: (sp.diff(g, E) - sp.diff(g, Z)) / sp.sqrt(2)    # noqa: E731
     grad = [dx(log_u), dy(log_u)]
     hess = [[dx(g), dy(g)] for g in grad]
-    at = [rotate(x, y) + (t,) for x, y, t in POINTS]
+    at = [rotate(x, y) + (t,) for x, y, t in points]
     names = ("zeta", "eta", "t")
-    got_u, got_g, got_h = _log_intensity_jets(spec, np.array([pt[2] for pt in POINTS]),
-                                              np.array([pt[:2] for pt in POINTS]), None)
+    got_u, got_g, got_h = _log_intensity_jets(spec, np.array([pt[2] for pt in points]),
+                                              np.array([pt[:2] for pt in points]), None)
     for n, w in enumerate(evaluate(u, at, names)):
-        assert_close(got_u[n], w, ("U", POINTS[n]))
+        assert_close(got_u[n], w, ("U", points[n]))
     for i in range(2):
         for n, w in enumerate(evaluate(grad[i], at, names)):
-            assert_close(got_g[n, i], w, ("g", i, POINTS[n]))
+            assert_close(got_g[n, i], w, ("g", i, points[n]))
         for j in range(2):
             for n, w in enumerate(evaluate(hess[i][j], at, names)):
-                assert_close(got_h[n, i, j], w, ("H", i, j, POINTS[n]))
+                assert_close(got_h[n, i, j], w, ("H", i, j, points[n]))
 
 
 def test_separable_cross_identity():

@@ -244,7 +244,7 @@ def test_pde_line2_drops_stencil_hits_near_pole():
                        Stencil(2, 2, 1e-2))
     # truncation is honest but large right at the mask edge where the pole
     # term's high derivatives blow up; the bulk of the window stays clean
-    assert l2.flags["dropped"] > 0
+    assert l2.flags["masked"] + l2.flags["dropped"] > 0
     assert l2.mean_abs < 0.1
 
 
