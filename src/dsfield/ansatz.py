@@ -57,6 +57,7 @@ DEGENERATE_LEVEL = 1e-14
 # work on many samples runs in batches of about this many, which keeps a
 # batch's temporaries as small as those of one 181^2 grid sampled alone
 _BATCH_POINTS = 2 ** 15
+_ROW_BLOCK = 2 ** 13        # samples per time in a block of rows of U or an export
 
 
 @dataclass(frozen=True)
@@ -186,10 +187,10 @@ def window_grid(window, samples, valid_mask=None) -> WindowGrid:
         j - i + (nx - 1), i + j)
 
 
-def batches(n: int, points_each: int) -> list:
+def batches(n: int, points_each: int, size: int = _BATCH_POINTS) -> list:
     """Slices that cut ``n`` items of ``points_each`` samples each into
-    batches of about _BATCH_POINTS samples, at least one item each."""
-    step = max(1, _BATCH_POINTS // points_each)
+    batches of about ``size`` samples, at least one item each."""
+    step = max(1, size // points_each)
     return [slice(i, i + step) for i in range(0, n, step)]
 
 
@@ -266,22 +267,29 @@ def grid_intensity(spec: SolutionSpec, grid: WindowGrid, t, dt: bool = False):
     """(U, U_t) on ``grid`` at ``t`` as :func:`eval_intensity_dt`, U_t only
     with ``dt``; a 1-D array of times leads the shape, (n_t, ny, nx).
 
-    Each profile is evaluated once per line coordinate for all times, to
-    the box the kernel reads, and that jet is gathered onto the grid.
+    The kernel fills the arrays in blocks of grid rows, _ROW_BLOCK samples
+    per time, reading each profile's jet to the box the kernel reads.  On
+    the line lattice each profile is evaluated once per line coordinate for
+    all times and each block gathers that jet onto its rows; off it each
+    block evaluates the profiles on its own zeta and eta.
     """
     t = np.asarray(t, dtype=float)
     tt = t.reshape(t.shape + (1,) * grid.zeta_lines.ndim) if t.ndim else float(t)
 
-    def on_grid(profile, lines, index):
-        jet = profile.jet3(lines, tt, (1, 1) if dt else (1, 0))
+    def on_grid(profile, lines, index):         # rows -> the jet on those rows
         if index is None:
-            return jet
-        shape = t.shape + lines.shape
-        return Jet((np.take(np.broadcast_to(e, shape), index, axis=-1)
-                    for e in jet.entries), jet.layout)
+            return lambda rows: profile.jet3(lines[rows], tt, (1, int(dt)))
+        jet = profile.jet3(lines, tt, (1, int(dt)))
+        full = [np.broadcast_to(e, t.shape + lines.shape) for e in jet.entries]
+        return lambda rows: Jet((np.take(e, index[rows], axis=-1) for e in full), jet.layout)
 
-    return _intensity(spec, on_grid(spec.p, grid.zeta_lines, grid.zeta_index),
-                      on_grid(spec.q, grid.eta_lines, grid.eta_index), dt)
+    pj = on_grid(spec.p, grid.zeta_lines, grid.zeta_index)
+    qj = on_grid(spec.q, grid.eta_lines, grid.eta_index)
+    out = [np.empty(t.shape + grid.keep.shape) for _ in range(1 + dt)]     # U, U_t
+    for rows in batches(*grid.keep.shape, _ROW_BLOCK):
+        for whole, block in zip(out, _intensity(spec, pj(rows), qj(rows), dt)):
+            whole[..., rows, :] = block
+    return out[0], out[1] if dt else None
 
 
 def eval_phi(spec: SolutionSpec, zeta, eta, t, p0, q0, tau: Optional[Jet] = None):

@@ -117,13 +117,12 @@ def layout(n: int, order) -> Layout:
 def _gather(src: Layout, d: tuple, axes: tuple, dst: Layout) -> tuple:
     """Positions in ``src`` of the entries of :meth:`Jet.shift`; None marks
     a structural zero."""
-    kept = {a for a in axes if a is not None}
     out = []
     for m in dst.index:
-        if any(e for k, e in enumerate(m) if k not in kept):
+        if any(e for k, e in enumerate(m) if k not in axes):
             out.append(None)
             continue
-        key = tuple(di + (0 if a is None else m[a]) for di, a in zip(d, axes))
+        key = tuple(di + m[a] for di, a in zip(d, axes))
         if key not in src.pos:
             raise ValueError(f"derivative {key} exceeds jet order {src.order}")
         out.append(src.pos[key])
@@ -166,7 +165,7 @@ class Jet:
         """The jet of the derivative of multi-index ``d`` (default none),
         to ``order`` (default: all that is known), with variable i renamed
         to variable ``axes[i]`` of an ``n``-variable layout (default: the
-        same variables); an axis None fixes that variable at its point."""
+        same variables)."""
         src = self.layout
         d = tuple(d or (0,) * src.n)
         if d not in src.pos:

@@ -107,12 +107,13 @@ def parse_window(text: str):
     return (x0, x1), (y0, y1)
 
 
-def _atomic_write(path: str, data: bytes):
+def _atomic_write(path: str, write):
+    """``write(fh)`` into a temp file renamed to ``path``, removed on any error."""
     parent = os.path.dirname(os.path.abspath(path)) or "."
     fd, tmp = tempfile.mkstemp(dir=parent, prefix=".dsfield-")
     try:
         with os.fdopen(fd, "wb") as fh:
-            fh.write(data)
+            write(fh)
         os.replace(tmp, path)
     except BaseException:
         try:
@@ -126,7 +127,7 @@ def _write_report(lines, out):
     """``key: value`` lines to the file ``out``, or to stdout without one."""
     text = "".join(f"{k}: {v}\n" for k, v in lines)
     if out:
-        _atomic_write(out, text.encode("utf-8"))
+        _atomic_write(out, lambda fh: fh.write(text.encode("utf-8")))
     else:
         sys.stdout.write(text)
 
@@ -190,16 +191,16 @@ def _cmd_render(args) -> int:
     grid = sample_field(spec, args.which, window, t, nx=args.res, ny=args.res,
                         valid_mask=mask)
     if args.which == "U":
-        top = float(np.max(np.abs(grid.valid_values()), initial=0.0))
+        top = float(np.max(np.abs(grid.values), where=grid.mask, initial=0.0))
         if top < DEGENERATE_LEVEL:
             raise DegenerateInput(
                 f"degenerate: intensity identically zero for {label} at t={t:g}")
     if args.format == "csv":
-        _atomic_write(args.out, to_csv(grid))
+        _atomic_write(args.out, lambda fh: to_csv(grid, fh))
     else:
         data, sidecar = to_pgm16(grid)
-        _atomic_write(args.out, data)
-        _atomic_write(args.out + ".txt", sidecar.encode("ascii"))
+        _atomic_write(args.out, lambda fh: fh.write(data))
+        _atomic_write(args.out + ".txt", lambda fh: fh.write(sidecar.encode("ascii")))
     print(f"wrote {args.out}")
     return EXIT_OK
 

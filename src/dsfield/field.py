@@ -13,18 +13,22 @@ stable), periods (a scan of one time statistic, global max or L2, then
 Gauss-Newton steps, the only place U_t is evaluated) and peak-decay
 series; one batched U sampler feeds the ascent and the L2 norm.  numpy is
 the only third-party import.
+
+U and the exports run in blocks of grid rows, the CSV written into its file
+block by block, so a render's peak memory is its grid's, not its text's.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import chain
 from typing import Optional, Sequence
 
 import numpy as np
 
 from .ansatz import (
-    _BATCH_POINTS,
+    _ROW_BLOCK,
     SQRT2,
     SolutionSpec,
     _assemble,
@@ -85,9 +89,6 @@ class FieldGrid:
         _, (y0, y1) = self.window
         return np.linspace(y0, y1, self.ny)
 
-    def valid_values(self) -> np.ndarray:
-        return self.values[self.mask]
-
 
 @dataclass(frozen=True)
 class PeakInfo:
@@ -144,9 +145,9 @@ def sample_field(spec: SolutionSpec, which: str, window, t: float, nx: int, ny: 
     vals = np.asarray(vals, dtype=float)
     mask = grid.keep & np.isfinite(vals)
     _require_valid(mask.any())
-    out = np.where(mask, vals, 0.0)
+    np.copyto(vals, 0.0, where=~mask)
     return FieldGrid(window=((x0, x1), (y0, y1)), nx=nx, ny=ny, t=float(t),
-                     values=out, mask=mask)
+                     values=vals, mask=mask)
 
 
 # ---------------------------------------------------------------------------
@@ -585,23 +586,22 @@ def _write_g17(v, out):
     out[fallback, 4:] = _python_g17(v[fallback], "\n")
 
 
-def to_csv(grid: FieldGrid) -> bytes:
-    """Header x,y,U plus one row per valid point, row-major with y ascending;
-    masked points are omitted.  Every number reads as Python's "%.17g"; the rows
-    of each batch are laid out in one reused byte matrix, zero bytes padding."""
+def to_csv(grid: FieldGrid, fh) -> None:
+    """Writes x,y,U and a row per valid point, row-major with y ascending, into
+    the binary file ``fh``; every number reads as Python's "%.17g".  Each block
+    of grid rows is laid out in one reused byte matrix, zero bytes padding."""
     xs, ys = (np.compress(r.any(axis=0), r, axis=1) for r in (_python_g17(grid.x, ","),
                                                             _python_g17(grid.y, ",")))
     xs, ys = (r.view(f"V{r.shape[1]}").ravel() for r in (xs, ys))  # one element per text
-    iy, ix = np.nonzero(grid.mask)
-    vals, rows = grid.values[grid.mask], [b"x,y,U\n"]
-    buf = np.empty((min(vals.size, _BATCH_POINTS), xs.itemsize + ys.itemsize + 29), np.uint8)
-    for b in batches(vals.size, 1):
-        mat = buf[:vals[b].size]
-        mat[:, :xs.itemsize].view(xs.dtype)[:, 0] = xs.take(ix[b])
-        mat[:, xs.itemsize:-29].view(ys.dtype)[:, 0] = ys.take(iy[b])
-        _write_g17(vals[b], mat[:, -29:])
-        rows.append(mat.tobytes().translate(None, b"\0"))
-    return b"".join(rows)
+    buf = np.empty((max(_ROW_BLOCK, grid.nx), xs.itemsize + ys.itemsize + 29), np.uint8)
+    fh.write(b"x,y,U\n")
+    for rows in batches(grid.ny, grid.nx, _ROW_BLOCK):
+        iy, ix = np.nonzero(grid.mask[rows])
+        mat = buf[:ix.size]
+        mat[:, :xs.itemsize].view(xs.dtype)[:, 0] = xs.take(ix)
+        mat[:, xs.itemsize:-29].view(ys.dtype)[:, 0] = ys[rows].take(iy)
+        _write_g17(grid.values[rows][grid.mask[rows]], mat[:, -29:])
+        fh.write(mat.tobytes().translate(None, b"\0"))
 
 
 def parse_csv(data: bytes):
@@ -622,14 +622,15 @@ def to_pgm16(grid: FieldGrid) -> tuple[bytes, str]:
     also map to 0; the sidecar counts them as clipped_below_zero, a line it
     has only when there are any.
     """
-    vals = grid.valid_values()
-    vmax = float(np.max(vals)) if vals.size else 0.0
-    scaled = (np.clip(grid.values / vmax, 0.0, 1.0) * 65535.0 if vmax > 0
-              else np.zeros_like(grid.values))
-    pixels = np.where(grid.mask, np.rint(scaled), 0.0).astype(">u2")
+    vmax = (float(np.max(grid.values, where=grid.mask, initial=-np.inf))
+            if grid.mask.any() else 0.0)
+    pixels = np.empty((grid.ny, grid.nx), ">u2")
+    for rows in batches(grid.ny, grid.nx, _ROW_BLOCK):
+        scaled = np.clip(grid.values[rows] / vmax, 0.0, 1.0) * 65535.0 if vmax > 0 else 0.0
+        pixels[rows] = np.where(grid.mask[rows], np.rint(scaled), 0.0)
     header = f"P5\n{grid.nx} {grid.ny}\n65535\n".encode("ascii")
-    clipped = int(np.count_nonzero(vals < 0))
-    sidecar = _report(grid, vals, vmax) + (
+    clipped = int(np.count_nonzero(grid.mask & (grid.values < 0)))
+    sidecar = to_report(grid) + (
         f"format: pgm16\nscale_max: {vmax:.17g}\n"
         "pixel_value: round(value / scale_max * 65535)\n"
         + (f"clipped_below_zero: {clipped}\n" if clipped else "")
@@ -640,28 +641,26 @@ def to_pgm16(grid: FieldGrid) -> tuple[bytes, str]:
 
 def to_report(grid: FieldGrid) -> str:
     """Line-oriented key: value summary, stable for golden-file tests."""
-    vals = grid.valid_values()
-    return _report(grid, vals, float(np.max(vals)) if vals.size else 0.0)
-
-
-def _report(grid, vals, vmax):
-    """:func:`to_report` of ``grid`` from its valid values and their max."""
     (x0, x1), (y0, y1) = grid.window
+    n = int(np.count_nonzero(grid.mask))
     lines = [
         f"window: {x0:.17g}:{x1:.17g}:{y0:.17g}:{y1:.17g}",
         f"nx: {grid.nx}",
         f"ny: {grid.ny}",
         f"t: {grid.t:.17g}",
-        f"valid: {vals.size}",
-        f"masked: {grid.mask.size - vals.size}",
+        f"valid: {n}",
+        f"masked: {grid.mask.size - n}",
     ]
-    if vals.size:
+    if n:
         idx = np.unravel_index(int(np.argmax(np.where(grid.mask, grid.values,
                                                       -np.inf))), grid.values.shape)
+        # fsum is exact: block by block it sums to the same bits
+        total = math.fsum(chain.from_iterable(memoryview(grid.values[rows][grid.mask[rows]])
+                                              for rows in batches(grid.ny, grid.nx, _ROW_BLOCK)))
         lines += [
-            f"min: {float(np.min(vals)):.17g}",
-            f"max: {vmax:.17g}",
-            f"mean: {math.fsum(memoryview(vals)) / vals.size:.17g}",
+            f"min: {float(np.min(grid.values, where=grid.mask, initial=np.inf)):.17g}",
+            f"max: {float(np.max(grid.values, where=grid.mask, initial=-np.inf)):.17g}",
+            f"mean: {total / n:.17g}",
             f"max_at: {grid.x[idx[1]]:.17g},{grid.y[idx[0]]:.17g}",
         ]
     return "\n".join(lines) + "\n"

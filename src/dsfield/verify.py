@@ -97,7 +97,7 @@ def _report(name, resid_abs, grid, t, valid, flags=None, notes="") -> ResidualRe
                               0, flags, notes="no valid samples")
     flat = vals[finite]
     mx = float(np.max(flat))
-    mean = float(math.fsum(flat.tolist()) / n)
+    mean = float(math.fsum(memoryview(flat)) / n)
     # argmax over the masked field
     masked = np.where(finite, vals, -np.inf)
     idx = np.unravel_index(np.argmax(masked), masked.shape)

@@ -1,3 +1,4 @@
+import io
 import os
 
 import numpy as np
@@ -5,6 +6,7 @@ import pytest
 
 from dsfield.ansatz import SeparationCoefficients, SolutionSpec, window_grid
 from dsfield.auxiliary import Auxiliaries, Ingredients
+from dsfield.field import to_csv
 from dsfield.profiles import ExpSumProfile
 
 CONFIGS = os.path.join(os.path.dirname(__file__), os.pardir, "configs")
@@ -13,6 +15,13 @@ CONFIGS = os.path.join(os.path.dirname(__file__), os.pardir, "configs")
 # decaying exponential: then p_z < 0 < q_e with det > 0, so the sign
 # condition det p_z q_e >= 0 fails everywhere and no branch makes p1 q1 real
 DECAYING_P = ("K = 1", "K = -1", 1)
+
+
+def csv_bytes(grid) -> bytes:
+    """The bytes :func:`~dsfield.field.to_csv` writes for ``grid``."""
+    buf = io.BytesIO()
+    assert to_csv(grid, buf) is None
+    return buf.getvalue()
 
 
 def decaying_p_text() -> str:

@@ -26,7 +26,6 @@ from dsfield.field import (
     reflection_defect,
     refined_global_max,
     sample_field,
-    to_csv,
 )
 from dsfield.verify import (
     bilinear_residuals,
@@ -35,7 +34,7 @@ from dsfield.verify import (
     pde_phi_convergence,
 )
 
-from conftest import bundle, random_spec
+from conftest import bundle, csv_bytes, random_spec
 
 
 import conftest
@@ -195,7 +194,7 @@ def test_criterion_9_determinism(tmp_path):
 
         e = build_case("dromion")
         grid = sample_field(e.spec, "U", e.window, 0.0, 48, 48)
-        x, y, v = parse_csv(to_csv(grid))
+        x, y, v = parse_csv(csv_bytes(grid))
         assert np.array_equal(v, grid.values.ravel())
 
 

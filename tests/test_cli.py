@@ -233,6 +233,28 @@ def test_unwritable_out_is_a_usage_error(tmp_path, capsys, argv):
     assert not list(tmp_path.rglob(".dsfield-*"))
 
 
+def test_render_failing_midway_leaves_no_file(tmp_path, monkeypatch, capsys):
+    # the CSV goes into its temp file block by block, 40 rows of 200 at
+    # --res 200; a writer that fails on the second block, after the first
+    # reached the temp file, leaves neither that file nor a partial --out
+    from dsfield import field
+    written, temp = [], []
+
+    def failing(v, out, write=field._write_g17):
+        if written:
+            temp.extend(p.stat().st_size for p in tmp_path.glob(".dsfield-*"))
+            raise OSError("No space left on device")
+        written.append(v.size)
+        write(v, out)
+
+    monkeypatch.setattr(field, "_write_g17", failing)
+    assert run("render", "--case", "dromion", "--t", "0", "--res", "200",
+               "--out", str(tmp_path / "u.csv")) == 2
+    assert "No space left" in capsys.readouterr().err
+    assert written == [8000] and len(temp) == 1 and temp[0] > 0
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_render_unknown_case_exits_2(tmp_path, capsys):
     code = run("render", "--case", "worm", "--t", "0",
                "--out", str(tmp_path / "x.csv"))

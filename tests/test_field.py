@@ -1,12 +1,13 @@
 import io
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dsfield import ansatz
+from dsfield import ansatz, field
 from dsfield.ansatz import (
     SeparationCoefficients,
     SolutionSpec,
@@ -35,7 +36,7 @@ from dsfield.field import (
 )
 from dsfield.profiles import ExpSumProfile
 
-from conftest import regular_window
+from conftest import csv_bytes, regular_window
 
 # closed-form dromion peak: U = 2/(2+sqrt(2))^2 at x = -sqrt(2)(1+ln(2)/2)
 DROMION_PEAK = 2.0 / (2.0 + math.sqrt(2.0)) ** 2
@@ -83,10 +84,38 @@ def test_unequal_spacing_u_grid_is_pointwise_intensity(name):
     np.testing.assert_array_equal(g.values[g.mask], u[g.mask])
 
 
+def _one_block(monkeypatch):
+    """Makes every row block span the whole grid."""
+    for module in (ansatz, field):
+        monkeypatch.setattr(module, "_ROW_BLOCK", 10 ** 9)
+
+
+@pytest.mark.parametrize("name,window,mask", [
+    ("dromion", None, False),                       # the line lattice
+    ("dromion", ((-7.5, 7.5), (-7.0, 7.0)), False),  # off it
+    ("double_instanton", None, True),               # masked, on the lattice
+])
+def test_row_blocks_match_the_whole_grid(name, window, mask, monkeypatch):
+    # 150 columns: blocks of 54 rows, the last of 42; U, its mask, the PGM
+    # and its sidecar are those of one block over the whole grid, bit for bit
+    e = build_case(name)
+    window, valid_mask = window or e.window, e.valid_mask if mask else None
+    assert ansatz.batches(150, 150, ansatz._ROW_BLOCK)[-1] == slice(108, 162)
+    assert (window_grid(window, 150).zeta_index is None) == (window != e.window)
+    blocked = sample_field(e.spec, "U", window, 0.4, 150, 150, valid_mask)
+    pgm = to_pgm16(blocked)
+    _one_block(monkeypatch)
+    whole = sample_field(e.spec, "U", window, 0.4, 150, 150, valid_mask)
+    assert whole.values.tobytes() == blocked.values.tobytes()
+    np.testing.assert_array_equal(whole.mask, blocked.mask)
+    assert mask == (not blocked.mask.all())
+    assert to_pgm16(whole) == pgm
+
+
 def test_breather_degenerate_grid_is_zero():
     e = build_case("breather")
     g = sample_field(e.spec, "U", e.window, math.pi / 2, 32, 32)
-    assert np.max(np.abs(g.valid_values())) < 1e-30
+    assert np.max(np.abs(g.values[g.mask])) < 1e-30
 
 
 def test_entirely_masked_window_raises():
@@ -342,7 +371,7 @@ def test_refined_l2_scan_samples_few_extra_grids(monkeypatch):
 def _l2_per_time(spec, window, times, grid_n, valid_mask=None):
     grids = (sample_field(spec, "U", window, t, grid_n, grid_n, valid_mask)
              for t in times)
-    return np.array([np.sqrt(np.mean(g.valid_values() ** 2)) for g in grids])
+    return np.array([np.sqrt(np.mean(g.values[g.mask] ** 2)) for g in grids])
 
 
 @pytest.mark.parametrize("name", case_names())
@@ -508,7 +537,7 @@ def test_pgm_masks_to_zero():
 def test_csv_round_trip_is_bit_exact():
     e = build_case("dromion")
     g = sample_field(e.spec, "U", e.window, 0.0, 16, 16)
-    x, y, v = parse_csv(to_csv(g))
+    x, y, v = parse_csv(csv_bytes(g))
     assert v.shape == (256,)
     assert np.array_equal(v, g.values.ravel())
     assert np.array_equal(x, np.tile(g.x, 16))
@@ -519,7 +548,7 @@ def test_csv_round_trip_of_masked_grid():
     g = sample_field(e.spec, "U", e.window, 0.0, 48, 48, e.valid_mask)
     assert 0 < np.count_nonzero(g.mask) < g.mask.size
     iy, ix = np.nonzero(g.mask)
-    x, y, v = parse_csv(to_csv(g))
+    x, y, v = parse_csv(csv_bytes(g))
     assert np.array_equal(x, g.x[ix])
     assert np.array_equal(y, g.y[iy])
     assert np.array_equal(v, g.values[iy, ix])
@@ -611,6 +640,20 @@ def _batch_seams():
     return grid_of(values, np.isfinite(values))
 
 
+def _row_block_seams():
+    # 300 columns, blocks of 27 rows, 120 rows: five blocks, the last of 12;
+    # masked points across the first seam, +-0 and 1e-300 on both sides of
+    # the second, and the fourth block masked whole
+    step = ansatz._ROW_BLOCK // 300
+    values = _in_range(120 * 300, 22).reshape(120, 300)
+    values[2 * step - 1, -2:] = [0.0, 1e-300]
+    values[2 * step, :2] = [-0.0, -1e-300]
+    mask = np.ones_like(values, dtype=bool)
+    mask[step - 1, 250:] = mask[step, :40] = False
+    mask[3 * step:4 * step] = False
+    return grid_of(values, mask, ((-3.0, 4.0), (-1e-3, 2e16)))
+
+
 def _falls_back(v):
     return v == 0 or not 1e-11 <= abs(v) < 1e15
 
@@ -618,36 +661,63 @@ def _falls_back(v):
 @pytest.mark.parametrize("make", [_instanton_u, _instanton_phi, _non_square,
                                   _one_valid_point, _resonant_u,
                                   _bilinear2_residual, _breather_phi, _masked_rows,
-                                  _one_full_batch, _batch_seams])
+                                  _one_full_batch, _batch_seams, _row_block_seams])
 def test_csv_matches_per_point_writer(make):
     g = make()
     assert g.mask.any()
-    assert to_csv(g) == csv_reference(g)
+    assert csv_bytes(g) == csv_reference(g)
+
+
+def test_csv_memory_follows_the_grid_not_the_text():
+    # 512^2 values in the kernel's range are about 18 MB of CSV text; the
+    # export writes it block by block and allocates a few block buffers
+    class Discard:
+        def write(self, data):
+            pass
+
+    g = grid_of(_in_range(512 * 512, 23).reshape(512, 512))
+    tracemalloc.start()
+    try:
+        to_csv(g, Discard())
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8e6
 
 
 def test_csv_fixtures_reach_every_path():
     # the cases above cover the kernel, the fallback and their batching
     u, b2, phi = _resonant_u(), _bilinear2_residual(), _breather_phi()
-    assert u.valid_values().max() > 1e9 and u.mask.sum() % ansatz._BATCH_POINTS
+    assert u.values[u.mask].max() > 1e9 and u.mask.sum() % ansatz._BATCH_POINTS
     assert u.mask.sum() > 2 * ansatz._BATCH_POINTS
-    assert np.abs(b2.valid_values()).max() < 1e-15
-    assert phi.valid_values().min() < 0
+    assert np.abs(b2.values[b2.mask]).max() < 1e-15
+    assert phi.values[phi.mask].min() < 0
     m = _masked_rows().mask
     assert not m[2].any() and 0 < m[1].sum() < m.shape[1]
     n = ansatz._BATCH_POINTS
-    full = _one_full_batch().valid_values()
+    full = _one_full_batch()
+    full = full.values[full.mask]
     assert full.size == n and not any(map(_falls_back, full.tolist()))
-    seams = _batch_seams().valid_values()
+    seams = _batch_seams()
+    seams = seams.values[seams.mask]
     assert seams.size > 2 * n and ansatz.batches(seams.size, 1)[1] == slice(n, 2 * n)
     assert [_falls_back(v) for v in seams[n - 2:n + 2].tolist()] == [False, True, True, False]
     assert abs(seams[2 * n - 1]) == abs(seams[2 * n]) == 1e15
     assert math.floor(math.log10(1e15) - 1e-12) == 14      # the kernel's first X
+    rows = _row_block_seams()
+    step = ansatz._ROW_BLOCK // rows.nx
+    blocks = ansatz.batches(rows.ny, rows.nx, ansatz._ROW_BLOCK)
+    assert len(blocks) == 5 and blocks[-1] == slice(4 * step, 5 * step) and rows.ny % step
+    assert not rows.mask[step - 1, -1] and not rows.mask[step, 0]
+    assert not rows.mask[blocks[3]].any() and rows.mask[blocks[4]].all()
+    seam = rows.values[2 * step - 1:2 * step + 1].ravel()[rows.nx - 2:rows.nx + 2]
+    assert all(map(_falls_back, seam.tolist()))
 
 
 @pytest.mark.parametrize("make", [_masked_rows, _breather_phi, _resonant_u])
 def test_report_mean_is_the_exact_sum_over_the_count(make):
     g = make()
-    valid = g.valid_values()
+    valid = g.values[g.mask]
     mean = f"mean: {math.fsum(valid.tolist()) / valid.size:.17g}"
     assert mean in to_report(g).splitlines()
     assert mean in to_pgm16(g)[1].splitlines()
@@ -735,6 +805,6 @@ def test_render_deterministic_bytes():
     outs = []
     for _ in range(2):
         g = sample_field(e.spec, "U", e.window, 0.0, 64, 64)
-        outs.append((to_csv(g), to_pgm16(g)[0]))
+        outs.append((csv_bytes(g), to_pgm16(g)[0]))
     assert outs[0][0] == outs[1][0]
     assert outs[0][1] == outs[1][1]
