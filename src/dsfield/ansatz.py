@@ -23,6 +23,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .calculus import DIV_GUARD, Jet
 from .profiles import ProfileFunction, TimeFunction, const_fn
@@ -142,10 +143,10 @@ class WindowGrid:
     sample coordinates and ``keep`` is ``valid_mask(zeta, eta)``, or all
     True without one.  On a square grid with equal spacing on both axes,
     zeta at row i, column j depends on j - i alone and eta on i + j alone:
-    ``zeta_lines`` and ``eta_lines`` then hold the 2N - 1 line coordinates
-    and ``zeta_index``, ``eta_index`` (N, N) gather them onto the grid.
-    Otherwise the lines are ``zeta`` and ``eta`` themselves and the indices
-    are None.
+    ``zeta_lines`` and ``eta_lines`` then hold the 2N - 1 line coordinates,
+    and row i reads the windows ``zeta_lines[N-1-i : 2N-1-i]`` and
+    ``eta_lines[i : i+N]``.  Otherwise the lines are ``zeta`` and ``eta``
+    themselves, 2-D.
     """
 
     X: np.ndarray
@@ -155,8 +156,6 @@ class WindowGrid:
     keep: np.ndarray
     zeta_lines: np.ndarray
     eta_lines: np.ndarray
-    zeta_index: Optional[np.ndarray]
-    eta_index: Optional[np.ndarray]
 
 
 def window_grid(window, samples, valid_mask=None) -> WindowGrid:
@@ -177,14 +176,12 @@ def window_grid(window, samples, valid_mask=None) -> WindowGrid:
     else:
         keep = np.asarray(valid_mask(zeta, eta), dtype=bool)
     if nx != ny or x1 - x0 != y1 - y0:
-        return WindowGrid(X, Y, zeta, eta, keep, zeta, eta, None, None)
+        return WindowGrid(X, Y, zeta, eta, keep, zeta, eta)
     k, m = np.arange(1 - nx, nx), np.arange(2 * nx - 1)
-    i, j = np.arange(nx)[:, None], np.arange(nx)       # row (y) and column (x)
     return WindowGrid(
         X, Y, zeta, eta, keep,
         (x[np.maximum(k, 0)] - y[np.maximum(-k, 0)]) / SQRT2,
-        (x[np.minimum(m, nx - 1)] + y[np.maximum(m - nx + 1, 0)]) / SQRT2,
-        j - i + (nx - 1), i + j)
+        (x[np.minimum(m, nx - 1)] + y[np.maximum(m - nx + 1, 0)]) / SQRT2)
 
 
 def batches(n: int, points_each: int, size: int = _BATCH_POINTS) -> list:
@@ -270,21 +267,24 @@ def grid_intensity(spec: SolutionSpec, grid: WindowGrid, t, dt: bool = False):
     The kernel fills the arrays in blocks of grid rows, _ROW_BLOCK samples
     per time, reading each profile's jet to the box the kernel reads.  On
     the line lattice each profile is evaluated once per line coordinate for
-    all times and each block gathers that jet onto its rows; off it each
-    block evaluates the profiles on its own zeta and eta.
+    all times and each block views its rows' windows of that jet, as
+    :class:`WindowGrid` names them; off it each block evaluates the
+    profiles on its own zeta and eta.
     """
     t = np.asarray(t, dtype=float)
     tt = t.reshape(t.shape + (1,) * grid.zeta_lines.ndim) if t.ndim else float(t)
 
-    def on_grid(profile, lines, index):         # rows -> the jet on those rows
-        if index is None:
+    def on_grid(profile, lines, step):          # rows -> the jet on those rows
+        if lines.ndim == 2:
             return lambda rows: profile.jet3(lines[rows], tt, (1, int(dt)))
         jet = profile.jet3(lines, tt, (1, int(dt)))
-        full = [np.broadcast_to(e, t.shape + lines.shape) for e in jet.entries]
-        return lambda rows: Jet((np.take(e, index[rows], axis=-1) for e in full), jet.layout)
+        windows = [sliding_window_view(np.broadcast_to(e, t.shape + lines.shape),
+                                       grid.keep.shape[1], axis=-1)[..., ::step, :]
+                   for e in jet.entries]
+        return lambda rows: Jet((w[..., rows, :] for w in windows), jet.layout)
 
-    pj = on_grid(spec.p, grid.zeta_lines, grid.zeta_index)
-    qj = on_grid(spec.q, grid.eta_lines, grid.eta_index)
+    pj = on_grid(spec.p, grid.zeta_lines, -1)
+    qj = on_grid(spec.q, grid.eta_lines, 1)
     out = [np.empty(t.shape + grid.keep.shape) for _ in range(1 + dt)]     # U, U_t
     for rows in batches(*grid.keep.shape, _ROW_BLOCK):
         for whole, block in zip(out, _intensity(spec, pj(rows), qj(rows), dt)):

@@ -652,14 +652,15 @@ def to_report(grid: FieldGrid) -> str:
         f"masked: {grid.mask.size - n}",
     ]
     if n:
-        idx = np.unravel_index(int(np.argmax(np.where(grid.mask, grid.values,
-                                                      -np.inf))), grid.values.shape)
+        hi = float(np.max(grid.values, where=grid.mask, initial=-np.inf))
+        at = np.equal(grid.values, hi, out=np.zeros_like(grid.mask), where=grid.mask)
+        idx = np.unravel_index(int(np.argmax(at)), at.shape)    # the first valid max
         # fsum is exact: block by block it sums to the same bits
         total = math.fsum(chain.from_iterable(memoryview(grid.values[rows][grid.mask[rows]])
                                               for rows in batches(grid.ny, grid.nx, _ROW_BLOCK)))
         lines += [
             f"min: {float(np.min(grid.values, where=grid.mask, initial=np.inf)):.17g}",
-            f"max: {float(np.max(grid.values, where=grid.mask, initial=-np.inf)):.17g}",
+            f"max: {hi:.17g}",
             f"mean: {total / n:.17g}",
             f"max_at: {grid.x[idx[1]]:.17g},{grid.y[idx[0]]:.17g}",
         ]

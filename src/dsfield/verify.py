@@ -86,21 +86,19 @@ def _report(name, resid_abs, grid, t, valid, flags=None, notes="") -> ResidualRe
     """The report of the samples ``valid`` marks inside ``grid.keep``; its
     flags count the ``masked`` samples, outside ``grid.keep``, apart from
     the ``dropped`` ones, inside it but not counted."""
-    vals = np.where(valid, resid_abs, np.nan)
-    finite = np.isfinite(vals)
-    n = int(np.count_nonzero(finite))
+    ok = valid & np.isfinite(resid_abs)
+    n = int(np.count_nonzero(ok))
     kept = int(np.count_nonzero(grid.keep))
     flags = {"masked": grid.keep.size - kept, "dropped": kept - n, **(flags or {})}
     if n == 0:
         return ResidualReport(name, math.nan, math.nan,
                               CoordinatePoint(math.nan, math.nan, t),
                               0, flags, notes="no valid samples")
-    flat = vals[finite]
+    flat = resid_abs[ok]
     mx = float(np.max(flat))
     mean = float(math.fsum(memoryview(flat)) / n)
-    # argmax over the masked field
-    masked = np.where(finite, vals, -np.inf)
-    idx = np.unravel_index(np.argmax(masked), masked.shape)
+    at = np.equal(resid_abs, mx, out=np.zeros_like(ok), where=ok)
+    idx = np.unravel_index(int(np.argmax(at)), at.shape)        # the first counted max
     worst = CoordinatePoint(float(grid.X[idx]), float(grid.Y[idx]), float(t))
     return ResidualReport(name, mx, mean, worst, n, flags, notes=notes)
 

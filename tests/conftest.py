@@ -1,5 +1,6 @@
 import io
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -22,6 +23,16 @@ def csv_bytes(grid) -> bytes:
     buf = io.BytesIO()
     assert to_csv(grid, buf) is None
     return buf.getvalue()
+
+
+def traced_peak(fn, *args) -> int:
+    """The tracemalloc peak, in bytes, of the allocations of ``fn(*args)``."""
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def decaying_p_text() -> str:

@@ -23,7 +23,7 @@ from dsfield.calculus import DIV_GUARD
 from dsfield.catalog import build_case, case_names
 from dsfield.profiles import ExpSumProfile
 
-from conftest import random_spec, regular_window
+from conftest import random_spec, regular_window, traced_peak
 
 E = math.e
 DROMION_F0 = 1.0 + 2 * E + 2 * E * E
@@ -303,16 +303,32 @@ def test_intensity_time_derivative_matches_central_difference(name, t):
 # -- line lattice ---------------------------------------------------------------
 
 
+def lattice_index(n):
+    """The line indices of an n x n lattice, j - i + n - 1 for zeta and
+    i + j for eta at row i, column j: the reference for the row windows."""
+    i, j = np.arange(n)[:, None], np.arange(n)
+    return j - i + n - 1, i + j
+
+
+EQUAL_SPANS = ((-16.4, 27.0), (-20.7, 22.7))
+LATTICE_N = (9, 48, 97, 199, 200)
+
+
 @pytest.mark.parametrize("name", case_names())
-@pytest.mark.parametrize("n", [9, 48, 97])
-def test_lattice_intensity_is_pointwise_intensity_at_line_coordinates(name, n):
+@pytest.mark.parametrize("n,window", [pytest.param(n, None, id=str(n)) for n in LATTICE_N]
+                         + [pytest.param(n, EQUAL_SPANS, id=f"{n}-equal_spans")
+                            for n in LATTICE_N])
+def test_lattice_intensity_is_pointwise_intensity_at_line_coordinates(name, n, window):
     # on an equally spaced window U comes from the 2n - 1 zeta and eta lines;
-    # gathered, it is eval_intensity at the gathered line coordinates bit for
-    # bit, one time or a batch of them, U_t included
+    # read through the row windows, it is eval_intensity at the indexed line
+    # coordinates bit for bit, one time or a batch of them, U_t included.
+    # 97 takes blocks of 84 rows and a last of 13, 199 four of 41 and a last
+    # of 35, 200 five of 40
     e = build_case(name)
-    g = window_grid(e.window, n, e.valid_mask)
+    g = window_grid(window or e.window, n, e.valid_mask)
     assert g.zeta_lines.shape == g.eta_lines.shape == (2 * n - 1,)
-    zeta, eta = g.zeta_lines[g.zeta_index], g.eta_lines[g.eta_index]
+    zeta_index, eta_index = lattice_index(n)
+    zeta, eta = g.zeta_lines[zeta_index], g.eta_lines[eta_index]
     u, ut = grid_intensity(e.spec, g, 0.3)
     assert ut is None
     np.testing.assert_array_equal(u, eval_intensity(e.spec, zeta, eta, 0.3))
@@ -324,8 +340,7 @@ def test_lattice_intensity_is_pointwise_intensity_at_line_coordinates(name, n):
 
 
 @pytest.mark.parametrize("window", [build_case(name).window for name in case_names()]
-                         + [((-16.4, 27.0), (-20.7, 22.7)),
-                            ((-11.5, 31.9), (-13.4, 30.0))])
+                         + [EQUAL_SPANS, ((-11.5, 31.9), (-13.4, 30.0))])
 def test_lattice_coordinates_stay_within_rounding_of_rotate(window):
     # equal spans give x and y the same linspace step s, so rotate and the
     # line coordinate share the exact value (k s + x0 -+ y0)/sqrt(2) up to
@@ -341,12 +356,20 @@ def test_lattice_coordinates_stay_within_rounding_of_rotate(window):
     ulp = np.spacing(np.max(np.abs(window)))
     for n in range(8, 200, 3):
         g = window_grid(window, n)
-        zeta, eta = g.zeta_lines[g.zeta_index], g.eta_lines[g.eta_index]
+        zeta_index, eta_index = lattice_index(n)
+        zeta, eta = g.zeta_lines[zeta_index], g.eta_lines[eta_index]
         assert np.max(np.abs(zeta - g.zeta)) < 9 * ulp
         assert np.max(np.abs(eta - g.eta)) < 9 * ulp
         for a, b in ((zeta[0], g.zeta[0]), (zeta[:, 0], g.zeta[:, 0]),
                      (eta[0], g.eta[0]), (eta[:, -1], g.eta[:, -1])):
             np.testing.assert_array_equal(a, b)
+
+
+def test_lattice_grid_keeps_no_index_arrays():
+    # zeta and eta of a 512^2 window are 2.1 MB each and keep 0.26 MB; an
+    # (N, N) int64 index for each line family would add 4.2 MB
+    assert traced_peak(window_grid, EQUAL_SPANS, 512) <= 5e6
+    assert window_grid(EQUAL_SPANS, 512).zeta_lines.shape == (1023,)
 
 
 @pytest.mark.parametrize("window,samples", [
@@ -360,7 +383,7 @@ def test_unequal_spacing_samples_every_point(name, window, samples):
     # is eval_intensity at rotate(X, Y), bit for bit, per time or batched
     e = build_case(name)
     g = window_grid(window, samples, e.valid_mask)
-    assert g.zeta_index is None and g.eta_index is None
+    assert g.zeta_lines.ndim == g.eta_lines.ndim == 2
     assert g.zeta_lines is g.zeta and g.eta_lines is g.eta
     zeta, eta = rotate(g.X, g.Y)
     np.testing.assert_array_equal(grid_intensity(e.spec, g, 0.3)[0],

@@ -1,6 +1,5 @@
 import io
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -36,7 +35,7 @@ from dsfield.field import (
 )
 from dsfield.profiles import ExpSumProfile
 
-from conftest import csv_bytes, regular_window
+from conftest import csv_bytes, regular_window, traced_peak
 
 # closed-form dromion peak: U = 2/(2+sqrt(2))^2 at x = -sqrt(2)(1+ln(2)/2)
 DROMION_PEAK = 2.0 / (2.0 + math.sqrt(2.0)) ** 2
@@ -101,7 +100,7 @@ def test_row_blocks_match_the_whole_grid(name, window, mask, monkeypatch):
     e = build_case(name)
     window, valid_mask = window or e.window, e.valid_mask if mask else None
     assert ansatz.batches(150, 150, ansatz._ROW_BLOCK)[-1] == slice(108, 162)
-    assert (window_grid(window, 150).zeta_index is None) == (window != e.window)
+    assert (window_grid(window, 150).zeta_lines.ndim == 2) == (window != e.window)
     blocked = sample_field(e.spec, "U", window, 0.4, 150, 150, valid_mask)
     pgm = to_pgm16(blocked)
     _one_block(monkeypatch)
@@ -676,13 +675,15 @@ def test_csv_memory_follows_the_grid_not_the_text():
             pass
 
     g = grid_of(_in_range(512 * 512, 23).reshape(512, 512))
-    tracemalloc.start()
-    try:
-        to_csv(g, Discard())
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 8e6
+    assert traced_peak(to_csv, g, Discard()) < 8e6
+
+
+def test_report_makes_no_float_copy_of_the_grid():
+    # a 512^2 grid of doubles is 2.1 MB; finding max_at takes one boolean
+    # mask of the grid (0.26 MB) and the exact mean one block at a time
+    e = build_case("dromion")
+    g = sample_field(e.spec, "U", e.window, 0.4, 512, 512)
+    assert traced_peak(to_report, g) <= 0.5e6
 
 
 def test_csv_fixtures_reach_every_path():
