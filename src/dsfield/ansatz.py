@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
+from numpy.lib.stride_tricks import as_strided
 
 from .calculus import DIV_GUARD, Jet
 from .profiles import ProfileFunction, TimeFunction, const_fn
@@ -37,6 +37,7 @@ __all__ = [
     "unrotate",
     "WindowGrid",
     "window_grid",
+    "row_window",
     "profile_jets3",
     "eval_f",
     "eval_intensity",
@@ -184,6 +185,22 @@ def window_grid(window, samples, valid_mask=None) -> WindowGrid:
         (x[np.minimum(m, nx - 1)] + y[np.maximum(m - nx + 1, 0)]) / SQRT2)
 
 
+def row_window(grid: WindowGrid, lines, x, rows):
+    """``x``, a jet or an array on ``lines`` (``grid.zeta_lines`` or ``grid.eta_lines``)
+    after any leading axes, on the grid rows ``rows``: on the line lattice views of
+    each row's window, as :class:`WindowGrid` names them, off it a slice."""
+    if isinstance(x, Jet):
+        return Jet((e if np.ndim(e) == 0 else row_window(grid, lines, e, rows)
+                    for e in x.entries), x.layout)
+    if lines.ndim == 2:
+        return x[..., rows, :]
+    x = np.broadcast_to(x, np.shape(x)[:-1] + lines.shape)     # read-only, as are its views
+    n, s = grid.keep.shape[1], x.strides[-1]
+    if lines is grid.zeta_lines:                        # row i starts at line n - 1 - i
+        x, s = x[..., n - 1:], -s
+    return as_strided(x, x.shape[:-1] + (n, n), x.strides[:-1] + (s, x.strides[-1]))[..., rows, :]
+
+
 def batches(n: int, points_each: int, size: int = _BATCH_POINTS) -> list:
     """Slices that cut ``n`` items of ``points_each`` samples each into
     batches of about ``size`` samples, at least one item each."""
@@ -267,24 +284,20 @@ def grid_intensity(spec: SolutionSpec, grid: WindowGrid, t, dt: bool = False):
     The kernel fills the arrays in blocks of grid rows, _ROW_BLOCK samples
     per time, reading each profile's jet to the box the kernel reads.  On
     the line lattice each profile is evaluated once per line coordinate for
-    all times and each block views its rows' windows of that jet, as
-    :class:`WindowGrid` names them; off it each block evaluates the
-    profiles on its own zeta and eta.
+    all times and each block reads its rows by :func:`row_window`; off it
+    each block evaluates the profiles on its own zeta and eta.
     """
     t = np.asarray(t, dtype=float)
     tt = t.reshape(t.shape + (1,) * grid.zeta_lines.ndim) if t.ndim else float(t)
 
-    def on_grid(profile, lines, step):          # rows -> the jet on those rows
+    def on_grid(profile, lines):                # rows -> the jet on those rows
         if lines.ndim == 2:
             return lambda rows: profile.jet3(lines[rows], tt, (1, int(dt)))
         jet = profile.jet3(lines, tt, (1, int(dt)))
-        windows = [sliding_window_view(np.broadcast_to(e, t.shape + lines.shape),
-                                       grid.keep.shape[1], axis=-1)[..., ::step, :]
-                   for e in jet.entries]
-        return lambda rows: Jet((w[..., rows, :] for w in windows), jet.layout)
+        return lambda rows: row_window(grid, lines, jet, rows)
 
-    pj = on_grid(spec.p, grid.zeta_lines, -1)
-    qj = on_grid(spec.q, grid.eta_lines, 1)
+    pj = on_grid(spec.p, grid.zeta_lines)
+    qj = on_grid(spec.q, grid.eta_lines)
     out = [np.empty(t.shape + grid.keep.shape) for _ in range(1 + dt)]     # U, U_t
     for rows in batches(*grid.keep.shape, _ROW_BLOCK):
         for whole, block in zip(out, _intensity(spec, pj(rows), qj(rows), dt)):

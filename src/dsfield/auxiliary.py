@@ -37,7 +37,7 @@ import numpy as np
 
 from . import calculus as jc
 from .calculus import Jet
-from .ansatz import SolutionSpec
+from .ansatz import SolutionSpec, row_window
 
 __all__ = [
     "Auxiliaries",
@@ -122,27 +122,27 @@ class Ingredients:
 
     Every check and render on the grid reads this one evaluation: the
     formulas ``aux``, the :class:`Auxiliaries` of ``spec``; the profile
-    jets ``pj``, ``qj`` on the grid's zeta and eta, the amplitude jets
-    ``p1``, ``q1`` and gradient jets ``rz``, ``se`` from them, the phase
-    pairs ``r`` = (r, r_t) and ``s`` = (s, s_t), the backgrounds ``p0``,
-    ``q0``, and the ``consistency`` report on 33 probes over each
-    coordinate's range.  Each entry is evaluated when first read, so a run
-    that reads no phase integrates none; an entry assigned before its
-    first read replaces it.
+    jets ``pj``, ``qj`` on the grid's zeta and eta lines (on the lattice,
+    once per line), the amplitude jets ``p1``, ``q1`` and gradient jets
+    ``rz``, ``se`` from them, the phase pairs ``r`` = (r, r_t) and ``s`` =
+    (s, s_t), the backgrounds ``p0``, ``q0``, and the ``consistency``
+    report on 33 probes over each coordinate's range; ``rows(rows)`` reads
+    them on grid rows, as attributes.  Each entry is evaluated when first
+    read, and one assigned before its first read replaces it.
     """
 
     def __init__(self, spec: SolutionSpec, grid, t: float):
         self.spec, self.grid, self.t = spec, grid, t
 
     aux = _entry(lambda self: Auxiliaries(self.spec))
-    pj = _entry(lambda self: self.spec.p.jet3(self.grid.zeta, self.t))
-    qj = _entry(lambda self: self.spec.q.jet3(self.grid.eta, self.t))
+    pj = _entry(lambda self: self.spec.p.jet3(self.grid.zeta_lines, self.t))
+    qj = _entry(lambda self: self.spec.q.jet3(self.grid.eta_lines, self.t))
     p1 = _entry(lambda self: self.aux.p1_jet(self.pj, self.t))
     q1 = _entry(lambda self: self.aux.q1_jet(self.qj, self.t))
     rz = _entry(lambda self: self.aux.r_zeta_jet(self.pj, self.t))
     se = _entry(lambda self: self.aux.s_eta_jet(self.qj, self.t))
-    r = _entry(lambda self: self.aux.phase_r(self.grid.zeta, self.t))
-    s = _entry(lambda self: self.aux.phase_s(self.grid.eta, self.t))
+    r = _entry(lambda self: self.aux.phase_r(self.grid.zeta_lines, self.t))
+    s = _entry(lambda self: self.aux.phase_s(self.grid.eta_lines, self.t))
     p0 = _entry(lambda self: self.aux.p0(self.r[1], self.p1, self.rz, self.t))
     q0 = _entry(lambda self: self.aux.q0(self.s[1], self.q1, self.se, self.t))
 
@@ -151,6 +151,27 @@ class Ingredients:
         zp, ep = (np.linspace(float(np.min(c)), float(np.max(c)), 33)
                   for c in (self.grid.zeta, self.grid.eta))
         return consistency_c1_c2(self.aux, zp, ep, self.t)
+
+    def rows(self, rows=slice(None)) -> "_Rows":
+        return _Rows(self, rows)
+
+
+_LINES = {**dict.fromkeys(("pj", "p1", "rz", "r", "p0"), "zeta_lines"),
+          **dict.fromkeys(("qj", "q1", "se", "s", "q0"), "eta_lines")}
+
+
+class _Rows:
+    """Row windows of a bundle's entries on their ``_LINES``; a pair maps entry by entry."""
+
+    def __init__(self, ing: Ingredients, rows):
+        self.ing, self.rows = ing, rows
+
+    def __getattr__(self, name):
+        if name not in _LINES:
+            raise AttributeError(name)
+        grid, x = self.ing.grid, getattr(self.ing, name)
+        window = functools.partial(row_window, grid, getattr(grid, _LINES[name]), rows=self.rows)
+        return tuple(map(window, x)) if isinstance(x, tuple) else window(x)
 
 
 # ---------------------------------------------------------------------------

@@ -289,7 +289,7 @@ def _cmd_verify(args) -> int:
                 "; ".join(f"{key} undefined (nan)" for key, v in var.items() if math.isnan(v)))
 
     if "admissibility" in requested:
-        rep = check_admissibility(spec, ing.grid, t, ing.pj, ing.qj)
+        rep = check_admissibility(spec, ing.grid, t, ing.rows().pj, ing.rows().qj)
         checks["admissibility"] = ("pass" if rep.verdict == "admissible" else "fail", [
             ("verdict", rep.verdict),
             ("min_abs_f", f"{rep.min_abs_f:.6e}"),

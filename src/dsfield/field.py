@@ -43,7 +43,7 @@ from .ansatz import (
     window_grid,
 )
 from .auxiliary import Ingredients
-from .verify import residual_field
+from .verify import PDE2_STENCIL, _bilinear2_field, _pde2_field
 
 __all__ = [
     "SingularWindowError",
@@ -120,29 +120,32 @@ def sample_field(spec: SolutionSpec, which: str, window, t: float, nx: int, ny: 
     """Sample one of the derived fields over an (x, y) window.
 
     ``which`` is one of ``U`` (intensity), ``phi`` (forcing field) or
-    ``bilinear2`` or ``pde2`` (residual fields).  ``U`` comes from
-    :func:`grid_intensity`, so on a square window with equal spacing the
-    profiles are evaluated once per zeta and eta line; the other fields
-    read one :class:`~dsfield.auxiliary.Ingredients` bundle on the grid.
-    Raises if the window is entirely invalid.
+    ``bilinear2`` or ``pde2`` (residual fields).  On a square window with
+    equal spacing every ingredient is evaluated once per zeta and eta line:
+    ``U`` by :func:`grid_intensity`, phi and ``bilinear2`` in blocks of grid
+    rows from one :class:`~dsfield.auxiliary.Ingredients` bundle.  Raises if
+    the window is entirely invalid.
     """
     if nx < 8 or ny < 8:
         raise ValueError("resolution must be at least 8 per axis")
     (x0, x1), (y0, y1) = window
     grid = window_grid(window, (nx, ny), valid_mask)
 
-    ing = Ingredients(spec, grid, t)            # evaluates nothing until read
     if which == "U":
         vals = grid_intensity(spec, grid, t)[0]
-    elif which == "phi":
-        vals = eval_phi(spec, grid.zeta, grid.eta, t, ing.p0, ing.q0,
-                        tau=eval_f(spec, grid.zeta, grid.eta, t, ing.pj, ing.qj))
-    elif which in ("bilinear2", "pde2"):
-        vals = residual_field(ing, which)
+    elif which == "pde2":
+        resid, stencil_ok = _pde2_field(spec, grid.zeta, grid.eta, t, PDE2_STENCIL)
+        vals = np.where(stencil_ok, resid, np.nan)
+    elif which in ("phi", "bilinear2"):
+        ing, vals = Ingredients(spec, grid, t), np.empty((ny, nx))
+        for rows in batches(ny, nx, _ROW_BLOCK):
+            b = ing.rows(rows)
+            vals[rows] = (_bilinear2_field(spec, b)[0] if which == "bilinear2" else
+                          eval_phi(spec, None, None, t, b.p0, b.q0,
+                                   tau=eval_f(spec, None, None, t, b.pj, b.qj)))
     else:
         raise ValueError(f"unknown field {which!r}; use U, phi, bilinear2, pde2")
 
-    vals = np.asarray(vals, dtype=float)
     mask = grid.keep & np.isfinite(vals)
     _require_valid(mask.any())
     np.copyto(vals, 0.0, where=~mask)

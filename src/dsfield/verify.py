@@ -17,11 +17,10 @@ Three independent suites certify a solution spec:
   sweeps of profile values alone.
 
 Every check reads the :class:`~dsfield.auxiliary.Ingredients` bundle of
-its window grid, which builds its own formulas from the spec: the
-profile, amplitude and gradient jets, the phases and the backgrounds are
-each evaluated once there, whichever checks read them; ``pde2`` reads
-only the bundle's spec, grid and time.  The Hirota operator expands jets
-in (x, t) of any order.
+its window grid: the profile, amplitude and gradient jets, the phases
+and the backgrounds are each evaluated there once per line, and the
+checks read their row windows; ``pde2`` reads only the bundle's spec,
+grid and time.  The Hirota operator expands jets in (x, t) of any order.
 
 No check gates another: the envelope-equation checks run on every spec
 with a3 != 0, whatever the consistency report says, so a non-solution
@@ -138,11 +137,11 @@ def hirota_cross(tau) -> float:
 # envelope equation
 
 
-def _envelope_terms(ing: Ingredients):
+def _envelope_terms(b):
     """Envelope g = p1 q1 exp(i(r+s)) and its derivatives
-    (g, g_z, g_zz, g_e, g_ee, g_t)."""
-    p1, q1, rz, se = ing.p1, ing.q1, ing.rz, ing.se
-    (r, r_t), (s, s_t) = ing.r, ing.s
+    (g, g_z, g_zz, g_e, g_ee, g_t) from the bundle entries ``b`` on grid rows."""
+    p1, q1, rz, se = b.p1, b.q1, b.rz, b.se
+    (r, r_t), (s, s_t) = b.r, b.s
     E = np.exp(1j * (r + s))
     P = p1.value * q1.value
     g = P * E
@@ -156,11 +155,13 @@ def _envelope_terms(ing: Ingredients):
     return g, g_z, g_zz, g_e, g_ee, g_t
 
 
-def _envelope_fields(ing: Ingredients, tau):
-    """|residual| of line 1 of the bilinear form, its terms scaled by 1/f^3,
-    and of the envelope equation for u = g/f with the forcing field phi."""
-    spec, t, p0, q0 = ing.spec, ing.t, ing.p0, ing.q0
-    g, g_z, g_zz, g_e, g_ee, g_t = _envelope_terms(ing)
+def _envelope_fields(ing: Ingredients):
+    """|residual| on the bundle's grid of line 1 of the bilinear form, its terms
+    scaled by 1/f^3, and of the envelope equation for u = g/f with phi."""
+    b = ing.rows()
+    spec, t, p0, q0 = ing.spec, ing.t, b.p0, b.q0
+    g, g_z, g_zz, g_e, g_ee, g_t = _envelope_terms(b)
+    tau = eval_f(spec, None, None, t, b.pj, b.qj)
     f, f_z, f_e, f_t, f_zz, f_ze, _, f_ee, _, _ = tau.entries
     beta = spec.funcs.beta(t)
     gamma = spec.funcs.gamma(t)
@@ -177,7 +178,7 @@ def _envelope_fields(ing: Ingredients, tau):
     # u_zz + u_ee, with u_zz = d2z - u D_z^2 f.f / f^2
     lap = ((d2z - u * 2.0 * (f * f_zz - f_z ** 2) / f2)
            + (d2e - u * 2.0 * (f * f_ee - f_e ** 2) / f2))
-    phi = eval_phi(spec, ing.grid.zeta, ing.grid.eta, t, p0, q0, tau=tau)
+    phi = eval_phi(spec, None, None, t, p0, q0, tau=tau)
     pde1 = t1 + beta * (0.5 * lap - 0.5 * np.abs(u) ** 2 * u + u * phi) + t6
     return np.abs(t1 + t2 + t3 + t4 + t5 + t6), np.abs(pde1)
 
@@ -200,9 +201,8 @@ def envelope_residuals(ing: Ingredients):
                                     notes="not applicable: a3 = 0 (no rounding floor "
                                           "for the residual near the zeros of f)")
                      for name in ("bilinear1", "pde1"))
-    tau = eval_f(ing.spec, grid.zeta, grid.eta, t, ing.pj, ing.qj)
     with np.errstate(invalid="ignore", over="ignore", under="ignore", divide="ignore"):
-        line1, pde1 = _envelope_fields(ing, tau)
+        line1, pde1 = _envelope_fields(ing)
     return (_report("bilinear1", line1, grid, t, grid.keep & np.isfinite(line1)),
             _report("pde1", pde1, grid, t, grid.keep & np.isfinite(pde1)))
 
@@ -211,18 +211,17 @@ def envelope_residuals(ing: Ingredients):
 # bilinear residuals
 
 
-def _bilinear2_field(ing: Ingredients):
-    """Residual of 2 D_z D_e f.f = g g* relative to |g g*|.
+def _bilinear2_field(spec: SolutionSpec, b):
+    """Residual of 2 D_z D_e f.f = g g* relative to |g g*|, from the row entries ``b``.
 
     The left side of every separable f is the closed form 4 det p_z q_e.
     g g* comes from the bundle's amplitude factors, falling back to that
     product, so reading exactly 0, where they are non-finite; the second
     value marks those fallbacks.
     """
-    a, pj, qj = ing.spec.coeffs, ing.pj, ing.qj
     with np.errstate(invalid="ignore", over="ignore", under="ignore"):
-        exact = 4.0 * a.det * pj[1, 0] * qj[1, 0]
-        gg = (ing.p1.value * ing.q1.value) ** 2
+        exact = 4.0 * spec.coeffs.det * b.pj[1, 0] * b.qj[1, 0]
+        gg = (b.p1.value * b.q1.value) ** 2
         amp_bad = ~np.isfinite(gg)
         gg = np.where(amp_bad, exact, gg)
         scale = np.abs(gg)
@@ -237,7 +236,7 @@ def bilinear_residuals(ing: Ingredients) -> ResidualReport:
     counting the samples where they are non-finite and checked nothing.  A
     report where every sample fell back says so in its notes."""
     grid = ing.grid
-    rel, amp_bad = _bilinear2_field(ing)
+    rel, amp_bad = _bilinear2_field(ing.spec, ing.rows())
     valid = grid.keep & np.isfinite(rel)
     return _report("bilinear2", rel, grid, ing.t, valid,
                    flags={"amplitude_branch": int(np.count_nonzero(amp_bad & grid.keep))},
@@ -307,28 +306,6 @@ def pde_phi_convergence(ing: Ingredients, stencil: Stencil = PDE2_STENCIL):
     fine = pde_residuals(ing, finer)
     order = observed_order(coarse.mean_abs, fine.mean_abs)
     return coarse, fine, order
-
-
-# ---------------------------------------------------------------------------
-# residual fields for rendering
-
-
-def residual_field(ing: Ingredients, which: str) -> np.ndarray:
-    """Pointwise residual values on the bundle's grid (not reduced to a
-    report) for rendering.
-
-    NaN marks the samples the matching report drops.
-    """
-    grid = ing.grid
-    keep = grid.keep
-    if which == "bilinear2":
-        resid, _ = _bilinear2_field(ing)
-    elif which == "pde2":
-        resid, stencil_ok = _pde2_field(ing.spec, grid.zeta, grid.eta, ing.t, PDE2_STENCIL)
-        keep = keep & stencil_ok
-    else:
-        raise ValueError(f"unknown residual field {which!r}")
-    return np.where(keep & np.isfinite(resid), resid, np.nan)
 
 
 # ---------------------------------------------------------------------------

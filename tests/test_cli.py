@@ -9,6 +9,7 @@ import pytest
 
 from dsfield import profiles
 from dsfield.ansatz import batches, window_grid
+from dsfield.calculus import Jet
 from dsfield.cli import main, parse_time, parse_window
 from dsfield.field import parse_csv
 from dsfield.specfile import dumps_spec, load_spec, loads_spec, SpecFileError
@@ -361,7 +362,7 @@ def test_verify_periodic_config_takes_no_division_guard(tmp_path):
     assert code == 0
     assert rep["check.bilinear2.amplitude_branch"] == "0"
     assert [rep[f"check.{c}.max_abs"] for c in ("bilinear2", "bilinear1", "pde1")] == [
-        "6.311437e-16", "1.140333e-13", "1.319656e-13"]
+        "6.203448e-16", "5.695433e-14", "1.784400e-13"]
 
 
 def test_verify_keeps_the_plus_branch_where_p_z_turns_negative_off_the_window(tmp_path):
@@ -643,37 +644,46 @@ def test_verify_evaluates_consistency_and_phases_once(tmp_path, monkeypatch):
 
 
 def test_verify_and_render_evaluate_each_profile_jet_once(tmp_path, monkeypatch):
-    # one ingredient bundle per grid: a six-check verify evaluates each
-    # profile's jet, and p1 and q1, on the --res grid once; the pole sweeps
-    # read profile values alone; a phi render evaluates each profile on its
-    # grid once
+    # one ingredient bundle per grid, on its lines: a six-check verify
+    # evaluates each profile's jet, and p1 and q1, once on the 127 line
+    # coordinates of the --res 64 grid and no bundle entry on its 64^2
+    # points; the pole sweeps read profile values alone; a phi render
+    # evaluates each profile once on its lines
     from dsfield.auxiliary import Auxiliaries
     e = build_case("breather")
-    on_grid, sweep_entries, amplitudes = [], [], []
+    on_lines, on_points, sweep_entries, amplitudes = [], [], [], []
     for cls in (type(e.spec.p), type(e.spec.q)):
         def counting(self, x, t, *args, jet3=cls.jet3, **kwargs):
             out = jet3(self, x, t, *args, **kwargs)
+            if np.shape(x) == (127,):
+                on_lines.append(type(self).__name__)
             if np.shape(x) == (64, 64):
-                on_grid.append(type(self).__name__)
+                on_points.append(type(self).__name__)
             if np.size(x) == 65537:
                 sweep_entries.append(len(out.entries))
             return out
         monkeypatch.setattr(cls, "jet3", counting)
-    for attr in ("p1_jet", "q1_jet"):
-        def counting_amplitude(self, j, t, attr=attr, amp=getattr(Auxiliaries, attr)):
-            if np.shape(j.value) == (64, 64):
+    for attr in ("p1_jet", "q1_jet", "r_zeta_jet", "s_eta_jet", "phase_r", "phase_s",
+                 "p0", "q0"):
+        def counting_formula(self, *args, attr=attr, fn=getattr(Auxiliaries, attr)):
+            shapes = {np.shape(a.value if isinstance(a, Jet) else a) for a in args}
+            if (64, 64) in shapes:
+                on_points.append(attr)
+            if (127,) in shapes and attr in ("p1_jet", "q1_jet"):
                 amplitudes.append(attr)
-            return amp(self, j, t)
-        monkeypatch.setattr(Auxiliaries, attr, counting_amplitude)
+            return fn(self, *args)
+        monkeypatch.setattr(Auxiliaries, attr, counting_formula)
     assert run("verify", "--case", "breather", "--t", "0.3", "--res", "64",
                "--checks", ALL, "--out", str(tmp_path / "r.txt")) == 0
-    assert sorted(on_grid) == ["BreatherPProfile", "BreatherQProfile"]
+    assert sorted(on_lines) == ["BreatherPProfile", "BreatherQProfile"]
     assert sorted(amplitudes) == ["p1_jet", "q1_jet"]
     assert sweep_entries == [1, 1]
-    on_grid.clear()
+    assert on_points == []
+    on_lines.clear()
     assert run("render", "--case", "breather", "--t", "0.3", "--which", "phi",
                "--res", "64", "--out", str(tmp_path / "phi.csv")) == 0
-    assert sorted(on_grid) == ["BreatherPProfile", "BreatherQProfile"]
+    assert sorted(on_lines) == ["BreatherPProfile", "BreatherQProfile"]
+    assert on_points == []
 
 
 def test_verify_tol_consistency_sets_only_the_consistency_threshold(tmp_path):

@@ -111,6 +111,22 @@ def test_row_blocks_match_the_whole_grid(name, window, mask, monkeypatch):
     assert to_pgm16(whole) == pgm
 
 
+@pytest.mark.parametrize("name", ["dromion", "double_instanton"])
+def test_line_fields_peak_as_u_does(name):
+    # phi and bilinear2 read the ingredient bundle on the 1023 lines of a
+    # 512^2 case window through row windows, so beside the 2.1 MB values
+    # they take what U takes: a row block's temporaries, not N^2 jets
+    e = build_case(name)
+    t = e.reference_times[0]
+    peak = {}
+    for which in ("U", "phi", "bilinear2"):
+        sample_field(e.spec, which, e.window, t, 64, 64, e.valid_mask)     # warm caches
+        peak[which] = traced_peak(sample_field, e.spec, which, e.window, t, 512, 512,
+                                  e.valid_mask)
+    assert peak["phi"] <= peak["U"] + 4e6, peak
+    assert peak["bilinear2"] <= peak["U"] + 4e6, peak
+
+
 def test_breather_degenerate_grid_is_zero():
     e = build_case("breather")
     g = sample_field(e.spec, "U", e.window, math.pi / 2, 32, 32)

@@ -1,4 +1,5 @@
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -15,11 +16,15 @@ from dsfield.ansatz import (
     profile_jets3,
     window_grid,
 )
+from dsfield.auxiliary import Ingredients
 from dsfield.calculus import Jet, Stencil, layout
 from dsfield.catalog import build_case, case_names
+from dsfield.field import sample_field
 from dsfield.profiles import const_fn
 from dsfield.specfile import loads_spec
 from dsfield.verify import (
+    _bilinear2_field,
+    _envelope_fields,
     _pde2_field,
     bilinear_residuals,
     envelope_residuals,
@@ -27,7 +32,6 @@ from dsfield.verify import (
     hirota_d,
     pde_phi_convergence,
     pde_residuals,
-    residual_field,
     singularity_scan,
 )
 
@@ -302,12 +306,49 @@ def test_pde2_field_is_the_per_point_stencil_bit_for_bit(name):
             np.testing.assert_array_equal(got[1], want[1], strict=True)
 
 
-def test_residual_field_values_match_report():
+@pytest.mark.parametrize("name", case_names())
+def test_line_bundle_is_the_point_formulas_at_the_lattice_coordinates(name):
+    # the bundle evaluates each entry once per line and its readers take row
+    # windows; the same formulas on a grid whose N^2 points hold the lattice
+    # coordinates as plain arrays give every phi and bilinear2 render value,
+    # in row blocks (131 rows: three), and the bilinear1 and pde1 fields bit
+    # for bit.  Off the lattice the reference coordinates are the grid's own
+    e = build_case(name)
+    for samples in (48, 131, (97, 80)):
+        grid = window_grid(e.window, samples, e.valid_mask)
+        ny, nx = grid.keep.shape
+        if grid.zeta_lines.ndim == 1:
+            i, j = np.ogrid[:nx, :nx]
+            zeta, eta = grid.zeta_lines[j - i + nx - 1], grid.eta_lines[i + j]
+        else:
+            assert samples == (97, 80)
+            zeta, eta = grid.zeta.copy(), grid.eta.copy()
+        points = SimpleNamespace(X=grid.X, Y=grid.Y, keep=grid.keep, zeta=zeta, eta=eta,
+                                 zeta_lines=zeta, eta_lines=eta)
+        for t in (e.reference_times[0], 0.3):
+            ref = Ingredients(e.spec, points, t)
+            with np.errstate(invalid="ignore", over="ignore", under="ignore",
+                             divide="ignore"):
+                want = {"phi": eval_phi(e.spec, None, None, t, ref.p0, ref.q0,
+                                        tau=eval_f(e.spec, None, None, t, ref.pj, ref.qj)),
+                        "bilinear2": _bilinear2_field(e.spec, ref.rows())[0]}
+                for got, ref_field in zip(_envelope_fields(Ingredients(e.spec, grid, t)),
+                                          _envelope_fields(ref)):
+                    np.testing.assert_array_equal(got, ref_field, strict=True)
+            for which, values in want.items():
+                mask = grid.keep & np.isfinite(values)
+                got = sample_field(e.spec, which, e.window, t, nx, ny, e.valid_mask)
+                np.testing.assert_array_equal(got.mask, mask)
+                assert got.values.tobytes() == np.where(mask, values, 0.0).tobytes(), (
+                    samples, t, which)
+
+
+def test_residual_renders_match_report():
     e = build_case("dromion")
-    vals = residual_field(bundle(e.spec, e.window, 0.0, (32, 32)), "bilinear2")
-    assert np.nanmax(vals) < 1e-12
+    grid = sample_field(e.spec, "bilinear2", e.window, 0.0, 32, 32)
+    assert np.max(grid.values[grid.mask]) < 1e-12
     with pytest.raises(ValueError):
-        residual_field(bundle(e.spec, e.window, 0.0, (8, 8)), "nope")
+        sample_field(e.spec, "nope", e.window, 0.0, 8, 8)
     # at 48 samples the double_instanton mask drops 44 points near its pole
     for name in ("dromion", "double_instanton"):
         e = build_case(name)
@@ -315,10 +356,9 @@ def test_residual_field_values_match_report():
         ing = bundle(e.spec, e.window, t, 48, e.valid_mask)
         line2, pde2 = bilinear_residuals(ing), pde_residuals(ing)
         for which, rep in (("bilinear2", line2), ("pde2", pde2)):
-            vals = residual_field(bundle(e.spec, e.window, t, (48, 48), e.valid_mask),
-                                  which)
-            assert np.nanmax(vals) == rep.max_abs, (name, which)
-            assert np.count_nonzero(np.isfinite(vals)) == rep.samples, (name, which)
+            grid = sample_field(e.spec, which, e.window, t, 48, 48, e.valid_mask)
+            assert np.max(grid.values[grid.mask]) == rep.max_abs, (name, which)
+            assert np.count_nonzero(grid.mask) == rep.samples, (name, which)
 
 
 # -- scans -------------------------------------------------------------------------
