@@ -38,6 +38,7 @@ __all__ = [
     "WindowGrid",
     "window_grid",
     "row_window",
+    "grid_rows",
     "profile_jets3",
     "eval_f",
     "eval_intensity",
@@ -140,20 +141,17 @@ def unrotate(zeta, eta):
 class WindowGrid:
     """An (x, y) window sampled row-major, y along axis 0.
 
-    ``X``, ``Y`` and ``zeta``, ``eta`` (= ``rotate(X, Y)``) are the (ny, nx)
-    sample coordinates and ``keep`` is ``valid_mask(zeta, eta)``, or all
-    True without one.  On a square grid with equal spacing on both axes,
-    zeta at row i, column j depends on j - i alone and eta on i + j alone:
-    ``zeta_lines`` and ``eta_lines`` then hold the 2N - 1 line coordinates,
-    and row i reads the windows ``zeta_lines[N-1-i : 2N-1-i]`` and
-    ``eta_lines[i : i+N]``.  Otherwise the lines are ``zeta`` and ``eta``
-    themselves, 2-D.
+    ``X``, ``Y`` are the (ny, nx) sample coordinates, views of x and y,
+    and ``keep`` is ``valid_mask(*rotate(X, Y))``, or all True without one.
+    On a square grid with equal spacing on both axes, zeta at row i, column
+    j depends on j - i alone and eta on i + j alone: ``zeta_lines`` and
+    ``eta_lines`` then hold the 2N - 1 line coordinates, and row i reads the
+    windows ``zeta_lines[N-1-i : 2N-1-i]`` and ``eta_lines[i : i+N]``.
+    Otherwise the lines are ``rotate(X, Y)``, 2-D.
     """
 
     X: np.ndarray
     Y: np.ndarray
-    zeta: np.ndarray
-    eta: np.ndarray
     keep: np.ndarray
     zeta_lines: np.ndarray
     eta_lines: np.ndarray
@@ -171,34 +169,45 @@ def window_grid(window, samples, valid_mask=None) -> WindowGrid:
     nx, ny = samples if isinstance(samples, tuple) else (samples, samples)
     x, y = np.linspace(x0, x1, nx), np.linspace(y0, y1, ny)
     X, Y = np.meshgrid(x, y, copy=False)      # read-only views, no copies
-    zeta, eta = rotate(X, Y)
-    if valid_mask is None:
-        keep = np.ones_like(zeta, dtype=bool)
-    else:
-        keep = np.asarray(valid_mask(zeta, eta), dtype=bool)
     if nx != ny or x1 - x0 != y1 - y0:
-        return WindowGrid(X, Y, zeta, eta, keep, zeta, eta)
-    k, m = np.arange(1 - nx, nx), np.arange(2 * nx - 1)
-    return WindowGrid(
-        X, Y, zeta, eta, keep,
-        (x[np.maximum(k, 0)] - y[np.maximum(-k, 0)]) / SQRT2,
-        (x[np.minimum(m, nx - 1)] + y[np.maximum(m - nx + 1, 0)]) / SQRT2)
+        lines = rotate(X, Y)
+    else:
+        k, m = np.arange(1 - nx, nx), np.arange(2 * nx - 1)
+        lines = ((x[np.maximum(k, 0)] - y[np.maximum(-k, 0)]) / SQRT2,
+                 (x[np.minimum(m, nx - 1)] + y[np.maximum(m - nx + 1, 0)]) / SQRT2)
+    keep = np.ones((ny, nx), dtype=bool)
+    for rows in batches(ny, nx, _ROW_BLOCK) if valid_mask is not None else ():
+        keep[rows] = valid_mask(*rotate(X[rows], Y[rows]))
+    return WindowGrid(X, Y, keep, *lines)
 
 
-def row_window(grid: WindowGrid, lines, x, rows):
-    """``x``, a jet or an array on ``lines`` (``grid.zeta_lines`` or ``grid.eta_lines``)
-    after any leading axes, on the grid rows ``rows``: on the line lattice views of
-    each row's window, as :class:`WindowGrid` names them, off it a slice."""
-    if isinstance(x, Jet):
-        return Jet((e if np.ndim(e) == 0 else row_window(grid, lines, e, rows)
-                    for e in x.entries), x.layout)
+def row_window(grid: WindowGrid, lines, x):
+    """``x``, jets or arrays on ``lines`` (``grid.zeta_lines`` or ``grid.eta_lines``)
+    after any leading axes, on the whole grid, for :func:`grid_rows` to read: on the
+    line lattice views of each row's window, as :class:`WindowGrid` names them."""
     if lines.ndim == 2:
-        return x[..., rows, :]
-    x = np.broadcast_to(x, np.shape(x)[:-1] + lines.shape)     # read-only, as are its views
-    n, s = grid.keep.shape[1], x.strides[-1]
-    if lines is grid.zeta_lines:                        # row i starts at line n - 1 - i
-        x, s = x[..., n - 1:], -s
-    return as_strided(x, x.shape[:-1] + (n, n), x.strides[:-1] + (s, x.strides[-1]))[..., rows, :]
+        return x
+    n, zeta = grid.keep.shape[1], lines is grid.zeta_lines    # zeta row i starts at line n - 1 - i
+
+    def window(e):                  # broadcast_to: read-only, as are the views
+        e = np.broadcast_to(e, np.shape(e)[:-1] + lines.shape)[..., (n - 1) * zeta:]
+        s = e.strides[-1]
+        return as_strided(e, e.shape[:-1] + (n, n), e.strides[:-1] + (-s if zeta else s, s))
+    return _entrywise(window, x)
+
+
+def grid_rows(x, rows):
+    """The grid rows ``rows`` of ``x``, as :func:`row_window` leaves it."""
+    return _entrywise(lambda e: e[..., rows, :], x)
+
+
+def _entrywise(fn, x):
+    """``fn`` of an array, or of each array entry of a jet or of a tuple of them."""
+    if isinstance(x, tuple):
+        return tuple(_entrywise(fn, e) for e in x)
+    if isinstance(x, Jet):
+        return Jet((e if np.ndim(e) == 0 else fn(e) for e in x.entries), x.layout)
+    return fn(x)
 
 
 def batches(n: int, points_each: int, size: int = _BATCH_POINTS) -> list:
@@ -284,8 +293,8 @@ def grid_intensity(spec: SolutionSpec, grid: WindowGrid, t, dt: bool = False):
     The kernel fills the arrays in blocks of grid rows, _ROW_BLOCK samples
     per time, reading each profile's jet to the box the kernel reads.  On
     the line lattice each profile is evaluated once per line coordinate for
-    all times and each block reads its rows by :func:`row_window`; off it
-    each block evaluates the profiles on its own zeta and eta.
+    all times, windowed onto the grid once by :func:`row_window`, and each
+    block reads its rows; off it each block evaluates its own zeta and eta.
     """
     t = np.asarray(t, dtype=float)
     tt = t.reshape(t.shape + (1,) * grid.zeta_lines.ndim) if t.ndim else float(t)
@@ -293,8 +302,8 @@ def grid_intensity(spec: SolutionSpec, grid: WindowGrid, t, dt: bool = False):
     def on_grid(profile, lines):                # rows -> the jet on those rows
         if lines.ndim == 2:
             return lambda rows: profile.jet3(lines[rows], tt, (1, int(dt)))
-        jet = profile.jet3(lines, tt, (1, int(dt)))
-        return lambda rows: row_window(grid, lines, jet, rows)
+        jet = row_window(grid, lines, profile.jet3(lines, tt, (1, int(dt))))
+        return lambda rows: grid_rows(jet, rows)
 
     pj = on_grid(spec.p, grid.zeta_lines)
     qj = on_grid(spec.q, grid.eta_lines)
@@ -372,17 +381,18 @@ class AdmissibilityReport:
 def check_admissibility(spec: SolutionSpec, grid: WindowGrid, t: float,
                         pj: Jet, qj: Jet) -> AdmissibilityReport:
     """Scan a window grid and classify the solution there, from the profile
-    jets ``pj``, ``qj`` (box (1, 0) at least) on the grid's zeta and eta:
-    min |f| and the sign changes of f between neighbours, the sign
-    condition, and the pole sweeps of p and q over the grid's ranges.
+    jets ``pj``, ``qj`` (box (1, 0) at least) on the grid's points: min |f|
+    and the sign changes of f between neighbours, the sign condition, and
+    the pole sweeps of p and q over the ranges of the grid's lines, its
+    points' ranges bit for bit (each extreme is a corner, alone on its line).
 
     Points outside ``grid.keep`` (known poles, say) are left out of the 2-D scan.
     """
-    if min(grid.zeta.shape) < 2:
+    if min(grid.keep.shape) < 2:
         raise ValueError("need at least 2 samples per axis")
     keep = grid.keep
-    f = eval_f(spec, grid.zeta, grid.eta, t, pj, qj, order=0).value
-    u = eval_intensity(spec, grid.zeta, grid.eta, t, pj, qj, f=f)
+    f = eval_f(spec, None, None, t, pj, qj, order=0).value
+    u = eval_intensity(spec, None, None, t, pj, qj, f=f)
     finite_u = np.isfinite(u)
     with np.errstate(invalid="ignore", over="ignore", under="ignore"):
         # det * p_z * q_e < 0 breaks the sign condition; U there is negative
@@ -431,6 +441,6 @@ def check_admissibility(spec: SolutionSpec, grid: WindowGrid, t: float,
         invalid_points=n_invalid,
         max_intensity=max_u,
         witness=witness,
-        pole_intervals_zeta=pole_sweep(spec.p, grid.zeta, t),
-        pole_intervals_eta=pole_sweep(spec.q, grid.eta, t),
+        pole_intervals_zeta=pole_sweep(spec.p, grid.zeta_lines, t),
+        pole_intervals_eta=pole_sweep(spec.q, grid.eta_lines, t),
     )

@@ -37,7 +37,7 @@ import numpy as np
 
 from . import calculus as jc
 from .calculus import Jet
-from .ansatz import SolutionSpec, row_window
+from .ansatz import SolutionSpec, grid_rows, row_window
 
 __all__ = [
     "Auxiliaries",
@@ -149,7 +149,7 @@ class Ingredients:
     @_entry
     def consistency(self):
         zp, ep = (np.linspace(float(np.min(c)), float(np.max(c)), 33)
-                  for c in (self.grid.zeta, self.grid.eta))
+                  for c in (self.grid.zeta_lines, self.grid.eta_lines))
         return consistency_c1_c2(self.aux, zp, ep, self.t)
 
     def rows(self, rows=slice(None)) -> "_Rows":
@@ -161,7 +161,7 @@ _LINES = {**dict.fromkeys(("pj", "p1", "rz", "r", "p0"), "zeta_lines"),
 
 
 class _Rows:
-    """Row windows of a bundle's entries on their ``_LINES``; a pair maps entry by entry."""
+    """Grid rows of a bundle's entries on their ``_LINES``, windowed once per bundle."""
 
     def __init__(self, ing: Ingredients, rows):
         self.ing, self.rows = ing, rows
@@ -169,9 +169,10 @@ class _Rows:
     def __getattr__(self, name):
         if name not in _LINES:
             raise AttributeError(name)
-        grid, x = self.ing.grid, getattr(self.ing, name)
-        window = functools.partial(row_window, grid, getattr(grid, _LINES[name]), rows=self.rows)
-        return tuple(map(window, x)) if isinstance(x, tuple) else window(x)
+        ing, views = self.ing, vars(self.ing).setdefault("_on_grid", {})
+        if name not in views:
+            views[name] = row_window(ing.grid, getattr(ing.grid, _LINES[name]), getattr(ing, name))
+        return grid_rows(views[name], self.rows)
 
 
 # ---------------------------------------------------------------------------

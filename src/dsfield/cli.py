@@ -191,7 +191,8 @@ def _cmd_render(args) -> int:
     grid = sample_field(spec, args.which, window, t, nx=args.res, ny=args.res,
                         valid_mask=mask)
     if args.which == "U":
-        top = float(np.max(np.abs(grid.values), where=grid.mask, initial=0.0))
+        v, ok = grid.values, grid.mask          # max |U| = max(max U, -min U), no |U| array
+        top = max(np.max(v, where=ok, initial=0.0), -np.min(v, where=ok, initial=0.0))
         if top < DEGENERATE_LEVEL:
             raise DegenerateInput(
                 f"degenerate: intensity identically zero for {label} at t={t:g}")

@@ -134,7 +134,7 @@ def sample_field(spec: SolutionSpec, which: str, window, t: float, nx: int, ny: 
     if which == "U":
         vals = grid_intensity(spec, grid, t)[0]
     elif which == "pde2":
-        resid, stencil_ok = _pde2_field(spec, grid.zeta, grid.eta, t, PDE2_STENCIL)
+        resid, stencil_ok = _pde2_field(spec, grid, t, PDE2_STENCIL)
         vals = np.where(stencil_ok, resid, np.nan)
     elif which in ("phi", "bilinear2"):
         ing, vals = Ingredients(spec, grid, t), np.empty((ny, nx))

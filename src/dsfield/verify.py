@@ -46,6 +46,7 @@ from .ansatz import (
     eval_intensity,
     eval_phi,
     profile_jets3,
+    rotate,
     window_grid,
 )
 from .auxiliary import Ingredients
@@ -254,12 +255,12 @@ def pde_residuals(ing: Ingredients, stencil: Stencil = PDE2_STENCIL) -> Residual
     differences of the jet-computed intensity and forcing fields using
     ``stencil``."""
     grid = ing.grid
-    resid, stencil_ok = _pde2_field(ing.spec, grid.zeta, grid.eta, ing.t, stencil)
+    resid, stencil_ok = _pde2_field(ing.spec, grid, ing.t, stencil)
     return _report("pde2", resid, grid, ing.t, grid.keep & stencil_ok & np.isfinite(resid))
 
 
-def _pde2_field(spec, zeta, eta, t, stencil: Stencil):
-    """Forcing-field constraint residual |4 phi_ze - U_zz - U_ee - 2 U_ze|.
+def _pde2_field(spec, grid, t, stencil: Stencil):
+    """Forcing-field residual |4 phi_ze - U_zz - U_ee - 2 U_ze| at ``grid``'s points.
 
     Central differences with ``stencil``; the second value marks the points
     whose stencil samples of U and phi are all finite.  A point's k x k
@@ -276,12 +277,12 @@ def _pde2_field(spec, zeta, eta, t, stencil: Stencil):
     half = (len(w1) - 1) // 2
     d = np.arange(-half, half + 1) * h
 
-    U = np.empty((len(d), len(d)) + zeta.shape)
+    U = np.empty((len(d), len(d)) + grid.keep.shape)
     PHI = np.empty_like(U)
     with np.errstate(invalid="ignore", over="ignore", under="ignore", divide="ignore"):
-        for rows in batches(zeta.shape[0], U[:, :, 0].size):
-            z = zeta[rows] + d[:, None, None, None]
-            e = (eta[rows] + d[:, None, None])[None]
+        for rows in batches(len(grid.keep), U[:, :, 0].size):
+            z, e = rotate(grid.X[rows], grid.Y[rows])
+            z, e = z + d[:, None, None, None], (e + d[:, None, None])[None]
             pj, qj = profile_jets3(spec, z, e, t, 2)
             # zero backgrounds: the cross derivative annihilates separated
             # backgrounds, so the check is exact without them and stays
@@ -319,4 +320,4 @@ def singularity_scan(spec: SolutionSpec, window, t: float, samples=128,
     from the profiles' box (1, 0) jets there."""
     grid = window_grid(window, samples, valid_mask)
     return check_admissibility(spec, grid, t,
-                               *profile_jets3(spec, grid.zeta, grid.eta, t, (1, 0)))
+                               *profile_jets3(spec, *rotate(grid.X, grid.Y), t, (1, 0)))

@@ -18,7 +18,7 @@ from dsfield.ansatz import (
     unrotate,
     window_grid,
 )
-from dsfield.auxiliary import Auxiliaries
+from dsfield.auxiliary import Auxiliaries, Ingredients
 from dsfield.calculus import DIV_GUARD
 from dsfield.catalog import build_case, case_names
 from dsfield.profiles import ExpSumProfile
@@ -247,7 +247,7 @@ def test_intensity_sign_violation_flagged():
 def admissibility(spec, window, t, samples, valid_mask=None):
     """check_admissibility on a window grid, from the profile jets there."""
     g = window_grid(window, samples, valid_mask)
-    return check_admissibility(spec, g, t, *profile_jets3(spec, g.zeta, g.eta, t))
+    return check_admissibility(spec, g, t, *profile_jets3(spec, *rotate(g.X, g.Y), t))
 
 
 def test_admissibility_dromion(dromion):
@@ -288,7 +288,7 @@ def test_admissibility_requires_samples(dromion):
 def test_intensity_time_derivative_matches_central_difference(name, t):
     e = build_case(name)
     g = window_grid(regular_window(e), 40, e.valid_mask)
-    zeta, eta, keep = g.zeta, g.eta, g.keep
+    (zeta, eta), keep = rotate(g.X, g.Y), g.keep
     h = 1e-5
     u, ut = eval_intensity_dt(e.spec, zeta, eta, t)
     fd = (eval_intensity_dt(e.spec, zeta, eta, t + h)[0]
@@ -358,18 +358,67 @@ def test_lattice_coordinates_stay_within_rounding_of_rotate(window):
         g = window_grid(window, n)
         zeta_index, eta_index = lattice_index(n)
         zeta, eta = g.zeta_lines[zeta_index], g.eta_lines[eta_index]
-        assert np.max(np.abs(zeta - g.zeta)) < 9 * ulp
-        assert np.max(np.abs(eta - g.eta)) < 9 * ulp
-        for a, b in ((zeta[0], g.zeta[0]), (zeta[:, 0], g.zeta[:, 0]),
-                     (eta[0], g.eta[0]), (eta[:, -1], g.eta[:, -1])):
+        ref_zeta, ref_eta = rotate(g.X, g.Y)
+        assert np.max(np.abs(zeta - ref_zeta)) < 9 * ulp
+        assert np.max(np.abs(eta - ref_eta)) < 9 * ulp
+        for a, b in ((zeta[0], ref_zeta[0]), (zeta[:, 0], ref_zeta[:, 0]),
+                     (eta[0], ref_eta[0]), (eta[:, -1], ref_eta[:, -1])):
             np.testing.assert_array_equal(a, b)
 
 
 def test_lattice_grid_keeps_no_index_arrays():
-    # zeta and eta of a 512^2 window are 2.1 MB each and keep 0.26 MB; an
-    # (N, N) int64 index for each line family would add 4.2 MB
-    assert traced_peak(window_grid, EQUAL_SPANS, 512) <= 5e6
-    assert window_grid(EQUAL_SPANS, 512).zeta_lines.shape == (1023,)
+    # keep of a 512^2 window is 0.26 MB, and its mask runs one block of rows
+    # at a time; the (N, N) zeta and eta would be 2.1 MB each, and an (N, N)
+    # int64 index for each line family would add 4.2 MB
+    mask = build_case("periodic").valid_mask
+    for valid_mask in (None, mask):
+        assert traced_peak(window_grid, EQUAL_SPANS, 512, valid_mask) <= 1.5e6
+    g = window_grid(EQUAL_SPANS, 512, mask)
+    assert g.zeta_lines.shape == g.eta_lines.shape == (1023,)
+    assert not {"zeta", "eta"} & set(vars(g))
+
+
+@pytest.mark.parametrize("name", case_names())
+@pytest.mark.parametrize("window", ["case", EQUAL_SPANS, ((-3.0, 5.0), (1.0, 9.5))])
+def test_keep_is_valid_mask_at_the_rotated_points(name, window, monkeypatch):
+    # keep is decided at rotate's coordinates, not at the lattice's lines,
+    # so a mask edge between the two (periodic's tan poles) cannot move it;
+    # blocks of 3 rows put 66 seams into a 199^2 grid
+    import dsfield.ansatz as ansatz
+    e = build_case(name)
+    window = e.window if window == "case" else window
+    monkeypatch.setattr(ansatz, "_ROW_BLOCK", 3 * 199)
+    g = window_grid(window, 199, e.valid_mask)
+    np.testing.assert_array_equal(g.keep, e.valid_mask(*rotate(g.X, g.Y)), strict=True)
+    monkeypatch.undo()
+    np.testing.assert_array_equal(window_grid(window, 199, e.valid_mask).keep, g.keep)
+    if name == "periodic" and window == "case":
+        # where lattice coordinates flip whole zeta lines (2965 points at 77)
+        counts = [np.count_nonzero(window_grid(window, n, e.valid_mask).keep)
+                  for n in (47, 61, 77)]
+        assert counts == [1059, 1796, 2949]
+
+
+def test_line_jets_are_windowed_once_per_call(monkeypatch):
+    # each line jet entry becomes a view of the whole grid once per call, or
+    # once per bundle; row blocks only slice those views, so 20 blocks build
+    # as many views as one
+    import dsfield.ansatz as ansatz
+    e, views = build_case("dromion"), []
+    as_strided = ansatz.as_strided
+    monkeypatch.setattr(ansatz, "as_strided", lambda *a: views.append(1) or as_strided(*a))
+
+    def count(block):
+        monkeypatch.setattr(ansatz, "_ROW_BLOCK", block)
+        views.clear()
+        g = window_grid(e.window, 100)
+        grid_intensity(e.spec, g, 0.3, dt=True)
+        ing = Ingredients(e.spec, g, 0.3)
+        for rows in ansatz.batches(100, 100, block):
+            ing.rows(rows).pj, ing.rows(rows).r
+        return len(views)
+
+    assert count(5 * 100) == count(100 * 100) > 0
 
 
 @pytest.mark.parametrize("window,samples", [
@@ -384,8 +433,8 @@ def test_unequal_spacing_samples_every_point(name, window, samples):
     e = build_case(name)
     g = window_grid(window, samples, e.valid_mask)
     assert g.zeta_lines.ndim == g.eta_lines.ndim == 2
-    assert g.zeta_lines is g.zeta and g.eta_lines is g.eta
     zeta, eta = rotate(g.X, g.Y)
+    assert g.zeta_lines.tobytes() == zeta.tobytes() and g.eta_lines.tobytes() == eta.tobytes()
     np.testing.assert_array_equal(grid_intensity(e.spec, g, 0.3)[0],
                                   eval_intensity(e.spec, zeta, eta, 0.3))
     times = np.array([0.3, 1.1])

@@ -235,7 +235,7 @@ def test_phases_converge_under_refinement(name):
     grid = window_grid(entry.window, 48)
     for t in sorted({0.3, *entry.reference_times}):
         for (side, _, phase, _), (_, _, phase_fine, _), coords in zip(
-                _lines(entry, aux), _lines(entry, fine), (grid.zeta, grid.eta)):
+                _lines(entry, aux), _lines(entry, fine), rotate(grid.X, grid.Y)):
             z = _valid_run(entry, side, np.unique(coords))
             for a, b in zip(phase(z, t), phase_fine(z, t)):
                 assert np.max(np.abs(a - b)) <= 1e-13 * max(1.0, np.max(np.abs(b)))

@@ -8,14 +8,14 @@ import numpy as np
 import pytest
 
 from dsfield import profiles
-from dsfield.ansatz import batches, window_grid
+from dsfield.ansatz import batches, rotate, window_grid
 from dsfield.calculus import Jet
 from dsfield.cli import main, parse_time, parse_window
 from dsfield.field import parse_csv
 from dsfield.specfile import dumps_spec, load_spec, loads_spec, SpecFileError
 from dsfield.catalog import build_case, case_names
 
-from conftest import CONFIGS, DECAYING_P, decaying_p_text
+from conftest import CONFIGS, DECAYING_P, decaying_p_text, traced_peak
 
 SRC = os.path.join(os.path.dirname(__file__), os.pardir, "src")
 
@@ -409,6 +409,18 @@ def test_verify_counts_dropped_samples_and_finite_probes(tmp_path):
         == ("66", "50")
 
 
+@pytest.mark.parametrize("name", ["dromion", "double_instanton"])
+@pytest.mark.parametrize("fmt", ["csv", "pgm16"])
+def test_u_render_memory_follows_the_values(tmp_path, name, fmt):
+    # a 512^2 U render holds the 2.1 MB values, a boolean keep and mask
+    # (0.26 MB each) and one row block's temporaries: no (N, N) zeta or
+    # eta, and no |U| copy for the degenerate check
+    argv = ["render", "--case", name, "--t", repr(build_case(name).reference_times[0]),
+            "--which", "U", "--format", fmt, "--out", str(tmp_path / f"u.{fmt}")]
+    assert main(argv + ["--res", "64"]) == 0                            # warm caches
+    assert traced_peak(main, argv + ["--res", "512"]) <= 5e6
+
+
 def test_verify_counts_masked_samples_apart_from_dropped_ones(tmp_path):
     # double_instanton's valid mask cuts its pole out of the window: those
     # samples are masked, not dropped (pde2 runs on a 24^2 grid)
@@ -568,8 +580,8 @@ def test_verify_admissibility_takes_pole_ranges_from_window_corners(
         return orig(*args, **kwargs)
 
     g = orig(e.window, 40)
-    expected = (len(pole_sweep(e.spec.p, g.zeta, t))
-                + len(pole_sweep(e.spec.q, g.eta, t)))
+    zeta, eta = rotate(g.X, g.Y)
+    expected = len(pole_sweep(e.spec.p, zeta, t)) + len(pole_sweep(e.spec.q, eta, t))
     # every module's binding, so a grid built anywhere counts
     for modname, mod in list(sys.modules.items()):
         if modname.split(".")[0] == "dsfield" and getattr(mod, "window_grid", None) is orig:

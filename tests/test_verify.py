@@ -14,6 +14,7 @@ from dsfield.ansatz import (
     eval_phi,
     pole_sweep,
     profile_jets3,
+    rotate,
     window_grid,
 )
 from dsfield.auxiliary import Ingredients
@@ -250,9 +251,9 @@ def test_pde_line2_drops_stencil_hits_near_pole():
     y0 = 0.9902 * math.sqrt(2.0) - 1.0
     ing = bundle(e.spec, ((-1.0, 1.0), (y0, y0 + 2.0)), 0.0, 24)
     grid, stencil = ing.grid, Stencil(2, 2, 1e-2)
-    _, stencil_ok = _pde2_field(e.spec, grid.zeta, grid.eta, 0.0, stencil)
+    _, stencil_ok = _pde2_field(e.spec, grid, 0.0, stencil)
     np.testing.assert_array_equal(stencil_ok, ~np.eye(24, dtype=bool))
-    assert np.isfinite(eval_intensity(e.spec, grid.zeta, grid.eta, 0.0)).all()
+    assert np.isfinite(eval_intensity(e.spec, *rotate(grid.X, grid.Y), 0.0)).all()
     l2 = pde_residuals(ing, stencil)
     assert l2.flags["masked"] == 0 and l2.flags["dropped"] == 24
     # truncation is honest but large right beside the pole, where its
@@ -300,8 +301,8 @@ def test_pde2_field_is_the_per_point_stencil_bit_for_bit(name):
             stencil = Stencil(2, accuracy, 1e-2)
             k = len(Stencil(1, accuracy, 1e-2).weights)
             assert len(batches(80, k * k * 97)) > 2
-            want = _pde2_field_per_point(e.spec, grid.zeta, grid.eta, t, stencil)
-            got = _pde2_field(e.spec, grid.zeta, grid.eta, t, stencil)
+            want = _pde2_field_per_point(e.spec, *rotate(grid.X, grid.Y), t, stencil)
+            got = _pde2_field(e.spec, grid, t, stencil)
             np.testing.assert_array_equal(got[0], want[0], strict=True)
             np.testing.assert_array_equal(got[1], want[1], strict=True)
 
@@ -322,8 +323,8 @@ def test_line_bundle_is_the_point_formulas_at_the_lattice_coordinates(name):
             zeta, eta = grid.zeta_lines[j - i + nx - 1], grid.eta_lines[i + j]
         else:
             assert samples == (97, 80)
-            zeta, eta = grid.zeta.copy(), grid.eta.copy()
-        points = SimpleNamespace(X=grid.X, Y=grid.Y, keep=grid.keep, zeta=zeta, eta=eta,
+            zeta, eta = rotate(grid.X, grid.Y)
+        points = SimpleNamespace(X=grid.X, Y=grid.Y, keep=grid.keep,
                                  zeta_lines=zeta, eta_lines=eta)
         for t in (e.reference_times[0], 0.3):
             ref = Ingredients(e.spec, points, t)
@@ -369,7 +370,7 @@ def test_scan_agrees_with_admissibility(name):
     e = build_case(name)
     t = e.reference_times[0]
     g = window_grid(e.window, (48, 48), e.valid_mask)
-    rep = check_admissibility(e.spec, g, t, *profile_jets3(e.spec, g.zeta, g.eta, t))
+    rep = check_admissibility(e.spec, g, t, *profile_jets3(e.spec, *rotate(g.X, g.Y), t))
     scan = singularity_scan(e.spec, e.window, t, 48, e.valid_mask)
     assert scan.min_abs_f == rep.min_abs_f
     assert scan.min_f_point == rep.min_f_point
@@ -415,12 +416,13 @@ def test_admissibility_is_the_one_window_scan(name):
     e = build_case(name)
     t = e.reference_times[0]
     g = window_grid(e.window, (48, 48), e.valid_mask)
-    rep = check_admissibility(e.spec, g, t, *profile_jets3(e.spec, g.zeta, g.eta, t))
-    assert rep.pole_intervals_zeta == pole_sweep(e.spec.p, g.zeta, t)
-    assert rep.pole_intervals_eta == pole_sweep(e.spec.q, g.eta, t)
+    zeta, eta = rotate(g.X, g.Y)
+    rep = check_admissibility(e.spec, g, t, *profile_jets3(e.spec, zeta, eta, t))
+    assert rep.pole_intervals_zeta == pole_sweep(e.spec.p, zeta, t)
+    assert rep.pole_intervals_eta == pole_sweep(e.spec.q, eta, t)
     assert singularity_scan(e.spec, e.window, t, 48, e.valid_mask) == rep
 
-    f = np.where(g.keep, eval_f(e.spec, g.zeta, g.eta, t, order=0).value, np.nan)
+    f = np.where(g.keep, eval_f(e.spec, zeta, eta, t, order=0).value, np.nan)
     assert len(rep.sign_change_examples) <= 5
     assert bool(rep.sign_change_examples) == bool(rep.sign_changes)
     for x, y in rep.sign_change_examples:
