@@ -1,4 +1,4 @@
-"""Separable solution data and pointwise field evaluators.
+"""Separable solution data and the field evaluators.
 
 A :class:`SolutionSpec` bundles everything that defines one solution: four
 mixing coefficients, two one-variable profiles, scalar coefficient
@@ -12,8 +12,11 @@ and the intensity of the complex envelope is
 
     U = 4*(a0*a3 - a1*a2) * p_zeta * q_eta / f**2.
 
-All evaluators accept scalars or numpy arrays and mark guarded or
-out-of-domain samples NaN rather than raising.
+Profiles are evaluated where the coordinates are: :func:`profile_jets3`
+takes points, scalars or numpy arrays, and the grid readers take the
+grid's lines.  The evaluators :func:`eval_f`, :func:`eval_intensity` and
+:func:`eval_phi` take the jets they read, never coordinates, and mark
+guarded samples NaN rather than raising.
 """
 
 from __future__ import annotations
@@ -42,7 +45,6 @@ __all__ = [
     "profile_jets3",
     "eval_f",
     "eval_intensity",
-    "eval_intensity_dt",
     "grid_intensity",
     "eval_phi",
     "batches",
@@ -222,6 +224,8 @@ def batches(n: int, points_each: int, size: int = _BATCH_POINTS) -> list:
 
 
 def profile_jets3(spec: SolutionSpec, zeta, eta, t, order=3) -> tuple[Jet, Jet]:
+    """The jets of p at ``zeta`` and of q at ``eta`` at ``t``, to ``order``
+    (a total order or a box), for the evaluators."""
     return spec.p.jet3(zeta, t, order), spec.q.jet3(eta, t, order)
 
 
@@ -230,16 +234,14 @@ def _assemble(a: SeparationCoefficients, p, q):
     return a.a0 + a.a1 * p + a.a2 * q + a.a3 * p * q
 
 
-def eval_f(spec: SolutionSpec, zeta, eta, t, pj: Optional[Jet] = None,
-           qj: Optional[Jet] = None, order: int = 2) -> Jet:
-    """The denominator field f as a jet in (zeta, eta, t) to ``order``.
+def eval_f(spec: SolutionSpec, pj: Jet, qj: Jet, order: int = 2) -> Jet:
+    """The denominator field f as a jet in (zeta, eta, t) to ``order``, from
+    the profile jets ``pj``, ``qj`` (to ``order`` at least) at its points.
 
     The entries of the order-2 jet in (zeta, eta, t) come in the order f,
     f_z, f_e, f_t, f_zz, f_ze, f_zt, f_ee, f_et, f_tt; the mixed derivative
     comes out structurally, a3 * p_z * q_e.
     """
-    if pj is None or qj is None:
-        pj, qj = profile_jets3(spec, zeta, eta, t)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore", under="ignore"):
         return _assemble(spec.coeffs, pj.shift(order=order, axes=(0, 2), n=3),
                          qj.shift(order=order, axes=(1, 2), n=3))
@@ -249,12 +251,13 @@ def eval_f(spec: SolutionSpec, zeta, eta, t, pj: Optional[Jet] = None,
 # intensity and forcing field
 
 
-def _intensity(spec: SolutionSpec, pj: Jet, qj: Jet, dt: bool = False, f=None):
-    """The one U kernel: (U, U_t), U_t only with ``dt`` (else None).
+def eval_intensity(spec: SolutionSpec, pj: Jet, qj: Jet, dt: bool = False, f=None):
+    """The one U kernel: (U, U_t) from the profile jets ``pj``, ``qj`` at
+    the points, U_t only with ``dt`` (else None).
 
     It reads the jets' box (1, 0), the value and first derivative in x,
     and for U_t the box (1, 1); ``f`` is f's value if the caller has it.
-    U is NaN where |f| falls under the guard.
+    U is NaN where |f| falls under the guard, and U_t where U is.
     """
     a = spec.coeffs
     p, q = pj.value, qj.value
@@ -273,21 +276,8 @@ def _intensity(spec: SolutionSpec, pj: Jet, qj: Jet, dt: bool = False, f=None):
                    - 2.0 * u * f_t / f)
 
 
-def eval_intensity(spec: SolutionSpec, zeta, eta, t,
-                   pj: Optional[Jet] = None, qj: Optional[Jet] = None, f=None):
-    """U at the points, from f's value ``f`` when the caller has it."""
-    if pj is None or qj is None:
-        pj, qj = profile_jets3(spec, zeta, eta, t, (1, 0))
-    return _intensity(spec, pj, qj, f=f)[0]
-
-
-def eval_intensity_dt(spec: SolutionSpec, zeta, eta, t):
-    """U and its exact time derivative U_t, NaN where U is."""
-    return _intensity(spec, *profile_jets3(spec, zeta, eta, t, (1, 1)), dt=True)
-
-
 def grid_intensity(spec: SolutionSpec, grid: WindowGrid, t, dt: bool = False):
-    """(U, U_t) on ``grid`` at ``t`` as :func:`eval_intensity_dt`, U_t only
+    """(U, U_t) on ``grid`` at ``t`` by :func:`eval_intensity`, U_t only
     with ``dt``; a 1-D array of times leads the shape, (n_t, ny, nx).
 
     The kernel fills the arrays in blocks of grid rows, _ROW_BLOCK samples
@@ -309,15 +299,14 @@ def grid_intensity(spec: SolutionSpec, grid: WindowGrid, t, dt: bool = False):
     qj = on_grid(spec.q, grid.eta_lines)
     out = [np.empty(t.shape + grid.keep.shape) for _ in range(1 + dt)]     # U, U_t
     for rows in batches(*grid.keep.shape, _ROW_BLOCK):
-        for whole, block in zip(out, _intensity(spec, pj(rows), qj(rows), dt)):
+        for whole, block in zip(out, eval_intensity(spec, pj(rows), qj(rows), dt)):
             whole[..., rows, :] = block
     return out[0], out[1] if dt else None
 
 
-def eval_phi(spec: SolutionSpec, zeta, eta, t, p0, q0, tau: Optional[Jet] = None):
-    """Forcing field phi = -(f_z+f_e)^2/f^2 + (f_zz+2 f_ze+f_ee)/f + p0 + q0."""
-    if tau is None:
-        tau = eval_f(spec, zeta, eta, t)
+def eval_phi(tau: Jet, p0, q0):
+    """Forcing field phi = -(f_z+f_e)^2/f^2 + (f_zz+2 f_ze+f_ee)/f + p0 + q0,
+    from f's order-2 jet ``tau`` (:func:`eval_f`) and the backgrounds."""
     f, f_z, f_e, _, f_zz, f_ze, _, f_ee, _, _ = tau.entries
     with np.errstate(divide="ignore", invalid="ignore", over="ignore", under="ignore"):
         grad = f_z + f_e
@@ -391,37 +380,37 @@ def check_admissibility(spec: SolutionSpec, grid: WindowGrid, t: float,
     if min(grid.keep.shape) < 2:
         raise ValueError("need at least 2 samples per axis")
     keep = grid.keep
-    f = eval_f(spec, None, None, t, pj, qj, order=0).value
-    u = eval_intensity(spec, None, None, t, pj, qj, f=f)
-    finite_u = np.isfinite(u)
+    f = eval_f(spec, pj, qj, order=0).value
+    u = eval_intensity(spec, pj, qj, f=f)[0]
+    ok_u = keep & np.isfinite(u)
+    # max |U| = max(max U, -min U) without a |U| array; abs turns a -0 into 0
+    max_u = float(abs(max(np.max(u, where=ok_u, initial=0.0),
+                          -np.min(u, where=ok_u, initial=0.0))))
     with np.errstate(invalid="ignore", over="ignore", under="ignore"):
         # det * p_z * q_e < 0 breaks the sign condition; U there is negative
         viol = keep & ((spec.coeffs.det * pj[1, 0] * qj[1, 0]) < 0.0)
-        f = np.where(keep, f, np.nan)
-        finite_f = np.isfinite(f)
-        absf = np.where(finite_f, np.abs(f), np.inf)
-        sgn = np.sign(np.where(finite_f, f, 0.0))
+        finite_f = keep & np.isfinite(f)
+        sgn = np.sign(f, out=np.zeros(f.shape, np.int8), where=finite_f, casting="unsafe")
         flips_x = (sgn[:, 1:] * sgn[:, :-1]) < 0
         flips_y = (sgn[1:, :] * sgn[:-1, :]) < 0
-    idx = np.unravel_index(np.argmin(absf), absf.shape)
-    min_abs_f = float(absf[idx])
+    absf = np.abs(f, out=f)
+    min_abs_f = float(np.min(absf, where=finite_f, initial=np.inf))
+    at = np.equal(absf, min_abs_f, out=np.zeros_like(keep), where=finite_f)
+    idx = np.unravel_index(np.argmax(at), at.shape)         # the first smallest |f|
     min_point = (float(grid.X[idx]), float(grid.Y[idx]), float(t))
-    n_invalid = int(np.count_nonzero(keep & ~(finite_u & finite_f)))
+    n_invalid = int(np.count_nonzero(keep & ~(ok_u & finite_f)))
     n_flips = int(np.count_nonzero(flips_x) + np.count_nonzero(flips_y))
     n_viol = int(np.count_nonzero(viol))
     ys, xs = np.nonzero(flips_x if flips_x.any() else flips_y)
     examples = tuple((float(grid.X[i, j]), float(grid.Y[i, j]))
                      for i, j in zip(ys[:5], xs[:5]))
 
-    kept_u = u[keep & finite_u]
-    max_u = float(np.max(np.abs(kept_u))) if kept_u.size else 0.0
-
     witness = None
     if n_viol:
         widx = np.unravel_index(np.argmax(viol), viol.shape)
         witness = (float(grid.X[widx]), float(grid.Y[widx]), float(t))
 
-    if kept_u.size and max_u < DEGENERATE_LEVEL:
+    if ok_u.any() and max_u < DEGENERATE_LEVEL:
         verdict = "degenerate"
     elif n_flips or not finite_f.any() or min_abs_f < DIV_GUARD:
         verdict = "singular"

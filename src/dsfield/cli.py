@@ -108,13 +108,15 @@ def parse_window(text: str):
 
 
 def _atomic_write(path: str, write):
-    """``write(fh)`` into a temp file renamed to ``path``, removed on any error."""
+    """``write(fh)`` into a temp file renamed to ``path``, removed on any error;
+    returns what ``write`` returns."""
     parent = os.path.dirname(os.path.abspath(path)) or "."
     fd, tmp = tempfile.mkstemp(dir=parent, prefix=".dsfield-")
     try:
         with os.fdopen(fd, "wb") as fh:
-            write(fh)
+            out = write(fh)
         os.replace(tmp, path)
+        return out
     except BaseException:
         try:
             os.unlink(tmp)
@@ -199,8 +201,7 @@ def _cmd_render(args) -> int:
     if args.format == "csv":
         _atomic_write(args.out, lambda fh: to_csv(grid, fh))
     else:
-        data, sidecar = to_pgm16(grid)
-        _atomic_write(args.out, lambda fh: fh.write(data))
+        sidecar = _atomic_write(args.out, lambda fh: to_pgm16(grid, fh))
         _atomic_write(args.out + ".txt", lambda fh: fh.write(sidecar.encode("ascii")))
     print(f"wrote {args.out}")
     return EXIT_OK

@@ -14,8 +14,9 @@ Gauss-Newton steps, the only place U_t is evaluated) and peak-decay
 series; one batched U sampler feeds the ascent and the L2 norm.  numpy is
 the only third-party import.
 
-U and the exports run in blocks of grid rows, the CSV written into its file
-block by block, so a render's peak memory is its grid's, not its text's.
+U and the exports run in blocks of grid rows, the CSV and the PGM written
+into their file block by block, so a render's peak memory is its grid's,
+not its text's or its image's.
 """
 
 from __future__ import annotations
@@ -35,7 +36,6 @@ from .ansatz import (
     batches,
     eval_f,
     eval_intensity,
-    eval_intensity_dt,
     eval_phi,
     grid_intensity,
     profile_jets3,
@@ -141,8 +141,7 @@ def sample_field(spec: SolutionSpec, which: str, window, t: float, nx: int, ny: 
         for rows in batches(ny, nx, _ROW_BLOCK):
             b = ing.rows(rows)
             vals[rows] = (_bilinear2_field(spec, b)[0] if which == "bilinear2" else
-                          eval_phi(spec, None, None, t, b.p0, b.q0,
-                                   tau=eval_f(spec, None, None, t, b.pj, b.qj)))
+                          eval_phi(eval_f(spec, b.pj, b.qj), b.p0, b.q0))
     else:
         raise ValueError(f"unknown field {which!r}; use U, phi, bilinear2, pde2")
 
@@ -186,10 +185,9 @@ def analyze_extrema(grid: FieldGrid) -> AnalyticsResult:
         peaks.append(PeakInfo(val, float(xs[ix]), float(ys[iy])))
 
     peaks.sort(key=lambda p: -p.value)
-    gmax = float(np.max(v[grid.mask]))
     idx = np.unravel_index(int(np.argmax(v)), v.shape)
     return AnalyticsResult(
-        global_max=gmax,
+        global_max=float(v[idx]),
         global_max_location=(float(xs[idx[1]]), float(ys[idx[0]])),
         local_maxima=tuple(peaks),
     )
@@ -376,7 +374,7 @@ def _log_intensity_jets(spec, times, xy, valid_mask):
     pj, qj = profile_jets3(spec, zeta, eta, times, (3, 0))
     a, p, q = spec.coeffs, pj.value, qj.value
     f = _assemble(a, p, q)
-    u = eval_intensity(spec, zeta, eta, times, pj, qj, f=f)
+    u = eval_intensity(spec, pj, qj, f=f)[0]
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         p1, p2, p3, q1, q2, q3 = (j[m, 0] for j in (pj, qj) for m in (1, 2, 3))
         cz, ce = a.a1 + a.a3 * q, a.a2 + a.a3 * p     # f_z / p_z, f_e / q_e
@@ -409,7 +407,9 @@ def _statistic(spec, window, times, statistic, grid_n, valid_mask, rate=False):
     if statistic == "global_max":
         u, (x, y) = refined_global_max(spec, window, times, grid_n, grid_n,
                                        valid_mask)
-        return u, eval_intensity_dt(spec, *rotate(x, y), times)[1] if rate else None
+        ut = eval_intensity(spec, *profile_jets3(spec, *rotate(x, y), times, (1, 1)),
+                            dt=True)[1] if rate else None
+        return u, ut
     if statistic != "L2":
         raise ValueError(f"unknown statistic {statistic!r}")
     parts = []
@@ -617,8 +617,10 @@ def parse_csv(data: bytes):
     return arr[:, 0], arr[:, 1], arr[:, 2]
 
 
-def to_pgm16(grid: FieldGrid) -> tuple[bytes, str]:
-    """16-bit binary PGM plus a sidecar describing the linear scaling.
+def to_pgm16(grid: FieldGrid, fh) -> str:
+    """Writes a 16-bit binary PGM of ``grid`` into the binary file ``fh``,
+    block by block of grid rows, and returns a sidecar describing the
+    linear scaling.
 
     Pixels scale linearly from [0, grid max] to [0, 65535]; masked points
     are 0.  A zero-range grid maps to an all-zero image.  Negative values
@@ -627,19 +629,19 @@ def to_pgm16(grid: FieldGrid) -> tuple[bytes, str]:
     """
     vmax = (float(np.max(grid.values, where=grid.mask, initial=-np.inf))
             if grid.mask.any() else 0.0)
-    pixels = np.empty((grid.ny, grid.nx), ">u2")
+    fh.write(f"P5\n{grid.nx} {grid.ny}\n65535\n".encode("ascii"))
+    clipped = 0
     for rows in batches(grid.ny, grid.nx, _ROW_BLOCK):
-        scaled = np.clip(grid.values[rows] / vmax, 0.0, 1.0) * 65535.0 if vmax > 0 else 0.0
-        pixels[rows] = np.where(grid.mask[rows], np.rint(scaled), 0.0)
-    header = f"P5\n{grid.nx} {grid.ny}\n65535\n".encode("ascii")
-    clipped = int(np.count_nonzero(grid.mask & (grid.values < 0)))
-    sidecar = to_report(grid) + (
+        v, ok = grid.values[rows], grid.mask[rows]
+        scaled = np.clip(v / vmax, 0.0, 1.0) * 65535.0 if vmax > 0 else 0.0
+        fh.write(np.where(ok, np.rint(scaled), 0.0).astype(">u2"))
+        clipped += int(np.count_nonzero(ok & (v < 0)))
+    return to_report(grid) + (
         f"format: pgm16\nscale_max: {vmax:.17g}\n"
         "pixel_value: round(value / scale_max * 65535)\n"
         + (f"clipped_below_zero: {clipped}\n" if clipped else "")
         + "masked_pixel: 0\nrow_order: y ascending\n"
     )
-    return header + pixels.tobytes(), sidecar
 
 
 def to_report(grid: FieldGrid) -> str:

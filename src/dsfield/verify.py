@@ -162,7 +162,7 @@ def _envelope_fields(ing: Ingredients):
     b = ing.rows()
     spec, t, p0, q0 = ing.spec, ing.t, b.p0, b.q0
     g, g_z, g_zz, g_e, g_ee, g_t = _envelope_terms(b)
-    tau = eval_f(spec, None, None, t, b.pj, b.qj)
+    tau = eval_f(spec, b.pj, b.qj)
     f, f_z, f_e, f_t, f_zz, f_ze, _, f_ee, _, _ = tau.entries
     beta = spec.funcs.beta(t)
     gamma = spec.funcs.gamma(t)
@@ -179,7 +179,7 @@ def _envelope_fields(ing: Ingredients):
     # u_zz + u_ee, with u_zz = d2z - u D_z^2 f.f / f^2
     lap = ((d2z - u * 2.0 * (f * f_zz - f_z ** 2) / f2)
            + (d2e - u * 2.0 * (f * f_ee - f_e ** 2) / f2))
-    phi = eval_phi(spec, None, None, t, p0, q0, tau=tau)
+    phi = eval_phi(tau, p0, q0)
     pde1 = t1 + beta * (0.5 * lap - 0.5 * np.abs(u) ** 2 * u + u * phi) + t6
     return np.abs(t1 + t2 + t3 + t4 + t5 + t6), np.abs(pde1)
 
@@ -287,9 +287,8 @@ def _pde2_field(spec, grid, t, stencil: Stencil):
             # zero backgrounds: the cross derivative annihilates separated
             # backgrounds, so the check is exact without them and stays
             # defined at degenerate times
-            PHI[:, :, rows] = eval_phi(spec, z, e, t, 0.0, 0.0,
-                                       tau=eval_f(spec, z, e, t, pj, qj))
-            U[:, :, rows] = eval_intensity(spec, z, e, t, pj, qj)
+            PHI[:, :, rows] = eval_phi(eval_f(spec, pj, qj), 0.0, 0.0)
+            U[:, :, rows] = eval_intensity(spec, pj, qj)[0]
 
         u_zz = np.tensordot(w2, U[:, half], axes=(0, 0)) / h**2
         u_ee = np.tensordot(w2, U[half, :], axes=(0, 0)) / h**2

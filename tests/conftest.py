@@ -7,7 +7,7 @@ import pytest
 
 from dsfield.ansatz import SeparationCoefficients, SolutionSpec, window_grid
 from dsfield.auxiliary import Auxiliaries, Ingredients
-from dsfield.field import to_csv
+from dsfield.field import to_csv, to_pgm16
 from dsfield.profiles import ExpSumProfile
 
 CONFIGS = os.path.join(os.path.dirname(__file__), os.pardir, "configs")
@@ -23,6 +23,13 @@ def csv_bytes(grid) -> bytes:
     buf = io.BytesIO()
     assert to_csv(grid, buf) is None
     return buf.getvalue()
+
+
+def pgm16(grid) -> tuple[bytes, str]:
+    """The bytes :func:`~dsfield.field.to_pgm16` writes for ``grid``, and its sidecar."""
+    buf = io.BytesIO()
+    sidecar = to_pgm16(grid, buf)
+    return buf.getvalue(), sidecar
 
 
 def traced_peak(fn, *args) -> int:

@@ -10,7 +10,6 @@ from dsfield.ansatz import (
     check_admissibility,
     eval_f,
     eval_intensity,
-    eval_intensity_dt,
     eval_phi,
     grid_intensity,
     profile_jets3,
@@ -40,14 +39,14 @@ def envelope(spec, zeta, eta, t, phase_r, phase_s):
     aux = Auxiliaries(spec)
     pj, qj = profile_jets3(spec, zeta, eta, t)
     amp = aux.p1_jet(pj, t).value * aux.q1_jet(qj, t).value
-    return amp * np.exp(1j * (phase_r + phase_s)) / eval_f(spec, zeta, eta, t).value
+    return amp * np.exp(1j * (phase_r + phase_s)) / eval_f(spec, pj, qj).value
 
 
 def phi_log_form(spec, zeta, eta, t, p0, q0, tau=None):
     """The forcing field through second derivatives of log f (the oracle of
     eval_phi's two-form test)."""
     if tau is None:
-        tau = eval_f(spec, zeta, eta, t)
+        tau = eval_f(spec, *profile_jets3(spec, zeta, eta, t))
     with np.errstate(divide="ignore", invalid="ignore", over="ignore", under="ignore"):
         f = np.where(np.abs(tau.value) < DIV_GUARD, np.nan, tau.value)
         f_z, f_e, f_zz, f_ze, f_ee = (tau[m] for m in ((1, 0, 0), (0, 1, 0), (2, 0, 0),
@@ -93,7 +92,7 @@ def test_coordinate_point_carries_rotated_values():
 
 
 def test_f_at_origin_dromion(dromion):
-    tau = eval_f(dromion, 0.0, 0.0, 0.0)
+    tau = eval_f(dromion, *profile_jets3(dromion, 0.0, 0.0, 0.0))
     assert tau.value == pytest.approx(DROMION_F0, rel=1e-14)
 
 
@@ -101,7 +100,7 @@ def test_f_constant_when_only_a0():
     spec = SolutionSpec(SeparationCoefficients(1, 0, 0, 0),
                         ExpSumProfile((1.0,), (1.0,), (1.0,), (1.0,)),
                         ExpSumProfile((1.0,), (1.0,), (1.0,), (1.0,)))
-    tau = eval_f(spec, 0.3, -0.8, 0.5)
+    tau = eval_f(spec, *profile_jets3(spec, 0.3, -0.8, 0.5))
     assert tau.value == 1.0
     assert len(tau.entries) == 10      # f, f_z, f_e, f_t, f_zz, f_ze, f_zt, f_ee, f_et, f_tt
     for entry in tau.entries[1:]:
@@ -114,7 +113,7 @@ def test_f_gradient_structure(rng):
         spec = random_spec(rng)
         z, e, t = rng.uniform(-2, 2, 3)
         pj, qj = profile_jets3(spec, z, e, t)
-        tau = eval_f(spec, z, e, t, pj, qj)
+        tau = eval_f(spec, pj, qj)
         want = (spec.coeffs.a1 + spec.coeffs.a3 * qj.value) * pj[1, 0]
         assert tau[1, 0, 0] == pytest.approx(want, rel=1e-13, abs=1e-13)
 
@@ -125,7 +124,7 @@ def test_bilinear_closure_identity(rng):
         spec = random_spec(rng)
         z, e, t = rng.uniform(-3, 3, 3)
         pj, qj = profile_jets3(spec, z, e, t)
-        tau = eval_f(spec, z, e, t, pj, qj)
+        tau = eval_f(spec, pj, qj)
         f, f_z, f_e, f_ze = tau.value, tau[1, 0, 0], tau[0, 1, 0], tau[1, 1, 0]
         lhs = f * f_ze - f_z * f_e
         rhs = spec.coeffs.det * pj[1, 0] * qj[1, 0]
@@ -134,7 +133,7 @@ def test_bilinear_closure_identity(rng):
 
 
 def test_intensity_at_origin_dromion(dromion):
-    got = eval_intensity(dromion, 0.0, 0.0, 0.0)
+    got = eval_intensity(dromion, *profile_jets3(dromion, 0.0, 0.0, 0.0, (1, 0)))[0]
     assert got == pytest.approx(4 * E * E / DROMION_F0**2, rel=1e-14)
 
 
@@ -142,21 +141,22 @@ def test_intensity_zero_det():
     spec = SolutionSpec(SeparationCoefficients(1, 1, 1, 1),
                         ExpSumProfile((1.0,), (1.0,), (1.0,), (1.0,)),
                         ExpSumProfile((1.0,), (1.0,), (1.0,), (1.0,)))
-    vals = eval_intensity(spec, np.linspace(-2, 2, 9), np.zeros(9), 0.0)
+    vals = eval_intensity(spec, *profile_jets3(spec, np.linspace(-2, 2, 9), np.zeros(9), 0.0,
+                                               (1, 0)))[0]
     assert np.all(vals == 0.0)
 
 
 def test_breather_degenerate_time():
     spec = build_case("breather").spec
     z = np.linspace(-5, 5, 21)
-    vals = eval_intensity(spec, z, z, math.pi / 2)
+    vals = eval_intensity(spec, *profile_jets3(spec, z, z, math.pi / 2, (1, 0)))[0]
     assert np.all(np.abs(vals) < 1e-30)
 
 
 def test_envelope_modulus_matches_intensity(rng, dromion):
     z, e, t = rng.uniform(-2, 2, 3)
     u = envelope(dromion, z, e, t, 0.123, -0.5)
-    U = eval_intensity(dromion, z, e, t)
+    U = eval_intensity(dromion, *profile_jets3(dromion, z, e, t, (1, 0)))[0]
     assert abs(u) ** 2 == pytest.approx(U, rel=1e-14)
 
 
@@ -179,7 +179,8 @@ def test_phi_constant_f():
     spec = SolutionSpec(SeparationCoefficients(2, 0, 0, 0),
                         ExpSumProfile((1.0,), (1.0,), (1.0,), (1.0,)),
                         ExpSumProfile((1.0,), (1.0,), (1.0,), (1.0,)))
-    assert eval_phi(spec, 0.5, 0.5, 0.0, 0.25, 0.125) == pytest.approx(0.375, abs=0)
+    tau = eval_f(spec, *profile_jets3(spec, 0.5, 0.5, 0.0))
+    assert eval_phi(tau, 0.25, 0.125) == pytest.approx(0.375, abs=0)
 
 
 def test_phi_dromion_origin_value(dromion):
@@ -190,7 +191,7 @@ def test_phi_dromion_origin_value(dromion):
     fzz = (1 + 2 * p) * pzz
     fze = 2 * pz * pz
     want = -(fz + fz) ** 2 / f**2 + (fzz + 2 * fze + fzz) / f + 0.75
-    got = eval_phi(dromion, 0.0, 0.0, 0.0, 0.375, 0.375)
+    got = eval_phi(eval_f(dromion, *profile_jets3(dromion, 0.0, 0.0, 0.0)), 0.375, 0.375)
     assert got == pytest.approx(want, rel=1e-13)
 
 
@@ -198,7 +199,7 @@ def test_phi_two_forms_agree(rng):
     for _ in range(25):
         spec = random_spec(rng)
         z, e, t = rng.uniform(-2, 2, 3)
-        a = eval_phi(spec, z, e, t, 0.1, 0.2)
+        a = eval_phi(eval_f(spec, *profile_jets3(spec, z, e, t)), 0.1, 0.2)
         b = phi_log_form(spec, z, e, t, 0.1, 0.2)
         if np.isfinite(a) and np.isfinite(b):
             assert a == pytest.approx(b, rel=1e-11, abs=1e-11)
@@ -210,12 +211,12 @@ def test_phi_agrees_with_log_fd(dromion):
 
     def logf(xx):
         z, e = rotate(xx, y)
-        return math.log(eval_f(dromion, z, e, t).value)
+        return math.log(eval_f(dromion, *profile_jets3(dromion, z, e, t)).value)
 
     h = 1e-4
     fd = 2 * (logf(x + h) - 2 * logf(x) + logf(x - h)) / h**2
     z, e = rotate(x, y)
-    got = eval_phi(dromion, z, e, t, 0.0, 0.0)
+    got = eval_phi(eval_f(dromion, *profile_jets3(dromion, z, e, t)), 0.0, 0.0)
     assert got == pytest.approx(fd, abs=1e-6)
 
 
@@ -224,8 +225,8 @@ def test_phi_reflection_symmetry(dromion):
     for x in xs:
         za, ea = rotate(x, 1.3)
         zb, eb = rotate(x, -1.3)
-        pa = eval_phi(dromion, za, ea, 0.0, 0.375, 0.375)
-        pb = eval_phi(dromion, zb, eb, 0.0, 0.375, 0.375)
+        pa = eval_phi(eval_f(dromion, *profile_jets3(dromion, za, ea, 0.0)), 0.375, 0.375)
+        pb = eval_phi(eval_f(dromion, *profile_jets3(dromion, zb, eb, 0.0)), 0.375, 0.375)
         assert pa == pytest.approx(pb, rel=1e-13)
 
 
@@ -235,7 +236,8 @@ def test_intensity_sign_violation_flagged():
                         ExpSumProfile((1.0,), (1.0,), (1.0,), (0.0,)),
                         ExpSumProfile((1.0,), (1.0,), (1.0,), (0.0,)))
     assert spec.coeffs.det < 0
-    assert eval_intensity(spec, 0.0, 0.0, 0.0) < 0.0      # raw value still reported
+    u = eval_intensity(spec, *profile_jets3(spec, 0.0, 0.0, 0.0, (1, 0)))[0]
+    assert u < 0.0      # raw value still reported
     rep = admissibility(spec, ((-1, 1), (-1, 1)), 0.0, 8)
     assert rep.verdict == "sign-violating"
     assert rep.sign_violations >= 1
@@ -278,6 +280,18 @@ def test_admissibility_window_without_finite_f_is_singular(dromion):
     assert rep.verdict == "singular"
 
 
+def test_window_scan_holds_only_f_and_u():
+    # with the bundle's jets read first, a 512^2 lattice scan peaks where
+    # f and U are made (10.75 MB): min |f|, the invalid count and max |U| are
+    # where= reductions, the signs an int8 grid and |f| goes into f's buffer
+    # (13.9 MB with copies of f and U beside them; one float grid is 2.1 MB)
+    e = build_case("dromion")
+    t = e.reference_times[0]
+    ing = Ingredients(e.spec, window_grid(e.window, 512), t)
+    pj, qj = ing.rows().pj, ing.rows().qj
+    assert traced_peak(check_admissibility, e.spec, ing.grid, t, pj, qj) <= 11e6
+
+
 def test_admissibility_requires_samples(dromion):
     with pytest.raises(ValueError):
         admissibility(dromion, ((-1, 1), (-1, 1)), 0.0, (1, 4))
@@ -290,11 +304,11 @@ def test_intensity_time_derivative_matches_central_difference(name, t):
     g = window_grid(regular_window(e), 40, e.valid_mask)
     (zeta, eta), keep = rotate(g.X, g.Y), g.keep
     h = 1e-5
-    u, ut = eval_intensity_dt(e.spec, zeta, eta, t)
-    fd = (eval_intensity_dt(e.spec, zeta, eta, t + h)[0]
-          - eval_intensity_dt(e.spec, zeta, eta, t - h)[0]) / (2 * h)
-    assert np.array_equal(u, eval_intensity(e.spec, zeta, eta, t),
-                          equal_nan=True)
+    u, ut = eval_intensity(e.spec, *profile_jets3(e.spec, zeta, eta, t, (1, 1)), dt=True)
+    fd = (eval_intensity(e.spec, *profile_jets3(e.spec, zeta, eta, t + h, (1, 0)))[0]
+          - eval_intensity(e.spec, *profile_jets3(e.spec, zeta, eta, t - h, (1, 0)))[0]) / (2 * h)
+    ref = eval_intensity(e.spec, *profile_jets3(e.spec, zeta, eta, t, (1, 0)))[0]
+    assert np.array_equal(u, ref, equal_nan=True)
     assert np.all(np.isfinite(ut[keep]))
     scale = np.max(np.abs(ut[keep]) + np.abs(u[keep]))
     assert np.max(np.abs(fd - ut)[keep]) <= 1e-8 * scale
@@ -331,10 +345,12 @@ def test_lattice_intensity_is_pointwise_intensity_at_line_coordinates(name, n, w
     zeta, eta = g.zeta_lines[zeta_index], g.eta_lines[eta_index]
     u, ut = grid_intensity(e.spec, g, 0.3)
     assert ut is None
-    np.testing.assert_array_equal(u, eval_intensity(e.spec, zeta, eta, 0.3))
+    np.testing.assert_array_equal(
+        u, eval_intensity(e.spec, *profile_jets3(e.spec, zeta, eta, 0.3, (1, 0)))[0])
     times = np.array([0.3, 1.1, 2.5])
     u, ut = grid_intensity(e.spec, g, times, dt=True)
-    ref_u, ref_ut = eval_intensity_dt(e.spec, zeta, eta, times[:, None, None])
+    ref_u, ref_ut = eval_intensity(
+        e.spec, *profile_jets3(e.spec, zeta, eta, times[:, None, None], (1, 1)), dt=True)
     np.testing.assert_array_equal(u, ref_u)
     np.testing.assert_array_equal(ut, ref_ut)
 
@@ -435,11 +451,13 @@ def test_unequal_spacing_samples_every_point(name, window, samples):
     assert g.zeta_lines.ndim == g.eta_lines.ndim == 2
     zeta, eta = rotate(g.X, g.Y)
     assert g.zeta_lines.tobytes() == zeta.tobytes() and g.eta_lines.tobytes() == eta.tobytes()
-    np.testing.assert_array_equal(grid_intensity(e.spec, g, 0.3)[0],
-                                  eval_intensity(e.spec, zeta, eta, 0.3))
+    np.testing.assert_array_equal(
+        grid_intensity(e.spec, g, 0.3)[0],
+        eval_intensity(e.spec, *profile_jets3(e.spec, zeta, eta, 0.3, (1, 0)))[0])
     times = np.array([0.3, 1.1])
     u, ut = grid_intensity(e.spec, g, times, dt=True)
-    ref_u, ref_ut = eval_intensity_dt(e.spec, zeta, eta, times[:, None, None])
+    ref_u, ref_ut = eval_intensity(
+        e.spec, *profile_jets3(e.spec, zeta, eta, times[:, None, None], (1, 1)), dt=True)
     np.testing.assert_array_equal(u, ref_u)
     np.testing.assert_array_equal(ut, ref_ut)
 

@@ -818,7 +818,7 @@ def test_each_reader_asks_its_profiles_for_the_entries_it_reads(tmp_path, monkey
         (("analyze", "--period", "0:2pi:32", "--statistic", "L2"),
          {grid: {(1, 0)}, rate: {(1, 1)}}),
         (("analyze", "--period", "0:2pi:32", "--statistic", "global_max"),
-         {grid: {(1, 0)}, "_log_intensity_jets": {(3, 0)}, "eval_intensity_dt": {(1, 1)}}),
+         {grid: {(1, 0)}, "_log_intensity_jets": {(3, 0)}, "_statistic": {(1, 1)}}),
     ]:
         asked.clear()
         assert run(*argv, *common) == 0
@@ -828,7 +828,7 @@ def test_each_reader_asks_its_profiles_for_the_entries_it_reads(tmp_path, monkey
     assert asked == {"Ingredients.<lambda>": {3}, "pole_sweep": {0}, "_pde2_field": {2},
                      "_integrate_from_anchor": {2}, "consistency_c1_c2": {2},
                      "Auxiliaries.branch": {(1, 0)}}
-    assert not {grid, rate, "_log_intensity_jets", "eval_intensity_dt"} & set(asked)
+    assert not {grid, rate, "_log_intensity_jets", "_statistic"} & set(asked)
 
 
 @pytest.mark.parametrize("statistic", ["L2", "global_max"])
@@ -839,16 +839,17 @@ def test_period_solve_evaluates_u_t_only_in_its_steps(tmp_path, monkeypatch, sta
     from dsfield import field
     seen = []
 
-    def counting_dt(spec, zeta, eta, t, f=field.eval_intensity_dt):
-        seen.append(np.min(t))
-        return f(spec, zeta, eta, t)
+    def counting_jets(spec, zeta, eta, t, order=3, f=field.profile_jets3):
+        if order == (1, 1):
+            seen.append(np.min(t))
+        return f(spec, zeta, eta, t, order)
 
     def counting_grid(spec, grid, t, dt=False, f=field.grid_intensity):
         if dt:
             seen.append(np.min(t))
         return f(spec, grid, t, dt)
 
-    monkeypatch.setattr(field, "eval_intensity_dt", counting_dt)
+    monkeypatch.setattr(field, "profile_jets3", counting_jets)
     monkeypatch.setattr(field, "grid_intensity", counting_grid)
     out = tmp_path / "p.txt"
     assert run("analyze", "--case", "breather", "--res", "24", "--period", "0:2pi:32",

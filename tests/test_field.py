@@ -11,6 +11,7 @@ from dsfield.ansatz import (
     SeparationCoefficients,
     SolutionSpec,
     eval_intensity,
+    profile_jets3,
     rotate,
     window_grid,
 )
@@ -35,7 +36,7 @@ from dsfield.field import (
 )
 from dsfield.profiles import ExpSumProfile
 
-from conftest import csv_bytes, regular_window, traced_peak
+from conftest import csv_bytes, pgm16, regular_window, traced_peak
 
 # closed-form dromion peak: U = 2/(2+sqrt(2))^2 at x = -sqrt(2)(1+ln(2)/2)
 DROMION_PEAK = 2.0 / (2.0 + math.sqrt(2.0)) ** 2
@@ -79,7 +80,7 @@ def test_unequal_spacing_u_grid_is_pointwise_intensity(name):
     window = ((-7.44, 7.44), (-7.76, 7.76))
     g = sample_field(e.spec, "U", window, 0.7, 40, 40, e.valid_mask)
     X, Y = np.meshgrid(g.x, g.y)
-    u = eval_intensity(e.spec, *rotate(X, Y), 0.7)
+    u = eval_intensity(e.spec, *profile_jets3(e.spec, *rotate(X, Y), 0.7, (1, 0)))[0]
     np.testing.assert_array_equal(g.values[g.mask], u[g.mask])
 
 
@@ -102,13 +103,13 @@ def test_row_blocks_match_the_whole_grid(name, window, mask, monkeypatch):
     assert ansatz.batches(150, 150, ansatz._ROW_BLOCK)[-1] == slice(108, 162)
     assert (window_grid(window, 150).zeta_lines.ndim == 2) == (window != e.window)
     blocked = sample_field(e.spec, "U", window, 0.4, 150, 150, valid_mask)
-    pgm = to_pgm16(blocked)
+    pgm = pgm16(blocked)
     _one_block(monkeypatch)
     whole = sample_field(e.spec, "U", window, 0.4, 150, 150, valid_mask)
     assert whole.values.tobytes() == blocked.values.tobytes()
     np.testing.assert_array_equal(whole.mask, blocked.mask)
     assert mask == (not blocked.mask.all())
-    assert to_pgm16(whole) == pgm
+    assert pgm16(whole) == pgm
 
 
 @pytest.mark.parametrize("name", ["dromion", "double_instanton"])
@@ -208,7 +209,7 @@ def test_refined_max_reaches_edge_maximum():
                                     e.valid_mask)
     def edge_max(xs):
         zeta, eta = rotate(xs, np.full_like(xs, -8.0))
-        u = eval_intensity(e.spec, zeta, eta, 0.1)
+        u = eval_intensity(e.spec, *profile_jets3(e.spec, zeta, eta, 0.1, (1, 0)))[0]
         return float(np.max(u)), xs[np.argmax(u)]
 
     edge, xe = edge_max(np.linspace(-8.0, 8.0, 20001))
@@ -524,9 +525,22 @@ def test_instanton_decay_series():
 # -- export ---------------------------------------------------------------------
 
 
+def test_pgm_export_streams_into_its_file(tmp_path):
+    # the image goes into the file one block of rows at a time: exporting
+    # a 512^2 grid allocates less than the 2 N^2 bytes of its image (about
+    # 0.4 MB; 1.6 MB with the whole image built, copied and concatenated)
+    e = build_case("dromion")
+    g = sample_field(e.spec, "U", e.window, 0.3, 512, 512)
+    path = tmp_path / "u.pgm"
+    with open(path, "wb") as fh:
+        assert traced_peak(to_pgm16, g, fh) < 2 * 512 * 512
+    assert path.read_bytes() == pgm16(g)[0]
+    assert len(path.read_bytes()) == len(b"P5\n512 512\n65535\n") + 2 * 512 * 512
+
+
 def test_pgm_linear_scaling_example():
     g = grid_of([[0.0, 1.0], [2.0, 3.0]])
-    data, sidecar = to_pgm16(g)
+    data, sidecar = pgm16(g)
     header, _, rest = data.partition(b"65535\n")
     pixels = np.frombuffer(rest, dtype=">u2")
     assert pixels.tolist() == [0, 21845, 43690, 65535]
@@ -535,7 +549,7 @@ def test_pgm_linear_scaling_example():
 
 def test_pgm_zero_range_grid():
     g = grid_of(np.zeros((3, 3)))
-    data, _ = to_pgm16(g)
+    data, _ = pgm16(g)
     pixels = np.frombuffer(data.rpartition(b"65535\n")[2], dtype=">u2")
     assert not pixels.any()
 
@@ -544,7 +558,7 @@ def test_pgm_masks_to_zero():
     mask = np.ones((2, 2), dtype=bool)
     mask[0, 0] = False
     g = grid_of([[5.0, 1.0], [2.0, 4.0]], mask)
-    data, _ = to_pgm16(g)
+    data, _ = pgm16(g)
     pixels = np.frombuffer(data.rpartition(b"65535\n")[2], dtype=">u2")
     assert pixels[0] == 0
 
@@ -737,7 +751,7 @@ def test_report_mean_is_the_exact_sum_over_the_count(make):
     valid = g.values[g.mask]
     mean = f"mean: {math.fsum(valid.tolist()) / valid.size:.17g}"
     assert mean in to_report(g).splitlines()
-    assert mean in to_pgm16(g)[1].splitlines()
+    assert mean in pgm16(g)[1].splitlines()
 
 
 def _kernel_bytes(v):
@@ -822,6 +836,6 @@ def test_render_deterministic_bytes():
     outs = []
     for _ in range(2):
         g = sample_field(e.spec, "U", e.window, 0.0, 64, 64)
-        outs.append((csv_bytes(g), to_pgm16(g)[0]))
+        outs.append((csv_bytes(g), pgm16(g)[0]))
     assert outs[0][0] == outs[1][0]
     assert outs[0][1] == outs[1][1]

@@ -10,7 +10,13 @@ import numpy as np
 import pytest
 import sympy as sp
 
-from dsfield.ansatz import SeparationCoefficients, eval_f, eval_intensity, rotate
+from dsfield.ansatz import (
+    SeparationCoefficients,
+    eval_f,
+    eval_intensity,
+    profile_jets3,
+    rotate,
+)
 from dsfield.catalog import build_case, case_names
 from dsfield.field import _log_intensity_jets
 
@@ -79,7 +85,7 @@ def test_f_jet_matches_sympy(name):
     p, q = closed_form(spec.p, Z), closed_form(spec.q, E)
     f = a.a0 + a.a1 * p + a.a2 * q + a.a3 * p * q
     at = [rotate(x, y) + (t,) for x, y, t in POINTS]
-    taus = [eval_f(spec, *pt) for pt in at]
+    taus = [eval_f(spec, *profile_jets3(spec, *pt)) for pt in at]
     assert all(len(tau.entries) == 10 for tau in taus)
     for n, (i, j, k) in enumerate(taus[0].layout.index):
         want = evaluate(sp.diff(f, Z, i, E, j, T, k), at, ("zeta", "eta", "t"))
@@ -105,8 +111,8 @@ def _spec_and_points(name):
     x, y, t = np.array([(x, y, t) for x in (-1.1, -0.4, 0.3, 0.9)
                         for y in (-0.8, 0.2, 1.0) for t in (0.3, 1.2)]).T
     zeta, eta = rotate(x, y)
-    u = eval_intensity(spec, zeta, eta, t)
-    f = eval_f(spec, zeta, eta, t, order=0).value
+    u = eval_intensity(spec, *profile_jets3(spec, zeta, eta, t, (1, 0)))[0]
+    f = eval_f(spec, *profile_jets3(spec, zeta, eta, t), order=0).value
     points = [tuple(pt) for pt in np.column_stack([x, y, t])[(u > 0) & (np.abs(f) > 0.1)]]
     assert len(points) >= 3, name
     return spec, points[:3]

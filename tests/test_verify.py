@@ -87,7 +87,7 @@ def test_cross_operator_equals_product_gap(rng):
         spec = random_spec(rng)
         z, e, t = rng.uniform(-2, 2, 3)
         pj, qj = profile_jets3(spec, z, e, t)
-        tau = eval_f(spec, z, e, t, pj, qj)
+        tau = eval_f(spec, pj, qj)
         want = 2.0 * spec.coeffs.det * pj[1, 0] * qj[1, 0]
         scale = abs(tau.value * tau[1, 1, 0]) + abs(want) + 1.0
         assert abs(hirota_cross(tau) - want) / scale < 1e-13
@@ -253,7 +253,8 @@ def test_pde_line2_drops_stencil_hits_near_pole():
     grid, stencil = ing.grid, Stencil(2, 2, 1e-2)
     _, stencil_ok = _pde2_field(e.spec, grid, 0.0, stencil)
     np.testing.assert_array_equal(stencil_ok, ~np.eye(24, dtype=bool))
-    assert np.isfinite(eval_intensity(e.spec, *rotate(grid.X, grid.Y), 0.0)).all()
+    pj, qj = profile_jets3(e.spec, *rotate(grid.X, grid.Y), 0.0, (1, 0))
+    assert np.isfinite(eval_intensity(e.spec, pj, qj)[0]).all()
     l2 = pde_residuals(ing, stencil)
     assert l2.flags["masked"] == 0 and l2.flags["dropped"] == 24
     # truncation is honest but large right beside the pole, where its
@@ -276,9 +277,8 @@ def _pde2_field_per_point(spec, zeta, eta, t, stencil):
             for j, oj in enumerate(offs):
                 z, e = zeta + oi * h, eta + oj * h
                 pj, qj = profile_jets3(spec, z, e, t)
-                PHI[i, j] = eval_phi(spec, z, e, t, 0.0, 0.0,
-                                     tau=eval_f(spec, z, e, t, pj, qj))
-                U[i, j] = eval_intensity(spec, z, e, t, pj, qj)
+                PHI[i, j] = eval_phi(eval_f(spec, pj, qj), 0.0, 0.0)
+                U[i, j] = eval_intensity(spec, pj, qj)[0]
         u_zz = np.tensordot(w2, U[:, half], axes=(0, 0)) / h**2
         u_ee = np.tensordot(w2, U[half, :], axes=(0, 0)) / h**2
         u_ze = np.einsum("i,j,ij...->...", w1, w1, U) / h**2
@@ -330,8 +330,7 @@ def test_line_bundle_is_the_point_formulas_at_the_lattice_coordinates(name):
             ref = Ingredients(e.spec, points, t)
             with np.errstate(invalid="ignore", over="ignore", under="ignore",
                              divide="ignore"):
-                want = {"phi": eval_phi(e.spec, None, None, t, ref.p0, ref.q0,
-                                        tau=eval_f(e.spec, None, None, t, ref.pj, ref.qj)),
+                want = {"phi": eval_phi(eval_f(e.spec, ref.pj, ref.qj), ref.p0, ref.q0),
                         "bilinear2": _bilinear2_field(e.spec, ref.rows())[0]}
                 for got, ref_field in zip(_envelope_fields(Ingredients(e.spec, grid, t)),
                                           _envelope_fields(ref)):
@@ -422,7 +421,8 @@ def test_admissibility_is_the_one_window_scan(name):
     assert rep.pole_intervals_eta == pole_sweep(e.spec.q, eta, t)
     assert singularity_scan(e.spec, e.window, t, 48, e.valid_mask) == rep
 
-    f = np.where(g.keep, eval_f(e.spec, zeta, eta, t, order=0).value, np.nan)
+    f = np.where(g.keep, eval_f(e.spec, *profile_jets3(e.spec, zeta, eta, t), order=0).value,
+                 np.nan)
     assert len(rep.sign_change_examples) <= 5
     assert bool(rep.sign_change_examples) == bool(rep.sign_changes)
     for x, y in rep.sign_change_examples:
