@@ -179,11 +179,14 @@ class _Rows:
 # phase integration
 
 
+@functools.cache
 def _gauss_legendre(m: int):
-    """m-point Gauss-Legendre nodes and weights on [-1, 1] (Golub-Welsch)."""
+    """m-point Gauss-Legendre nodes and weights on [-1, 1] (Golub-Welsch), read-only."""
     k = np.arange(1.0, m)
     nodes, vecs = np.linalg.eigh(np.diag(k / np.sqrt(4.0 * k * k - 1.0), 1), UPLO="U")
-    return nodes, 2.0 * vecs[0] ** 2 / np.sum(vecs[0] ** 2)
+    weights = 2.0 * vecs[0] ** 2 / np.sum(vecs[0] ** 2)
+    nodes.flags.writeable = weights.flags.writeable = False
+    return nodes, weights
 
 
 def _restarting_cumsum(gaps, broken):

@@ -11,6 +11,7 @@ identical inputs.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import os
 import re
@@ -371,9 +372,10 @@ def _cmd_analyze(args) -> int:
 # entry point
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    # no prefix matching: a mistyped or retired option is a usage error,
-    # not an alias of another (``verify --h`` would read as ``--help``)
+    # one per process (parse_args changes nothing in it); no prefix matching: a mistyped
+    # or retired option is a usage error, not an alias (``verify --h`` is not ``--help``)
     parser = argparse.ArgumentParser(
         prog="dsfield", allow_abbrev=False,
         description="Evaluate, render and verify separable wave-envelope "
@@ -424,9 +426,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     handlers = {"catalog": _cmd_catalog, "render": _cmd_render,

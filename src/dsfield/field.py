@@ -159,38 +159,37 @@ def sample_field(spec: SolutionSpec, which: str, window, t: float, nx: int, ny: 
 def analyze_extrema(grid: FieldGrid) -> AnalyticsResult:
     """Strict local maxima over valid 8-neighborhoods.
 
-    Equal-valued plateaus count once; a plateau (or point) qualifies only if
-    every valid neighbor outside it is strictly lower and at least one such
-    neighbor exists, so constant fields have no maxima.
+    Adjacent candidates (valid points not below a valid neighbor) are each at least the
+    other, so each component of candidates is a plateau; it counts once, at its first point
+    in raster order, if every valid neighbor outside it is strictly lower and one exists, so
+    constant fields have no maxima.  Candidates alone are labelled, by min-label propagation.
     """
-    v = np.where(grid.mask, grid.values, -np.inf)
     if not grid.mask.any():
         raise ValueError("grid has no valid points")
-
-    neighbor_max = np.maximum.reduce(_neighbours(v, -np.inf))
-    candidates = grid.mask & (v >= neighbor_max)
-
-    labels = _label_components(candidates)
-    xs, ys = grid.x, grid.y
-    peaks = []
-    for lbl in np.unique(labels[candidates]).tolist():
-        comp = labels == lbl
-        val = float(v[comp][0])
-        ring = np.logical_or.reduce(_neighbours(comp, False)) & ~comp & grid.mask
-        if not ring.any():
-            continue                       # no valid surroundings to dominate
-        if np.any(v[ring] >= val):
-            continue                       # shoulder of an equal or higher region
-        iy, ix = divmod(lbl, v.shape[1])
-        peaks.append(PeakInfo(val, float(xs[ix]), float(ys[iy])))
-
-    peaks.sort(key=lambda p: -p.value)
+    w = grid.nx + 2                                 # flat indices on a ring of padding
+    v = np.pad(np.where(grid.mask, grid.values, -np.inf), 1, constant_values=-np.inf)
+    ok = np.pad(grid.mask, 1).ravel()
+    cand = ok & (v >= _neighbour_max(v, _RING)).ravel()
+    k = np.flatnonzero(cand)
+    label, old = np.arange(k.size, dtype=np.int32), None   # ends as its plateau's first candidate
+    nb = np.empty((len(_RING), k.size), np.int32)   # the adjacent candidates, or itself
+    outer, shoulder = np.zeros((2, k.size), bool)   # a valid outer neighbor; one not below
+    for s, (dy, dx) in enumerate(_RING):
+        n = k + (dy * w + dx)
+        nb[s] = np.where(cand[n], np.searchsorted(k, n), label)
+        ring = ok[n] & ~cand[n]
+        outer, shoulder = outer | ring, shoulder | ring & (v.flat[n] >= v.flat[k])
+    while not np.array_equal(label, old):
+        old, label = label, np.minimum(label, label[nb].min(axis=0))
+        label = label[label[label]]
+    peak = (np.bincount(label, outer, k.size) > 0) & (np.bincount(label, shoulder, k.size) == 0)
+    xs, ys, (iy, ix) = grid.x, grid.y, np.divmod(k[peak], w)
+    peaks = sorted((PeakInfo(float(v[y, x]), float(xs[x - 1]), float(ys[y - 1]))
+                    for y, x in zip(iy.tolist(), ix.tolist())), key=lambda p: -p.value)
+    v = v[1:-1, 1:-1]
     idx = np.unravel_index(int(np.argmax(v)), v.shape)
-    return AnalyticsResult(
-        global_max=float(v[idx]),
-        global_max_location=(float(xs[idx[1]]), float(ys[idx[0]])),
-        local_maxima=tuple(peaks),
-    )
+    return AnalyticsResult(global_max=float(v[idx]), local_maxima=tuple(peaks),
+                           global_max_location=(float(xs[idx[1]]), float(ys[idx[0]])))
 
 
 def _require_valid(valid):
@@ -217,33 +216,14 @@ _RING = tuple((dy, dx) for dy in (-1, 0, 1) for dx in (-1, 0, 1) if dy or dx)
 _SUBLATTICE = ((-1, -1), (-1, 1), (1, -1), (1, 1), (-2, 0), (2, 0), (0, -2), (0, 2))
 
 
-def _neighbours(a: np.ndarray, fill, shifts=_RING) -> list:
-    """The ``shifts`` of ``a`` over its last two axes, padded with ``fill``."""
-    r = max(max(abs(dy), abs(dx)) for dy, dx in shifts)
-    padded = np.pad(a, [(0, 0)] * (a.ndim - 2) + [(r, r)] * 2, constant_values=fill)
-    ny, nx = a.shape[-2:]
-    return [padded[..., r + dy:r + dy + ny, r + dx:r + dx + nx] for dy, dx in shifts]
-
-
-def _label_components(mask: np.ndarray) -> np.ndarray:
-    """Label the 8-connected components of ``mask`` by their first pixel.
-
-    Each pixel of a component gets the row-major flat index of the
-    component's first pixel in raster order (entries outside ``mask`` get
-    ``mask.size``), so sorting the labels numbers the components in raster
-    order.  Every pass takes the minimum label over the 3x3 neighbourhood,
-    then replaces each label by the label of the pixel it names, which
-    shortens the propagation to about the log of a component's diameter.
-    """
-    none = mask.size
-    labels = np.where(mask, np.arange(none).reshape(mask.shape), none)
-    while True:
-        new = np.minimum.reduce([labels] + _neighbours(labels, none))
-        new = np.where(mask, new, none)
-        new[mask] = new.ravel()[new[mask]]
-        if np.array_equal(new, labels):
-            return labels
-        labels = new
+def _neighbour_max(a: np.ndarray, shifts) -> np.ndarray:
+    """Max of ``a`` over ``shifts`` in its last two axes, in place; -inf if none inside."""
+    out, (ny, nx) = np.full(a.shape, -np.inf), a.shape[-2:]
+    for dy, dx in shifts:       # rows y0 + [0, h) and columns x0 + [0, w) have the shift inside
+        y0, x0, h, w = max(-dy, 0), max(-dx, 0), max(ny - abs(dy), 0), max(nx - abs(dx), 0)
+        here = out[..., y0:y0 + h, x0:x0 + w]
+        np.maximum(here, a[..., y0 + dy:y0 + dy + h, x0 + dx:x0 + dx + w], out=here)
+    return out
 
 
 def refined_global_max(spec: SolutionSpec, window, t, nx: int = 192,
@@ -280,7 +260,7 @@ def refined_global_max(spec: SolutionSpec, window, t, nx: int = 192,
     starts = []
     for batch, u, _, ok in _sample_u(spec, grid, times):
         v = np.where(ok, u, -np.inf)
-        top = np.maximum.reduce(_neighbours(v, -np.inf, _SUBLATTICE))
+        top = _neighbour_max(v, _SUBLATTICE)
         it, iy, ix = np.nonzero(ok & (v >= top))
         starts.append(np.column_stack([it + batch.start, v[it, iy, ix],
                                        grid.X[iy, ix], grid.Y[iy, ix]]))
@@ -658,15 +638,37 @@ def to_report(grid: FieldGrid) -> str:
     ]
     if n:
         hi = float(np.max(grid.values, where=grid.mask, initial=-np.inf))
+        lo = float(np.min(grid.values, where=grid.mask, initial=np.inf))
+        total = _exact_sum((grid.values[rows][grid.mask[rows]]
+                            for rows in batches(grid.ny, grid.nx, _ROW_BLOCK)), max(hi, -lo), n)
         at = np.equal(grid.values, hi, out=np.zeros_like(grid.mask), where=grid.mask)
         idx = np.unravel_index(int(np.argmax(at)), at.shape)    # the first valid max
-        # fsum is exact: block by block it sums to the same bits
-        total = math.fsum(chain.from_iterable(memoryview(grid.values[rows][grid.mask[rows]])
-                                              for rows in batches(grid.ny, grid.nx, _ROW_BLOCK)))
         lines += [
-            f"min: {float(np.min(grid.values, where=grid.mask, initial=np.inf)):.17g}",
+            f"min: {lo:.17g}",
             f"max: {hi:.17g}",
             f"mean: {total / n:.17g}",
             f"max_at: {grid.x[idx[1]]:.17g},{grid.y[idx[0]]:.17g}",
         ]
     return "\n".join(lines) + "\n"
+
+
+def _exact_sum(blocks, top: float, n: int) -> float:
+    """The sum of the ``n`` values in the arrays ``blocks`` (each read once and overwritten),
+    of largest magnitude ``top``, bit for bit ``math.fsum``'s: error-free extraction (Rump,
+    Ogita & Oishi, SIAM J. Sci. Comput. 31(1), 2008).  With sigma = 2^ceil(log2 top)
+    2^(ceil(log2 n) + 1), q = (r + sigma) - sigma and r - q are exact and the q sum exactly;
+    each level repeats it on r - q with sigma times 2^(ceil(log2 n) - 52).  fsum adds the
+    level sums, or reads the values where sigma would not be finite."""
+    shift = (n - 1).bit_length() + 1
+    e = math.frexp(top)[1] + shift              # 2^e >= 2^ceil(log2 top) 2^shift
+    if not (math.isfinite(top) and e < 1024):
+        return math.fsum(chain.from_iterable(map(memoryview, blocks)))
+    parts = []
+    for r in blocks:
+        sigma = math.ldexp(1.0, e)
+        while r.any():
+            q = (r + sigma) - sigma
+            parts.append(float(np.sum(q)))
+            r -= q
+            sigma = math.ldexp(sigma, shift - 53)
+    return math.fsum(parts)

@@ -13,7 +13,7 @@ from dsfield.ansatz import (
     rotate,
     window_grid,
 )
-from dsfield.auxiliary import Auxiliaries, consistency_c1_c2
+from dsfield.auxiliary import Auxiliaries, _gauss_legendre, consistency_c1_c2
 from dsfield.catalog import build_case, case_names
 from dsfield.profiles import CustomProfile, ExpSumProfile, const_fn
 from dsfield.specfile import loads_spec
@@ -178,6 +178,16 @@ def test_phases_against_analytic_oracle():
         rt_want = -0.5 * (4 * ez / (1 + 2 * ez) - 4 * e0 / (1 + 2 * e0))
         assert np.max(np.abs(r - r_want)) <= 1e-13
         assert np.max(np.abs(r_t - rt_want)) <= 1e-13
+
+
+@pytest.mark.parametrize("m", [1, 5, 16])
+def test_gauss_legendre_rule_is_built_once_and_read_only(m):
+    assert _gauss_legendre(m) is _gauss_legendre(m)
+    x, w = _gauss_legendre(m)
+    assert not x.flags.writeable and not w.flags.writeable
+    # exact on polynomials of degree 2m - 1
+    assert w @ x ** (2 * m - 2) == pytest.approx(2.0 / (2 * m - 1), rel=1e-13)
+    assert abs(w @ x ** (2 * m - 1)) <= 1e-14
 
 
 def _valid_run(entry, side, z):

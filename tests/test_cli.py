@@ -7,10 +7,11 @@ import warnings
 import numpy as np
 import pytest
 
+import dsfield
 from dsfield import profiles
 from dsfield.ansatz import batches, rotate, window_grid
 from dsfield.calculus import Jet
-from dsfield.cli import main, parse_time, parse_window
+from dsfield.cli import build_parser, main, parse_time, parse_window
 from dsfield.field import parse_csv
 from dsfield.specfile import dumps_spec, load_spec, loads_spec, SpecFileError
 from dsfield.catalog import build_case, case_names
@@ -899,6 +900,37 @@ def test_cli_import_needs_no_scipy():
     done = subprocess.run([sys.executable, "-c", code], env=env,
                           capture_output=True, text=True, check=True)
     assert done.stdout.strip() == "[]"
+
+
+def test_parser_is_reused_without_leaking_state(capsys):
+    # main parses with one parser per process; a call's options, a usage
+    # error or --version leave nothing behind for the next call
+    assert build_parser() is build_parser()
+    calls = [
+        ["verify", "--case", "dromion", "--t", "0.3", "--checks", "bilinear2,admissibility",
+         "--tol", "1e-9", "--res", "24"],
+        ["verify", "--case", "dromion", "--t", "0.3", "--res"],
+        ["--version"],
+        ["verify", "--case", "dromion", "--t", "0.3"],
+    ]
+    env = dict(os.environ, PYTHONPATH=os.path.abspath(SRC))
+    seen = []
+    for argv in calls:
+        rc = main(list(argv))
+        out, err = capsys.readouterr()
+        fresh = subprocess.run([sys.executable, "-m", "dsfield.cli", *argv], env=env,
+                               capture_output=True, text=True)
+        assert (rc, out, err) == (fresh.returncode, fresh.stdout, fresh.stderr)
+        seen.append((rc, out, err))
+    (rc1, custom, _), (rc2, _, usage), (rc3, version, _), (rc4, default, _) = seen
+    assert (rc1, rc2, rc3, rc4) == (0, 2, 0, 0)
+    assert "expected one argument" in usage and version.strip() == dsfield.__version__
+    custom, default = (dict(line.split(": ", 1) for line in text.splitlines())
+                       for text in (custom, default))
+    assert (custom["res"], custom["check.bilinear2.threshold"]) == ("24", "1.0e-09")
+    assert (default["res"], default["check.bilinear2.threshold"]) == ("64", "1.0e-10")
+    assert [k for k in default if k.endswith(".status")] == [
+        "check.bilinear2.status", "check.consistency.status", "check.admissibility.status"]
 
 
 def test_analyze_needs_exactly_one_mode(capsys):

@@ -3,8 +3,9 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from dsfield import ansatz, field
 from dsfield.ansatz import (
@@ -19,6 +20,7 @@ from dsfield.catalog import build_case, case_names
 from dsfield.field import (
     FieldGrid,
     SingularWindowError,
+    _exact_sum,
     _refine_period,
     _statistic,
     _write_g17,
@@ -176,6 +178,68 @@ def test_extrema_equal_peaks_in_raster_order():
     res = analyze_extrema(g)
     assert [(p.x, p.y) for p in res.local_maxima] == [(2.0, 1.0), (8.0, 1.0),
                                                       (0.0, 7.0)]
+
+
+def _extrema_reference(grid):
+    """The local maxima of :func:`analyze_extrema`, one component at a time:
+    each 8-connected component of candidates is flood-filled from its first
+    point in raster order, then its outer ring is read."""
+    v = np.where(grid.mask, grid.values, -np.inf)
+    ny, nx = v.shape
+
+    def around(y, x):
+        return [(y + dy, x + dx) for dy in (-1, 0, 1) for dx in (-1, 0, 1)
+                if (dy or dx) and 0 <= y + dy < ny and 0 <= x + dx < nx]
+
+    cand = {(y, x) for y in range(ny) for x in range(nx)
+            if grid.mask[y, x] and all(v[y, x] >= v[n] for n in around(y, x))}
+    seen, peaks = set(), []
+    for start in sorted(cand):
+        if start in seen:
+            continue
+        comp, todo = {start}, [start]
+        while todo:
+            for n in around(*todo.pop()):
+                if n in cand and n not in comp:
+                    comp.add(n)
+                    todo.append(n)
+        seen |= comp
+        ring = {n for p in comp for n in around(*p) if n not in comp and grid.mask[n]}
+        if ring and all(v[n] < v[start] for n in ring):
+            peaks.append(field.PeakInfo(float(v[start]), float(grid.x[start[1]]),
+                                        float(grid.y[start[0]])))
+    return tuple(sorted(peaks, key=lambda p: -p.value))
+
+
+@st.composite
+def plateau_grids(draw):
+    """Masked grids of small integers: plateaus, shoulders and ties."""
+    shape = draw(st.tuples(st.integers(1, 12), st.integers(1, 12)))
+    values = draw(hnp.arrays(np.int8, shape, elements=st.integers(0, 3)))
+    mask = draw(hnp.arrays(np.int8, shape, elements=st.integers(0, 4))) > 0
+    mask.flat[draw(st.integers(0, mask.size - 1))] = True
+    return grid_of(values, mask, window=((-1.0, 2.0), (0.0, 5.0)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(plateau_grids())
+def test_extrema_match_the_per_component_reference(g):
+    res = analyze_extrema(g)
+    assert res.local_maxima == _extrema_reference(g)
+    v = np.where(g.mask, g.values, -np.inf)
+    iy, ix = np.unravel_index(np.argmax(v), v.shape)
+    assert (res.global_max, res.global_max_location) == (v.max(), (g.x[ix], g.y[iy]))
+
+
+def test_extrema_memory_follows_the_candidates():
+    # a 512^2 grid of doubles is 2.1 MB: the pass holds the padded masked
+    # values and their neighbour maximum, then works on the candidates alone
+    e = build_case("resonant")
+    g = sample_field(e.spec, "U", e.window, 1.1, 512, 512, e.valid_mask)
+    assert traced_peak(analyze_extrema, g) <= 10e6
+    # a constant field is one plateau of 512^2 candidates, with eight int32
+    # neighbour indices each
+    assert traced_peak(analyze_extrema, grid_of(np.zeros((512, 512)))) <= 30e6
 
 
 def test_extrema_instanton_double_peak():
@@ -752,6 +816,43 @@ def test_report_mean_is_the_exact_sum_over_the_count(make):
     mean = f"mean: {math.fsum(valid.tolist()) / valid.size:.17g}"
     assert mean in to_report(g).splitlines()
     assert mean in pgm16(g)[1].splitlines()
+
+
+def _sum_outcome(fn):
+    try:
+        return fn().hex()
+    except (OverflowError, ValueError) as exc:
+        return type(exc).__name__
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.lists(st.floats(allow_subnormal=True), min_size=1, max_size=60),
+       st.integers(1, 4))
+@example([0.0, -0.0, -0.0], 2)
+@example([5e-324, -5e-324, 2.2250738585072014e-308, 1e-320], 3)
+@example([2.0 ** 300, -2.0 ** -300, 1.0, -(2.0 ** 300)], 2)
+@example([1.7976931348623157e308, 1.7976931348623157e308, -1.7976931348623157e308], 1)
+@example([8.98846567431158e307, 1.0, -8.98846567431158e307], 2)
+def test_exact_sum_is_fsum_over_the_double_range(values, parts):
+    # +-0, subnormals, every magnitude; near overflow sigma is not finite and
+    # fsum reads the values, which it may refuse (intermediate overflow)
+    a = np.array(values)
+    blocks = (b.copy() for b in np.array_split(a, parts))
+    assert _sum_outcome(lambda: _exact_sum(blocks, float(np.max(np.abs(a))), a.size)) == \
+        _sum_outcome(lambda: math.fsum(values))
+
+
+def test_exact_sum_is_fsum_on_full_mantissas():
+    # random 53-bit mantissas over +-2^300, half of them cancelled by their
+    # negatives: every level carries bits that a sum rounded anywhere loses
+    rng = np.random.default_rng(20)
+    for _ in range(300):
+        n = int(rng.integers(1, 1000))
+        a = rng.uniform(-1.0, 1.0, n) * np.exp2(rng.integers(-300, 300, n).astype(float))
+        a = rng.permutation(np.concatenate([a, -a[:n // 2]]))
+        n = a.size
+        blocks = (b.copy() for b in np.array_split(a, int(rng.integers(1, 6))))
+        assert _exact_sum(blocks, float(np.max(np.abs(a))), n) == math.fsum(a.tolist())
 
 
 def _kernel_bytes(v):
