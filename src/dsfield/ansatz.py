@@ -62,7 +62,7 @@ DEGENERATE_LEVEL = 1e-14
 # work on many samples runs in batches of about this many, which keeps a
 # batch's temporaries as small as those of one 181^2 grid sampled alone
 _BATCH_POINTS = 2 ** 15
-_ROW_BLOCK = 2 ** 13        # samples per time in a block of rows of U or an export
+_ROW_BLOCK = 2 ** 13        # samples per leading index in a block of grid rows
 
 
 @dataclass(frozen=True)
@@ -177,9 +177,8 @@ def window_grid(window, samples, valid_mask=None) -> WindowGrid:
         k, m = np.arange(1 - nx, nx), np.arange(2 * nx - 1)
         lines = ((x[np.maximum(k, 0)] - y[np.maximum(-k, 0)]) / SQRT2,
                  (x[np.minimum(m, nx - 1)] + y[np.maximum(m - nx + 1, 0)]) / SQRT2)
-    keep = np.ones((ny, nx), dtype=bool)
-    for rows in batches(ny, nx, _ROW_BLOCK) if valid_mask is not None else ():
-        keep[rows] = valid_mask(*rotate(X[rows], Y[rows]))
+    keep = (np.ones((ny, nx), dtype=bool) if valid_mask is None else
+            fill_rows((ny, nx), lambda rows: (valid_mask(*rotate(X[rows], Y[rows])),))[0])
     return WindowGrid(X, Y, keep, *lines)
 
 
@@ -217,6 +216,54 @@ def batches(n: int, points_each: int, size: int = _BATCH_POINTS) -> list:
     batches of about ``size`` samples, at least one item each."""
     step = max(1, size // points_each)
     return [slice(i, i + step) for i in range(0, n, step)]
+
+
+def fill_rows(shape, fn) -> tuple:
+    """Arrays of ``shape`` (leading axes, grid rows, columns) filled by blocks of grid rows,
+    _ROW_BLOCK samples per leading index: ``fn(rows)`` returns the tuple of their blocks."""
+    out = ()
+    for rows in batches(*shape[-2:], _ROW_BLOCK):
+        blocks = fn(rows)
+        out = out or tuple(np.empty(shape, np.result_type(b)) for b in blocks)
+        for whole, block in zip(out, blocks):
+            whole[..., rows, :] = block
+    return out
+
+
+def masked_stats(values, mask):
+    """(count, min, max, exact mean, (row, column) of the first max in raster order)
+    of the (ny, nx) ``values`` where ``mask``; NaNs and None without such values."""
+    n = int(np.count_nonzero(mask))
+    if not n:
+        return 0, math.nan, math.nan, math.nan, None
+    hi = float(np.max(values, where=mask, initial=-np.inf))
+    lo = float(np.min(values, where=mask, initial=np.inf))
+    total = _exact_sum((values[rows][mask[rows]] for rows in batches(*mask.shape, _ROW_BLOCK)),
+                       max(hi, -lo), n)
+    at = np.equal(values, hi, out=np.zeros_like(mask), where=mask)
+    return n, lo, hi, total / n, np.unravel_index(int(np.argmax(at)), at.shape)
+
+
+def _exact_sum(blocks, top: float, n: int) -> float:
+    """The sum of the ``n`` values in the arrays ``blocks`` (each read once and overwritten),
+    of largest magnitude ``top``, bit for bit ``math.fsum``'s: error-free extraction (Rump,
+    Ogita & Oishi, SIAM J. Sci. Comput. 31(1), 2008).  With sigma = 2^ceil(log2 top)
+    2^(ceil(log2 n) + 1), q = (r + sigma) - sigma and r - q are exact and the q sum exactly;
+    each level repeats it on r - q with sigma times 2^(ceil(log2 n) - 52).  fsum adds the
+    level sums, or reads the values where sigma would not be finite."""
+    shift = (n - 1).bit_length() + 1
+    e = math.frexp(top)[1] + shift              # 2^e >= 2^ceil(log2 top) 2^shift
+    if not (math.isfinite(top) and e < 1024):
+        return math.fsum(v for r in blocks for v in memoryview(r))
+    parts = []
+    for r in blocks:
+        sigma = math.ldexp(1.0, e)
+        while r.any():
+            q = (r + sigma) - sigma
+            parts.append(float(np.sum(q)))
+            r -= q
+            sigma = math.ldexp(sigma, shift - 53)
+    return math.fsum(parts)
 
 
 # ---------------------------------------------------------------------------
@@ -280,8 +327,8 @@ def grid_intensity(spec: SolutionSpec, grid: WindowGrid, t, dt: bool = False):
     """(U, U_t) on ``grid`` at ``t`` by :func:`eval_intensity`, U_t only
     with ``dt``; a 1-D array of times leads the shape, (n_t, ny, nx).
 
-    The kernel fills the arrays in blocks of grid rows, _ROW_BLOCK samples
-    per time, reading each profile's jet to the box the kernel reads.  On
+    The kernel fills the arrays by :func:`fill_rows`, a time being a leading
+    index, reading each profile's jet to the box the kernel reads.  On
     the line lattice each profile is evaluated once per line coordinate for
     all times, windowed onto the grid once by :func:`row_window`, and each
     block reads its rows; off it each block evaluates its own zeta and eta.
@@ -295,12 +342,9 @@ def grid_intensity(spec: SolutionSpec, grid: WindowGrid, t, dt: bool = False):
         jet = row_window(grid, lines, profile.jet3(lines, tt, (1, int(dt))))
         return lambda rows: grid_rows(jet, rows)
 
-    pj = on_grid(spec.p, grid.zeta_lines)
-    qj = on_grid(spec.q, grid.eta_lines)
-    out = [np.empty(t.shape + grid.keep.shape) for _ in range(1 + dt)]     # U, U_t
-    for rows in batches(*grid.keep.shape, _ROW_BLOCK):
-        for whole, block in zip(out, eval_intensity(spec, pj(rows), qj(rows), dt)):
-            whole[..., rows, :] = block
+    pj, qj = on_grid(spec.p, grid.zeta_lines), on_grid(spec.q, grid.eta_lines)
+    out = fill_rows(t.shape + grid.keep.shape,
+                    lambda rows: eval_intensity(spec, pj(rows), qj(rows), dt)[:1 + dt])
     return out[0], out[1] if dt else None
 
 
@@ -380,8 +424,11 @@ def check_admissibility(spec: SolutionSpec, grid: WindowGrid, t: float,
     if min(grid.keep.shape) < 2:
         raise ValueError("need at least 2 samples per axis")
     keep = grid.keep
-    f = eval_f(spec, pj, qj, order=0).value
-    u = eval_intensity(spec, pj, qj, f=f)[0]
+
+    def f_and_u(rows):
+        p, q = grid_rows((pj, qj), rows)
+        return (f := eval_f(spec, p, q, order=0).value), eval_intensity(spec, p, q, f=f)[0]
+    f, u = fill_rows(keep.shape, f_and_u)
     ok_u = keep & np.isfinite(u)
     # max |U| = max(max U, -min U) without a |U| array; abs turns a -0 into 0
     max_u = float(abs(max(np.max(u, where=ok_u, initial=0.0),

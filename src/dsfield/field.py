@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import chain
 from typing import Optional, Sequence
 
 import numpy as np
@@ -37,7 +36,9 @@ from .ansatz import (
     eval_f,
     eval_intensity,
     eval_phi,
+    fill_rows,
     grid_intensity,
+    masked_stats,
     profile_jets3,
     rotate,
     window_grid,
@@ -122,8 +123,8 @@ def sample_field(spec: SolutionSpec, which: str, window, t: float, nx: int, ny: 
     ``which`` is one of ``U`` (intensity), ``phi`` (forcing field) or
     ``bilinear2`` or ``pde2`` (residual fields).  On a square window with
     equal spacing every ingredient is evaluated once per zeta and eta line:
-    ``U`` by :func:`grid_intensity`, phi and ``bilinear2`` in blocks of grid
-    rows from one :class:`~dsfield.auxiliary.Ingredients` bundle.  Raises if
+    ``U`` by :func:`grid_intensity`, phi and ``bilinear2`` by ``fill_rows`` from
+    one :class:`~dsfield.auxiliary.Ingredients` bundle, as verify reads them.  Raises if
     the window is entirely invalid.
     """
     if nx < 8 or ny < 8:
@@ -137,11 +138,10 @@ def sample_field(spec: SolutionSpec, which: str, window, t: float, nx: int, ny: 
         resid, stencil_ok = _pde2_field(spec, grid, t, PDE2_STENCIL)
         vals = np.where(stencil_ok, resid, np.nan)
     elif which in ("phi", "bilinear2"):
-        ing, vals = Ingredients(spec, grid, t), np.empty((ny, nx))
-        for rows in batches(ny, nx, _ROW_BLOCK):
-            b = ing.rows(rows)
-            vals[rows] = (_bilinear2_field(spec, b)[0] if which == "bilinear2" else
-                          eval_phi(eval_f(spec, b.pj, b.qj), b.p0, b.q0))
+        ing = Ingredients(spec, grid, t)
+        block = ((lambda b: _bilinear2_field(spec, b)[:1]) if which == "bilinear2" else
+                 lambda b: (eval_phi(eval_f(spec, b.pj, b.qj), b.p0, b.q0),))
+        vals = fill_rows((ny, nx), lambda rows: block(ing.rows(rows)))[0]
     else:
         raise ValueError(f"unknown field {which!r}; use U, phi, bilinear2, pde2")
 
@@ -627,7 +627,7 @@ def to_pgm16(grid: FieldGrid, fh) -> str:
 def to_report(grid: FieldGrid) -> str:
     """Line-oriented key: value summary, stable for golden-file tests."""
     (x0, x1), (y0, y1) = grid.window
-    n = int(np.count_nonzero(grid.mask))
+    n, lo, hi, mean, at = masked_stats(grid.values, grid.mask)
     lines = [
         f"window: {x0:.17g}:{x1:.17g}:{y0:.17g}:{y1:.17g}",
         f"nx: {grid.nx}",
@@ -637,38 +637,10 @@ def to_report(grid: FieldGrid) -> str:
         f"masked: {grid.mask.size - n}",
     ]
     if n:
-        hi = float(np.max(grid.values, where=grid.mask, initial=-np.inf))
-        lo = float(np.min(grid.values, where=grid.mask, initial=np.inf))
-        total = _exact_sum((grid.values[rows][grid.mask[rows]]
-                            for rows in batches(grid.ny, grid.nx, _ROW_BLOCK)), max(hi, -lo), n)
-        at = np.equal(grid.values, hi, out=np.zeros_like(grid.mask), where=grid.mask)
-        idx = np.unravel_index(int(np.argmax(at)), at.shape)    # the first valid max
         lines += [
             f"min: {lo:.17g}",
             f"max: {hi:.17g}",
-            f"mean: {total / n:.17g}",
-            f"max_at: {grid.x[idx[1]]:.17g},{grid.y[idx[0]]:.17g}",
+            f"mean: {mean:.17g}",
+            f"max_at: {grid.x[at[1]]:.17g},{grid.y[at[0]]:.17g}",
         ]
     return "\n".join(lines) + "\n"
-
-
-def _exact_sum(blocks, top: float, n: int) -> float:
-    """The sum of the ``n`` values in the arrays ``blocks`` (each read once and overwritten),
-    of largest magnitude ``top``, bit for bit ``math.fsum``'s: error-free extraction (Rump,
-    Ogita & Oishi, SIAM J. Sci. Comput. 31(1), 2008).  With sigma = 2^ceil(log2 top)
-    2^(ceil(log2 n) + 1), q = (r + sigma) - sigma and r - q are exact and the q sum exactly;
-    each level repeats it on r - q with sigma times 2^(ceil(log2 n) - 52).  fsum adds the
-    level sums, or reads the values where sigma would not be finite."""
-    shift = (n - 1).bit_length() + 1
-    e = math.frexp(top)[1] + shift              # 2^e >= 2^ceil(log2 top) 2^shift
-    if not (math.isfinite(top) and e < 1024):
-        return math.fsum(chain.from_iterable(map(memoryview, blocks)))
-    parts = []
-    for r in blocks:
-        sigma = math.ldexp(1.0, e)
-        while r.any():
-            q = (r + sigma) - sigma
-            parts.append(float(np.sum(q)))
-            r -= q
-            sigma = math.ldexp(sigma, shift - 53)
-    return math.fsum(parts)

@@ -8,8 +8,8 @@ Three independent suites certify a solution spec:
   |g g*|;
 * the governing equations in the rotated frame: the envelope equation,
   as line 1 of the bilinear form and as the u-form with the forcing field,
-  both from one evaluation of f's order-2 jet in (zeta, eta, t) on the
-  window grid; and the forcing-field constraint by finite differences of
+  both from one evaluation of f's order-2 jet in (zeta, eta, t) per block
+  of grid rows; and the forcing-field constraint by finite differences of
   the jet-computed fields (with a convergence mode), from each profile
   once per stencil line and U and phi broadcast onto the stencil;
 * the window scan, :func:`~dsfield.ansatz.check_admissibility`: zeros of
@@ -17,10 +17,10 @@ Three independent suites certify a solution spec:
   sweeps of profile values alone.
 
 Every check reads the :class:`~dsfield.auxiliary.Ingredients` bundle of
-its window grid: the profile, amplitude and gradient jets, the phases
-and the backgrounds are each evaluated there once per line, and the
-checks read their row windows; ``pde2`` reads only the bundle's spec,
-grid and time.  The Hirota operator expands jets in (x, t) of any order.
+its window grid (``pde2`` only its spec, grid and time), each line entry
+evaluated once per line; it fills its residual grid from row windows by
+:func:`~dsfield.ansatz.fill_rows`, as the renders do, and reduces it by
+``masked_stats``.  The Hirota operator expands jets in (x, t) of any order.
 
 No check gates another: the envelope-equation checks run on every spec
 with a3 != 0, whatever the consistency report says, so a non-solution
@@ -40,11 +40,12 @@ from .ansatz import (
     AdmissibilityReport,
     CoordinatePoint,
     SolutionSpec,
-    batches,
     check_admissibility,
     eval_f,
     eval_intensity,
     eval_phi,
+    fill_rows,
+    masked_stats,
     profile_jets3,
     rotate,
     window_grid,
@@ -83,24 +84,15 @@ class ResidualReport:
 
 
 def _report(name, resid_abs, grid, t, valid, flags=None, notes="") -> ResidualReport:
-    """The report of the samples ``valid`` marks inside ``grid.keep``; its
-    flags count the ``masked`` samples, outside ``grid.keep``, apart from
+    """The report of the finite samples ``valid`` marks inside ``grid.keep``;
+    its flags count the ``masked`` samples, outside ``grid.keep``, apart from
     the ``dropped`` ones, inside it but not counted."""
-    ok = valid & np.isfinite(resid_abs)
-    n = int(np.count_nonzero(ok))
+    n, _, mx, mean, at = masked_stats(resid_abs, valid & np.isfinite(resid_abs))
     kept = int(np.count_nonzero(grid.keep))
     flags = {"masked": grid.keep.size - kept, "dropped": kept - n, **(flags or {})}
-    if n == 0:
-        return ResidualReport(name, math.nan, math.nan,
-                              CoordinatePoint(math.nan, math.nan, t),
-                              0, flags, notes="no valid samples")
-    flat = resid_abs[ok]
-    mx = float(np.max(flat))
-    mean = float(math.fsum(memoryview(flat)) / n)
-    at = np.equal(resid_abs, mx, out=np.zeros_like(ok), where=ok)
-    idx = np.unravel_index(int(np.argmax(at)), at.shape)        # the first counted max
-    worst = CoordinatePoint(float(grid.X[idx]), float(grid.Y[idx]), float(t))
-    return ResidualReport(name, mx, mean, worst, n, flags, notes=notes)
+    xy = (grid.X[at], grid.Y[at]) if n else (math.nan, math.nan)
+    return ResidualReport(name, mx, mean, CoordinatePoint(*map(float, xy), float(t)), n, flags,
+                          notes=notes if n else "no valid samples")
 
 
 # ---------------------------------------------------------------------------
@@ -156,11 +148,9 @@ def _envelope_terms(b):
     return g, g_z, g_zz, g_e, g_ee, g_t
 
 
-def _envelope_fields(ing: Ingredients):
-    """|residual| on the bundle's grid of line 1 of the bilinear form, its terms
-    scaled by 1/f^3, and of the envelope equation for u = g/f with phi."""
-    b = ing.rows()
-    spec, t, p0, q0 = ing.spec, ing.t, b.p0, b.q0
+def _envelope_fields(spec: SolutionSpec, t, b):
+    """|residual| of line 1 of the bilinear form, its terms scaled by 1/f^3, and
+    of the envelope equation for u = g/f with phi, from the row entries ``b``."""
     g, g_z, g_zz, g_e, g_ee, g_t = _envelope_terms(b)
     tau = eval_f(spec, b.pj, b.qj)
     f, f_z, f_e, f_t, f_zz, f_ze, _, f_ee, _, _ = tau.entries
@@ -174,12 +164,12 @@ def _envelope_fields(ing: Ingredients):
     t2 = 0.5 * beta * (d2z + d2e)
     t3 = -0.5 * beta * (np.abs(g) ** 2) * g / (f2 * f)
     t4 = beta * u * hirota_cross(tau) / f2
-    t5 = beta * (p0 + q0) * u
+    t5 = beta * (b.p0 + b.q0) * u
     t6 = -1j * gamma * u
     # u_zz + u_ee, with u_zz = d2z - u D_z^2 f.f / f^2
     lap = ((d2z - u * 2.0 * (f * f_zz - f_z ** 2) / f2)
            + (d2e - u * 2.0 * (f * f_ee - f_e ** 2) / f2))
-    phi = eval_phi(tau, p0, q0)
+    phi = eval_phi(tau, b.p0, b.q0)
     pde1 = t1 + beta * (0.5 * lap - 0.5 * np.abs(u) ** 2 * u + u * phi) + t6
     return np.abs(t1 + t2 + t3 + t4 + t5 + t6), np.abs(pde1)
 
@@ -194,18 +184,17 @@ def envelope_residuals(ing: Ingredients):
     phi.  Both come back not applicable where a3 = 0: there the residuals
     beside the zeros of f are rounding, and no floor tells it from a defect.
     """
-    grid, t = ing.grid, ing.t
+    grid, t, names = ing.grid, ing.t, ("bilinear1", "pde1")
     if ing.spec.coeffs.a3 == 0.0:
         return tuple(ResidualReport(name, math.nan, math.nan,
-                                    CoordinatePoint(math.nan, math.nan, t), 0,
-                                    applicable=False,
+                                    CoordinatePoint(math.nan, math.nan, t), 0, applicable=False,
                                     notes="not applicable: a3 = 0 (no rounding floor "
                                           "for the residual near the zeros of f)")
-                     for name in ("bilinear1", "pde1"))
+                     for name in names)
     with np.errstate(invalid="ignore", over="ignore", under="ignore", divide="ignore"):
-        line1, pde1 = _envelope_fields(ing)
-    return (_report("bilinear1", line1, grid, t, grid.keep & np.isfinite(line1)),
-            _report("pde1", pde1, grid, t, grid.keep & np.isfinite(pde1)))
+        fields = fill_rows(grid.keep.shape,
+                           lambda rows: _envelope_fields(ing.spec, t, ing.rows(rows)))
+    return tuple(_report(name, v, grid, t, grid.keep) for name, v in zip(names, fields))
 
 
 # ---------------------------------------------------------------------------
@@ -237,11 +226,11 @@ def bilinear_residuals(ing: Ingredients) -> ResidualReport:
     counting the samples where they are non-finite and checked nothing.  A
     report where every sample fell back says so in its notes."""
     grid = ing.grid
-    rel, amp_bad = _bilinear2_field(ing.spec, ing.rows())
-    valid = grid.keep & np.isfinite(rel)
-    return _report("bilinear2", rel, grid, ing.t, valid,
+    rel, amp_bad = fill_rows(grid.keep.shape,
+                             lambda rows: _bilinear2_field(ing.spec, ing.rows(rows)))
+    return _report("bilinear2", rel, grid, ing.t, grid.keep,
                    flags={"amplitude_branch": int(np.count_nonzero(amp_bad & grid.keep))},
-                   notes="" if np.any(valid & ~amp_bad)
+                   notes="" if np.any(grid.keep & ~amp_bad & np.isfinite(rel))
                    else "every sample fell back to the closed form: nothing checked")
 
 
@@ -256,7 +245,7 @@ def pde_residuals(ing: Ingredients, stencil: Stencil = PDE2_STENCIL) -> Residual
     ``stencil``."""
     grid = ing.grid
     resid, stencil_ok = _pde2_field(ing.spec, grid, ing.t, stencil)
-    return _report("pde2", resid, grid, ing.t, grid.keep & stencil_ok & np.isfinite(resid))
+    return _report("pde2", resid, grid, ing.t, grid.keep & stencil_ok)
 
 
 def _pde2_field(spec, grid, t, stencil: Stencil):
@@ -265,30 +254,28 @@ def _pde2_field(spec, grid, t, stencil: Stencil):
     Central differences with ``stencil``; the second value marks the points
     whose stencil samples of U and phi are all finite.  A point's k x k
     stencil samples lie on k shifted zeta and k shifted eta lines, so per
-    batch of rows p is evaluated once on its lines, (k, 1, rows, nx), q on
-    its own, (1, k, rows, nx), both to order 2, and U and phi come out on
-    the stencil by broadcasting.  The stencils then run over all rows at
-    once: their matrix product rounds an operand's last entries its own
-    way, so stencils per batch would move bits at the seams.
+    block of :func:`~dsfield.ansatz.fill_rows`, a stencil point per leading
+    index, p is evaluated once on its lines, (k, 1, rows, nx), q on its own,
+    (1, k, rows, nx), both to order 2, and U and phi come out on the stencil
+    by broadcasting.  The stencils then run over all rows at once: their
+    matrix product rounds an operand's last entries by where they sit.
     """
     h = stencil.h
     w2 = Stencil(2, stencil.accuracy, h).weights
     w1 = Stencil(1, stencil.accuracy, h).weights
     half = (len(w1) - 1) // 2
-    d = np.arange(-half, half + 1) * h
+    d = np.arange(-half, half + 1)[:, None, None, None] * h
 
-    U = np.empty((len(d), len(d)) + grid.keep.shape)
-    PHI = np.empty_like(U)
+    def on_stencil(rows):
+        z, e = rotate(grid.X[rows], grid.Y[rows])
+        pj, qj = profile_jets3(spec, z + d, (e + d[:, 0])[None], t, 2)
+        # zero backgrounds: the cross derivative annihilates separated
+        # backgrounds, so the check is exact without them and stays
+        # defined at degenerate times
+        return eval_intensity(spec, pj, qj)[0], eval_phi(eval_f(spec, pj, qj), 0.0, 0.0)
+
     with np.errstate(invalid="ignore", over="ignore", under="ignore", divide="ignore"):
-        for rows in batches(len(grid.keep), U[:, :, 0].size):
-            z, e = rotate(grid.X[rows], grid.Y[rows])
-            z, e = z + d[:, None, None, None], (e + d[:, None, None])[None]
-            pj, qj = profile_jets3(spec, z, e, t, 2)
-            # zero backgrounds: the cross derivative annihilates separated
-            # backgrounds, so the check is exact without them and stays
-            # defined at degenerate times
-            PHI[:, :, rows] = eval_phi(eval_f(spec, pj, qj), 0.0, 0.0)
-            U[:, :, rows] = eval_intensity(spec, pj, qj)[0]
+        U, PHI = fill_rows((len(d), len(d)) + grid.keep.shape, on_stencil)
 
         u_zz = np.tensordot(w2, U[:, half], axes=(0, 0)) / h**2
         u_ee = np.tensordot(w2, U[half, :], axes=(0, 0)) / h**2

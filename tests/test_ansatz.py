@@ -281,15 +281,16 @@ def test_admissibility_window_without_finite_f_is_singular(dromion):
 
 
 def test_window_scan_holds_only_f_and_u():
-    # with the bundle's jets read first, a 512^2 lattice scan peaks where
-    # f and U are made (10.75 MB): min |f|, the invalid count and max |U| are
-    # where= reductions, the signs an int8 grid and |f| goes into f's buffer
-    # (13.9 MB with copies of f and U beside them; one float grid is 2.1 MB)
+    # with the bundle's jets read first, a 512^2 lattice scan peaks at 7.7 MB:
+    # f and U are filled block by block of rows, min |f|, the invalid count
+    # and max |U| are where= reductions, the signs an int8 grid and |f| goes
+    # into f's buffer (10.75 MB with f and U made over all rows at once,
+    # 13.9 MB with copies of them beside it; one float grid is 2.1 MB)
     e = build_case("dromion")
     t = e.reference_times[0]
     ing = Ingredients(e.spec, window_grid(e.window, 512), t)
     pj, qj = ing.rows().pj, ing.rows().qj
-    assert traced_peak(check_admissibility, e.spec, ing.grid, t, pj, qj) <= 11e6
+    assert traced_peak(check_admissibility, e.spec, ing.grid, t, pj, qj) <= 9e6
 
 
 def test_admissibility_requires_samples(dromion):

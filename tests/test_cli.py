@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import dsfield
-from dsfield import profiles
+from dsfield import ansatz, profiles
 from dsfield.ansatz import batches, rotate, window_grid
 from dsfield.calculus import Jet
 from dsfield.cli import build_parser, main, parse_time, parse_window
@@ -826,7 +826,8 @@ def test_each_reader_asks_its_profiles_for_the_entries_it_reads(tmp_path, monkey
         assert asked == want, argv
     asked.clear()
     assert run("verify", "--t", "0.3", "--checks", ALL, *common) == 0
-    assert asked == {"Ingredients.<lambda>": {3}, "pole_sweep": {0}, "_pde2_field": {2},
+    assert asked == {"Ingredients.<lambda>": {3}, "pole_sweep": {0},
+                     "_pde2_field.<locals>.on_stencil": {2},
                      "_integrate_from_anchor": {2}, "consistency_c1_c2": {2},
                      "Auxiliaries.branch": {(1, 0)}}
     assert not {grid, rate, "_log_intensity_jets", "_statistic"} & set(asked)
@@ -865,7 +866,7 @@ def test_pde2_evaluates_each_profile_once_per_row_batch(name, tmp_path, monkeypa
     # the pde2 check evaluates p on all its shifted zeta lines at once,
     # shape (3, 1, rows, nx), and q on its eta lines, (1, 3, rows, nx), to
     # order 2: once per step size (h, h/2) on the <= 24^2 verify grid, and
-    # once per row batch of a render
+    # once per block of rows of a render (131 rows: three)
     calls = []
     for cls in vars(profiles).values():
         if (isinstance(cls, type) and issubclass(cls, profiles.ProfileFunction)
@@ -884,11 +885,11 @@ def test_pde2_evaluates_each_profile_once_per_row_batch(name, tmp_path, monkeypa
                "--checks", "pde2", "--out", out) == 0
     assert calls == 2 * lines(24, 24)
     calls.clear()
-    assert run("render", "--case", name, "--t", "0.3", "--res", "64",
+    assert run("render", "--case", name, "--t", "0.3", "--res", "131",
                "--which", "pde2", "--out", out) == 0
-    steps = batches(64, 9 * 64)
+    steps = batches(131, 131, ansatz._ROW_BLOCK)
     assert len(steps) > 1
-    assert calls == [c for b in steps for c in lines(len(range(64)[b]), 64)]
+    assert calls == [c for b in steps for c in lines(len(range(131)[b]), 131)]
 
 
 def test_cli_import_needs_no_scipy():

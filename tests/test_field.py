@@ -1,5 +1,6 @@
 import io
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -9,8 +10,10 @@ from hypothesis.extra import numpy as hnp
 
 from dsfield import ansatz, field
 from dsfield.ansatz import (
+    CoordinatePoint,
     SeparationCoefficients,
     SolutionSpec,
+    _exact_sum,
     eval_intensity,
     profile_jets3,
     rotate,
@@ -20,7 +23,6 @@ from dsfield.catalog import build_case, case_names
 from dsfield.field import (
     FieldGrid,
     SingularWindowError,
-    _exact_sum,
     _refine_period,
     _statistic,
     _write_g17,
@@ -37,6 +39,7 @@ from dsfield.field import (
     to_report,
 )
 from dsfield.profiles import ExpSumProfile
+from dsfield.verify import _report
 
 from conftest import csv_bytes, pgm16, regular_window, traced_peak
 
@@ -809,13 +812,32 @@ def test_csv_fixtures_reach_every_path():
     assert all(map(_falls_back, seam.tolist()))
 
 
-@pytest.mark.parametrize("make", [_masked_rows, _breather_phi, _resonant_u])
+def _nonfinite_residual():
+    # a residual with NaN and +-inf outside the count, where it is not
+    # finite, and its max twice, the first after an inf in raster order
+    values = np.abs(_in_range(40 * 50, 24)).reshape(40, 50)
+    values[[7, 30], [3, 41]] = 2.0 * values.max()
+    values[[2, 5, 20], [10, 1, 0]] = [np.nan, np.inf, -np.inf]
+    return grid_of(values, np.isfinite(values), ((-1.0, 2.0), (0.5, 3.0)), 0.25)
+
+
+@pytest.mark.parametrize("make", [_masked_rows, _breather_phi, _resonant_u,
+                                  _nonfinite_residual])
 def test_report_mean_is_the_exact_sum_over_the_count(make):
+    # the render reports count the mask and verify's the finite samples
+    # inside keep; both reduce through ansatz.masked_stats
     g = make()
     valid = g.values[g.mask]
     mean = f"mean: {math.fsum(valid.tolist()) / valid.size:.17g}"
     assert mean in to_report(g).splitlines()
     assert mean in pgm16(g)[1].splitlines()
+    if make is _nonfinite_residual:
+        X, Y = np.meshgrid(g.x, g.y)
+        rep = _report("r", g.values, SimpleNamespace(X=X, Y=Y, keep=np.ones_like(g.mask)),
+                      g.t, np.ones_like(g.mask))
+        assert rep.mean_abs.hex() == (math.fsum(valid.tolist()) / valid.size).hex()
+        assert (rep.samples, rep.flags["dropped"]) == (valid.size, 3)
+        assert rep.worst_point == CoordinatePoint(X[7, 3], Y[7, 3], g.t)
 
 
 def _sum_outcome(fn):

@@ -4,6 +4,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+from dsfield import ansatz
 from dsfield.ansatz import (
     CoefficientFunctions,
     SolutionSpec,
@@ -36,7 +37,7 @@ from dsfield.verify import (
     singularity_scan,
 )
 
-from conftest import bundle, decaying_p_text, random_spec
+from conftest import bundle, decaying_p_text, random_spec, traced_peak
 
 
 def exp_jet(k, omega=0.0):
@@ -262,6 +263,20 @@ def test_pde_line2_drops_stencil_hits_near_pole():
     assert l2.mean_abs < 0.1
 
 
+@pytest.mark.parametrize("name", ["dromion", "double_instanton", "periodic"])
+def test_verify_residuals_fill_their_grids_block_by_block(name):
+    # with the bundle's line entries read first, the envelope pass and the
+    # bilinear2 check at 512^2 hold their residual grids and one block of
+    # rows (7.7 and 2.9 MB; 102.9 and 11.0 MB over all rows at once); one
+    # float grid is 2.1 MB
+    e = build_case(name)
+    ing = Ingredients(e.spec, window_grid(e.window, 512, e.valid_mask), e.reference_times[0])
+    for entry in ("pj", "qj", "p1", "q1", "rz", "se", "r", "s", "p0", "q0"):
+        getattr(ing, entry)
+    assert traced_peak(envelope_residuals, ing) <= 12e6
+    assert traced_peak(bilinear_residuals, ing) <= 5e6
+
+
 def _pde2_field_per_point(spec, zeta, eta, t, stencil):
     """The forcing-field residual as first written: order-3 profile jets, U
     and phi evaluated on the whole grid once per stencil point."""
@@ -308,12 +323,13 @@ def test_pde2_field_is_the_per_point_stencil_bit_for_bit(name):
 
 
 @pytest.mark.parametrize("name", case_names())
-def test_line_bundle_is_the_point_formulas_at_the_lattice_coordinates(name):
+def test_line_bundle_is_the_point_formulas_at_the_lattice_coordinates(name, monkeypatch):
     # the bundle evaluates each entry once per line and its readers take row
     # windows; the same formulas on a grid whose N^2 points hold the lattice
     # coordinates as plain arrays give every phi and bilinear2 render value,
     # in row blocks (131 rows: three), and the bilinear1 and pde1 fields bit
-    # for bit.  Off the lattice the reference coordinates are the grid's own
+    # for bit.  Off the lattice the reference coordinates are the grid's own.
+    # The bilinear2, bilinear1 and pde1 reports are those of blocks of 3 rows
     e = build_case(name)
     for samples in (48, 131, (97, 80)):
         grid = window_grid(e.window, samples, e.valid_mask)
@@ -332,9 +348,15 @@ def test_line_bundle_is_the_point_formulas_at_the_lattice_coordinates(name):
                              divide="ignore"):
                 want = {"phi": eval_phi(eval_f(e.spec, ref.pj, ref.qj), ref.p0, ref.q0),
                         "bilinear2": _bilinear2_field(e.spec, ref.rows())[0]}
-                for got, ref_field in zip(_envelope_fields(Ingredients(e.spec, grid, t)),
-                                          _envelope_fields(ref)):
+                for got, ref_field in zip(
+                        _envelope_fields(e.spec, t, Ingredients(e.spec, grid, t).rows()),
+                        _envelope_fields(e.spec, t, ref.rows())):
                     np.testing.assert_array_equal(got, ref_field, strict=True)
+            ing = Ingredients(e.spec, grid, t)
+            reports = repr((bilinear_residuals(ing), envelope_residuals(ing)))
+            monkeypatch.setattr(ansatz, "_ROW_BLOCK", 3 * nx)
+            assert repr((bilinear_residuals(ing), envelope_residuals(ing))) == reports
+            monkeypatch.undo()
             for which, values in want.items():
                 mask = grid.keep & np.isfinite(values)
                 got = sample_field(e.spec, which, e.window, t, nx, ny, e.valid_mask)
