@@ -218,11 +218,16 @@ def batches(n: int, points_each: int, size: int = _BATCH_POINTS) -> list:
     return [slice(i, i + step) for i in range(0, n, step)]
 
 
+def row_blocks(ny: int, nx: int) -> list:
+    """The block rule: slices of ``ny`` grid rows of ``nx`` samples, _ROW_BLOCK samples each."""
+    return batches(ny, nx, _ROW_BLOCK)
+
+
 def fill_rows(shape, fn) -> tuple:
-    """Arrays of ``shape`` (leading axes, grid rows, columns) filled by blocks of grid rows,
-    _ROW_BLOCK samples per leading index: ``fn(rows)`` returns the tuple of their blocks."""
+    """Arrays of ``shape`` (leading axes, grid rows, columns) filled by :func:`row_blocks`,
+    per leading index: ``fn(rows)`` returns the tuple of their blocks."""
     out = ()
-    for rows in batches(*shape[-2:], _ROW_BLOCK):
+    for rows in row_blocks(*shape[-2:]):
         blocks = fn(rows)
         out = out or tuple(np.empty(shape, np.result_type(b)) for b in blocks)
         for whole, block in zip(out, blocks):
@@ -238,7 +243,7 @@ def masked_stats(values, mask):
         return 0, math.nan, math.nan, math.nan, None
     hi = float(np.max(values, where=mask, initial=-np.inf))
     lo = float(np.min(values, where=mask, initial=np.inf))
-    total = _exact_sum((values[rows][mask[rows]] for rows in batches(*mask.shape, _ROW_BLOCK)),
+    total = _exact_sum((values[rows][mask[rows]] for rows in row_blocks(*mask.shape)),
                        max(hi, -lo), n)
     at = np.equal(values, hi, out=np.zeros_like(mask), where=mask)
     return n, lo, hi, total / n, np.unravel_index(int(np.argmax(at)), at.shape)

@@ -28,7 +28,6 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .ansatz import (
-    _ROW_BLOCK,
     SQRT2,
     SolutionSpec,
     _assemble,
@@ -41,6 +40,7 @@ from .ansatz import (
     masked_stats,
     profile_jets3,
     rotate,
+    row_blocks,
     window_grid,
 )
 from .auxiliary import Ingredients
@@ -576,9 +576,10 @@ def to_csv(grid: FieldGrid, fh) -> None:
     xs, ys = (np.compress(r.any(axis=0), r, axis=1) for r in (_python_g17(grid.x, ","),
                                                             _python_g17(grid.y, ",")))
     xs, ys = (r.view(f"V{r.shape[1]}").ravel() for r in (xs, ys))  # one element per text
-    buf = np.empty((max(_ROW_BLOCK, grid.nx), xs.itemsize + ys.itemsize + 29), np.uint8)
+    blocks = row_blocks(grid.ny, grid.nx)
+    buf = np.empty((grid.mask[blocks[0]].size, xs.itemsize + ys.itemsize + 29), np.uint8)
     fh.write(b"x,y,U\n")
-    for rows in batches(grid.ny, grid.nx, _ROW_BLOCK):
+    for rows in blocks:
         iy, ix = np.nonzero(grid.mask[rows])
         mat = buf[:ix.size]
         mat[:, :xs.itemsize].view(xs.dtype)[:, 0] = xs.take(ix)
@@ -611,7 +612,7 @@ def to_pgm16(grid: FieldGrid, fh) -> str:
             if grid.mask.any() else 0.0)
     fh.write(f"P5\n{grid.nx} {grid.ny}\n65535\n".encode("ascii"))
     clipped = 0
-    for rows in batches(grid.ny, grid.nx, _ROW_BLOCK):
+    for rows in row_blocks(grid.ny, grid.nx):
         v, ok = grid.values[rows], grid.mask[rows]
         scaled = np.clip(v / vmax, 0.0, 1.0) * 65535.0 if vmax > 0 else 0.0
         fh.write(np.where(ok, np.rint(scaled), 0.0).astype(">u2"))

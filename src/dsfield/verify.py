@@ -31,7 +31,7 @@ residuals near the zeros of f have no rounding floor to be judged by.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable
 
 import numpy as np
@@ -83,16 +83,16 @@ class ResidualReport:
     notes: str = ""
 
 
-def _report(name, resid_abs, grid, t, valid, flags=None, notes="") -> ResidualReport:
-    """The report of the finite samples ``valid`` marks inside ``grid.keep``;
-    its flags count the ``masked`` samples, outside ``grid.keep``, apart from
-    the ``dropped`` ones, inside it but not counted."""
+def _report(name, resid_abs, grid, t, valid, flags=None) -> ResidualReport:
+    """The report of the finite samples ``valid`` marks inside ``grid.keep`` (their minimum
+    unused); its flags count the ``masked`` samples, outside ``grid.keep``, apart from the
+    ``dropped`` ones, inside it but not counted."""
     n, _, mx, mean, at = masked_stats(resid_abs, valid & np.isfinite(resid_abs))
     kept = int(np.count_nonzero(grid.keep))
     flags = {"masked": grid.keep.size - kept, "dropped": kept - n, **(flags or {})}
     xy = (grid.X[at], grid.Y[at]) if n else (math.nan, math.nan)
     return ResidualReport(name, mx, mean, CoordinatePoint(*map(float, xy), float(t)), n, flags,
-                          notes=notes if n else "no valid samples")
+                          notes="" if n else "no valid samples")
 
 
 # ---------------------------------------------------------------------------
@@ -228,10 +228,12 @@ def bilinear_residuals(ing: Ingredients) -> ResidualReport:
     grid = ing.grid
     rel, amp_bad = fill_rows(grid.keep.shape,
                              lambda rows: _bilinear2_field(ing.spec, ing.rows(rows)))
-    return _report("bilinear2", rel, grid, ing.t, grid.keep,
-                   flags={"amplitude_branch": int(np.count_nonzero(amp_bad & grid.keep))},
-                   notes="" if np.any(grid.keep & ~amp_bad & np.isfinite(rel))
-                   else "every sample fell back to the closed form: nothing checked")
+    fell_back = amp_bad & grid.keep
+    report = _report("bilinear2", rel, grid, ing.t, grid.keep,
+                     flags={"amplitude_branch": int(np.count_nonzero(fell_back))})
+    if 0 < report.samples == np.count_nonzero(np.isfinite(rel[fell_back])):
+        return replace(report, notes="every sample fell back to the closed form: nothing checked")
+    return report
 
 
 # ---------------------------------------------------------------------------
@@ -291,8 +293,7 @@ def pde_phi_convergence(ing: Ingredients, stencil: Stencil = PDE2_STENCIL):
     coarse = pde_residuals(ing, stencil)
     finer = Stencil(stencil.order, stencil.accuracy, stencil.h / 2)
     fine = pde_residuals(ing, finer)
-    order = observed_order(coarse.mean_abs, fine.mean_abs)
-    return coarse, fine, order
+    return coarse, fine, observed_order(coarse.mean_abs, fine.mean_abs)
 
 
 # ---------------------------------------------------------------------------

@@ -91,8 +91,7 @@ def test_unequal_spacing_u_grid_is_pointwise_intensity(name):
 
 def _one_block(monkeypatch):
     """Makes every row block span the whole grid."""
-    for module in (ansatz, field):
-        monkeypatch.setattr(module, "_ROW_BLOCK", 10 ** 9)
+    monkeypatch.setattr(ansatz, "_ROW_BLOCK", 10 ** 9)
 
 
 @pytest.mark.parametrize("name,window,mask", [

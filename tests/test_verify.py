@@ -8,7 +8,6 @@ from dsfield import ansatz
 from dsfield.ansatz import (
     CoefficientFunctions,
     SolutionSpec,
-    batches,
     check_admissibility,
     eval_f,
     eval_intensity,
@@ -304,18 +303,19 @@ def _pde2_field_per_point(spec, zeta, eta, t, stencil):
 
 
 @pytest.mark.parametrize("name", case_names())
-def test_pde2_field_is_the_per_point_stencil_bit_for_bit(name):
+def test_pde2_field_is_the_per_point_stencil_bit_for_bit(name, monkeypatch):
     # profiles once per stencil line, to order 2, and U and phi by
-    # broadcasting, in row batches: the residual (NaNs in place) and the
-    # stencil mask keep every bit of the per-point evaluation; 97 columns
-    # put the batch seams mid-vector for the stencils' matrix products
+    # broadcasting, in row blocks: the residual (NaNs in place) and the
+    # stencil mask keep every bit of the per-point evaluation; blocks of 13
+    # rows of 97 columns put seven blocks' seams mid-vector for the
+    # stencils' matrix products
     e = build_case(name)
     grid = window_grid(e.window, (97, 80))
+    monkeypatch.setattr(ansatz, "_ROW_BLOCK", 13 * 97)
+    assert len(ansatz.row_blocks(80, 97)) == 7
     for t in (e.reference_times[0], 0.3):
         for accuracy in (2, 4):
             stencil = Stencil(2, accuracy, 1e-2)
-            k = len(Stencil(1, accuracy, 1e-2).weights)
-            assert len(batches(80, k * k * 97)) > 2
             want = _pde2_field_per_point(e.spec, *rotate(grid.X, grid.Y), t, stencil)
             got = _pde2_field(e.spec, grid, t, stencil)
             np.testing.assert_array_equal(got[0], want[0], strict=True)
