@@ -124,8 +124,9 @@ def sample_field(spec: SolutionSpec, which: str, window, t: float, nx: int, ny: 
     ``bilinear2`` or ``pde2`` (residual fields).  On a square window with
     equal spacing every ingredient is evaluated once per zeta and eta line:
     ``U`` by :func:`grid_intensity`, phi and ``bilinear2`` by ``fill_rows`` from
-    one :class:`~dsfield.auxiliary.Ingredients` bundle, as verify reads them.  Raises if
-    the window is entirely invalid.
+    one :class:`~dsfield.auxiliary.Ingredients` bundle, as verify reads them, and ``pde2``
+    as verify fills it.  Non-finite values are masked.  Raises if the window is entirely
+    invalid.
     """
     if nx < 8 or ny < 8:
         raise ValueError("resolution must be at least 8 per axis")
@@ -135,8 +136,7 @@ def sample_field(spec: SolutionSpec, which: str, window, t: float, nx: int, ny: 
     if which == "U":
         vals = grid_intensity(spec, grid, t)[0]
     elif which == "pde2":
-        resid, stencil_ok = _pde2_field(spec, grid, t, PDE2_STENCIL)
-        vals = np.where(stencil_ok, resid, np.nan)
+        vals = _pde2_field(spec, grid, t, PDE2_STENCIL)
     elif which in ("phi", "bilinear2"):
         ing = Ingredients(spec, grid, t)
         block = ((lambda b: _bilinear2_field(spec, b)[:1]) if which == "bilinear2" else

@@ -11,7 +11,8 @@ Three independent suites certify a solution spec:
   both from one evaluation of f's order-2 jet in (zeta, eta, t) per block
   of grid rows; and the forcing-field constraint by finite differences of
   the jet-computed fields (with a convergence mode), from each profile
-  once per stencil line and U and phi broadcast onto the stencil;
+  once per stencil line and U and phi broadcast onto the stencil, the
+  stencils summed in a fixed order per block of grid rows;
 * the window scan, :func:`~dsfield.ansatz.check_admissibility`: zeros of
   f from f's value alone, the sign condition, and profile poles from
   sweeps of profile values alone.
@@ -19,8 +20,9 @@ Three independent suites certify a solution spec:
 Every check reads the :class:`~dsfield.auxiliary.Ingredients` bundle of
 its window grid (``pde2`` only its spec, grid and time), each line entry
 evaluated once per line; it fills its residual grid from row windows by
-:func:`~dsfield.ansatz.fill_rows`, as the renders do, and reduces it by
-``masked_stats``.  The Hirota operator expands jets in (x, t) of any order.
+:func:`~dsfield.ansatz.fill_rows`, as the renders do, and reduces its finite
+samples inside the grid's ``keep`` by ``masked_stats``.  The Hirota operator
+expands jets in (x, t) of any order.
 
 No check gates another: the envelope-equation checks run on every spec
 with a3 != 0, whatever the consistency report says, so a non-solution
@@ -83,11 +85,11 @@ class ResidualReport:
     notes: str = ""
 
 
-def _report(name, resid_abs, grid, t, valid, flags=None) -> ResidualReport:
-    """The report of the finite samples ``valid`` marks inside ``grid.keep`` (their minimum
-    unused); its flags count the ``masked`` samples, outside ``grid.keep``, apart from the
-    ``dropped`` ones, inside it but not counted."""
-    n, _, mx, mean, at = masked_stats(resid_abs, valid & np.isfinite(resid_abs))
+def _report(name, resid_abs, grid, t, flags=None) -> ResidualReport:
+    """The report of the finite samples inside ``grid.keep`` (their minimum unused); its
+    flags count the ``masked`` samples, outside ``grid.keep``, apart from the ``dropped``
+    ones, inside it but not finite."""
+    n, _, mx, mean, at = masked_stats(resid_abs, grid.keep & np.isfinite(resid_abs))
     kept = int(np.count_nonzero(grid.keep))
     flags = {"masked": grid.keep.size - kept, "dropped": kept - n, **(flags or {})}
     xy = (grid.X[at], grid.Y[at]) if n else (math.nan, math.nan)
@@ -194,7 +196,7 @@ def envelope_residuals(ing: Ingredients):
     with np.errstate(invalid="ignore", over="ignore", under="ignore", divide="ignore"):
         fields = fill_rows(grid.keep.shape,
                            lambda rows: _envelope_fields(ing.spec, t, ing.rows(rows)))
-    return tuple(_report(name, v, grid, t, grid.keep) for name, v in zip(names, fields))
+    return tuple(_report(name, v, grid, t) for name, v in zip(names, fields))
 
 
 # ---------------------------------------------------------------------------
@@ -229,7 +231,7 @@ def bilinear_residuals(ing: Ingredients) -> ResidualReport:
     rel, amp_bad = fill_rows(grid.keep.shape,
                              lambda rows: _bilinear2_field(ing.spec, ing.rows(rows)))
     fell_back = amp_bad & grid.keep
-    report = _report("bilinear2", rel, grid, ing.t, grid.keep,
+    report = _report("bilinear2", rel, grid, ing.t,
                      flags={"amplitude_branch": int(np.count_nonzero(fell_back))})
     if 0 < report.samples == np.count_nonzero(np.isfinite(rel[fell_back])):
         return replace(report, notes="every sample fell back to the closed form: nothing checked")
@@ -245,28 +247,30 @@ def pde_residuals(ing: Ingredients, stencil: Stencil = PDE2_STENCIL) -> Residual
     equations, fourth order in log f) on the bundle's grid, by central
     differences of the jet-computed intensity and forcing fields using
     ``stencil``."""
-    grid = ing.grid
-    resid, stencil_ok = _pde2_field(ing.spec, grid, ing.t, stencil)
-    return _report("pde2", resid, grid, ing.t, grid.keep & stencil_ok)
+    return _report("pde2", _pde2_field(ing.spec, ing.grid, ing.t, stencil), ing.grid, ing.t)
 
 
 def _pde2_field(spec, grid, t, stencil: Stencil):
-    """Forcing-field residual |4 phi_ze - U_zz - U_ee - 2 U_ze| at ``grid``'s points.
+    """Forcing-field residual |4 phi_ze - U_zz - U_ee - 2 U_ze| at ``grid``'s points,
+    non-finite wherever a stencil sample of U or phi is.
 
-    Central differences with ``stencil``; the second value marks the points
-    whose stencil samples of U and phi are all finite.  A point's k x k
-    stencil samples lie on k shifted zeta and k shifted eta lines, so per
-    block of :func:`~dsfield.ansatz.fill_rows`, a stencil point per leading
-    index, p is evaluated once on its lines, (k, 1, rows, nx), q on its own,
-    (1, k, rows, nx), both to order 2, and U and phi come out on the stencil
-    by broadcasting.  The stencils then run over all rows at once: their
-    matrix product rounds an operand's last entries by where they sit.
+    Central differences with ``stencil``.  A point's k x k stencil samples
+    lie on k shifted zeta and k shifted eta lines, so per block of
+    :func:`~dsfield.ansatz.fill_rows` p is evaluated once on its lines,
+    (k, 1, rows, nx), q on its own, (1, k, rows, nx), both to order 2, U and
+    phi come out on the stencil by broadcasting, and each stencil sums every
+    sample it weighs, zero weights too, left to right: over k, or over (i, j)
+    in raster order.  A point's bits do not depend on its block.
     """
     h = stencil.h
     w2 = Stencil(2, stencil.accuracy, h).weights
     w1 = Stencil(1, stencil.accuracy, h).weights
+    cross = np.outer(w1, w1).ravel()
     half = (len(w1) - 1) // 2
     d = np.arange(-half, half + 1)[:, None, None, None] * h
+
+    def wsum(weights, samples):
+        return sum(w * v for w, v in zip(weights, samples)) / h**2
 
     def on_stencil(rows):
         z, e = rotate(grid.X[rows], grid.Y[rows])
@@ -274,18 +278,13 @@ def _pde2_field(spec, grid, t, stencil: Stencil):
         # zero backgrounds: the cross derivative annihilates separated
         # backgrounds, so the check is exact without them and stays
         # defined at degenerate times
-        return eval_intensity(spec, pj, qj)[0], eval_phi(eval_f(spec, pj, qj), 0.0, 0.0)
+        U = eval_intensity(spec, pj, qj)[0]
+        PHI = eval_phi(eval_f(spec, pj, qj), 0.0, 0.0)
+        u_ze, phi_ze = (wsum(cross, v.reshape(-1, *v.shape[2:])) for v in (U, PHI))
+        return (np.abs(4.0 * phi_ze - wsum(w2, U[:, half]) - wsum(w2, U[half]) - 2.0 * u_ze),)
 
     with np.errstate(invalid="ignore", over="ignore", under="ignore", divide="ignore"):
-        U, PHI = fill_rows((len(d), len(d)) + grid.keep.shape, on_stencil)
-
-        u_zz = np.tensordot(w2, U[:, half], axes=(0, 0)) / h**2
-        u_ee = np.tensordot(w2, U[half, :], axes=(0, 0)) / h**2
-        u_ze = np.einsum("i,j,ij...->...", w1, w1, U) / h**2
-        phi_ze = np.einsum("i,j,ij...->...", w1, w1, PHI) / h**2
-        resid = np.abs(4.0 * phi_ze - u_zz - u_ee - 2.0 * u_ze)
-    stencil_ok = np.isfinite(U).all(axis=(0, 1)) & np.isfinite(PHI).all(axis=(0, 1))
-    return resid, stencil_ok
+        return fill_rows(grid.keep.shape, on_stencil)[0]
 
 
 def pde_phi_convergence(ing: Ingredients, stencil: Stencil = PDE2_STENCIL):

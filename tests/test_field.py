@@ -120,16 +120,19 @@ def test_row_blocks_match_the_whole_grid(name, window, mask, monkeypatch):
 def test_line_fields_peak_as_u_does(name):
     # phi and bilinear2 read the ingredient bundle on the 1023 lines of a
     # 512^2 case window through row windows, so beside the 2.1 MB values
-    # they take what U takes: a row block's temporaries, not N^2 jets
+    # they take what U takes: a row block's temporaries, not N^2 jets; pde2
+    # sums its stencils per row block, so it holds one block's 3 x 3 stencil
+    # jets (about 15-17 MB), not the 18 (512, 512) stencil arrays (U + 51.6 MB)
     e = build_case(name)
     t = e.reference_times[0]
     peak = {}
-    for which in ("U", "phi", "bilinear2"):
+    for which in ("U", "phi", "bilinear2", "pde2"):
         sample_field(e.spec, which, e.window, t, 64, 64, e.valid_mask)     # warm caches
         peak[which] = traced_peak(sample_field, e.spec, which, e.window, t, 512, 512,
                                   e.valid_mask)
     assert peak["phi"] <= peak["U"] + 4e6, peak
     assert peak["bilinear2"] <= peak["U"] + 4e6, peak
+    assert peak["pde2"] <= peak["U"] + 20e6, peak
 
 
 def test_breather_degenerate_grid_is_zero():
@@ -832,8 +835,7 @@ def test_report_mean_is_the_exact_sum_over_the_count(make):
     assert mean in pgm16(g)[1].splitlines()
     if make is _nonfinite_residual:
         X, Y = np.meshgrid(g.x, g.y)
-        rep = _report("r", g.values, SimpleNamespace(X=X, Y=Y, keep=np.ones_like(g.mask)),
-                      g.t, np.ones_like(g.mask))
+        rep = _report("r", g.values, SimpleNamespace(X=X, Y=Y, keep=np.ones_like(g.mask)), g.t)
         assert rep.mean_abs.hex() == (math.fsum(valid.tolist()) / valid.size).hex()
         assert (rep.samples, rep.flags["dropped"]) == (valid.size, 3)
         assert rep.worst_point == CoordinatePoint(X[7, 3], Y[7, 3], g.t)
