@@ -375,19 +375,18 @@ _POLE_MAGNITUDE = 1e150
 
 
 def pole_sweep(profile, coords, t: float, n: int = 65537):
-    """Fine 1-D sweep for profile poles over the range of ``coords``; returns
-    suspect intervals.  It reads profile values alone."""
-    x = np.linspace(float(np.min(coords)), float(np.max(coords)), n)
-    with np.errstate(invalid="ignore", over="ignore", under="ignore", divide="ignore"):
-        v = np.asarray(profile.jet3(x, t, order=0).value, dtype=float)
-        suspect = ~np.isfinite(v) | (np.abs(v) > _POLE_MAGNITUDE)
-    if not suspect.any():
+    """Fine 1-D sweep for profile poles over the range of ``coords``: the intervals
+    of suspect samples among ``n``, read in row blocks.  Poles are found from samples
+    alone; a sweep is skipped only where the magnitude bound shows it would find none."""
+    lo, hi = float(np.min(coords)), float(np.max(coords))
+    if profile.magnitude_bound(lo, hi, t) < _POLE_MAGNITUDE / 2:     # 2 covers rounding
         return ()
-    idx = np.nonzero(suspect)[0]
-    gaps = np.nonzero(np.diff(idx) > 1)[0]
-    starts = np.concatenate(([0], gaps + 1))
-    ends = np.concatenate((gaps, [len(idx) - 1]))
-    return tuple((float(x[idx[s]]), float(x[idx[e]])) for s, e in zip(starts, ends))
+    x, suspect = np.linspace(lo, hi, n), np.empty(n, dtype=bool)
+    with np.errstate(invalid="ignore", over="ignore", under="ignore", divide="ignore"):
+        for s in batches(n, 1, _ROW_BLOCK):     # suspect: non-finite or over the magnitude
+            suspect[s] = ~(np.abs(profile.jet3(x[s], t, order=0).value) <= _POLE_MAGNITUDE)
+    edges = np.flatnonzero(np.diff(suspect, prepend=False, append=False))  # run start, end + 1
+    return tuple((float(x[a]), float(x[b - 1])) for a, b in zip(edges[::2], edges[1::2]))
 
 
 @dataclass(frozen=True)
@@ -422,7 +421,8 @@ def check_admissibility(spec: SolutionSpec, grid: WindowGrid, t: float,
     jets ``pj``, ``qj`` (box (1, 0) at least) on the grid's points: min |f|
     and the sign changes of f between neighbours, the sign condition, and
     the pole sweeps of p and q over the ranges of the grid's lines, its
-    points' ranges bit for bit (each extreme is a corner, alone on its line).
+    points' ranges bit for bit (each extreme is a corner, alone on its line);
+    q equal to p over an equal range takes p's sweep, which reads the same samples.
 
     Points outside ``grid.keep`` (known poles, say) are left out of the 2-D scan.
     """
@@ -471,6 +471,9 @@ def check_admissibility(spec: SolutionSpec, grid: WindowGrid, t: float,
         verdict = "sign-violating"
     else:
         verdict = "admissible"
+    zeta_poles = pole_sweep(spec.p, grid.zeta_lines, t)
+    same_sweep = spec.q == spec.p and all(
+        m(grid.eta_lines) == m(grid.zeta_lines) for m in (np.min, np.max))
 
     return AdmissibilityReport(
         verdict=verdict,
@@ -482,6 +485,6 @@ def check_admissibility(spec: SolutionSpec, grid: WindowGrid, t: float,
         invalid_points=n_invalid,
         max_intensity=max_u,
         witness=witness,
-        pole_intervals_zeta=pole_sweep(spec.p, grid.zeta_lines, t),
-        pole_intervals_eta=pole_sweep(spec.q, grid.eta_lines, t),
+        pole_intervals_zeta=zeta_poles,
+        pole_intervals_eta=zeta_poles if same_sweep else pole_sweep(spec.q, grid.eta_lines, t),
     )

@@ -41,17 +41,22 @@ __all__ = [
 class ProfileFunction:
     """Common interface: ``jet3(x, t, order)`` returns a jet in (x, t) to
     ``order``, 3 by default, or a box such as ``(1, 0)``; each entry is
-    bitwise that of the order-3 jet."""
+    bitwise that of the order-3 jet.  ``magnitude_bound(lo, hi, t)`` bounds
+    |value| on [lo, hi] at t up to rounding, inf where no bound is known."""
 
     family = "abstract"
 
     def jet3(self, x, t, order=3) -> Jet:
         raise NotImplementedError
 
+    def magnitude_bound(self, lo, hi, t) -> float:
+        return math.inf
+
 
 @dataclass(frozen=True)
 class ExpSumProfile(ProfileFunction):
-    """Sum of exponentials sum_i A_i exp(K_i x + L_i t + theta_i)."""
+    """Sum of exponentials sum_i A_i exp(K_i x + L_i t + theta_i); on [lo, hi] its
+    magnitude bound is sum_i |A_i| exp(max(K_i lo, K_i hi) + L_i t + theta_i)."""
 
     A: tuple
     K: tuple
@@ -81,6 +86,12 @@ class ExpSumProfile(ProfileFunction):
             term = Jet((0.0 if c == 0.0 else e if c == 1.0 else c * e for c in coeffs), lay)
             total = term if total is None else total + term
         return total
+
+    def magnitude_bound(self, lo, hi, t) -> float:
+        # each exponent rounds as jet3 rounds it at the end of larger K_i x; inf on overflow
+        with np.errstate(over="ignore", invalid="ignore"):
+            e = np.exp(np.outer(self.K, (lo, hi)).max(1) + np.multiply(self.L, t) + self.theta)
+            return float(np.abs(self.A) @ e)
 
 
 @dataclass(frozen=True)
@@ -141,12 +152,14 @@ class InstantonPProfile(ProfileFunction):
 
 @dataclass(frozen=True)
 class InstantonQProfile(ProfileFunction):
-    """exp(x+2t+1) + exp(x+t+1)."""
+    """exp(x+2t+1) + exp(x+t+1), with that exponential sum's magnitude bound."""
 
     family = "instanton_q"
 
     def jet3(self, x, t, order=3) -> Jet:
         return _INSTANTON_BASE.jet3(x, t, order)
+
+    magnitude_bound = staticmethod(_INSTANTON_BASE.magnitude_bound)
 
 
 @dataclass(frozen=True)

@@ -660,11 +660,13 @@ def test_verify_and_render_evaluate_each_profile_jet_once(tmp_path, monkeypatch)
     # one ingredient bundle per grid, on its lines: a six-check verify
     # evaluates each profile's jet, and p1 and q1, once on the 127 line
     # coordinates of the --res 64 grid and no bundle entry on its 64^2
-    # points; the pole sweeps read profile values alone; a phi render
-    # evaluates each profile once on its lines
+    # points; the pole sweeps read profile values alone, in blocks of at most
+    # _ROW_BLOCK points that cover each profile's 65,537 sweep points once; a
+    # phi render evaluates each profile once on its lines
     from dsfield.auxiliary import Auxiliaries
     e = build_case("breather")
-    on_lines, on_points, sweep_entries, amplitudes = [], [], [], []
+    on_lines, on_points, amplitudes = [], [], []
+    sweeps = {}
     for cls in (type(e.spec.p), type(e.spec.q)):
         def counting(self, x, t, *args, jet3=cls.jet3, **kwargs):
             out = jet3(self, x, t, *args, **kwargs)
@@ -672,8 +674,8 @@ def test_verify_and_render_evaluate_each_profile_jet_once(tmp_path, monkeypatch)
                 on_lines.append(type(self).__name__)
             if np.shape(x) == (64, 64):
                 on_points.append(type(self).__name__)
-            if np.size(x) == 65537:
-                sweep_entries.append(len(out.entries))
+            if sys._getframe(1).f_code.co_name == "pole_sweep":
+                sweeps.setdefault(type(self).__name__, []).append((x, len(out.entries)))
             return out
         monkeypatch.setattr(cls, "jet3", counting)
     for attr in ("p1_jet", "q1_jet", "r_zeta_jet", "s_eta_jet", "phase_r", "phase_s",
@@ -690,7 +692,12 @@ def test_verify_and_render_evaluate_each_profile_jet_once(tmp_path, monkeypatch)
                "--checks", ALL, "--out", str(tmp_path / "r.txt")) == 0
     assert sorted(on_lines) == ["BreatherPProfile", "BreatherQProfile"]
     assert sorted(amplitudes) == ["p1_jet", "q1_jet"]
-    assert sweep_entries == [1, 1]
+    assert sorted(sweeps) == ["BreatherPProfile", "BreatherQProfile"]
+    for calls in sweeps.values():
+        assert {entries for _, entries in calls} == {1}
+        assert max(np.size(x) for x, _ in calls) <= ansatz._ROW_BLOCK
+        xs = np.concatenate([x for x, _ in calls])
+        assert np.array_equal(xs, np.linspace(xs[0], xs[-1], 65537))
     assert on_points == []
     on_lines.clear()
     assert run("render", "--case", "breather", "--t", "0.3", "--which", "phi",
