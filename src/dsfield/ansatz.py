@@ -50,6 +50,7 @@ __all__ = [
     "batches",
     "AdmissibilityReport",
     "DEGENERATE_LEVEL",
+    "max_abs",
     "pole_sweep",
     "check_admissibility",
 ]
@@ -233,6 +234,12 @@ def fill_rows(shape, fn) -> tuple:
         for whole, block in zip(out, blocks):
             whole[..., rows, :] = block
     return out
+
+
+def max_abs(values, mask) -> float:
+    """max |values| where ``mask``, 0 (never -0) if nowhere: max(max, -min), no |values|."""
+    return float(abs(max(np.max(values, where=mask, initial=0.0),
+                         -np.min(values, where=mask, initial=0.0))))
 
 
 def masked_stats(values, mask):
@@ -435,9 +442,7 @@ def check_admissibility(spec: SolutionSpec, grid: WindowGrid, t: float,
         return (f := eval_f(spec, p, q, order=0).value), eval_intensity(spec, p, q, f=f)[0]
     f, u = fill_rows(keep.shape, f_and_u)
     ok_u = keep & np.isfinite(u)
-    # max |U| = max(max U, -min U) without a |U| array; abs turns a -0 into 0
-    max_u = float(abs(max(np.max(u, where=ok_u, initial=0.0),
-                          -np.min(u, where=ok_u, initial=0.0))))
+    max_u = max_abs(u, ok_u)
     with np.errstate(invalid="ignore", over="ignore", under="ignore"):
         # det * p_z * q_e < 0 breaks the sign condition; U there is negative
         viol = keep & ((spec.coeffs.det * pj[1, 0] * qj[1, 0]) < 0.0)

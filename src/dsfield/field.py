@@ -139,7 +139,7 @@ def sample_field(spec: SolutionSpec, which: str, window, t: float, nx: int, ny: 
         vals = _pde2_field(spec, grid, t, PDE2_STENCIL)
     elif which in ("phi", "bilinear2"):
         ing = Ingredients(spec, grid, t)
-        block = ((lambda b: _bilinear2_field(spec, b)[:1]) if which == "bilinear2" else
+        block = ((lambda b: _bilinear2_field(spec, b)) if which == "bilinear2" else
                  lambda b: (eval_phi(eval_f(spec, b.pj, b.qj), b.p0, b.q0),))
         vals = fill_rows((ny, nx), lambda rows: block(ing.rows(rows)))[0]
     else:

@@ -21,8 +21,9 @@ Every check reads the :class:`~dsfield.auxiliary.Ingredients` bundle of
 its window grid (``pde2`` only its spec, grid and time), each line entry
 evaluated once per line; it fills its residual grid from row windows by
 :func:`~dsfield.ansatz.fill_rows`, as the renders do, and reduces its finite
-samples inside the grid's ``keep`` by ``masked_stats``.  The Hirota operator
-expands jets in (x, t) of any order.
+samples inside the grid's ``keep`` by ``masked_stats``: a residual is non-finite
+exactly where it checks nothing.  The Hirota operator expands jets in (x, t) of
+any order.
 
 No check gates another: the envelope-equation checks run on every spec
 with a3 != 0, whatever the consistency report says, so a non-solution
@@ -33,7 +34,7 @@ residuals near the zeros of f have no rounding floor to be judged by.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -72,29 +73,32 @@ PDE2_STENCIL = Stencil(2, 2, 1e-2)
 
 @dataclass(frozen=True)
 class ResidualReport:
-    """A residual field reduced to its maximum, mean and worst point;
-    ``notes`` say why it is not applicable or cannot pass."""
+    """A residual field reduced to its maximum, mean and worst point over its finite
+    ``samples`` inside ``keep``, the ``dropped`` ones inside but not finite and the
+    ``masked`` ones outside; ``notes`` say why it is not applicable or cannot pass."""
 
     check_name: str
     max_abs: float
     mean_abs: float
     worst_point: CoordinatePoint
     samples: int
-    flags: dict = field(default_factory=dict)
+    masked: int = 0
+    dropped: int = 0
     applicable: bool = True
     notes: str = ""
 
 
-def _report(name, resid_abs, grid, t, flags=None) -> ResidualReport:
-    """The report of the finite samples inside ``grid.keep`` (their minimum unused); its
-    flags count the ``masked`` samples, outside ``grid.keep``, apart from the ``dropped``
-    ones, inside it but not finite."""
+def _report(name, resid_abs, grid, t) -> ResidualReport:
+    """The report of the finite samples of ``resid_abs`` inside ``grid.keep`` (their
+    minimum unused).  A report that dropped samples says so in its notes: with none
+    left it checked nothing, and with some it checked only part of the valid set."""
     n, _, mx, mean, at = masked_stats(resid_abs, grid.keep & np.isfinite(resid_abs))
     kept = int(np.count_nonzero(grid.keep))
-    flags = {"masked": grid.keep.size - kept, "dropped": kept - n, **(flags or {})}
     xy = (grid.X[at], grid.Y[at]) if n else (math.nan, math.nan)
-    return ResidualReport(name, mx, mean, CoordinatePoint(*map(float, xy), float(t)), n, flags,
-                          notes="" if n else "no valid samples")
+    notes = ("no valid samples" if not n else
+             f"{kept - n} samples not finite inside the valid set" if kept > n else "")
+    return ResidualReport(name, mx, mean, CoordinatePoint(*map(float, xy), float(t)), n,
+                          grid.keep.size - kept, kept - n, notes=notes)
 
 
 # ---------------------------------------------------------------------------
@@ -204,38 +208,25 @@ def envelope_residuals(ing: Ingredients):
 
 
 def _bilinear2_field(spec: SolutionSpec, b):
-    """Residual of 2 D_z D_e f.f = g g* relative to |g g*|, from the row entries ``b``.
-
-    The left side of every separable f is the closed form 4 det p_z q_e.
-    g g* comes from the bundle's amplitude factors, falling back to that
-    product, so reading exactly 0, where they are non-finite; the second
-    value marks those fallbacks.
-    """
+    """Residual of 2 D_z D_e f.f = g g* relative to |g g*| from the row entries ``b``:
+    the closed form 4 det p_z q_e, the left side for every separable f, against g g*
+    from the amplitude factors; non-finite wherever their product p1 q1 is."""
     with np.errstate(invalid="ignore", over="ignore", under="ignore"):
         exact = 4.0 * spec.coeffs.det * b.pj[1, 0] * b.qj[1, 0]
         gg = (b.p1.value * b.q1.value) ** 2
-        amp_bad = ~np.isfinite(gg)
-        gg = np.where(amp_bad, exact, gg)
         scale = np.abs(gg)
-        return np.abs(exact - gg) / np.where(scale > 0.0, scale, 1.0), amp_bad
+        return (np.abs(exact - gg) / np.where(scale > 0.0, scale, 1.0),)
 
 
 def bilinear_residuals(ing: Ingredients) -> ResidualReport:
     """Residual of the bilinear constraint 2 D_z D_e f.f = g g* on the
     bundle's grid, relative to |g g*| (line 2 of the bilinear form;
     :func:`envelope_residuals` reports line 1): the amplitude factors
-    against the closed form 4 det p_z q_e, its flag ``amplitude_branch``
-    counting the samples where they are non-finite and checked nothing.  A
-    report where every sample fell back says so in its notes."""
-    grid = ing.grid
-    rel, amp_bad = fill_rows(grid.keep.shape,
-                             lambda rows: _bilinear2_field(ing.spec, ing.rows(rows)))
-    fell_back = amp_bad & grid.keep
-    report = _report("bilinear2", rel, grid, ing.t,
-                     flags={"amplitude_branch": int(np.count_nonzero(fell_back))})
-    if 0 < report.samples == np.count_nonzero(np.isfinite(rel[fell_back])):
-        return replace(report, notes="every sample fell back to the closed form: nothing checked")
-    return report
+    against the closed form 4 det p_z q_e.  Where they are not finite the
+    sample is dropped, as the envelope checks drop it."""
+    rel = fill_rows(ing.grid.keep.shape,
+                    lambda rows: _bilinear2_field(ing.spec, ing.rows(rows)))[0]
+    return _report("bilinear2", rel, ing.grid, ing.t)
 
 
 # ---------------------------------------------------------------------------

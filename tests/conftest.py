@@ -1,5 +1,7 @@
+import importlib.util
 import io
 import os
+import sys
 import tracemalloc
 
 import numpy as np
@@ -11,6 +13,7 @@ from dsfield.field import to_csv, to_pgm16
 from dsfield.profiles import ExpSumProfile
 
 CONFIGS = os.path.join(os.path.dirname(__file__), os.pardir, "configs")
+PERFBENCH = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench")
 
 # the edit that makes the p of configs/dromion.cfg (its first "K = 1") a
 # decaying exponential: then p_z < 0 < q_e with det > 0, so the sign
@@ -40,6 +43,15 @@ def traced_peak(fn, *args) -> int:
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+
+
+def perfbench_module(name: str):
+    """A fresh load of ``perfbench/<name>.py``, read as it is, as ``perfbench_<name>``."""
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}",
+                                                  os.path.join(PERFBENCH, f"{name}.py"))
+    mod = sys.modules[spec.name] = importlib.util.module_from_spec(spec)   # dataclasses look it up
+    spec.loader.exec_module(mod)
+    return mod
 
 
 def decaying_p_text() -> str:
@@ -118,6 +130,14 @@ def bundle(spec, window, t, samples, valid_mask=None, **hooks) -> Ingredients:
     if hooks:
         ing.aux = CorruptedAuxiliaries(spec, **hooks)
     return ing
+
+
+def negative_radicands(ing) -> int:
+    """The samples of the bundle's grid where an amplitude radicand, s p_z or
+    s det q_e with s the branch s(t), is negative, so p1 q1 is not real."""
+    s, b = ing.aux.branch(ing.t), ing.rows()
+    return int(np.count_nonzero((s * b.pj[1, 0] < 0.0)
+                                | (s * ing.spec.coeffs.det * b.qj[1, 0] < 0.0)))
 
 
 def line_backgrounds(aux, zeta, eta, t):

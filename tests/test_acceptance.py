@@ -34,7 +34,7 @@ from dsfield.verify import (
     pde_phi_convergence,
 )
 
-from conftest import bundle, csv_bytes, random_spec
+from conftest import bundle, csv_bytes, negative_radicands, random_spec
 
 
 import conftest
@@ -58,11 +58,16 @@ def test_criterion_1_bilinear_identity(rng):
             line2 = bilinear_residuals(bundle(e.spec, e.window, e.reference_times[0], 64,
                                               e.valid_mask))
             assert line2.max_abs < 1e-12, name
+        # a random spec is checked where its amplitude radicands are not
+        # negative, and its other samples are dropped
         for _ in range(100):
             spec = random_spec(rng)
-            line2 = bilinear_residuals(bundle(spec, ((-8, 8), (-8, 8)), float(rng.uniform(-1, 1)),
-                                              64))
-            assert line2.max_abs < 1e-12
+            ing = bundle(spec, ((-8, 8), (-8, 8)), float(rng.uniform(-1, 1)), 64)
+            line2 = bilinear_residuals(ing)
+            assert line2.samples + line2.dropped == 64 * 64
+            assert line2.dropped == negative_radicands(ing)
+            if line2.samples:
+                assert line2.max_abs < 1e-12
         assert time.monotonic() - start < 10.0
 
 

@@ -281,12 +281,12 @@ def test_verify_dromion_bilinear2(tmp_path):
     assert "overall: pass" in text
 
 
-@pytest.mark.parametrize("source,t,all_fell_back", [("decaying_p", "0.3", True),
-                                                      ("dromion", "0", False)])
-def test_verify_prints_the_amplitude_branch_count(tmp_path, source, t, all_fell_back):
+@pytest.mark.parametrize("source,t,none_finite", [("decaying_p", "0.3", True),
+                                                    ("dromion", "0", False)])
+def test_verify_drops_the_samples_without_amplitude_factors(tmp_path, source, t, none_finite):
     # a decaying p has no finite amplitude factors on the window, so every
-    # sample falls back to the closed form and reads 0: the check tested
-    # nothing, and fails closed
+    # sample is dropped: the check tested nothing, and fails closed; neither
+    # the bilinear2 nor the phi render has a sample to write
     where = ("--case", source)
     if source == "decaying_p":
         cfg = tmp_path / "decaying_p.cfg"
@@ -294,17 +294,20 @@ def test_verify_prints_the_amplitude_branch_count(tmp_path, source, t, all_fell_
         where = ("--spec", str(cfg))
     out = tmp_path / "report.txt"
     assert run("verify", *where, "--t", t, "--res", "32",
-               "--checks", "bilinear2", "--out", str(out)) == (1 if all_fell_back else 0)
+               "--checks", "bilinear2", "--out", str(out)) == (1 if none_finite else 0)
     rep = dict(ln.split(": ", 1) for ln in out.read_text().splitlines())
     samples = int(rep["check.bilinear2.samples"])
-    assert samples > 0
-    count = int(rep["check.bilinear2.amplitude_branch"])
-    assert count == (samples if all_fell_back else 0)
-    if all_fell_back:
-        assert float(rep["check.bilinear2.max_abs"]) == 0.0
+    assert samples == (0 if none_finite else 32 * 32)
+    assert int(rep["check.bilinear2.dropped"]) == 32 * 32 - samples
+    if none_finite:
+        assert rep["check.bilinear2.max_abs"] == "nan"
         assert rep["check.bilinear2.status"] == "fail"
-        assert (rep["check.bilinear2.notes"]
-                == "every sample fell back to the closed form: nothing checked")
+        assert rep["check.bilinear2.notes"] == "no valid samples"
+        for which in ("bilinear2", "phi"):
+            pgm = tmp_path / f"{which}.pgm"
+            assert run("render", *where, "--t", t, "--res", "32", "--which", which,
+                       "--format", "pgm16", "--out", str(pgm)) == 3, which
+            assert not pgm.exists()
     else:
         assert rep["check.bilinear2.status"] == "pass"
         assert "check.bilinear2.notes" not in rep
@@ -344,10 +347,10 @@ def test_verify_time_varying_beta_config(tmp_path, t):
 @pytest.mark.parametrize("t", ["2pi/3", "3pi/4", "pi"])
 def test_verify_periodic_where_cos_t_is_negative(tmp_path, t, res):
     # p_z and q_e are negative together there; the branch s(t) = -1 makes
-    # both amplitude factors real, so nothing falls back and every check runs
+    # both amplitude factors real, so no sample is dropped and every check runs
     code, rep = _verify_report(tmp_path, "--case", "periodic", "--t", t, "--res", res)
     assert code == 0
-    assert rep["check.bilinear2.amplitude_branch"] == "0"
+    assert rep["check.bilinear2.dropped"] == "0"
     for check in ALL.split(","):
         assert rep[f"check.{check}.status"] == "pass", check
     if res == "128":
@@ -357,11 +360,11 @@ def test_verify_periodic_where_cos_t_is_negative(tmp_path, t, res):
 
 def test_verify_periodic_config_takes_no_division_guard(tmp_path):
     # beyond the tan poles |det q_e| exceeds 1e12 at 31 samples; the
-    # amplitude factors no longer divide, so none of them falls back
+    # amplitude factors no longer divide, so none of them is dropped
     code, rep = _verify_report(tmp_path, "--spec", os.path.join(CONFIGS, "periodic.cfg"),
                                "--window=-3:3:-3:3", "--res", "48", "--t", "0.3")
     assert code == 0
-    assert rep["check.bilinear2.amplitude_branch"] == "0"
+    assert rep["check.bilinear2.dropped"] == "0"
     assert [rep[f"check.{c}.max_abs"] for c in ("bilinear2", "bilinear1", "pde1")] == [
         "6.203448e-16", "5.695433e-14", "1.784400e-13"]
 
@@ -377,7 +380,7 @@ def test_verify_keeps_the_plus_branch_where_p_z_turns_negative_off_the_window(tm
     argv = ("--spec", str(cfg), "--window=3:6:-2:1", "--t", "0.3")
     code, rep = _verify_report(tmp_path, *argv, "--res", "64")
     assert code == 0
-    assert rep["check.bilinear2.amplitude_branch"] == "0"
+    assert rep["check.bilinear2.dropped"] == "0"
     for check in ALL.split(","):
         assert rep[f"check.{check}.status"] == "pass", check
     for check in ("bilinear1", "pde1"):
@@ -390,20 +393,25 @@ def test_verify_keeps_the_plus_branch_where_p_z_turns_negative_off_the_window(tm
 def test_verify_counts_dropped_samples_and_finite_probes(tmp_path):
     # on this window p = e^zeta + e^(1 - zeta) has p_z < 0 for zeta < 1/2,
     # where p1 is NaN: 465 of the 1024 samples, none of them masked.  The
-    # envelope checks pass on the other 559 and say what they dropped, and
-    # the consistency check says how many of its probes counted
+    # three residual checks read the other 559, say what they dropped and
+    # fail on it; the bilinear2 render masks what its report drops, and the
+    # consistency check says how many of its probes counted
     text = open(os.path.join(CONFIGS, "dromion.cfg")).read().replace(
         "A = 1\nK = 1\nL = 1\ntheta = 1", "A = 1, 1\nK = 1, -1\nL = 0, 0\ntheta = 0, 1", 1)
     cfg = tmp_path / "sign_changing_p.cfg"
     cfg.write_text(text)
-    code, rep = _verify_report(tmp_path, "--spec", str(cfg), "--window=-2:4:-3:3",
-                               "--t", "0.3", "--res", "32")
+    argv = ("--spec", str(cfg), "--window=-2:4:-3:3", "--t", "0.3", "--res", "32")
+    code, rep = _verify_report(tmp_path, *argv)
     assert code == 1 and rep["check.admissibility.verdict"] == "sign-violating"
-    for check in ("bilinear1", "pde1"):
+    for check in ("bilinear2", "bilinear1", "pde1"):
         assert (rep[f"check.{check}.samples"], rep[f"check.{check}.masked"],
                 rep[f"check.{check}.dropped"]) == ("559", "0", "465"), check
-    assert (rep["check.bilinear2.masked"], rep["check.bilinear2.dropped"],
-            rep["check.bilinear2.amplitude_branch"]) == ("0", "0", "465")
+        assert rep[f"check.{check}.status"] == "fail", check
+        assert rep[f"check.{check}.notes"] == "465 samples not finite inside the valid set"
+    out = tmp_path / "b2.pgm"
+    assert run("render", *argv, "--which", "bilinear2", "--format", "pgm16",
+               "--out", str(out)) == 0
+    assert "valid: 559" in (tmp_path / "b2.pgm.txt").read_text().splitlines()
     assert (rep["check.pde2.masked"], rep["check.pde2.dropped_h"],
             rep["check.pde2.dropped_h2"]) == ("0", "0", "0")
     assert (rep["check.consistency.probes"], rep["check.consistency.finite_probes"]) \

@@ -837,7 +837,7 @@ def test_report_mean_is_the_exact_sum_over_the_count(make):
         X, Y = np.meshgrid(g.x, g.y)
         rep = _report("r", g.values, SimpleNamespace(X=X, Y=Y, keep=np.ones_like(g.mask)), g.t)
         assert rep.mean_abs.hex() == (math.fsum(valid.tolist()) / valid.size).hex()
-        assert (rep.samples, rep.flags["dropped"]) == (valid.size, 3)
+        assert (rep.samples, rep.dropped) == (valid.size, 3)
         assert rep.worst_point == CoordinatePoint(X[7, 3], Y[7, 3], g.t)
 
 

@@ -1,21 +1,12 @@
 """The benchmark's span tracer must find every binding it wraps, and restore
 them all, so that a refactor cannot silently break ``perfbench/run.py --trace``."""
 
-import importlib.util
-import os
 import sys
 
 import dsfield.cli  # noqa: F401  (the tracer needs every dsfield module loaded)
 from dsfield import auxiliary, profiles
 
-TRACER = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench", "tracer.py")
-
-
-def _load_tracer():
-    spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER)
-    mod = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(mod)
-    return mod
+from conftest import perfbench_module
 
 
 def _bindings():
@@ -30,7 +21,7 @@ def _bindings():
 
 
 def test_tracer_wraps_every_target_and_restores_it():
-    tracer_mod = _load_tracer()
+    tracer_mod = perfbench_module("tracer")
     before = _bindings()
     tracer = tracer_mod.Tracer()
     tracer.install()
@@ -69,7 +60,7 @@ def test_traced_cli_runs_count_every_layer(tmp_path):
     for k, argv in enumerate(runs):
         out = tmp_path / f"plain{k}.txt"
         plain.append((cli.main(argv + ["--out", str(out)]), out.read_bytes()))
-    tracer = _load_tracer().Tracer()
+    tracer = perfbench_module("tracer").Tracer()
     tracer.install()
     try:
         for k, argv in enumerate(runs):

@@ -36,7 +36,7 @@ from dsfield.verify import (
     singularity_scan,
 )
 
-from conftest import bundle, decaying_p_text, random_spec, traced_peak
+from conftest import bundle, decaying_p_text, negative_radicands, random_spec, traced_peak
 
 
 def exp_jet(k, omega=0.0):
@@ -119,10 +119,16 @@ def test_bilinear_constraint_on_catalog(name):
 
 
 def test_bilinear_constraint_on_random_specs(rng):
+    # the samples where an amplitude radicand is negative are dropped, and
+    # only those: the others are checked
     for _ in range(30):
         spec = random_spec(rng)
-        line2 = bilinear_residuals(bundle(spec, ((-8, 8), (-8, 8)), float(rng.uniform(-1, 1)), 32))
-        assert line2.max_abs < 1e-12
+        ing = bundle(spec, ((-8, 8), (-8, 8)), float(rng.uniform(-1, 1)), 32)
+        line2 = bilinear_residuals(ing)
+        assert line2.samples + line2.dropped == 32 * 32
+        assert line2.dropped == negative_radicands(ing)
+        if line2.samples:
+            assert line2.max_abs < 1e-12
 
 
 def test_bilinear_line1_closed_case():
@@ -182,14 +188,14 @@ def test_negative_control_corrupted_amplitude():
         assert line2.max_abs > 1e-10, name
 
 
-def test_amplitude_branch_fallback_where_the_sign_condition_fails():
+def test_bilinear2_drops_the_samples_where_the_sign_condition_fails():
     # with a decaying p the real amplitude factors exist on neither branch,
-    # and the check falls back to the exact product form
+    # so the residual is not finite and every sample is dropped
     spec = loads_spec(decaying_p_text())
     line2 = bilinear_residuals(bundle(spec, ((-4.0, 4.0), (-4.0, 4.0)), 0.3, 32))
-    assert line2.flags["amplitude_branch"] == line2.samples > 0
-    assert line2.max_abs == 0.0
-    assert line2.notes == "every sample fell back to the closed form: nothing checked"
+    assert line2.dropped == 32 * 32 and line2.samples == 0
+    assert math.isnan(line2.max_abs)
+    assert line2.notes == "no valid samples"
 
 
 def test_report_invariants():
@@ -256,7 +262,7 @@ def test_pde_line2_drops_stencil_hits_near_pole():
     pj, qj = profile_jets3(e.spec, *rotate(grid.X, grid.Y), 0.0, (1, 0))
     assert np.isfinite(eval_intensity(e.spec, pj, qj)[0]).all()
     l2 = pde_residuals(ing, stencil)
-    assert l2.flags["masked"] == 0 and l2.flags["dropped"] == 24
+    assert l2.masked == 0 and l2.dropped == 24
     # truncation is honest but large right beside the pole, where its
     # high derivatives blow up; the bulk of the window stays clean
     assert l2.mean_abs < 0.1
