@@ -295,6 +295,16 @@ def _taylor(derivs) -> list:
     return [f if k < 2 else f / math.factorial(k) for k, f in enumerate(derivs)]
 
 
+def _ipow(v, e: int):
+    """v ** e for an integer e.  Outside e in {-1, 0, 1, 2} numpy is about 30
+    times slower on a negative base, so the power is taken of |v| and an odd
+    power gets v's sign back; a positive base keeps its bits."""
+    if -1 <= e <= 2:
+        return v ** e
+    r = np.abs(v) ** e
+    return np.copysign(r, v) if e % 2 else r
+
+
 def _tables(name: str, v, n: int, k: int = 1) -> list:
     """Taylor coefficients f^(j)(v)/j!, j = 0..n, of an elementary map.
 
@@ -326,9 +336,9 @@ def _tables(name: str, v, n: int, k: int = 1) -> list:
         r = np.sqrt(s)
         return [r] + [_binom(0.5, j) / (r * s ** (j - 1)) for j in range(1, n + 1)]
     if name == "reciprocal":
-        return [(-1.0) ** j * v ** (-1 - j) for j in range(n + 1)]
+        return [(-1.0) ** j * _ipow(v, -1 - j) for j in range(n + 1)]
     if name == "powi":
-        return [_binom(k, j) * v ** (k - j) if j <= k else 0.0 for j in range(n + 1)]
+        return [_binom(k, j) * _ipow(v, k - j) if j <= k else 0.0 for j in range(n + 1)]
     raise ValueError(f"unknown elementary function {name!r}")
 
 

@@ -249,7 +249,9 @@ def refined_global_max(spec: SolutionSpec, window, t, nx: int = 192,
     gradient step replaces the Newton step.  A candidate is taken only where
     U is finite, inside ``valid_mask``, not lower, and has risen by at least
     a quarter of the quadratic model's prediction; without a step taken the
-    grid value stands.
+    grid value stands.  A start ends after the step whose predicted gain in
+    log U (the Newton decrement) is rounding, so its value is the converged
+    point's; a start flat to rounding over one grid step does not move.
 
     Stable to grid refinement, unlike the raw grid maximum whose position
     quantization shifts it by O(dx^2).  Returns ``(value, (x, y))``: floats
@@ -281,11 +283,16 @@ def refined_global_max(spec: SolutionSpec, window, t, nx: int = 192,
     return u, (xy[:, 0], xy[:, 1])
 
 
-# The ascent stops when its next step is shorter than _ASCENT_XTOL (window
-# units) or after _ASCENT_ITERATIONS candidate evaluations.  The model-ratio
-# test (Nocedal & Wright, Algorithm 4.1) keeps a long step from leaping over
-# a masked pole into another basin; below a predicted gain in log U of
-# _ASCENT_PRED_FLOOR rounding decides the ratio, and not falling suffices.
+# A start ends once its free Hessian is negative definite and its Newton
+# decrement 1/2 g^T (-H)^-1 g, the gain in log U that the full Newton step
+# predicts (Boyd & Vandenberghe, Convex Optimization, 9.5.1), is at most
+# _ASCENT_PRED_FLOOR, after taking and judging that last step; and at once
+# where its free gradient times one grid step, the starting trust radius, is
+# that small.  _ASCENT_XTOL (window units) and _ASCENT_ITERATIONS candidate
+# evaluations cap it.  The model-ratio test (Nocedal & Wright, Algorithm 4.1)
+# keeps a long step from leaping over a masked pole into another basin; below
+# a predicted gain of _ASCENT_PRED_FLOOR rounding decides the ratio, and not
+# falling suffices.
 _ASCENT_XTOL = 1e-13
 _ASCENT_ITERATIONS = 60
 _ASCENT_PRED_FLOOR = 1e-14
@@ -302,11 +309,11 @@ def _newton_ascent(spec, times, u, xy, lo, hi, radius, valid_mask):
     r = np.full(times.size, float(radius))
     run = np.flatnonzero((u > 0) & np.isfinite(u0))
     for _ in range(_ASCENT_ITERATIONS):
-        s = np.clip(xy[run] + _step(g[run], H[run], xy[run], lo, hi, r[run]),
-                    lo, hi) - xy[run]
+        d, gain, slope = _step(g[run], H[run], xy[run], lo, hi, r[run])
+        s = np.clip(xy[run] + d, lo, hi) - xy[run]
         norm = np.hypot(s[:, 0], s[:, 1])
-        moving = norm > _ASCENT_XTOL
-        run, s, norm = run[moving], s[moving], norm[moving]
+        moving = (norm > _ASCENT_XTOL) & (slope * radius > _ASCENT_PRED_FLOOR)
+        run, s, norm, gain = run[moving], s[moving], norm[moving], gain[moving]
         if not run.size:
             break
         pred = (np.einsum("ni,ni->n", g[run], s)
@@ -319,10 +326,13 @@ def _newton_ascent(spec, times, u, xy, lo, hi, radius, valid_mask):
         u[acc], xy[acc], g[acc], H[acc] = uc[ok], xy[acc] + s[ok], gc[ok], Hc[ok]
         grow = ok & (rho >= 0.75) & (norm >= 0.99 * r[run])
         r[run] = np.where(ok, np.where(grow, 2.0, 1.0) * r[run], 0.25 * norm)
+        run = run[gain > _ASCENT_PRED_FLOOR]        # a converged start took its last step
 
 
 def _step(g, H, xy, lo, hi, r):
-    """Projected Newton step, at most ``r`` long.
+    """Projected Newton step, at most ``r`` long; the gain in log U that the
+    full Newton step predicts (inf unless the free Hessian is negative
+    definite); and the length of the free gradient.
 
     Where the free Hessian is not negative definite, the step follows the
     free gradient to the quadratic model's maximum along it or to the
@@ -334,15 +344,16 @@ def _step(g, H, xy, lo, hi, r):
     h11 = np.where(free[:, 1], H[:, 1, 1], -1.0)
     h01 = np.where(free.all(axis=1), H[:, 0, 1], 0.0)
     det = h00 * h11 - h01 * h01
+    concave = (h00 < 0) & (det > 0)
     with np.errstate(divide="ignore", invalid="ignore"):
         nd = np.stack([h01 * g1 - h11 * g0, h01 * g0 - h00 * g1], axis=1) / det[:, None]
+        gain = np.where(concave, 0.5 * (g0 * nd[:, 0] + g1 * nd[:, 1]), np.inf)
         nd *= np.minimum(1.0, r / np.hypot(nd[:, 0], nd[:, 1]))[:, None]
         gn = np.hypot(g0, g1)
         curv = h00 * g0 * g0 + 2.0 * h01 * g0 * g1 + h11 * g1 * g1
         cauchy = np.where(curv < 0, np.minimum(r / gn, gn * gn / -curv), r / gn)
-        d = np.where(((h00 < 0) & (det > 0))[:, None], nd,
-                     np.stack([g0, g1], axis=1) * cauchy[:, None])
-    return np.where(np.isfinite(d), d, 0.0)
+        d = np.where(concave[:, None], nd, np.stack([g0, g1], axis=1) * cauchy[:, None])
+    return np.where(np.isfinite(d), d, 0.0), gain, gn
 
 
 def _log_intensity_jets(spec, times, xy, valid_mask):
@@ -411,9 +422,10 @@ def estimate_period(spec: SolutionSpec, window, t_range: tuple[float, float],
     A period is reported only if a uniform scan over shifts up to half the
     sampled range finds one whose series mismatch is below ``tie_tol`` times
     the series scale; ``_refine_period`` polishes the first such shift from
-    probes at scan times, and ``period_mismatch`` is its probe mismatch over
-    that scale.  The resolution is the scan step, a guaranteed bound.  A
-    near-constant series reports no period (best candidate None).
+    probes at scan times until its step is rounding, and ``period_mismatch``
+    is the probe mismatch of the returned period over that scale.  The
+    resolution is the scan step, a guaranteed bound.  A near-constant series
+    reports no period (best candidate None).
     """
     if n_t < 16:
         raise ValueError("need at least 16 time samples")
@@ -444,7 +456,8 @@ def _refine_period(spec, window, statistic, grid_n, valid_mask, times, series, k
     """Gauss-Newton solve of g_i(T) = S(b_i + T) - S(b_i) = 0 from the scan
     shift k dt, b_i up to _PERIOD_PROBES scan ``times`` in its first 0.9 with
     S(b_i) in ``series``, ended by a step out of one scan step around k dt, one
-    that does not lower max|g_i|, or a zero or non-finite sum of S'^2.
+    that does not lower max|g_i|, a zero or non-finite sum of S'^2, or a step
+    of at most 4 eps |T|, rounding, after which S is not evaluated again.
     Returns the evaluated T with the smallest max|g_i|, and that max / scale."""
     pick = np.unique(np.rint(np.linspace(0.0, 0.9, _PERIOD_PROBES) * k).astype(int))
     base, ref, period = times[pick], series[pick], k * dt
@@ -457,8 +470,9 @@ def _refine_period(spec, window, statistic, grid_n, valid_mask, times, series, k
             break
         best = (T, mis)
         with np.errstate(divide="ignore", invalid="ignore"):
-            T = float(T - (ds @ g) / (ds @ ds))
-        if not abs(T - period) <= dt:
+            step = float((ds @ g) / (ds @ ds))
+        T -= step
+        if not abs(T - period) <= dt or abs(step) <= 4 * np.finfo(float).eps * abs(T):
             break
     return best[0], best[1] / scale
 

@@ -46,6 +46,7 @@ from conftest import csv_bytes, pgm16, regular_window, traced_peak
 # closed-form dromion peak: U = 2/(2+sqrt(2))^2 at x = -sqrt(2)(1+ln(2)/2)
 DROMION_PEAK = 2.0 / (2.0 + math.sqrt(2.0)) ** 2
 DROMION_PEAK_X = -math.sqrt(2.0) * (1.0 + 0.5 * math.log(2.0))
+EPS = np.finfo(float).eps
 
 
 def grid_of(values, mask=None, window=((0.0, 1.0), (0.0, 1.0)), t=0.0):
@@ -314,6 +315,52 @@ def test_refined_max_batch_matches_scalar_calls():
         mx, (px, py) = refined_global_max(e.spec, e.window, float(t), 32, 32)
         assert v == pytest.approx(mx, rel=1e-15)
         assert (x, y) == pytest.approx((px, py), rel=1e-15)
+
+
+def counted(monkeypatch, name):
+    """A list that grows by one at each call of ``field.<name>``."""
+    calls, real = [], getattr(field, name)
+
+    def counting(*args, **kwargs):
+        calls.append(None)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(field, name, counting)
+    return calls
+
+
+def test_peak_ascents_stop_at_convergence(monkeypatch):
+    # a start stops once its full Newton step predicts a log-U gain of at
+    # most _ASCENT_PRED_FLOOR, after taking that step, and at once where its
+    # gradient times one grid step is that flat (the breather at pi/2 and
+    # 3 pi/2, where U does not depend on zeta): the ascents over all 32 scan
+    # times evaluate log U at most 4 times and the decay's at most 22 times,
+    # and reach their peaks to rounding
+    evaluations = counted(monkeypatch, "_log_intensity_jets")
+    e = build_case("breather")
+    peaks, _ = refined_global_max(e.spec, e.window,
+                                  np.linspace(0.0, 2 * math.pi, 32, endpoint=False), 32, 32)
+    assert len(evaluations) <= 4
+    assert float(np.sum(peaks)) == pytest.approx(1.6154725601664874, rel=4 * EPS)
+    evaluations.clear()
+    e = build_case("double_instanton")
+    res = decay_profile(e.spec, ((-7.6204, 7.6204), (-7.3131, 7.3131)),
+                        (0.844427, 2.968861, 4.274598), grid_n=96, valid_mask=e.valid_mask)
+    assert len(evaluations) <= 22
+    assert [v for _, v in res.decay_series] == pytest.approx(
+        [0.1980025479094476, 0.006025202423572073, 0.00045493148627143626], rel=16 * EPS)
+
+
+@pytest.mark.parametrize("statistic, grid_n", [("L2", 48), ("global_max", 32)])
+def test_period_solve_stops_when_its_step_is_rounding(monkeypatch, statistic, grid_n):
+    # the Gauss-Newton update after the first step moves T by less than
+    # 4 eps T, so the solve ends without evaluating S there: S is evaluated
+    # for the scan and for one solve step
+    calls = counted(monkeypatch, "_statistic")
+    e = build_case("breather")
+    res = estimate_period(e.spec, e.window, (0.0, 2 * math.pi), 32, statistic, grid_n=grid_n)
+    assert len(calls) <= 2
+    assert abs(res.estimated_period - math.pi) <= 4.4e-16 and res.period_mismatch <= 2e-15
 
 
 def test_dromion_reflection_symmetry():
