@@ -37,7 +37,6 @@ __all__ = [
     "SolutionSpec",
     "CoordinatePoint",
     "rotate",
-    "unrotate",
     "WindowGrid",
     "window_grid",
     "row_window",
@@ -133,11 +132,6 @@ def rotate(x, y):
     x = np.asarray(x, dtype=float) if np.ndim(x) else float(x)
     y = np.asarray(y, dtype=float) if np.ndim(y) else float(y)
     return (x - y) / SQRT2, (x + y) / SQRT2
-
-
-def unrotate(zeta, eta):
-    """Inverse of :func:`rotate`."""
-    return (zeta + eta) / SQRT2, (eta - zeta) / SQRT2
 
 
 @dataclass(frozen=True)

@@ -21,7 +21,6 @@ not its text's or its image's.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -57,11 +56,8 @@ __all__ = [
     "estimate_period",
     "decay_profile",
     "to_csv",
-    "parse_csv",
     "to_pgm16",
     "to_report",
-    "reflection_defect",
-    "point_reflection_defect",
 ]
 
 
@@ -489,30 +485,6 @@ def decay_profile(spec: SolutionSpec, window, times: Sequence[float],
 
 
 # ---------------------------------------------------------------------------
-# symmetry diagnostics
-
-
-def reflection_defect(grid: FieldGrid) -> float:
-    """max |v(x, y) - v(x, -y)| over points valid under both orientations."""
-    flipped = grid.values[::-1, :]
-    both = grid.mask & grid.mask[::-1, :]
-    if not both.any():
-        return math.nan
-    return float(np.max(np.abs(grid.values - flipped)[both]))
-
-
-def point_reflection_defect(grid_a: FieldGrid, grid_b: FieldGrid) -> float:
-    """max |a(x, y) - b(-x, -y)| for equal-shape grids on symmetric windows."""
-    if grid_a.values.shape != grid_b.values.shape:
-        raise ValueError("grids must share a shape")
-    flipped = grid_b.values[::-1, ::-1]
-    both = grid_a.mask & grid_b.mask[::-1, ::-1]
-    if not both.any():
-        return math.nan
-    return float(np.max(np.abs(grid_a.values - flipped)[both]))
-
-
-# ---------------------------------------------------------------------------
 # export
 
 
@@ -600,16 +572,6 @@ def to_csv(grid: FieldGrid, fh) -> None:
         mat[:, xs.itemsize:-29].view(ys.dtype)[:, 0] = ys[rows].take(iy)
         _write_g17(grid.values[rows][grid.mask[rows]], mat[:, -29:])
         fh.write(mat.tobytes().translate(None, b"\0"))
-
-
-def parse_csv(data: bytes):
-    """Inverse of :func:`to_csv`; returns (x, y, value) float arrays."""
-    lines = data.decode("ascii").strip().splitlines()
-    rows = [ln.split(",") for ln in lines[1:]]
-    if not lines or lines[0] != "x,y,U" or any(len(r) != 3 for r in rows):
-        raise ValueError("not a field CSV")
-    arr = np.array([[float(c) for c in r] for r in rows]).reshape(-1, 3)
-    return arr[:, 0], arr[:, 1], arr[:, 2]
 
 
 def to_pgm16(grid: FieldGrid, fh) -> str:

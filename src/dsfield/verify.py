@@ -1,4 +1,4 @@
-"""Bilinear-operator engine and the numerical verification suites.
+"""The numerical verification suites.
 
 Three independent suites certify a solution spec:
 
@@ -22,8 +22,8 @@ its window grid (``pde2`` only its spec, grid and time), each line entry
 evaluated once per line; it fills its residual grid from row windows by
 :func:`~dsfield.ansatz.fill_rows`, as the renders do, and reduces its finite
 samples inside the grid's ``keep`` by ``masked_stats``: a residual is non-finite
-exactly where it checks nothing.  The Hirota operator expands jets in (x, t) of
-any order.
+exactly where it checks nothing.  The one bilinear operator here is
+:func:`hirota_cross`, D_z D_e f.f from f's jet, which the envelope pass reads.
 
 No check gates another: the envelope-equation checks run on every spec
 with a3 != 0, whatever the consistency report says, so a non-solution
@@ -35,7 +35,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -58,7 +57,6 @@ from .calculus import Stencil, observed_order
 
 __all__ = [
     "ResidualReport",
-    "hirota_d",
     "hirota_cross",
     "bilinear_residuals",
     "envelope_residuals",
@@ -103,28 +101,6 @@ def _report(name, resid_abs, grid, t) -> ResidualReport:
 
 # ---------------------------------------------------------------------------
 # Hirota bilinear operator
-
-
-def hirota_d(a: Callable, b: Callable, m: int, n: int, pt):
-    """D_x^m D_t^n a.b at pt, expanded from jets in (x, t).
-
-    ``a`` and ``b`` map a point (x, t) to a :class:`~dsfield.calculus.Jet`.
-    Requesting m + n above the jets' order raises; there is no
-    finite-difference fallback.
-    """
-    if m < 0 or n < 0:
-        raise ValueError("operator orders must be nonnegative")
-    ja, jb = a(pt), b(pt)
-    order = min(ja.order, jb.order)
-    if m + n > order:
-        raise ValueError(f"operator order m + n exceeds jet order {order}")
-    total = 0.0
-    for k in range(m + 1):
-        for l in range(n + 1):
-            sign = -1.0 if (m - k + n - l) % 2 else 1.0
-            coeff = math.comb(m, k) * math.comb(n, l)
-            total = total + sign * coeff * ja[k, l] * jb[m - k, n - l]
-    return total
 
 
 def hirota_cross(tau) -> float:

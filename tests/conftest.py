@@ -1,5 +1,6 @@
 import importlib.util
 import io
+import math
 import os
 import sys
 import tracemalloc
@@ -28,11 +29,64 @@ def csv_bytes(grid) -> bytes:
     return buf.getvalue()
 
 
+def parse_csv(data: bytes):
+    """Inverse of :func:`~dsfield.field.to_csv`; returns (x, y, value) float arrays."""
+    lines = data.decode("ascii").strip().splitlines()
+    rows = [ln.split(",") for ln in lines[1:]]
+    if not lines or lines[0] != "x,y,U" or any(len(r) != 3 for r in rows):
+        raise ValueError("not a field CSV")
+    arr = np.array([[float(c) for c in r] for r in rows]).reshape(-1, 3)
+    return arr[:, 0], arr[:, 1], arr[:, 2]
+
+
 def pgm16(grid) -> tuple[bytes, str]:
     """The bytes :func:`~dsfield.field.to_pgm16` writes for ``grid``, and its sidecar."""
     buf = io.BytesIO()
     sidecar = to_pgm16(grid, buf)
     return buf.getvalue(), sidecar
+
+
+def reflection_defect(grid) -> float:
+    """max |v(x, y) - v(x, -y)| over points valid under both orientations."""
+    flipped = grid.values[::-1, :]
+    both = grid.mask & grid.mask[::-1, :]
+    if not both.any():
+        return math.nan
+    return float(np.max(np.abs(grid.values - flipped)[both]))
+
+
+def point_reflection_defect(grid_a, grid_b) -> float:
+    """max |a(x, y) - b(-x, -y)| for equal-shape grids on symmetric windows."""
+    if grid_a.values.shape != grid_b.values.shape:
+        raise ValueError("grids must share a shape")
+    flipped = grid_b.values[::-1, ::-1]
+    both = grid_a.mask & grid_b.mask[::-1, ::-1]
+    if not both.any():
+        return math.nan
+    return float(np.max(np.abs(grid_a.values - flipped)[both]))
+
+
+def hirota_d(a, b, m: int, n: int, pt):
+    """D_x^m D_t^n a.b at pt, expanded from jets in (x, t): the outside
+    check of :func:`~dsfield.verify.hirota_cross`.
+
+    ``a`` and ``b`` map a point (x, t) to a :class:`~dsfield.calculus.Jet`.
+    Requesting m + n above the jets' order raises; there is no
+    finite-difference fallback.
+    """
+    if m < 0 or n < 0:
+        raise ValueError("operator orders must be nonnegative")
+    ja, jb = a(pt), b(pt)
+    order = min(ja.order, jb.order)
+    if m + n > order:
+        raise ValueError(f"operator order m + n exceeds jet order {order}")
+    total = 0.0
+    for k in range(m + 1):
+        for l in range(n + 1):
+            sign = -1.0 if (m - k + n - l) % 2 else 1.0
+            coeff = math.comb(m, k) * math.comb(n, l)
+            total = total + sign * coeff * ja[k, l] * jb[m - k, n - l]
+    return total
 
 
 def traced_peak(fn, *args) -> int:
@@ -88,6 +142,25 @@ def random_spec(rng):
     coeffs = SeparationCoefficients(*rng.uniform(-2.0, 2.0, 4))
     return SolutionSpec(coeffs, random_expsum(rng), random_expsum(rng),
                         delta1=int(rng.choice([-1, 1])),
+                        delta2=int(rng.choice([-1, 1])))
+
+
+def admissible_spec(rng):
+    """A solution of the exponential-sum family, admissible on every window at
+    every time: each profile has positive amplitudes and rates of one sign s, so
+    it is positive and its derivative has sign s everywhere; a0..a3 > 0, so f > 0;
+    and sign det = s_p s_q with |det| > 0.05, so det p_z q_e > 0 everywhere."""
+    s_p, s_q = rng.choice([-1.0, 1.0], 2)
+    while True:
+        coeffs = SeparationCoefficients(*rng.uniform(0.2, 2.0, 4))
+        if np.sign(coeffs.det) == s_p * s_q and abs(coeffs.det) > 0.05:
+            break
+    p, q = (ExpSumProfile(A=tuple(rng.uniform(0.3, 2.0, n)),
+                          K=tuple(s * rng.uniform(0.3, 1.5, n)),
+                          L=tuple(rng.uniform(-1.0, 1.0, n)),
+                          theta=tuple(rng.uniform(-1.0, 1.0, n)))
+            for s, n in ((s_p, int(rng.integers(1, 4))), (s_q, int(rng.integers(1, 4)))))
+    return SolutionSpec(coeffs, p, q, delta1=int(rng.choice([-1, 1])),
                         delta2=int(rng.choice([-1, 1])))
 
 

@@ -13,6 +13,7 @@ import time
 import numpy as np
 import pytest
 
+from dsfield.ansatz import eval_f, profile_jets3, rotate
 from dsfield.auxiliary import Auxiliaries, consistency_c1_c2
 from dsfield.calculus import Jet, Stencil, layout
 from dsfield.catalog import build_case, case_names
@@ -21,20 +22,27 @@ from dsfield.field import (
     analyze_extrema,
     decay_profile,
     estimate_period,
-    parse_csv,
-    point_reflection_defect,
-    reflection_defect,
     refined_global_max,
     sample_field,
 )
 from dsfield.verify import (
     bilinear_residuals,
     envelope_residuals,
-    hirota_d,
+    hirota_cross,
     pde_phi_convergence,
 )
 
-from conftest import bundle, csv_bytes, negative_radicands, random_spec
+from conftest import (
+    admissible_spec,
+    bundle,
+    csv_bytes,
+    hirota_d,
+    negative_radicands,
+    parse_csv,
+    point_reflection_defect,
+    random_spec,
+    reflection_defect,
+)
 
 
 import conftest
@@ -51,7 +59,8 @@ def criterion(number, label):
 
 
 def test_criterion_1_bilinear_identity(rng):
-    with criterion(1, "bilinear constraint identity, catalog + 100 random specs"):
+    with criterion(1, "bilinear constraint identity, catalog + 100 random"
+                      " + 100 admissible specs"):
         start = time.monotonic()
         for name in case_names():
             e = build_case(name)
@@ -68,6 +77,14 @@ def test_criterion_1_bilinear_identity(rng):
             assert line2.dropped == negative_radicands(ing)
             if line2.samples:
                 assert line2.max_abs < 1e-12
+        # an admissible draw has real amplitude factors everywhere: every sample is
+        # checked (the random draws above check 198,378 of their 409,600)
+        adm = np.random.default_rng(1)
+        for _ in range(100):
+            ing = bundle(admissible_spec(adm), ((-8, 8), (-8, 8)), float(adm.uniform(-1, 1)), 64)
+            line2 = bilinear_residuals(ing)
+            assert line2.samples == 64 * 64 and line2.dropped == 0
+            assert line2.max_abs < 1e-12
         assert time.monotonic() - start < 10.0
 
 
@@ -160,7 +177,7 @@ def test_criterion_7_dromion_structure():
 
 
 def test_criterion_8_hirota_engine(rng):
-    with criterion(8, "bilinear operator antisymmetry and eigen-identity"):
+    with criterion(8, "bilinear operator antisymmetry, eigen-identity, closed form"):
         for _ in range(1000):
             ent = rng.uniform(-3, 3, 6)
             a = lambda pt: Jet(ent, layout(2, 2))
@@ -180,6 +197,27 @@ def test_criterion_8_hirota_engine(rng):
                 got = hirota_d(ek(k1), ek(k2), m, 0, (x, 0.0))
                 want = (k1 - k2) ** m * math.exp((k1 + k2) * x)
                 assert abs(got - want) <= 1e-13 * abs(want)
+        # bilinear2's closed form 2 D_z D_e f.f = 4 det p_z q_e on every catalog case
+        # at its reference times, at the valid points of a 5 x 5 interior lattice,
+        # relative to the cancelling terms |f f_ze| + |f_z f_e|: measured, the
+        # operator equals hirota_cross bit for bit (bound: two roundings) and
+        # 2 det p_z q_e to 5.0e-16 (bound 1e-15)
+        ze = layout(2, 2)
+        for name in case_names():
+            e = build_case(name)
+            (x0, x1), (y0, y1) = e.window
+            x, y = np.meshgrid(np.linspace(x0, x1, 7)[1:-1], np.linspace(y0, y1, 7)[1:-1])
+            zeta, eta = rotate(x.ravel(), y.ravel())
+            ok = e.valid_mask(zeta, eta)
+            for t in e.reference_times:
+                pj, qj = profile_jets3(e.spec, zeta[ok], eta[ok], t)
+                tau = eval_f(e.spec, pj, qj)
+                f = lambda pt: Jet([tau[m + (0,)] for m in ze.index], ze)
+                got = hirota_d(f, f, 1, 1, None)
+                scale = np.abs(tau.value * tau[1, 1, 0]) + np.abs(tau[1, 0, 0] * tau[0, 1, 0])
+                closed = 2.0 * e.spec.coeffs.det * pj[1, 0] * qj[1, 0]
+                assert np.all(np.abs(got - hirota_cross(tau)) <= 4.5e-16 * scale), (name, t)
+                assert np.all(np.abs(got - closed) <= 1e-15 * scale), (name, t)
 
 
 def test_criterion_9_determinism(tmp_path):

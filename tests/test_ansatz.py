@@ -5,6 +5,7 @@ import pytest
 
 from dsfield import ansatz
 from dsfield.ansatz import (
+    SQRT2,
     CoordinatePoint,
     SeparationCoefficients,
     SolutionSpec,
@@ -16,7 +17,6 @@ from dsfield.ansatz import (
     pole_sweep,
     profile_jets3,
     rotate,
-    unrotate,
     window_grid,
 )
 from dsfield.auxiliary import Auxiliaries, Ingredients
@@ -28,6 +28,11 @@ from conftest import random_spec, regular_window, traced_peak
 
 E = math.e
 DROMION_F0 = 1.0 + 2 * E + 2 * E * E
+
+
+def unrotate(zeta, eta):
+    """Inverse of :func:`~dsfield.ansatz.rotate`."""
+    return (zeta + eta) / SQRT2, (eta - zeta) / SQRT2
 
 
 @pytest.fixture

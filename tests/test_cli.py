@@ -12,11 +12,17 @@ from dsfield import ansatz, profiles
 from dsfield.ansatz import batches, rotate, window_grid
 from dsfield.calculus import Jet
 from dsfield.cli import build_parser, main, parse_time, parse_window
-from dsfield.field import parse_csv
 from dsfield.specfile import dumps_spec, load_spec, loads_spec, SpecFileError
 from dsfield.catalog import build_case, case_names
 
-from conftest import CONFIGS, DECAYING_P, decaying_p_text, traced_peak
+from conftest import (
+    CONFIGS,
+    DECAYING_P,
+    admissible_spec,
+    decaying_p_text,
+    parse_csv,
+    traced_peak,
+)
 
 SRC = os.path.join(os.path.dirname(__file__), os.pardir, "src")
 
@@ -341,6 +347,20 @@ def test_verify_time_varying_beta_config(tmp_path, t):
         assert rep[f"check.{check}.status"] == "pass", check
     for check in ("bilinear1", "pde1"):
         assert float(rep[f"check.{check}.max_abs"]) < 1e-14, check
+
+
+def test_verify_passes_every_check_on_admissible_random_specs(tmp_path):
+    # 100 seeded solutions of the exponential-sum family, each written to a spec
+    # file and verified at a time of its own on the default window
+    rng = np.random.default_rng(3)
+    path = tmp_path / "spec.cfg"
+    for i in range(100):
+        path.write_text(dumps_spec(admissible_spec(rng)))
+        t = repr(float(rng.uniform(-1, 1)))
+        code, rep = _verify_report(tmp_path, "--spec", str(path), "--t", t, "--res", "48")
+        assert code == 0, (i, t)
+        for check in ALL.split(","):
+            assert rep[f"check.{check}.status"] == "pass", (i, t, check)
 
 
 @pytest.mark.parametrize("res", ["64", "128"])

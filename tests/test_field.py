@@ -29,9 +29,6 @@ from dsfield.field import (
     analyze_extrema,
     decay_profile,
     estimate_period,
-    parse_csv,
-    point_reflection_defect,
-    reflection_defect,
     refined_global_max,
     sample_field,
     to_csv,
@@ -41,7 +38,15 @@ from dsfield.field import (
 from dsfield.profiles import ExpSumProfile
 from dsfield.verify import _report
 
-from conftest import csv_bytes, pgm16, regular_window, traced_peak
+from conftest import (
+    csv_bytes,
+    parse_csv,
+    pgm16,
+    point_reflection_defect,
+    reflection_defect,
+    regular_window,
+    traced_peak,
+)
 
 # closed-form dromion peak: U = 2/(2+sqrt(2))^2 at x = -sqrt(2)(1+ln(2)/2)
 DROMION_PEAK = 2.0 / (2.0 + math.sqrt(2.0)) ** 2

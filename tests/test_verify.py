@@ -30,13 +30,20 @@ from dsfield.verify import (
     bilinear_residuals,
     envelope_residuals,
     hirota_cross,
-    hirota_d,
     pde_phi_convergence,
     pde_residuals,
     singularity_scan,
 )
 
-from conftest import bundle, decaying_p_text, negative_radicands, random_spec, traced_peak
+from conftest import (
+    admissible_spec,
+    bundle,
+    decaying_p_text,
+    hirota_d,
+    negative_radicands,
+    random_spec,
+    traced_peak,
+)
 
 
 def exp_jet(k, omega=0.0):
@@ -129,6 +136,14 @@ def test_bilinear_constraint_on_random_specs(rng):
         assert line2.dropped == negative_radicands(ing)
         if line2.samples:
             assert line2.max_abs < 1e-12
+    # an admissible draw drops nothing (the random draws above check 14,681 of
+    # their 30,720 samples)
+    adm = np.random.default_rng(2)
+    for _ in range(30):
+        ing = bundle(admissible_spec(adm), ((-8, 8), (-8, 8)), float(adm.uniform(-1, 1)), 32)
+        line2 = bilinear_residuals(ing)
+        assert line2.samples == 32 * 32 and line2.dropped == 0
+        assert line2.max_abs < 1e-12
 
 
 def test_bilinear_line1_closed_case():
