@@ -28,8 +28,8 @@ from typing import Optional
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
-from .calculus import DIV_GUARD, Jet
-from .profiles import ProfileFunction, TimeFunction, const_fn
+from .calculus import DIV_GUARD, Jet, guarded
+from .profiles import ProfileFunction, TimeFunction
 
 __all__ = [
     "SeparationCoefficients",
@@ -92,8 +92,8 @@ class CoefficientFunctions:
     ``gamma`` is the gain/dissipation rate.
     """
 
-    beta: TimeFunction = field(default_factory=lambda: const_fn(1.0))
-    gamma: TimeFunction = field(default_factory=lambda: const_fn(0.0))
+    beta: TimeFunction = TimeFunction((1.0,))
+    gamma: TimeFunction = TimeFunction((0.0,))
 
 
 @dataclass(frozen=True)
@@ -117,14 +117,6 @@ class CoordinatePoint:
     x: float
     y: float
     t: float
-
-    @property
-    def zeta(self) -> float:
-        return (self.x - self.y) / SQRT2
-
-    @property
-    def eta(self) -> float:
-        return (self.x + self.y) / SQRT2
 
 
 def rotate(x, y):
@@ -318,8 +310,7 @@ def eval_intensity(spec: SolutionSpec, pj: Jet, qj: Jet, dt: bool = False, f=Non
         if f is None:
             f = _assemble(a, p, q)
         num = 4.0 * a.det * pj[1, 0] * qj[1, 0]
-        bad = ~(np.abs(f) >= DIV_GUARD * (1.0 + np.abs(num)))
-        fsafe = np.where(bad, np.nan, f)
+        fsafe = guarded(f, num)
         u = num / (fsafe * fsafe)
         if not dt:
             return u, None
@@ -361,8 +352,7 @@ def eval_phi(tau: Jet, p0, q0):
     with np.errstate(divide="ignore", invalid="ignore", over="ignore", under="ignore"):
         grad = f_z + f_e
         lap = f_zz + 2.0 * f_ze + f_ee
-        bad = ~(np.abs(f) >= DIV_GUARD * (1.0 + np.abs(lap)))
-        fsafe = np.where(bad, np.nan, f)
+        fsafe = guarded(f, lap)
         return -(grad * grad) / (fsafe * fsafe) + lap / fsafe + p0 + q0
 
 

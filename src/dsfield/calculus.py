@@ -46,6 +46,7 @@ def _quiet(fn):
 
 __all__ = [
     "DIV_GUARD",
+    "guarded",
     "Jet",
     "Layout",
     "layout",
@@ -66,6 +67,13 @@ __all__ = [
 def _mask_bad(bad, x):
     """NaN out entries of x flagged by the boolean mask ``bad``."""
     return np.where(bad, np.nan, x)
+
+
+def guarded(den, num):
+    """The divisor ``den`` of ``num`` under the one division guard: NaN where
+    |den| < DIV_GUARD (1 + |num|).  A NaN den or num fails that test and
+    passes through, so the quotient is NaN there all the same."""
+    return _mask_bad(np.abs(den) < DIV_GUARD * (1.0 + np.abs(num)), den)
 
 
 def _zero(e) -> bool:
@@ -319,7 +327,7 @@ def _tables(name: str, v, n: int, k: int = 1) -> list:
         return _taylor([cycle[(j + (name == "cos")) % 4] for j in range(n + 1)])
     if name == "tan":
         sv, cv = np.sin(v), np.cos(v)
-        T = sv / _mask_bad(np.abs(cv) < DIV_GUARD * (1.0 + np.abs(sv)), cv)
+        T = sv / guarded(cv, sv)
         derivs, poly = [T], [0, 1]          # tan^(j) = P_j(T), P_j+1 = (1 + T^2) P_j'
         for _ in range(n):
             dp = [i * c for i, c in enumerate(poly)][1:]
@@ -349,10 +357,9 @@ def _elementary(j: Jet, name: str, k: int = 1) -> Jet:
 
 @_quiet
 def _reciprocal(b: Jet, num=1.0) -> Jet:
-    """1 / b under the one division guard: NaN where |b| < DIV_GUARD (1 + |num|),
-    ``num`` being the numerator's value."""
-    v = _mask_bad(np.abs(b.value) < DIV_GUARD * (1.0 + np.abs(num)), b.value)
-    return _compose(b, _tables("reciprocal", v, b.order))
+    """1 / b under the one division guard, :func:`guarded`, ``num`` being the
+    numerator's value."""
+    return _compose(b, _tables("reciprocal", guarded(b.value, num), b.order))
 
 
 def exp(j):

@@ -1,8 +1,9 @@
-"""Factory for the six reference excitation cases.
+"""The six reference excitation cases, one table of values.
 
 Each entry fixes a profile pair, mixing coefficients, a default render
 window, reference times, and any evaluation guards (pole exclusions for the
-tan-based and pole-carrying profiles).  Entries rebuild bit-identically.
+tan-based and pole-carrying profiles).  ``build_case`` looks an entry up;
+every call returns the same frozen value.
 """
 
 from __future__ import annotations
@@ -13,14 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .ansatz import SeparationCoefficients, SolutionSpec
-from .profiles import (
-    BreatherPProfile,
-    BreatherQProfile,
-    ExpSumProfile,
-    InstantonPProfile,
-    InstantonQProfile,
-    TanCosProfile,
-)
+from .profiles import FAMILIES, ExpSumProfile
 
 __all__ = ["CatalogEntry", "build_case", "case_names"]
 
@@ -53,41 +47,37 @@ class CatalogEntry:
         return ok
 
 
-def _entry_dromion() -> CatalogEntry:
-    prof = ExpSumProfile(A=(1.0,), K=(1.0,), L=(1.0,), theta=(1.0,))
-    spec = SolutionSpec(SeparationCoefficients(1.0, 1.0, 1.0, 2.0), prof, prof)
-    return CatalogEntry(
+_DROMION = ExpSumProfile(A=(1.0,), K=(1.0,), L=(1.0,), theta=(1.0,))
+_HALF = _TAN_LIMIT * math.sqrt(2.0)    # half-width of periodic's window
+
+# the cases by name, in listing order
+_CASES = {e.name: e for e in (
+    CatalogEntry(
         name="dromion",
-        spec=spec,
+        spec=SolutionSpec(SeparationCoefficients(1.0, 1.0, 1.0, 2.0), _DROMION, _DROMION),
         reference_times=(0.0,),
         window=((-8.0, 8.0), (-8.0, 8.0)),
         notes=(
             "single exponentially localized hump",
             "mirror symmetric across y = 0",
         ),
-    )
-
-
-def _entry_solitoff() -> CatalogEntry:
-    p = ExpSumProfile(A=(1.0, 1.0), K=(1.0, 2.0), L=(1.0, 1.0), theta=(1.0, 1.0))
-    q = ExpSumProfile(A=(1.0, 1.0), K=(1.0, 2.0), L=(-1.0, -1.0), theta=(1.0, 1.0))
-    spec = SolutionSpec(SeparationCoefficients(2.0, 0.0, 2.0, 2.0), p, q)
-    return CatalogEntry(
+    ),
+    CatalogEntry(
         name="solitoff",
-        spec=spec,
+        spec=SolutionSpec(
+            SeparationCoefficients(2.0, 0.0, 2.0, 2.0),
+            ExpSumProfile(A=(1.0, 1.0), K=(1.0, 2.0), L=(1.0, 1.0), theta=(1.0, 1.0)),
+            ExpSumProfile(A=(1.0, 1.0), K=(1.0, 2.0), L=(-1.0, -1.0), theta=(1.0, 1.0))),
         reference_times=(0.0,),
         window=((-8.0, 8.0), (-8.0, 8.0)),
         notes=("half-line soliton terminating in the plane",),
-    )
-
-
-def _entry_resonant() -> CatalogEntry:
-    p = ExpSumProfile(A=(-1.0, 1.0), K=(-1.0, 2.0), L=(1.0, 1.0), theta=(1.0, 1.0))
-    q = ExpSumProfile(A=(-1.0, 1.0), K=(-1.0, 2.0), L=(-1.0, -1.0), theta=(1.0, 1.0))
-    spec = SolutionSpec(SeparationCoefficients(2.0, -1.0, 2.0, 0.0), p, q)
-    return CatalogEntry(
+    ),
+    CatalogEntry(
         name="resonant",
-        spec=spec,
+        spec=SolutionSpec(
+            SeparationCoefficients(2.0, -1.0, 2.0, 0.0),
+            ExpSumProfile(A=(-1.0, 1.0), K=(-1.0, 2.0), L=(1.0, 1.0), theta=(1.0, 1.0)),
+            ExpSumProfile(A=(-1.0, 1.0), K=(-1.0, 2.0), L=(-1.0, -1.0), theta=(1.0, 1.0))),
         reference_times=(0.0,),
         window=((-8.0, 8.0), (-8.0, 8.0)),
         notes=(
@@ -95,15 +85,11 @@ def _entry_resonant() -> CatalogEntry:
             "denominator crosses zero far from the ridge on this window;"
             " the singular cells are reported and masked, not hidden",
         ),
-    )
-
-
-def _entry_breather() -> CatalogEntry:
-    spec = SolutionSpec(SeparationCoefficients(2.0, 1.0, 2.0, 2.0),
-                        BreatherPProfile(), BreatherQProfile())
-    return CatalogEntry(
+    ),
+    CatalogEntry(
         name="breather",
-        spec=spec,
+        spec=SolutionSpec(SeparationCoefficients(2.0, 1.0, 2.0, 2.0),
+                          FAMILIES["breather_p"], FAMILIES["breather_q"]),
         reference_times=(0.0, 0.7, 0.9, 3.0),
         window=((-8.0, 8.0), (-8.0, 8.0)),
         notes=(
@@ -111,19 +97,14 @@ def _entry_breather() -> CatalogEntry:
             "intensity vanishes identically at t = pi/2 + k*pi",
         ),
         degenerate_times=(math.pi / 2,),
-    )
-
-
-def _entry_periodic() -> CatalogEntry:
-    spec = SolutionSpec(SeparationCoefficients(2.0, 1.0, 2.0, 2.0),
-                        TanCosProfile(), TanCosProfile())
-    half = _TAN_LIMIT * math.sqrt(2.0)
-    return CatalogEntry(
+    ),
+    CatalogEntry(
         name="periodic",
-        spec=spec,
+        spec=SolutionSpec(SeparationCoefficients(2.0, 1.0, 2.0, 2.0),
+                          FAMILIES["tancos"], FAMILIES["tancos"]),
         reference_times=(0.0, math.pi / 4, math.pi / 3, 2 * math.pi / 3,
                          3 * math.pi / 4, math.pi),
-        window=((-half, half), (-half, half)),
+        window=((-_HALF, _HALF), (-_HALF, _HALF)),
         notes=(
             "cellular pattern, periodic in time with period pi",
             "advance by half a period equals a point reflection of the plane",
@@ -132,15 +113,11 @@ def _entry_periodic() -> CatalogEntry:
         degenerate_times=(math.pi / 2,),
         zeta_limit=_TAN_LIMIT,
         eta_limit=_TAN_LIMIT,
-    )
-
-
-def _entry_double_instanton() -> CatalogEntry:
-    spec = SolutionSpec(SeparationCoefficients(2.0, 1.0, 2.0, 2.0),
-                        InstantonPProfile(), InstantonQProfile())
-    return CatalogEntry(
+    ),
+    CatalogEntry(
         name="double_instanton",
-        spec=spec,
+        spec=SolutionSpec(SeparationCoefficients(2.0, 1.0, 2.0, 2.0),
+                          FAMILIES["instanton_p"], FAMILIES["instanton_q"]),
         reference_times=(0.0, 3.0, 6.0),
         window=((-8.0, 8.0), (-8.0, 8.0)),
         notes=(
@@ -148,27 +125,17 @@ def _entry_double_instanton() -> CatalogEntry:
             "profile pole at zeta = -1 is masked to halfwidth 0.05",
         ),
         zeta_exclusions=((-1.0, 0.05),),
-    )
-
-
-_BUILDERS = {
-    "dromion": _entry_dromion,
-    "solitoff": _entry_solitoff,
-    "resonant": _entry_resonant,
-    "breather": _entry_breather,
-    "periodic": _entry_periodic,
-    "double_instanton": _entry_double_instanton,
-}
+    ),
+)}
 
 
 def case_names() -> tuple:
-    return tuple(_BUILDERS)
+    return tuple(_CASES)
 
 
 def build_case(name: str) -> CatalogEntry:
     try:
-        builder = _BUILDERS[name]
+        return _CASES[name]
     except KeyError:
-        valid = ", ".join(_BUILDERS)
+        valid = ", ".join(_CASES)
         raise ValueError(f"unknown case {name!r}; valid names: {valid}") from None
-    return builder()

@@ -5,18 +5,18 @@ coordinate) and time.  Each family evaluates to a jet to the order or box
 its reader asks for: the verify ingredients, which differentiate profile
 derivatives once more, read order 3; the pde2 stencils, phase nodes and
 consistency probes order 2; U reads the box (1, 0), with U_t (1, 1); the
-peak ascent (3, 0); a pole sweep the value alone, order 0.  The
-exponential-sum family covers localized and line-type data; the remaining
-families are the fixed forms behind the breather, periodic and instanton
-catalog cases.  ``CustomProfile`` accepts any jet-valued callable for
-exploration beyond the built-in forms.
+peak ascent (3, 0); a pole sweep the value alone, order 0.  Two forms are
+open: an exponential sum covers localized and line-type data, and a
+``CustomProfile`` is any jet-valued formula of the seed jets.  The fixed
+families behind the breather, periodic and instanton catalog cases are
+values of these forms, or of ``InstantonPProfile``, in :data:`FAMILIES`.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -26,15 +26,10 @@ from .calculus import Jet
 __all__ = [
     "ProfileFunction",
     "ExpSumProfile",
-    "BreatherPProfile",
-    "BreatherQProfile",
-    "TanCosProfile",
-    "InstantonPProfile",
-    "InstantonQProfile",
     "CustomProfile",
+    "InstantonPProfile",
+    "FAMILIES",
     "TimeFunction",
-    "const_fn",
-    "poly_fn",
 ]
 
 
@@ -44,7 +39,14 @@ class ProfileFunction:
     bitwise that of the order-3 jet.  ``magnitude_bound(lo, hi, t)`` bounds
     |value| on [lo, hi] at t up to rounding, inf where no bound is known."""
 
-    family = "abstract"
+    @property
+    def family(self) -> str:
+        """Its key in :data:`FAMILIES` if it is that table value, else
+        ``expsum`` for an exponential sum and ``custom`` for any other."""
+        for name, prof in FAMILIES.items():
+            if prof is self:
+                return name
+        return "expsum" if isinstance(self, ExpSumProfile) else "custom"
 
     def jet3(self, x, t, order=3) -> Jet:
         raise NotImplementedError
@@ -62,7 +64,6 @@ class ExpSumProfile(ProfileFunction):
     K: tuple
     L: tuple
     theta: tuple
-    family = "expsum"
 
     def __post_init__(self):
         n = len(self.A)
@@ -95,80 +96,10 @@ class ExpSumProfile(ProfileFunction):
 
 
 @dataclass(frozen=True)
-class BreatherPProfile(ProfileFunction):
-    """1 + exp(x * cos^2 t): spatial decay rate oscillates in time."""
-
-    family = "breather_p"
-
-    def jet3(self, x, t, order=3) -> Jet:
-        xj, tj = jc.variables(x, t, order=order)
-        c = jc.cos(tj)
-        return 1.0 + jc.exp(xj * c * c)
-
-
-@dataclass(frozen=True)
-class BreatherQProfile(ProfileFunction):
-    """exp(x + cos^2 t)."""
-
-    family = "breather_q"
-
-    def jet3(self, x, t, order=3) -> Jet:
-        xj, tj = jc.variables(x, t, order=order)
-        c = jc.cos(tj)
-        return jc.exp(xj + c * c)
-
-
-@dataclass(frozen=True)
-class TanCosProfile(ProfileFunction):
-    """1 + exp(tan(x) * cos(t) + 1), periodic in both arguments."""
-
-    family = "tancos"
-
-    def jet3(self, x, t, order=3) -> Jet:
-        xj, tj = jc.variables(x, t, order=order)
-        return 1.0 + jc.exp(jc.tan(xj) * jc.cos(tj) + 1.0)
-
-
-# exp(x+2t+1) + exp(x+t+1), shared by both instanton profiles
-_INSTANTON_BASE = ExpSumProfile(A=(1.0, 1.0), K=(1.0, 1.0), L=(2.0, 1.0), theta=(1.0, 1.0))
-
-
-@dataclass(frozen=True)
-class InstantonPProfile(ProfileFunction):
-    """exp(x+2t+1) + exp(x+t+1) + exp(-(x^3+1)^-1 + 2t + 1).
-
-    The third term has a pole at x = -1; evaluation there goes non-finite
-    and callers mask a small neighbourhood of the pole.
-    """
-
-    family = "instanton_p"
-
-    def jet3(self, x, t, order=3) -> Jet:
-        xj, tj = jc.variables(x, t, order=order)
-        w = jc.powi(xj * xj * xj + 1.0, -1)
-        bump = jc.exp(-w + 2.0 * tj + 1.0)
-        return _INSTANTON_BASE.jet3(x, t, order) + bump
-
-
-@dataclass(frozen=True)
-class InstantonQProfile(ProfileFunction):
-    """exp(x+2t+1) + exp(x+t+1), with that exponential sum's magnitude bound."""
-
-    family = "instanton_q"
-
-    def jet3(self, x, t, order=3) -> Jet:
-        return _INSTANTON_BASE.jet3(x, t, order)
-
-    magnitude_bound = staticmethod(_INSTANTON_BASE.magnitude_bound)
-
-
-@dataclass(frozen=True)
 class CustomProfile(ProfileFunction):
     """Caller-supplied evaluator mapping seed jets (x, t) to a jet of them."""
 
     fn: Callable[[Jet, Jet], Jet]
-    label: str = "custom"
-    family = "custom"
 
     def jet3(self, x, t, order=3) -> Jet:
         xj, tj = jc.variables(np.asarray(x, dtype=float) if np.ndim(x) else float(x),
@@ -179,6 +110,48 @@ class CustomProfile(ProfileFunction):
                             "of its seeds' order")
         return out
 
+
+@dataclass(frozen=True)
+class InstantonPProfile(ProfileFunction):
+    """exp(x+2t+1) + exp(x+t+1) + exp(-(x^3+1)^-1 + 2t + 1), the instanton_q
+    exponential sum plus a bump.
+
+    The third term has a pole at x = -1; evaluation there goes non-finite
+    and callers mask a small neighbourhood of the pole.
+    """
+
+    def jet3(self, x, t, order=3) -> Jet:
+        xj, tj = jc.variables(x, t, order=order)
+        w = jc.powi(xj * xj * xj + 1.0, -1)
+        bump = jc.exp(-w + 2.0 * tj + 1.0)
+        return FAMILIES["instanton_q"].jet3(x, t, order) + bump
+
+
+def _breather_p(x, t):
+    """1 + exp(x cos^2 t): spatial decay rate oscillates in time."""
+    c = jc.cos(t)
+    return 1.0 + jc.exp(x * c * c)
+
+
+def _breather_q(x, t):
+    """exp(x + cos^2 t)."""
+    c = jc.cos(t)
+    return jc.exp(x + c * c)
+
+
+def _tancos(x, t):
+    """1 + exp(tan(x) cos(t) + 1), periodic in both arguments."""
+    return 1.0 + jc.exp(jc.tan(x) * jc.cos(t) + 1.0)
+
+
+# the fixed families of the catalog cases and of spec files, by name
+FAMILIES = {
+    "breather_p": CustomProfile(_breather_p),
+    "breather_q": CustomProfile(_breather_q),
+    "tancos": CustomProfile(_tancos),
+    "instanton_p": InstantonPProfile(),
+    "instanton_q": ExpSumProfile(A=(1.0, 1.0), K=(1.0, 1.0), L=(2.0, 1.0), theta=(1.0, 1.0)),
+}
 
 
 # ---------------------------------------------------------------------------
@@ -220,10 +193,3 @@ class TimeFunction:
     def is_constant(self) -> bool:
         return all(c == 0.0 for c in self.coeffs[1:])
 
-
-def const_fn(v: float) -> TimeFunction:
-    return TimeFunction((float(v),))
-
-
-def poly_fn(coeffs: Sequence[float]) -> TimeFunction:
-    return TimeFunction(tuple(coeffs))

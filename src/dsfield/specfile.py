@@ -3,17 +3,20 @@
 Schema (all sections required except [funcs] and [signs], which default):
 
     [coeffs]                a0..a3 as floats
-    [p] / [q]               family = expsum | breather_p | breather_q |
-                            tancos | instanton_p | instanton_q
-                            only expsum takes keys, the comma lists
-                            A, K, L, theta
+    [p] / [q]               family = expsum, with the comma lists
+                            A, K, L, theta; or the bare name of a
+                            fixed family of ``profiles.FAMILIES``
+                            (breather_p, breather_q, tancos,
+                            instanton_p, instanton_q), which takes
+                            no key
     [funcs]                 beta (default 1), gamma (default 0): a float
                             constant or "poly: b0, b1, b2" for
                             b0 + b1*t + b2*t^2
     [signs]                 delta1, delta2 in {+1, -1}
 
-Any other section or key is an error.  Custom (callable) profiles cannot
-round-trip through a file.
+Any other section or key is an error.  A profile writes only as an
+exponential sum or as a value of ``FAMILIES`` itself; any other profile,
+such as a caller's ``CustomProfile``, has no file form.
 """
 
 from __future__ import annotations
@@ -22,17 +25,7 @@ import configparser
 import io
 
 from .ansatz import CoefficientFunctions, SeparationCoefficients, SolutionSpec
-from .profiles import (
-    BreatherPProfile,
-    BreatherQProfile,
-    ExpSumProfile,
-    InstantonPProfile,
-    InstantonQProfile,
-    TanCosProfile,
-    TimeFunction,
-    const_fn,
-    poly_fn,
-)
+from .profiles import FAMILIES, ExpSumProfile, TimeFunction
 
 __all__ = ["load_spec", "loads_spec", "dumps_spec", "SpecFileError"]
 
@@ -45,14 +38,6 @@ _EXPSUM = ("A", "K", "L", "theta")
 _KEYS = {"coeffs": ("a0", "a1", "a2", "a3"), "funcs": ("beta", "gamma"),
          "signs": ("delta1", "delta2")}
 _KEYS["p"] = _KEYS["q"] = ("family",) + tuple(k.lower() for k in _EXPSUM)
-
-_FIXED_FAMILIES = {
-    "breather_p": BreatherPProfile,
-    "breather_q": BreatherQProfile,
-    "tancos": TanCosProfile,
-    "instanton_p": InstantonPProfile,
-    "instanton_q": InstantonQProfile,
-}
 
 
 def _floats(raw: str) -> tuple:
@@ -69,20 +54,20 @@ def _profile(sec) -> object:
         if missing:
             raise SpecFileError(f"expsum profile is missing {missing}")
         return ExpSumProfile(**{k: _floats(sec[k]) for k in _EXPSUM})
-    if family in _FIXED_FAMILIES:
+    if family in FAMILIES:
         extra = [k for k in sec if k != "family"]
         if extra:
             raise SpecFileError(f"[{sec.name}] family {family} takes no key {extra[0]!r}")
-        return _FIXED_FAMILIES[family]()
+        return FAMILIES[family]
     raise SpecFileError(f"unknown profile family {family!r}")
 
 
 def _timefn(raw: str) -> TimeFunction:
     raw = raw.strip()
     if raw.lower().startswith("poly:"):
-        return poly_fn(_floats(raw[5:]))
+        return TimeFunction(_floats(raw[5:]))
     try:
-        return const_fn(float(raw))
+        return TimeFunction((float(raw),))
     except ValueError as exc:
         raise SpecFileError(f"bad coefficient function {raw!r}") from exc
 
@@ -140,11 +125,11 @@ def dumps_spec(spec: SolutionSpec) -> str:
     cp = configparser.ConfigParser()
     cp["coeffs"] = {k: f"{getattr(spec.coeffs, k):.17g}" for k in _KEYS["coeffs"]}
     for name, prof in (("p", spec.p), ("q", spec.q)):
-        if isinstance(prof, ExpSumProfile):
+        if prof.family in FAMILIES:
+            cp[name] = {"family": prof.family}
+        elif isinstance(prof, ExpSumProfile):
             cp[name] = {"family": "expsum", **{
                 k: ", ".join(f"{v:.17g}" for v in getattr(prof, k)) for k in _EXPSUM}}
-        elif prof.family in _FIXED_FAMILIES:
-            cp[name] = {"family": prof.family}
         else:
             raise SpecFileError(f"profile family {prof.family!r} has no file form")
     cp["funcs"] = {k: _timefn_str(getattr(spec.funcs, k)) for k in _KEYS["funcs"]}

@@ -6,7 +6,6 @@ import pytest
 from dsfield import ansatz
 from dsfield.ansatz import (
     SQRT2,
-    CoordinatePoint,
     SeparationCoefficients,
     SolutionSpec,
     check_admissibility,
@@ -20,7 +19,7 @@ from dsfield.ansatz import (
     window_grid,
 )
 from dsfield.auxiliary import Auxiliaries, Ingredients
-from dsfield.calculus import DIV_GUARD
+from dsfield.calculus import DIV_GUARD, Jet, layout
 from dsfield.catalog import build_case, case_names
 from dsfield.profiles import ExpSumProfile
 
@@ -91,11 +90,61 @@ def test_rotation_example_point():
     assert eta == pytest.approx(math.sqrt(2.0), rel=1e-15)
 
 
-def test_coordinate_point_carries_rotated_values():
-    pt = CoordinatePoint(1.0, 1.0, 0.5)
-    assert pt.zeta == 0.0
-    assert pt.eta == pytest.approx(math.sqrt(2.0), rel=1e-15)
-    assert pt.zeta**2 + pt.eta**2 == pytest.approx(pt.x**2 + pt.y**2, rel=1e-14)
+# values at and around the division guard, and the non-finite ones, NaN of
+# either sign among them
+SPECIAL = np.array([0.0, -0.0, 1e-300, 9.9e-13, -1.01e-12, 2.5e-12, -3.0, 1.0, 1e200,
+                    np.inf, -np.inf, np.nan, -np.nan, np.inf - np.inf])
+
+
+def _same_output(got, want):
+    """Equal NaN positions and bit-equal numbers elsewhere: the NaN payloads
+    are not outputs, since every writer and report skips or names NaN."""
+    got, want = np.broadcast_arrays(got, want)
+    nan = np.isnan(want)
+    return (np.array_equal(np.isnan(got), nan)
+            and np.where(nan, 0.0, got).tobytes() == np.where(nan, 0.0, want).tobytes())
+
+
+def test_intensity_and_phi_keep_their_outputs_under_the_shared_guard():
+    # eval_intensity and eval_phi used to spell the guard out as
+    # NaN where ~(|f| >= DIV_GUARD (1 + |num|)), which also catches a NaN f or
+    # numerator; calculus.guarded reads |f| < DIV_GUARD (1 + |num|), which
+    # passes NaN through, so the quotient is NaN at the same points
+    spec = SolutionSpec(SeparationCoefficients(2.0, 1.0, 2.0, 2.0),
+                        ExpSumProfile((1.0,), (1.0,), (1.0,), (0.0,)),
+                        ExpSumProfile((1.0,), (1.0,), (1.0,), (0.0,)))
+    a, n = spec.coeffs, SPECIAL.size
+    rng = np.random.default_rng(3)
+    box = layout(2, (1, 1))
+    pj = Jet((rng.uniform(1, 2, (n, 1, 1)), SPECIAL[:, None, None], rng.uniform(-1, 1),
+              rng.uniform(-1, 1)), box)
+    qj = Jet((rng.uniform(1, 2), SPECIAL[None, :, None], rng.uniform(-1, 1),
+              rng.uniform(-1, 1)), box)
+    f = SPECIAL[None, None, :]
+    with np.errstate(all="ignore"):
+        num = 4.0 * a.det * pj[1, 0] * qj[1, 0]
+        fsafe = np.where(~(np.abs(f) >= DIV_GUARD * (1.0 + np.abs(num))), np.nan, f)
+        u = num / (fsafe * fsafe)
+        f_t = a.a1 * pj[0, 1] + a.a2 * qj[0, 1] + a.a3 * (pj[0, 1] * qj.value
+                                                            + pj.value * qj[0, 1])
+        u_t = (4.0 * a.det * (pj[1, 1] * qj[1, 0] + pj[1, 0] * qj[1, 1]) / (f * f)
+               - 2.0 * u * f_t / f)
+        got_u, got_ut = eval_intensity(spec, pj, qj, True, f)
+    assert np.isnan(u).any() and np.isfinite(u).any()
+    assert _same_output(got_u, u) and _same_output(got_ut, u_t)
+
+    s = SPECIAL
+    entries = [s[:, None, None], s[None, :, None], 0.5, 0.0, s[None, None, :], 0.25,
+               0.0, -1.5, 0.0, 0.0]                 # f, f_z, f_e, .., f_zz, f_ze, .., f_ee
+    tau = Jet(entries, layout(3, 2))
+    with np.errstate(all="ignore"):
+        grad, lap = entries[1] + entries[2], entries[4] + 2.0 * entries[5] + entries[7]
+        f = entries[0]
+        fsafe = np.where(~(np.abs(f) >= DIV_GUARD * (1.0 + np.abs(lap))), np.nan, f)
+        phi = -(grad * grad) / (fsafe * fsafe) + lap / fsafe + 0.5 + 0.25
+        got = eval_phi(tau, 0.5, 0.25)
+    assert np.isnan(phi).any() and np.isfinite(phi).any()
+    assert _same_output(got, phi)
 
 
 def test_f_at_origin_dromion(dromion):
@@ -572,7 +621,7 @@ def test_pole_sweep_is_the_whole_array_sweep_on_random_exponential_sums():
 
 @pytest.mark.parametrize("name", case_names())
 def test_admissibility_sweeps_a_shared_profile_once(name, monkeypatch):
-    # periodic's two TanCosProfile() and dromion's one profile span equal zeta
+    # periodic's tancos pair and dromion's one profile span equal zeta
     # and eta ranges on their square windows: q takes p's sweep
     e = build_case(name)
     swept = []

@@ -15,7 +15,7 @@ from dsfield.ansatz import (
 )
 from dsfield.auxiliary import Auxiliaries, _gauss_legendre, consistency_c1_c2
 from dsfield.catalog import build_case, case_names
-from dsfield.profiles import CustomProfile, ExpSumProfile, const_fn
+from dsfield.profiles import CustomProfile, ExpSumProfile, TimeFunction
 from dsfield.specfile import loads_spec
 
 from conftest import decaying_p_text, line_backgrounds
@@ -129,7 +129,7 @@ def test_dromion_background(dromion):
 
 def test_background_zero_for_linear_custom_profile():
     # p = zeta: constant slope, no drift, so the background level vanishes
-    lin = CustomProfile(lambda xj, tj: xj + 0.0 * tj, label="linear")
+    lin = CustomProfile(lambda xj, tj: xj + 0.0 * tj)
     spec = SolutionSpec(SeparationCoefficients(1, 1, 1, 2), lin, lin)
     aux = Auxiliaries(spec)
     assert line_backgrounds(aux, 0.3, 0.3, 0.0)[0] == pytest.approx(0.0, abs=1e-14)
@@ -292,7 +292,7 @@ def test_consistency_dromion(dromion):
 
 def test_consistency_gain_breaks_p_side(dromion):
     spec = SolutionSpec(dromion.coeffs, dromion.p, dromion.q,
-                        CoefficientFunctions(gamma=const_fn(0.5)))
+                        CoefficientFunctions(gamma=TimeFunction((0.5,))))
     aux = Auxiliaries(spec)
     probes = np.linspace(-4, 4, 33)
     rep = consistency_c1_c2(aux, probes, probes, 0.0)

@@ -9,7 +9,7 @@ import pytest
 
 import dsfield
 from dsfield import ansatz, profiles
-from dsfield.ansatz import batches, rotate, window_grid
+from dsfield.ansatz import SeparationCoefficients, SolutionSpec, batches, rotate, window_grid
 from dsfield.calculus import Jet
 from dsfield.cli import build_parser, main, parse_time, parse_window
 from dsfield.specfile import dumps_spec, load_spec, loads_spec, SpecFileError
@@ -80,13 +80,39 @@ def test_parse_window():
 
 def test_configs_round_trip_catalog():
     for name in case_names():
-        spec = load_spec(os.path.join(CONFIGS, f"{name}.cfg"))
-        entry = build_case(name)
-        assert spec.coeffs == entry.spec.coeffs
-        assert spec.p.family == entry.spec.p.family
+        assert load_spec(os.path.join(CONFIGS, f"{name}.cfg")) == build_case(name).spec, name
     for name in sorted(os.listdir(CONFIGS)):
         spec = load_spec(os.path.join(CONFIGS, name))
         assert loads_spec(dumps_spec(spec)) == spec, name
+
+
+def test_spec_text_round_trips_every_catalog_spec_and_family():
+    # a fixed family writes as its bare name and loads back as the table
+    # value itself; an exponential sum writes its numbers
+    coeffs = SeparationCoefficients(2.0, 1.0, 2.0, 2.0)
+    specs = [build_case(name).spec for name in case_names()]
+    specs += [SolutionSpec(coeffs, prof, prof) for prof in profiles.FAMILIES.values()]
+    for spec in specs:
+        text = dumps_spec(spec)
+        back = loads_spec(text)
+        assert back == spec and dumps_spec(back) == text
+        for got, want in ((back.p, spec.p), (back.q, spec.q)):
+            assert got.family == want.family
+            assert f"family = {want.family}\n" in text
+            if want.family in profiles.FAMILIES:
+                assert got is want
+
+
+def test_dumps_spec_refuses_a_profile_that_is_no_table_value():
+    # equal formulas do not make a table value: only FAMILIES' own values and
+    # exponential sums have a file form
+    fixed = profiles.FAMILIES
+    for prof in (profiles.CustomProfile(lambda xj, tj: xj * tj),
+                 profiles.CustomProfile(fixed["tancos"].fn),
+                 profiles.InstantonPProfile()):
+        spec = SolutionSpec(SeparationCoefficients(2.0, 1.0, 2.0, 2.0), fixed["tancos"], prof)
+        with pytest.raises(SpecFileError, match="profile family 'custom' has no file form"):
+            dumps_spec(spec)
 
 
 def test_spec_file_errors():
@@ -141,8 +167,14 @@ def test_spec_file_rejects_keys_outside_its_schema(tmp_path, capsys, cfg, anchor
 def test_catalog_lists_all(capsys):
     assert run("catalog") == 0
     out = capsys.readouterr().out
-    for name in case_names():
-        assert name in out
+    families = {"dromion": ("expsum", "expsum"), "solitoff": ("expsum", "expsum"),
+                "resonant": ("expsum", "expsum"), "breather": ("breather_p", "breather_q"),
+                "periodic": ("tancos", "tancos"),
+                "double_instanton": ("instanton_p", "instanton_q")}
+    assert tuple(families) == case_names()
+    lines = out.splitlines()
+    for name, (p, q) in families.items():
+        assert lines[lines.index(name) + 2] == f"  profiles: p={p} q={q}", name
 
 
 def test_render_writes_csv(tmp_path):
@@ -695,15 +727,15 @@ def test_verify_and_render_evaluate_each_profile_jet_once(tmp_path, monkeypatch)
     e = build_case("breather")
     on_lines, on_points, amplitudes = [], [], []
     sweeps = {}
-    for cls in (type(e.spec.p), type(e.spec.q)):
+    for cls in {type(e.spec.p), type(e.spec.q)}:
         def counting(self, x, t, *args, jet3=cls.jet3, **kwargs):
             out = jet3(self, x, t, *args, **kwargs)
             if np.shape(x) == (127,):
-                on_lines.append(type(self).__name__)
+                on_lines.append(self.family)
             if np.shape(x) == (64, 64):
-                on_points.append(type(self).__name__)
+                on_points.append(self.family)
             if sys._getframe(1).f_code.co_name == "pole_sweep":
-                sweeps.setdefault(type(self).__name__, []).append((x, len(out.entries)))
+                sweeps.setdefault(self.family, []).append((x, len(out.entries)))
             return out
         monkeypatch.setattr(cls, "jet3", counting)
     for attr in ("p1_jet", "q1_jet", "r_zeta_jet", "s_eta_jet", "phase_r", "phase_s",
@@ -718,9 +750,9 @@ def test_verify_and_render_evaluate_each_profile_jet_once(tmp_path, monkeypatch)
         monkeypatch.setattr(Auxiliaries, attr, counting_formula)
     assert run("verify", "--case", "breather", "--t", "0.3", "--res", "64",
                "--checks", ALL, "--out", str(tmp_path / "r.txt")) == 0
-    assert sorted(on_lines) == ["BreatherPProfile", "BreatherQProfile"]
+    assert sorted(on_lines) == ["breather_p", "breather_q"]
     assert sorted(amplitudes) == ["p1_jet", "q1_jet"]
-    assert sorted(sweeps) == ["BreatherPProfile", "BreatherQProfile"]
+    assert sorted(sweeps) == ["breather_p", "breather_q"]
     for calls in sweeps.values():
         assert {entries for _, entries in calls} == {1}
         assert max(np.size(x) for x, _ in calls) <= ansatz._ROW_BLOCK
@@ -730,7 +762,7 @@ def test_verify_and_render_evaluate_each_profile_jet_once(tmp_path, monkeypatch)
     on_lines.clear()
     assert run("render", "--case", "breather", "--t", "0.3", "--which", "phi",
                "--res", "64", "--out", str(tmp_path / "phi.csv")) == 0
-    assert sorted(on_lines) == ["BreatherPProfile", "BreatherQProfile"]
+    assert sorted(on_lines) == ["breather_p", "breather_q"]
     assert on_points == []
 
 
@@ -835,7 +867,7 @@ def test_each_reader_asks_its_profiles_for_the_entries_it_reads(tmp_path, monkey
     # booked to its first caller outside the profiles
     e = build_case("breather")
     asked = {}
-    for cls in (type(e.spec.p), type(e.spec.q)):
+    for cls in {type(e.spec.p), type(e.spec.q)}:
         def counting(self, x, t, order=3, jet3=cls.jet3):
             frame = sys._getframe(1)
             while frame.f_code.co_name in ("jet3", "profile_jets3"):

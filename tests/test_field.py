@@ -484,15 +484,13 @@ def test_refined_l2_scan_samples_few_extra_grids(monkeypatch):
     # probe times, at most 3 iterations (S at the probe times themselves
     # comes from the scan); no call sees the N^2 grid points
     e = build_case("breather")
-    points = {}
-    for profile in (e.spec.p, e.spec.q):
-        cls = type(profile)
+    points = {e.spec.p.family: [], e.spec.q.family: []}
+    for cls in {type(e.spec.p), type(e.spec.q)}:
 
-        def counting(self, x, t, order=3, jet3=cls.jet3, cls=cls):
-            points[cls].append(np.broadcast(x, t).size)
+        def counting(self, x, t, order=3, jet3=cls.jet3):
+            points[self.family].append(np.broadcast(x, t).size)
             return jet3(self, x, t, order)
 
-        points[cls] = []
         monkeypatch.setattr(cls, "jet3", counting)
     res = estimate_period(e.spec, e.window, (0.0, 2 * math.pi), 64, "L2",
                           grid_n=32)

@@ -7,25 +7,15 @@ from dsfield import calculus as jc
 from dsfield.catalog import build_case, case_names
 
 from dsfield.profiles import (
-    BreatherPProfile,
-    BreatherQProfile,
+    FAMILIES,
     CustomProfile,
     ExpSumProfile,
     InstantonPProfile,
-    InstantonQProfile,
-    TanCosProfile,
-    const_fn,
-    poly_fn,
+    TimeFunction,
 )
 
-ALL_FAMILIES = [
-    ExpSumProfile((1.0, -0.5), (1.0, -0.7), (0.5, 1.2), (0.0, 0.3)),
-    BreatherPProfile(),
-    BreatherQProfile(),
-    TanCosProfile(),
-    InstantonPProfile(),
-    InstantonQProfile(),
-]
+ALL_FAMILIES = [ExpSumProfile((1.0, -0.5), (1.0, -0.7), (0.5, 1.2), (0.0, 0.3)),
+                *FAMILIES.values()]
 
 
 def fd(fn, x, t, which, h=1e-4):
@@ -64,7 +54,7 @@ BOX_PROFILES = (
     [p for name in case_names() for p in (build_case(name).spec.p, build_case(name).spec.q)]
     + [ExpSumProfile((1.0, -0.5, 2.0, 0.25), (1.0, -0.7, 0.0, 1.3), (0.5, 1.2, -0.4, 0.0),
                      (0.0, 0.3, -1.0, 0.2)),
-       CustomProfile(lambda xj, tj: jc.sin(xj * tj) + jc.exp(xj) * tj * tj, label="mixed")])
+       CustomProfile(lambda xj, tj: jc.sin(xj * tj) + jc.exp(xj) * tj * tj)])
 
 
 @pytest.mark.parametrize("prof", BOX_PROFILES, ids=lambda p: p.family)
@@ -103,7 +93,7 @@ def test_expsum_validation():
 
 
 def test_vectorized_evaluation_matches_scalar():
-    prof = TanCosProfile()
+    prof = FAMILIES["tancos"]
     xs = np.linspace(-1.0, 1.0, 7)
     j = prof.jet3(xs, 0.3)
     for i, x in enumerate(xs):
@@ -113,18 +103,18 @@ def test_vectorized_evaluation_matches_scalar():
 
 
 def test_instanton_pole_goes_nonfinite():
-    prof = InstantonPProfile()
+    prof = FAMILIES["instanton_p"]
     j = prof.jet3(-1.0, 0.0)
     assert not np.all(np.isfinite(np.asarray(j.value)))
 
 
 def test_breather_spatial_derivative_vanishes_at_half_pi():
-    j = BreatherPProfile().jet3(0.8, math.pi / 2)
+    j = FAMILIES["breather_p"].jet3(0.8, math.pi / 2)
     assert abs(j[1, 0]) < 1e-30
 
 
 def test_custom_profile_roundtrip():
-    lin = CustomProfile(lambda xj, tj: xj + 0.0 * tj, label="linear")
+    lin = CustomProfile(lambda xj, tj: xj + 0.0 * tj)
     j = lin.jet3(2.5, 1.0)
     assert j.value == 2.5 and j[1, 0] == 1.0 and j[2, 0] == 0.0
 
@@ -133,7 +123,7 @@ def test_custom_profile_roundtrip():
 
 
 def test_timefunction_polynomial_jets():
-    f = poly_fn([1.0, -2.0, 0.5])     # 1 - 2t + 0.5 t^2
+    f = TimeFunction((1.0, -2.0, 0.5))     # 1 - 2t + 0.5 t^2
     t = 0.7
     assert f(t) == pytest.approx(1 - 2 * t + 0.5 * t * t, rel=1e-15)
     j = f.jet(t, 3)
@@ -142,5 +132,27 @@ def test_timefunction_polynomial_jets():
     assert j[0, 3] == 0.0
     assert j[1, 0] == 0.0
 
-    c = const_fn(3.0)
+    c = TimeFunction((3.0,))
     assert c.is_constant and c(123.0) == 3.0
+
+
+def test_family_is_the_table_key_of_the_table_value_alone():
+    for name, prof in FAMILIES.items():
+        assert prof.family == name
+    # an equal profile that is not the table value itself takes its form's name
+    q = FAMILIES["instanton_q"]
+    twin = ExpSumProfile(q.A, q.K, q.L, q.theta)
+    assert twin == q and twin.family == "expsum"
+    assert CustomProfile(FAMILIES["tancos"].fn).family == "custom"
+    assert InstantonPProfile().family == "custom"
+
+
+def test_instanton_q_keeps_its_exponential_sum_bound():
+    # exp(x+2t+1) + exp(x+t+1) on [lo, hi] is largest at hi: on the
+    # double_instanton window far under the pole magnitude, so q's pole sweep
+    # is skipped
+    q = FAMILIES["instanton_q"]
+    lo, hi, t = -11.3, 11.3, 6.0
+    want = math.exp(hi + 2 * t + 1) + math.exp(hi + t + 1)
+    assert q.magnitude_bound(lo, hi, t) == pytest.approx(want, rel=1e-15)
+    assert want < 1e20

@@ -19,7 +19,6 @@ SRC = ROOT / "src" / "dsfield"
 
 # public definitions that no src/ code names, each with its reason
 UNCALLED = {
-    "CustomProfile": "the users' extension point: a profile from callables",
     "dumps_spec": "the spec writer, for tests that write random specs to files",
     "singularity_scan": "wrapped by perfbench/tracer.py, until the benchmark stops timing it",
 }

@@ -21,7 +21,7 @@ from dsfield.auxiliary import Ingredients
 from dsfield.calculus import Jet, Stencil, layout
 from dsfield.catalog import build_case, case_names
 from dsfield.field import sample_field
-from dsfield.profiles import const_fn
+from dsfield.profiles import TimeFunction
 from dsfield.specfile import loads_spec
 from dsfield.verify import (
     _bilinear2_field,
@@ -157,7 +157,7 @@ def test_bilinear_line1_runs_on_an_inconsistent_spec():
     # the gain shows in the consistency report and, ungated, in line 1
     d = build_case("dromion").spec
     spec = SolutionSpec(d.coeffs, d.p, d.q,
-                        CoefficientFunctions(gamma=const_fn(0.5)))
+                        CoefficientFunctions(gamma=TimeFunction((0.5,))))
     ing = bundle(spec, ((-4, 4), (-4, 4)), 0.0, 24)
     assert ing.consistency.max_variation > 1e-3
     line1, _ = envelope_residuals(ing)
