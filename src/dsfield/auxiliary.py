@@ -125,10 +125,12 @@ class Ingredients:
     jets ``pj``, ``qj`` on the grid's zeta and eta lines (on the lattice,
     once per line), the amplitude jets ``p1``, ``q1`` and gradient jets
     ``rz``, ``se`` from them, the phase pairs ``r`` = (r, r_t) and ``s`` =
-    (s, s_t), the backgrounds ``p0``, ``q0``, and the ``consistency``
-    report on 33 probes over each coordinate's range; ``rows(rows)`` reads
-    them on grid rows, as attributes.  Each entry is evaluated when first
-    read, and one assigned before its first read replaces it.
+    (s, s_t), the backgrounds ``p0``, ``q0``, the carriers ``P`` = p1 e^{ir}
+    and ``Q`` = q1 e^{is}, whose product is the envelope g, and the
+    ``consistency`` report on 33 probes over each coordinate's range;
+    ``rows(rows)`` reads them on grid rows, as attributes.  Each entry is
+    evaluated when first read, and one assigned before its first read
+    replaces it.
     """
 
     def __init__(self, spec: SolutionSpec, grid, t: float):
@@ -145,6 +147,8 @@ class Ingredients:
     s = _entry(lambda self: self.aux.phase_s(self.grid.eta_lines, self.t))
     p0 = _entry(lambda self: self.aux.p0(self.r[1], self.p1, self.rz, self.t))
     q0 = _entry(lambda self: self.aux.q0(self.s[1], self.q1, self.se, self.t))
+    P = _entry(lambda self: _carrier(self.p1, self.rz, self.r))
+    Q = _entry(lambda self: _carrier(self.q1, self.se, self.s))
 
     @_entry
     def consistency(self):
@@ -156,8 +160,15 @@ class Ingredients:
         return _Rows(self, rows)
 
 
-_LINES = {**dict.fromkeys(("pj", "p1", "rz", "r", "p0"), "zeta_lines"),
-          **dict.fromkeys(("qj", "q1", "se", "s", "q0"), "eta_lines")}
+_LINES = {**dict.fromkeys(("pj", "p1", "rz", "r", "p0", "P"), "zeta_lines"),
+          **dict.fromkeys(("qj", "q1", "se", "s", "q0", "Q"), "eta_lines")}
+
+
+def _carrier(amp: Jet, g: Jet, phase) -> Jet:
+    """amp e^{ir}, an order-2 jet in (own coordinate, t), from r's gradient jet ``g`` and
+    ``phase`` = (r, r_t); the quadrature gives no r_tt, so that entry is NaN."""
+    (r, r_t), lay = phase, jc.layout(2, 2)
+    return amp * jc.exp(1j * Jet((r, g.value, r_t, g[1, 0], g[0, 1], math.nan), lay))
 
 
 class _Rows:

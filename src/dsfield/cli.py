@@ -108,12 +108,15 @@ def parse_window(text: str):
 
 def _atomic_write(path: str, write):
     """``write(fh)`` into a temp file renamed to ``path``, removed on any error;
-    returns what ``write`` returns."""
+    returns what ``write`` returns.  The file gets the mode a plain open would
+    give it, 0o666 less the umask, not the temp file's owner-only 0o600."""
     parent = os.path.dirname(os.path.abspath(path)) or "."
     fd, tmp = tempfile.mkstemp(dir=parent, prefix=".dsfield-")
     try:
         with os.fdopen(fd, "wb") as fh:
             out = write(fh)
+        os.umask(umask := os.umask(0))          # reads the umask, which stays as it was
+        os.chmod(tmp, 0o666 & ~umask)
         os.replace(tmp, path)
         return out
     except BaseException:

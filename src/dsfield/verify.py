@@ -8,8 +8,9 @@ Three independent suites certify a solution spec:
   |g g*|;
 * the governing equations in the rotated frame: the envelope equation,
   as line 1 of the bilinear form and as the u-form with the forcing field,
-  both from one evaluation of f's order-2 jet in (zeta, eta, t) per block
-  of grid rows; and the forcing-field constraint by finite differences of
+  both from one evaluation per block of grid rows of the order-2 jets in
+  (zeta, eta, t) of f and of the envelope g, the product of the bundle's
+  line carriers; and the forcing-field constraint by finite differences of
   the jet-computed fields (with a convergence mode), from each profile
   once per stencil line and U and phi broadcast onto the stencil, the
   stencils summed in a fixed order per block of grid rows;
@@ -112,28 +113,11 @@ def hirota_cross(tau) -> float:
 # envelope equation
 
 
-def _envelope_terms(b):
-    """Envelope g = p1 q1 exp(i(r+s)) and its derivatives
-    (g, g_z, g_zz, g_e, g_ee, g_t) from the bundle entries ``b`` on grid rows."""
-    p1, q1, rz, se = b.p1, b.q1, b.rz, b.se
-    (r, r_t), (s, s_t) = b.r, b.s
-    E = np.exp(1j * (r + s))
-    P = p1.value * q1.value
-    g = P * E
-    g_z = (p1[1, 0] + 1j * rz.value * p1.value) * q1.value * E
-    g_zz = (p1[2, 0] + 2j * rz.value * p1[1, 0]
-            + (1j * rz[1, 0] - rz.value ** 2) * p1.value) * q1.value * E
-    g_e = p1.value * (q1[1, 0] + 1j * se.value * q1.value) * E
-    g_ee = p1.value * (q1[2, 0] + 2j * se.value * q1[1, 0]
-                       + (1j * se[1, 0] - se.value ** 2) * q1.value) * E
-    g_t = (p1[0, 1] * q1.value + p1.value * q1[0, 1] + 1j * P * (r_t + s_t)) * E
-    return g, g_z, g_zz, g_e, g_ee, g_t
-
-
 def _envelope_fields(spec: SolutionSpec, t, b):
     """|residual| of line 1 of the bilinear form, its terms scaled by 1/f^3, and
-    of the envelope equation for u = g/f with phi, from the row entries ``b``."""
-    g, g_z, g_zz, g_e, g_ee, g_t = _envelope_terms(b)
+    of the envelope equation for u = g/f with phi, g = P Q, from the row entries ``b``."""
+    g = b.P.shift(order=2, axes=(0, 2), n=3) * b.Q.shift(order=2, axes=(1, 2), n=3)
+    g, g_z, g_e, g_t, g_zz, _, _, g_ee, _, _ = g.entries
     tau = eval_f(spec, b.pj, b.qj)
     f, f_z, f_e, f_t, f_zz, f_ze, _, f_ee, _, _ = tau.entries
     beta = spec.funcs.beta(t)

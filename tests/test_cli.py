@@ -1,5 +1,6 @@
 import math
 import os
+import stat
 import subprocess
 import sys
 import warnings
@@ -295,6 +296,22 @@ def test_render_failing_midway_leaves_no_file(tmp_path, monkeypatch, capsys):
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("umask", [0o022, 0o077], ids=["022", "077"])
+def test_output_files_take_the_mode_of_a_plain_open(tmp_path, umask):
+    # the temp file behind each output is created owner-only; every output
+    # file ends with the mode 0o666 less the umask, as an open() would give it
+    case = ("--case", "dromion", "--t", "0", "--res", "16")
+    old = os.umask(umask)
+    try:
+        assert run("render", *case, "--out", str(tmp_path / "u.csv")) == 0
+        assert run("render", *case, "--format", "pgm16", "--out", str(tmp_path / "u.pgm")) == 0
+        assert run("verify", *case, "--out", str(tmp_path / "r.txt")) == 0
+    finally:
+        os.umask(old)
+    modes = {p.name: stat.S_IMODE(p.stat().st_mode) for p in tmp_path.iterdir()}
+    assert modes == dict.fromkeys(("u.csv", "u.pgm", "u.pgm.txt", "r.txt"), 0o666 & ~umask)
+
+
 def test_render_unknown_case_exits_2(tmp_path, capsys):
     code = run("render", "--case", "worm", "--t", "0",
                "--out", str(tmp_path / "x.csv"))
@@ -418,7 +435,7 @@ def test_verify_periodic_config_takes_no_division_guard(tmp_path):
     assert code == 0
     assert rep["check.bilinear2.dropped"] == "0"
     assert [rep[f"check.{c}.max_abs"] for c in ("bilinear2", "bilinear1", "pde1")] == [
-        "6.203448e-16", "5.695433e-14", "1.784400e-13"]
+        "6.203448e-16", "7.125383e-14", "2.078045e-13"]
 
 
 def test_verify_keeps_the_plus_branch_where_p_z_turns_negative_off_the_window(tmp_path):

@@ -21,17 +21,28 @@ SRC = ROOT / "src" / "dsfield"
 UNCALLED = {
     "dumps_spec": "the spec writer, for tests that write random specs to files",
     "singularity_scan": "wrapped by perfbench/tracer.py, until the benchmark stops timing it",
+    "log": "wrapped by perfbench/tracer.py in calculus.elementary",
+    "sin": "wrapped by perfbench/tracer.py in calculus.elementary",
 }
 
 
-def _named(node) -> set:
-    """The names that ``node`` reads, imports or reaches as attributes."""
+def _outside_modules(tree) -> set:
+    """The names that ``tree`` binds by a plain ``import`` of a module outside dsfield."""
+    return {(a.asname or a.name).partition(".")[0] for n in ast.walk(tree)
+            if isinstance(n, ast.Import) for a in n.names
+            if a.name.partition(".")[0] != "dsfield"}
+
+
+def _named(node, outside=frozenset()) -> set:
+    """The names that ``node`` reads, imports or reaches as attributes, except
+    the attributes of the ``outside`` modules (np.log names no calculus.log)."""
     out = set()
     for n in ast.walk(node):
         if isinstance(n, ast.Name):
             out.add(n.id)
         elif isinstance(n, ast.Attribute):
-            out.add(n.attr)
+            if not (isinstance(n.value, ast.Name) and n.value.id in outside):
+                out.add(n.attr)
         elif isinstance(n, ast.alias):
             out.add(n.name.rpartition(".")[2])
     return out
@@ -42,8 +53,10 @@ def test_every_public_definition_is_named_elsewhere_in_src():
     for path in sorted(SRC.glob("*.py")):
         if path.name == "__init__.py":
             continue
-        for stmt in ast.parse(path.read_text(encoding="utf-8")).body:
-            names = _named(stmt)
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        outside = _outside_modules(tree)
+        for stmt in tree.body:
+            names = _named(stmt, outside)
             if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
                 names.discard(stmt.name)
                 if not stmt.name.startswith("_"):

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 from types import SimpleNamespace
 
@@ -20,6 +21,7 @@ from dsfield.ansatz import (
 from dsfield.auxiliary import Ingredients
 from dsfield.calculus import Jet, Stencil, layout
 from dsfield.catalog import build_case, case_names
+from dsfield.cli import _residual, build_parser
 from dsfield.field import sample_field
 from dsfield.profiles import TimeFunction
 from dsfield.specfile import loads_spec
@@ -203,6 +205,50 @@ def test_negative_control_corrupted_amplitude():
         assert line2.max_abs > 1e-10, name
 
 
+_DEFAULTS = build_parser().parse_args(["verify", "--t", "0"])   # verify's thresholds
+
+
+def _failing_checks(ing) -> set:
+    """The checks that fail on the bundle at verify's default thresholds, of those
+    its ingredients reach: bilinear2, bilinear1, pde1 and consistency."""
+    reps = [(bilinear_residuals(ing), _DEFAULTS.tol),
+            *((rep, _DEFAULTS.tol_pde) for rep in envelope_residuals(ing))]
+    failed = {rep.check_name for rep, tol in reps if _residual(rep, tol)[0] == "fail"}
+    if not ing.consistency.max_variation <= _DEFAULTS.tol_consistency:
+        failed.add("consistency")
+    return failed
+
+
+def _admissible_draws():
+    """60 seeded admissible specs, each with a time in [-1, 1]."""
+    rng = np.random.default_rng(3)
+    return [(admissible_spec(rng), float(rng.uniform(-1, 1))) for _ in range(60)]
+
+
+def test_gain_on_admissible_draws_fails_the_consistency_check_alone():
+    # a gain of 1e-6 makes every draw a non-solution; only the consistency
+    # check catches it, for the envelope residuals stay under verify's 1e-6
+    # (7.35e-7 at most): no residual has a floor yet (ROADMAP item 3)
+    worst = 0.0
+    for spec, t in _admissible_draws():
+        gained = dataclasses.replace(
+            spec, funcs=CoefficientFunctions(gamma=TimeFunction((1e-6,))))
+        ing = bundle(gained, ((-8, 8), (-8, 8)), t, 48)
+        assert _failing_checks(ing) == {"consistency"}, t
+        worst = max(worst, *(rep.max_abs for rep in envelope_residuals(ing)))
+    assert 1e-7 < worst < _DEFAULTS.tol_pde
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 3: without a floor and a ratio no "
+                                       "check sees a corruption at the rounding level")
+@pytest.mark.parametrize("hook", [{"amplitude_scale": 1 + 1e-12}, {"p0_offset": 1e-12}],
+                         ids=["amplitude_scale", "p0_offset"])
+def test_rounding_level_corruption_fails_every_admissible_draw(hook):
+    caught = [bool(_failing_checks(bundle(spec, ((-8, 8), (-8, 8)), t, 48, **hook)))
+              for spec, t in _admissible_draws()]
+    assert all(caught), f"caught on {sum(caught)} of {len(caught)} draws"
+
+
 def test_bilinear2_drops_the_samples_where_the_sign_condition_fails():
     # with a decaying p the real amplitude factors exist on neither branch,
     # so the residual is not finite and every sample is dropped
@@ -224,6 +270,53 @@ def test_report_invariants():
         assert x0 <= rep.worst_point.x <= x1
         assert y0 <= rep.worst_point.y <= y1
         assert rep.worst_point.t == 0.0
+
+
+def _hand_envelope_terms(b):
+    """The envelope g = p1 q1 e^{ir} e^{is} and its derivatives (g, g_z, g_zz, g_e,
+    g_ee, g_t) by the product rules written out, from the row entries ``b``, each
+    with its term-magnitude scale: the sum of its terms' moduli."""
+    p1, q1, rz, se = b.p1, b.q1, b.rz, b.se
+    (r, r_t), (s, s_t) = b.r, b.s
+    E = np.exp(1j * r) * np.exp(1j * s)
+    P = p1.value * q1.value
+    a = np.abs
+    return [
+        (P * E, a(P)),
+        ((p1[1, 0] + 1j * rz.value * p1.value) * q1.value * E,
+         (a(p1[1, 0]) + a(rz.value * p1.value)) * a(q1.value)),
+        ((p1[2, 0] + 2j * rz.value * p1[1, 0]
+          + (1j * rz[1, 0] - rz.value ** 2) * p1.value) * q1.value * E,
+         (a(p1[2, 0]) + 2 * a(rz.value * p1[1, 0])
+          + (a(rz[1, 0]) + rz.value ** 2) * a(p1.value)) * a(q1.value)),
+        (p1.value * (q1[1, 0] + 1j * se.value * q1.value) * E,
+         a(p1.value) * (a(q1[1, 0]) + a(se.value * q1.value))),
+        (p1.value * (q1[2, 0] + 2j * se.value * q1[1, 0]
+                     + (1j * se[1, 0] - se.value ** 2) * q1.value) * E,
+         a(p1.value) * (a(q1[2, 0]) + 2 * a(se.value * q1[1, 0])
+                        + (a(se[1, 0]) + se.value ** 2) * a(q1.value))),
+        ((p1[0, 1] * q1.value + p1.value * q1[0, 1] + 1j * P * (r_t + s_t)) * E,
+         a(p1[0, 1] * q1.value) + a(p1.value * q1[0, 1]) + a(P) * (a(r_t) + a(s_t))),
+    ]
+
+
+@pytest.mark.parametrize("name", case_names())
+def test_envelope_jet_is_the_hand_expanded_product_rule(name):
+    # the carrier product P Q gives g's entries within 8 eps of the scale of
+    # the product rules written out, non-finite where they are
+    e = build_case(name)
+    for t in (*e.reference_times, 0.3):
+        for samples in (64, 128):
+            b = bundle(e.spec, e.window, t, samples, e.valid_mask).rows()
+            with np.errstate(invalid="ignore", over="ignore", under="ignore", divide="ignore"):
+                g = b.P.shift(order=2, axes=(0, 2), n=3) * b.Q.shift(order=2, axes=(1, 2), n=3)
+                want = _hand_envelope_terms(b)
+            entries = ((0, 0, 0), (1, 0, 0), (2, 0, 0), (0, 1, 0), (0, 2, 0), (0, 0, 1))
+            for m, (ref, scale) in zip(entries, want):
+                ok = np.isfinite(ref)
+                np.testing.assert_array_equal(np.isfinite(g[m]), ok)
+                err = np.abs(g[m] - ref)[ok]
+                assert np.all(err <= 8 * np.finfo(float).eps * scale[ok]), (t, samples, m)
 
 
 # -- governing-equation residuals -------------------------------------------------
