@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
@@ -98,7 +98,8 @@ class CoefficientFunctions:
 
 @dataclass(frozen=True)
 class SolutionSpec:
-    """Complete description of one separable solution."""
+    """Complete description of one separable solution; ``valid_mask(zeta, eta)``, if
+    given, is its evaluation guard, True where it is evaluated, and not compared."""
 
     coeffs: SeparationCoefficients
     p: ProfileFunction
@@ -106,6 +107,7 @@ class SolutionSpec:
     funcs: CoefficientFunctions = field(default_factory=CoefficientFunctions)
     delta1: int = 1
     delta2: int = 1
+    valid_mask: Optional[Callable] = field(default=None, compare=False)
 
     def __post_init__(self):
         if self.delta1 * self.delta1 != 1 or self.delta2 * self.delta2 != 1:
@@ -279,9 +281,10 @@ def _assemble(a: SeparationCoefficients, p, q):
     return a.a0 + a.a1 * p + a.a2 * q + a.a3 * p * q
 
 
-def eval_f(spec: SolutionSpec, pj: Jet, qj: Jet, order: int = 2) -> Jet:
-    """The denominator field f as a jet in (zeta, eta, t) to ``order``, from
-    the profile jets ``pj``, ``qj`` (to ``order`` at least) at its points.
+def eval_f(spec: SolutionSpec, pj: Jet, qj: Jet, order=2) -> Jet:
+    """The denominator field f as a jet in (zeta, eta, t) to ``order``, a
+    :func:`~dsfield.calculus.layout` order that names the entries its reader reads,
+    from the profile jets ``pj``, ``qj`` (to ``order`` at least) at its points.
 
     The entries of the order-2 jet in (zeta, eta, t) come in the order f,
     f_z, f_e, f_t, f_zz, f_ze, f_zt, f_ee, f_et, f_tt; the mixed derivative
@@ -345,10 +348,14 @@ def grid_intensity(spec: SolutionSpec, grid: WindowGrid, t, dt: bool = False):
     return out[0], out[1] if dt else None
 
 
+# the entries of f's jet that eval_phi reads: f, f_z, f_e, f_zz, f_ze, f_ee
+PHI_READS = ((0, 0, 0), (1, 0, 0), (0, 1, 0), (2, 0, 0), (1, 1, 0), (0, 2, 0))
+
+
 def eval_phi(tau: Jet, p0, q0):
-    """Forcing field phi = -(f_z+f_e)^2/f^2 + (f_zz+2 f_ze+f_ee)/f + p0 + q0,
-    from f's order-2 jet ``tau`` (:func:`eval_f`) and the backgrounds."""
-    f, f_z, f_e, _, f_zz, f_ze, _, f_ee, _, _ = tau.entries
+    """Forcing field phi = -(f_z+f_e)^2/f^2 + (f_zz+2 f_ze+f_ee)/f + p0 + q0, from
+    the entries ``PHI_READS`` of f's jet ``tau`` (:func:`eval_f`) and the backgrounds."""
+    f, f_z, f_e, f_zz, f_ze, f_ee = map(tau.__getitem__, PHI_READS)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore", under="ignore"):
         grad = f_z + f_e
         lap = f_zz + 2.0 * f_ze + f_ee

@@ -1,11 +1,11 @@
 """Truncated Taylor jets plus finite-difference stencils.
 
 :class:`Jet` is the one derivative carrier of the package: the partial
-derivatives of a function through a total order or a box of per-variable
-orders, in the graded order of a cached :func:`layout`.  Profiles are
-jets in (own spatial variable, t) to the order or box their reader asks
-for, and f is an order-2 jet in (zeta, eta, t); the peak ascent reads its
-profile jets as plain arrays, since f is bilinear in p and q.
+derivatives of a function through a total order, a box of per-variable
+orders or a union of boxes, in the graded order of a cached :func:`layout`.
+Profiles are jets in (own spatial variable, t) to the order or box their
+reader asks for, and f a jet in (zeta, eta, t) on the entries its reader
+reads; the peak ascent reads its profile jets as arrays, f being bilinear.
 Products follow the Leibniz rule from the layout's pair table, and every
 elementary function is the one composition sum_k f^(k)(a0)/k! (a - a0)^k
 with the Taylor coefficients of :func:`_tables` (Griewank & Walther,
@@ -113,11 +113,12 @@ class Layout:
 @functools.lru_cache(maxsize=None)
 def layout(n: int, order) -> Layout:
     """The layout of the partial derivatives in ``n`` variables of total
-    order <= ``order``, or, for a tuple ``order`` (a box), of order <=
-    ``order[i]`` in variable i."""
-    box = order if isinstance(order, tuple) else (order,) * n
-    index = [m for m in itertools.product(*(range(b + 1) for b in box))
-             if box is order or sum(m) <= order]
+    order <= ``order``; for a tuple ``order`` (a box), of order <=
+    ``order[i]`` in variable i; for a tuple of boxes, at or below any of them."""
+    total = not isinstance(order, tuple)
+    boxes = ((order,) * n,) if total else order if isinstance(order[0], tuple) else (order,)
+    index = {m for box in boxes for m in itertools.product(*(range(b + 1) for b in box))
+             if not total or sum(m) <= order}
     return Layout(sorted(index, key=lambda m: (sum(m), [-e for e in m])))
 
 

@@ -1,9 +1,10 @@
 """The six reference excitation cases, one table of values.
 
-Each entry fixes a profile pair, mixing coefficients, a default render
-window, reference times, and any evaluation guards (pole exclusions for the
-tan-based and pole-carrying profiles).  ``build_case`` looks an entry up;
-every call returns the same frozen value.
+Each entry fixes a solution spec, a default render window, reference times
+and notes.  Two specs carry an evaluation guard, the spec's ``valid_mask``:
+periodic's confines the rotated coordinates inside the tan pole box, and
+double_instanton's drops the pole of its p profile at zeta = -1.
+``build_case`` looks an entry up; every call returns the same frozen value.
 """
 
 from __future__ import annotations
@@ -31,20 +32,21 @@ class CatalogEntry:
     window: tuple               # ((x0, x1), (y0, y1))
     notes: tuple
     degenerate_times: tuple = ()
-    zeta_exclusions: tuple = ()      # (center, halfwidth) pairs
-    zeta_limit: float | None = None  # |zeta| bound (tan poles)
-    eta_limit: float | None = None
 
     def valid_mask(self, zeta, eta):
-        """True where evaluation is meaningful for this entry."""
+        """The spec's guard at (zeta, eta), broadcast to their shape; all True without one."""
         ok = np.ones(np.broadcast(np.asarray(zeta), np.asarray(eta)).shape, dtype=bool)
-        if self.zeta_limit is not None:
-            ok &= np.abs(zeta) <= self.zeta_limit
-        if self.eta_limit is not None:
-            ok &= np.abs(eta) <= self.eta_limit
-        for c, hw in self.zeta_exclusions:
-            ok &= np.abs(np.asarray(zeta) - c) > hw
-        return ok
+        return ok if self.spec.valid_mask is None else ok & self.spec.valid_mask(zeta, eta)
+
+
+def _tan_box(zeta, eta):
+    """periodic's guard: both rotated coordinates inside the tan pole box."""
+    return (np.abs(zeta) <= _TAN_LIMIT) & (np.abs(eta) <= _TAN_LIMIT)
+
+
+def _off_instanton_pole(zeta, eta):
+    """double_instanton's guard: zeta more than 0.05 from the pole of p at -1."""
+    return np.abs(zeta + 1.0) > 0.05
 
 
 _DROMION = ExpSumProfile(A=(1.0,), K=(1.0,), L=(1.0,), theta=(1.0,))
@@ -101,7 +103,7 @@ _CASES = {e.name: e for e in (
     CatalogEntry(
         name="periodic",
         spec=SolutionSpec(SeparationCoefficients(2.0, 1.0, 2.0, 2.0),
-                          FAMILIES["tancos"], FAMILIES["tancos"]),
+                          FAMILIES["tancos"], FAMILIES["tancos"], valid_mask=_tan_box),
         reference_times=(0.0, math.pi / 4, math.pi / 3, 2 * math.pi / 3,
                          3 * math.pi / 4, math.pi),
         window=((-_HALF, _HALF), (-_HALF, _HALF)),
@@ -111,20 +113,18 @@ _CASES = {e.name: e for e in (
             "rotated coordinates are confined inside the tan pole box",
         ),
         degenerate_times=(math.pi / 2,),
-        zeta_limit=_TAN_LIMIT,
-        eta_limit=_TAN_LIMIT,
     ),
     CatalogEntry(
         name="double_instanton",
         spec=SolutionSpec(SeparationCoefficients(2.0, 1.0, 2.0, 2.0),
-                          FAMILIES["instanton_p"], FAMILIES["instanton_q"]),
+                          FAMILIES["instanton_p"], FAMILIES["instanton_q"],
+                          valid_mask=_off_instanton_pole),
         reference_times=(0.0, 3.0, 6.0),
         window=((-8.0, 8.0), (-8.0, 8.0)),
         notes=(
             "two bonded humps whose amplitude decays in time",
             "profile pole at zeta = -1 is masked to halfwidth 0.05",
         ),
-        zeta_exclusions=((-1.0, 0.05),),
     ),
 )}
 

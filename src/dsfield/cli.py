@@ -137,7 +137,7 @@ def _write_report(lines, out):
 
 
 def _resolve_spec(args):
-    """(spec, window, valid_mask, label) from --case or --spec."""
+    """(spec, window, label) from --case or --spec."""
     if bool(args.case) == bool(args.spec):
         raise UsageError("give exactly one of --case or --spec")
     if args.case:
@@ -145,18 +145,16 @@ def _resolve_spec(args):
             entry = build_case(args.case)
         except ValueError as exc:
             raise UsageError(str(exc)) from None
-        window = entry.window
-        mask = entry.valid_mask
-        spec, label = entry.spec, entry.name
+        spec, window, label = entry.spec, entry.window, entry.name
     else:
         try:
             spec = load_spec(args.spec)
         except (OSError, SpecFileError) as exc:
             raise UsageError(f"cannot load spec file: {exc}") from None
-        window, mask, label = ((-8.0, 8.0), (-8.0, 8.0)), None, args.spec
+        window, label = ((-8.0, 8.0), (-8.0, 8.0)), args.spec
     if args.window:
         window = parse_window(args.window)
-    return spec, window, mask, label
+    return spec, window, label
 
 
 def _add_common(p: argparse.ArgumentParser):
@@ -190,10 +188,9 @@ def _cmd_catalog(args) -> int:
 
 
 def _cmd_render(args) -> int:
-    spec, window, mask, label = _resolve_spec(args)
+    spec, window, label = _resolve_spec(args)
     t = parse_time(args.t)
-    grid = sample_field(spec, args.which, window, t, nx=args.res, ny=args.res,
-                        valid_mask=mask)
+    grid = sample_field(spec, args.which, window, t, nx=args.res, ny=args.res)
     if args.which == "U":
         if max_abs(grid.values, grid.mask) < DEGENERATE_LEVEL:
             raise DegenerateInput(
@@ -217,14 +214,16 @@ def _check_lines(name, status, fields=(), notes=""):
 
 
 def _residual(report, threshold):
-    """(status, fields, notes) of a residual check against ``threshold``,
-    its fields ending with the report's counts of masked and dropped
-    samples if it is applicable.  An applicable report with notes fails:
-    they say that it checked nothing, or not every valid sample."""
+    """(status, fields, notes) of a residual check against ``threshold``;
+    an applicable report's fields also give its worst point, after max_abs,
+    and end with its counts of masked and dropped samples.  An applicable
+    report with notes fails: they say that it checked nothing, or not every
+    valid sample."""
     status = ("skipped" if not report.applicable
               else "pass" if report.max_abs < threshold and not report.notes else "fail")
-    counts = ("masked", "dropped") if report.applicable else ()
+    w, counts = report.worst_point, ("masked", "dropped") if report.applicable else ()
     return status, [("max_abs", f"{report.max_abs:.6e}"),
+                    *((("worst_at", f"{w.x:.17g},{w.y:.17g}"),) if report.applicable else ()),
                     ("mean_abs", f"{report.mean_abs:.6e}"),
                     ("samples", str(report.samples)),
                     ("threshold", f"{threshold:.1e}"),
@@ -232,7 +231,7 @@ def _residual(report, threshold):
 
 
 def _cmd_verify(args) -> int:
-    spec, window, mask, label = _resolve_spec(args)
+    spec, window, label = _resolve_spec(args)
     t = parse_time(args.t)
     requested = [c.strip() for c in args.checks.split(",") if c.strip()]
     unknown = [c for c in requested if c not in ALL_CHECKS]
@@ -245,7 +244,7 @@ def _cmd_verify(args) -> int:
             raise UsageError(f"--{option.replace('_', '-')} must be finite and "
                              f"positive, got {getattr(args, option)!r}")
     # every check on the --res grid reads this one bundle
-    ing = Ingredients(spec, window_grid(window, args.res, mask), t)
+    ing = Ingredients(spec, window_grid(window, args.res, spec.valid_mask), t)
 
     lines = [("case", label), ("t", f"{t:.17g}"),
              ("window", f"{window[0][0]:g}:{window[0][1]:g}"
@@ -264,7 +263,7 @@ def _cmd_verify(args) -> int:
     if "pde2" in requested:
         # pde2 reads its own bundle, on a grid of at most 24^2 points
         coarse, fine, order = pde_phi_convergence(
-            Ingredients(spec, window_grid(window, min(args.res, 24), mask), t))
+            Ingredients(spec, window_grid(window, min(args.res, 24), spec.valid_mask), t))
         ok = math.isfinite(order) and abs(order - 2.0) <= 0.3
         checks["pde2"] = ("pass" if ok else "fail", [
             ("mean_abs_h", f"{coarse.mean_abs:.6e}"),
@@ -312,7 +311,7 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_analyze(args) -> int:
-    spec, window, mask, label = _resolve_spec(args)
+    spec, window, label = _resolve_spec(args)
     chosen = [name for name, flag in (("period", args.period),
                                       ("decay", args.decay),
                                       ("peaks", args.peaks)) if flag]
@@ -328,8 +327,7 @@ def _cmd_analyze(args) -> int:
         if not t1 > t0:
             raise UsageError(f"--period wants t1 > t0, got {args.period!r}")
         n_t = int(parts[2])
-        res = estimate_period(spec, window, (t0, t1), n_t, args.statistic,
-                              grid_n=args.res, valid_mask=mask)
+        res = estimate_period(spec, window, (t0, t1), n_t, args.statistic, grid_n=args.res)
         lines += [
             ("statistic", args.statistic),
             ("period", "none" if res.estimated_period is None
@@ -344,13 +342,12 @@ def _cmd_analyze(args) -> int:
         times = [parse_time(v) for v in args.decay.split(",")]
         if len(set(times)) != len(times):
             raise UsageError(f"--decay repeats a time: {args.decay!r}")
-        res = decay_profile(spec, window, times, grid_n=args.res, valid_mask=mask)
+        res = decay_profile(spec, window, times, grid_n=args.res)
         for t, mx in res.decay_series:
             lines.append((f"max_at_t_{t!r}", f"{mx:.17g}"))
     else:
         t = parse_time(args.t)
-        grid = sample_field(spec, "U", window, t, nx=args.res, ny=args.res,
-                            valid_mask=mask)
+        grid = sample_field(spec, "U", window, t, nx=args.res, ny=args.res)
         res = analyze_extrema(grid)
         lines += [
             ("t", f"{t:.17g}"),

@@ -27,6 +27,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .ansatz import (
+    PHI_READS,
     SQRT2,
     SolutionSpec,
     _assemble,
@@ -112,8 +113,7 @@ class AnalyticsResult:
 # sampling
 
 
-def sample_field(spec: SolutionSpec, which: str, window, t: float, nx: int, ny: int,
-                 valid_mask=None) -> FieldGrid:
+def sample_field(spec: SolutionSpec, which: str, window, t: float, nx: int, ny: int) -> FieldGrid:
     """Sample one of the derived fields over an (x, y) window.
 
     ``which`` is one of ``U`` (intensity), ``phi`` (forcing field) or
@@ -121,13 +121,13 @@ def sample_field(spec: SolutionSpec, which: str, window, t: float, nx: int, ny: 
     equal spacing every ingredient is evaluated once per zeta and eta line:
     ``U`` by :func:`grid_intensity`, phi and ``bilinear2`` by ``fill_rows`` from
     one :class:`~dsfield.auxiliary.Ingredients` bundle, as verify reads them, and ``pde2``
-    as verify fills it.  Non-finite values are masked.  Raises if the window is entirely
-    invalid.
+    as verify fills it.  Non-finite values and points outside the spec's guard are
+    masked.  Raises if the window is entirely invalid.
     """
     if nx < 8 or ny < 8:
         raise ValueError("resolution must be at least 8 per axis")
     (x0, x1), (y0, y1) = window
-    grid = window_grid(window, (nx, ny), valid_mask)
+    grid = window_grid(window, (nx, ny), spec.valid_mask)
 
     if which == "U":
         vals = grid_intensity(spec, grid, t)[0]
@@ -136,7 +136,7 @@ def sample_field(spec: SolutionSpec, which: str, window, t: float, nx: int, ny: 
     elif which in ("phi", "bilinear2"):
         ing = Ingredients(spec, grid, t)
         block = ((lambda b: _bilinear2_field(spec, b)) if which == "bilinear2" else
-                 lambda b: (eval_phi(eval_f(spec, b.pj, b.qj), b.p0, b.q0),))
+                 lambda b: (eval_phi(eval_f(spec, b.pj, b.qj, PHI_READS), b.p0, b.q0),))
         vals = fill_rows((ny, nx), lambda rows: block(ing.rows(rows)))[0]
     else:
         raise ValueError(f"unknown field {which!r}; use U, phi, bilinear2, pde2")
@@ -222,11 +222,10 @@ def _neighbour_max(a: np.ndarray, shifts) -> np.ndarray:
     return out
 
 
-def refined_global_max(spec: SolutionSpec, window, t, nx: int = 192,
-                       ny: int = 192, valid_mask=None):
+def refined_global_max(spec: SolutionSpec, window, t, n: int = 192):
     """Grid maximum polished by a projected-Newton ascent on log U.
 
-    ``t`` is one time or a 1-D array of times, sampled on one grid in
+    ``t`` is one time or a 1-D array of times, sampled on one n x n grid in
     :func:`~dsfield.ansatz.batches` of times.  An ascent runs from every
     valid grid point that is not below any valid point of its
     8-neighbourhood on its own checkerboard sublattice, for all times at
@@ -243,7 +242,7 @@ def refined_global_max(spec: SolutionSpec, window, t, nx: int = 192,
     points outward is frozen (Bertsekas 1982) and each candidate is clipped
     to the window; where the free Hessian is not negative definite a
     gradient step replaces the Newton step.  A candidate is taken only where
-    U is finite, inside ``valid_mask``, not lower, and has risen by at least
+    U is finite, inside the spec's guard, not lower, and has risen by at least
     a quarter of the quadratic model's prediction; without a step taken the
     grid value stands.  A start ends after the step whose predicted gain in
     log U (the Newton decrement) is rounding, so its value is the converged
@@ -254,7 +253,7 @@ def refined_global_max(spec: SolutionSpec, window, t, nx: int = 192,
     for a scalar ``t``, arrays for an array.
     """
     times = np.atleast_1d(np.asarray(t, dtype=float))
-    grid = window_grid(window, (nx, ny), valid_mask)
+    grid = window_grid(window, n, spec.valid_mask)
     starts = []
     for batch, u, _, ok in _sample_u(spec, grid, times):
         v = np.where(ok, u, -np.inf)
@@ -266,9 +265,8 @@ def refined_global_max(spec: SolutionSpec, window, t, nx: int = 192,
     starts = starts[np.sort(np.unique(starts[:, :2], axis=0, return_index=True)[1])]
     it, u, xy = starts[:, 0].astype(int), starts[:, 1].copy(), starts[:, 2:].copy()
     (xa, xb), (ya, yb) = window
-    radius = max((xb - xa) / (nx - 1), (yb - ya) / (ny - 1))
-    _newton_ascent(spec, times[it], u, xy, np.array([xa, ya]), np.array([xb, yb]),
-                   radius, valid_mask)
+    radius = max(xb - xa, yb - ya) / (n - 1)
+    _newton_ascent(spec, times[it], u, xy, np.array([xa, ya]), np.array([xb, yb]), radius)
     best = np.full(times.size, -np.inf)
     np.maximum.at(best, it, u)
     top = np.flatnonzero(u == best[it])             # the first start of each time wins ties
@@ -298,10 +296,10 @@ _PERIOD_PROBES = 5
 _PERIOD_ITERATIONS = 6
 
 
-def _newton_ascent(spec, times, u, xy, lo, hi, radius, valid_mask):
+def _newton_ascent(spec, times, u, xy, lo, hi, radius):
     """Trust-region ascent from the points ``xy`` (n, 2) in the box [lo, hi]
     where U is ``u``; updates ``u`` and ``xy`` in place."""
-    u0, g, H = _log_intensity_jets(spec, times, xy, valid_mask)
+    u0, g, H = _log_intensity_jets(spec, times, xy)
     r = np.full(times.size, float(radius))
     run = np.flatnonzero((u > 0) & np.isfinite(u0))
     for _ in range(_ASCENT_ITERATIONS):
@@ -314,7 +312,7 @@ def _newton_ascent(spec, times, u, xy, lo, hi, radius, valid_mask):
             break
         pred = (np.einsum("ni,ni->n", g[run], s)
                 + 0.5 * np.einsum("ni,nij,nj->n", s, H[run], s))
-        uc, gc, Hc = _log_intensity_jets(spec, times[run], xy[run] + s, valid_mask)
+        uc, gc, Hc = _log_intensity_jets(spec, times[run], xy[run] + s)
         with np.errstate(divide="ignore", invalid="ignore"):
             rho = np.log(uc / u[run]) / pred
         ok = (uc >= u[run]) & ((rho >= 0.25) | (pred <= _ASCENT_PRED_FLOOR))
@@ -352,11 +350,11 @@ def _step(g, H, xy, lo, hi, r):
     return np.where(np.isfinite(d), d, 0.0), gain, gn
 
 
-def _log_intensity_jets(spec, times, xy, valid_mask):
+def _log_intensity_jets(spec, times, xy):
     """U at the points ``xy`` (n, 2) with the gradient (n, 2) and Hessian
     (n, 2, 2) in (x, y) of log U = log|p_z| + log|q_e| - 2 log|f|, as ratios
     of the profiles' box (3, 0) jets (f_z = (a1 + a3 q) p_z, f_ze = a3 p_z q_e,
-    ...); U is NaN outside ``valid_mask`` and where any of them is not finite."""
+    ...); U is NaN outside the spec's guard and where any of them is not finite."""
     zeta, eta = rotate(xy[:, 0], xy[:, 1])
     pj, qj = profile_jets3(spec, zeta, eta, times, (3, 0))
     a, p, q = spec.coeffs, pj.value, qj.value
@@ -377,8 +375,8 @@ def _log_intensity_jets(spec, times, xy, valid_mask):
     H[:, 0, 0], H[:, 1, 1] = 0.5 * (hzz + hee) + hze, 0.5 * (hzz + hee) - hze
     H[:, 0, 1] = H[:, 1, 0] = 0.5 * (hee - hzz)
     ok = np.isfinite(u) & np.isfinite(g).all(axis=1) & np.isfinite(H).all(axis=(1, 2))
-    if valid_mask is not None:
-        ok &= valid_mask(zeta, eta)
+    if spec.valid_mask is not None:
+        ok &= spec.valid_mask(zeta, eta)
     return np.where(ok, u, np.nan), g, H
 
 
@@ -386,21 +384,20 @@ def _log_intensity_jets(spec, times, xy, valid_mask):
 # time analytics
 
 
-def _statistic(spec, window, times, statistic, grid_n, valid_mask, rate=False):
+def _statistic(spec, window, times, statistic, grid_n, rate=False):
     """(S, S') at ``times``: S the refined global max of U or the L2 norm of
     U over each time's valid samples; S' only with ``rate``, else None: U_t
     at the polished argmax for global_max (envelope theorem), mean(U U_t)/S
     for L2.  Raises SingularWindowError if some time has no valid sample."""
     if statistic == "global_max":
-        u, (x, y) = refined_global_max(spec, window, times, grid_n, grid_n,
-                                       valid_mask)
+        u, (x, y) = refined_global_max(spec, window, times, grid_n)
         ut = eval_intensity(spec, *profile_jets3(spec, *rotate(x, y), times, (1, 1)),
                             dt=True)[1] if rate else None
         return u, ut
     if statistic != "L2":
         raise ValueError(f"unknown statistic {statistic!r}")
-    parts = []
-    for _, u, ut, ok in _sample_u(spec, window_grid(window, grid_n, valid_mask), times, rate):
+    grid, parts = window_grid(window, grid_n, spec.valid_mask), []
+    for _, u, ut, ok in _sample_u(spec, grid, times, rate):
         n = np.count_nonzero(ok, axis=(1, 2))
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             s = np.sqrt(np.sum(u * u, axis=(1, 2), where=ok) / n)
@@ -411,8 +408,7 @@ def _statistic(spec, window, times, statistic, grid_n, valid_mask, rate=False):
 
 def estimate_period(spec: SolutionSpec, window, t_range: tuple[float, float],
                     n_t: int = 128, statistic: str = "global_max",
-                    grid_n: int = 48, valid_mask=None,
-                    tie_tol: float = 1e-9) -> AnalyticsResult:
+                    grid_n: int = 48, tie_tol: float = 1e-9) -> AnalyticsResult:
     """Smallest time shift under which the chosen statistic repeats.
 
     A period is reported only if a uniform scan over shifts up to half the
@@ -428,7 +424,7 @@ def estimate_period(spec: SolutionSpec, window, t_range: tuple[float, float],
     t0, t1 = t_range
     times = np.linspace(t0, t1, n_t, endpoint=False)
     dt = (t1 - t0) / n_t
-    series = _statistic(spec, window, times, statistic, grid_n, valid_mask)[0]
+    series = _statistic(spec, window, times, statistic, grid_n)[0]
 
     scale = float(np.max(np.abs(series))) or 1.0
     if float(np.max(series) - np.min(series)) < tie_tol * scale:
@@ -441,14 +437,14 @@ def estimate_period(spec: SolutionSpec, window, t_range: tuple[float, float],
             best_k, best_mis = k, mis
         if mis < tie_tol * scale:
             period, mismatch = _refine_period(spec, window, statistic, grid_n,
-                                              valid_mask, times, series, k, dt, scale)
+                                              times, series, k, dt, scale)
             return AnalyticsResult(estimated_period=period, period_resolution=dt,
                                    best_candidate=k * dt, period_mismatch=mismatch)
     return AnalyticsResult(estimated_period=None, period_resolution=dt,
                            best_candidate=best_k * dt if best_k else None)
 
 
-def _refine_period(spec, window, statistic, grid_n, valid_mask, times, series, k, dt, scale):
+def _refine_period(spec, window, statistic, grid_n, times, series, k, dt, scale):
     """Gauss-Newton solve of g_i(T) = S(b_i + T) - S(b_i) = 0 from the scan
     shift k dt, b_i up to _PERIOD_PROBES scan ``times`` in its first 0.9 with
     S(b_i) in ``series``, ended by a step out of one scan step around k dt, one
@@ -459,7 +455,7 @@ def _refine_period(spec, window, statistic, grid_n, valid_mask, times, series, k
     base, ref, period = times[pick], series[pick], k * dt
     T, best = period, None
     for _ in range(_PERIOD_ITERATIONS):
-        s, ds = _statistic(spec, window, base + T, statistic, grid_n, valid_mask, rate=True)
+        s, ds = _statistic(spec, window, base + T, statistic, grid_n, rate=True)
         g = s - ref
         mis = float(np.max(np.abs(g)))
         if best is not None and not mis < best[1]:
@@ -474,12 +470,11 @@ def _refine_period(spec, window, statistic, grid_n, valid_mask, times, series, k
 
 
 def decay_profile(spec: SolutionSpec, window, times: Sequence[float],
-                  grid_n: int = 256, valid_mask=None) -> AnalyticsResult:
+                  grid_n: int = 256) -> AnalyticsResult:
     """(t, refined max U) pairs across the requested times."""
     if not len(times):
         raise ValueError("need at least one time")
-    peaks, _ = refined_global_max(spec, window, times, grid_n, grid_n,
-                                  valid_mask)
+    peaks, _ = refined_global_max(spec, window, times, grid_n)
     return AnalyticsResult(decay_series=tuple(
         (float(t), mx) for t, mx in zip(times, peaks.tolist())))
 

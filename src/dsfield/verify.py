@@ -6,14 +6,14 @@ Three independent suites certify a solution spec:
   the left side is identically 4 det p_z q_e, so the check compares that
   closed form with g g* from the amplitude factors, to a few roundings of
   |g g*|;
-* the governing equations in the rotated frame: the envelope equation,
-  as line 1 of the bilinear form and as the u-form with the forcing field,
-  both from one evaluation per block of grid rows of the order-2 jets in
-  (zeta, eta, t) of f and of the envelope g, the product of the bundle's
-  line carriers; and the forcing-field constraint by finite differences of
-  the jet-computed fields (with a convergence mode), from each profile
-  once per stencil line and U and phi broadcast onto the stencil, the
-  stencils summed in a fixed order per block of grid rows;
+* the governing equations in the rotated frame: the envelope equation, as
+  line 1 of the bilinear form and as the u-form with the forcing field, both
+  from one evaluation per block of grid rows of the jets in (zeta, eta, t)
+  of f and of the envelope g, the product of the bundle's line carriers, on
+  the order-2 entries it reads; and the forcing-field constraint by finite
+  differences of the jet-computed fields (with a convergence mode), from
+  each profile once per stencil line and U and phi broadcast onto the
+  stencil, the stencils summed in a fixed order per block of grid rows;
 * the window scan, :func:`~dsfield.ansatz.check_admissibility`: zeros of
   f from f's value alone, the sign condition, and profile poles from
   sweeps of profile values alone.
@@ -40,6 +40,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .ansatz import (
+    PHI_READS,
     AdmissibilityReport,
     CoordinatePoint,
     SolutionSpec,
@@ -113,13 +114,18 @@ def hirota_cross(tau) -> float:
 # envelope equation
 
 
+# the entries of g and of f that the envelope pass reads, in (zeta, eta, t)
+_G_READS = ((0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1), (2, 0, 0), (0, 2, 0))
+_F_READS = ((0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1), (2, 0, 0), (1, 1, 0), (0, 2, 0))
+
+
 def _envelope_fields(spec: SolutionSpec, t, b):
     """|residual| of line 1 of the bilinear form, its terms scaled by 1/f^3, and
     of the envelope equation for u = g/f with phi, g = P Q, from the row entries ``b``."""
-    g = b.P.shift(order=2, axes=(0, 2), n=3) * b.Q.shift(order=2, axes=(1, 2), n=3)
-    g, g_z, g_e, g_t, g_zz, _, _, g_ee, _, _ = g.entries
-    tau = eval_f(spec, b.pj, b.qj)
-    f, f_z, f_e, f_t, f_zz, f_ze, _, f_ee, _, _ = tau.entries
+    g = b.P.shift(order=_G_READS, axes=(0, 2), n=3) * b.Q.shift(order=_G_READS, axes=(1, 2), n=3)
+    g, g_z, g_e, g_t, g_zz, g_ee = map(g.__getitem__, _G_READS)
+    tau = eval_f(spec, b.pj, b.qj, _F_READS)
+    f, f_z, f_e, f_t, f_zz, f_ze, f_ee = map(tau.__getitem__, _F_READS)
     beta = spec.funcs.beta(t)
     gamma = spec.funcs.gamma(t)
     f2 = f * f
@@ -230,7 +236,7 @@ def _pde2_field(spec, grid, t, stencil: Stencil):
         # backgrounds, so the check is exact without them and stays
         # defined at degenerate times
         U = eval_intensity(spec, pj, qj)[0]
-        PHI = eval_phi(eval_f(spec, pj, qj), 0.0, 0.0)
+        PHI = eval_phi(eval_f(spec, pj, qj, PHI_READS), 0.0, 0.0)
         u_ze, phi_ze = (wsum(cross, v.reshape(-1, *v.shape[2:])) for v in (U, PHI))
         return (np.abs(4.0 * phi_ze - wsum(w2, U[:, half]) - wsum(w2, U[half]) - 2.0 * u_ze),)
 
@@ -251,10 +257,9 @@ def pde_phi_convergence(ing: Ingredients, stencil: Stencil = PDE2_STENCIL):
 
 
 # kept while perfbench/tracer.py wraps this name
-def singularity_scan(spec: SolutionSpec, window, t: float, samples=128,
-                     valid_mask=None) -> AdmissibilityReport:
-    """:func:`~dsfield.ansatz.check_admissibility` on a fresh window grid,
-    from the profiles' box (1, 0) jets there."""
-    grid = window_grid(window, samples, valid_mask)
+def singularity_scan(spec: SolutionSpec, window, t: float, samples=128) -> AdmissibilityReport:
+    """:func:`~dsfield.ansatz.check_admissibility` on a fresh window grid under the
+    spec's guard, from the profiles' box (1, 0) jets there."""
+    grid = window_grid(window, samples, spec.valid_mask)
     return check_admissibility(spec, grid, t,
                                *profile_jets3(spec, *rotate(grid.X, grid.Y), t, (1, 0)))

@@ -128,13 +128,11 @@ def test_criterion_5_periodic_pattern():
     with criterion(5, "periodic pattern point-reflection symmetry and period"):
         e = build_case("periodic")
         for t in (0.4, 1.1):
-            ga = sample_field(e.spec, "U", e.window, t + math.pi, 96, 96,
-                              valid_mask=e.valid_mask)
-            gb = sample_field(e.spec, "U", e.window, t, 96, 96,
-                              valid_mask=e.valid_mask)
+            ga = sample_field(e.spec, "U", e.window, t + math.pi, 96, 96)
+            gb = sample_field(e.spec, "U", e.window, t, 96, 96)
             assert point_reflection_defect(ga, gb) < 1e-12
         res = estimate_period(e.spec, e.window, (0.0, 2 * math.pi), 32,
-                              "global_max", grid_n=32, valid_mask=e.valid_mask)
+                              "global_max", grid_n=32)
         assert res.estimated_period == pytest.approx(math.pi,
                                                      abs=res.period_resolution)
 
@@ -145,12 +143,11 @@ def test_criterion_6_double_instanton_decay():
         # decay window [-12,12]^2: the structure drifts to eta ~ -13.7 by
         # t = 6, outside the default render window
         res = decay_profile(e.spec, ((-12, 12), (-12, 12)), (0.0, 3.0, 6.0),
-                            grid_n=384, valid_mask=e.valid_mask)
+                            grid_n=384)
         maxima = [m for _, m in res.decay_series]
         for got, ref in zip(maxima, (0.6, 0.006, 1.5e-5)):
             assert abs(got - ref) <= 0.25 * ref, (got, ref)
-        grid = sample_field(e.spec, "U", e.window, 0.0, 256, 256,
-                            valid_mask=e.valid_mask)
+        grid = sample_field(e.spec, "U", e.window, 0.0, 256, 256)
         assert len(analyze_extrema(grid).local_maxima) == 2
 
 
@@ -160,7 +157,7 @@ def test_criterion_7_dromion_structure():
         grid = sample_field(e.spec, "U", e.window, 0.0, 512, 512)
         assert len(analyze_extrema(grid).local_maxima) == 1
 
-        peak, (px, py) = refined_global_max(e.spec, e.window, 0.0, 128, 128)
+        peak, (px, py) = refined_global_max(e.spec, e.window, 0.0, 128)
         assert peak == pytest.approx(2.0 / (2.0 + math.sqrt(2.0)) ** 2, rel=1e-13)
         X, Y = np.meshgrid(grid.x, grid.y)
         outside = (np.hypot(X - px, Y - py) > 6.0) & grid.mask

@@ -62,7 +62,7 @@ def test_refined_peak_is_a_stationary_point_of_log_u(name, window, t, bound):
     # ``bound`` ulp of U there and its point within 1e-10 grid steps
     e = build_case(name)
     window = window or e.window
-    value, (x, y) = refined_global_max(e.spec, window, t, 96, 96, e.valid_mask)
+    value, (x, y) = refined_global_max(e.spec, window, t, 96)
     u = intensity_oracle(name)
     with mpmath.workdps(40):
         log_u = lambda x, y: mpmath.log(u(x, y, mpmath.mpf(t)))      # noqa: E731

@@ -1,10 +1,12 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from dsfield import ansatz
 from dsfield.ansatz import (
+    PHI_READS,
     SQRT2,
     SeparationCoefficients,
     SolutionSpec,
@@ -249,6 +251,18 @@ def test_phi_dromion_origin_value(dromion):
     want = -(fz + fz) ** 2 / f**2 + (fzz + 2 * fze + fzz) / f + 0.75
     got = eval_phi(eval_f(dromion, *profile_jets3(dromion, 0.0, 0.0, 0.0)), 0.375, 0.375)
     assert got == pytest.approx(want, rel=1e-13)
+
+
+@pytest.mark.parametrize("name", case_names())
+def test_phi_from_its_six_entries_keeps_the_bits_of_the_full_jet(name):
+    # f on the (zeta, eta) entries that eval_phi reads: each entry is the full
+    # jet's, the same Leibniz terms in the same order, so phi keeps its bits
+    e = build_case(name)
+    zeta, eta = rotate(*np.meshgrid(np.linspace(-3, 3, 9), np.linspace(-2, 2, 7)))
+    pj, qj = profile_jets3(e.spec, zeta, eta, 0.3)
+    full, narrow = eval_f(e.spec, pj, qj), eval_f(e.spec, pj, qj, PHI_READS)
+    assert narrow.layout.index == PHI_READS and len(full.entries) == 10
+    assert eval_phi(narrow, 0.1, 0.2).tobytes() == eval_phi(full, 0.1, 0.2).tobytes()
 
 
 def test_phi_two_forms_agree(rng):
@@ -542,7 +556,7 @@ def test_admissibility_and_scan_assemble_f_once(name, monkeypatch):
     import dsfield.verify as verify
     e = build_case(name)
     coeffs = CountingCoefficients(e.spec.coeffs)
-    spec = SolutionSpec(coeffs, e.spec.p, e.spec.q, e.spec.funcs)
+    spec = replace(e.spec, coeffs=coeffs)
     # the admissibility scan takes U from the f it scans
     rep = admissibility(spec, e.window, 0.3, (24, 24), e.valid_mask)
     assert coeffs.a0_reads == 1
@@ -558,7 +572,7 @@ def test_admissibility_and_scan_assemble_f_once(name, monkeypatch):
 
     monkeypatch.setattr(ansatz, "eval_f", recording_eval_f)
     coeffs.a0_reads = 0
-    verify.singularity_scan(spec, e.window, 0.3, 24, e.valid_mask)
+    verify.singularity_scan(spec, e.window, 0.3, 24)
     assert coeffs.a0_reads == 1
     assert [len(f.entries) for f in built] == [1]
 

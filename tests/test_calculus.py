@@ -222,6 +222,23 @@ def test_box_layout_pairs_restrict_the_total_order_table():
     assert len(jc.layout(2, (3, 3)).index) == 16
 
 
+def test_layout_of_boxes_holds_what_lies_below_any_of_them():
+    # a reader names the entries it reads: the layout is the union of their
+    # boxes, in graded order, and a product on it keeps the bits of the full
+    # product's entries (the same Leibniz terms, summed in the same order)
+    reads = ((0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1), (2, 0, 0), (1, 1, 0), (0, 2, 0))
+    assert jc.layout(3, reads).index == reads
+    assert jc.layout(3, ((1, 1, 0), (0, 0, 1))).index == (
+        (0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 0))
+    rng = np.random.default_rng(3)
+    p, q = (Jet(rng.normal(size=(6, 5)), L2) for _ in range(2))     # in (zeta, t), (eta, t)
+    full = p.shift(order=2, axes=(0, 2), n=3) * q.shift(order=2, axes=(1, 2), n=3)
+    part = p.shift(order=reads, axes=(0, 2), n=3) * q.shift(order=reads, axes=(1, 2), n=3)
+    assert len(part.entries) == 7
+    for m in reads:
+        assert part[m].tobytes() == full[m].tobytes()
+
+
 def test_box_jet_holds_only_its_box():
     # t is a constant of the box (1, 0); a derivative outside the box raises
     # rather than reading as a structural zero

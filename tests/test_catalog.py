@@ -1,10 +1,12 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from dsfield.ansatz import profile_jets3, rotate
+from dsfield.ansatz import profile_jets3, rotate, window_grid
 from dsfield.catalog import build_case, case_names
+from dsfield.field import sample_field
 
 E = math.e
 
@@ -123,9 +125,30 @@ def test_breather_equality_exactly_at_half_pi():
 
 def test_periodic_mask_excludes_tan_poles():
     e = build_case("periodic")
-    assert e.zeta_limit == pytest.approx(math.pi / 2 - 0.1)
+    # the guard keeps |zeta|, |eta| <= pi/2 - 0.1 to the last float and
+    # drops the next one beyond it, on both sides of both axes
+    limit = math.pi / 2 - 0.1
+    side = np.array([limit, np.nextafter(limit, math.inf)])
+    for s in (side, -side):
+        assert e.valid_mask(s, np.zeros(2)).tolist() == [True, False]
+        assert e.valid_mask(np.zeros(2), s).tolist() == [True, False]
     ok = e.valid_mask(np.array([0.0, math.pi / 2]), np.array([0.0, 0.0]))
     assert ok.tolist() == [True, False]
+
+
+@pytest.mark.parametrize("which", ["U", "phi"])
+@pytest.mark.parametrize("name", case_names())
+def test_spec_guard_masks_only_what_it_drops(name, which):
+    # the guard travels with the spec: a case's field equals that of its
+    # unguarded copy, bit for bit, wherever the guard keeps the point, and
+    # is masked wherever it drops it; periodic and double_instanton drop some
+    e = build_case(name)
+    keep = window_grid(e.window, 48, e.valid_mask).keep
+    guarded = sample_field(e.spec, which, e.window, 0.3, 48, 48)
+    bare = sample_field(replace(e.spec, valid_mask=None), which, e.window, 0.3, 48, 48)
+    assert keep.all() == (e.spec.valid_mask is None)
+    np.testing.assert_array_equal(guarded.mask, bare.mask & keep)
+    np.testing.assert_array_equal(guarded.values[keep], bare.values[keep], strict=True)
 
 
 def test_instanton_mask_excludes_pole():

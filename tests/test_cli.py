@@ -627,7 +627,7 @@ def test_verify_admissibility_counts_poles_without_a_second_scan(
     import dsfield.verify as verify
     e = build_case(name)
     t = e.reference_times[0]
-    scan = verify.singularity_scan(e.spec, e.window, t, 48, e.valid_mask)
+    scan = verify.singularity_scan(e.spec, e.window, t, 48)
     expected = len(scan.pole_intervals_zeta) + len(scan.pole_intervals_eta)
 
     def no_scan(*args, **kwargs):
@@ -823,6 +823,42 @@ def test_verify_catalog_verdicts(tmp_path):
             assert code == (1 if failed else 0), (name, t)
             seen.add((name, t))
     assert len(seen) == 22 and set(CATALOG_VERDICTS) <= seen
+
+
+@pytest.mark.parametrize("window", [None, "-7.5:7.5:-7:7"], ids=["lattice", "off-lattice"])
+@pytest.mark.parametrize("name", case_names())
+def test_verify_prints_the_point_where_each_residual_peaks(tmp_path, name, window):
+    # each residual re-evaluated on a one-point grid at the printed worst_at,
+    # from the line coordinates and phases the report's grid has there, gives
+    # the printed max_abs, its full value to a few ulp; the residuals are
+    # rounding, so no other point does that.  A skipped check prints no point
+    from dsfield.ansatz import WindowGrid, row_window
+    from dsfield.auxiliary import Ingredients
+    from dsfield.verify import bilinear_residuals, envelope_residuals
+    e = build_case(name)
+    t = e.reference_times[0]
+    _, rep = _verify_report(tmp_path, "--case", name, "--t", repr(t),
+                            *(["--window=" + window] if window else []))
+    g = window_grid(parse_window(window) if window else e.window, 64, e.valid_mask)
+    ing = Ingredients(e.spec, g, t)
+    for k, report in enumerate((bilinear_residuals(ing), *envelope_residuals(ing))):
+        key = f"check.{report.check_name}."
+        if not report.applicable:
+            assert key + "worst_at" not in rep
+            continue
+        x, y = map(float, rep[key + "worst_at"].split(","))
+        (i,), (j,) = np.nonzero((g.X == x) & (g.Y == y))
+
+        def at(lines, v):
+            return np.array([[row_window(g, lines, v)[..., i, j]]])
+        one = Ingredients(e.spec, WindowGrid(np.array([[x]]), np.array([[y]]),
+                                             np.ones((1, 1), bool), at(g.zeta_lines, g.zeta_lines),
+                                             at(g.eta_lines, g.eta_lines)), t)
+        one.r = tuple(at(g.zeta_lines, v) for v in ing.r)
+        one.s = tuple(at(g.eta_lines, v) for v in ing.s)
+        again = (bilinear_residuals(one), *envelope_residuals(one))[k]
+        assert f"{again.max_abs:.6e}" == rep[key + "max_abs"]
+        assert abs(again.max_abs - report.max_abs) <= 4 * np.spacing(report.max_abs)
 
 
 def test_verify_envelope_checks_share_the_res_grid(tmp_path):

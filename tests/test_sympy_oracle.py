@@ -137,8 +137,9 @@ def test_log_intensity_gradient_and_hessian_match_sympy(name):
     hess = [[dx(g), dy(g)] for g in grad]
     at = [rotate(x, y) + (t,) for x, y, t in points]
     names = ("zeta", "eta", "t")
-    got_u, got_g, got_h = _log_intensity_jets(spec, np.array([pt[2] for pt in points]),
-                                              np.array([pt[:2] for pt in points]), None)
+    got_u, got_g, got_h = _log_intensity_jets(dataclasses.replace(spec, valid_mask=None),
+                                              np.array([pt[2] for pt in points]),
+                                              np.array([pt[:2] for pt in points]))
     for n, w in enumerate(evaluate(u, at, names)):
         assert_close(got_u[n], w, ("U", points[n]))
     for i in range(2):

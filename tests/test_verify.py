@@ -300,6 +300,29 @@ def _hand_envelope_terms(b):
     ]
 
 
+def test_each_reader_multiplies_jets_on_the_entries_it_reads(monkeypatch):
+    # the jets in (zeta, eta, t): phi, in its render and in pde2's stencils,
+    # builds f on the six (zeta, eta) entries it reads; the envelope pass
+    # builds f on seven and g = P Q on six; the full order-2 layout has ten
+    from dsfield import calculus
+    sizes, real = [], calculus._product
+
+    def recording(a, b):
+        if a.layout.n == 3:
+            sizes.append(len(a.entries))
+        return real(a, b)
+
+    monkeypatch.setattr(calculus, "_product", recording)
+    e = build_case("double_instanton")
+    for which in ("phi", "pde2"):
+        sizes.clear()
+        sample_field(e.spec, which, e.window, 0.3, 16, 16)
+        assert set(sizes) == {6}, which
+    sizes.clear()
+    envelope_residuals(bundle(e.spec, e.window, 0.3, 16, e.valid_mask))
+    assert sorted(set(sizes)) == [6, 7]
+
+
 @pytest.mark.parametrize("name", case_names())
 def test_envelope_jet_is_the_hand_expanded_product_rule(name):
     # the carrier product P Q gives g's entries within 8 eps of the scale of
@@ -497,7 +520,7 @@ def test_line_bundle_is_the_point_formulas_at_the_lattice_coordinates(name, monk
             monkeypatch.undo()
             for which, values in want.items():
                 mask = grid.keep & np.isfinite(values)
-                got = sample_field(e.spec, which, e.window, t, nx, ny, e.valid_mask)
+                got = sample_field(e.spec, which, e.window, t, nx, ny)
                 np.testing.assert_array_equal(got.mask, mask)
                 assert got.values.tobytes() == np.where(mask, values, 0.0).tobytes(), (
                     samples, t, which)
@@ -516,7 +539,7 @@ def test_residual_renders_match_report():
         ing = bundle(e.spec, e.window, t, 48, e.valid_mask)
         line2, pde2 = bilinear_residuals(ing), pde_residuals(ing)
         for which, rep in (("bilinear2", line2), ("pde2", pde2)):
-            grid = sample_field(e.spec, which, e.window, t, 48, 48, e.valid_mask)
+            grid = sample_field(e.spec, which, e.window, t, 48, 48)
             assert np.max(grid.values[grid.mask]) == rep.max_abs, (name, which)
             assert np.count_nonzero(grid.mask) == rep.samples, (name, which)
 
@@ -530,7 +553,7 @@ def test_scan_agrees_with_admissibility(name):
     t = e.reference_times[0]
     g = window_grid(e.window, (48, 48), e.valid_mask)
     rep = check_admissibility(e.spec, g, t, *profile_jets3(e.spec, *rotate(g.X, g.Y), t))
-    scan = singularity_scan(e.spec, e.window, t, 48, e.valid_mask)
+    scan = singularity_scan(e.spec, e.window, t, 48)
     assert scan.min_abs_f == rep.min_abs_f
     assert scan.min_f_point == rep.min_f_point
     assert scan.sign_changes == rep.sign_changes
@@ -579,7 +602,7 @@ def test_admissibility_is_the_one_window_scan(name):
     rep = check_admissibility(e.spec, g, t, *profile_jets3(e.spec, zeta, eta, t))
     assert rep.pole_intervals_zeta == pole_sweep(e.spec.p, zeta, t)
     assert rep.pole_intervals_eta == pole_sweep(e.spec.q, eta, t)
-    assert singularity_scan(e.spec, e.window, t, 48, e.valid_mask) == rep
+    assert singularity_scan(e.spec, e.window, t, 48) == rep
 
     f = np.where(g.keep, eval_f(e.spec, *profile_jets3(e.spec, zeta, eta, t), order=0).value,
                  np.nan)
