@@ -251,7 +251,8 @@ class ConsistencyReport:
     separation is certified when both variations are at the rounding level;
     ``max_variation`` is NaN when either is, so the check fails closed.
     ``probes`` counts the zeta and eta probes, ``finite_probes`` those whose
-    ratio is finite, the only ones the variations and means read.
+    ratio is finite, the only ones the variations and means read.  ``note`` says
+    why it is not applicable, or how many probes inside the guard are not finite.
     """
 
     applicable: bool
@@ -271,7 +272,8 @@ class ConsistencyReport:
 
 def consistency_c1_c2(aux: Auxiliaries, zeta_probes, eta_probes,
                       t: float) -> ConsistencyReport:
-    """The bracket ratios c1, c2 of ``aux``'s spec at the probes."""
+    """The bracket ratios c1, c2 of ``aux``'s spec at the probes; a zeta (eta) probe is
+    inside the guard if the spec has none or it keeps the probe at some eta (zeta) probe."""
     spec = aux.spec
     a3 = spec.coeffs.a3
     if a3 == 0.0:
@@ -300,7 +302,13 @@ def consistency_c1_c2(aux: Auxiliaries, zeta_probes, eta_probes,
             return math.nan, math.nan, 0
         return float(np.max(v) - np.min(v)), float(np.mean(v)), v.size
 
-    var1, mean1, n1 = spread(np.atleast_1d(c1_vals))
-    var2, mean2, n2 = spread(np.atleast_1d(c2_vals))
+    keep = np.ones((zeta_probes.size, eta_probes.size), dtype=bool)
+    if spec.valid_mask is not None:
+        keep = keep & spec.valid_mask(zeta_probes[:, None], eta_probes[None])
+    lost = int(np.count_nonzero(keep.any(axis=1) & ~np.isfinite(c1_vals))
+               + np.count_nonzero(keep.any(axis=0) & ~np.isfinite(c2_vals)))
+    var1, mean1, n1 = spread(c1_vals)
+    var2, mean2, n2 = spread(c2_vals)
     return ConsistencyReport(True, var1, var2, mean1, mean2, t,
-                             int(zeta_probes.size + eta_probes.size), n1 + n2)
+                             int(zeta_probes.size + eta_probes.size), n1 + n2,
+                             f"{lost} probes not finite inside the valid set" if lost else "")

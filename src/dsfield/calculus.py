@@ -1,4 +1,4 @@
-"""Truncated Taylor jets plus finite-difference stencils.
+"""Truncated Taylor jets.
 
 :class:`Jet` is the one derivative carrier of the package: the partial
 derivatives of a function through a total order, a box of per-variable
@@ -24,7 +24,6 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -52,7 +51,6 @@ __all__ = [
     "layout",
     "constant",
     "variables",
-    "Stencil",
     "exp",
     "log",
     "sqrt",
@@ -60,7 +58,6 @@ __all__ = [
     "cos",
     "tan",
     "powi",
-    "observed_order",
 ]
 
 
@@ -396,41 +393,3 @@ def powi(j, k: int):
     if k < 0:
         j, k = _reciprocal(j), -k
     return j if k == 1 else _elementary(j, "powi", k)
-
-
-# ---------------------------------------------------------------------------
-# finite differences
-
-
-_STENCIL_WEIGHTS = {
-    (1, 2): (-0.5, 0.0, 0.5),
-    (1, 4): (1 / 12, -2 / 3, 0.0, 2 / 3, -1 / 12),
-    (2, 2): (1.0, -2.0, 1.0),
-    (2, 4): (-1 / 12, 4 / 3, -5 / 2, 4 / 3, -1 / 12),
-}
-
-
-@dataclass(frozen=True)
-class Stencil:
-    """Central finite-difference stencil of given derivative order and accuracy."""
-
-    order: int
-    accuracy: int
-    h: float
-
-    def __post_init__(self):
-        if (self.order, self.accuracy) not in _STENCIL_WEIGHTS:
-            raise ValueError(f"no stencil for order={self.order}, accuracy={self.accuracy}")
-        if not self.h > 0:
-            raise ValueError("step size must be positive")
-
-    @property
-    def weights(self) -> np.ndarray:
-        return np.asarray(_STENCIL_WEIGHTS[(self.order, self.accuracy)])
-
-
-def observed_order(err_coarse: float, err_fine: float) -> float:
-    """Convergence order implied by errors at h and h/2."""
-    if not (err_coarse > 0 and err_fine > 0):
-        return float("nan")
-    return math.log2(err_coarse / err_fine)

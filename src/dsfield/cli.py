@@ -261,10 +261,11 @@ def _cmd_verify(args) -> int:
                 checks[rep.check_name] = _residual(rep, args.tol_pde)
 
     if "pde2" in requested:
-        # pde2 reads its own bundle, on a grid of at most 24^2 points
+        # pde2 runs on its own grid of at most 24^2 points and fails on a drop at either step
         coarse, fine, order = pde_phi_convergence(
-            Ingredients(spec, window_grid(window, min(args.res, 24), spec.valid_mask), t))
-        ok = math.isfinite(order) and abs(order - 2.0) <= 0.3
+            spec, window_grid(window, min(args.res, 24), spec.valid_mask), t)
+        notes = "; ".join(dict.fromkeys(r.notes for r in (coarse, fine) if r.notes))
+        ok = math.isfinite(order) and abs(order - 2.0) <= 0.3 and not notes
         checks["pde2"] = ("pass" if ok else "fail", [
             ("mean_abs_h", f"{coarse.mean_abs:.6e}"),
             ("mean_abs_h2", f"{fine.mean_abs:.6e}"),
@@ -272,21 +273,22 @@ def _cmd_verify(args) -> int:
             ("nominal_order", "2"),
             ("masked", str(coarse.masked)),
             ("dropped_h", str(coarse.dropped)),
-            ("dropped_h2", str(fine.dropped))])
+            ("dropped_h2", str(fine.dropped))], notes)
 
     if "consistency" in requested:
         crep = ing.consistency
         if not crep.applicable:
             checks["consistency"] = ("skipped", (), crep.note)
         else:
-            ok = crep.max_variation <= args.tol_consistency
+            ok = crep.max_variation <= args.tol_consistency and not crep.note
             var = {"c1_variation": crep.c1_variation, "c2_variation": crep.c2_variation}
+            notes = [f"{key} undefined (nan)" for key, v in var.items() if math.isnan(v)]
             checks["consistency"] = ("pass" if ok else "fail", [
                 *((key, f"{v:.6e}") for key, v in var.items()),
                 ("threshold", f"{args.tol_consistency:.1e}"),
                 ("probes", str(crep.probes)),
                 ("finite_probes", str(crep.finite_probes))],
-                "; ".join(f"{key} undefined (nan)" for key, v in var.items() if math.isnan(v)))
+                "; ".join(filter(None, notes + [crep.note])))
 
     if "admissibility" in requested:
         rep = check_admissibility(spec, ing.grid, t, ing.rows().pj, ing.rows().qj)

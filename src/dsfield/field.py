@@ -44,7 +44,7 @@ from .ansatz import (
     window_grid,
 )
 from .auxiliary import Ingredients
-from .verify import PDE2_STENCIL, _bilinear2_field, _pde2_field
+from .verify import _bilinear2_field, _pde2_field
 
 __all__ = [
     "SingularWindowError",
@@ -132,7 +132,7 @@ def sample_field(spec: SolutionSpec, which: str, window, t: float, nx: int, ny: 
     if which == "U":
         vals = grid_intensity(spec, grid, t)[0]
     elif which == "pde2":
-        vals = _pde2_field(spec, grid, t, PDE2_STENCIL)
+        vals = _pde2_field(spec, grid, t)
     elif which in ("phi", "bilinear2"):
         ing = Ingredients(spec, grid, t)
         block = ((lambda b: _bilinear2_field(spec, b)) if which == "bilinear2" else

@@ -10,21 +10,23 @@ Three independent suites certify a solution spec:
   line 1 of the bilinear form and as the u-form with the forcing field, both
   from one evaluation per block of grid rows of the jets in (zeta, eta, t)
   of f and of the envelope g, the product of the bundle's line carriers, on
-  the order-2 entries it reads; and the forcing-field constraint by finite
-  differences of the jet-computed fields (with a convergence mode), from
-  each profile once per stencil line and U and phi broadcast onto the
-  stencil, the stencils summed in a fixed order per block of grid rows;
+  the order-2 entries it reads; and the forcing-field constraint by central
+  differences of the jet-computed fields at h and h/2 and the order they
+  show, from each profile once per stencil line and U and phi broadcast
+  onto the stencil, the stencils summed in a fixed order per block of grid
+  rows (the package's only finite differences, their weights kept here);
 * the window scan, :func:`~dsfield.ansatz.check_admissibility`: zeros of
   f from f's value alone, the sign condition, and profile poles from
   sweeps of profile values alone.
 
-Every check reads the :class:`~dsfield.auxiliary.Ingredients` bundle of
-its window grid (``pde2`` only its spec, grid and time), each line entry
-evaluated once per line; it fills its residual grid from row windows by
-:func:`~dsfield.ansatz.fill_rows`, as the renders do, and reduces its finite
-samples inside the grid's ``keep`` by ``masked_stats``: a residual is non-finite
-exactly where it checks nothing.  The one bilinear operator here is
-:func:`hirota_cross`, D_z D_e f.f from f's jet, which the envelope pass reads.
+Every check but ``pde2``, which reads the spec, grid and time alone, reads
+the :class:`~dsfield.auxiliary.Ingredients` bundle of its window grid, each
+line entry evaluated once per line.  Each check fills its residual grid from
+row windows by :func:`~dsfield.ansatz.fill_rows`, as the renders do, and
+reduces its finite samples inside the grid's ``keep`` by ``masked_stats``: a
+residual is non-finite exactly where it checks nothing.  The one bilinear
+operator here is :func:`hirota_cross`, D_z D_e f.f from f's jet, which the
+envelope pass reads.
 
 No check gates another: the envelope-equation checks run on every spec
 with a3 != 0, whatever the consistency report says, so a non-solution
@@ -55,7 +57,6 @@ from .ansatz import (
     window_grid,
 )
 from .auxiliary import Ingredients
-from .calculus import Stencil, observed_order
 
 __all__ = [
     "ResidualReport",
@@ -66,10 +67,6 @@ __all__ = [
     "pde_phi_convergence",
     "singularity_scan",
 ]
-
-# default stencil of the forcing-field check: second order, step 1e-2
-PDE2_STENCIL = Stencil(2, 2, 1e-2)
-
 
 @dataclass(frozen=True)
 class ResidualReport:
@@ -196,32 +193,37 @@ def bilinear_residuals(ing: Ingredients) -> ResidualReport:
 
 
 # ---------------------------------------------------------------------------
-# forcing-field constraint
+# forcing-field constraint: the package's only finite differences
 
 
-def pde_residuals(ing: Ingredients, stencil: Stencil = PDE2_STENCIL) -> ResidualReport:
-    """Residual of the forcing-field constraint (line 2 of the rotated-frame
-    equations, fourth order in log f) on the bundle's grid, by central
-    differences of the jet-computed intensity and forcing fields using
-    ``stencil``."""
-    return _report("pde2", _pde2_field(ing.spec, ing.grid, ing.t, stencil), ing.grid, ing.t)
+# central-difference weights at the offsets -k..k, by (derivative order, accuracy)
+_FD_WEIGHTS = {(1, 2): (-0.5, 0.0, 0.5), (2, 2): (1.0, -2.0, 1.0),
+               (1, 4): (1 / 12, -2 / 3, 0.0, 2 / 3, -1 / 12),
+               (2, 4): (-1 / 12, 4 / 3, -5 / 2, 4 / 3, -1 / 12)}
+_PDE2_H, _PDE2_ACCURACY = 1e-2, 2          # the check's step and accuracy by default
 
 
-def _pde2_field(spec, grid, t, stencil: Stencil):
+def pde_residuals(spec: SolutionSpec, grid, t, h=_PDE2_H,
+                  accuracy=_PDE2_ACCURACY) -> ResidualReport:
+    """Residual of the forcing-field constraint (line 2 of the rotated-frame equations,
+    fourth order in log f) on ``grid``, by central differences of step ``h`` and order
+    of ``accuracy`` of the jet-computed intensity and forcing fields."""
+    return _report("pde2", _pde2_field(spec, grid, t, h, accuracy), grid, t)
+
+
+def _pde2_field(spec, grid, t, h=_PDE2_H, accuracy=_PDE2_ACCURACY):
     """Forcing-field residual |4 phi_ze - U_zz - U_ee - 2 U_ze| at ``grid``'s points,
     non-finite wherever a stencil sample of U or phi is.
 
-    Central differences with ``stencil``.  A point's k x k stencil samples
-    lie on k shifted zeta and k shifted eta lines, so per block of
+    Central differences of step ``h`` and order of ``accuracy``.  A point's k x k
+    stencil samples lie on k shifted zeta and k shifted eta lines, so per block of
     :func:`~dsfield.ansatz.fill_rows` p is evaluated once on its lines,
     (k, 1, rows, nx), q on its own, (1, k, rows, nx), both to order 2, U and
     phi come out on the stencil by broadcasting, and each stencil sums every
     sample it weighs, zero weights too, left to right: over k, or over (i, j)
     in raster order.  A point's bits do not depend on its block.
     """
-    h = stencil.h
-    w2 = Stencil(2, stencil.accuracy, h).weights
-    w1 = Stencil(1, stencil.accuracy, h).weights
+    w2, w1 = _FD_WEIGHTS[2, accuracy], _FD_WEIGHTS[1, accuracy]
     cross = np.outer(w1, w1).ravel()
     half = (len(w1) - 1) // 2
     d = np.arange(-half, half + 1)[:, None, None, None] * h
@@ -244,12 +246,12 @@ def _pde2_field(spec, grid, t, stencil: Stencil):
         return fill_rows(grid.keep.shape, on_stencil)[0]
 
 
-def pde_phi_convergence(ing: Ingredients, stencil: Stencil = PDE2_STENCIL):
-    """Rerun the forcing-field check at h and h/2; report the observed order."""
-    coarse = pde_residuals(ing, stencil)
-    finer = Stencil(stencil.order, stencil.accuracy, stencil.h / 2)
-    fine = pde_residuals(ing, finer)
-    return coarse, fine, observed_order(coarse.mean_abs, fine.mean_abs)
+def pde_phi_convergence(spec: SolutionSpec, grid, t, h=_PDE2_H, accuracy=_PDE2_ACCURACY):
+    """The forcing-field check at h and at h/2, and the order log2(e_h / e_h/2)
+    that their mean residuals e show, NaN unless both are positive."""
+    coarse, fine = (pde_residuals(spec, grid, t, step, accuracy) for step in (h, h / 2))
+    e_h, e_h2 = coarse.mean_abs, fine.mean_abs
+    return coarse, fine, math.log2(e_h / e_h2) if e_h > 0 and e_h2 > 0 else math.nan
 
 
 # ---------------------------------------------------------------------------

@@ -13,9 +13,9 @@ import time
 import numpy as np
 import pytest
 
-from dsfield.ansatz import eval_f, profile_jets3, rotate
+from dsfield.ansatz import eval_f, profile_jets3, rotate, window_grid
 from dsfield.auxiliary import Auxiliaries, consistency_c1_c2
-from dsfield.calculus import Jet, Stencil, layout
+from dsfield.calculus import Jet, layout
 from dsfield.catalog import build_case, case_names
 from dsfield.cli import main as cli_main
 from dsfield.field import (
@@ -106,8 +106,8 @@ def test_criterion_3_phi_equation_convergence():
         for name in ("dromion", "solitoff"):
             e = build_case(name)
             for acc, h, nominal in ((2, 2e-2, 2.0), (4, 5e-2, 4.0)):
-                _, _, order = pde_phi_convergence(bundle(e.spec, ((-3, 3), (-3, 3)), 0.0, 20),
-                                                  Stencil(2, acc, h))
+                _, _, order = pde_phi_convergence(e.spec, window_grid(((-3, 3), (-3, 3)), 20),
+                                                  0.0, h, acc)
                 assert abs(order - nominal) <= 0.3, (name, acc, order)
 
 

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from dsfield import calculus as jc
 from dsfield.ansatz import SeparationCoefficients, SolutionSpec
 from dsfield.auxiliary import Auxiliaries
-from dsfield.calculus import DIV_GUARD, Jet, Stencil
+from dsfield.calculus import DIV_GUARD, Jet
 from dsfield.profiles import CustomProfile
 
 L2 = jc.layout(2, 2)    # (value, d1, dt, d11, d1t, dtt) in (x, t)
@@ -266,29 +266,6 @@ def test_partial_lookup_and_overflow():
     assert j[1, 1] == 5.0
     with pytest.raises(ValueError):
         j[2, 1]
-
-
-# -- stencils ----------------------------------------------------------------
-
-
-@pytest.mark.parametrize("order,accuracy", [(1, 2), (1, 4), (2, 2), (2, 4)])
-def test_stencil_polynomial_exactness(order, accuracy):
-    # exact for monomials up to degree order + accuracy - 1
-    st_ = Stencil(order, accuracy, 0.5)
-    half = (len(st_.weights) - 1) // 2
-    xs = np.arange(-half, half + 1) * st_.h
-    for deg in range(order + accuracy):
-        samples = (1.0 + xs) ** deg
-        want = math.perm(deg, order) * 1.0 ** (deg - order) if deg >= order else 0.0
-        got = samples @ st_.weights / st_.h ** order
-        assert got == pytest.approx(want, abs=1e-9 * max(1.0, abs(want)))
-
-
-def test_stencil_rejects_bad_parameters():
-    with pytest.raises(ValueError):
-        Stencil(3, 2, 0.1)
-    with pytest.raises(ValueError):
-        Stencil(2, 2, -1.0)
 
 
 # -- quadrature: the phase rule of Auxiliaries.phase_r ---------------------------

@@ -19,13 +19,14 @@ from dsfield.ansatz import (
     window_grid,
 )
 from dsfield.auxiliary import Ingredients
-from dsfield.calculus import Jet, Stencil, layout
+from dsfield.calculus import Jet, layout
 from dsfield.catalog import build_case, case_names
 from dsfield.cli import _residual, build_parser
 from dsfield.field import sample_field
 from dsfield.profiles import TimeFunction
 from dsfield.specfile import loads_spec
 from dsfield.verify import (
+    _FD_WEIGHTS,
     _bilinear2_field,
     _envelope_fields,
     _pde2_field,
@@ -358,25 +359,38 @@ def test_pde_line1_negative_control():
     assert l1.max_abs > 1e-2
 
 
+@pytest.mark.parametrize("order,accuracy", [(1, 2), (1, 4), (2, 2), (2, 4)])
+def test_stencil_polynomial_exactness(order, accuracy):
+    # exact for monomials up to degree order + accuracy - 1
+    weights, h = np.asarray(_FD_WEIGHTS[order, accuracy]), 0.5
+    half = (len(weights) - 1) // 2
+    xs = np.arange(-half, half + 1) * h
+    for deg in range(order + accuracy):
+        samples = (1.0 + xs) ** deg
+        want = math.perm(deg, order) * 1.0 ** (deg - order) if deg >= order else 0.0
+        got = samples @ weights / h ** order
+        assert got == pytest.approx(want, abs=1e-9 * max(1.0, abs(want)))
+
+
 @pytest.mark.parametrize("name", ["dromion", "solitoff"])
 def test_pde_line2_convergence_order(name):
     e = build_case(name)
-    coarse, fine, order = pde_phi_convergence(bundle(e.spec, ((-3, 3), (-3, 3)), 0.0, 20),
-                                              Stencil(2, 2, 2e-2))
+    coarse, fine, order = pde_phi_convergence(e.spec, window_grid(((-3, 3), (-3, 3)), 20), 0.0,
+                                              2e-2, 2)
     assert abs(order - 2.0) <= 0.3
     assert fine.max_abs < coarse.max_abs
 
 
 def test_pde_line2_fourth_order_stencil():
     e = build_case("dromion")
-    _, _, order = pde_phi_convergence(bundle(e.spec, ((-3, 3), (-3, 3)), 0.0, 16),
-                                      Stencil(2, 4, 5e-2))
+    _, _, order = pde_phi_convergence(e.spec, window_grid(((-3, 3), (-3, 3)), 16), 0.0,
+                                      5e-2, 4)
     assert abs(order - 4.0) <= 0.3
 
 
 def test_pde_line2_breather_degenerate_time():
     e = build_case("breather")
-    l2 = pde_residuals(bundle(e.spec, e.window, math.pi / 2, 20))
+    l2 = pde_residuals(e.spec, window_grid(e.window, 20), math.pi / 2)
     assert l2.max_abs < 1e-20
 
 
@@ -386,13 +400,12 @@ def test_pde_line2_drops_stencil_hits_near_pole():
     # where p overflows, within about 5e-4 below the pole at zeta = -1
     e = build_case("double_instanton")
     y0 = 0.9902 * math.sqrt(2.0) - 1.0
-    ing = bundle(e.spec, ((-1.0, 1.0), (y0, y0 + 2.0)), 0.0, 24)
-    grid, stencil = ing.grid, Stencil(2, 2, 1e-2)
-    resid = _pde2_field(e.spec, grid, 0.0, stencil)
+    grid = window_grid(((-1.0, 1.0), (y0, y0 + 2.0)), 24)
+    resid = _pde2_field(e.spec, grid, 0.0, 1e-2, 2)
     np.testing.assert_array_equal(np.isfinite(resid), ~np.eye(24, dtype=bool))
     pj, qj = profile_jets3(e.spec, *rotate(grid.X, grid.Y), 0.0, (1, 0))
     assert np.isfinite(eval_intensity(e.spec, pj, qj)[0]).all()
-    l2 = pde_residuals(ing, stencil)
+    l2 = pde_residuals(e.spec, grid, 0.0, 1e-2, 2)
     assert l2.masked == 0 and l2.dropped == 24
     # truncation is honest but large right beside the pole, where its
     # high derivatives blow up; the bulk of the window stays clean
@@ -413,13 +426,12 @@ def test_verify_residuals_fill_their_grids_block_by_block(name):
     assert traced_peak(bilinear_residuals, ing) <= 5e6
 
 
-def _pde2_field_per_point(spec, zeta, eta, t, stencil, apply):
+def _pde2_field_per_point(spec, zeta, eta, t, h, accuracy, apply):
     """The forcing-field residual as first written: order-3 profile jets, U
     and phi evaluated on the whole grid once per stencil point, the stencils
     applied by ``apply``; and the mask of points whose samples are finite."""
-    h = stencil.h
-    w2 = Stencil(2, stencil.accuracy, h).weights
-    w1 = Stencil(1, stencil.accuracy, h).weights
+    w2 = np.asarray(_FD_WEIGHTS[2, accuracy])
+    w1 = np.asarray(_FD_WEIGHTS[1, accuracy])
     half = (len(w1) - 1) // 2
     offs = np.arange(-half, half + 1)
     U = np.empty((len(offs), len(offs)) + zeta.shape)
@@ -471,14 +483,13 @@ def test_pde2_field_is_the_per_point_stencil_bit_for_bit(name, monkeypatch):
     assert len(ansatz.row_blocks(80, 97)) == 7
     for t in (e.reference_times[0], 0.3):
         for accuracy in (2, 4):
-            stencil = Stencil(2, accuracy, 1e-2)
-            want, ok = _pde2_field_per_point(e.spec, *rotate(grid.X, grid.Y), t, stencil,
+            want, ok = _pde2_field_per_point(e.spec, *rotate(grid.X, grid.Y), t, 1e-2, accuracy,
                                              _fixed_order_sums)
-            got = _pde2_field(e.spec, grid, t, stencil)
+            got = _pde2_field(e.spec, grid, t, 1e-2, accuracy)
             np.testing.assert_array_equal(got, want, strict=True)
             assert not np.isfinite(got[~ok]).any()
             if accuracy == 2:
-                old = _pde2_field_per_point(e.spec, *rotate(grid.X, grid.Y), t, stencil,
+                old = _pde2_field_per_point(e.spec, *rotate(grid.X, grid.Y), t, 1e-2, accuracy,
                                             _matrix_products)[0]
                 np.testing.assert_array_equal(got, old, strict=True)
 
@@ -537,7 +548,7 @@ def test_residual_renders_match_report():
         e = build_case(name)
         t = e.reference_times[0]
         ing = bundle(e.spec, e.window, t, 48, e.valid_mask)
-        line2, pde2 = bilinear_residuals(ing), pde_residuals(ing)
+        line2, pde2 = bilinear_residuals(ing), pde_residuals(e.spec, ing.grid, t)
         for which, rep in (("bilinear2", line2), ("pde2", pde2)):
             grid = sample_field(e.spec, which, e.window, t, 48, 48)
             assert np.max(grid.values[grid.mask]) == rep.max_abs, (name, which)
