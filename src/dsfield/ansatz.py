@@ -35,7 +35,6 @@ __all__ = [
     "SeparationCoefficients",
     "CoefficientFunctions",
     "SolutionSpec",
-    "CoordinatePoint",
     "rotate",
     "WindowGrid",
     "window_grid",
@@ -112,13 +111,6 @@ class SolutionSpec:
     def __post_init__(self):
         if self.delta1 * self.delta1 != 1 or self.delta2 * self.delta2 != 1:
             raise ValueError("delta1 and delta2 must be +1 or -1")
-
-
-@dataclass(frozen=True)
-class CoordinatePoint:
-    x: float
-    y: float
-    t: float
 
 
 def rotate(x, y):
@@ -370,18 +362,19 @@ def eval_phi(tau: Jet, p0, q0):
 # magnitude treated as a pole signature in the 1-D profile sweep; legitimate
 # exponential-sum growth on sane windows stays far below this
 _POLE_MAGNITUDE = 1e150
+_POLE_SAMPLES = 65537       # of the sweep, evenly spaced over its coordinates' range
 
 
-def pole_sweep(profile, coords, t: float, n: int = 65537):
-    """Fine 1-D sweep for profile poles over the range of ``coords``: the intervals
-    of suspect samples among ``n``, read in row blocks.  Poles are found from samples
-    alone; a sweep is skipped only where the magnitude bound shows it would find none."""
+def pole_sweep(profile, coords, t: float):
+    """Fine 1-D sweep for profile poles over the range of ``coords``: the intervals of
+    suspect samples among ``_POLE_SAMPLES``, read in row blocks.  Poles are found from
+    samples alone; a sweep is skipped only where the magnitude bound shows none."""
     lo, hi = float(np.min(coords)), float(np.max(coords))
     if profile.magnitude_bound(lo, hi, t) < _POLE_MAGNITUDE / 2:     # 2 covers rounding
         return ()
-    x, suspect = np.linspace(lo, hi, n), np.empty(n, dtype=bool)
+    x, suspect = np.linspace(lo, hi, _POLE_SAMPLES), np.empty(_POLE_SAMPLES, dtype=bool)
     with np.errstate(invalid="ignore", over="ignore", under="ignore", divide="ignore"):
-        for s in batches(n, 1, _ROW_BLOCK):     # suspect: non-finite or over the magnitude
+        for s in batches(_POLE_SAMPLES, 1, _ROW_BLOCK):     # suspect: non-finite or too large
             suspect[s] = ~(np.abs(profile.jet3(x[s], t, order=0).value) <= _POLE_MAGNITUDE)
     edges = np.flatnonzero(np.diff(suspect, prepend=False, append=False))  # run start, end + 1
     return tuple((float(x[a]), float(x[b - 1])) for a, b in zip(edges[::2], edges[1::2]))

@@ -50,19 +50,17 @@ __all__ = [
 class Auxiliaries:
     """The derived-quantity formulas of one solution spec.
 
-    All evaluators are vectorized over their spatial argument at fixed t;
-    the ``*_jet`` methods map the profile jet of their coordinate, to order
-    k, to a jet in (own coordinate, t) to order k - 1.
-    ``quad_n`` is the number of Gauss-Legendre nodes per gap between
-    neighbouring line coordinates and the anchors are the zeros of r and s.
+    All evaluators are vectorized over their spatial argument at fixed t; the ``*_jet``
+    methods map the profile jet of their coordinate, to order k, to a jet in (own coordinate,
+    t) to order k - 1.  The class constants are single choices: ``quad_n``, the Gauss-Legendre
+    nodes per gap between neighbouring line coordinates, and the anchors, the zeros of r and s.
     """
 
-    def __init__(self, spec: SolutionSpec, quad_n: int = 16,
-                 anchor_zeta: float = 0.0, anchor_eta: float = 0.0):
+    quad_n = 16
+    anchor_zeta = anchor_eta = 0.0
+
+    def __init__(self, spec: SolutionSpec):
         self.spec = spec
-        self.quad_n = int(quad_n)
-        self.anchor_zeta = float(anchor_zeta)
-        self.anchor_eta = float(anchor_eta)
 
     # -- amplitude factors ---------------------------------------------------
 

@@ -160,8 +160,7 @@ def _resolve_spec(args):
 def _add_common(p: argparse.ArgumentParser):
     p.add_argument("--case", help="catalog case name")
     p.add_argument("--spec", help="solution spec file (INI schema)")
-    p.add_argument("--window", help="x0:x1:y0:y1; use --window=-8:8:-8:8 for "
-                                    "negative bounds (defaults to the case window)")
+    p.add_argument("--window", help="x0:x1:y0:y1 (defaults to the case window)")
 
 
 # ---------------------------------------------------------------------------
@@ -223,7 +222,7 @@ def _residual(report, threshold):
               else "pass" if report.max_abs < threshold and not report.notes else "fail")
     w, counts = report.worst_point, ("masked", "dropped") if report.applicable else ()
     return status, [("max_abs", f"{report.max_abs:.6e}"),
-                    *((("worst_at", f"{w.x:.17g},{w.y:.17g}"),) if report.applicable else ()),
+                    *((("worst_at", f"{w[0]:.17g},{w[1]:.17g}"),) if report.applicable else ()),
                     ("mean_abs", f"{report.mean_abs:.6e}"),
                     ("samples", str(report.samples)),
                     ("threshold", f"{threshold:.1e}"),
@@ -423,8 +422,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    # argparse reads a value such as -1e-3, -pi/2 or -8:8:-8:8 as an option; no option
+    # starts with "-" and a digit, "." or "pi", so such a word joins the option before it
+    words = []                                  # a copy: the caller's list stays as it was
+    for word in sys.argv[1:] if argv is None else argv:
+        if words and re.fullmatch(r"--[^=]+", words[-1]) and re.match(r"-[\d.]|-pi", word, re.I):
+            words[-1] += "=" + word
+        else:
+            words.append(word)
     try:
-        args = build_parser().parse_args(argv)
+        args = build_parser().parse_args(words)
     except SystemExit as exc:
         return int(exc.code or 0)
     handlers = {"catalog": _cmd_catalog, "render": _cmd_render,

@@ -294,6 +294,7 @@ _ASCENT_PRED_FLOOR = 1e-14
 # period later and takes at most _PERIOD_ITERATIONS Gauss-Newton steps.
 _PERIOD_PROBES = 5
 _PERIOD_ITERATIONS = 6
+_TIE_TOL = 1e-9         # a scan shift ties below this mismatch over the series scale
 
 
 def _newton_ascent(spec, times, u, xy, lo, hi, radius):
@@ -408,11 +409,11 @@ def _statistic(spec, window, times, statistic, grid_n, rate=False):
 
 def estimate_period(spec: SolutionSpec, window, t_range: tuple[float, float],
                     n_t: int = 128, statistic: str = "global_max",
-                    grid_n: int = 48, tie_tol: float = 1e-9) -> AnalyticsResult:
+                    grid_n: int = 48) -> AnalyticsResult:
     """Smallest time shift under which the chosen statistic repeats.
 
     A period is reported only if a uniform scan over shifts up to half the
-    sampled range finds one whose series mismatch is below ``tie_tol`` times
+    sampled range finds one whose series mismatch is below ``_TIE_TOL`` times
     the series scale; ``_refine_period`` polishes the first such shift from
     probes at scan times until its step is rounding, and ``period_mismatch``
     is the probe mismatch of the returned period over that scale.  The
@@ -427,7 +428,7 @@ def estimate_period(spec: SolutionSpec, window, t_range: tuple[float, float],
     series = _statistic(spec, window, times, statistic, grid_n)[0]
 
     scale = float(np.max(np.abs(series))) or 1.0
-    if float(np.max(series) - np.min(series)) < tie_tol * scale:
+    if float(np.max(series) - np.min(series)) < _TIE_TOL * scale:
         return AnalyticsResult(period_resolution=dt)
 
     best_k, best_mis = None, np.inf
@@ -435,7 +436,7 @@ def estimate_period(spec: SolutionSpec, window, t_range: tuple[float, float],
         mis = float(np.max(np.abs(series[k:] - series[:-k])))
         if mis < best_mis:
             best_k, best_mis = k, mis
-        if mis < tie_tol * scale:
+        if mis < _TIE_TOL * scale:
             period, mismatch = _refine_period(spec, window, statistic, grid_n,
                                               times, series, k, dt, scale)
             return AnalyticsResult(estimated_period=period, period_resolution=dt,

@@ -44,7 +44,6 @@ import numpy as np
 from .ansatz import (
     PHI_READS,
     AdmissibilityReport,
-    CoordinatePoint,
     SolutionSpec,
     check_admissibility,
     eval_f,
@@ -77,7 +76,7 @@ class ResidualReport:
     check_name: str
     max_abs: float
     mean_abs: float
-    worst_point: CoordinatePoint
+    worst_point: tuple                  # (x, y, t)
     samples: int
     masked: int = 0
     dropped: int = 0
@@ -94,7 +93,7 @@ def _report(name, resid_abs, grid, t) -> ResidualReport:
     xy = (grid.X[at], grid.Y[at]) if n else (math.nan, math.nan)
     notes = ("no valid samples" if not n else
              f"{kept - n} samples not finite inside the valid set" if kept > n else "")
-    return ResidualReport(name, mx, mean, CoordinatePoint(*map(float, xy), float(t)), n,
+    return ResidualReport(name, mx, mean, (*map(float, xy), float(t)), n,
                           grid.keep.size - kept, kept - n, notes=notes)
 
 
@@ -156,7 +155,7 @@ def envelope_residuals(ing: Ingredients):
     grid, t, names = ing.grid, ing.t, ("bilinear1", "pde1")
     if ing.spec.coeffs.a3 == 0.0:
         return tuple(ResidualReport(name, math.nan, math.nan,
-                                    CoordinatePoint(math.nan, math.nan, t), 0, applicable=False,
+                                    (math.nan, math.nan, t), 0, applicable=False,
                                     notes="not applicable: a3 = 0 (no rounding floor "
                                           "for the residual near the zeros of f)")
                      for name in names)

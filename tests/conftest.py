@@ -168,9 +168,8 @@ class CorruptedAuxiliaries(Auxiliaries):
     """Auxiliaries with corrupted ingredients, so negative controls can show
     that the residual checks detect them; the hooks default to the identity."""
 
-    def __init__(self, spec, *args, p0_offset=0.0, rz_offset=0.0,
-                 amplitude_scale=1.0, **kwargs):
-        super().__init__(spec, *args, **kwargs)
+    def __init__(self, spec, *, p0_offset=0.0, rz_offset=0.0, amplitude_scale=1.0):
+        super().__init__(spec)
         self.p0_offset = float(p0_offset)
         self.rz_offset = float(rz_offset)
         self.amplitude_scale = float(amplitude_scale)

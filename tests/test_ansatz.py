@@ -640,9 +640,9 @@ def test_admissibility_sweeps_a_shared_profile_once(name, monkeypatch):
     e = build_case(name)
     swept = []
 
-    def counting(profile, coords, t, n=65537, sweep=pole_sweep):
+    def counting(profile, coords, t, sweep=pole_sweep):
         swept.append(profile)
-        return sweep(profile, coords, t, n)
+        return sweep(profile, coords, t)
 
     monkeypatch.setattr(ansatz, "pole_sweep", counting)
     g = window_grid(e.window, 33, e.valid_mask)

@@ -241,7 +241,8 @@ def test_phases_converge_under_refinement(name):
     # coordinates of a 48^2 window grid, inside the anchor's valid run
     entry = build_case(name)
     aux = Auxiliaries(entry.spec)
-    fine = Auxiliaries(entry.spec, quad_n=2 * aux.quad_n)
+    fine = Auxiliaries(entry.spec)
+    fine.quad_n = 2 * aux.quad_n
     grid = window_grid(entry.window, 48)
     for t in sorted({0.3, *entry.reference_times}):
         for (side, _, phase, _), (_, _, phase_fine, _), coords in zip(

@@ -276,7 +276,8 @@ def phase_rule(integrand, a, b):
     Gauss-Legendre rule of the phases: phase_r anchored at a, with the
     integrand as its gradient."""
     lin = CustomProfile(lambda xj, tj: xj + 0.0 * tj)
-    aux = Auxiliaries(SolutionSpec(SeparationCoefficients(1, 1, 1, 2), lin, lin), anchor_zeta=a)
+    aux = Auxiliaries(SolutionSpec(SeparationCoefficients(1, 1, 1, 2), lin, lin))
+    aux.anchor_zeta = a
     # the profile is zeta itself, so its jet's value is the node
     aux.r_zeta_jet = lambda pj, t: Jet((integrand(pj.value),) + (0.0,) * 5, L2)
     return aux.phase_r(b, 0.0)[0]

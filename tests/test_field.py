@@ -11,7 +11,6 @@ from hypothesis.extra import numpy as hnp
 
 from dsfield import ansatz, field
 from dsfield.ansatz import (
-    CoordinatePoint,
     SeparationCoefficients,
     SolutionSpec,
     _exact_sum,
@@ -413,12 +412,13 @@ def test_period_solve_reaches_pi(name, statistic, start, n_t, grid_n):
 
 
 @pytest.mark.parametrize("statistic", ["L2", "global_max"])
-def test_period_solve_converges_from_a_loose_tie(statistic):
+def test_period_solve_converges_from_a_loose_tie(statistic, monkeypatch):
     # a range 0.1% longer than 2 pi puts the scan shift 3.1e-3 past pi; a
-    # loose tie_tol accepts it and the solve must close the gap
+    # loose tie tolerance accepts it and the solve must close the gap
     e = build_case("breather")
+    monkeypatch.setattr(field, "_TIE_TOL", 0.05)
     res = estimate_period(e.spec, e.window, (0.3, 0.3 + 2.002 * math.pi), 32,
-                          statistic, grid_n=32, tie_tol=0.05)
+                          statistic, grid_n=32)
     assert res.best_candidate - math.pi == pytest.approx(1e-3 * math.pi)
     assert abs(res.estimated_period - math.pi) <= 1e-12
     assert res.period_mismatch <= 1e-13
@@ -881,7 +881,7 @@ def test_report_mean_is_the_exact_sum_over_the_count(make):
         rep = _report("r", g.values, SimpleNamespace(X=X, Y=Y, keep=np.ones_like(g.mask)), g.t)
         assert rep.mean_abs.hex() == (math.fsum(valid.tolist()) / valid.size).hex()
         assert (rep.samples, rep.dropped) == (valid.size, 3)
-        assert rep.worst_point == CoordinatePoint(X[7, 3], Y[7, 3], g.t)
+        assert rep.worst_point == (X[7, 3], Y[7, 3], g.t)
 
 
 def _sum_outcome(fn):

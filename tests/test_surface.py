@@ -4,6 +4,8 @@ A public definition of ``src/dsfield`` that no other ``src/`` code names is
 either listed here with its reason or moved into the tests that call it, and
 the package top level holds exactly the names that its outside callers, the
 benchmark under ``perfbench/`` and the README's library sketch, import from it.
+A defaulted parameter of a public definition that ``src/`` calls is set by some
+such call, or listed here with its reason.
 """
 
 import ast
@@ -92,3 +94,70 @@ def test_top_level_holds_what_its_callers_import():
             if not name.startswith("_") and not inspect.ismodule(value)}
     assert held == set(dsfield.__all__) == wanted
     assert dsfield.__version__
+
+
+# defaulted parameters of called public definitions that no src/ call sets, each
+# with its reason; a setting that no caller varies is a constant, not a parameter
+ONE_VALUE = {
+    "verify.pde_phi_convergence.h": "acceptance criterion 3 measures the stencil's order "
+                                    "at its own steps, until exact pde2 (ROADMAP item 2) "
+                                    "deletes the stencil",
+    "verify.pde_phi_convergence.accuracy": "acceptance criterion 3 measures the stencil's "
+                                           "order at accuracy 4, until exact pde2 (ROADMAP "
+                                           "item 2) deletes the stencil",
+    "cli.main.argv": "the console script passes none; the benchmark worker and the "
+                     "tests pass their own",
+}
+
+
+def _public_signatures(tree):
+    """(name a call uses, arguments, whether a method) of each public function of
+    ``tree`` and each public method of its public classes, ``__init__`` called by
+    its class's name."""
+    for stmt in tree.body:
+        if isinstance(stmt, ast.ClassDef) and not stmt.name.startswith("_"):
+            for fn in stmt.body:
+                if isinstance(fn, ast.FunctionDef) and (
+                        fn.name == "__init__" or not fn.name.startswith("_")):
+                    yield (stmt.name if fn.name == "__init__" else fn.name), fn.args, True
+        elif isinstance(stmt, ast.FunctionDef) and not stmt.name.startswith("_"):
+            yield stmt.name, stmt.args, False
+
+
+def _defaulted(args, method):
+    """(index among a call's positional arguments, or None, name) of each defaulted
+    parameter; a method's first parameter is bound, not passed."""
+    positional = [*args.posonlyargs, *args.args][1 if method else 0:]
+    out = [(i, a.arg) for i, a in enumerate(positional)
+           if i >= len(positional) - len(args.defaults)]
+    return out + [(None, a.arg) for a, d in zip(args.kwonlyargs, args.kw_defaults)
+                  if d is not None]
+
+
+def _call_name(call):
+    f = call.func
+    return f.id if isinstance(f, ast.Name) else f.attr if isinstance(f, ast.Attribute) else None
+
+
+def test_every_defaulted_parameter_is_set_by_some_src_call():
+    signatures, calls = [], {}
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        signatures += [(path.stem, *s) for s in _public_signatures(tree)]
+        for n in ast.walk(tree):
+            if isinstance(n, ast.Call):
+                calls.setdefault(_call_name(n), []).append(n)
+    unset = set()
+    for module, name, args, method in signatures:
+        if name not in calls:               # uncalled: the names rule's concern
+            continue
+        for index, param in _defaulted(args, method):
+            # a call with *args or **kwargs sets every parameter
+            if not any(any(isinstance(a, ast.Starred) for a in c.args)
+                       or any(k.arg is None or k.arg == param for k in c.keywords)
+                       or (index is not None and index < len(c.args))
+                       for c in calls[name]):
+                unset.add(f"{module}.{name}.{param}")
+    assert not unset - ONE_VALUE.keys(), sorted(unset - ONE_VALUE.keys())
+    # an entry that some call now sets, or that is gone, leaves the list
+    assert not ONE_VALUE.keys() - unset, sorted(ONE_VALUE.keys() - unset)

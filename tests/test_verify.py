@@ -268,9 +268,10 @@ def test_report_invariants():
     for rep in (line2, line1):
         assert rep.max_abs >= rep.mean_abs >= 0.0
         (x0, x1), (y0, y1) = e.window
-        assert x0 <= rep.worst_point.x <= x1
-        assert y0 <= rep.worst_point.y <= y1
-        assert rep.worst_point.t == 0.0
+        x, y, t = rep.worst_point
+        assert x0 <= x <= x1
+        assert y0 <= y <= y1
+        assert t == 0.0
 
 
 def _hand_envelope_terms(b):
