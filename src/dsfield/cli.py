@@ -212,12 +212,19 @@ def _check_lines(name, status, fields=(), notes=""):
     return lines
 
 
-def _residual(report, threshold):
-    """(status, fields, notes) of a residual check against ``threshold``;
-    an applicable report's fields also give its worst point, after max_abs,
-    and end with its counts of masked and dropped samples.  An applicable
-    report with notes fails: they say that it checked nothing, or not every
-    valid sample."""
+# verify's pass thresholds: bilinear2 relative to |g g*|, bilinear1 and pde1 absolute,
+# the consistency variation, and the distance of pde2's observed order from its nominal 2
+THRESHOLDS = {"bilinear2": 1e-10, "bilinear1": 1e-6, "pde1": 1e-6, "consistency": 1e-8,
+              "pde2": 0.3}
+
+
+def _residual(report):
+    """(status, fields, notes) of a residual check against its threshold; an
+    applicable report's fields also give its worst point, after max_abs, and
+    end with its counts of masked and dropped samples.  An applicable report
+    with notes fails: they say that it checked nothing, or not every valid
+    sample."""
+    threshold = THRESHOLDS[report.check_name]
     status = ("skipped" if not report.applicable
               else "pass" if report.max_abs < threshold and not report.notes else "fail")
     w, counts = report.worst_point, ("masked", "dropped") if report.applicable else ()
@@ -238,33 +245,28 @@ def _cmd_verify(args) -> int:
         raise UsageError(f"unknown checks {unknown}; valid: {', '.join(ALL_CHECKS)}")
     if not requested:
         raise UsageError(f"no checks requested; valid: {', '.join(ALL_CHECKS)}")
-    for option in ("tol", "tol_pde", "tol_consistency"):
-        if not 0.0 < getattr(args, option) < math.inf:
-            raise UsageError(f"--{option.replace('_', '-')} must be finite and "
-                             f"positive, got {getattr(args, option)!r}")
     # every check on the --res grid reads this one bundle
     ing = Ingredients(spec, window_grid(window, args.res, spec.valid_mask), t)
 
     lines = [("case", label), ("t", f"{t:.17g}"),
-             ("window", f"{window[0][0]:g}:{window[0][1]:g}"
-                        f":{window[1][0]:g}:{window[1][1]:g}"),
+             ("window", ":".join(f"{v:.17g}" for v in (*window[0], *window[1]))),
              ("res", str(args.res))]
     # (status, fields[, notes]) per check, in report order
     checks = {}
     if "bilinear2" in requested:
-        checks["bilinear2"] = _residual(bilinear_residuals(ing), args.tol)
+        checks["bilinear2"] = _residual(bilinear_residuals(ing))
 
     if "bilinear1" in requested or "pde1" in requested:
         for rep in envelope_residuals(ing):
             if rep.check_name in requested:
-                checks[rep.check_name] = _residual(rep, args.tol_pde)
+                checks[rep.check_name] = _residual(rep)
 
     if "pde2" in requested:
         # pde2 runs on its own grid of at most 24^2 points and fails on a drop at either step
         coarse, fine, order = pde_phi_convergence(
             spec, window_grid(window, min(args.res, 24), spec.valid_mask), t)
         notes = "; ".join(dict.fromkeys(r.notes for r in (coarse, fine) if r.notes))
-        ok = math.isfinite(order) and abs(order - 2.0) <= 0.3 and not notes
+        ok = math.isfinite(order) and abs(order - 2.0) <= THRESHOLDS["pde2"] and not notes
         checks["pde2"] = ("pass" if ok else "fail", [
             ("mean_abs_h", f"{coarse.mean_abs:.6e}"),
             ("mean_abs_h2", f"{fine.mean_abs:.6e}"),
@@ -279,12 +281,12 @@ def _cmd_verify(args) -> int:
         if not crep.applicable:
             checks["consistency"] = ("skipped", (), crep.note)
         else:
-            ok = crep.max_variation <= args.tol_consistency and not crep.note
+            ok = crep.max_variation <= THRESHOLDS["consistency"] and not crep.note
             var = {"c1_variation": crep.c1_variation, "c2_variation": crep.c2_variation}
             notes = [f"{key} undefined (nan)" for key, v in var.items() if math.isnan(v)]
             checks["consistency"] = ("pass" if ok else "fail", [
                 *((key, f"{v:.6e}") for key, v in var.items()),
-                ("threshold", f"{args.tol_consistency:.1e}"),
+                ("threshold", f"{THRESHOLDS['consistency']:.1e}"),
                 ("probes", str(crep.probes)),
                 ("finite_probes", str(crep.finite_probes))],
                 "; ".join(filter(None, notes + [crep.note])))
@@ -396,13 +398,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(vp)
     vp.add_argument("--t", required=True)
     vp.add_argument("--checks", default="bilinear2,consistency,admissibility")
-    vp.add_argument("--tol", type=float, default=1e-10,
-                    help="threshold for algebraic-identity checks")
-    vp.add_argument("--tol-pde", type=float, default=1e-6, dest="tol_pde",
-                    help="threshold for end-to-end equation checks")
-    vp.add_argument("--tol-consistency", type=float, default=1e-8,
-                    dest="tol_consistency",
-                    help="threshold for the consistency check alone")
     vp.add_argument("--res", type=int, default=64)
     vp.add_argument("--out", default=None)
 

@@ -336,11 +336,24 @@ def test_case_and_spec_are_exclusive(tmp_path, capsys):
 def test_verify_dromion_bilinear2(tmp_path):
     out = tmp_path / "report.txt"
     code = run("verify", "--case", "dromion", "--t", "0",
-               "--checks", "bilinear2", "--tol", "1e-10", "--out", str(out))
+               "--checks", "bilinear2", "--out", str(out))
     assert code == 0
     text = out.read_text()
     assert "check.bilinear2.status: pass" in text
     assert "overall: pass" in text
+
+
+@pytest.mark.parametrize("source", [*case_names(), "--window=-7.123456789:7.5:-7:7"])
+def test_verify_report_prints_the_window_it_checked(tmp_path, source):
+    # every bound to 17 digits, so it reads back as the float the checks used
+    if source in case_names():
+        argv, window = ("--case", source), build_case(source).window
+    else:
+        argv, window = ("--case", "dromion", source), parse_window(source.partition("=")[2])
+    out = tmp_path / "r.txt"
+    run("verify", *argv, "--t", "0.3", "--res", "16", "--checks", "bilinear2", "--out", str(out))
+    report = dict(ln.split(": ", 1) for ln in out.read_text().splitlines())
+    assert tuple(map(float, report["window"].split(":"))) == (*window[0], *window[1])
 
 
 @pytest.mark.parametrize("source,t,none_finite", [("decaying_p", "0.3", True),
@@ -827,11 +840,6 @@ ALL = "bilinear2,bilinear1,pde2,pde1,consistency,admissibility"
     ("analyze", "--case", "breather", "--period", "1:0:32"),
     # an empty check list used to run nothing and print overall: pass
     ("verify", "--case", "dromion", "--t", "0", "--checks", ","),
-    # a tolerance of nan or 0 used to fail every check, and inf to pass it
-    ("verify", "--case", "dromion", "--t", "0", "--tol", "nan"),
-    ("verify", "--case", "dromion", "--t", "0", "--tol", "0"),
-    ("verify", "--case", "dromion", "--t", "0", "--tol-pde", "inf"),
-    ("verify", "--case", "dromion", "--t", "0", "--tol-consistency=-1e-8"),
 ])
 def test_bad_input_exits_2(argv, tmp_path, capsys):
     out = tmp_path / "out.txt"
@@ -840,13 +848,14 @@ def test_bad_input_exits_2(argv, tmp_path, capsys):
     assert not out.exists()
 
 
-def test_option_prefixes_are_not_aliases(tmp_path, capsys):
-    # the retired verify --h would otherwise read as --help and exit 0
-    # without a report
+# a retired option is a usage error: verify --h would otherwise read as --help and
+# exit 0 without a report, and the thresholds are constants in cli.THRESHOLDS
+@pytest.mark.parametrize("retired", [("--h", "1e-3"), ("--tol", "1e-10"), ("--tol-pde", "1e-6"),
+                                     ("--tol-consistency", "1e-8")], ids=lambda r: r[0])
+def test_option_prefixes_are_not_aliases(tmp_path, capsys, retired):
     out = tmp_path / "r.txt"
-    assert run("verify", "--case", "dromion", "--t", "0", "--h", "1e-3",
-               "--out", str(out)) == 2
-    assert "unrecognized arguments: --h" in capsys.readouterr().err
+    assert run("verify", "--case", "dromion", "--t", "0", *retired, "--out", str(out)) == 2
+    assert f"unrecognized arguments: {' '.join(retired)}" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -922,25 +931,6 @@ def test_verify_and_render_evaluate_each_profile_jet_once(tmp_path, monkeypatch)
                "--res", "64", "--out", str(tmp_path / "phi.csv")) == 0
     assert sorted(on_lines) == ["breather_p", "breather_q"]
     assert on_points == []
-
-
-def test_verify_tol_consistency_sets_only_the_consistency_threshold(tmp_path):
-    cfg = tmp_path / "gained.cfg"
-    base = open(os.path.join(CONFIGS, "dromion.cfg")).read()
-    cfg.write_text(base.replace("gamma = 0", "gamma = 0.5"))
-    reports = []
-    for extra in ((), ("--tol-consistency", "1")):
-        out = tmp_path / "r.txt"
-        run("verify", "--spec", str(cfg), "--t", "0", "--res", "32", "--checks", ALL,
-            *extra, "--out", str(out))
-        reports.append(dict(ln.split(": ", 1) for ln in out.read_text().splitlines()))
-    default, loose = reports
-    assert default["check.consistency.status"] == "fail"
-    assert loose["check.consistency.status"] == "pass"
-    assert loose["check.consistency.threshold"] == "1.0e+00"
-    # every other line is the same at either threshold
-    moved = {k for k in default if default[k] != loose[k]}
-    assert moved == {"check.consistency.status", "check.consistency.threshold"}
 
 
 # (case, t) -> (checks that fail, checks that are skipped) of six-check
@@ -1170,7 +1160,7 @@ def test_parser_is_reused_without_leaking_state(capsys):
     assert build_parser() is build_parser()
     calls = [
         ["verify", "--case", "dromion", "--t", "0.3", "--checks", "bilinear2,admissibility",
-         "--tol", "1e-9", "--res", "24"],
+         "--res", "24"],
         ["verify", "--case", "dromion", "--t", "0.3", "--res"],
         ["--version"],
         ["verify", "--case", "dromion", "--t", "0.3"],
@@ -1189,8 +1179,9 @@ def test_parser_is_reused_without_leaking_state(capsys):
     assert "expected one argument" in usage and version.strip() == dsfield.__version__
     custom, default = (dict(line.split(": ", 1) for line in text.splitlines())
                        for text in (custom, default))
-    assert (custom["res"], custom["check.bilinear2.threshold"]) == ("24", "1.0e-09")
-    assert (default["res"], default["check.bilinear2.threshold"]) == ("64", "1.0e-10")
+    assert (custom["res"], default["res"]) == ("24", "64")
+    assert [k for k in custom if k.endswith(".status")] == [
+        "check.bilinear2.status", "check.admissibility.status"]
     assert [k for k in default if k.endswith(".status")] == [
         "check.bilinear2.status", "check.consistency.status", "check.admissibility.status"]
 

@@ -5,16 +5,24 @@ either listed here with its reason or moved into the tests that call it, and
 the package top level holds exactly the names that its outside callers, the
 benchmark under ``perfbench/`` and the README's library sketch, import from it.
 A defaulted parameter of a public definition that ``src/`` calls is set by some
-such call, or listed here with its reason.
+such call, or listed here with its reason, and so is a setting of the command
+line: a subcommand option with a default is passed by a README command or a
+benchmark job, or listed here with its reason.
 """
 
+import argparse
 import ast
 import importlib.util
 import inspect
 import pathlib
 import re
+import shlex
 
 import dsfield
+from dsfield.catalog import build_case, case_names
+from dsfield.cli import build_parser
+
+from conftest import perfbench_module
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "dsfield"
@@ -161,3 +169,43 @@ def test_every_defaulted_parameter_is_set_by_some_src_call():
     assert not unset - ONE_VALUE.keys(), sorted(unset - ONE_VALUE.keys())
     # an entry that some call now sets, or that is gone, leaves the list
     assert not ONE_VALUE.keys() - unset, sorted(ONE_VALUE.keys() - unset)
+
+
+# command-line settings, the subcommand options whose default is not None, that
+# no README command and no benchmark job passes, each with its reason; inputs and
+# output paths default to None
+UNPASSED = {}
+
+
+def _readme_argvs() -> list:
+    """The argv of each command of the README's "Command line" block."""
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    block = re.search(r"## Command line\n+```sh\n(.*?)```", text, re.S).group(1)
+    return [shlex.split(line)[1:] for line in block.replace("\\\n", " ").splitlines()]
+
+
+def _job_argvs(workdir) -> list:
+    """The argv of every job of rounds 0-2 of each benchmark workload at seed 1,
+    built, not run."""
+    jobs = perfbench_module("jobs")
+    catalog = {name: build_case(name) for name in case_names()}
+    plans = [jobs.Plan(workload, 1, str(workdir), catalog) for workload in jobs.WORKLOADS]
+    return [job.argv for plan in plans for r in range(3) for job in plan.round(r)]
+
+
+def test_every_cli_setting_is_passed_by_a_caller(tmp_path):
+    commands = next(a.choices for a in build_parser()._actions
+                    if isinstance(a, argparse._SubParsersAction))
+    argvs = _readme_argvs() + _job_argvs(tmp_path)
+    assert {argv[0] for argv in argvs} == commands.keys()
+    unpassed = set()
+    for command, parser in commands.items():
+        # an option passed as --opt v, --opt=v or, for a flag, --opt
+        passed = {word.partition("=")[0] for argv in argvs if argv[0] == command
+                  for word in argv[1:]}
+        unpassed |= {f"{command} {a.option_strings[0]}" for a in parser._actions
+                     if a.default not in (None, argparse.SUPPRESS)
+                     and not passed & set(a.option_strings)}
+    assert not unpassed - UNPASSED.keys(), sorted(unpassed - UNPASSED.keys())
+    # an entry that some caller now passes, or that is gone, leaves the list
+    assert not UNPASSED.keys() - unpassed, sorted(UNPASSED.keys() - unpassed)

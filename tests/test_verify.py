@@ -21,7 +21,7 @@ from dsfield.ansatz import (
 from dsfield.auxiliary import Ingredients
 from dsfield.calculus import Jet, layout
 from dsfield.catalog import build_case, case_names
-from dsfield.cli import _residual, build_parser
+from dsfield.cli import THRESHOLDS, _residual
 from dsfield.field import sample_field
 from dsfield.profiles import TimeFunction
 from dsfield.specfile import loads_spec
@@ -197,7 +197,7 @@ def test_negative_control_corrupted_amplitude():
     e = build_case("dromion")
     line2 = bilinear_residuals(bundle(e.spec, e.window, 0.0, 32, amplitude_scale=1.1))
     assert line2.max_abs > 0.15       # (1.1^2 - 1)/1.1^2 relative mismatch
-    # near the default --tol of 1e-10: a scale of 1 + 1e-9 mismatches g g*
+    # near bilinear2's threshold of 1e-10: a scale of 1 + 1e-9 mismatches g g*
     # by about 2e-9 relative on every case
     for name in case_names():
         e = build_case(name)
@@ -206,16 +206,12 @@ def test_negative_control_corrupted_amplitude():
         assert line2.max_abs > 1e-10, name
 
 
-_DEFAULTS = build_parser().parse_args(["verify", "--t", "0"])   # verify's thresholds
-
-
 def _failing_checks(ing) -> set:
-    """The checks that fail on the bundle at verify's default thresholds, of those
-    its ingredients reach: bilinear2, bilinear1, pde1 and consistency."""
-    reps = [(bilinear_residuals(ing), _DEFAULTS.tol),
-            *((rep, _DEFAULTS.tol_pde) for rep in envelope_residuals(ing))]
-    failed = {rep.check_name for rep, tol in reps if _residual(rep, tol)[0] == "fail"}
-    if not ing.consistency.max_variation <= _DEFAULTS.tol_consistency:
+    """The checks that fail on the bundle at verify's thresholds, of those its
+    ingredients reach: bilinear2, bilinear1, pde1 and consistency."""
+    reps = [bilinear_residuals(ing), *envelope_residuals(ing)]
+    failed = {rep.check_name for rep in reps if _residual(rep)[0] == "fail"}
+    if not ing.consistency.max_variation <= THRESHOLDS["consistency"]:
         failed.add("consistency")
     return failed
 
@@ -237,7 +233,7 @@ def test_gain_on_admissible_draws_fails_the_consistency_check_alone():
         ing = bundle(gained, ((-8, 8), (-8, 8)), t, 48)
         assert _failing_checks(ing) == {"consistency"}, t
         worst = max(worst, *(rep.max_abs for rep in envelope_residuals(ing)))
-    assert 1e-7 < worst < _DEFAULTS.tol_pde
+    assert 1e-7 < worst < THRESHOLDS["pde1"] == THRESHOLDS["bilinear1"]
 
 
 @pytest.mark.xfail(strict=True, reason="ROADMAP item 3: without a floor and a ratio no "
