@@ -61,11 +61,11 @@ class CheckFailure(Exception):
 
 # error class -> exit code; the first class that matches decides, so
 # SingularWindowError, a ValueError, comes before ValueError.  An OSError
-# is an output path that cannot be written.
+# is an output path that cannot be written, a MemoryError a --res too large.
 _EXIT_CODES = ((UsageError, EXIT_USAGE), (DegenerateInput, EXIT_DEGENERATE),
                (SingularWindowError, EXIT_DEGENERATE),
                (CheckFailure, EXIT_VERIFY_FAILED), (ValueError, EXIT_USAGE),
-               (OSError, EXIT_USAGE))
+               (OSError, EXIT_USAGE), (MemoryError, EXIT_USAGE))
 
 
 _PI_FORM = re.compile(
@@ -436,7 +436,7 @@ def main(argv=None) -> int:
             raise UsageError("resolution must be at least 8")
         return handlers[args.command](args)
     except tuple(cls for cls, _ in _EXIT_CODES) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return next(code for cls, code in _EXIT_CODES if isinstance(exc, cls))
 
 

@@ -10,11 +10,12 @@ Three independent suites certify a solution spec:
   line 1 of the bilinear form and as the u-form with the forcing field, both
   from one evaluation per block of grid rows of the jets in (zeta, eta, t)
   of f and of the envelope g, the product of the bundle's line carriers, on
-  the order-2 entries it reads; and the forcing-field constraint by central
-  differences of the jet-computed fields at h and h/2 and the order they
-  show, from each profile once per stencil line and U and phi broadcast
-  onto the stencil, the stencils summed in a fixed order per block of grid
-  rows (the package's only finite differences, their weights kept here);
+  the order-2 entries it reads; and the forcing-field constraint by one
+  second-order central-difference stencil of the jet-computed fields at its
+  step h and at h/2 and the order they show, from each profile once per
+  stencil line on the entries U and phi read and U and phi broadcast onto
+  the stencil, the stencils summed in a fixed order per block of grid rows
+  (the package's only finite differences, their weights kept here);
 * the window scan, :func:`~dsfield.ansatz.check_admissibility`: zeros of
   f from f's value alone, the sign condition, and profile poles from
   sweeps of profile values alone.
@@ -195,60 +196,56 @@ def bilinear_residuals(ing: Ingredients) -> ResidualReport:
 # forcing-field constraint: the package's only finite differences
 
 
-# central-difference weights at the offsets -k..k, by (derivative order, accuracy)
-_FD_WEIGHTS = {(1, 2): (-0.5, 0.0, 0.5), (2, 2): (1.0, -2.0, 1.0),
-               (1, 4): (1 / 12, -2 / 3, 0.0, 2 / 3, -1 / 12),
-               (2, 4): (-1 / 12, 4 / 3, -5 / 2, 4 / 3, -1 / 12)}
-_PDE2_H, _PDE2_ACCURACY = 1e-2, 2          # the check's step and accuracy by default
+# central-difference weights at the offsets -1, 0, 1, by derivative order
+_FD_WEIGHTS = {1: (-0.5, 0.0, 0.5), 2: (1.0, -2.0, 1.0)}
+_PDE2_H = 1e-2                      # the check's step; its convergence pair runs h/2 too
 
 
-def pde_residuals(spec: SolutionSpec, grid, t, h=_PDE2_H,
-                  accuracy=_PDE2_ACCURACY) -> ResidualReport:
+def pde_residuals(spec: SolutionSpec, grid, t, h=_PDE2_H) -> ResidualReport:
     """Residual of the forcing-field constraint (line 2 of the rotated-frame equations,
-    fourth order in log f) on ``grid``, by central differences of step ``h`` and order
-    of ``accuracy`` of the jet-computed intensity and forcing fields."""
-    return _report("pde2", _pde2_field(spec, grid, t, h, accuracy), grid, t)
+    fourth order in log f) on ``grid``, by central differences of step ``h`` of the
+    jet-computed intensity and forcing fields."""
+    return _report("pde2", _pde2_field(spec, grid, t, h), grid, t)
 
 
-def _pde2_field(spec, grid, t, h=_PDE2_H, accuracy=_PDE2_ACCURACY):
+def _pde2_field(spec, grid, t, h=_PDE2_H):
     """Forcing-field residual |4 phi_ze - U_zz - U_ee - 2 U_ze| at ``grid``'s points,
     non-finite wherever a stencil sample of U or phi is.
 
-    Central differences of step ``h`` and order of ``accuracy``.  A point's k x k
-    stencil samples lie on k shifted zeta and k shifted eta lines, so per block of
-    :func:`~dsfield.ansatz.fill_rows` p is evaluated once on its lines,
-    (k, 1, rows, nx), q on its own, (1, k, rows, nx), both to order 2, U and
-    phi come out on the stencil by broadcasting, and each stencil sums every
-    sample it weighs, zero weights too, left to right: over k, or over (i, j)
-    in raster order.  A point's bits do not depend on its block.
+    Second-order central differences of step ``h``.  A point's 3 x 3 stencil samples
+    lie on 3 shifted zeta and 3 shifted eta lines, so per block of
+    :func:`~dsfield.ansatz.fill_rows` p is evaluated once on its lines, (3, 1, rows,
+    nx), q on its own, (1, 3, rows, nx), both on the box (2, 0) that U and phi read,
+    U and phi come out on the stencil by broadcasting, and each stencil sums every
+    sample it weighs, zero weights too, left to right: over k, or over (i, j) in
+    raster order.  A point's bits do not depend on its block.
     """
-    w2, w1 = _FD_WEIGHTS[2, accuracy], _FD_WEIGHTS[1, accuracy]
+    w1, w2 = _FD_WEIGHTS[1], _FD_WEIGHTS[2]
     cross = np.outer(w1, w1).ravel()
-    half = (len(w1) - 1) // 2
-    d = np.arange(-half, half + 1)[:, None, None, None] * h
+    d = np.array((-h, 0.0, h))[:, None, None, None]
 
     def wsum(weights, samples):
         return sum(w * v for w, v in zip(weights, samples)) / h**2
 
     def on_stencil(rows):
         z, e = rotate(grid.X[rows], grid.Y[rows])
-        pj, qj = profile_jets3(spec, z + d, (e + d[:, 0])[None], t, 2)
+        pj, qj = profile_jets3(spec, z + d, (e + d[:, 0])[None], t, (2, 0))
         # zero backgrounds: the cross derivative annihilates separated
         # backgrounds, so the check is exact without them and stays
         # defined at degenerate times
         U = eval_intensity(spec, pj, qj)[0]
         PHI = eval_phi(eval_f(spec, pj, qj, PHI_READS), 0.0, 0.0)
         u_ze, phi_ze = (wsum(cross, v.reshape(-1, *v.shape[2:])) for v in (U, PHI))
-        return (np.abs(4.0 * phi_ze - wsum(w2, U[:, half]) - wsum(w2, U[half]) - 2.0 * u_ze),)
+        return (np.abs(4.0 * phi_ze - wsum(w2, U[:, 1]) - wsum(w2, U[1]) - 2.0 * u_ze),)
 
     with np.errstate(invalid="ignore", over="ignore", under="ignore", divide="ignore"):
         return fill_rows(grid.keep.shape, on_stencil)[0]
 
 
-def pde_phi_convergence(spec: SolutionSpec, grid, t, h=_PDE2_H, accuracy=_PDE2_ACCURACY):
-    """The forcing-field check at h and at h/2, and the order log2(e_h / e_h/2)
-    that their mean residuals e show, NaN unless both are positive."""
-    coarse, fine = (pde_residuals(spec, grid, t, step, accuracy) for step in (h, h / 2))
+def pde_phi_convergence(spec: SolutionSpec, grid, t):
+    """The forcing-field check at its step h and at h/2, and the order
+    log2(e_h / e_h/2) that their mean residuals e show, NaN unless both are positive."""
+    coarse, fine = (pde_residuals(spec, grid, t, h) for h in (_PDE2_H, _PDE2_H / 2))
     e_h, e_h2 = coarse.mean_abs, fine.mean_abs
     return coarse, fine, math.log2(e_h / e_h2) if e_h > 0 and e_h2 > 0 else math.nan
 

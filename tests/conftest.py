@@ -8,10 +8,20 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from dsfield.ansatz import SeparationCoefficients, SolutionSpec, window_grid
+from dsfield.ansatz import (
+    SeparationCoefficients,
+    SolutionSpec,
+    eval_f,
+    eval_intensity,
+    eval_phi,
+    profile_jets3,
+    rotate,
+    window_grid,
+)
 from dsfield.auxiliary import Auxiliaries, Ingredients
 from dsfield.field import to_csv, to_pgm16
 from dsfield.profiles import ExpSumProfile
+from dsfield.verify import _report
 
 CONFIGS = os.path.join(os.path.dirname(__file__), os.pardir, "configs")
 PERFBENCH = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench")
@@ -87,6 +97,70 @@ def hirota_d(a, b, m: int, n: int, pt):
             coeff = math.comb(m, k) * math.comb(n, l)
             total = total + sign * coeff * ja[k, l] * jb[m - k, n - l]
     return total
+
+
+# The finite-difference oracle of the forcing-field constraint.  verify runs one
+# stencil, accuracy 2 at its own step and half of it; the oracle studies the
+# stencil at any step and accuracy, per stencil point on the whole grid.
+
+# central-difference weights at the offsets -k..k, by (derivative order, accuracy)
+FD_WEIGHTS = {(1, 2): (-0.5, 0.0, 0.5), (2, 2): (1.0, -2.0, 1.0),
+              (1, 4): (1 / 12, -2 / 3, 0.0, 2 / 3, -1 / 12),
+              (2, 4): (-1 / 12, 4 / 3, -5 / 2, 4 / 3, -1 / 12)}
+
+
+def fixed_order_sums(w2, w1, U, PHI, half):
+    """U_zz, U_ee, U_ze and phi_ze times h^2, each stencil summed left to right:
+    over k along each axis, over (i, j) in raster order."""
+    def cross(V):
+        total = 0
+        for i in range(len(w1)):
+            for j in range(len(w1)):
+                total = total + (w1[i] * w1[j]) * V[i, j]
+        return total
+    u_zz = u_ee = 0
+    for k, w in enumerate(w2):
+        u_zz, u_ee = u_zz + w * U[k, half], u_ee + w * U[half, k]
+    return u_zz, u_ee, cross(U), cross(PHI)
+
+
+def fd_pde2_field(spec, zeta, eta, t, h, accuracy, apply=fixed_order_sums):
+    """The forcing-field residual |4 phi_ze - U_zz - U_ee - 2 U_ze| by central
+    differences of step ``h`` and order of ``accuracy``, as first written: order-3
+    profile jets, U and phi evaluated on the whole grid once per stencil point, the
+    stencils applied by ``apply``; and the mask of points whose samples are finite."""
+    w2 = np.asarray(FD_WEIGHTS[2, accuracy])
+    w1 = np.asarray(FD_WEIGHTS[1, accuracy])
+    half = (len(w1) - 1) // 2
+    offs = np.arange(-half, half + 1)
+    U = np.empty((len(offs), len(offs)) + zeta.shape)
+    PHI = np.empty_like(U)
+    with np.errstate(invalid="ignore", over="ignore", under="ignore", divide="ignore"):
+        for i, oi in enumerate(offs):
+            for j, oj in enumerate(offs):
+                z, e = zeta + oi * h, eta + oj * h
+                pj, qj = profile_jets3(spec, z, e, t)
+                PHI[i, j] = eval_phi(eval_f(spec, pj, qj), 0.0, 0.0)
+                U[i, j] = eval_intensity(spec, pj, qj)[0]
+        u_zz, u_ee, u_ze, phi_ze = (v / h**2 for v in apply(w2, w1, U, PHI, half))
+        resid = np.abs(4.0 * phi_ze - u_zz - u_ee - 2.0 * u_ze)
+    stencil_ok = np.isfinite(U).all(axis=(0, 1)) & np.isfinite(PHI).all(axis=(0, 1))
+    return resid, stencil_ok
+
+
+def observed_order(e_h, e_h2) -> float:
+    """log2(e_h / e_h2), the order that errors at h and h/2 show; NaN unless both
+    are positive."""
+    return math.log2(e_h / e_h2) if e_h > 0 and e_h2 > 0 else math.nan
+
+
+def fd_phi_convergence(spec, grid, t, h, accuracy):
+    """The oracle's forcing-field reports on ``grid`` at ``h`` and ``h / 2``, reduced
+    as verify reduces its own, and the order their mean residuals show."""
+    coarse, fine = (_report("pde2", fd_pde2_field(spec, *rotate(grid.X, grid.Y), t,
+                                                  step, accuracy)[0], grid, t)
+                    for step in (h, h / 2))
+    return coarse, fine, observed_order(coarse.mean_abs, fine.mean_abs)
 
 
 def traced_peak(fn, *args) -> int:

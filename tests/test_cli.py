@@ -267,6 +267,50 @@ def test_exit_code_follows_error_class_not_message(tmp_path, monkeypatch,
     assert "singular matrix" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("exc", [
+    # numpy's message for `analyze --case dromion --peaks --t 0 --res 100000`
+    MemoryError("Unable to allocate 9.31 GiB for an array with shape (100000, 100000) "
+                "and data type bool"),
+    MemoryError(),
+], ids=["numpy", "bare"])
+@pytest.mark.parametrize("command", [("render", "--t", "0"), ("analyze", "--peaks", "--t", "0")])
+def test_running_out_of_memory_is_a_usage_error(tmp_path, monkeypatch, capsys, command, exc):
+    # a --res too large for memory exits 2 with one error line, not 1 (the
+    # verification-failure code) with a traceback
+    def fail(*args, **kwargs):
+        raise exc
+
+    monkeypatch.setattr("dsfield.cli.sample_field", fail)
+    out = tmp_path / "x.out"
+    assert run(*command, "--case", "dromion", "--res", "16", "--out", str(out)) == 2
+    assert capsys.readouterr().err.splitlines() == [f"error: {str(exc) or 'MemoryError'}"]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("name", case_names())
+def test_far_times_and_windows_exit_by_error_class_without_warnings(name, tmp_path, capsys):
+    # at t = +-1e300 and 1e20, and on windows at +-1e300, profiles overflow
+    # and sum to inf - inf; every command still exits with the code of its
+    # error class and prints one error line at most, no numpy warning (under
+    # this suite's warnings filter a leaked RuntimeWarning raises)
+    from dsfield.cli import EXIT_DEGENERATE, EXIT_OK, EXIT_VERIFY_FAILED
+    common = ("--case", name, "--res", "16", "--out", str(tmp_path / "out"))
+    checks = ("--checks", "bilinear2,bilinear1,pde2,pde1,consistency,admissibility")
+    argvs = [argv for t in ("1e300", "-1e300", "1e20")
+             for argv in (("render", "--t", t), ("render", "--t", t, "--which", "phi"),
+                          ("verify", "--t", t, *checks), ("analyze", "--decay", t),
+                          ("analyze", "--peaks", "--t", t))]
+    argvs += [(command, "--t", "0.3", f"--window={w}", *more)
+              for w in ("1e300:2e300:1e300:2e300", "-2e300:-1e300:-2e300:-1e300")
+              for command, more in (("render", ()), ("verify", checks))]
+    for argv in argvs:
+        code = run(*argv, *common)
+        err = capsys.readouterr().err.splitlines()
+        assert code in (EXIT_OK, EXIT_VERIFY_FAILED, EXIT_DEGENERATE), argv
+        assert len(err) == (code != EXIT_OK), (argv, err)
+        assert all(line.startswith("error: ") for line in err), (argv, err)
+
+
 @pytest.mark.parametrize("argv", [
     ("render", "--case", "dromion", "--t", "0", "--res", "16"),
     ("verify", "--case", "dromion", "--t", "0", "--res", "16"),
@@ -1078,7 +1122,7 @@ def test_each_reader_asks_its_profiles_for_the_entries_it_reads(tmp_path, monkey
     asked.clear()
     assert run("verify", "--t", "0.3", "--checks", ALL, *common) == 0
     assert asked == {"Ingredients.<lambda>": {3}, "pole_sweep": {0},
-                     "_pde2_field.<locals>.on_stencil": {2},
+                     "_pde2_field.<locals>.on_stencil": {(2, 0)},
                      "_integrate_from_anchor": {2}, "consistency_c1_c2": {2},
                      "Auxiliaries.branch": {(1, 0)}}
     assert not {grid, rate, "_log_intensity_jets", "_statistic"} & set(asked)
@@ -1115,8 +1159,8 @@ def test_period_solve_evaluates_u_t_only_in_its_steps(tmp_path, monkeypatch, sta
 @pytest.mark.parametrize("name", case_names())
 def test_pde2_evaluates_each_profile_once_per_row_batch(name, tmp_path, monkeypatch):
     # the pde2 check evaluates p on all its shifted zeta lines at once,
-    # shape (3, 1, rows, nx), and q on its eta lines, (1, 3, rows, nx), to
-    # order 2: once per step size (h, h/2) on the <= 24^2 verify grid, and
+    # shape (3, 1, rows, nx), and q on its eta lines, (1, 3, rows, nx), on
+    # the box (2, 0) that U and phi read: once per step size (h, h/2) on the <= 24^2 verify grid, and
     # once per block of rows of a render (131 rows: three)
     calls = []
     for cls in vars(profiles).values():
@@ -1129,7 +1173,7 @@ def test_pde2_evaluates_each_profile_once_per_row_batch(name, tmp_path, monkeypa
             monkeypatch.setattr(cls, "jet3", counting)
 
     def lines(rows, n):
-        return [((3, 1, rows, n), 2), ((1, 3, rows, n), 2)]
+        return [((3, 1, rows, n), (2, 0)), ((1, 3, rows, n), (2, 0))]
 
     out = str(tmp_path / "out")
     assert run("verify", "--case", name, "--t", "0.3", "--res", "64",

@@ -107,12 +107,6 @@ def test_top_level_holds_what_its_callers_import():
 # defaulted parameters of called public definitions that no src/ call sets, each
 # with its reason; a setting that no caller varies is a constant, not a parameter
 ONE_VALUE = {
-    "verify.pde_phi_convergence.h": "acceptance criterion 3 measures the stencil's order "
-                                    "at its own steps, until exact pde2 (ROADMAP item 2) "
-                                    "deletes the stencil",
-    "verify.pde_phi_convergence.accuracy": "acceptance criterion 3 measures the stencil's "
-                                           "order at accuracy 4, until exact pde2 (ROADMAP "
-                                           "item 2) deletes the stencil",
     "cli.main.argv": "the console script passes none; the benchmark worker and the "
                      "tests pass their own",
 }

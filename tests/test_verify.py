@@ -27,6 +27,7 @@ from dsfield.profiles import TimeFunction
 from dsfield.specfile import loads_spec
 from dsfield.verify import (
     _FD_WEIGHTS,
+    _PDE2_H,
     _bilinear2_field,
     _envelope_fields,
     _pde2_field,
@@ -39,9 +40,12 @@ from dsfield.verify import (
 )
 
 from conftest import (
+    FD_WEIGHTS,
     admissible_spec,
     bundle,
     decaying_p_text,
+    fd_pde2_field,
+    fd_phi_convergence,
     hirota_d,
     negative_radicands,
     random_spec,
@@ -358,8 +362,11 @@ def test_pde_line1_negative_control():
 
 @pytest.mark.parametrize("order,accuracy", [(1, 2), (1, 4), (2, 2), (2, 4)])
 def test_stencil_polynomial_exactness(order, accuracy):
-    # exact for monomials up to degree order + accuracy - 1
-    weights, h = np.asarray(_FD_WEIGHTS[order, accuracy]), 0.5
+    # the oracle's weights are exact for monomials up to degree order +
+    # accuracy - 1, and verify's are its accuracy-2 rows
+    weights, h = np.asarray(FD_WEIGHTS[order, accuracy]), 0.5
+    if accuracy == 2:
+        assert _FD_WEIGHTS[order] == FD_WEIGHTS[order, accuracy]
     half = (len(weights) - 1) // 2
     xs = np.arange(-half, half + 1) * h
     for deg in range(order + accuracy):
@@ -372,17 +379,31 @@ def test_stencil_polynomial_exactness(order, accuracy):
 @pytest.mark.parametrize("name", ["dromion", "solitoff"])
 def test_pde_line2_convergence_order(name):
     e = build_case(name)
-    coarse, fine, order = pde_phi_convergence(e.spec, window_grid(((-3, 3), (-3, 3)), 20), 0.0,
-                                              2e-2, 2)
+    coarse, fine, order = fd_phi_convergence(e.spec, window_grid(((-3, 3), (-3, 3)), 20), 0.0,
+                                             2e-2, 2)
     assert abs(order - 2.0) <= 0.3
     assert fine.max_abs < coarse.max_abs
 
 
 def test_pde_line2_fourth_order_stencil():
     e = build_case("dromion")
-    _, _, order = pde_phi_convergence(e.spec, window_grid(((-3, 3), (-3, 3)), 16), 0.0,
-                                      5e-2, 4)
+    _, _, order = fd_phi_convergence(e.spec, window_grid(((-3, 3), (-3, 3)), 16), 0.0,
+                                     5e-2, 4)
     assert abs(order - 4.0) <= 0.3
+
+
+@pytest.mark.parametrize("name", case_names())
+def test_pde_phi_convergence_is_the_oracle_bit_for_bit(name):
+    # verify's convergence pair is the oracle's stencil at accuracy 2 and the
+    # check's own steps: both reports' statistics and the order, to the bit
+    e = build_case(name)
+    grid = window_grid(e.window, 24, e.valid_mask)
+    for t in (e.reference_times[0], 0.3):
+        got = pde_phi_convergence(e.spec, grid, t)
+        want = fd_phi_convergence(e.spec, grid, t, _PDE2_H, 2)
+        stats = [[(r.mean_abs, r.max_abs, r.samples, r.dropped) for r in reports[:2]]
+                 + [reports[2]] for reports in (got, want)]
+        np.testing.assert_array_equal(*map(np.hstack, stats), strict=True)
 
 
 def test_pde_line2_breather_degenerate_time():
@@ -398,11 +419,11 @@ def test_pde_line2_drops_stencil_hits_near_pole():
     e = build_case("double_instanton")
     y0 = 0.9902 * math.sqrt(2.0) - 1.0
     grid = window_grid(((-1.0, 1.0), (y0, y0 + 2.0)), 24)
-    resid = _pde2_field(e.spec, grid, 0.0, 1e-2, 2)
+    resid = _pde2_field(e.spec, grid, 0.0)
     np.testing.assert_array_equal(np.isfinite(resid), ~np.eye(24, dtype=bool))
     pj, qj = profile_jets3(e.spec, *rotate(grid.X, grid.Y), 0.0, (1, 0))
     assert np.isfinite(eval_intensity(e.spec, pj, qj)[0]).all()
-    l2 = pde_residuals(e.spec, grid, 0.0, 1e-2, 2)
+    l2 = pde_residuals(e.spec, grid, 0.0)
     assert l2.masked == 0 and l2.dropped == 24
     # truncation is honest but large right beside the pole, where its
     # high derivatives blow up; the bulk of the window stays clean
@@ -423,43 +444,6 @@ def test_verify_residuals_fill_their_grids_block_by_block(name):
     assert traced_peak(bilinear_residuals, ing) <= 5e6
 
 
-def _pde2_field_per_point(spec, zeta, eta, t, h, accuracy, apply):
-    """The forcing-field residual as first written: order-3 profile jets, U
-    and phi evaluated on the whole grid once per stencil point, the stencils
-    applied by ``apply``; and the mask of points whose samples are finite."""
-    w2 = np.asarray(_FD_WEIGHTS[2, accuracy])
-    w1 = np.asarray(_FD_WEIGHTS[1, accuracy])
-    half = (len(w1) - 1) // 2
-    offs = np.arange(-half, half + 1)
-    U = np.empty((len(offs), len(offs)) + zeta.shape)
-    PHI = np.empty_like(U)
-    with np.errstate(invalid="ignore", over="ignore", under="ignore", divide="ignore"):
-        for i, oi in enumerate(offs):
-            for j, oj in enumerate(offs):
-                z, e = zeta + oi * h, eta + oj * h
-                pj, qj = profile_jets3(spec, z, e, t)
-                PHI[i, j] = eval_phi(eval_f(spec, pj, qj), 0.0, 0.0)
-                U[i, j] = eval_intensity(spec, pj, qj)[0]
-        u_zz, u_ee, u_ze, phi_ze = (v / h**2 for v in apply(w2, w1, U, PHI, half))
-        resid = np.abs(4.0 * phi_ze - u_zz - u_ee - 2.0 * u_ze)
-    stencil_ok = np.isfinite(U).all(axis=(0, 1)) & np.isfinite(PHI).all(axis=(0, 1))
-    return resid, stencil_ok
-
-
-def _fixed_order_sums(w2, w1, U, PHI, half):
-    # left to right: over k along each axis, over (i, j) in raster order
-    def cross(V):
-        total = 0
-        for i in range(len(w1)):
-            for j in range(len(w1)):
-                total = total + (w1[i] * w1[j]) * V[i, j]
-        return total
-    u_zz = u_ee = 0
-    for k, w in enumerate(w2):
-        u_zz, u_ee = u_zz + w * U[k, half], u_ee + w * U[half, k]
-    return u_zz, u_ee, cross(U), cross(PHI)
-
-
 def _matrix_products(w2, w1, U, PHI, half):
     return (np.tensordot(w2, U[:, half], axes=(0, 0)), np.tensordot(w2, U[half, :], axes=(0, 0)),
             np.einsum("i,j,ij...->...", w1, w1, U), np.einsum("i,j,ij...->...", w1, w1, PHI))
@@ -467,28 +451,24 @@ def _matrix_products(w2, w1, U, PHI, half):
 
 @pytest.mark.parametrize("name", case_names())
 def test_pde2_field_is_the_per_point_stencil_bit_for_bit(name, monkeypatch):
-    # profiles once per stencil line, to order 2, and U and phi by
+    # profiles once per stencil line, on the box (2, 0), and U and phi by
     # broadcasting, in row blocks, the stencils summed in a fixed order per
-    # block: the residual keeps every bit of the per-point evaluation and is
-    # non-finite wherever a stencil sample is, across the seams of seven
-    # blocks of 13 rows of 97 columns.  The default stencil's
-    # dyadic weights make every product exact, so there the matrix products
-    # the check first used give the same bits
+    # block: the residual keeps every bit of the oracle's per-point evaluation
+    # from order-3 jets and is non-finite wherever a stencil sample is, across
+    # the seams of seven blocks of 13 rows of 97 columns.  The stencil's
+    # dyadic weights make every product exact, so the matrix products the
+    # check first used give the same bits
     e = build_case(name)
     grid = window_grid(e.window, (97, 80))
     monkeypatch.setattr(ansatz, "_ROW_BLOCK", 13 * 97)
     assert len(ansatz.row_blocks(80, 97)) == 7
     for t in (e.reference_times[0], 0.3):
-        for accuracy in (2, 4):
-            want, ok = _pde2_field_per_point(e.spec, *rotate(grid.X, grid.Y), t, 1e-2, accuracy,
-                                             _fixed_order_sums)
-            got = _pde2_field(e.spec, grid, t, 1e-2, accuracy)
-            np.testing.assert_array_equal(got, want, strict=True)
-            assert not np.isfinite(got[~ok]).any()
-            if accuracy == 2:
-                old = _pde2_field_per_point(e.spec, *rotate(grid.X, grid.Y), t, 1e-2, accuracy,
-                                            _matrix_products)[0]
-                np.testing.assert_array_equal(got, old, strict=True)
+        want, ok = fd_pde2_field(e.spec, *rotate(grid.X, grid.Y), t, _PDE2_H, 2)
+        got = _pde2_field(e.spec, grid, t)
+        np.testing.assert_array_equal(got, want, strict=True)
+        assert not np.isfinite(got[~ok]).any()
+        old = fd_pde2_field(e.spec, *rotate(grid.X, grid.Y), t, _PDE2_H, 2, _matrix_products)[0]
+        np.testing.assert_array_equal(got, old, strict=True)
 
 
 @pytest.mark.parametrize("name", case_names())
