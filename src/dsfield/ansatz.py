@@ -111,6 +111,8 @@ class SolutionSpec:
     def __post_init__(self):
         if self.delta1 * self.delta1 != 1 or self.delta2 * self.delta2 != 1:
             raise ValueError("delta1 and delta2 must be +1 or -1")
+        if not any(self.funcs.beta.coeffs):
+            raise ValueError("beta must not be identically zero")
 
 
 def rotate(x, y):

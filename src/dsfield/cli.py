@@ -19,7 +19,7 @@ import sys
 import tempfile
 
 from . import __version__
-from .ansatz import DEGENERATE_LEVEL, check_admissibility, max_abs, window_grid
+from .ansatz import DEGENERATE_LEVEL, max_abs, window_grid
 from .auxiliary import Ingredients
 from .catalog import build_case, case_names
 from .field import (
@@ -32,19 +32,12 @@ from .field import (
     to_pgm16,
 )
 from .specfile import SpecFileError, load_spec
-from .verify import (
-    bilinear_residuals,
-    envelope_residuals,
-    pde_phi_convergence,
-)
+from .verify import CHECKS, run_checks
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
 EXIT_USAGE = 2
 EXIT_DEGENERATE = 3
-
-ALL_CHECKS = ("bilinear2", "bilinear1", "pde2", "pde1", "consistency",
-              "admissibility")
 
 
 class UsageError(Exception):
@@ -186,14 +179,19 @@ def _cmd_catalog(args) -> int:
     return EXIT_OK
 
 
+def _intensity_grid(spec, window, t, res, label):
+    """The U grid of ``window`` at ``t``, refused where U vanishes to the degenerate level."""
+    grid = sample_field(spec, "U", window, t, nx=res, ny=res)
+    if max_abs(grid.values, grid.mask) < DEGENERATE_LEVEL:
+        raise DegenerateInput(f"degenerate: intensity identically zero for {label} at t={t:g}")
+    return grid
+
+
 def _cmd_render(args) -> int:
     spec, window, label = _resolve_spec(args)
     t = parse_time(args.t)
-    grid = sample_field(spec, args.which, window, t, nx=args.res, ny=args.res)
-    if args.which == "U":
-        if max_abs(grid.values, grid.mask) < DEGENERATE_LEVEL:
-            raise DegenerateInput(
-                f"degenerate: intensity identically zero for {label} at t={t:g}")
+    grid = (_intensity_grid(spec, window, t, args.res, label) if args.which == "U"
+            else sample_field(spec, args.which, window, t, nx=args.res, ny=args.res))
     if args.format == "csv":
         _atomic_write(args.out, lambda fh: to_csv(grid, fh))
     else:
@@ -203,112 +201,31 @@ def _cmd_render(args) -> int:
     return EXIT_OK
 
 
-def _check_lines(name, status, fields=(), notes=""):
-    """The report lines of one check: its fields, its status, its notes."""
-    lines = [(f"check.{name}.{key}", value) for key, value in fields]
-    lines.append((f"check.{name}.status", status))
-    if notes:
-        lines.append((f"check.{name}.notes", notes))
-    return lines
-
-
-# verify's pass thresholds: bilinear2 relative to |g g*|, bilinear1 and pde1 absolute,
-# the consistency variation, and the distance of pde2's observed order from its nominal 2
-THRESHOLDS = {"bilinear2": 1e-10, "bilinear1": 1e-6, "pde1": 1e-6, "consistency": 1e-8,
-              "pde2": 0.3}
-
-
-def _residual(report):
-    """(status, fields, notes) of a residual check against its threshold; an
-    applicable report's fields also give its worst point, after max_abs, and
-    end with its counts of masked and dropped samples.  An applicable report
-    with notes fails: they say that it checked nothing, or not every valid
-    sample."""
-    threshold = THRESHOLDS[report.check_name]
-    status = ("skipped" if not report.applicable
-              else "pass" if report.max_abs < threshold and not report.notes else "fail")
-    w, counts = report.worst_point, ("masked", "dropped") if report.applicable else ()
-    return status, [("max_abs", f"{report.max_abs:.6e}"),
-                    *((("worst_at", f"{w[0]:.17g},{w[1]:.17g}"),) if report.applicable else ()),
-                    ("mean_abs", f"{report.mean_abs:.6e}"),
-                    ("samples", str(report.samples)),
-                    ("threshold", f"{threshold:.1e}"),
-                    *((key, str(getattr(report, key))) for key in counts)], report.notes
-
-
 def _cmd_verify(args) -> int:
     spec, window, label = _resolve_spec(args)
     t = parse_time(args.t)
     requested = [c.strip() for c in args.checks.split(",") if c.strip()]
-    unknown = [c for c in requested if c not in ALL_CHECKS]
+    unknown = [c for c in requested if c not in CHECKS]
     if unknown:
-        raise UsageError(f"unknown checks {unknown}; valid: {', '.join(ALL_CHECKS)}")
+        raise UsageError(f"unknown checks {unknown}; valid: {', '.join(CHECKS)}")
     if not requested:
-        raise UsageError(f"no checks requested; valid: {', '.join(ALL_CHECKS)}")
+        raise UsageError(f"no checks requested; valid: {', '.join(CHECKS)}")
     # every check on the --res grid reads this one bundle
     ing = Ingredients(spec, window_grid(window, args.res, spec.valid_mask), t)
 
     lines = [("case", label), ("t", f"{t:.17g}"),
              ("window", ":".join(f"{v:.17g}" for v in (*window[0], *window[1]))),
              ("res", str(args.res))]
-    # (status, fields[, notes]) per check, in report order
-    checks = {}
-    if "bilinear2" in requested:
-        checks["bilinear2"] = _residual(bilinear_residuals(ing))
-
-    if "bilinear1" in requested or "pde1" in requested:
-        for rep in envelope_residuals(ing):
-            if rep.check_name in requested:
-                checks[rep.check_name] = _residual(rep)
-
-    if "pde2" in requested:
-        # pde2 runs on its own grid of at most 24^2 points and fails on a drop at either step
-        coarse, fine, order = pde_phi_convergence(
-            spec, window_grid(window, min(args.res, 24), spec.valid_mask), t)
-        notes = "; ".join(dict.fromkeys(r.notes for r in (coarse, fine) if r.notes))
-        ok = math.isfinite(order) and abs(order - 2.0) <= THRESHOLDS["pde2"] and not notes
-        checks["pde2"] = ("pass" if ok else "fail", [
-            ("mean_abs_h", f"{coarse.mean_abs:.6e}"),
-            ("mean_abs_h2", f"{fine.mean_abs:.6e}"),
-            ("observed_order", f"{order:.3f}"),
-            ("nominal_order", "2"),
-            ("masked", str(coarse.masked)),
-            ("dropped_h", str(coarse.dropped)),
-            ("dropped_h2", str(fine.dropped))], notes)
-
-    if "consistency" in requested:
-        crep = ing.consistency
-        if not crep.applicable:
-            checks["consistency"] = ("skipped", (), crep.note)
-        else:
-            ok = crep.max_variation <= THRESHOLDS["consistency"] and not crep.note
-            var = {"c1_variation": crep.c1_variation, "c2_variation": crep.c2_variation}
-            notes = [f"{key} undefined (nan)" for key, v in var.items() if math.isnan(v)]
-            checks["consistency"] = ("pass" if ok else "fail", [
-                *((key, f"{v:.6e}") for key, v in var.items()),
-                ("threshold", f"{THRESHOLDS['consistency']:.1e}"),
-                ("probes", str(crep.probes)),
-                ("finite_probes", str(crep.finite_probes))],
-                "; ".join(filter(None, notes + [crep.note])))
-
-    if "admissibility" in requested:
-        rep = check_admissibility(spec, ing.grid, t, ing.rows().pj, ing.rows().qj)
-        checks["admissibility"] = ("pass" if rep.verdict == "admissible" else "fail", [
-            ("verdict", rep.verdict),
-            ("min_abs_f", f"{rep.min_abs_f:.6e}"),
-            ("sign_changes", str(rep.sign_changes)),
-            ("sign_violations", str(rep.sign_violations)),
-            ("pole_intervals",
-             str(len(rep.pole_intervals_zeta) + len(rep.pole_intervals_eta)))])
-
-    for name, check in checks.items():
-        lines += _check_lines(name, *check)
-    statuses = {name: check[0] for name, check in checks.items()}
-    overall = "pass" if all(s in ("pass", "skipped") for s in statuses.values()) else "fail"
-    lines.append(("overall", overall))
+    checks = run_checks(ing, window, requested)
+    for name, (status, fields, notes) in checks.items():
+        lines += [(f"check.{name}.{key}", value) for key, value in fields]
+        lines.append((f"check.{name}.status", status))
+        if notes:
+            lines.append((f"check.{name}.notes", notes))
+    failed = [name for name, (status, _, _) in checks.items() if status == "fail"]
+    lines.append(("overall", "fail" if failed else "pass"))
     _write_report(lines, args.out)
-    if overall != "pass":
-        failed = [k for k, s in statuses.items() if s == "fail"]
+    if failed:
         raise CheckFailure(f"checks failed: {', '.join(failed)}")
     return EXIT_OK
 
@@ -350,8 +267,7 @@ def _cmd_analyze(args) -> int:
             lines.append((f"max_at_t_{t!r}", f"{mx:.17g}"))
     else:
         t = parse_time(args.t)
-        grid = sample_field(spec, "U", window, t, nx=args.res, ny=args.res)
-        res = analyze_extrema(grid)
+        res = analyze_extrema(_intensity_grid(spec, window, t, args.res, label))
         lines += [
             ("t", f"{t:.17g}"),
             ("grid_max", f"{res.global_max:.17g}"),

@@ -29,10 +29,11 @@ residual is non-finite exactly where it checks nothing.  The one bilinear
 operator here is :func:`hirota_cross`, D_z D_e f.f from f's jet, which the
 envelope pass reads.
 
-No check gates another: the envelope-equation checks run on every spec
-with a3 != 0, whatever the consistency report says, so a non-solution
-fails them.  At a3 = 0 they are marked not applicable, because their
-residuals near the zeros of f have no rounding floor to be judged by.
+:func:`run_checks` gives every verdict, against the fixed :data:`THRESHOLDS`,
+and no check gates another: the envelope-equation checks run on every spec
+with a3 != 0, whatever the consistency report says, so a non-solution fails
+them.  At a3 = 0 they are marked not applicable, because their residuals near
+the zeros of f have no rounding floor to be judged by.
 """
 
 from __future__ import annotations
@@ -64,8 +65,10 @@ __all__ = [
     "bilinear_residuals",
     "envelope_residuals",
     "pde_residuals",
-    "pde_phi_convergence",
     "singularity_scan",
+    "CHECKS",
+    "THRESHOLDS",
+    "run_checks",
 ]
 
 @dataclass(frozen=True)
@@ -242,14 +245,6 @@ def _pde2_field(spec, grid, t, h=_PDE2_H):
         return fill_rows(grid.keep.shape, on_stencil)[0]
 
 
-def pde_phi_convergence(spec: SolutionSpec, grid, t):
-    """The forcing-field check at its step h and at h/2, and the order
-    log2(e_h / e_h/2) that their mean residuals e show, NaN unless both are positive."""
-    coarse, fine = (pde_residuals(spec, grid, t, h) for h in (_PDE2_H, _PDE2_H / 2))
-    e_h, e_h2 = coarse.mean_abs, fine.mean_abs
-    return coarse, fine, math.log2(e_h / e_h2) if e_h > 0 and e_h2 > 0 else math.nan
-
-
 # ---------------------------------------------------------------------------
 # singularity scan
 
@@ -261,3 +256,90 @@ def singularity_scan(spec: SolutionSpec, window, t: float, samples=128) -> Admis
     grid = window_grid(window, samples, spec.valid_mask)
     return check_admissibility(spec, grid, t,
                                *profile_jets3(spec, *rotate(grid.X, grid.Y), t, (1, 0)))
+
+
+# ---------------------------------------------------------------------------
+# verdicts
+
+
+CHECKS = ("bilinear2", "bilinear1", "pde2", "pde1", "consistency", "admissibility")
+
+# the pass thresholds: bilinear2 relative to |g g*|, bilinear1 and pde1 absolute, the
+# consistency variation, and the distance of pde2's observed order from its nominal 2
+THRESHOLDS = {"bilinear2": 1e-10, "bilinear1": 1e-6, "pde1": 1e-6, "consistency": 1e-8,
+              "pde2": 0.3}
+
+
+def _residual(report):
+    """(status, fields, notes) of a residual check against its threshold; an
+    applicable report's fields also give its worst point, after max_abs, and
+    end with its counts of masked and dropped samples.  An applicable report
+    with notes fails: they say that it checked nothing, or not every valid
+    sample."""
+    threshold = THRESHOLDS[report.check_name]
+    status = ("skipped" if not report.applicable
+              else "pass" if report.max_abs < threshold and not report.notes else "fail")
+    w, counts = report.worst_point, ("masked", "dropped") if report.applicable else ()
+    return status, [("max_abs", f"{report.max_abs:.6e}"),
+                    *((("worst_at", f"{w[0]:.17g},{w[1]:.17g}"),) if report.applicable else ()),
+                    ("mean_abs", f"{report.mean_abs:.6e}"),
+                    ("samples", str(report.samples)),
+                    ("threshold", f"{threshold:.1e}"),
+                    *((key, str(getattr(report, key))) for key in counts)], report.notes
+
+
+def run_checks(ing: Ingredients, window, names) -> dict:
+    """{check: (status, fields, notes)} of each of ``names``, in report order (not
+    :data:`CHECKS` order).  All but pde2 read the bundle ``ing``; pde2 runs on its own
+    grid of ``window``, at most 24^2 points, at h and h/2, and fails on a drop at either."""
+    spec, t = ing.spec, ing.t
+    checks = {}
+    if "bilinear2" in names:
+        checks["bilinear2"] = _residual(bilinear_residuals(ing))
+
+    if "bilinear1" in names or "pde1" in names:
+        for rep in envelope_residuals(ing):
+            if rep.check_name in names:
+                checks[rep.check_name] = _residual(rep)
+
+    if "pde2" in names:
+        grid = window_grid(window, min(ing.grid.keep.shape[1], 24), spec.valid_mask)
+        coarse, fine = (pde_residuals(spec, grid, t, h) for h in (_PDE2_H, _PDE2_H / 2))
+        e_h, e_h2 = coarse.mean_abs, fine.mean_abs
+        order = math.log2(e_h / e_h2) if e_h > 0 and e_h2 > 0 else math.nan
+        notes = "; ".join(dict.fromkeys(r.notes for r in (coarse, fine) if r.notes))
+        ok = math.isfinite(order) and abs(order - 2.0) <= THRESHOLDS["pde2"] and not notes
+        checks["pde2"] = ("pass" if ok else "fail", [
+            ("mean_abs_h", f"{e_h:.6e}"),
+            ("mean_abs_h2", f"{e_h2:.6e}"),
+            ("observed_order", f"{order:.3f}"),
+            ("nominal_order", "2"),
+            ("masked", str(coarse.masked)),
+            ("dropped_h", str(coarse.dropped)),
+            ("dropped_h2", str(fine.dropped))], notes)
+
+    if "consistency" in names:
+        crep = ing.consistency
+        if not crep.applicable:
+            checks["consistency"] = ("skipped", (), crep.note)
+        else:
+            ok = crep.max_variation <= THRESHOLDS["consistency"] and not crep.note
+            var = {"c1_variation": crep.c1_variation, "c2_variation": crep.c2_variation}
+            notes = [f"{key} undefined (nan)" for key, v in var.items() if math.isnan(v)]
+            checks["consistency"] = ("pass" if ok else "fail", [
+                *((key, f"{v:.6e}") for key, v in var.items()),
+                ("threshold", f"{THRESHOLDS['consistency']:.1e}"),
+                ("probes", str(crep.probes)),
+                ("finite_probes", str(crep.finite_probes))],
+                "; ".join(filter(None, notes + [crep.note])))
+
+    if "admissibility" in names:
+        rep = check_admissibility(spec, ing.grid, t, ing.rows().pj, ing.rows().qj)
+        checks["admissibility"] = ("pass" if rep.verdict == "admissible" else "fail", [
+            ("verdict", rep.verdict),
+            ("min_abs_f", f"{rep.min_abs_f:.6e}"),
+            ("sign_changes", str(rep.sign_changes)),
+            ("sign_violations", str(rep.sign_violations)),
+            ("pole_intervals",
+             str(len(rep.pole_intervals_zeta) + len(rep.pole_intervals_eta)))], "")
+    return checks

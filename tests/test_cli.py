@@ -16,9 +16,11 @@ from hypothesis import strategies as st
 
 import dsfield
 from dsfield import ansatz, profiles
-from dsfield.ansatz import SeparationCoefficients, SolutionSpec, batches, rotate, window_grid
+from dsfield.ansatz import (CoefficientFunctions, SeparationCoefficients, SolutionSpec, batches,
+                            rotate, window_grid)
 from dsfield.calculus import DIV_GUARD, Jet
 from dsfield.cli import build_parser, main, parse_time, parse_window
+from dsfield.profiles import TimeFunction
 from dsfield.specfile import dumps_spec, load_spec, loads_spec, SpecFileError
 from dsfield.catalog import build_case, case_names
 
@@ -169,6 +171,26 @@ def test_spec_file_rejects_keys_outside_its_schema(tmp_path, capsys, cfg, anchor
     assert not out.exists()
 
 
+@pytest.mark.parametrize("beta", ["0", "poly: 0, 0", "-0.0"])
+def test_spec_whose_beta_is_identically_zero_is_refused(tmp_path, capsys, beta):
+    # beta = 0 used to load; verify then failed bilinear1 and pde1 on no valid
+    # samples and consistency on NaN, and render --which phi found the window singular
+    with pytest.raises(ValueError, match="beta"):
+        dataclasses.replace(build_case("dromion").spec,
+                            funcs=CoefficientFunctions(beta=TimeFunction(())))
+    text = open(os.path.join(CONFIGS, "dromion.cfg")).read()
+    assert loads_spec(text.replace("beta = 1\n", "beta = poly: 0, 1\n"))   # crosses zero
+    text = text.replace("beta = 1\n", f"beta = {beta}\n")
+    with pytest.raises(SpecFileError, match="beta"):
+        loads_spec(text)
+    bad = tmp_path / "bad.cfg"
+    bad.write_text(text)
+    out = tmp_path / "r.txt"
+    assert run("verify", "--spec", str(bad), "--t", "0.3", "--out", str(out)) == 2
+    assert "beta" in capsys.readouterr().err
+    assert not out.exists()
+
+
 # -- subcommands ----------------------------------------------------------------
 
 
@@ -219,10 +241,14 @@ def test_pgm_sidecar_counts_negative_values_written_as_zero(tmp_path):
     assert "clipped_below_zero" not in (tmp_path / "u.pgm.txt").read_text()
 
 
-def test_render_degenerate_breather_exits_3(tmp_path, capsys):
+# analyze --peaks used to report the rounding left at a degenerate time as peaks and
+# exit 0: four of 1.07e-31 for periodic at pi/2, one of 3.1e-34 for the breather
+@pytest.mark.parametrize("case,t", [("breather", "1.5707963"), ("breather", "pi/2"),
+                                    ("periodic", "pi/2")])
+@pytest.mark.parametrize("command", [("render",), ("analyze", "--peaks")], ids=["render", "peaks"])
+def test_intensity_at_a_degenerate_time_exits_3(tmp_path, capsys, command, case, t):
     out = tmp_path / "field.csv"
-    code = run("render", "--case", "breather", "--t", "1.5707963",
-               "--out", str(out), "--res", "16")
+    code = run(*command, "--case", case, "--t", t, "--out", str(out), "--res", "32")
     assert code == 3
     assert "degenerate" in capsys.readouterr().err
     assert not out.exists()
@@ -893,7 +919,7 @@ def test_bad_input_exits_2(argv, tmp_path, capsys):
 
 
 # a retired option is a usage error: verify --h would otherwise read as --help and
-# exit 0 without a report, and the thresholds are constants in cli.THRESHOLDS
+# exit 0 without a report, and the thresholds are constants in verify.THRESHOLDS
 @pytest.mark.parametrize("retired", [("--h", "1e-3"), ("--tol", "1e-10"), ("--tol-pde", "1e-6"),
                                      ("--tol-consistency", "1e-8")], ids=lambda r: r[0])
 def test_option_prefixes_are_not_aliases(tmp_path, capsys, retired):

@@ -21,21 +21,21 @@ from dsfield.ansatz import (
 from dsfield.auxiliary import Ingredients
 from dsfield.calculus import Jet, layout
 from dsfield.catalog import build_case, case_names
-from dsfield.cli import THRESHOLDS, _residual
 from dsfield.field import sample_field
 from dsfield.profiles import TimeFunction
 from dsfield.specfile import loads_spec
 from dsfield.verify import (
     _FD_WEIGHTS,
     _PDE2_H,
+    THRESHOLDS,
     _bilinear2_field,
     _envelope_fields,
     _pde2_field,
     bilinear_residuals,
     envelope_residuals,
     hirota_cross,
-    pde_phi_convergence,
     pde_residuals,
+    run_checks,
     singularity_scan,
 )
 
@@ -211,13 +211,10 @@ def test_negative_control_corrupted_amplitude():
 
 
 def _failing_checks(ing) -> set:
-    """The checks that fail on the bundle at verify's thresholds, of those its
-    ingredients reach: bilinear2, bilinear1, pde1 and consistency."""
-    reps = [bilinear_residuals(ing), *envelope_residuals(ing)]
-    failed = {rep.check_name for rep in reps if _residual(rep)[0] == "fail"}
-    if not ing.consistency.max_variation <= THRESHOLDS["consistency"]:
-        failed.add("consistency")
-    return failed
+    """The checks that verify fails on the bundle, of those its ingredients
+    reach: bilinear2, bilinear1, pde1 and consistency."""
+    checks = run_checks(ing, None, {"bilinear2", "bilinear1", "pde1", "consistency"})
+    return {name for name, (status, _, _) in checks.items() if status == "fail"}
 
 
 def _admissible_draws():
@@ -395,15 +392,19 @@ def test_pde_line2_fourth_order_stencil():
 @pytest.mark.parametrize("name", case_names())
 def test_pde_phi_convergence_is_the_oracle_bit_for_bit(name):
     # verify's convergence pair is the oracle's stencil at accuracy 2 and the
-    # check's own steps: both reports' statistics and the order, to the bit
+    # check's own steps: both reports' statistics to the bit, and the printed
+    # means and order are the oracle's, formatted as verify prints them
     e = build_case(name)
     grid = window_grid(e.window, 24, e.valid_mask)
     for t in (e.reference_times[0], 0.3):
-        got = pde_phi_convergence(e.spec, grid, t)
+        got = [pde_residuals(e.spec, grid, t, h) for h in (_PDE2_H, _PDE2_H / 2)]
         want = fd_phi_convergence(e.spec, grid, t, _PDE2_H, 2)
         stats = [[(r.mean_abs, r.max_abs, r.samples, r.dropped) for r in reports[:2]]
-                 + [reports[2]] for reports in (got, want)]
+                 for reports in (got, want)]
         np.testing.assert_array_equal(*map(np.hstack, stats), strict=True)
+        fields = dict(run_checks(Ingredients(e.spec, grid, t), e.window, {"pde2"})["pde2"][1])
+        assert [fields[k] for k in ("mean_abs_h", "mean_abs_h2", "observed_order")] == [
+            f"{want[0].mean_abs:.6e}", f"{want[1].mean_abs:.6e}", f"{want[2]:.3f}"]
 
 
 def test_pde_line2_breather_degenerate_time():
