@@ -246,8 +246,12 @@ def _cmd_analyze(args) -> int:
         t0, t1 = parse_time(parts[0]), parse_time(parts[1])
         if not t1 > t0:
             raise UsageError(f"--period wants t1 > t0, got {args.period!r}")
-        n_t = int(parts[2])
-        res = estimate_period(spec, window, (t0, t1), n_t, args.statistic, grid_n=args.res)
+        try:
+            n_t = int(parts[2])
+        except ValueError:
+            raise UsageError(f"--period wants an integer count n, got {parts[2]!r}") from None
+        grid = window_grid(window, args.res, spec.valid_mask)
+        res = estimate_period(spec, grid, (t0, t1), n_t, args.statistic)
         lines += [
             ("statistic", args.statistic),
             ("period", "none" if res.estimated_period is None
@@ -262,20 +266,19 @@ def _cmd_analyze(args) -> int:
         times = [parse_time(v) for v in args.decay.split(",")]
         if len(set(times)) != len(times):
             raise UsageError(f"--decay repeats a time: {args.decay!r}")
-        res = decay_profile(spec, window, times, grid_n=args.res)
-        for t, mx in res.decay_series:
+        grid = window_grid(window, args.res, spec.valid_mask)
+        for t, mx in decay_profile(spec, grid, times):
             lines.append((f"max_at_t_{t!r}", f"{mx:.17g}"))
     else:
         t = parse_time(args.t)
-        res = analyze_extrema(_intensity_grid(spec, window, t, args.res, label))
+        top, (x, y), peaks = analyze_extrema(_intensity_grid(spec, window, t, args.res, label))
         lines += [
             ("t", f"{t:.17g}"),
-            ("grid_max", f"{res.global_max:.17g}"),
-            ("grid_max_at", f"{res.global_max_location[0]:.17g},"
-                            f"{res.global_max_location[1]:.17g}"),
-            ("local_maxima", str(len(res.local_maxima))),
+            ("grid_max", f"{top:.17g}"),
+            ("grid_max_at", f"{x:.17g},{y:.17g}"),
+            ("local_maxima", str(len(peaks))),
         ]
-        for i, pk in enumerate(res.local_maxima):
+        for i, pk in enumerate(peaks):
             lines.append((f"peak_{i}", f"{pk.value:.17g} at {pk.x:.17g},{pk.y:.17g}"))
 
     _write_report(lines, args.out)

@@ -11,8 +11,8 @@ log U from the local maxima of the grid's two checkerboard sublattices, with
 exact derivatives from the profile jets, stay in their peaks' basins and are
 stable), periods (a scan of one time statistic, global max or L2, then
 Gauss-Newton steps, the only place U_t is evaluated) and peak-decay
-series; one batched U sampler feeds the ascent and the L2 norm.  numpy is
-the only third-party import.
+series, each on the one window grid its caller built; one batched U sampler
+feeds the ascent and the L2 norm.  numpy is the only third-party import.
 
 U and the exports run in blocks of grid rows, the CSV and the PGM written
 into their file block by block, so a render's peak memory is its grid's,
@@ -22,7 +22,7 @@ not its text's or its image's.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -30,6 +30,7 @@ from .ansatz import (
     PHI_READS,
     SQRT2,
     SolutionSpec,
+    WindowGrid,
     _assemble,
     batches,
     eval_f,
@@ -49,7 +50,7 @@ from .verify import _bilinear2_field, _pde2_field
 __all__ = [
     "SingularWindowError",
     "FieldGrid",
-    "AnalyticsResult",
+    "Period",
     "PeakInfo",
     "sample_field",
     "analyze_extrema",
@@ -96,17 +97,14 @@ class PeakInfo:
 
 
 @dataclass(frozen=True)
-class AnalyticsResult:
-    """Container filled per analysis; unfilled entries stay None/empty."""
+class Period:
+    """:func:`estimate_period`'s period and scan step, and its best scan shift
+    and period mismatch; each of the three but the step may be None."""
 
-    global_max: Optional[float] = None
-    global_max_location: Optional[tuple] = None
-    local_maxima: tuple = ()
-    estimated_period: Optional[float] = None
-    period_resolution: Optional[float] = None
-    best_candidate: Optional[float] = None
-    period_mismatch: Optional[float] = None
-    decay_series: tuple = ()
+    estimated_period: Optional[float]
+    period_resolution: float
+    best_candidate: Optional[float]
+    period_mismatch: Optional[float]
 
 
 # ---------------------------------------------------------------------------
@@ -152,8 +150,9 @@ def sample_field(spec: SolutionSpec, which: str, window, t: float, nx: int, ny: 
 # extrema
 
 
-def analyze_extrema(grid: FieldGrid) -> AnalyticsResult:
-    """Strict local maxima over valid 8-neighborhoods.
+def analyze_extrema(grid: FieldGrid):
+    """Strict local maxima over valid 8-neighborhoods, as ``(grid max, its
+    (x, y), peaks)``, the peaks :class:`PeakInfo` by falling value.
 
     Adjacent candidates (valid points not below a valid neighbor) are each at least the
     other, so each component of candidates is a plateau; it counts once, at its first point
@@ -184,8 +183,7 @@ def analyze_extrema(grid: FieldGrid) -> AnalyticsResult:
                     for y, x in zip(iy.tolist(), ix.tolist())), key=lambda p: -p.value)
     v = v[1:-1, 1:-1]
     idx = np.unravel_index(int(np.argmax(v)), v.shape)
-    return AnalyticsResult(global_max=float(v[idx]), local_maxima=tuple(peaks),
-                           global_max_location=(float(xs[idx[1]]), float(ys[idx[0]])))
+    return float(v[idx]), (float(xs[idx[1]]), float(ys[idx[0]])), tuple(peaks)
 
 
 def _require_valid(valid):
@@ -222,10 +220,10 @@ def _neighbour_max(a: np.ndarray, shifts) -> np.ndarray:
     return out
 
 
-def refined_global_max(spec: SolutionSpec, window, t, n: int = 192):
+def refined_global_max(spec: SolutionSpec, grid: WindowGrid, times):
     """Grid maximum polished by a projected-Newton ascent on log U.
 
-    ``t`` is one time or a 1-D array of times, sampled on one n x n grid in
+    ``times``, a 1-D array, are sampled on ``grid`` in
     :func:`~dsfield.ansatz.batches` of times.  An ascent runs from every
     valid grid point that is not below any valid point of its
     8-neighbourhood on its own checkerboard sublattice, for all times at
@@ -236,24 +234,22 @@ def refined_global_max(spec: SolutionSpec, window, t, n: int = 192):
     two zeta lines next to a pole, where each grid point on the hump's
     flank has a higher 3x3 neighbour across the pole.
 
-    Each ascent starts with a trust radius of one grid step and stays in its
-    peak's basin.  Gradient and Hessian of log U are exact, ratios of the
-    profiles' derivatives.  A coordinate on a window bound whose gradient
-    points outward is frozen (Bertsekas 1982) and each candidate is clipped
-    to the window; where the free Hessian is not negative definite a
-    gradient step replaces the Newton step.  A candidate is taken only where
-    U is finite, inside the spec's guard, not lower, and has risen by at least
-    a quarter of the quadratic model's prediction; without a step taken the
-    grid value stands.  A start ends after the step whose predicted gain in
+    Each ascent starts with a trust radius of one grid step, the longer
+    axis step, and stays in its peak's basin.  Gradient and Hessian of log
+    U are exact, ratios of the profiles' derivatives.  A coordinate on a
+    bound of the grid's window whose gradient points outward is frozen
+    (Bertsekas 1982) and each candidate is clipped to the window; where the
+    free Hessian is not negative definite a gradient step replaces the
+    Newton step.  A candidate is taken only where U is finite, inside the
+    spec's guard, not lower, and has risen by at least a quarter of the
+    quadratic model's prediction; without a step taken the grid value stands.  A start ends after the step whose predicted gain in
     log U (the Newton decrement) is rounding, so its value is the converged
     point's; a start flat to rounding over one grid step does not move.
 
     Stable to grid refinement, unlike the raw grid maximum whose position
-    quantization shifts it by O(dx^2).  Returns ``(value, (x, y))``: floats
-    for a scalar ``t``, arrays for an array.
+    quantization shifts it by O(dx^2).  Returns ``(value, (x, y))`` arrays.
     """
-    times = np.atleast_1d(np.asarray(t, dtype=float))
-    grid = window_grid(window, n, spec.valid_mask)
+    times = np.asarray(times, dtype=float)
     starts = []
     for batch, u, _, ok in _sample_u(spec, grid, times):
         v = np.where(ok, u, -np.inf)
@@ -264,17 +260,14 @@ def refined_global_max(spec: SolutionSpec, window, t, n: int = 192):
     starts = np.concatenate(starts)
     starts = starts[np.sort(np.unique(starts[:, :2], axis=0, return_index=True)[1])]
     it, u, xy = starts[:, 0].astype(int), starts[:, 1].copy(), starts[:, 2:].copy()
-    (xa, xb), (ya, yb) = window
-    radius = max(xb - xa, yb - ya) / (n - 1)
-    _newton_ascent(spec, times[it], u, xy, np.array([xa, ya]), np.array([xb, yb]), radius)
+    lo, hi = np.array([grid.X[0, 0], grid.Y[0, 0]]), np.array([grid.X[-1, -1], grid.Y[-1, -1]])
+    radius = float(np.max((hi - lo) / (np.array(grid.X.shape[::-1]) - 1)))    # one grid step
+    _newton_ascent(spec, times[it], u, xy, lo, hi, radius)
     best = np.full(times.size, -np.inf)
     np.maximum.at(best, it, u)
     top = np.flatnonzero(u == best[it])             # the first start of each time wins ties
     pick = top[np.unique(it[top], return_index=True)[1]]
-    u, xy = u[pick], xy[pick]
-    if np.ndim(t) == 0:
-        return float(u[0]), (float(xy[0, 0]), float(xy[0, 1]))
-    return u, (xy[:, 0], xy[:, 1])
+    return u[pick], (xy[pick, 0], xy[pick, 1])
 
 
 # A start ends once its free Hessian is negative definite and its Newton
@@ -385,19 +378,20 @@ def _log_intensity_jets(spec, times, xy):
 # time analytics
 
 
-def _statistic(spec, window, times, statistic, grid_n, rate=False):
-    """(S, S') at ``times``: S the refined global max of U or the L2 norm of
-    U over each time's valid samples; S' only with ``rate``, else None: U_t
-    at the polished argmax for global_max (envelope theorem), mean(U U_t)/S
-    for L2.  Raises SingularWindowError if some time has no valid sample."""
+def _statistic(spec, grid, times, statistic, rate=False):
+    """(S, S') at ``times`` on ``grid``: S the refined global max of U or the
+    L2 norm of U over each time's valid samples; S' only with ``rate``, else
+    None: U_t at the polished argmax for global_max (envelope theorem),
+    mean(U U_t)/S for L2.  Raises SingularWindowError if some time has no
+    valid sample."""
     if statistic == "global_max":
-        u, (x, y) = refined_global_max(spec, window, times, grid_n)
+        u, (x, y) = refined_global_max(spec, grid, times)
         ut = eval_intensity(spec, *profile_jets3(spec, *rotate(x, y), times, (1, 1)),
                             dt=True)[1] if rate else None
         return u, ut
     if statistic != "L2":
         raise ValueError(f"unknown statistic {statistic!r}")
-    grid, parts = window_grid(window, grid_n, spec.valid_mask), []
+    parts = []
     for _, u, ut, ok in _sample_u(spec, grid, times, rate):
         n = np.count_nonzero(ok, axis=(1, 2))
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
@@ -407,10 +401,9 @@ def _statistic(spec, window, times, statistic, grid_n, rate=False):
     return s, ds if rate else None
 
 
-def estimate_period(spec: SolutionSpec, window, t_range: tuple[float, float],
-                    n_t: int = 128, statistic: str = "global_max",
-                    grid_n: int = 48) -> AnalyticsResult:
-    """Smallest time shift under which the chosen statistic repeats.
+def estimate_period(spec: SolutionSpec, grid: WindowGrid, t_range: tuple[float, float],
+                    n_t: int, statistic: str) -> Period:
+    """Smallest time shift under which the chosen statistic on ``grid`` repeats.
 
     A period is reported only if a uniform scan over shifts up to half the
     sampled range finds one whose series mismatch is below ``_TIE_TOL`` times
@@ -425,11 +418,11 @@ def estimate_period(spec: SolutionSpec, window, t_range: tuple[float, float],
     t0, t1 = t_range
     times = np.linspace(t0, t1, n_t, endpoint=False)
     dt = (t1 - t0) / n_t
-    series = _statistic(spec, window, times, statistic, grid_n)[0]
+    series = _statistic(spec, grid, times, statistic)[0]
 
     scale = float(np.max(np.abs(series))) or 1.0
     if float(np.max(series) - np.min(series)) < _TIE_TOL * scale:
-        return AnalyticsResult(period_resolution=dt)
+        return Period(None, dt, None, None)
 
     best_k, best_mis = None, np.inf
     for k in range(1, n_t // 2 + 1):
@@ -437,15 +430,12 @@ def estimate_period(spec: SolutionSpec, window, t_range: tuple[float, float],
         if mis < best_mis:
             best_k, best_mis = k, mis
         if mis < _TIE_TOL * scale:
-            period, mismatch = _refine_period(spec, window, statistic, grid_n,
-                                              times, series, k, dt, scale)
-            return AnalyticsResult(estimated_period=period, period_resolution=dt,
-                                   best_candidate=k * dt, period_mismatch=mismatch)
-    return AnalyticsResult(estimated_period=None, period_resolution=dt,
-                           best_candidate=best_k * dt if best_k else None)
+            period, mismatch = _refine_period(spec, grid, statistic, times, series, k, dt, scale)
+            return Period(period, dt, k * dt, mismatch)
+    return Period(None, dt, best_k * dt if best_k else None, None)
 
 
-def _refine_period(spec, window, statistic, grid_n, times, series, k, dt, scale):
+def _refine_period(spec, grid, statistic, times, series, k, dt, scale):
     """Gauss-Newton solve of g_i(T) = S(b_i + T) - S(b_i) = 0 from the scan
     shift k dt, b_i up to _PERIOD_PROBES scan ``times`` in its first 0.9 with
     S(b_i) in ``series``, ended by a step out of one scan step around k dt, one
@@ -456,7 +446,7 @@ def _refine_period(spec, window, statistic, grid_n, times, series, k, dt, scale)
     base, ref, period = times[pick], series[pick], k * dt
     T, best = period, None
     for _ in range(_PERIOD_ITERATIONS):
-        s, ds = _statistic(spec, window, base + T, statistic, grid_n, rate=True)
+        s, ds = _statistic(spec, grid, base + T, statistic, rate=True)
         g = s - ref
         mis = float(np.max(np.abs(g)))
         if best is not None and not mis < best[1]:
@@ -470,14 +460,11 @@ def _refine_period(spec, window, statistic, grid_n, times, series, k, dt, scale)
     return best[0], best[1] / scale
 
 
-def decay_profile(spec: SolutionSpec, window, times: Sequence[float],
-                  grid_n: int = 256) -> AnalyticsResult:
-    """(t, refined max U) pairs across the requested times."""
+def decay_profile(spec: SolutionSpec, grid: WindowGrid, times):
+    """(t, refined max U) pairs across the requested times, on ``grid``."""
     if not len(times):
         raise ValueError("need at least one time")
-    peaks, _ = refined_global_max(spec, window, times, grid_n)
-    return AnalyticsResult(decay_series=tuple(
-        (float(t), mx) for t, mx in zip(times, peaks.tolist())))
+    return tuple(zip(map(float, times), refined_global_max(spec, grid, times)[0].tolist()))
 
 
 # ---------------------------------------------------------------------------

@@ -19,7 +19,7 @@ from dsfield.ansatz import (
     window_grid,
 )
 from dsfield.auxiliary import Auxiliaries, Ingredients
-from dsfield.field import to_csv, to_pgm16
+from dsfield.field import refined_global_max, to_csv, to_pgm16
 from dsfield.profiles import ExpSumProfile
 from dsfield.verify import _report
 
@@ -265,6 +265,18 @@ class CorruptedAuxiliaries(Auxiliaries):
         if self.p0_offset:
             val = val + self.p0_offset
         return val
+
+
+def analysis_grid(spec, window, n):
+    """The n x n grid of ``window`` under the spec's guard, as ``dsfield analyze`` builds it."""
+    return window_grid(window, n, spec.valid_mask)
+
+
+def peak_at(spec, window, t, n):
+    """:func:`~dsfield.field.refined_global_max` at the one time ``t`` on the
+    :func:`analysis_grid` of ``window``, as ``(value, (x, y))``."""
+    (value,), ((x,), (y,)) = refined_global_max(spec, analysis_grid(spec, window, n), [t])
+    return float(value), (float(x), float(y))
 
 
 def bundle(spec, window, t, samples, valid_mask=None, **hooks) -> Ingredients:

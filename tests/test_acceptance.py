@@ -22,7 +22,6 @@ from dsfield.field import (
     analyze_extrema,
     decay_profile,
     estimate_period,
-    refined_global_max,
     sample_field,
 )
 from dsfield.verify import (
@@ -33,12 +32,14 @@ from dsfield.verify import (
 
 from conftest import (
     admissible_spec,
+    analysis_grid,
     bundle,
     csv_bytes,
     fd_phi_convergence,
     hirota_d,
     negative_radicands,
     parse_csv,
+    peak_at,
     point_reflection_defect,
     random_spec,
     reflection_defect,
@@ -116,8 +117,8 @@ def test_criterion_3_phi_equation_convergence():
 def test_criterion_4_breather_period():
     with criterion(4, "breather period pi and pointwise periodicity"):
         e = build_case("breather")
-        res = estimate_period(e.spec, e.window, (0.0, 2 * math.pi), 128,
-                              "global_max", grid_n=32)
+        res = estimate_period(e.spec, analysis_grid(e.spec, e.window, 32), (0.0, 2 * math.pi),
+                              128, "global_max")
         assert res.estimated_period == pytest.approx(math.pi,
                                                      abs=2 * math.pi / 128)
         for t in (0.0, 0.7, 2.5):
@@ -133,8 +134,8 @@ def test_criterion_5_periodic_pattern():
             ga = sample_field(e.spec, "U", e.window, t + math.pi, 96, 96)
             gb = sample_field(e.spec, "U", e.window, t, 96, 96)
             assert point_reflection_defect(ga, gb) < 1e-12
-        res = estimate_period(e.spec, e.window, (0.0, 2 * math.pi), 32,
-                              "global_max", grid_n=32)
+        res = estimate_period(e.spec, analysis_grid(e.spec, e.window, 32), (0.0, 2 * math.pi),
+                              32, "global_max")
         assert res.estimated_period == pytest.approx(math.pi,
                                                      abs=res.period_resolution)
 
@@ -144,22 +145,22 @@ def test_criterion_6_double_instanton_decay():
         e = build_case("double_instanton")
         # decay window [-12,12]^2: the structure drifts to eta ~ -13.7 by
         # t = 6, outside the default render window
-        res = decay_profile(e.spec, ((-12, 12), (-12, 12)), (0.0, 3.0, 6.0),
-                            grid_n=384)
-        maxima = [m for _, m in res.decay_series]
+        series = decay_profile(e.spec, analysis_grid(e.spec, ((-12, 12), (-12, 12)), 384),
+                               (0.0, 3.0, 6.0))
+        maxima = [m for _, m in series]
         for got, ref in zip(maxima, (0.6, 0.006, 1.5e-5)):
             assert abs(got - ref) <= 0.25 * ref, (got, ref)
         grid = sample_field(e.spec, "U", e.window, 0.0, 256, 256)
-        assert len(analyze_extrema(grid).local_maxima) == 2
+        assert len(analyze_extrema(grid)[2]) == 2
 
 
 def test_criterion_7_dromion_structure():
     with criterion(7, "dromion: single peak, tail containment, reflection"):
         e = build_case("dromion")
         grid = sample_field(e.spec, "U", e.window, 0.0, 512, 512)
-        assert len(analyze_extrema(grid).local_maxima) == 1
+        assert len(analyze_extrema(grid)[2]) == 1
 
-        peak, (px, py) = refined_global_max(e.spec, e.window, 0.0, 128)
+        peak, (px, py) = peak_at(e.spec, e.window, 0.0, 128)
         assert peak == pytest.approx(2.0 / (2.0 + math.sqrt(2.0)) ** 2, rel=1e-13)
         X, Y = np.meshgrid(grid.x, grid.y)
         outside = (np.hypot(X - px, Y - py) > 6.0) & grid.mask

@@ -8,8 +8,9 @@ import pytest
 import sympy as sp
 
 from dsfield.catalog import build_case
-from dsfield.field import decay_profile, refined_global_max
+from dsfield.field import decay_profile
 
+from conftest import analysis_grid, peak_at
 from test_sympy_oracle import E, T, Z, closed_form
 
 
@@ -23,9 +24,10 @@ def test_dromion_decay_is_its_closed_form_peak_to_two_ulp():
     with mpmath.workdps(40):
         exact = 3 - 2 * mpmath.sqrt(2)
         ulp = math.ulp(float(exact))
-        res = decay_profile(e.spec, e.window, (0.0, 0.3, 0.5, 1.0, 2.0), grid_n=160)
-        off = [float((mpmath.mpf(v) - exact) / ulp) for _, v in res.decay_series]
-    assert [t for t, _ in res.decay_series] == [0.0, 0.3, 0.5, 1.0, 2.0]
+        series = decay_profile(e.spec, analysis_grid(e.spec, e.window, 160),
+                               (0.0, 0.3, 0.5, 1.0, 2.0))
+        off = [float((mpmath.mpf(v) - exact) / ulp) for _, v in series]
+    assert [t for t, _ in series] == [0.0, 0.3, 0.5, 1.0, 2.0]
     assert max(map(abs, off)) <= 2.0, off
 
 
@@ -62,7 +64,7 @@ def test_refined_peak_is_a_stationary_point_of_log_u(name, window, t, bound):
     # ``bound`` ulp of U there and its point within 1e-10 grid steps
     e = build_case(name)
     window = window or e.window
-    value, (x, y) = refined_global_max(e.spec, window, t, 96)
+    value, (x, y) = peak_at(e.spec, window, t, 96)
     u = intensity_oracle(name)
     with mpmath.workdps(40):
         log_u = lambda x, y: mpmath.log(u(x, y, mpmath.mpf(t)))      # noqa: E731

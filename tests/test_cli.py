@@ -857,7 +857,6 @@ def test_verify_admissibility_counts_poles_without_a_second_scan(
     def no_scan(*args, **kwargs):
         raise AssertionError("verify ran the 2-D singularity scan")
     monkeypatch.setattr(verify, "singularity_scan", no_scan)
-    monkeypatch.setattr("dsfield.cli.singularity_scan", no_scan, raising=False)
     out = tmp_path / "r.txt"
     run("verify", "--case", name, "--t", repr(t), "--checks", "admissibility",
         "--res", "48", "--out", str(out))
@@ -903,18 +902,24 @@ def test_verify_unknown_check_exits_2(capsys):
 ALL = "bilinear2,bilinear1,pde2,pde1,consistency,admissibility"
 
 
-@pytest.mark.parametrize("argv", [
+@pytest.mark.parametrize("argv, says", [
     # a non-finite bound used to drop most samples as NaN, with warnings
-    ("render", "--case", "dromion", "--t", "0", "--window=-inf:0:0:1", "--res", "16"),
+    (("render", "--case", "dromion", "--t", "0", "--window=-inf:0:0:1", "--res", "16"),
+     "window bounds must be finite, got '-inf:0:0:1'"),
     # a reversed scan used to print a negative resolution
-    ("analyze", "--case", "breather", "--period", "1:0:32"),
+    (("analyze", "--case", "breather", "--period", "1:0:32"),
+     "--period wants t1 > t0, got '1:0:32'"),
     # an empty check list used to run nothing and print overall: pass
-    ("verify", "--case", "dromion", "--t", "0", "--checks", ","),
-])
-def test_bad_input_exits_2(argv, tmp_path, capsys):
+    (("verify", "--case", "dromion", "--t", "0", "--checks", ","), "no checks requested"),
+    # a count that is not an integer used to print int()'s message, naming no option
+    (("analyze", "--case", "dromion", "--period", "0:2pi:16.5"),
+     "--period wants an integer count n, got '16.5'"),
+], ids=[f"argv{i}" for i in range(4)])
+def test_bad_input_exits_2(argv, says, tmp_path, capsys):
     out = tmp_path / "out.txt"
     assert run(*argv, "--out", str(out)) == 2
-    assert capsys.readouterr().err.startswith("error: ")
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and says in err
     assert not out.exists()
 
 
@@ -1092,6 +1097,23 @@ def test_analyze_decay(capsys):
                "--res", "48") == 0
     out = capsys.readouterr().out
     assert "max_at_t_0" in out and "max_at_t_1" in out
+
+
+@pytest.mark.parametrize("argv", [("--period", "0:2pi:32", "--statistic", "global_max"),
+                                  ("--decay", "0,0.3,1")])
+def test_analyze_builds_one_grid_in_the_cli(tmp_path, monkeypatch, argv):
+    # the period scan, each Gauss-Newton step and the decay's ascents all
+    # read the one grid that the command builds
+    from dsfield import cli, field
+    calls = []
+    for mod in (cli, field):
+        def counting(*args, real=mod.window_grid, name=mod.__name__, **kwargs):
+            calls.append(name)
+            return real(*args, **kwargs)
+        monkeypatch.setattr(mod, "window_grid", counting)
+    assert run("analyze", "--case", "breather", "--res", "24", *argv,
+               "--out", str(tmp_path / "a.txt")) == 0
+    assert calls == ["dsfield.cli"]
 
 
 def test_analyze_decay_rejects_a_repeated_time(tmp_path, capsys):

@@ -39,8 +39,10 @@ from dsfield.profiles import ExpSumProfile
 from dsfield.verify import _report
 
 from conftest import (
+    analysis_grid,
     csv_bytes,
     parse_csv,
+    peak_at,
     pgm16,
     point_reflection_defect,
     reflection_defect,
@@ -78,9 +80,9 @@ def test_dromion_grid_all_valid_single_peak():
     e = build_case("dromion")
     g = sample_field(e.spec, "U", e.window, 0.0, 256, 256)
     assert g.mask.all()
-    res = analyze_extrema(g)
-    assert len(res.local_maxima) == 1
-    assert res.global_max == pytest.approx(DROMION_PEAK, rel=1e-3)
+    top, _, peaks = analyze_extrema(g)
+    assert len(peaks) == 1
+    assert top == pytest.approx(DROMION_PEAK, rel=1e-3)
 
 
 @pytest.mark.parametrize("name", case_names())
@@ -154,25 +156,25 @@ def test_entirely_masked_window_raises():
 
 
 def test_extrema_all_zero_grid():
-    res = analyze_extrema(grid_of(np.zeros((8, 8))))
-    assert res.local_maxima == ()
+    _, _, peaks = analyze_extrema(grid_of(np.zeros((8, 8))))
+    assert peaks == ()
 
 
 def test_extrema_plateau_counts_once():
     v = np.zeros((7, 7))
     v[3, 3] = v[3, 4] = 1.0          # two-cell plateau
-    res = analyze_extrema(grid_of(v))
-    assert len(res.local_maxima) == 1
-    assert res.local_maxima[0].value == 1.0
+    _, _, peaks = analyze_extrema(grid_of(v))
+    assert len(peaks) == 1
+    assert peaks[0].value == 1.0
 
 
 def test_extrema_shoulder_is_not_a_peak():
     v = np.zeros((5, 9))
     v[2, 2] = v[2, 3] = 1.0
     v[2, 4] = 2.0                     # plateau rises into a higher point
-    res = analyze_extrema(grid_of(v))
-    assert len(res.local_maxima) == 1
-    assert res.local_maxima[0].value == 2.0
+    _, _, peaks = analyze_extrema(grid_of(v))
+    assert len(peaks) == 1
+    assert peaks[0].value == 2.0
 
 
 def test_extrema_equal_peaks_in_raster_order():
@@ -184,9 +186,8 @@ def test_extrema_equal_peaks_in_raster_order():
     v[1, 8] = 1.0
     v[7, 0] = 1.0
     g = grid_of(v, window=((0.0, 10.0), (0.0, 8.0)))
-    res = analyze_extrema(g)
-    assert [(p.x, p.y) for p in res.local_maxima] == [(2.0, 1.0), (8.0, 1.0),
-                                                      (0.0, 7.0)]
+    _, _, peaks = analyze_extrema(g)
+    assert [(p.x, p.y) for p in peaks] == [(2.0, 1.0), (8.0, 1.0), (0.0, 7.0)]
 
 
 def _extrema_reference(grid):
@@ -233,11 +234,11 @@ def plateau_grids(draw):
 @settings(max_examples=300, deadline=None)
 @given(plateau_grids())
 def test_extrema_match_the_per_component_reference(g):
-    res = analyze_extrema(g)
-    assert res.local_maxima == _extrema_reference(g)
+    top, at, peaks = analyze_extrema(g)
+    assert peaks == _extrema_reference(g)
     v = np.where(g.mask, g.values, -np.inf)
     iy, ix = np.unravel_index(np.argmax(v), v.shape)
-    assert (res.global_max, res.global_max_location) == (v.max(), (g.x[ix], g.y[iy]))
+    assert (top, at) == (v.max(), (g.x[ix], g.y[iy]))
 
 
 def test_extrema_memory_follows_the_candidates():
@@ -254,13 +255,13 @@ def test_extrema_memory_follows_the_candidates():
 def test_extrema_instanton_double_peak():
     e = build_case("double_instanton")
     g = sample_field(e.spec, "U", e.window, 0.0, 256, 256)
-    res = analyze_extrema(g)
-    assert len(res.local_maxima) == 2
+    _, _, peaks = analyze_extrema(g)
+    assert len(peaks) == 2
 
 
 def test_refined_max_matches_closed_form():
     e = build_case("dromion")
-    mx, (x, y) = refined_global_max(e.spec, e.window, 0.0, 128)
+    mx, (x, y) = peak_at(e.spec, e.window, 0.0, 128)
     assert mx == pytest.approx(DROMION_PEAK, rel=1e-14)
     assert x == pytest.approx(DROMION_PEAK_X, abs=1e-10)
     assert abs(y) < 1e-10
@@ -268,8 +269,8 @@ def test_refined_max_matches_closed_form():
 
 def test_refined_max_stable_under_grid_doubling():
     e = build_case("dromion")
-    a, _ = refined_global_max(e.spec, e.window, 0.0, 96)
-    b, _ = refined_global_max(e.spec, e.window, 0.0, 192)
+    a, _ = peak_at(e.spec, e.window, 0.0, 96)
+    b, _ = peak_at(e.spec, e.window, 0.0, 192)
     assert abs(a - b) / b < 1e-12
 
 
@@ -277,7 +278,7 @@ def test_refined_max_reaches_edge_maximum():
     # the solitoff maximum at t = 0.1 lies on the window edge y = -8, where
     # the 48^2 grid gives 1.9506 and an unprojected ascent stays there
     e = build_case("solitoff")
-    mx, (x, y) = refined_global_max(e.spec, e.window, 0.1, 48)
+    mx, (x, y) = peak_at(e.spec, e.window, 0.1, 48)
     def edge_max(xs):
         zeta, eta = rotate(xs, np.full_like(xs, -8.0))
         u = eval_intensity(e.spec, *profile_jets3(e.spec, zeta, eta, 0.1, (1, 0)))[0]
@@ -301,8 +302,8 @@ def test_refined_max_does_not_leap_over_masked_pole():
     # ascent climbs its own hump (0.349, where the other one reaches 0.306)
     e = build_case("double_instanton")
     window = ((-12.0, 12.0), (-12.0, 12.0))
-    mx, (x, y) = refined_global_max(e.spec, window, 0.3, 56)
-    fine, _ = refined_global_max(e.spec, window, 0.3, 128)
+    mx, (x, y) = peak_at(e.spec, window, 0.3, 56)
+    fine, _ = peak_at(e.spec, window, 0.3, 128)
     assert rotate(x, y)[0] < -1.0
     assert mx == pytest.approx(fine, rel=1e-12)
 
@@ -310,10 +311,10 @@ def test_refined_max_does_not_leap_over_masked_pole():
 def test_refined_max_batch_matches_scalar_calls():
     e = build_case("breather")
     times = np.linspace(0.1, 3.0, 8)
-    values, (xs, ys) = refined_global_max(e.spec, e.window, times, 32)
+    values, (xs, ys) = refined_global_max(e.spec, analysis_grid(e.spec, e.window, 32), times)
     assert values.shape == xs.shape == ys.shape == (8,)
     for t, v, x, y in zip(times, values, xs, ys):
-        mx, (px, py) = refined_global_max(e.spec, e.window, float(t), 32)
+        mx, (px, py) = peak_at(e.spec, e.window, float(t), 32)
         assert v == pytest.approx(mx, rel=1e-15)
         assert (x, y) == pytest.approx((px, py), rel=1e-15)
 
@@ -339,16 +340,17 @@ def test_peak_ascents_stop_at_convergence(monkeypatch):
     # and reach their peaks to rounding
     evaluations = counted(monkeypatch, "_log_intensity_jets")
     e = build_case("breather")
-    peaks, _ = refined_global_max(e.spec, e.window,
-                                  np.linspace(0.0, 2 * math.pi, 32, endpoint=False), 32)
+    peaks, _ = refined_global_max(e.spec, analysis_grid(e.spec, e.window, 32),
+                                  np.linspace(0.0, 2 * math.pi, 32, endpoint=False))
     assert len(evaluations) <= 4
     assert float(np.sum(peaks)) == pytest.approx(1.6154725601664874, rel=4 * EPS)
     evaluations.clear()
     e = build_case("double_instanton")
-    res = decay_profile(e.spec, ((-7.6204, 7.6204), (-7.3131, 7.3131)),
-                        (0.844427, 2.968861, 4.274598), grid_n=96)
+    window = ((-7.6204, 7.6204), (-7.3131, 7.3131))
+    series = decay_profile(e.spec, analysis_grid(e.spec, window, 96),
+                           (0.844427, 2.968861, 4.274598))
     assert len(evaluations) <= 22
-    assert [v for _, v in res.decay_series] == pytest.approx(
+    assert [v for _, v in series] == pytest.approx(
         [0.1980025479094476, 0.006025202423572073, 0.00045493148627143626], rel=16 * EPS)
 
 
@@ -359,7 +361,8 @@ def test_period_solve_stops_when_its_step_is_rounding(monkeypatch, statistic, gr
     # for the scan and for one solve step
     calls = counted(monkeypatch, "_statistic")
     e = build_case("breather")
-    res = estimate_period(e.spec, e.window, (0.0, 2 * math.pi), 32, statistic, grid_n=grid_n)
+    res = estimate_period(e.spec, analysis_grid(e.spec, e.window, grid_n), (0.0, 2 * math.pi),
+                          32, statistic)
     assert len(calls) <= 2
     assert abs(res.estimated_period - math.pi) <= 4.4e-16 and res.period_mismatch <= 2e-15
 
@@ -372,8 +375,8 @@ def test_dromion_reflection_symmetry():
 
 def test_breather_period_scan():
     e = build_case("breather")
-    res = estimate_period(e.spec, e.window, (0.0, 2 * math.pi), 64,
-                          "global_max", grid_n=32)
+    res = estimate_period(e.spec, analysis_grid(e.spec, e.window, 32), (0.0, 2 * math.pi), 64,
+                          "global_max")
     assert res.best_candidate == pytest.approx(math.pi, abs=2 * math.pi / 64)
     assert res.estimated_period == pytest.approx(math.pi, abs=2 * math.pi / 64)
     assert res.period_resolution == pytest.approx(2 * math.pi / 64)
@@ -381,16 +384,16 @@ def test_breather_period_scan():
 
 def test_breather_period_refinement_beats_scan_step():
     e = build_case("breather")
-    res = estimate_period(e.spec, e.window, (0.0, 2 * math.pi), 32,
-                          "global_max", grid_n=24)
+    res = estimate_period(e.spec, analysis_grid(e.spec, e.window, 24), (0.0, 2 * math.pi), 32,
+                          "global_max")
     assert abs(res.estimated_period - math.pi) <= 1e-8
     assert abs(res.best_candidate - math.pi) <= res.period_resolution
 
 
 def test_periodic_period_refinement_with_global_max():
     e = build_case("periodic")
-    res = estimate_period(e.spec, e.window, (0.0, 2 * math.pi), 32,
-                          "global_max", grid_n=32)
+    res = estimate_period(e.spec, analysis_grid(e.spec, e.window, 32), (0.0, 2 * math.pi), 32,
+                          "global_max")
     assert abs(res.estimated_period - math.pi) <= 1e-8
 
 
@@ -404,8 +407,8 @@ def test_period_solve_reaches_pi(name, statistic, start, n_t, grid_n):
     # the scan spans 2 pi from start*pi/64
     e = build_case(name)
     t0 = start * math.pi / 64
-    res = estimate_period(e.spec, e.window, (t0, t0 + 2 * math.pi), n_t,
-                          statistic, grid_n=grid_n)
+    res = estimate_period(e.spec, analysis_grid(e.spec, e.window, grid_n),
+                          (t0, t0 + 2 * math.pi), n_t, statistic)
     assert abs(res.estimated_period - math.pi) <= 1e-8
     assert abs(res.best_candidate - math.pi) <= res.period_resolution
     assert res.period_mismatch <= 1e-13
@@ -417,8 +420,8 @@ def test_period_solve_converges_from_a_loose_tie(statistic, monkeypatch):
     # loose tie tolerance accepts it and the solve must close the gap
     e = build_case("breather")
     monkeypatch.setattr(field, "_TIE_TOL", 0.05)
-    res = estimate_period(e.spec, e.window, (0.3, 0.3 + 2.002 * math.pi), 32,
-                          statistic, grid_n=32)
+    res = estimate_period(e.spec, analysis_grid(e.spec, e.window, 32),
+                          (0.3, 0.3 + 2.002 * math.pi), 32, statistic)
     assert res.best_candidate - math.pi == pytest.approx(1e-3 * math.pi)
     assert abs(res.estimated_period - math.pi) <= 1e-12
     assert res.period_mismatch <= 1e-13
@@ -432,7 +435,7 @@ def test_period_solve_safeguards(monkeypatch, rate_factor):
     # bracket; with the sign flipped too it lands on 2 pi, where the
     # mismatch is lower), zero or NaN (no step); all but the exact one keep
     # the scan shift and its mismatch
-    def synthetic(spec, window, times, statistic, grid_n, rate=False):
+    def synthetic(spec, grid, times, statistic, rate=False):
         return np.sin(2 * times), rate_factor * 2 * np.cos(2 * times)
 
     # a scan of 64 times at the step dt whose 32nd shift is pi + 1e-3; the
@@ -442,7 +445,7 @@ def test_period_solve_safeguards(monkeypatch, rate_factor):
     times = np.arange(64) * dt
     series = np.sin(2 * times)
     shift, pick = 32 * dt, [0, 7, 14, 22, 29]
-    T, mis = _refine_period(None, None, "L2", 8, times, series, 32, dt, 2.0)
+    T, mis = _refine_period(None, None, "L2", times, series, 32, dt, 2.0)
     if rate_factor == 1.0:
         assert abs(T - math.pi) <= 1e-15 and mis <= 1e-15
     else:
@@ -456,14 +459,14 @@ def test_period_solve_reads_its_references_from_the_scan(monkeypatch, statistic)
     # with every b_i a scan time: S(b_i) itself is read from the scan series
     calls = []
 
-    def recording(spec, window, times, *args, real=_statistic, **kwargs):
+    def recording(spec, grid, times, *args, real=_statistic, **kwargs):
         calls.append(np.array(times))
-        return real(spec, window, times, *args, **kwargs)
+        return real(spec, grid, times, *args, **kwargs)
 
     monkeypatch.setattr("dsfield.field._statistic", recording)
     e = build_case("breather")
-    res = estimate_period(e.spec, e.window, (0.3, 0.3 + 2 * math.pi), 32, statistic,
-                          grid_n=24)
+    res = estimate_period(e.spec, analysis_grid(e.spec, e.window, 24),
+                          (0.3, 0.3 + 2 * math.pi), 32, statistic)
     assert abs(res.estimated_period - math.pi) <= 1e-12
     scan, steps = calls[0], calls[1:]
     assert 1 <= len(steps) <= 6
@@ -489,8 +492,8 @@ def test_refined_l2_scan_samples_few_extra_grids(monkeypatch):
             return jet3(self, x, t, order)
 
         monkeypatch.setattr(cls, "jet3", counting)
-    res = estimate_period(e.spec, e.window, (0.0, 2 * math.pi), 64, "L2",
-                          grid_n=32)
+    res = estimate_period(e.spec, analysis_grid(e.spec, e.window, 32), (0.0, 2 * math.pi), 64,
+                          "L2")
     assert abs(res.estimated_period - math.pi) <= 1e-8
     batch = max(1, ansatz._BATCH_POINTS // 32 ** 2)
     scan = -(-64 // batch)
@@ -513,7 +516,7 @@ def test_batched_l2_series_matches_per_time_grids(name, grid_n):
     e = build_case(name)
     window = regular_window(e)
     times = np.linspace(0.05, 3.0, 80)
-    batched = _statistic(e.spec, window, times, "L2", grid_n)[0]
+    batched = _statistic(e.spec, analysis_grid(e.spec, window, grid_n), times, "L2")[0]
     ref = _l2_per_time(e.spec, window, times, grid_n)
     assert np.max(np.abs(batched - ref) / ref) <= 1e-14
 
@@ -530,14 +533,14 @@ def test_batched_l2_series_raises_where_a_time_is_singular():
     bad = np.array([0.0, 0.5, 2.0])
 
     def batched(spec, window, times, grid_n):
-        return _statistic(spec, window, times, "L2", grid_n)[0]
+        return _statistic(spec, analysis_grid(spec, window, grid_n), times, "L2")[0]
 
     for series in (_l2_per_time, batched):
         with pytest.raises(SingularWindowError):
             series(spec, e.window, bad, 32)
         assert np.all(np.isfinite(series(spec, e.window, bad[:2], 32)))
     with pytest.raises(SingularWindowError):
-        refined_global_max(spec, e.window, bad, 32)
+        refined_global_max(spec, analysis_grid(spec, e.window, 32), bad)
 
 
 @pytest.mark.parametrize("statistic", ["L2", "global_max"])
@@ -549,11 +552,10 @@ def test_statistic_rate_raises_where_a_time_is_singular(statistic):
     e = build_case("dromion")
     spec = SolutionSpec(e.spec.coeffs, e.spec.p,
                         CustomProfile(lambda x, t: jc.exp(x) * jc.sqrt(1.0 - t)))
+    grid = analysis_grid(spec, e.window, 32)
     with pytest.raises(SingularWindowError):
-        _statistic(spec, e.window, np.array([0.0, 0.5, 2.0]), statistic, 32,
-                   rate=True)
-    s, ds = _statistic(spec, e.window, np.array([0.0, 0.5]), statistic, 32,
-                       rate=True)
+        _statistic(spec, grid, np.array([0.0, 0.5, 2.0]), statistic, rate=True)
+    s, ds = _statistic(spec, grid, np.array([0.0, 0.5]), statistic, rate=True)
     assert np.all(np.isfinite(s)) and np.all(np.isfinite(ds))
 
 
@@ -561,13 +563,13 @@ def test_statistic_rate_raises_where_a_time_is_singular(statistic):
 @pytest.mark.parametrize("statistic", ["L2", "global_max"])
 def test_statistic_rate_matches_central_difference(name, statistic):
     e = build_case(name)
-    window = regular_window(e)
+    grid = analysis_grid(e.spec, regular_window(e), 40)
     times, h = np.array([0.3, 1.1, 2.5]), 1e-5
-    s, ds = _statistic(e.spec, window, times, statistic, 40, rate=True)
-    fd = (_statistic(e.spec, window, times + h, statistic, 40)[0]
-          - _statistic(e.spec, window, times - h, statistic, 40)[0]) / (2 * h)
+    s, ds = _statistic(e.spec, grid, times, statistic, rate=True)
+    fd = (_statistic(e.spec, grid, times + h, statistic)[0]
+          - _statistic(e.spec, grid, times - h, statistic)[0]) / (2 * h)
     assert s == pytest.approx(
-        _statistic(e.spec, window, times, statistic, 40)[0],
+        _statistic(e.spec, grid, times, statistic)[0],
         rel=1e-14)
     assert np.all(np.abs(fd - ds) <= 1e-8 * (np.abs(ds) + s))
 
@@ -582,8 +584,8 @@ def test_breather_pointwise_periodicity():
 def test_static_case_has_no_period():
     prof = ExpSumProfile((1.0,), (1.0,), (0.0,), (1.0,))
     spec = SolutionSpec(SeparationCoefficients(1, 1, 1, 2), prof, prof)
-    res = estimate_period(spec, ((-6, 6), (-6, 6)), (0.0, 4.0), 16,
-                          grid_n=24)
+    res = estimate_period(spec, analysis_grid(spec, ((-6, 6), (-6, 6)), 24), (0.0, 4.0), 16,
+                          "global_max")
     assert res.estimated_period is None
     assert res.best_candidate is None
 
@@ -593,19 +595,19 @@ def test_periodic_case_symmetry_and_period():
     ga = sample_field(e.spec, "U", e.window, 0.4 + math.pi, 96, 96)
     gb = sample_field(e.spec, "U", e.window, 0.4, 96, 96)
     assert point_reflection_defect(ga, gb) < 1e-12
-    res = estimate_period(e.spec, e.window, (0.0, 2 * math.pi), 32,
-                          grid_n=32)
+    res = estimate_period(e.spec, analysis_grid(e.spec, e.window, 32), (0.0, 2 * math.pi), 32,
+                          "global_max")
     assert res.best_candidate == pytest.approx(math.pi, abs=2 * math.pi / 32)
     assert res.estimated_period == pytest.approx(math.pi, abs=2 * math.pi / 32)
 
 
 def test_decay_profile_deterministic():
     e = build_case("dromion")
-    a = decay_profile(e.spec, e.window, (0.0,), grid_n=64)
-    b = decay_profile(e.spec, e.window, (0.0,), grid_n=64)
-    assert a.decay_series == b.decay_series
+    a = decay_profile(e.spec, analysis_grid(e.spec, e.window, 64), (0.0,))
+    b = decay_profile(e.spec, analysis_grid(e.spec, e.window, 64), (0.0,))
+    assert a == b
     with pytest.raises(ValueError):
-        decay_profile(e.spec, e.window, ())
+        decay_profile(e.spec, analysis_grid(e.spec, e.window, 64), ())
 
 
 def test_refined_max_finds_hump_between_coarse_zeta_lines():
@@ -616,19 +618,18 @@ def test_refined_max_finds_hump_between_coarse_zeta_lines():
     e = build_case("double_instanton")
     window = ((-12.0, 12.0), (-12.0, 12.0))
     times = (2.5, 4.0)
-    coarse = decay_profile(e.spec, window, times, grid_n=32)
-    fine = decay_profile(e.spec, window, times, grid_n=256)
-    for (_, a), (_, b), expected in zip(coarse.decay_series, fine.decay_series,
-                                        (1.459e-2, 8.09e-4)):
+    coarse = decay_profile(e.spec, analysis_grid(e.spec, window, 32), times)
+    fine = decay_profile(e.spec, analysis_grid(e.spec, window, 256), times)
+    for (_, a), (_, b), expected in zip(coarse, fine, (1.459e-2, 8.09e-4)):
         assert a == pytest.approx(b, rel=1e-10)
         assert b == pytest.approx(expected, rel=1e-3)
 
 
 def test_instanton_decay_series():
     e = build_case("double_instanton")
-    res = decay_profile(e.spec, ((-12, 12), (-12, 12)), (0.0, 3.0, 6.0),
-                        grid_n=256)
-    (t0, m0), (t1, m1), (t2, m2) = res.decay_series
+    series = decay_profile(e.spec, analysis_grid(e.spec, ((-12, 12), (-12, 12)), 256),
+                           (0.0, 3.0, 6.0))
+    (t0, m0), (t1, m1), (t2, m2) = series
     # regression values pinned from a 384^2 oracle run
     assert m0 == pytest.approx(0.5956, rel=2e-2)
     assert m1 == pytest.approx(5.676e-3, rel=2e-2)
@@ -992,8 +993,8 @@ def test_report_is_stable_text():
 
 def test_period_l2_statistic():
     e = build_case("breather")
-    res = estimate_period(e.spec, e.window, (0.0, 2 * math.pi), 32,
-                          statistic="L2", grid_n=24)
+    res = estimate_period(e.spec, analysis_grid(e.spec, e.window, 24), (0.0, 2 * math.pi), 32,
+                          statistic="L2")
     assert res.best_candidate == pytest.approx(math.pi, abs=2 * math.pi / 32)
     assert res.estimated_period == pytest.approx(math.pi, abs=2 * math.pi / 32)
 
