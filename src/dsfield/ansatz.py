@@ -49,6 +49,7 @@ __all__ = [
     "AdmissibilityReport",
     "DEGENERATE_LEVEL",
     "max_abs",
+    "drop_note",
     "pole_sweep",
     "check_admissibility",
 ]
@@ -222,6 +223,12 @@ def max_abs(values, mask) -> float:
     """max |values| where ``mask``, 0 (never -0) if nowhere: max(max, -min), no |values|."""
     return float(abs(max(np.max(values, where=mask, initial=0.0),
                          -np.min(values, where=mask, initial=0.0))))
+
+
+def drop_note(kept: int, n: int) -> str:
+    """The note of a reduction that read ``n`` of the ``kept`` samples inside the valid set."""
+    return ("no valid samples" if not n else
+            f"{kept - n} samples not finite inside the valid set" if kept > n else "")
 
 
 def masked_stats(values, mask):
@@ -408,30 +415,31 @@ class AdmissibilityReport:
     pole_intervals_eta: tuple
 
 
-def check_admissibility(spec: SolutionSpec, grid: WindowGrid, t: float,
-                        pj: Jet, qj: Jet) -> AdmissibilityReport:
-    """Scan a window grid and classify the solution there, from the profile
-    jets ``pj``, ``qj`` (box (1, 0) at least) on the grid's points: min |f|
-    and the sign changes of f between neighbours, the sign condition, and
-    the pole sweeps of p and q over the ranges of the grid's lines, its
-    points' ranges bit for bit (each extreme is a corner, alone on its line);
-    q equal to p over an equal range takes p's sweep, which reads the same samples.
+def check_admissibility(ing) -> AdmissibilityReport:
+    """Scan the grid of the bundle ``ing`` (:class:`~dsfield.auxiliary.Ingredients`) and
+    classify the solution there at its time, from the bundle's profile jets on the grid
+    rows: min |f| and the sign changes of f between neighbours, the sign condition, and
+    the pole sweeps of p and q over the ranges of the grid's lines, its points' ranges
+    bit for bit (each extreme is a corner, alone on its line); q equal to p over an
+    equal range takes p's sweep, which reads the same samples.
 
     Points outside ``grid.keep`` (known poles, say) are left out of the 2-D scan.
     """
+    spec, grid, t = ing.spec, ing.grid, ing.t
     if min(grid.keep.shape) < 2:
         raise ValueError("need at least 2 samples per axis")
     keep = grid.keep
 
     def f_and_u(rows):
-        p, q = grid_rows((pj, qj), rows)
-        return (f := eval_f(spec, p, q, order=0).value), eval_intensity(spec, p, q, f=f)[0]
+        b = ing.rows(rows)
+        f = eval_f(spec, b.pj, b.qj, order=0).value
+        return f, eval_intensity(spec, b.pj, b.qj, f=f)[0]
     f, u = fill_rows(keep.shape, f_and_u)
     ok_u = keep & np.isfinite(u)
     max_u = max_abs(u, ok_u)
     with np.errstate(invalid="ignore", over="ignore", under="ignore"):
         # det * p_z * q_e < 0 breaks the sign condition; U there is negative
-        viol = keep & ((spec.coeffs.det * pj[1, 0] * qj[1, 0]) < 0.0)
+        viol = keep & ((spec.coeffs.det * ing.rows().pj[1, 0] * ing.rows().qj[1, 0]) < 0.0)
         finite_f = keep & np.isfinite(f)
         sgn = np.sign(f, out=np.zeros(f.shape, np.int8), where=finite_f, casting="unsafe")
         flips_x = (sgn[:, 1:] * sgn[:, :-1]) < 0

@@ -18,8 +18,9 @@ Given the profile pair the construction determines, in order:
       q0 = (s_t - (beta/2)*(q1_ee/q1 - s_e^2)) / beta.
 
 The consistency report evaluates the two bracket ratios c1(t), c2(t) that
-the separation needs to be time functions alone; spatial variation in
-them flags an inconsistent configuration.
+the separation needs to be time functions alone, from a bundle's line
+entries on every sample of its grid; spatial variation in them flags an
+inconsistent configuration.
 
 The amplitude and gradient jets take the profile jet of their coordinate,
 so a caller evaluates each profile once for all of them.  An
@@ -37,7 +38,7 @@ import numpy as np
 
 from . import calculus as jc
 from .calculus import Jet
-from .ansatz import SolutionSpec, grid_rows, row_window
+from .ansatz import SolutionSpec, drop_note, grid_rows, masked_stats, row_window
 
 __all__ = [
     "Auxiliaries",
@@ -124,9 +125,8 @@ class Ingredients:
     once per line), the amplitude jets ``p1``, ``q1`` and gradient jets
     ``rz``, ``se`` from them, the phase pairs ``r`` = (r, r_t) and ``s`` =
     (s, s_t), the backgrounds ``p0``, ``q0``, the carriers ``P`` = p1 e^{ir}
-    and ``Q`` = q1 e^{is}, whose product is the envelope g, and the
-    ``consistency`` report on 33 probes over each coordinate's range;
-    ``rows(rows)`` reads them on grid rows, as attributes.  Each entry is
+    and ``Q`` = q1 e^{is}, whose product is the envelope g; ``rows(rows)``
+    reads them on grid rows, as attributes.  Each entry is
     evaluated when first read, and one assigned before its first read
     replaces it.
     """
@@ -147,12 +147,6 @@ class Ingredients:
     q0 = _entry(lambda self: self.aux.q0(self.s[1], self.q1, self.se, self.t))
     P = _entry(lambda self: _carrier(self.p1, self.rz, self.r))
     Q = _entry(lambda self: _carrier(self.q1, self.se, self.s))
-
-    @_entry
-    def consistency(self):
-        zp, ep = (np.linspace(float(np.min(c)), float(np.max(c)), 33)
-                  for c in (self.grid.zeta_lines, self.grid.eta_lines))
-        return consistency_c1_c2(self.aux, zp, ep, self.t)
 
     def rows(self, rows=slice(None)) -> "_Rows":
         return _Rows(self, rows)
@@ -243,24 +237,21 @@ def _integrate_from_anchor(grad_jet, profile, anchor: float, targets, t, m: int)
 
 @dataclass(frozen=True)
 class ConsistencyReport:
-    """Spatial variation of the two t-only candidate ratios.
+    """Spatial variation of the two t-only candidate ratios on a bundle's grid.
 
     ``applicable`` is False when a3 = 0 (the ratios divide by a3).  The
     separation is certified when both variations are at the rounding level;
-    ``max_variation`` is NaN when either is, so the check fails closed.
-    ``probes`` counts the zeta and eta probes, ``finite_probes`` those whose
-    ratio is finite, the only ones the variations and means read.  ``note`` says
-    why it is not applicable, or how many probes inside the guard are not finite.
+    ``max_variation`` is NaN when either is, so the check fails closed.  The
+    counts add c1's and c2's, each reduced as a residual is, and ``note`` says
+    why it is not applicable, or what was dropped.
     """
 
     applicable: bool
     c1_variation: float
     c2_variation: float
-    c1_mean: float
-    c2_mean: float
-    t: float
-    probes: int
-    finite_probes: int
+    samples: int = 0
+    masked: int = 0
+    dropped: int = 0
     note: str = ""
 
     @property
@@ -268,45 +259,25 @@ class ConsistencyReport:
         return float(np.maximum(self.c1_variation, self.c2_variation))
 
 
-def consistency_c1_c2(aux: Auxiliaries, zeta_probes, eta_probes,
-                      t: float) -> ConsistencyReport:
-    """The bracket ratios c1, c2 of ``aux``'s spec at the probes; a zeta (eta) probe is
-    inside the guard if the spec has none or it keeps the probe at some eta (zeta) probe."""
-    spec = aux.spec
-    a3 = spec.coeffs.a3
-    if a3 == 0.0:
-        return ConsistencyReport(False, math.nan, math.nan, math.nan, math.nan,
-                                 t, 0, 0, note="not applicable: a3 = 0")
-    zeta_probes = np.asarray(zeta_probes, dtype=float)
-    eta_probes = np.asarray(eta_probes, dtype=float)
-    beta = spec.funcs.beta(t)
-    gamma = spec.funcs.gamma(t)
+def consistency_c1_c2(ing: Ingredients) -> ConsistencyReport:
+    """The bracket ratios c1, c2 of the bundle ``ing`` on its lines, from its amplitude,
+    gradient and profile jets, windowed onto its grid and reduced inside ``keep``."""
+    spec, grid, t = ing.spec, ing.grid, ing.t
+    a = spec.coeffs
+    if a.a3 == 0.0:
+        return ConsistencyReport(False, math.nan, math.nan, note="not applicable: a3 = 0")
+    beta, gamma = spec.funcs.beta(t), spec.funcs.gamma(t)
 
     def bracket(amp, grad):
         return (amp[0, 1] / amp.value
                 + beta * (amp[1, 0] * grad.value / amp.value + 0.5 * grad[1, 0]))
 
-    # the brackets read the amplitude and gradient jets to first order
-    pj, qj = spec.p.jet3(zeta_probes, t, 2), spec.q.jet3(eta_probes, t, 2)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore", under="ignore"):
-        c1_vals = ((bracket(aux.p1_jet(pj, t), aux.r_zeta_jet(pj, t)) - gamma)
-                   / (a3 * (spec.coeffs.a2 + a3 * pj.value)))
-        c2_vals = (-bracket(aux.q1_jet(qj, t), aux.s_eta_jet(qj, t))
-                   / (a3 * (spec.coeffs.a1 + a3 * qj.value)))
-
-    def spread(v):
-        v = v[np.isfinite(v)]
-        if v.size == 0:
-            return math.nan, math.nan, 0
-        return float(np.max(v) - np.min(v)), float(np.mean(v)), v.size
-
-    keep = np.ones((zeta_probes.size, eta_probes.size), dtype=bool)
-    if spec.valid_mask is not None:
-        keep = keep & spec.valid_mask(zeta_probes[:, None], eta_probes[None])
-    lost = int(np.count_nonzero(keep.any(axis=1) & ~np.isfinite(c1_vals))
-               + np.count_nonzero(keep.any(axis=0) & ~np.isfinite(c2_vals)))
-    var1, mean1, n1 = spread(c1_vals)
-    var2, mean2, n2 = spread(c2_vals)
-    return ConsistencyReport(True, var1, var2, mean1, mean2, t,
-                             int(zeta_probes.size + eta_probes.size), n1 + n2,
-                             f"{lost} probes not finite inside the valid set" if lost else "")
+        c1 = (bracket(ing.p1, ing.rz) - gamma) / (a.a3 * (a.a2 + a.a3 * ing.pj.value))
+        c2 = -bracket(ing.q1, ing.se) / (a.a3 * (a.a1 + a.a3 * ing.qj.value))
+    kept = 2 * int(np.count_nonzero(grid.keep))
+    stats = [masked_stats(v, grid.keep & np.isfinite(v)) for v in
+             (row_window(grid, grid.zeta_lines, c1), row_window(grid, grid.eta_lines, c2))]
+    n = sum(st[0] for st in stats)
+    return ConsistencyReport(True, *(hi - lo for _, lo, hi, _, _ in stats), n,
+                             2 * grid.keep.size - kept, kept - n, drop_note(kept, n))

@@ -23,6 +23,7 @@ from .ansatz import DEGENERATE_LEVEL, max_abs, window_grid
 from .auxiliary import Ingredients
 from .catalog import build_case, case_names
 from .field import (
+    MIN_PERIOD_SAMPLES,
     SingularWindowError,
     analyze_extrema,
     decay_profile,
@@ -216,7 +217,7 @@ def _cmd_verify(args) -> int:
     lines = [("case", label), ("t", f"{t:.17g}"),
              ("window", ":".join(f"{v:.17g}" for v in (*window[0], *window[1]))),
              ("res", str(args.res))]
-    checks = run_checks(ing, window, requested)
+    checks = run_checks(ing, requested)
     for name, (status, fields, notes) in checks.items():
         lines += [(f"check.{name}.{key}", value) for key, value in fields]
         lines.append((f"check.{name}.status", status))
@@ -237,6 +238,11 @@ def _cmd_analyze(args) -> int:
                                       ("peaks", args.peaks)) if flag]
     if len(chosen) != 1:
         raise UsageError("give exactly one of --period, --decay, --peaks")
+    # an option that the chosen mode does not read is refused, not ignored
+    for option, value, mode in (("--t", args.t, "peaks"),
+                                ("--statistic", args.statistic, "period")):
+        if value is not None and chosen != [mode]:
+            raise UsageError(f"{option} applies to --{mode} only")
     lines = [("case", label)]
 
     if args.period:
@@ -250,10 +256,13 @@ def _cmd_analyze(args) -> int:
             n_t = int(parts[2])
         except ValueError:
             raise UsageError(f"--period wants an integer count n, got {parts[2]!r}") from None
+        if n_t < MIN_PERIOD_SAMPLES:
+            raise UsageError(f"--period wants at least {MIN_PERIOD_SAMPLES} samples, got {n_t}")
+        statistic = args.statistic or "global_max"
         grid = window_grid(window, args.res, spec.valid_mask)
-        res = estimate_period(spec, grid, (t0, t1), n_t, args.statistic)
+        res = estimate_period(spec, grid, (t0, t1), n_t, statistic)
         lines += [
-            ("statistic", args.statistic),
+            ("statistic", statistic),
             ("period", "none" if res.estimated_period is None
              else f"{res.estimated_period:.17g}"),
             ("resolution", f"{res.period_resolution:.17g}"),
@@ -270,7 +279,7 @@ def _cmd_analyze(args) -> int:
         for t, mx in decay_profile(spec, grid, times):
             lines.append((f"max_at_t_{t!r}", f"{mx:.17g}"))
     else:
-        t = parse_time(args.t)
+        t = parse_time("0" if args.t is None else args.t)
         top, (x, y), peaks = analyze_extrema(_intensity_grid(spec, window, t, args.res, label))
         lines += [
             ("t", f"{t:.17g}"),
@@ -326,9 +335,9 @@ def build_parser() -> argparse.ArgumentParser:
     ap.add_argument("--period", help="t0:t1:n scan range")
     ap.add_argument("--decay", help="comma-separated times")
     ap.add_argument("--peaks", action="store_true")
-    ap.add_argument("--t", default="0")
+    ap.add_argument("--t", help="time of --peaks (default 0)")
     ap.add_argument("--statistic", choices=("global_max", "L2"),
-                    default="global_max")
+                    help="time statistic of --period (default global_max)")
     ap.add_argument("--res", type=int, default=96)
     ap.add_argument("--out", default=None)
 

@@ -56,6 +56,7 @@ __all__ = [
     "analyze_extrema",
     "refined_global_max",
     "estimate_period",
+    "MIN_PERIOD_SAMPLES",
     "decay_profile",
     "to_csv",
     "to_pgm16",
@@ -288,6 +289,7 @@ _ASCENT_PRED_FLOOR = 1e-14
 _PERIOD_PROBES = 5
 _PERIOD_ITERATIONS = 6
 _TIE_TOL = 1e-9         # a scan shift ties below this mismatch over the series scale
+MIN_PERIOD_SAMPLES = 16     # the fewest scan times a period estimate takes
 
 
 def _newton_ascent(spec, times, u, xy, lo, hi, radius):
@@ -413,8 +415,8 @@ def estimate_period(spec: SolutionSpec, grid: WindowGrid, t_range: tuple[float, 
     resolution is the scan step, a guaranteed bound.  A near-constant series
     reports no period (best candidate None).
     """
-    if n_t < 16:
-        raise ValueError("need at least 16 time samples")
+    if n_t < MIN_PERIOD_SAMPLES:
+        raise ValueError(f"need at least {MIN_PERIOD_SAMPLES} time samples")
     t0, t1 = t_range
     times = np.linspace(t0, t1, n_t, endpoint=False)
     dt = (t1 - t0) / n_t

@@ -3,11 +3,11 @@
 A profile is a real function of one spatial variable (its own rotated
 coordinate) and time.  Each family evaluates to a jet to the order or box
 its reader asks for: the verify ingredients, which differentiate profile
-derivatives once more, read order 3; phase nodes and consistency probes
-order 2; the pde2 stencils the box (2, 0); U reads the box (1, 0), with U_t
-(1, 1); the peak ascent (3, 0); a pole sweep the value alone, order 0.  Two
-forms are open: an exponential sum covers localized and line-type data, and
-a ``CustomProfile`` is any jet-valued formula of the seed jets.  The fixed
+derivatives once more, read order 3; phase nodes order 2; the pde2
+stencils the box (2, 0); U reads the box (1, 0), with U_t (1, 1); the peak
+ascent (3, 0); a pole sweep the value alone, order 0.  Two forms are open:
+an exponential sum covers localized and line-type data, and a
+``CustomProfile`` is any jet-valued formula of the seed jets.  The fixed
 families behind the breather, periodic and instanton catalog cases are
 values of these forms, or of ``InstantonPProfile``, in :data:`FAMILIES`.
 """

@@ -20,14 +20,15 @@ Three independent suites certify a solution spec:
   f from f's value alone, the sign condition, and profile poles from
   sweeps of profile values alone.
 
-Every check but ``pde2``, which reads the spec, grid and time alone, reads
-the :class:`~dsfield.auxiliary.Ingredients` bundle of its window grid, each
-line entry evaluated once per line.  Each check fills its residual grid from
-row windows by :func:`~dsfield.ansatz.fill_rows`, as the renders do, and
-reduces its finite samples inside the grid's ``keep`` by ``masked_stats``: a
-residual is non-finite exactly where it checks nothing.  The one bilinear
-operator here is :func:`hirota_cross`, D_z D_e f.f from f's jet, which the
-envelope pass reads.
+Every check but ``pde2``, the consistency check among them, reads the
+:class:`~dsfield.auxiliary.Ingredients` bundle of its window grid alone, each
+line entry evaluated once per line; ``pde2`` reads the spec, the time and
+its own grid of the bundle grid's window.  Each check fills its residual
+grid from row windows by :func:`~dsfield.ansatz.fill_rows`, as the renders
+do, and reduces its finite samples inside the grid's ``keep`` by
+``masked_stats`` under ``drop_note``: a residual is non-finite exactly
+where it checks nothing.  The one bilinear operator here is :func:`hirota_cross`,
+D_z D_e f.f from f's jet, which the envelope pass reads.
 
 :func:`run_checks` gives every verdict, against the fixed :data:`THRESHOLDS`,
 and no check gates another: the envelope-equation checks run on every spec
@@ -48,6 +49,7 @@ from .ansatz import (
     AdmissibilityReport,
     SolutionSpec,
     check_admissibility,
+    drop_note,
     eval_f,
     eval_intensity,
     eval_phi,
@@ -57,7 +59,7 @@ from .ansatz import (
     rotate,
     window_grid,
 )
-from .auxiliary import Ingredients
+from .auxiliary import Ingredients, consistency_c1_c2
 
 __all__ = [
     "ResidualReport",
@@ -95,10 +97,8 @@ def _report(name, resid_abs, grid, t) -> ResidualReport:
     n, _, mx, mean, at = masked_stats(resid_abs, grid.keep & np.isfinite(resid_abs))
     kept = int(np.count_nonzero(grid.keep))
     xy = (grid.X[at], grid.Y[at]) if n else (math.nan, math.nan)
-    notes = ("no valid samples" if not n else
-             f"{kept - n} samples not finite inside the valid set" if kept > n else "")
     return ResidualReport(name, mx, mean, (*map(float, xy), float(t)), n,
-                          grid.keep.size - kept, kept - n, notes=notes)
+                          grid.keep.size - kept, kept - n, notes=drop_note(kept, n))
 
 
 # ---------------------------------------------------------------------------
@@ -251,11 +251,8 @@ def _pde2_field(spec, grid, t, h=_PDE2_H):
 
 # kept while perfbench/tracer.py wraps this name
 def singularity_scan(spec: SolutionSpec, window, t: float, samples=128) -> AdmissibilityReport:
-    """:func:`~dsfield.ansatz.check_admissibility` on a fresh window grid under the
-    spec's guard, from the profiles' box (1, 0) jets there."""
-    grid = window_grid(window, samples, spec.valid_mask)
-    return check_admissibility(spec, grid, t,
-                               *profile_jets3(spec, *rotate(grid.X, grid.Y), t, (1, 0)))
+    """:func:`~dsfield.ansatz.check_admissibility` on a fresh bundle under the spec's guard."""
+    return check_admissibility(Ingredients(spec, window_grid(window, samples, spec.valid_mask), t))
 
 
 # ---------------------------------------------------------------------------
@@ -288,10 +285,18 @@ def _residual(report):
                     *((key, str(getattr(report, key))) for key in counts)], report.notes
 
 
-def run_checks(ing: Ingredients, window, names) -> dict:
+def _pde2_grid(ing: Ingredients):
+    """pde2's grid, at most 24^2 points of the window that the bundle grid's corners
+    give, its bounds bit for bit: linspace keeps both ends."""
+    X, Y = ing.grid.X, ing.grid.Y
+    return window_grid(((X[0, 0], X[0, -1]), (Y[0, 0], Y[-1, 0])), min(X.shape[1], 24),
+                       ing.spec.valid_mask)
+
+
+def run_checks(ing: Ingredients, names) -> dict:
     """{check: (status, fields, notes)} of each of ``names``, in report order (not
-    :data:`CHECKS` order).  All but pde2 read the bundle ``ing``; pde2 runs on its own
-    grid of ``window``, at most 24^2 points, at h and h/2, and fails on a drop at either."""
+    :data:`CHECKS` order).  All but pde2 read the bundle ``ing`` alone; pde2 runs on
+    :func:`_pde2_grid` at h and h/2, and fails on a drop at either."""
     spec, t = ing.spec, ing.t
     checks = {}
     if "bilinear2" in names:
@@ -303,7 +308,7 @@ def run_checks(ing: Ingredients, window, names) -> dict:
                 checks[rep.check_name] = _residual(rep)
 
     if "pde2" in names:
-        grid = window_grid(window, min(ing.grid.keep.shape[1], 24), spec.valid_mask)
+        grid = _pde2_grid(ing)
         coarse, fine = (pde_residuals(spec, grid, t, h) for h in (_PDE2_H, _PDE2_H / 2))
         e_h, e_h2 = coarse.mean_abs, fine.mean_abs
         order = math.log2(e_h / e_h2) if e_h > 0 and e_h2 > 0 else math.nan
@@ -319,7 +324,7 @@ def run_checks(ing: Ingredients, window, names) -> dict:
             ("dropped_h2", str(fine.dropped))], notes)
 
     if "consistency" in names:
-        crep = ing.consistency
+        crep = consistency_c1_c2(ing)
         if not crep.applicable:
             checks["consistency"] = ("skipped", (), crep.note)
         else:
@@ -329,12 +334,11 @@ def run_checks(ing: Ingredients, window, names) -> dict:
             checks["consistency"] = ("pass" if ok else "fail", [
                 *((key, f"{v:.6e}") for key, v in var.items()),
                 ("threshold", f"{THRESHOLDS['consistency']:.1e}"),
-                ("probes", str(crep.probes)),
-                ("finite_probes", str(crep.finite_probes))],
+                *((key, str(getattr(crep, key))) for key in ("samples", "masked", "dropped"))],
                 "; ".join(filter(None, notes + [crep.note])))
 
     if "admissibility" in names:
-        rep = check_admissibility(spec, ing.grid, t, ing.rows().pj, ing.rows().qj)
+        rep = check_admissibility(ing)
         checks["admissibility"] = ("pass" if rep.verdict == "admissible" else "fail", [
             ("verdict", rep.verdict),
             ("min_abs_f", f"{rep.min_abs_f:.6e}"),

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from dsfield.ansatz import eval_f, profile_jets3, rotate, window_grid
-from dsfield.auxiliary import Auxiliaries, consistency_c1_c2
+from dsfield.auxiliary import Ingredients, consistency_c1_c2
 from dsfield.calculus import Jet, layout
 from dsfield.catalog import build_case, case_names
 from dsfield.cli import main as cli_main
@@ -244,9 +244,8 @@ def test_criterion_9_determinism(tmp_path):
 def test_criterion_10_consistency_diagnostics(tmp_path):
     with criterion(10, "consistency certifies gain-free case, flags gain"):
         e = build_case("dromion")
-        probes = np.linspace(-4, 4, 65)
-        clean = consistency_c1_c2(Auxiliaries(e.spec), probes, probes, 0.0)
-        assert clean.max_variation < 1e-12
+        clean = consistency_c1_c2(Ingredients(e.spec, window_grid(((-4, 4), (-4, 4)), 65), 0.0))
+        assert clean.max_variation < 1e-12 and clean.dropped == 0
 
         cfg = tmp_path / "gained.cfg"
         base = open(os.path.join(os.path.dirname(__file__), os.pardir,

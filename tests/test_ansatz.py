@@ -317,9 +317,8 @@ def test_intensity_sign_violation_flagged():
 
 
 def admissibility(spec, window, t, samples, valid_mask=None):
-    """check_admissibility on a window grid, from the profile jets there."""
-    g = window_grid(window, samples, valid_mask)
-    return check_admissibility(spec, g, t, *profile_jets3(spec, *rotate(g.X, g.Y), t))
+    """check_admissibility on the bundle of a window grid."""
+    return check_admissibility(Ingredients(spec, window_grid(window, samples, valid_mask), t))
 
 
 def test_admissibility_dromion(dromion):
@@ -359,8 +358,8 @@ def test_window_scan_holds_only_f_and_u():
     e = build_case("dromion")
     t = e.reference_times[0]
     ing = Ingredients(e.spec, window_grid(e.window, 512), t)
-    pj, qj = ing.rows().pj, ing.rows().qj
-    assert traced_peak(check_admissibility, e.spec, ing.grid, t, pj, qj) <= 9e6
+    ing.rows().pj, ing.rows().qj
+    assert traced_peak(check_admissibility, ing) <= 9e6
 
 
 def test_admissibility_requires_samples(dromion):
@@ -646,7 +645,7 @@ def test_admissibility_sweeps_a_shared_profile_once(name, monkeypatch):
 
     monkeypatch.setattr(ansatz, "pole_sweep", counting)
     g = window_grid(e.window, 33, e.valid_mask)
-    rep = check_admissibility(e.spec, g, 0.3, *profile_jets3(e.spec, *rotate(g.X, g.Y), 0.3, (1, 0)))
+    rep = check_admissibility(Ingredients(e.spec, g, 0.3))
     assert len(swept) == (1 if name in ("periodic", "dromion") else 2)
     assert rep.pole_intervals_eta == pole_sweep(e.spec.q, g.eta_lines, 0.3)
 

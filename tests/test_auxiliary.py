@@ -18,7 +18,7 @@ from dsfield.catalog import build_case, case_names
 from dsfield.profiles import CustomProfile, ExpSumProfile, TimeFunction
 from dsfield.specfile import loads_spec
 
-from conftest import decaying_p_text, line_backgrounds
+from conftest import bundle, decaying_p_text, line_backgrounds
 
 @pytest.fixture
 def dromion():
@@ -282,31 +282,46 @@ def test_phases_integrate_each_line_coordinate_once(name):
 
 
 def test_consistency_dromion(dromion):
-    aux = Auxiliaries(dromion)
-    probes = np.linspace(-4, 4, 33)
-    rep = consistency_c1_c2(aux, probes, probes, 0.0)
+    # c1 and c2 on every sample of the bundle's 33^2 grid: both constant, and
+    # c1, written out from the bundle's entries, zero everywhere
+    ing = bundle(dromion, ((-4, 4), (-4, 4)), 0.0, 33)
+    rep = consistency_c1_c2(ing)
     assert rep.applicable
     assert rep.c1_variation < 1e-12
     assert rep.c2_variation < 1e-12
-    assert abs(rep.c1_mean) < 1e-12
+    assert (rep.samples, rep.masked, rep.dropped, rep.note) == (2 * 33 * 33, 0, 0, "")
+    a, b, beta = dromion.coeffs, ing.rows(), dromion.funcs.beta(0.0)
+    bracket = (b.p1[0, 1] / b.p1.value
+               + beta * (b.p1[1, 0] * b.rz.value / b.p1.value + 0.5 * b.rz[1, 0]))
+    assert np.max(np.abs(bracket / (a.a3 * (a.a2 + a.a3 * b.pj.value)))) < 1e-12
 
 
 def test_consistency_gain_breaks_p_side(dromion):
     spec = SolutionSpec(dromion.coeffs, dromion.p, dromion.q,
                         CoefficientFunctions(gamma=TimeFunction((0.5,))))
-    aux = Auxiliaries(spec)
-    probes = np.linspace(-4, 4, 33)
-    rep = consistency_c1_c2(aux, probes, probes, 0.0)
+    rep = consistency_c1_c2(bundle(spec, ((-4, 4), (-4, 4)), 0.0, 33))
     assert rep.c1_variation > 1e-3
     assert rep.c2_variation < 1e-12     # the q-side bracket has no gain term
 
 
 def test_consistency_not_applicable_without_a3():
     e = build_case("resonant")
-    aux = Auxiliaries(e.spec)
-    rep = consistency_c1_c2(aux, np.linspace(-2, 2, 9), np.linspace(-2, 2, 9), 0.0)
+    rep = consistency_c1_c2(bundle(e.spec, ((-2, 2), (-2, 2)), 0.0, 9))
     assert not rep.applicable
     assert "a3" in rep.note
+    assert rep.samples == 0
+
+
+def test_consistency_reduces_the_valid_samples_apart_from_the_masked_ones():
+    # double_instanton's guard cuts its pole out of the window: c1 and c2 count
+    # every kept sample and leave out the masked ones, each ratio once
+    e = build_case("double_instanton")
+    ing = bundle(e.spec, e.window, 0.3, 48, e.valid_mask)
+    rep = consistency_c1_c2(ing)
+    masked = int(np.count_nonzero(~ing.grid.keep))
+    assert masked == 44
+    assert (rep.samples, rep.masked, rep.dropped) == (2 * (48 * 48 - masked), 2 * masked, 0)
+    assert rep.max_variation < 1e-8 and rep.note == ""
 
 
 def test_closed_case_satisfies_background_and_consistency(dromion):
@@ -314,7 +329,7 @@ def test_closed_case_satisfies_background_and_consistency(dromion):
     aux = Auxiliaries(dromion)
     zs = np.linspace(-3, 3, 7)
     assert np.allclose(line_backgrounds(aux, zs, zs, 0.0)[0], 0.375, rtol=1e-12)
-    rep = consistency_c1_c2(aux, zs, zs, 0.0)
+    rep = consistency_c1_c2(bundle(dromion, ((-3, 3), (-3, 3)), 0.0, 7))
     assert rep.max_variation < 1e-12
 
 
@@ -322,7 +337,5 @@ def test_random_profiles_consistent_without_gain(rng):
     # zero-policy separation is exact for any profile when gamma = 0
     for _ in range(5):
         spec = admissible_spec(rng)
-        aux = Auxiliaries(spec)
-        probes = np.linspace(-2, 2, 17)
-        rep = consistency_c1_c2(aux, probes, probes, 0.3)
+        rep = consistency_c1_c2(bundle(spec, ((-2, 2), (-2, 2)), 0.3, 17))
         assert rep.max_variation < 1e-10

@@ -517,20 +517,31 @@ def test_verify_periodic_where_cos_t_is_negative(tmp_path, t, res):
             assert float(rep[f"check.{check}.max_abs"]) <= 1e-12, check
 
 
-def test_verify_periodic_config_takes_no_division_guard(tmp_path):
+@pytest.mark.parametrize("res", ["48", "64"])
+def test_verify_periodic_config_takes_no_division_guard(tmp_path, res):
     # beyond the tan poles |det q_e| exceeds 1e12 at 31 samples; the
     # amplitude factors no longer divide, so none of them is dropped.  The
-    # config carries no guard, so every consistency probe counts, and the
-    # check fails on one zeta and one eta probe beside a pole, where c1 and c2
-    # are not finite; every other check passes
+    # config carries no guard, so every sample counts: at res 48 no grid line
+    # comes near enough a pole to lose a phase gradient and every check passes;
+    # at res 64 the gradients are not finite on 82 samples beside the poles,
+    # which bilinear1, pde1 and consistency alike drop and fail on
     code, rep = _verify_report(tmp_path, "--spec", os.path.join(CONFIGS, "periodic.cfg"),
-                               "--window=-3:3:-3:3", "--res", "48", "--t", "0.3")
-    assert code == 1
-    assert [k for k, v in rep.items() if v == "fail"] == ["check.consistency.status", "overall"]
-    assert rep["check.consistency.notes"] == "2 probes not finite inside the valid set"
+                               "--window=-3:3:-3:3", "--res", res, "--t", "0.3")
     assert rep["check.bilinear2.dropped"] == "0"
-    assert [rep[f"check.{c}.max_abs"] for c in ("bilinear2", "bilinear1", "pde1")] == [
-        "6.203448e-16", "7.125383e-14", "2.078045e-13"]
+    counts = [rep[f"check.consistency.{k}"] for k in ("samples", "masked", "dropped")]
+    if res == "48":
+        assert code == 0 and [k for k, v in rep.items() if v == "fail"] == []
+        assert counts == [str(2 * 48 * 48), "0", "0"]
+        assert "check.consistency.notes" not in rep
+        assert [rep[f"check.{c}.max_abs"] for c in ("bilinear2", "bilinear1", "pde1")] == [
+            "6.203448e-16", "7.125383e-14", "2.078045e-13"]
+    else:
+        assert code == 1
+        assert [k for k, v in rep.items() if v == "fail"] == [
+            "check.bilinear1.status", "check.pde1.status", "check.consistency.status", "overall"]
+        assert counts == [str(2 * 64 * 64 - 82), "0", "82"]
+        for check in ("bilinear1", "pde1", "consistency"):
+            assert rep[f"check.{check}.notes"] == "82 samples not finite inside the valid set"
 
 
 def test_verify_keeps_the_plus_branch_where_p_z_turns_negative_off_the_window(tmp_path):
@@ -554,13 +565,14 @@ def test_verify_keeps_the_plus_branch_where_p_z_turns_negative_off_the_window(tm
     assert out.exists()
 
 
-def test_verify_counts_dropped_samples_and_finite_probes(tmp_path):
+def test_verify_counts_dropped_samples_of_every_check(tmp_path):
     # on this window p = e^zeta + e^(1 - zeta) has p_z < 0 for zeta < 1/2,
     # where p1 is NaN: 465 of the 1024 samples, none of them masked.  The
     # three residual checks read the other 559, say what they dropped and
     # fail on it; the bilinear2 render masks what its report drops, and the
-    # consistency check says how many of its probes counted and fails on the
-    # 16 that did not, all of them inside the valid set of a spec without a guard
+    # consistency check drops the same 465 samples of c1, keeps all 1024 of
+    # c2 and fails on the drop, all of it inside the valid set of a spec
+    # without a guard
     text = open(os.path.join(CONFIGS, "dromion.cfg")).read().replace(
         "A = 1\nK = 1\nL = 1\ntheta = 1", "A = 1, 1\nK = 1, -1\nL = 0, 0\ntheta = 0, 1", 1)
     cfg = tmp_path / "sign_changing_p.cfg"
@@ -579,10 +591,10 @@ def test_verify_counts_dropped_samples_and_finite_probes(tmp_path):
     assert "valid: 559" in (tmp_path / "b2.pgm.txt").read_text().splitlines()
     assert (rep["check.pde2.masked"], rep["check.pde2.dropped_h"],
             rep["check.pde2.dropped_h2"]) == ("0", "0", "0")
-    assert (rep["check.consistency.probes"], rep["check.consistency.finite_probes"]) \
-        == ("66", "50")
+    assert (rep["check.consistency.samples"], rep["check.consistency.masked"],
+            rep["check.consistency.dropped"]) == (str(2 * 1024 - 465), "0", "465")
     assert rep["check.consistency.status"] == "fail"
-    assert rep["check.consistency.notes"] == "16 probes not finite inside the valid set"
+    assert rep["check.consistency.notes"] == "465 samples not finite inside the valid set"
 
 
 def test_verify_pde2_fails_on_stencil_drops(tmp_path):
@@ -628,7 +640,7 @@ def _verify_draw(tmp_path, spec, window, t, res):
 def _below_division_guard(spec, window, t, res) -> bool:
     """Whether a phase gradient's divisor, beta p_z or beta q_e, falls under the
     division guard on the --res grid's lines: there the guard takes a correct
-    solution's small derivative for a zero and drops its samples and probes."""
+    solution's small derivative for a zero and drops its samples."""
     grid = window_grid(window, res)
     return any(np.any(np.abs(j[1, 0]) < DIV_GUARD * (1.0 + np.abs(j[0, 1])))
                for j in (spec.p.jet3(grid.zeta_lines, t, (1, 1)),
@@ -650,8 +662,8 @@ _FINITE_WHEN_PASSED = {"bilinear2": ("max_abs",), "bilinear1": ("max_abs",), "pd
 def test_verify_verdicts_fail_closed_on_random_draws(tmp_path_factory, kind, seed, corner,
                                                      size, square, t, res):
     # every verdict is pass, fail or a skip with its reason; a pass rests on
-    # finite numbers from every valid sample and probe (the draws carry no
-    # guard, so every sample and probe is valid); the exit code and the error
+    # finite numbers from every valid sample (the draws carry no guard, so
+    # every sample is valid); the exit code and the error
     # line follow the failed checks, and nothing else escapes
     spec = _draw_spec(kind, seed)
     (x0, y0), (wx, wy) = corner, size
@@ -669,12 +681,11 @@ def test_verify_verdicts_fail_closed_on_random_draws(tmp_path_factory, kind, see
             continue
         assert all(math.isfinite(float(rep[field(k)])) for k in _FINITE_WHEN_PASSED[name]), name
         assert field("notes") not in rep, name
-        if name in ("bilinear2", "bilinear1", "pde1"):
+        if name in ("bilinear2", "bilinear1", "pde1", "consistency"):
             assert int(rep[field("samples")]) > 0 and rep[field("dropped")] == "0", name
+            assert rep[field("masked")] == "0", name
         elif name == "pde2":
             assert rep[field("dropped_h")] == rep[field("dropped_h2")] == "0"
-        elif name == "consistency":
-            assert rep[field("finite_probes")] == rep[field("probes")]
         else:
             assert rep[field("verdict")] == "admissible"
     failed = [name for name, status in statuses.items() if status == "fail"]
@@ -698,8 +709,8 @@ def test_verify_verdicts_fail_closed_on_random_draws(tmp_path_factory, kind, see
                               (4.857446316931339, 12.796794286292979)), -0.45247593731662183, 16,
                  marks=pytest.mark.xfail(strict=True, reason=(
                      "two defects: the absolute division guard takes q_e ~ 1e-13 for a "
-                     "zero, so 13 samples and 5 probes of a solution are dropped and "
-                     "bilinear1, pde1 and consistency fail; without the guard those pass "
+                     "zero, so bilinear1, pde1 and consistency drop the same 13 samples "
+                     "of a solution and fail; without the guard those pass "
                      "and pde2 still fails on its order alone (-1.999, ROADMAP item 2)"))),
 ], ids=["pde2-order-alone", "division-guard"])
 def test_verify_passes_every_check_on_a_drawn_solution(tmp_path, seed, window, t, res):
@@ -770,8 +781,8 @@ def test_verify_consistency_gate_fails_closed_on_an_undefined_variation(tmp_path
                          ids=["dromion-a3-0.5", "dromion-decaying-p"])
 def test_verify_notes_name_an_undefined_consistency_variation(tmp_path, name, edit, t):
     # a NaN variation compares with no threshold: the consistency check
-    # names it undefined, and then counts the probes it lost, none of which
-    # lies outside a guard, as these specs have none
+    # names it undefined, and then counts the samples it dropped, none of
+    # which lies outside a guard, as these specs have none
     cfg = tmp_path / name
     cfg.write_text(open(os.path.join(CONFIGS, name)).read().replace(*edit))
     out = tmp_path / "r.txt"
@@ -781,10 +792,11 @@ def test_verify_notes_name_an_undefined_consistency_variation(tmp_path, name, ed
     undefined = [k for k in ("c1_variation", "c2_variation")
                  if rep[f"check.consistency.{k}"] == "nan"]
     assert undefined and rep["check.consistency.status"] == "fail"
-    lost = int(rep["check.consistency.probes"]) - int(rep["check.consistency.finite_probes"])
+    lost = int(rep["check.consistency.dropped"])
+    assert lost > 0 and rep["check.consistency.masked"] == "0"
     assert rep["check.consistency.notes"] == "; ".join(
         [f"{k} undefined (nan)" for k in undefined]
-        + [f"{lost} probes not finite inside the valid set"])
+        + [f"{lost} samples not finite inside the valid set"])
 
 
 @pytest.mark.parametrize("edit,t", [(("gamma = 0", "gamma = 0.5"), "0"),
@@ -821,7 +833,10 @@ def test_verify_envelope_checks_read_no_consistency_report(tmp_path, monkeypatch
         calls.append(args)
         return report(*args)
 
-    monkeypatch.setattr(auxiliary, "consistency_c1_c2", counting)
+    # every module's binding, so a call from anywhere counts
+    for name, mod in list(sys.modules.items()):
+        if name.split(".")[0] == "dsfield" and getattr(mod, "consistency_c1_c2", None) is report:
+            monkeypatch.setattr(mod, "consistency_c1_c2", counting)
     assert run("verify", "--case", "dromion", "--t", "0", "--res", "32",
                "--checks", "bilinear1,pde1", "--out", str(tmp_path / "r.txt")) == 0
     assert calls == []
@@ -914,7 +929,22 @@ ALL = "bilinear2,bilinear1,pde2,pde1,consistency,admissibility"
     # a count that is not an integer used to print int()'s message, naming no option
     (("analyze", "--case", "dromion", "--period", "0:2pi:16.5"),
      "--period wants an integer count n, got '16.5'"),
-], ids=[f"argv{i}" for i in range(4)])
+    # a count under the minimum, or negative, printed estimate_period's message,
+    # which names neither the option nor the count
+    (("analyze", "--case", "dromion", "--period", "0:2pi:8"),
+     "--period wants at least 16 samples, got 8"),
+    (("analyze", "--case", "dromion", "--period", "0:2pi:-5"),
+     "--period wants at least 16 samples, got -5"),
+    # an option that the mode does not read was ignored, with exit 0
+    (("analyze", "--case", "dromion", "--decay", "0.3", "--t", "5"),
+     "--t applies to --peaks only"),
+    (("analyze", "--case", "dromion", "--decay", "0.3", "--statistic", "L2"),
+     "--statistic applies to --period only"),
+    (("analyze", "--case", "breather", "--period", "0:2pi:32", "--t", "1"),
+     "--t applies to --peaks only"),
+    (("analyze", "--case", "dromion", "--peaks", "--t", "0", "--statistic", "global_max"),
+     "--statistic applies to --period only"),
+], ids=[f"argv{i}" for i in range(10)])
 def test_bad_input_exits_2(argv, says, tmp_path, capsys):
     out = tmp_path / "out.txt"
     assert run(*argv, "--out", str(out)) == 2
@@ -1138,7 +1168,7 @@ def test_analyze_decay_labels_each_time_by_its_round_trip_repr(tmp_path):
 def test_each_reader_asks_its_profiles_for_the_entries_it_reads(tmp_path, monkeypatch):
     # U reads the box (1, 0) of each profile jet and U_t the box (1, 1), the
     # peak ascent (3, 0), a pole sweep the value, the verify bundle order 3,
-    # the pde2 stencils, phase nodes and consistency probes order 2, and the
+    # the pde2 stencils and phase nodes order 2, and the
     # amplitude branch s(t) the box (1, 0) at the anchor; each call is
     # booked to its first caller outside the profiles
     e = build_case("breather")
@@ -1171,9 +1201,24 @@ def test_each_reader_asks_its_profiles_for_the_entries_it_reads(tmp_path, monkey
     assert run("verify", "--t", "0.3", "--checks", ALL, *common) == 0
     assert asked == {"Ingredients.<lambda>": {3}, "pole_sweep": {0},
                      "_pde2_field.<locals>.on_stencil": {(2, 0)},
-                     "_integrate_from_anchor": {2}, "consistency_c1_c2": {2},
-                     "Auxiliaries.branch": {(1, 0)}}
+                     "_integrate_from_anchor": {2}, "Auxiliaries.branch": {(1, 0)}}
     assert not {grid, rate, "_log_intensity_jets", "_statistic"} & set(asked)
+
+
+def test_verify_consistency_evaluates_profiles_only_on_the_bundle_lines(tmp_path, monkeypatch):
+    # consistency reads the bundle's line entries: each profile is evaluated
+    # once, on the 2N - 1 lines of its coordinate, and beside them only at the
+    # anchors of the amplitude branch s(t), one point each per amplitude factor
+    e = build_case("breather")
+    asked = []
+    for cls in {type(e.spec.p), type(e.spec.q)}:
+        def counting(self, x, t, order=3, jet3=cls.jet3):
+            asked.append((sys._getframe(1).f_code.co_name, int(np.size(x))))
+            return jet3(self, x, t, order)
+        monkeypatch.setattr(cls, "jet3", counting)
+    assert run("verify", "--case", "breather", "--t", "0.3", "--res", "24",
+               "--checks", "consistency", "--out", str(tmp_path / "r.txt")) == 0
+    assert sorted(asked) == [("<lambda>", 2 * 24 - 1)] * 2 + [("branch", 1)] * 4
 
 
 @pytest.mark.parametrize("statistic", ["L2", "global_max"])

@@ -18,7 +18,7 @@ from dsfield.ansatz import (
     rotate,
     window_grid,
 )
-from dsfield.auxiliary import Ingredients
+from dsfield.auxiliary import Ingredients, consistency_c1_c2
 from dsfield.calculus import Jet, layout
 from dsfield.catalog import build_case, case_names
 from dsfield.field import sample_field
@@ -31,6 +31,7 @@ from dsfield.verify import (
     _bilinear2_field,
     _envelope_fields,
     _pde2_field,
+    _pde2_grid,
     bilinear_residuals,
     envelope_residuals,
     hirota_cross,
@@ -166,7 +167,7 @@ def test_bilinear_line1_runs_on_an_inconsistent_spec():
     spec = SolutionSpec(d.coeffs, d.p, d.q,
                         CoefficientFunctions(gamma=TimeFunction((0.5,))))
     ing = bundle(spec, ((-4, 4), (-4, 4)), 0.0, 24)
-    assert ing.consistency.max_variation > 1e-3
+    assert consistency_c1_c2(ing).max_variation > 1e-3
     line1, _ = envelope_residuals(ing)
     assert line1.applicable
     assert line1.samples == 24 * 24
@@ -191,7 +192,7 @@ def test_negative_control_corrupted_gradient():
     e = build_case("dromion")
     # the corrupted gradient shows up in the consistency report...
     ing = bundle(e.spec, ((-4, 4), (-4, 4)), 0.0, 24, rz_offset=0.1)
-    assert ing.consistency.max_variation > 1e-8
+    assert consistency_c1_c2(ing).max_variation > 1e-8
     # ...and in the ungated residual itself
     line1, _ = envelope_residuals(ing)
     assert line1.max_abs > 1e-3
@@ -213,7 +214,7 @@ def test_negative_control_corrupted_amplitude():
 def _failing_checks(ing) -> set:
     """The checks that verify fails on the bundle, of those its ingredients
     reach: bilinear2, bilinear1, pde1 and consistency."""
-    checks = run_checks(ing, None, {"bilinear2", "bilinear1", "pde1", "consistency"})
+    checks = run_checks(ing, {"bilinear2", "bilinear1", "pde1", "consistency"})
     return {name for name, (status, _, _) in checks.items() if status == "fail"}
 
 
@@ -402,9 +403,24 @@ def test_pde_phi_convergence_is_the_oracle_bit_for_bit(name):
         stats = [[(r.mean_abs, r.max_abs, r.samples, r.dropped) for r in reports[:2]]
                  for reports in (got, want)]
         np.testing.assert_array_equal(*map(np.hstack, stats), strict=True)
-        fields = dict(run_checks(Ingredients(e.spec, grid, t), e.window, {"pde2"})["pde2"][1])
+        fields = dict(run_checks(Ingredients(e.spec, grid, t), {"pde2"})["pde2"][1])
         assert [fields[k] for k in ("mean_abs_h", "mean_abs_h2", "observed_order")] == [
             f"{want[0].mean_abs:.6e}", f"{want[1].mean_abs:.6e}", f"{want[2]:.3f}"]
+
+
+@pytest.mark.parametrize("window", [((-3.141592654, 2.718281828), (-1.414213562, 4.445660920)),
+                                    ((-0.5772156649, 1.618033989), (0.6931471806, 2.302585093))],
+                         ids=["square", "oblong"])
+def test_pde2_grid_is_the_window_grid_bit_for_bit(window):
+    # pde2 takes its window from the corners of the bundle's grid, which linspace
+    # keeps to the bit: its grid is the window's own, coordinates, lines and keep
+    e = build_case("double_instanton")
+    for res in (8, 24, 71):
+        got = _pde2_grid(Ingredients(e.spec, window_grid(window, res, e.valid_mask), 0.3))
+        want = window_grid(window, min(res, 24), e.valid_mask)
+        for field in dataclasses.fields(want):
+            a, b = getattr(got, field.name), getattr(want, field.name)
+            assert a.shape == b.shape and a.tobytes() == b.tobytes(), (res, field.name)
 
 
 def test_pde_line2_breather_degenerate_time():
@@ -540,12 +556,12 @@ def test_residual_renders_match_report():
 def test_scan_agrees_with_admissibility(name):
     e = build_case(name)
     t = e.reference_times[0]
-    g = window_grid(e.window, (48, 48), e.valid_mask)
-    rep = check_admissibility(e.spec, g, t, *profile_jets3(e.spec, *rotate(g.X, g.Y), t))
+    rep = check_admissibility(Ingredients(e.spec, window_grid(e.window, (48, 48), e.valid_mask), t))
     scan = singularity_scan(e.spec, e.window, t, 48)
     assert scan.min_abs_f == rep.min_abs_f
     assert scan.min_f_point == rep.min_f_point
     assert scan.sign_changes == rep.sign_changes
+    assert scan == rep
 
 
 def test_scan_dromion_positive():
@@ -582,19 +598,19 @@ def test_scan_detects_instanton_pole():
 @pytest.mark.parametrize("name", case_names())
 def test_admissibility_is_the_one_window_scan(name):
     # the pole sweeps run over the grid's own zeta and eta, each example is
-    # the first point of a cell where f changes sign, and singularity_scan
-    # is the same scan on the same grid
+    # the first point of a cell where f changes sign, of the f the scan reads
+    # from the bundle, and singularity_scan is the same scan on the same grid
     e = build_case(name)
     t = e.reference_times[0]
     g = window_grid(e.window, (48, 48), e.valid_mask)
     zeta, eta = rotate(g.X, g.Y)
-    rep = check_admissibility(e.spec, g, t, *profile_jets3(e.spec, zeta, eta, t))
+    ing = Ingredients(e.spec, g, t)
+    rep = check_admissibility(ing)
     assert rep.pole_intervals_zeta == pole_sweep(e.spec.p, zeta, t)
     assert rep.pole_intervals_eta == pole_sweep(e.spec.q, eta, t)
     assert singularity_scan(e.spec, e.window, t, 48) == rep
 
-    f = np.where(g.keep, eval_f(e.spec, *profile_jets3(e.spec, zeta, eta, t), order=0).value,
-                 np.nan)
+    f = np.where(g.keep, eval_f(e.spec, ing.rows().pj, ing.rows().qj, order=0).value, np.nan)
     assert len(rep.sign_change_examples) <= 5
     assert bool(rep.sign_change_examples) == bool(rep.sign_changes)
     for x, y in rep.sign_change_examples:
