@@ -51,6 +51,8 @@ __all__ = [
     "max_abs",
     "drop_note",
     "pole_sweep",
+    "pole_flanks",
+    "pole_sweeps",
     "check_admissibility",
 ]
 
@@ -128,7 +130,7 @@ class WindowGrid:
     """An (x, y) window sampled row-major, y along axis 0.
 
     ``X``, ``Y`` are the (ny, nx) sample coordinates, views of x and y,
-    and ``keep`` is ``valid_mask(*rotate(X, Y))``, or all True without one.
+    ``keep`` is ``valid_mask(*rotate(X, Y))``, or all True without one.
     On a square grid with equal spacing on both axes, zeta at row i, column
     j depends on j - i alone and eta on i + j alone: ``zeta_lines`` and
     ``eta_lines`` then hold the 2N - 1 line coordinates, and row i reads the
@@ -141,6 +143,7 @@ class WindowGrid:
     keep: np.ndarray
     zeta_lines: np.ndarray
     eta_lines: np.ndarray
+    window: tuple = None          # ((x0, x1), (y0, y1)), sampled
 
 
 def window_grid(window, samples, valid_mask=None) -> WindowGrid:
@@ -163,7 +166,7 @@ def window_grid(window, samples, valid_mask=None) -> WindowGrid:
                  (x[np.minimum(m, nx - 1)] + y[np.maximum(m - nx + 1, 0)]) / SQRT2)
     keep = (np.ones((ny, nx), dtype=bool) if valid_mask is None else
             fill_rows((ny, nx), lambda rows: (valid_mask(*rotate(X[rows], Y[rows])),))[0])
-    return WindowGrid(X, Y, keep, *lines)
+    return WindowGrid(X, Y, keep, *lines, ((x0, x1), (y0, y1)))
 
 
 def row_window(grid: WindowGrid, lines, x):
@@ -389,6 +392,23 @@ def pole_sweep(profile, coords, t: float):
     return tuple((float(x[a]), float(x[b - 1])) for a, b in zip(edges[::2], edges[1::2]))
 
 
+def pole_flanks(coords, intervals):
+    """The samples one sweep step outside pole sweep ``intervals``, inside ``coords``' range."""
+    lo, hi = float(np.min(coords)), float(np.max(coords))
+    step = (hi - lo) / (_POLE_SAMPLES - 1)
+    x = np.ravel([(a - step, b + step) for a, b in intervals])
+    return x[(x >= lo) & (x <= hi)]
+
+
+def pole_sweeps(spec: SolutionSpec, grid: WindowGrid, t: float):
+    """(zeta, eta) pole sweep intervals over the ranges of ``grid``'s lines, which are its
+    points' ranges bit for bit; q equal to p over an equal range takes p's sweep."""
+    zeta_poles = pole_sweep(spec.p, grid.zeta_lines, t)
+    if spec.q == spec.p and all(m(grid.eta_lines) == m(grid.zeta_lines) for m in (np.min, np.max)):
+        return zeta_poles, zeta_poles
+    return zeta_poles, pole_sweep(spec.q, grid.eta_lines, t)
+
+
 @dataclass(frozen=True)
 class AdmissibilityReport:
     """Outcome of the window scan.
@@ -419,9 +439,7 @@ def check_admissibility(ing) -> AdmissibilityReport:
     """Scan the grid of the bundle ``ing`` (:class:`~dsfield.auxiliary.Ingredients`) and
     classify the solution there at its time, from the bundle's profile jets on the grid
     rows: min |f| and the sign changes of f between neighbours, the sign condition, and
-    the pole sweeps of p and q over the ranges of the grid's lines, its points' ranges
-    bit for bit (each extreme is a corner, alone on its line); q equal to p over an
-    equal range takes p's sweep, which reads the same samples.
+    the bundle's pole sweeps of p and q (:func:`pole_sweeps`).
 
     Points outside ``grid.keep`` (known poles, say) are left out of the 2-D scan.
     """
@@ -470,10 +488,7 @@ def check_admissibility(ing) -> AdmissibilityReport:
         verdict = "sign-violating"
     else:
         verdict = "admissible"
-    zeta_poles = pole_sweep(spec.p, grid.zeta_lines, t)
-    same_sweep = spec.q == spec.p and all(
-        m(grid.eta_lines) == m(grid.zeta_lines) for m in (np.min, np.max))
-
+    zeta_poles, eta_poles = ing.poles
     return AdmissibilityReport(
         verdict=verdict,
         min_abs_f=min_abs_f,
@@ -485,5 +500,5 @@ def check_admissibility(ing) -> AdmissibilityReport:
         max_intensity=max_u,
         witness=witness,
         pole_intervals_zeta=zeta_poles,
-        pole_intervals_eta=zeta_poles if same_sweep else pole_sweep(spec.q, grid.eta_lines, t),
+        pole_intervals_eta=eta_poles,
     )

@@ -21,9 +21,11 @@ Three independent suites certify a solution spec:
   sweeps of profile values alone.
 
 Every check but ``pde2``, the consistency check among them, reads the
-:class:`~dsfield.auxiliary.Ingredients` bundle of its window grid alone, each
-line entry evaluated once per line; ``pde2`` reads the spec, the time and
-its own grid of the bundle grid's window.  Each check fills its residual
+:class:`~dsfield.auxiliary.Ingredients` bundle of its window grid, each
+line entry evaluated once per line (consistency on a spec without a guard
+also reads its ratios at the few flanks of the bundle's pole sweeps);
+``pde2`` reads the spec, the time and its own grid of the bundle grid's
+window.  Each check fills its residual
 grid from row windows by :func:`~dsfield.ansatz.fill_rows`, as the renders
 do, and reduces its finite samples inside the grid's ``keep`` by
 ``masked_stats`` under ``drop_note``: a residual is non-finite exactly
@@ -285,18 +287,11 @@ def _residual(report):
                     *((key, str(getattr(report, key))) for key in counts)], report.notes
 
 
-def _pde2_grid(ing: Ingredients):
-    """pde2's grid, at most 24^2 points of the window that the bundle grid's corners
-    give, its bounds bit for bit: linspace keeps both ends."""
-    X, Y = ing.grid.X, ing.grid.Y
-    return window_grid(((X[0, 0], X[0, -1]), (Y[0, 0], Y[-1, 0])), min(X.shape[1], 24),
-                       ing.spec.valid_mask)
-
-
 def run_checks(ing: Ingredients, names) -> dict:
     """{check: (status, fields, notes)} of each of ``names``, in report order (not
-    :data:`CHECKS` order).  All but pde2 read the bundle ``ing`` alone; pde2 runs on
-    :func:`_pde2_grid` at h and h/2, and fails on a drop at either."""
+    :data:`CHECKS` order).  All but pde2 read the bundle ``ing`` alone; pde2 runs at h
+    and h/2 on at most 24^2 points of the bundle grid's window, and fails on a drop at
+    either."""
     spec, t = ing.spec, ing.t
     checks = {}
     if "bilinear2" in names:
@@ -308,7 +303,7 @@ def run_checks(ing: Ingredients, names) -> dict:
                 checks[rep.check_name] = _residual(rep)
 
     if "pde2" in names:
-        grid = _pde2_grid(ing)
+        grid = window_grid(ing.grid.window, min(ing.grid.keep.shape[1], 24), spec.valid_mask)
         coarse, fine = (pde_residuals(spec, grid, t, h) for h in (_PDE2_H, _PDE2_H / 2))
         e_h, e_h2 = coarse.mean_abs, fine.mean_abs
         order = math.log2(e_h / e_h2) if e_h > 0 and e_h2 > 0 else math.nan

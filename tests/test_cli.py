@@ -521,27 +521,34 @@ def test_verify_periodic_where_cos_t_is_negative(tmp_path, t, res):
 def test_verify_periodic_config_takes_no_division_guard(tmp_path, res):
     # beyond the tan poles |det q_e| exceeds 1e12 at 31 samples; the
     # amplitude factors no longer divide, so none of them is dropped.  The
-    # config carries no guard, so every sample counts: at res 48 no grid line
-    # comes near enough a pole to lose a phase gradient and every check passes;
-    # at res 64 the gradients are not finite on 82 samples beside the poles,
-    # which bilinear1, pde1 and consistency alike drop and fail on
+    # config carries no guard, so every sample counts, the two flanks of each
+    # of the four pole intervals of the sweeps (at zeta = +-pi/2 and at
+    # eta = +-pi/2) too: beside a pole, where p or q is 1 to the last bit,
+    # c1 or c2 is not finite, and consistency fails on those four flanks at
+    # any --res.  At res 48 no grid line comes near enough a pole to lose a
+    # phase gradient and every other check passes; at res 64 the gradients
+    # are not finite on 82 samples beside the poles, which bilinear1, pde1
+    # and consistency alike drop and fail on
     code, rep = _verify_report(tmp_path, "--spec", os.path.join(CONFIGS, "periodic.cfg"),
                                "--window=-3:3:-3:3", "--res", res, "--t", "0.3")
+    assert code == 1
     assert rep["check.bilinear2.dropped"] == "0"
+    assert rep["check.admissibility.pole_intervals"] == "4"
+    n = int(res)
     counts = [rep[f"check.consistency.{k}"] for k in ("samples", "masked", "dropped")]
     if res == "48":
-        assert code == 0 and [k for k, v in rep.items() if v == "fail"] == []
-        assert counts == [str(2 * 48 * 48), "0", "0"]
-        assert "check.consistency.notes" not in rep
+        assert [k for k, v in rep.items() if v == "fail"] == ["check.consistency.status", "overall"]
+        assert counts == [str(2 * n * n + 4), "0", "4"]
+        assert rep["check.consistency.notes"] == "4 samples not finite inside the valid set"
         assert [rep[f"check.{c}.max_abs"] for c in ("bilinear2", "bilinear1", "pde1")] == [
             "6.203448e-16", "7.125383e-14", "2.078045e-13"]
     else:
-        assert code == 1
         assert [k for k, v in rep.items() if v == "fail"] == [
             "check.bilinear1.status", "check.pde1.status", "check.consistency.status", "overall"]
-        assert counts == [str(2 * 64 * 64 - 82), "0", "82"]
-        for check in ("bilinear1", "pde1", "consistency"):
+        assert counts == [str(2 * n * n + 4 - 82), "0", "86"]
+        for check in ("bilinear1", "pde1"):
             assert rep[f"check.{check}.notes"] == "82 samples not finite inside the valid set"
+        assert rep["check.consistency.notes"] == "86 samples not finite inside the valid set"
 
 
 def test_verify_keeps_the_plus_branch_where_p_z_turns_negative_off_the_window(tmp_path):
@@ -1206,9 +1213,12 @@ def test_each_reader_asks_its_profiles_for_the_entries_it_reads(tmp_path, monkey
 
 
 def test_verify_consistency_evaluates_profiles_only_on_the_bundle_lines(tmp_path, monkeypatch):
-    # consistency reads the bundle's line entries: each profile is evaluated
-    # once, on the 2N - 1 lines of its coordinate, and beside them only at the
-    # anchors of the amplitude branch s(t), one point each per amplitude factor
+    # consistency reads the bundle's entries: each profile is evaluated once on
+    # the 2N - 1 lines of its coordinate, beside them only at the anchors of
+    # the amplitude branch s(t), one point each per amplitude factor, and in
+    # the bundle's pole sweep, which admissibility reads too: breather's
+    # profiles have no magnitude bound, so each is swept in full
+    from dsfield.ansatz import _POLE_SAMPLES
     e = build_case("breather")
     asked = []
     for cls in {type(e.spec.p), type(e.spec.q)}:
@@ -1218,7 +1228,34 @@ def test_verify_consistency_evaluates_profiles_only_on_the_bundle_lines(tmp_path
         monkeypatch.setattr(cls, "jet3", counting)
     assert run("verify", "--case", "breather", "--t", "0.3", "--res", "24",
                "--checks", "consistency", "--out", str(tmp_path / "r.txt")) == 0
-    assert sorted(asked) == [("<lambda>", 2 * 24 - 1)] * 2 + [("branch", 1)] * 4
+    swept = sum(n for caller, n in asked if caller == "pole_sweep")
+    assert swept == 2 * _POLE_SAMPLES
+    assert sorted(a for a in asked if a[0] != "pole_sweep") == (
+        [("<lambda>", 2 * 24 - 1)] * 2 + [("branch", 1)] * 4)
+
+
+def test_verify_periodic_config_fails_consistency_on_its_poles_at_every_res(tmp_path):
+    # grid samples beside a tan pole lose c1 at some --res and not at others;
+    # the four pole flanks where c1 or c2 is not finite fail the check at all
+    for res in range(40, 70, 2):
+        out = tmp_path / "r.txt"
+        assert run("verify", "--spec", os.path.join(CONFIGS, "periodic.cfg"),
+                   "--window=-3:3:-3:3", "--res", str(res), "--t", "0.3",
+                   "--checks", "consistency", "--out", str(out)) == 1, res
+        rep = dict(ln.split(": ", 1) for ln in out.read_text().splitlines())
+        assert int(rep["check.consistency.dropped"]) >= 4, res
+
+
+def test_verify_double_instanton_config_passes_consistency_beside_its_pole(tmp_path):
+    # the pole of p at zeta = -1 lies inside this unguarded window; beside it,
+    # where the bump has vanished, p is the exponential sum and c1 is finite
+    # on both flanks, which count as two more samples
+    code, rep = _verify_report(tmp_path, "--spec", os.path.join(CONFIGS, "double_instanton.cfg"),
+                               "--window=-3:3:-3:3", "--res", "64", "--t", "0.3")
+    assert code == 0 and rep["check.admissibility.pole_intervals"] == "1"
+    assert [rep[f"check.consistency.{k}"] for k in ("samples", "masked", "dropped")] == [
+        str(2 * 64 * 64 + 2), "0", "0"]
+    assert rep["check.consistency.status"] == "pass"
 
 
 @pytest.mark.parametrize("statistic", ["L2", "global_max"])

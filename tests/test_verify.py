@@ -31,7 +31,6 @@ from dsfield.verify import (
     _bilinear2_field,
     _envelope_fields,
     _pde2_field,
-    _pde2_grid,
     bilinear_residuals,
     envelope_residuals,
     hirota_cross,
@@ -411,16 +410,16 @@ def test_pde_phi_convergence_is_the_oracle_bit_for_bit(name):
 @pytest.mark.parametrize("window", [((-3.141592654, 2.718281828), (-1.414213562, 4.445660920)),
                                     ((-0.5772156649, 1.618033989), (0.6931471806, 2.302585093))],
                          ids=["square", "oblong"])
-def test_pde2_grid_is_the_window_grid_bit_for_bit(window):
-    # pde2 takes its window from the corners of the bundle's grid, which linspace
-    # keeps to the bit: its grid is the window's own, coordinates, lines and keep
+def test_pde2_runs_on_the_window_grid_of_at_most_24_points(window):
+    # the bundle's grid carries its window, and pde2 samples that window anew
     e = build_case("double_instanton")
-    for res in (8, 24, 71):
-        got = _pde2_grid(Ingredients(e.spec, window_grid(window, res, e.valid_mask), 0.3))
-        want = window_grid(window, min(res, 24), e.valid_mask)
-        for field in dataclasses.fields(want):
-            a, b = getattr(got, field.name), getattr(want, field.name)
-            assert a.shape == b.shape and a.tobytes() == b.tobytes(), (res, field.name)
+    for res in (8, 71):
+        checks = run_checks(Ingredients(e.spec, window_grid(window, res, e.valid_mask), 0.3),
+                            {"pde2"})
+        grid = window_grid(window, min(res, 24), e.valid_mask)
+        want = [pde_residuals(e.spec, grid, 0.3, h).mean_abs for h in (_PDE2_H, _PDE2_H / 2)]
+        fields = dict(checks["pde2"][1])
+        assert [fields["mean_abs_h"], fields["mean_abs_h2"]] == [f"{v:.6e}" for v in want]
 
 
 def test_pde_line2_breather_degenerate_time():
