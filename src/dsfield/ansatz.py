@@ -12,7 +12,7 @@ and the intensity of the complex envelope is
 
     U = 4*(a0*a3 - a1*a2) * p_zeta * q_eta / f**2.
 
-Profiles are evaluated where the coordinates are: :func:`profile_jets3`
+Profiles are evaluated where the coordinates are: a profile's ``jet3``
 takes points, scalars or numpy arrays, and the grid readers take the
 grid's lines.  The evaluators :func:`eval_f`, :func:`eval_intensity` and
 :func:`eval_phi` take the jets they read, never coordinates, and mark
@@ -40,7 +40,6 @@ __all__ = [
     "window_grid",
     "row_window",
     "grid_rows",
-    "profile_jets3",
     "eval_f",
     "eval_intensity",
     "grid_intensity",
@@ -51,8 +50,8 @@ __all__ = [
     "max_abs",
     "drop_note",
     "pole_sweep",
-    "pole_flanks",
     "pole_sweeps",
+    "pole_note",
     "check_admissibility",
 ]
 
@@ -274,12 +273,6 @@ def _exact_sum(blocks, top: float, n: int) -> float:
 # the denominator field
 
 
-def profile_jets3(spec: SolutionSpec, zeta, eta, t, order=3) -> tuple[Jet, Jet]:
-    """The jets of p at ``zeta`` and of q at ``eta`` at ``t``, to ``order``
-    (a total order or a box), for the evaluators."""
-    return spec.p.jet3(zeta, t, order), spec.q.jet3(eta, t, order)
-
-
 def _assemble(a: SeparationCoefficients, p, q):
     """f = a0 + a1 p + a2 q + a3 p q, of arrays or of jets; a0 enters f alone."""
     return a.a0 + a.a1 * p + a.a2 * q + a.a3 * p * q
@@ -392,14 +385,6 @@ def pole_sweep(profile, coords, t: float):
     return tuple((float(x[a]), float(x[b - 1])) for a, b in zip(edges[::2], edges[1::2]))
 
 
-def pole_flanks(coords, intervals):
-    """The samples one sweep step outside pole sweep ``intervals``, inside ``coords``' range."""
-    lo, hi = float(np.min(coords)), float(np.max(coords))
-    step = (hi - lo) / (_POLE_SAMPLES - 1)
-    x = np.ravel([(a - step, b + step) for a, b in intervals])
-    return x[(x >= lo) & (x <= hi)]
-
-
 def pole_sweeps(spec: SolutionSpec, grid: WindowGrid, t: float):
     """(zeta, eta) pole sweep intervals over the ranges of ``grid``'s lines, which are its
     points' ranges bit for bit; q equal to p over an equal range takes p's sweep."""
@@ -409,13 +394,22 @@ def pole_sweeps(spec: SolutionSpec, grid: WindowGrid, t: float):
     return zeta_poles, pole_sweep(spec.q, grid.eta_lines, t)
 
 
+def pole_note(ing) -> str:
+    """The one pole rule, from the pole sweeps ``ing.poles`` of a bundle: a profile pole
+    inside the valid set fails the window, since the solution holds only between poles.
+    A guard is how a spec cuts its poles out, so the rule holds for a spec without one."""
+    n = 0 if ing.spec.valid_mask is not None else sum(map(len, ing.poles))
+    return f"pole sweep intervals inside the window, which no guard cuts out: {n}" if n else ""
+
+
 @dataclass(frozen=True)
 class AdmissibilityReport:
     """Outcome of the window scan.
 
     verdict is one of ``admissible``, ``degenerate`` (U identically zero on
-    the window), ``singular`` (denominator zero crossing or guard hits), or
-    ``sign-violating``.  ``sign_change_examples`` holds up to five (x, y)
+    the window), ``singular`` (denominator zero crossing or guard hits, or a
+    profile pole inside the valid set, which ``note`` then names: :func:`pole_note`),
+    or ``sign-violating``.  ``sign_change_examples`` holds up to five (x, y)
     grid points, each the first point of a cell where f changes sign
     (between x-neighbours, or between y-neighbours when there are none);
     ``pole_intervals_zeta`` and ``pole_intervals_eta`` are the suspect
@@ -433,13 +427,14 @@ class AdmissibilityReport:
     witness: Optional[tuple]
     pole_intervals_zeta: tuple
     pole_intervals_eta: tuple
+    note: str
 
 
 def check_admissibility(ing) -> AdmissibilityReport:
     """Scan the grid of the bundle ``ing`` (:class:`~dsfield.auxiliary.Ingredients`) and
     classify the solution there at its time, from the bundle's profile jets on the grid
     rows: min |f| and the sign changes of f between neighbours, the sign condition, and
-    the bundle's pole sweeps of p and q (:func:`pole_sweeps`).
+    the bundle's pole sweeps of p and q (:func:`pole_sweeps`) under :func:`pole_note`.
 
     Points outside ``grid.keep`` (known poles, say) are left out of the 2-D scan.
     """
@@ -479,9 +474,10 @@ def check_admissibility(ing) -> AdmissibilityReport:
         widx = np.unravel_index(np.argmax(viol), viol.shape)
         witness = (float(grid.X[widx]), float(grid.Y[widx]), float(t))
 
-    if ok_u.any() and max_u < DEGENERATE_LEVEL:
+    note = pole_note(ing)
+    if ok_u.any() and max_u < DEGENERATE_LEVEL and not note:
         verdict = "degenerate"
-    elif n_flips or not finite_f.any() or min_abs_f < DIV_GUARD:
+    elif note or n_flips or not finite_f.any() or min_abs_f < DIV_GUARD:
         verdict = "singular"
         witness = witness or min_point
     elif n_viol:
@@ -501,4 +497,5 @@ def check_admissibility(ing) -> AdmissibilityReport:
         witness=witness,
         pole_intervals_zeta=zeta_poles,
         pole_intervals_eta=eta_poles,
+        note=note,
     )

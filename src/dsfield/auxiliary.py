@@ -20,8 +20,9 @@ Given the profile pair the construction determines, in order:
 The consistency report evaluates the two bracket ratios c1(t), c2(t) that
 the separation needs to be time functions alone, from a bundle's line
 entries on every sample of its grid; spatial variation in them flags an
-inconsistent configuration.  They are also read beside the poles of the
-bundle's pole sweeps, which grid lines can step over.
+inconsistent configuration.  A profile pole inside the valid set, which grid
+lines can step over, fails it by the one pole rule, the window scan's
+:func:`~dsfield.ansatz.pole_note`.
 
 The amplitude and gradient jets take the profile jet of their coordinate,
 so a caller evaluates each profile once for all of them.  An
@@ -33,14 +34,13 @@ from __future__ import annotations
 
 import functools
 import math
-import types
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import calculus as jc
 from .calculus import Jet
-from .ansatz import (SolutionSpec, drop_note, grid_rows, masked_stats, pole_flanks,
+from .ansatz import (SolutionSpec, drop_note, grid_rows, masked_stats, pole_note,
                      pole_sweeps, row_window)
 
 __all__ = [
@@ -247,7 +247,7 @@ class ConsistencyReport:
     separation is certified when both variations are at the rounding level;
     ``max_variation`` is NaN when either is, so the check fails closed.  The
     counts add c1's and c2's, each reduced as a residual is, and ``note`` says
-    why it is not applicable, or what was dropped.
+    why it is not applicable, what was dropped, or that a pole lies in the valid set.
     """
 
     applicable: bool
@@ -265,36 +265,25 @@ class ConsistencyReport:
 
 def consistency_c1_c2(ing: Ingredients) -> ConsistencyReport:
     """The bracket ratios c1, c2 of the bundle ``ing`` on its lines, from its amplitude,
-    gradient and profile jets, windowed onto its grid and reduced inside ``keep``, and,
-    without a guard to cut poles out, at the bundle's pole flanks, which grid lines can
-    step over, as samples of their own (a ratio beside a pole may not be finite)."""
+    gradient and profile jets, windowed onto its grid and reduced inside ``keep``; the
+    note adds :func:`~dsfield.ansatz.pole_note`'s, so a pole in the valid set fails."""
     spec, grid, t = ing.spec, ing.grid, ing.t
     a = spec.coeffs
     if a.a3 == 0.0:
         return ConsistencyReport(False, math.nan, math.nan, note="not applicable: a3 = 0")
     beta, gamma = spec.funcs.beta(t), spec.funcs.gamma(t)
 
-    def ratios(b):
-        def bracket(amp, grad):
-            return (amp[0, 1] / amp.value
-                    + beta * (amp[1, 0] * grad.value / amp.value + 0.5 * grad[1, 0]))
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore", under="ignore"):
-            return ((bracket(b.p1, b.rz) - gamma) / (a.a3 * (a.a2 + a.a3 * b.pj.value)),
-                    -bracket(b.q1, b.se) / (a.a3 * (a.a1 + a.a3 * b.qj.value)))
+    def bracket(amp, grad):
+        return (amp[0, 1] / amp.value
+                + beta * (amp[1, 0] * grad.value / amp.value + 0.5 * grad[1, 0]))
 
-    lines = (grid.zeta_lines, grid.eta_lines)
-    flanks = ([pole_flanks(x, poles) for x, poles in zip(lines, ing.poles)]
-              if spec.valid_mask is None else [np.empty(0)] * 2)
-    at_flanks = ratios(Ingredients(spec, types.SimpleNamespace(
-        zeta_lines=flanks[0], eta_lines=flanks[1]), t)) if any(map(np.size, flanks)) else flanks
-    spans, n = [], 0
-    for x, c, w in zip(lines, ratios(ing), at_flanks):
-        v, w = row_window(grid, x, c), w[np.isfinite(w)]
-        k, lo, hi, _, _ = masked_stats(v, grid.keep & np.isfinite(v))
-        values = ([lo, hi] if k else []) + w.tolist()
-        n += k + w.size
-        spans.append(max(values) - min(values) if values else math.nan)
-    inside = 2 * int(np.count_nonzero(grid.keep))
-    kept = inside + sum(map(np.size, flanks))
-    return ConsistencyReport(True, *spans, n, 2 * grid.keep.size - inside, kept - n,
-                             drop_note(kept, n))
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore", under="ignore"):
+        c1 = (bracket(ing.p1, ing.rz) - gamma) / (a.a3 * (a.a2 + a.a3 * ing.pj.value))
+        c2 = -bracket(ing.q1, ing.se) / (a.a3 * (a.a1 + a.a3 * ing.qj.value))
+    kept = 2 * int(np.count_nonzero(grid.keep))
+    stats = [masked_stats(v, grid.keep & np.isfinite(v)) for v in
+             (row_window(grid, grid.zeta_lines, c1), row_window(grid, grid.eta_lines, c2))]
+    n = sum(st[0] for st in stats)
+    note = "; ".join(filter(None, (drop_note(kept, n), pole_note(ing))))
+    return ConsistencyReport(True, *(hi - lo for _, lo, hi, _, _ in stats), n,
+                             2 * grid.keep.size - kept, kept - n, note)

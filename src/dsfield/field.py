@@ -39,7 +39,6 @@ from .ansatz import (
     fill_rows,
     grid_intensity,
     masked_stats,
-    profile_jets3,
     rotate,
     row_blocks,
     window_grid,
@@ -352,7 +351,7 @@ def _log_intensity_jets(spec, times, xy):
     of the profiles' box (3, 0) jets (f_z = (a1 + a3 q) p_z, f_ze = a3 p_z q_e,
     ...); U is NaN outside the spec's guard and where any of them is not finite."""
     zeta, eta = rotate(xy[:, 0], xy[:, 1])
-    pj, qj = profile_jets3(spec, zeta, eta, times, (3, 0))
+    pj, qj = spec.p.jet3(zeta, times, (3, 0)), spec.q.jet3(eta, times, (3, 0))
     a, p, q = spec.coeffs, pj.value, qj.value
     f = _assemble(a, p, q)
     u = eval_intensity(spec, pj, qj, f=f)[0]
@@ -388,9 +387,11 @@ def _statistic(spec, grid, times, statistic, rate=False):
     valid sample."""
     if statistic == "global_max":
         u, (x, y) = refined_global_max(spec, grid, times)
-        ut = eval_intensity(spec, *profile_jets3(spec, *rotate(x, y), times, (1, 1)),
-                            dt=True)[1] if rate else None
-        return u, ut
+        if not rate:
+            return u, None
+        zeta, eta = rotate(x, y)
+        return u, eval_intensity(spec, spec.p.jet3(zeta, times, (1, 1)),
+                                 spec.q.jet3(eta, times, (1, 1)), dt=True)[1]
     if statistic != "L2":
         raise ValueError(f"unknown statistic {statistic!r}")
     parts = []

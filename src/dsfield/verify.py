@@ -22,10 +22,11 @@ Three independent suites certify a solution spec:
 
 Every check but ``pde2``, the consistency check among them, reads the
 :class:`~dsfield.auxiliary.Ingredients` bundle of its window grid, each
-line entry evaluated once per line (consistency on a spec without a guard
-also reads its ratios at the few flanks of the bundle's pole sweeps);
-``pde2`` reads the spec, the time and its own grid of the bundle grid's
-window.  Each check fills its residual
+line entry evaluated once per line; ``pde2`` reads the spec, the time and
+its own grid of the bundle grid's window.  One pole rule,
+:func:`~dsfield.ansatz.pole_note`, fails both the window scan and the
+consistency check where, on a spec without a guard, the bundle's pole
+sweeps find a pole (grid lines can step over one).  Each check fills its residual
 grid from row windows by :func:`~dsfield.ansatz.fill_rows`, as the renders
 do, and reduces its finite samples inside the grid's ``keep`` by
 ``masked_stats`` under ``drop_note``: a residual is non-finite exactly
@@ -57,7 +58,6 @@ from .ansatz import (
     eval_phi,
     fill_rows,
     masked_stats,
-    profile_jets3,
     rotate,
     window_grid,
 )
@@ -234,7 +234,8 @@ def _pde2_field(spec, grid, t, h=_PDE2_H):
 
     def on_stencil(rows):
         z, e = rotate(grid.X[rows], grid.Y[rows])
-        pj, qj = profile_jets3(spec, z + d, (e + d[:, 0])[None], t, (2, 0))
+        pj = spec.p.jet3(z + d, t, (2, 0))
+        qj = spec.q.jet3((e + d[:, 0])[None], t, (2, 0))
         # zero backgrounds: the cross derivative annihilates separated
         # backgrounds, so the check is exact without them and stays
         # defined at degenerate times
@@ -340,5 +341,5 @@ def run_checks(ing: Ingredients, names) -> dict:
             ("sign_changes", str(rep.sign_changes)),
             ("sign_violations", str(rep.sign_violations)),
             ("pole_intervals",
-             str(len(rep.pole_intervals_zeta) + len(rep.pole_intervals_eta)))], "")
+             str(len(rep.pole_intervals_zeta) + len(rep.pole_intervals_eta)))], rep.note)
     return checks

@@ -14,7 +14,6 @@ from dsfield.ansatz import (
     eval_f,
     eval_intensity,
     eval_phi,
-    profile_jets3,
     rotate,
     window_grid,
 )
@@ -30,6 +29,12 @@ PERFBENCH = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench")
 # decaying exponential: then p_z < 0 < q_e with det > 0, so the sign
 # condition det p_z q_e >= 0 fails everywhere and no branch makes p1 q1 real
 DECAYING_P = ("K = 1", "K = -1", 1)
+
+
+def profile_jets3(spec, zeta, eta, t, order=3):
+    """The jets of p at ``zeta`` and of q at ``eta`` at ``t``, to ``order``
+    (a total order or a box), as the evaluators take them."""
+    return spec.p.jet3(zeta, t, order), spec.q.jet3(eta, t, order)
 
 
 def csv_bytes(grid) -> bytes:

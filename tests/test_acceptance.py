@@ -13,7 +13,7 @@ import time
 import numpy as np
 import pytest
 
-from dsfield.ansatz import eval_f, profile_jets3, rotate, window_grid
+from dsfield.ansatz import eval_f, rotate, window_grid
 from dsfield.auxiliary import Ingredients, consistency_c1_c2
 from dsfield.calculus import Jet, layout
 from dsfield.catalog import build_case, case_names
@@ -41,6 +41,7 @@ from conftest import (
     parse_csv,
     peak_at,
     point_reflection_defect,
+    profile_jets3,
     random_spec,
     reflection_defect,
 )

@@ -16,7 +16,6 @@ from dsfield.ansatz import (
     eval_phi,
     grid_intensity,
     pole_sweep,
-    profile_jets3,
     rotate,
     window_grid,
 )
@@ -25,7 +24,7 @@ from dsfield.calculus import DIV_GUARD, Jet, layout
 from dsfield.catalog import build_case, case_names
 from dsfield.profiles import ExpSumProfile
 
-from conftest import random_spec, regular_window, traced_peak
+from conftest import profile_jets3, random_spec, regular_window, traced_peak
 
 E = math.e
 DROMION_F0 = 1.0 + 2 * E + 2 * E * E

@@ -4,9 +4,11 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from dsfield.ansatz import profile_jets3, rotate, window_grid
+from dsfield.ansatz import rotate, window_grid
 from dsfield.catalog import build_case, case_names
 from dsfield.field import sample_field
+
+from conftest import profile_jets3
 
 E = math.e
 

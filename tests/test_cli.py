@@ -517,38 +517,46 @@ def test_verify_periodic_where_cos_t_is_negative(tmp_path, t, res):
             assert float(rep[f"check.{check}.max_abs"]) <= 1e-12, check
 
 
+# the note of the one pole rule on periodic.cfg's window -3:3:-3:3
+POLES_4 = "pole sweep intervals inside the window, which no guard cuts out: 4"
+
+
 @pytest.mark.parametrize("res", ["48", "64"])
 def test_verify_periodic_config_takes_no_division_guard(tmp_path, res):
     # beyond the tan poles |det q_e| exceeds 1e12 at 31 samples; the
     # amplitude factors no longer divide, so none of them is dropped.  The
-    # config carries no guard, so every sample counts, the two flanks of each
-    # of the four pole intervals of the sweeps (at zeta = +-pi/2 and at
-    # eta = +-pi/2) too: beside a pole, where p or q is 1 to the last bit,
-    # c1 or c2 is not finite, and consistency fails on those four flanks at
-    # any --res.  At res 48 no grid line comes near enough a pole to lose a
-    # phase gradient and every other check passes; at res 64 the gradients
-    # are not finite on 82 samples beside the poles, which bilinear1, pde1
-    # and consistency alike drop and fail on
+    # config carries no guard, so the four pole intervals of the sweeps (at
+    # zeta = +-pi/2 and at eta = +-pi/2) lie inside the valid set, and the one
+    # pole rule fails admissibility (singular) and consistency at any --res.
+    # At res 48 no grid line comes near enough a pole to lose a phase gradient
+    # and every other check passes; at res 64 the gradients are not finite on
+    # 82 samples beside the poles, which bilinear1, pde1 and consistency alike
+    # drop and fail on
     code, rep = _verify_report(tmp_path, "--spec", os.path.join(CONFIGS, "periodic.cfg"),
                                "--window=-3:3:-3:3", "--res", res, "--t", "0.3")
     assert code == 1
     assert rep["check.bilinear2.dropped"] == "0"
     assert rep["check.admissibility.pole_intervals"] == "4"
+    assert rep["check.admissibility.verdict"] == "singular"
+    assert rep["check.admissibility.notes"] == POLES_4
     n = int(res)
     counts = [rep[f"check.consistency.{k}"] for k in ("samples", "masked", "dropped")]
     if res == "48":
-        assert [k for k, v in rep.items() if v == "fail"] == ["check.consistency.status", "overall"]
-        assert counts == [str(2 * n * n + 4), "0", "4"]
-        assert rep["check.consistency.notes"] == "4 samples not finite inside the valid set"
+        assert [k for k, v in rep.items() if v == "fail"] == [
+            "check.consistency.status", "check.admissibility.status", "overall"]
+        assert counts == [str(2 * n * n), "0", "0"]
+        assert rep["check.consistency.notes"] == POLES_4
         assert [rep[f"check.{c}.max_abs"] for c in ("bilinear2", "bilinear1", "pde1")] == [
             "6.203448e-16", "7.125383e-14", "2.078045e-13"]
     else:
         assert [k for k, v in rep.items() if v == "fail"] == [
-            "check.bilinear1.status", "check.pde1.status", "check.consistency.status", "overall"]
-        assert counts == [str(2 * n * n + 4 - 82), "0", "86"]
+            "check.bilinear1.status", "check.pde1.status", "check.consistency.status",
+            "check.admissibility.status", "overall"]
+        assert counts == [str(2 * n * n - 82), "0", "82"]
         for check in ("bilinear1", "pde1"):
             assert rep[f"check.{check}.notes"] == "82 samples not finite inside the valid set"
-        assert rep["check.consistency.notes"] == "86 samples not finite inside the valid set"
+        assert rep["check.consistency.notes"] == (
+            "82 samples not finite inside the valid set; " + POLES_4)
 
 
 def test_verify_keeps_the_plus_branch_where_p_z_turns_negative_off_the_window(tmp_path):
@@ -608,7 +616,8 @@ def test_verify_pde2_fails_on_stencil_drops(tmp_path):
     # double_instanton's config carries no guard: on this window the h = 1e-2
     # stencil of each of the 24 diagonal points reaches below the pole of p at
     # zeta = -1, so the h report drops them and the h/2 report none.  The order
-    # alone would pass; the drop fails the check, as it fails the other residuals
+    # alone would pass; the drop fails the check, as it fails the other residuals.
+    # The pole lies inside the window, so consistency and admissibility fail too
     y0 = 0.9902 * math.sqrt(2.0) - 1.0
     code, rep = _verify_report(tmp_path, "--spec", os.path.join(CONFIGS, "double_instanton.cfg"),
                                f"--window=-1:1:{y0!r}:{y0 + 2.0!r}", "--t", "0", "--res", "24")
@@ -618,7 +627,8 @@ def test_verify_pde2_fails_on_stencil_drops(tmp_path):
     assert abs(float(rep["check.pde2.observed_order"]) - 2.0) <= 0.3
     assert rep["check.pde2.status"] == "fail"
     assert rep["check.pde2.notes"] == "24 samples not finite inside the valid set"
-    assert {k for k, v in rep.items() if v == "fail"} == {"check.pde2.status", "overall"}
+    assert {k for k, v in rep.items() if v == "fail"} == {
+        "check.pde2.status", "check.consistency.status", "check.admissibility.status", "overall"}
 
 
 def _draw_spec(kind, seed):
@@ -1172,6 +1182,18 @@ def test_analyze_decay_labels_each_time_by_its_round_trip_repr(tmp_path):
     assert [float(k[len("max_at_t_"):]) for k in labels] == [0.30000001, 0.30000002, 0.3]
 
 
+def _reader(frame) -> str:
+    """The qualified name of ``frame``'s function, without ``co_qualname`` (Python 3.11+):
+    a method's from the class of its ``self``, a nested function's from the module
+    function whose code holds its code."""
+    code, scope = frame.f_code, frame.f_locals
+    if "self" in scope:
+        return f"{type(scope['self']).__name__}.{code.co_name}"
+    outer = [f.__name__ for f in frame.f_globals.values()
+             if callable(f) and code in getattr(getattr(f, "__code__", None), "co_consts", ())]
+    return ".<locals>.".join(outer[:1] + [code.co_name])
+
+
 def test_each_reader_asks_its_profiles_for_the_entries_it_reads(tmp_path, monkeypatch):
     # U reads the box (1, 0) of each profile jet and U_t the box (1, 1), the
     # peak ascent (3, 0), a pole sweep the value, the verify bundle order 3,
@@ -1183,9 +1205,9 @@ def test_each_reader_asks_its_profiles_for_the_entries_it_reads(tmp_path, monkey
     for cls in {type(e.spec.p), type(e.spec.q)}:
         def counting(self, x, t, order=3, jet3=cls.jet3):
             frame = sys._getframe(1)
-            while frame.f_code.co_name in ("jet3", "profile_jets3"):
+            while frame.f_code.co_name == "jet3":
                 frame = frame.f_back
-            reader = frame.f_code.co_qualname
+            reader = _reader(frame)
             if reader == "grid_intensity.<locals>.on_grid" and frame.f_back.f_locals["dt"]:
                 reader += " dt"
             asked.setdefault(reader, set()).add(order)
@@ -1236,48 +1258,75 @@ def test_verify_consistency_evaluates_profiles_only_on_the_bundle_lines(tmp_path
 
 def test_verify_periodic_config_fails_consistency_on_its_poles_at_every_res(tmp_path):
     # grid samples beside a tan pole lose c1 at some --res and not at others;
-    # the four pole flanks where c1 or c2 is not finite fail the check at all
+    # the pole rule reads the sweeps, not the grid, and fails the check at all
     for res in range(40, 70, 2):
         out = tmp_path / "r.txt"
         assert run("verify", "--spec", os.path.join(CONFIGS, "periodic.cfg"),
                    "--window=-3:3:-3:3", "--res", str(res), "--t", "0.3",
                    "--checks", "consistency", "--out", str(out)) == 1, res
         rep = dict(ln.split(": ", 1) for ln in out.read_text().splitlines())
-        assert int(rep["check.consistency.dropped"]) >= 4, res
+        assert rep["check.consistency.notes"].endswith(POLES_4), res
 
 
-def test_verify_double_instanton_config_passes_consistency_beside_its_pole(tmp_path):
+def test_verify_double_instanton_config_fails_beside_its_pole(tmp_path):
     # the pole of p at zeta = -1 lies inside this unguarded window; beside it,
-    # where the bump has vanished, p is the exponential sum and c1 is finite
-    # on both flanks, which count as two more samples
+    # where the bump has vanished, p is the exponential sum and c1 is finite on
+    # every grid sample, but across the pole U jumps from 3.3e-141 to 0.0368:
+    # the window holds no solution, and admissibility and consistency say so
     code, rep = _verify_report(tmp_path, "--spec", os.path.join(CONFIGS, "double_instanton.cfg"),
                                "--window=-3:3:-3:3", "--res", "64", "--t", "0.3")
-    assert code == 0 and rep["check.admissibility.pole_intervals"] == "1"
+    note = "pole sweep intervals inside the window, which no guard cuts out: 1"
+    assert code == 1 and rep["check.admissibility.pole_intervals"] == "1"
+    assert rep["check.admissibility.verdict"] == "singular"
+    assert rep["check.admissibility.notes"] == note
     assert [rep[f"check.consistency.{k}"] for k in ("samples", "masked", "dropped")] == [
-        str(2 * 64 * 64 + 2), "0", "0"]
-    assert rep["check.consistency.status"] == "pass"
+        str(2 * 64 * 64), "0", "0"]
+    assert (rep["check.consistency.status"], rep["check.consistency.notes"]) == ("fail", note)
+    assert {k for k, v in rep.items() if v == "fail"} == {
+        "check.consistency.status", "check.admissibility.status", "overall"}
+
+
+def test_verify_periodic_config_fails_admissibility_on_its_poles(tmp_path):
+    # periodic.cfg carries no guard; on its default window at t = 0 the sweeps
+    # find 16 pole intervals, which fail the window scan even on a 9^2 grid
+    out = tmp_path / "r.txt"
+    assert run("verify", "--spec", os.path.join(CONFIGS, "periodic.cfg"), "--t", "0",
+               "--res", "9", "--checks", "admissibility", "--out", str(out)) == 1
+    rep = dict(ln.split(": ", 1) for ln in out.read_text().splitlines())
+    assert (rep["check.admissibility.verdict"], rep["check.admissibility.pole_intervals"]) == (
+        "singular", "16")
+    assert rep["check.admissibility.notes"] == (
+        "pole sweep intervals inside the window, which no guard cuts out: 16")
+
+
+@pytest.mark.parametrize("name,poles", [("periodic", "4"), ("double_instanton", "1")])
+def test_guarded_catalog_cases_stay_admissible_beside_their_poles(tmp_path, name, poles):
+    # a guard is how a spec cuts its poles out: the catalog cases keep their
+    # verdicts and print the sweeps' intervals, which the rule does not read
+    out = tmp_path / "r.txt"
+    assert run("verify", "--case", name, "--t", "0", "--checks", "consistency,admissibility",
+               "--out", str(out)) == 0
+    rep = dict(ln.split(": ", 1) for ln in out.read_text().splitlines())
+    assert (rep["check.admissibility.verdict"], rep["check.admissibility.pole_intervals"]) == (
+        "admissible", poles)
+    assert "check.admissibility.notes" not in rep and "check.consistency.notes" not in rep
 
 
 @pytest.mark.parametrize("statistic", ["L2", "global_max"])
 def test_period_solve_evaluates_u_t_only_in_its_steps(tmp_path, monkeypatch, statistic):
     # the scan reads S alone, and the probes' S comes from it; only the
     # Gauss-Newton iterations, at the probe times shifted by about the
-    # scan's period pi, evaluate U_t, once each
+    # scan's period pi, evaluate U_t, once each: p's jet on the box (1, 1)
+    # that U_t reads, which q's call on the same points follows
     from dsfield import field
-    seen = []
+    p, seen = build_case("breather").spec.p, []
 
-    def counting_jets(spec, zeta, eta, t, order=3, f=field.profile_jets3):
-        if order == (1, 1):
+    def counting(self, x, t, order=3, jet3=type(p).jet3):
+        if order == (1, 1) and self == p:
             seen.append(np.min(t))
-        return f(spec, zeta, eta, t, order)
+        return jet3(self, x, t, order)
 
-    def counting_grid(spec, grid, t, dt=False, f=field.grid_intensity):
-        if dt:
-            seen.append(np.min(t))
-        return f(spec, grid, t, dt)
-
-    monkeypatch.setattr(field, "profile_jets3", counting_jets)
-    monkeypatch.setattr(field, "grid_intensity", counting_grid)
+    monkeypatch.setattr(type(p), "jet3", counting)
     out = tmp_path / "p.txt"
     assert run("analyze", "--case", "breather", "--res", "24", "--period", "0:2pi:32",
                "--statistic", statistic, "--out", str(out)) == 0

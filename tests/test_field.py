@@ -15,7 +15,6 @@ from dsfield.ansatz import (
     SolutionSpec,
     _exact_sum,
     eval_intensity,
-    profile_jets3,
     rotate,
     window_grid,
 )
@@ -45,6 +44,7 @@ from conftest import (
     peak_at,
     pgm16,
     point_reflection_defect,
+    profile_jets3,
     reflection_defect,
     regular_window,
     traced_peak,

@@ -14,13 +14,12 @@ from dsfield.ansatz import (
     SeparationCoefficients,
     eval_f,
     eval_intensity,
-    profile_jets3,
     rotate,
 )
 from dsfield.catalog import build_case, case_names
 from dsfield.field import _log_intensity_jets
 
-from conftest import random_spec
+from conftest import profile_jets3, random_spec
 
 Z, E, T = sp.symbols("zeta eta t", real=True)
 

@@ -14,7 +14,6 @@ from dsfield.ansatz import (
     eval_intensity,
     eval_phi,
     pole_sweep,
-    profile_jets3,
     rotate,
     window_grid,
 )
@@ -48,6 +47,7 @@ from conftest import (
     fd_phi_convergence,
     hirota_d,
     negative_radicands,
+    profile_jets3,
     random_spec,
     traced_peak,
 )
@@ -96,7 +96,6 @@ def test_mixed_operator_on_plane_wave():
 
 def test_cross_operator_equals_product_gap(rng):
     # D_z D_e f.f equals twice the closure product det * p_z * q_e
-    from dsfield.ansatz import eval_f, profile_jets3
     for _ in range(10):
         spec = random_spec(rng)
         z, e, t = rng.uniform(-2, 2, 3)
@@ -592,6 +591,25 @@ def test_scan_detects_instanton_pole():
     assert len(rep.pole_intervals_zeta) == 1
     lo, hi = rep.pole_intervals_zeta[0]
     assert lo <= -1.0 <= hi + 0.01
+
+
+@pytest.mark.parametrize("guarded", [False, True])
+def test_one_pole_rule_reads_the_bundle_sweeps(guarded):
+    # the rule reads the bundle's pole sweeps alone: a sweep interval put into a
+    # dromion bundle before its first read fails the window scan and the
+    # consistency check of the spec without a guard, and neither of a spec with
+    # one, since a guard is how a spec cuts its poles out
+    e = build_case("dromion")
+    spec = (dataclasses.replace(e.spec, valid_mask=lambda z, h: np.ones(np.shape(z), bool))
+            if guarded else e.spec)
+    ing = bundle(spec, e.window, 0.0, 32, spec.valid_mask)
+    ing.poles = (((0.5, 0.6),), ())
+    rep, crep = check_admissibility(ing), consistency_c1_c2(ing)
+    note = "" if guarded else "pole sweep intervals inside the window, which no guard cuts out: 1"
+    assert (rep.verdict, rep.note, crep.note) == (
+        "admissible" if guarded else "singular", note, note)
+    assert rep.pole_intervals_zeta == ((0.5, 0.6),)
+    assert crep.max_variation <= 1e-8 and crep.dropped == 0
 
 
 @pytest.mark.parametrize("name", case_names())
