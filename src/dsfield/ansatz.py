@@ -409,10 +409,10 @@ class AdmissibilityReport:
     verdict is one of ``admissible``, ``degenerate`` (U identically zero on
     the window), ``singular`` (denominator zero crossing or guard hits, or a
     profile pole inside the valid set, which ``note`` then names: :func:`pole_note`),
-    or ``sign-violating``.  ``sign_change_examples`` holds up to five (x, y)
-    grid points, each the first point of a cell where f changes sign
-    (between x-neighbours, or between y-neighbours when there are none);
-    ``pole_intervals_zeta`` and ``pole_intervals_eta`` are the suspect
+    or ``sign-violating``.  ``min_f_point`` is the (x, y, t) of the first grid
+    point in raster order where |f| is ``min_abs_f``; ``sign_changes`` counts
+    the x-neighbour and y-neighbour pairs inside the valid set where f changes
+    sign; ``pole_intervals_zeta`` and ``pole_intervals_eta`` are the suspect
     intervals of the pole sweeps of p and q over the grid's zeta and eta.
     """
 
@@ -420,11 +420,8 @@ class AdmissibilityReport:
     min_abs_f: float
     min_f_point: tuple
     sign_changes: int
-    sign_change_examples: tuple
     sign_violations: int
     invalid_points: int
-    max_intensity: float
-    witness: Optional[tuple]
     pole_intervals_zeta: tuple
     pole_intervals_eta: tuple
     note: str
@@ -433,8 +430,9 @@ class AdmissibilityReport:
 def check_admissibility(ing) -> AdmissibilityReport:
     """Scan the grid of the bundle ``ing`` (:class:`~dsfield.auxiliary.Ingredients`) and
     classify the solution there at its time, from the bundle's profile jets on the grid
-    rows: min |f| and the sign changes of f between neighbours, the sign condition, and
-    the bundle's pole sweeps of p and q (:func:`pole_sweeps`) under :func:`pole_note`.
+    rows: min |f| and its first point, the sign changes of f between neighbours, the
+    sign condition, max |U| against ``DEGENERATE_LEVEL``, and the bundle's pole sweeps
+    of p and q (:func:`pole_sweeps`) under :func:`pole_note`.
 
     Points outside ``grid.keep`` (known poles, say) are left out of the 2-D scan.
     """
@@ -449,7 +447,6 @@ def check_admissibility(ing) -> AdmissibilityReport:
         return f, eval_intensity(spec, b.pj, b.qj, f=f)[0]
     f, u = fill_rows(keep.shape, f_and_u)
     ok_u = keep & np.isfinite(u)
-    max_u = max_abs(u, ok_u)
     with np.errstate(invalid="ignore", over="ignore", under="ignore"):
         # det * p_z * q_e < 0 breaks the sign condition; U there is negative
         viol = keep & ((spec.coeffs.det * ing.rows().pj[1, 0] * ing.rows().qj[1, 0]) < 0.0)
@@ -465,21 +462,12 @@ def check_admissibility(ing) -> AdmissibilityReport:
     n_invalid = int(np.count_nonzero(keep & ~(ok_u & finite_f)))
     n_flips = int(np.count_nonzero(flips_x) + np.count_nonzero(flips_y))
     n_viol = int(np.count_nonzero(viol))
-    ys, xs = np.nonzero(flips_x if flips_x.any() else flips_y)
-    examples = tuple((float(grid.X[i, j]), float(grid.Y[i, j]))
-                     for i, j in zip(ys[:5], xs[:5]))
-
-    witness = None
-    if n_viol:
-        widx = np.unravel_index(np.argmax(viol), viol.shape)
-        witness = (float(grid.X[widx]), float(grid.Y[widx]), float(t))
 
     note = pole_note(ing)
-    if ok_u.any() and max_u < DEGENERATE_LEVEL and not note:
+    if ok_u.any() and max_abs(u, ok_u) < DEGENERATE_LEVEL and not note:
         verdict = "degenerate"
     elif note or n_flips or not finite_f.any() or min_abs_f < DIV_GUARD:
         verdict = "singular"
-        witness = witness or min_point
     elif n_viol:
         verdict = "sign-violating"
     else:
@@ -490,11 +478,8 @@ def check_admissibility(ing) -> AdmissibilityReport:
         min_abs_f=min_abs_f,
         min_f_point=min_point,
         sign_changes=n_flips,
-        sign_change_examples=examples,
         sign_violations=n_viol,
         invalid_points=n_invalid,
-        max_intensity=max_u,
-        witness=witness,
         pole_intervals_zeta=zeta_poles,
         pole_intervals_eta=eta_poles,
         note=note,

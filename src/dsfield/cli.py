@@ -97,6 +97,9 @@ def parse_window(text: str):
         raise UsageError(f"window bounds must be finite, got {text!r}")
     if not (x1 > x0 and y1 > y0):
         raise UsageError("window bounds must be increasing")
+    reach = max(abs(x0), abs(x1)) + max(abs(y0), abs(y1))     # bounds |x -+ y|
+    if not all(map(math.isfinite, (x1 - x0, y1 - y0, reach))):
+        raise UsageError(f"--window spans must be finite, got {text!r}")
     return (x0, x1), (y0, y1)
 
 
@@ -252,6 +255,8 @@ def _cmd_analyze(args) -> int:
         t0, t1 = parse_time(parts[0]), parse_time(parts[1])
         if not t1 > t0:
             raise UsageError(f"--period wants t1 > t0, got {args.period!r}")
+        if not math.isfinite(t1 - t0):
+            raise UsageError(f"--period wants a finite span t1 - t0, got {args.period!r}")
         try:
             n_t = int(parts[2])
         except ValueError:

@@ -127,7 +127,7 @@ def _envelope_fields(spec: SolutionSpec, t, b):
     g = b.P.shift(order=_G_READS, axes=(0, 2), n=3) * b.Q.shift(order=_G_READS, axes=(1, 2), n=3)
     g, g_z, g_e, g_t, g_zz, g_ee = map(g.__getitem__, _G_READS)
     tau = eval_f(spec, b.pj, b.qj, _F_READS)
-    f, f_z, f_e, f_t, f_zz, f_ze, f_ee = map(tau.__getitem__, _F_READS)
+    f, f_z, f_e, f_t, f_zz, _, f_ee = map(tau.__getitem__, _F_READS)  # f_ze: hirota_cross
     beta = spec.funcs.beta(t)
     gamma = spec.funcs.gamma(t)
     f2 = f * f

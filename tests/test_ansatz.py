@@ -335,10 +335,15 @@ def test_admissibility_breather_degenerate():
 
 def test_admissibility_resonant_singular():
     e = build_case("resonant")
-    rep = admissibility(e.spec, e.window, 0.0, (64, 64))
+    g = window_grid(e.window, (64, 64))
+    ing = Ingredients(e.spec, g, 0.0)
+    rep = check_admissibility(ing)
     assert rep.verdict == "singular"
     assert rep.sign_changes > 0
-    assert rep.witness is not None
+    # the worst point is the first grid point in raster order where |f| is min |f|
+    absf = np.abs(eval_f(e.spec, ing.rows().pj, ing.rows().qj, order=0).value)
+    i, j = np.argwhere(g.keep & (absf == rep.min_abs_f))[0]
+    assert rep.min_f_point == (g.X[i, j], g.Y[i, j], 0.0)
 
 
 def test_admissibility_window_without_finite_f_is_singular(dromion):
@@ -559,8 +564,7 @@ def test_admissibility_and_scan_assemble_f_once(name, monkeypatch):
     rep = admissibility(spec, e.window, 0.3, (24, 24), e.valid_mask)
     assert coeffs.a0_reads == 1
     ref = admissibility(e.spec, e.window, 0.3, (24, 24), e.valid_mask)
-    assert (rep.verdict, rep.min_abs_f, rep.max_intensity) == (
-        ref.verdict, ref.min_abs_f, ref.max_intensity)
+    assert rep == ref
     # the singularity scan reads f's value alone: a jet of one entry
     built = []
 

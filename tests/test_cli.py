@@ -961,12 +961,20 @@ ALL = "bilinear2,bilinear1,pde2,pde1,consistency,admissibility"
      "--t applies to --peaks only"),
     (("analyze", "--case", "dromion", "--peaks", "--t", "0", "--statistic", "global_max"),
      "--statistic applies to --period only"),
-], ids=[f"argv{i}" for i in range(10)])
+    # a span that overflows leaked numpy's overflow warnings, then exited 3
+    (("render", "--case", "dromion", "--t", "0", "--window=-1e308:1e308:-1e308:1e308",
+      "--res", "8"), "--window spans must be finite, got '-1e308:1e308:-1e308:1e308'"),
+    (("render", "--case", "dromion", "--t", "0", "--window=1e308:1.7e308:1e308:1.7e308",
+      "--res", "8"), "--window spans must be finite, got '1e308:1.7e308:1e308:1.7e308'"),
+    (("analyze", "--case", "dromion", "--period", "-1e308:1e308:16"),
+     "--period wants a finite span t1 - t0, got '-1e308:1e308:16'"),
+], ids=[f"argv{i}" for i in range(13)])
 def test_bad_input_exits_2(argv, says, tmp_path, capsys):
     out = tmp_path / "out.txt"
     assert run(*argv, "--out", str(out)) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and says in err
+    assert err.count("\n") == 1 and err.endswith("\n"), err      # one line, no warnings
     assert not out.exists()
 
 

@@ -79,6 +79,42 @@ def test_every_public_definition_is_named_elsewhere_in_src():
     assert not UNCALLED.keys() - uncalled, sorted(UNCALLED.keys() - uncalled)
 
 
+# fields of src/ dataclasses that no src/ code reads, each with its reason; a field
+# is read where src/ reads it as an attribute or names it in a string constant, as
+# run_checks names the counts that it reads through getattr
+UNREAD_FIELDS = {
+    "ansatz.AdmissibilityReport.min_f_point": "the scan's worst point, for the verify "
+                                              "report to print",
+    "ansatz.AdmissibilityReport.invalid_points": "the scan's count of non-finite samples, "
+                                                 "for the verify report to print",
+}
+
+
+def _dataclass_fields(tree):
+    """(class, field) of each annotated field of each dataclass in ``tree``."""
+    for stmt in tree.body:
+        if isinstance(stmt, ast.ClassDef) and any(
+                getattr(d.func if isinstance(d, ast.Call) else d, "id", None) == "dataclass"
+                for d in stmt.decorator_list):
+            yield from ((stmt.name, n.target.id) for n in stmt.body
+                        if isinstance(n, ast.AnnAssign) and isinstance(n.target, ast.Name))
+
+
+def test_every_result_field_is_read_in_src():
+    fields, read = {}, set()
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        fields.update((f"{path.stem}.{cls}.{name}", name) for cls, name in _dataclass_fields(tree))
+        read |= {n.attr for n in ast.walk(tree)
+                 if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load)}
+        read |= {n.value for n in ast.walk(tree)
+                 if isinstance(n, ast.Constant) and isinstance(n.value, str)}
+    unread = {key for key, name in fields.items() if name not in read}
+    assert not unread - UNREAD_FIELDS.keys(), sorted(unread - UNREAD_FIELDS.keys())
+    # an entry whose field is now read, or gone, leaves the table
+    assert not UNREAD_FIELDS.keys() - unread, sorted(UNREAD_FIELDS.keys() - unread)
+
+
 def _top_level_imports(source: str) -> set:
     """The names that ``source`` imports from the package top level."""
     return {alias.name for node in ast.walk(ast.parse(source))
