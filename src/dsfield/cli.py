@@ -88,15 +88,15 @@ def parse_time(text: str) -> float:
 def parse_window(text: str):
     parts = text.split(":")
     if len(parts) != 4:
-        raise UsageError(f"window must be x0:x1:y0:y1, got {text!r}")
+        raise UsageError(f"--window must be x0:x1:y0:y1, got {text!r}")
     try:
         x0, x1, y0, y1 = (float(p) for p in parts)
     except ValueError:
-        raise UsageError(f"window must be numeric, got {text!r}") from None
+        raise UsageError(f"--window must be numeric, got {text!r}") from None
     if not all(map(math.isfinite, (x0, x1, y0, y1))):
-        raise UsageError(f"window bounds must be finite, got {text!r}")
+        raise UsageError(f"--window bounds must be finite, got {text!r}")
     if not (x1 > x0 and y1 > y0):
-        raise UsageError("window bounds must be increasing")
+        raise UsageError(f"--window bounds must be increasing, got {text!r}")
     reach = max(abs(x0), abs(x1)) + max(abs(y0), abs(y1))     # bounds |x -+ y|
     if not all(map(math.isfinite, (x1 - x0, y1 - y0, reach))):
         raise UsageError(f"--window spans must be finite, got {text!r}")

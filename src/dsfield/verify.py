@@ -7,15 +7,16 @@ Three independent suites certify a solution spec:
   closed form with g g* from the amplitude factors, to a few roundings of
   |g g*|;
 * the governing equations in the rotated frame: the envelope equation, as
-  line 1 of the bilinear form and as the u-form with the forcing field, both
-  from one evaluation per block of grid rows of the jets in (zeta, eta, t)
-  of f and of the envelope g, the product of the bundle's line carriers, on
-  the order-2 entries it reads; and the forcing-field constraint by one
-  second-order central-difference stencil of the jet-computed fields at its
-  step h and at h/2 and the order they show, from each profile once per
-  stencil line on the entries U and phi read and U and phi broadcast onto
-  the stencil, the stencils summed in a fixed order per block of grid rows
-  (the package's only finite differences, their weights kept here);
+  line 1 of the bilinear form and as the u-form with the forcing field, one
+  residual in exact arithmetic that both report, assembled per block of grid
+  rows from terms evaluated once per line from the bundle's line carriers,
+  profile jets and backgrounds, with no jet in (zeta, eta, t); and the
+  forcing-field constraint by one second-order central-difference stencil
+  of the jet-computed fields at its step h and at h/2 and the order they
+  show, from each profile once per stencil line on the entries U and phi
+  read and U and phi broadcast onto the stencil, the stencils summed in a
+  fixed order per block of grid rows (the package's only finite
+  differences, their weights kept here);
 * the window scan, :func:`~dsfield.ansatz.check_admissibility`: zeros of
   f from f's value alone, the sign condition, and profile poles from
   sweeps of profile values alone.
@@ -30,8 +31,7 @@ sweeps find a pole (grid lines can step over one).  Each check fills its residua
 grid from row windows by :func:`~dsfield.ansatz.fill_rows`, as the renders
 do, and reduces its finite samples inside the grid's ``keep`` by
 ``masked_stats`` under ``drop_note``: a residual is non-finite exactly
-where it checks nothing.  The one bilinear operator here is :func:`hirota_cross`,
-D_z D_e f.f from f's jet, which the envelope pass reads.
+where it checks nothing.
 
 :func:`run_checks` gives every verdict, against the fixed :data:`THRESHOLDS`,
 and no check gates another: the envelope-equation checks run on every spec
@@ -43,7 +43,7 @@ the zeros of f have no rounding floor to be judged by.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -51,21 +51,23 @@ from .ansatz import (
     PHI_READS,
     AdmissibilityReport,
     SolutionSpec,
+    _assemble,
     check_admissibility,
     drop_note,
     eval_f,
     eval_intensity,
     eval_phi,
     fill_rows,
+    grid_rows,
     masked_stats,
     rotate,
+    row_window,
     window_grid,
 )
 from .auxiliary import Ingredients, consistency_c1_c2
 
 __all__ = [
     "ResidualReport",
-    "hirota_cross",
     "bilinear_residuals",
     "envelope_residuals",
     "pde_residuals",
@@ -104,59 +106,34 @@ def _report(name, resid_abs, grid, t) -> ResidualReport:
 
 
 # ---------------------------------------------------------------------------
-# Hirota bilinear operator
-
-
-def hirota_cross(tau) -> float:
-    """D_z D_e f.f from f's jet in (zeta, eta, t): 2 (f f_ze - f_z f_e)."""
-    return 2.0 * (tau.value * tau[1, 1, 0] - tau[1, 0, 0] * tau[0, 1, 0])
-
-
-# ---------------------------------------------------------------------------
 # envelope equation
 
 
-# the entries of g and of f that the envelope pass reads, in (zeta, eta, t)
-_G_READS = ((0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1), (2, 0, 0), (0, 2, 0))
-_F_READS = ((0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1), (2, 0, 0), (1, 1, 0), (0, 2, 0))
-
-
-def _envelope_fields(spec: SolutionSpec, t, b):
-    """|residual| of line 1 of the bilinear form, its terms scaled by 1/f^3, and
-    of the envelope equation for u = g/f with phi, g = P Q, from the row entries ``b``."""
-    g = b.P.shift(order=_G_READS, axes=(0, 2), n=3) * b.Q.shift(order=_G_READS, axes=(1, 2), n=3)
-    g, g_z, g_e, g_t, g_zz, g_ee = map(g.__getitem__, _G_READS)
-    tau = eval_f(spec, b.pj, b.qj, _F_READS)
-    f, f_z, f_e, f_t, f_zz, _, f_ee = map(tau.__getitem__, _F_READS)  # f_ze: hirota_cross
-    beta = spec.funcs.beta(t)
-    gamma = spec.funcs.gamma(t)
-    f2 = f * f
-    u = g / f
-    t1 = 1j * (g_t * f - g * f_t) / f2
-    d2z = (g_zz * f - 2.0 * g_z * f_z + g * f_zz) / f2
-    d2e = (g_ee * f - 2.0 * g_e * f_e + g * f_ee) / f2
-    t2 = 0.5 * beta * (d2z + d2e)
-    t3 = -0.5 * beta * (np.abs(g) ** 2) * g / (f2 * f)
-    t4 = beta * u * hirota_cross(tau) / f2
-    t5 = beta * (b.p0 + b.q0) * u
-    t6 = -1j * gamma * u
-    # u_zz + u_ee, with u_zz = d2z - u D_z^2 f.f / f^2
-    lap = ((d2z - u * 2.0 * (f * f_zz - f_z ** 2) / f2)
-           + (d2e - u * 2.0 * (f * f_ee - f_e ** 2) / f2))
-    phi = eval_phi(tau, b.p0, b.q0)
-    pde1 = t1 + beta * (0.5 * lap - 0.5 * np.abs(u) ** 2 * u + u * phi) + t6
-    return np.abs(t1 + t2 + t3 + t4 + t5 + t6), np.abs(pde1)
+def _line_terms(P, pj, p0, beta, gamma, a, own, other):
+    """(X0, X1, p, p_z, |P|^2) on one coordinate's lines from its carrier P, profile
+    jet ``pj`` and background ``p0``: X0 = L (a0 + own p) + own k and
+    X1 = L (other + a3 p) + a3 k, with L = i P_t/P + beta (P_zz/(2 P) + p0) - i gamma/2
+    and k = -i p_t - beta (P_z/P) p_z + beta p_zz/2."""
+    p, p_z = pj.value, pj[1, 0]
+    L = 1j * P[0, 1] / P.value + beta * (0.5 * P[2, 0] / P.value + p0) - 0.5j * gamma
+    k = -1j * pj[0, 1] - beta * (P[1, 0] / P.value) * p_z + 0.5 * beta * pj[2, 0]
+    return (L * (a.a0 + own * p) + own * k, L * (other + a.a3 * p) + a.a3 * k, p, p_z,
+            np.abs(P.value) ** 2)
 
 
 def envelope_residuals(ing: Ingredients):
-    """The envelope equation twice over from one evaluation on the bundle's
-    grid.
+    """(bilinear1, pde1) on the bundle's grid: line 1 of the bilinear form at envelope
+    scale and the u-form with phi, one residual in exact arithmetic, so both report E.
 
-    Returns (bilinear1, pde1): line 1 of the bilinear form with its terms
-    at envelope scale (the raw form scales like |f|^3, which would make
-    absolute numbers meaningless) and the u-form with the forcing field
-    phi.  Both come back not applicable where a3 = 0: there the residuals
-    beside the zeros of f are rounding, and no floor tells it from a defect.
+    For u = P Q / f, by f f_ze - f_z f_e = det p_z q_e alone, the residual of
+    i u_t + (beta/2)(u_zz + u_ee) + beta (phi - |u|^2/2) u - i gamma u is
+
+        E = (P Q / f^2) [X0 + X1 q + Y0 + p Y1 + beta (4 det p_z q_e - |P|^2 |Q|^2) / (2 f)]
+
+    with X0, X1 by :func:`_line_terms` on the zeta lines (own = a1, other = a2) and Y0, Y1
+    on the eta lines (a2, a1).  Its last term is line 2 of the bilinear form, so an
+    amplitude error stays in it.  Both reports are not applicable where a3 = 0: there the
+    residual beside the zeros of f is rounding, and no floor tells it from a defect.
     """
     grid, t, names = ing.grid, ing.t, ("bilinear1", "pde1")
     if ing.spec.coeffs.a3 == 0.0:
@@ -165,10 +142,28 @@ def envelope_residuals(ing: Ingredients):
                                     notes="not applicable: a3 = 0 (no rounding floor "
                                           "for the residual near the zeros of f)")
                      for name in names)
+    pde1 = _report("pde1", _envelope_field(ing), grid, t)
+    return replace(pde1, check_name="bilinear1"), pde1
+
+
+def _envelope_field(ing: Ingredients):
+    """|E| on the bundle's grid: the line terms, evaluated once per line and windowed
+    onto the grid, combined per block of rows; non-finite wherever a line term is."""
+    grid, t, a = ing.grid, ing.t, ing.spec.coeffs
+    beta, gamma = ing.spec.funcs.beta(t), ing.spec.funcs.gamma(t)
     with np.errstate(invalid="ignore", over="ignore", under="ignore", divide="ignore"):
-        fields = fill_rows(grid.keep.shape,
-                           lambda rows: _envelope_fields(ing.spec, t, ing.rows(rows)))
-    return tuple(_report(name, v, grid, t) for name, v in zip(names, fields))
+        zeta = row_window(grid, grid.zeta_lines,
+                          _line_terms(ing.P, ing.pj, ing.p0, beta, gamma, a, a.a1, a.a2))
+        eta = row_window(grid, grid.eta_lines,
+                         _line_terms(ing.Q, ing.qj, ing.q0, beta, gamma, a, a.a2, a.a1))
+
+        def on_rows(rows):
+            (X0, X1, p, p_z, P2), (Y0, Y1, q, q_e, Q2) = grid_rows((zeta, eta), rows)
+            f, PQ2 = _assemble(a, p, q), P2 * Q2
+            defect = 4.0 * a.det * p_z * q_e - PQ2
+            return (np.sqrt(PQ2) / (f * f)
+                    * np.abs(X0 + X1 * q + Y0 + p * Y1 + 0.5 * beta * defect / f),)
+        return fill_rows(grid.keep.shape, on_rows)[0]
 
 
 # ---------------------------------------------------------------------------

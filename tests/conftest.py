@@ -83,7 +83,7 @@ def point_reflection_defect(grid_a, grid_b) -> float:
 
 def hirota_d(a, b, m: int, n: int, pt):
     """D_x^m D_t^n a.b at pt, expanded from jets in (x, t): the outside
-    check of :func:`~dsfield.verify.hirota_cross`.
+    check of :func:`hirota_cross`.
 
     ``a`` and ``b`` map a point (x, t) to a :class:`~dsfield.calculus.Jet`.
     Requesting m + n above the jets' order raises; there is no
@@ -102,6 +102,41 @@ def hirota_d(a, b, m: int, n: int, pt):
             coeff = math.comb(m, k) * math.comb(n, l)
             total = total + sign * coeff * ja[k, l] * jb[m - k, n - l]
     return total
+
+
+def hirota_cross(tau):
+    """D_z D_e f.f from f's jet ``tau`` in (zeta, eta, t): 2 (f f_ze - f_z f_e)."""
+    return 2.0 * (tau.value * tau[1, 1, 0] - tau[1, 0, 0] * tau[0, 1, 0])
+
+
+# the entries of g = P Q and of f that the plane envelope oracle reads, in (zeta, eta, t)
+_G_READS = ((0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1), (2, 0, 0), (0, 2, 0))
+_F_READS = ((0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1), (2, 0, 0), (1, 1, 0), (0, 2, 0))
+
+
+def plane_pde1_field(spec, t, b):
+    """|i u_t + (beta/2)(u_zz + u_ee) + beta (phi - |u|^2/2) u - i gamma u| for
+    u = g / f from jets in (zeta, eta, t) of the envelope g = P Q and of f on the row
+    entries ``b``, phi by :func:`~dsfield.ansatz.eval_phi`: the envelope residual as
+    first written, an oracle of verify's separated form."""
+    with np.errstate(invalid="ignore", over="ignore", under="ignore", divide="ignore"):
+        g = (b.P.shift(order=_G_READS, axes=(0, 2), n=3)
+             * b.Q.shift(order=_G_READS, axes=(1, 2), n=3))
+        g, g_z, g_e, g_t, g_zz, g_ee = map(g.__getitem__, _G_READS)
+        tau = eval_f(spec, b.pj, b.qj, _F_READS)
+        f, f_z, f_e, f_t, f_zz, _, f_ee = map(tau.__getitem__, _F_READS)
+        beta, gamma = spec.funcs.beta(t), spec.funcs.gamma(t)
+        f2 = f * f
+        u = g / f
+        t1 = 1j * (g_t * f - g * f_t) / f2
+        d2z = (g_zz * f - 2.0 * g_z * f_z + g * f_zz) / f2
+        d2e = (g_ee * f - 2.0 * g_e * f_e + g * f_ee) / f2
+        # u_zz + u_ee, with u_zz = d2z - u D_z^2 f.f / f^2
+        lap = ((d2z - u * 2.0 * (f * f_zz - f_z ** 2) / f2)
+               + (d2e - u * 2.0 * (f * f_ee - f_e ** 2) / f2))
+        phi = eval_phi(tau, b.p0, b.q0)
+        return np.abs(t1 + beta * (0.5 * lap - 0.5 * np.abs(u) ** 2 * u + u * phi)
+                      - 1j * gamma * u)
 
 
 # The finite-difference oracle of the forcing-field constraint.  verify runs one

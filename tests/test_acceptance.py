@@ -24,11 +24,7 @@ from dsfield.field import (
     estimate_period,
     sample_field,
 )
-from dsfield.verify import (
-    bilinear_residuals,
-    envelope_residuals,
-    hirota_cross,
-)
+from dsfield.verify import bilinear_residuals, envelope_residuals
 
 from conftest import (
     admissible_spec,
@@ -36,6 +32,7 @@ from conftest import (
     bundle,
     csv_bytes,
     fd_phi_convergence,
+    hirota_cross,
     hirota_d,
     negative_radicands,
     parse_csv,

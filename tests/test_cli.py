@@ -547,7 +547,7 @@ def test_verify_periodic_config_takes_no_division_guard(tmp_path, res):
         assert counts == [str(2 * n * n), "0", "0"]
         assert rep["check.consistency.notes"] == POLES_4
         assert [rep[f"check.{c}.max_abs"] for c in ("bilinear2", "bilinear1", "pde1")] == [
-            "6.203448e-16", "7.125383e-14", "2.078045e-13"]
+            "6.203448e-16", "4.880017e-14", "4.880017e-14"]
     else:
         assert [k for k, v in rep.items() if v == "fail"] == [
             "check.bilinear1.status", "check.pde1.status", "check.consistency.status",
@@ -937,7 +937,7 @@ ALL = "bilinear2,bilinear1,pde2,pde1,consistency,admissibility"
 @pytest.mark.parametrize("argv, says", [
     # a non-finite bound used to drop most samples as NaN, with warnings
     (("render", "--case", "dromion", "--t", "0", "--window=-inf:0:0:1", "--res", "16"),
-     "window bounds must be finite, got '-inf:0:0:1'"),
+     "--window bounds must be finite, got '-inf:0:0:1'"),
     # a reversed scan used to print a negative resolution
     (("analyze", "--case", "breather", "--period", "1:0:32"),
      "--period wants t1 > t0, got '1:0:32'"),
@@ -975,6 +975,19 @@ def test_bad_input_exits_2(argv, says, tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and says in err
     assert err.count("\n") == 1 and err.endswith("\n"), err      # one line, no warnings
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("text", ["1:2:3", "a:1:0:1", "-inf:0:0:1", "2:1:0:1",
+                                  "-1e308:1e308:-1e308:1e308"])
+def test_every_window_refusal_names_the_option_and_quotes_the_input(text, tmp_path, capsys):
+    # the five refusals of parse_window: the field count, a non-number, a
+    # non-finite bound, a reversed bound and an overflowing span
+    out = tmp_path / "u.csv"
+    assert run("render", "--case", "dromion", "--t", "0", f"--window={text}", "--res", "8",
+               "--out", str(out)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: --window ") and err.endswith(f", got {text!r}\n"), err
     assert not out.exists()
 
 

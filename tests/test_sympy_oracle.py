@@ -1,7 +1,8 @@
 """Independent symbolic oracle: sympy differentiates the catalog's closed
 forms and mpmath evaluates them at 40 digits, against the jets of the
 profiles, of f and of log U at a few points per case; and sympy proves the
-separable identity that the bilinear2 check reads."""
+separable identity that the bilinear2 check reads and the separated form of
+the envelope residual that the bilinear1 and pde1 checks read."""
 
 import dataclasses
 
@@ -157,3 +158,34 @@ def test_separable_cross_identity():
     f = a0 + a1 * p + a2 * q + a3 * p * q
     cross = f * sp.diff(f, Z, E) - sp.diff(f, Z) * sp.diff(f, E)
     assert sp.simplify(cross - (a0 * a3 - a1 * a2) * sp.diff(p, Z) * sp.diff(q, E)) == 0
+
+
+def test_envelope_residual_separates_into_line_terms():
+    # for any line functions P, Q, p, q, p0, q0, with conj(P) and conj(Q)
+    # independent, the envelope equation's residual for u = P Q / f and phi
+    # by eval_phi's formula is verify's form from line terms; f is replaced
+    # by a symbol while the terms are collected, then substituted back
+    p, P, P_bar, p0 = (sp.Function(n)(Z, T) for n in ("p", "P", "P_bar", "p0"))
+    q, Q, Q_bar, q0 = (sp.Function(n)(E, T) for n in ("q", "Q", "Q_bar", "q0"))
+    a0, a1, a2, a3, beta, gamma = sp.symbols("a0:4 beta gamma")
+    d = sp.diff
+    f = a0 + a1 * p + a2 * q + a3 * p * q
+    u = P * Q / f
+    phi = (-(d(f, Z) + d(f, E)) ** 2 / f ** 2 + (d(f, Z, 2) + 2 * d(f, Z, E) + d(f, E, 2)) / f
+           + p0 + q0)
+    abs_u2 = P * P_bar * Q * Q_bar / f ** 2
+    residual = (sp.I * d(u, T) + beta / 2 * (d(u, Z, 2) + d(u, E, 2))
+                + beta * (phi - abs_u2 / 2) * u - sp.I * gamma * u)
+
+    def line_terms(P, p, p0, s, own, other):
+        L = sp.I * d(P, T) / P + beta * (d(P, s, 2) / P / 2 + p0) - sp.I * gamma / 2
+        k = -sp.I * d(p, T) - beta * d(P, s) / P * d(p, s) + beta * d(p, s, 2) / 2
+        return L * (a0 + own * p) + own * k, L * (other + a3 * p) + a3 * k
+
+    (X0, X1), (Y0, Y1) = line_terms(P, p, p0, Z, a1, a2), line_terms(Q, q, q0, E, a2, a1)
+    det = a0 * a3 - a1 * a2
+    separated = P * Q / f ** 2 * (X0 + X1 * q + Y0 + p * Y1 + beta * (
+        4 * det * d(p, Z) * d(q, E) - P * P_bar * Q * Q_bar) / f / 2)
+    F = sp.Symbol("F")
+    gap = sp.expand(F ** 3 * (residual - separated).xreplace({f: F}))
+    assert sp.expand(gap.subs(F, f)) == 0

@@ -28,11 +28,10 @@ from dsfield.verify import (
     _PDE2_H,
     THRESHOLDS,
     _bilinear2_field,
-    _envelope_fields,
+    _envelope_field,
     _pde2_field,
     bilinear_residuals,
     envelope_residuals,
-    hirota_cross,
     pde_residuals,
     run_checks,
     singularity_scan,
@@ -45,8 +44,10 @@ from conftest import (
     decaying_p_text,
     fd_pde2_field,
     fd_phi_convergence,
+    hirota_cross,
     hirota_d,
     negative_radicands,
+    plane_pde1_field,
     profile_jets3,
     random_spec,
     traced_peak,
@@ -300,15 +301,22 @@ def _hand_envelope_terms(b):
 
 def test_each_reader_multiplies_jets_on_the_entries_it_reads(monkeypatch):
     # the jets in (zeta, eta, t): phi, in its render and in pde2's stencils,
-    # builds f on the six (zeta, eta) entries it reads; the envelope pass
-    # builds f on seven and g = P Q on six; the full order-2 layout has ten
+    # builds f on the six (zeta, eta) entries it reads; the full order-2 layout
+    # has ten.  The envelope pass, on a bundle whose line entries are read,
+    # builds no jet in (zeta, eta, t) at all: it combines line arrays
     from dsfield import calculus
-    sizes, real = [], calculus._product
+    sizes, built = [], []
+    real_product, real_init = calculus._product, calculus.Jet.__init__
 
     def recording(a, b):
         if a.layout.n == 3:
             sizes.append(len(a.entries))
-        return real(a, b)
+        return real_product(a, b)
+
+    def building(self, entries, lay):
+        real_init(self, entries, lay)
+        if lay.n == 3:
+            built.append(len(self.entries))
 
     monkeypatch.setattr(calculus, "_product", recording)
     e = build_case("double_instanton")
@@ -316,9 +324,13 @@ def test_each_reader_multiplies_jets_on_the_entries_it_reads(monkeypatch):
         sizes.clear()
         sample_field(e.spec, which, e.window, 0.3, 16, 16)
         assert set(sizes) == {6}, which
+    ing = bundle(e.spec, e.window, 0.3, 16, e.valid_mask)
+    for entry in ("pj", "qj", "p0", "q0", "P", "Q"):
+        getattr(ing, entry)
+    monkeypatch.setattr(calculus.Jet, "__init__", building)
     sizes.clear()
-    envelope_residuals(bundle(e.spec, e.window, 0.3, 16, e.valid_mask))
-    assert sorted(set(sizes)) == [6, 7]
+    _, pde1 = envelope_residuals(ing)
+    assert sizes == built == [] and pde1.samples > 0
 
 
 @pytest.mark.parametrize("name", case_names())
@@ -449,13 +461,13 @@ def test_pde_line2_drops_stencil_hits_near_pole():
 def test_verify_residuals_fill_their_grids_block_by_block(name):
     # with the bundle's line entries read first, the envelope pass and the
     # bilinear2 check at 512^2 hold their residual grids and one block of
-    # rows (7.7 and 2.9 MB; 102.9 and 11.0 MB over all rows at once); one
-    # float grid is 2.1 MB
+    # rows (3.3 and 2.7 MB, the envelope pass building the carriers P and Q;
+    # 17.1 and 10.8 MB over all rows at once); one float grid is 2.1 MB
     e = build_case(name)
     ing = Ingredients(e.spec, window_grid(e.window, 512, e.valid_mask), e.reference_times[0])
     for entry in ("pj", "qj", "p1", "q1", "rz", "se", "r", "s", "p0", "q0"):
         getattr(ing, entry)
-    assert traced_peak(envelope_residuals, ing) <= 12e6
+    assert traced_peak(envelope_residuals, ing) <= 4e6
     assert traced_peak(bilinear_residuals, ing) <= 5e6
 
 
@@ -491,9 +503,9 @@ def test_line_bundle_is_the_point_formulas_at_the_lattice_coordinates(name, monk
     # the bundle evaluates each entry once per line and its readers take row
     # windows; the same formulas on a grid whose N^2 points hold the lattice
     # coordinates as plain arrays give every phi and bilinear2 render value,
-    # in row blocks (131 rows: three), and the bilinear1 and pde1 fields bit
-    # for bit.  Off the lattice the reference coordinates are the grid's own.
-    # The bilinear2, bilinear1 and pde1 reports are those of blocks of 3 rows
+    # in row blocks (131 rows: three), and the envelope field from line terms,
+    # bit for bit.  Off the lattice the reference coordinates are the grid's
+    # own.  The bilinear2, bilinear1 and pde1 reports are those of blocks of 3 rows
     e = build_case(name)
     for samples in (48, 131, (97, 80)):
         grid = window_grid(e.window, samples, e.valid_mask)
@@ -512,10 +524,8 @@ def test_line_bundle_is_the_point_formulas_at_the_lattice_coordinates(name, monk
                              divide="ignore"):
                 want = {"phi": eval_phi(eval_f(e.spec, ref.pj, ref.qj), ref.p0, ref.q0),
                         "bilinear2": _bilinear2_field(e.spec, ref.rows())[0]}
-                for got, ref_field in zip(
-                        _envelope_fields(e.spec, t, Ingredients(e.spec, grid, t).rows()),
-                        _envelope_fields(e.spec, t, ref.rows())):
-                    np.testing.assert_array_equal(got, ref_field, strict=True)
+            np.testing.assert_array_equal(_envelope_field(Ingredients(e.spec, grid, t)),
+                                          _envelope_field(ref), strict=True)
             ing = Ingredients(e.spec, grid, t)
             reports = repr((bilinear_residuals(ing), envelope_residuals(ing)))
             monkeypatch.setattr(ansatz, "_ROW_BLOCK", 3 * nx)
@@ -527,6 +537,37 @@ def test_line_bundle_is_the_point_formulas_at_the_lattice_coordinates(name, monk
                 np.testing.assert_array_equal(got.mask, mask)
                 assert got.values.tobytes() == np.where(mask, values, 0.0).tobytes(), (
                     samples, t, which)
+
+
+def test_envelope_field_is_the_u_form_from_plane_jets():
+    # the residual from line terms against the u-form that conftest's
+    # plane_pde1_field evaluates from jets in (zeta, eta, t): on every a3 != 0
+    # case at its reference times and 0.3, on and off the lattice, on the
+    # admissible draws and on non-solutions, where the residual is no longer
+    # rounding, the same samples are finite and the two differ by at most
+    # 1e-10 (4.9e-11 on double_instanton, whose residual is as large)
+    bundles = []
+    for name in case_names():
+        e = build_case(name)
+        if e.spec.coeffs.a3 != 0.0:
+            bundles += [bundle(e.spec, e.window, t, samples, e.valid_mask)
+                        for t in (*e.reference_times, 0.3) for samples in (64, (97, 80))]
+    draws = _admissible_draws()
+    bundles += [bundle(spec, ((-8, 8), (-8, 8)), t, 48) for spec, t in draws]
+    # the corruptions on dromion, a1 = a2, and on a draw with a1 != a2, which
+    # tells the zeta terms from the eta terms
+    for spec, t in ((build_case("dromion").spec, 0.0), draws[0]):
+        bundles += [bundle(spec, ((-4, 4), (-4, 4)), t, 48, **hook)
+                    for hook in ({"p0_offset": 0.125}, {"rz_offset": 0.1},
+                                 {"amplitude_scale": 1.1})]
+        gained = dataclasses.replace(spec, funcs=CoefficientFunctions(gamma=TimeFunction((0.5,))))
+        bundles.append(bundle(gained, ((-8, 8), (-8, 8)), 0.3, 64))
+    assert draws[0][0].coeffs.a1 != draws[0][0].coeffs.a2
+    for ing in bundles:
+        got, want = _envelope_field(ing), plane_pde1_field(ing.spec, ing.t, ing.rows())
+        ok = np.isfinite(want)
+        np.testing.assert_array_equal(np.isfinite(got), ok)
+        assert np.all(np.abs(got - want)[ok] <= 1e-10), (ing.spec, ing.t)
 
 
 def test_residual_renders_match_report():
