@@ -49,8 +49,7 @@ __all__ = [
     "DEGENERATE_LEVEL",
     "max_abs",
     "drop_note",
-    "pole_sweep",
-    "pole_sweeps",
+    "pole_counts",
     "pole_note",
     "check_admissibility",
 ]
@@ -364,42 +363,19 @@ def eval_phi(tau: Jet, p0, q0):
 # the window scan: zeros of f, the sign condition and profile poles
 
 
-# magnitude treated as a pole signature in the 1-D profile sweep; legitimate
-# exponential-sum growth on sane windows stays far below this
-_POLE_MAGNITUDE = 1e150
-_POLE_SAMPLES = 65537       # of the sweep, evenly spaced over its coordinates' range
-
-
-def pole_sweep(profile, coords, t: float):
-    """Fine 1-D sweep for profile poles over the range of ``coords``: the intervals of
-    suspect samples among ``_POLE_SAMPLES``, read in row blocks.  Poles are found from
-    samples alone; a sweep is skipped only where the magnitude bound shows none."""
-    lo, hi = float(np.min(coords)), float(np.max(coords))
-    if profile.magnitude_bound(lo, hi, t) < _POLE_MAGNITUDE / 2:     # 2 covers rounding
-        return ()
-    x, suspect = np.linspace(lo, hi, _POLE_SAMPLES), np.empty(_POLE_SAMPLES, dtype=bool)
-    with np.errstate(invalid="ignore", over="ignore", under="ignore", divide="ignore"):
-        for s in batches(_POLE_SAMPLES, 1, _ROW_BLOCK):     # suspect: non-finite or too large
-            suspect[s] = ~(np.abs(profile.jet3(x[s], t, order=0).value) <= _POLE_MAGNITUDE)
-    edges = np.flatnonzero(np.diff(suspect, prepend=False, append=False))  # run start, end + 1
-    return tuple((float(x[a]), float(x[b - 1])) for a, b in zip(edges[::2], edges[1::2]))
-
-
-def pole_sweeps(spec: SolutionSpec, grid: WindowGrid, t: float):
-    """(zeta, eta) pole sweep intervals over the ranges of ``grid``'s lines, which are its
-    points' ranges bit for bit; q equal to p over an equal range takes p's sweep."""
-    zeta_poles = pole_sweep(spec.p, grid.zeta_lines, t)
-    if spec.q == spec.p and all(m(grid.eta_lines) == m(grid.zeta_lines) for m in (np.min, np.max)):
-        return zeta_poles, zeta_poles
-    return zeta_poles, pole_sweep(spec.q, grid.eta_lines, t)
+def pole_counts(spec: SolutionSpec, grid: WindowGrid, t: float):
+    """(zeta, eta) counts of the poles of p and q over the ranges of ``grid``'s lines,
+    which are its points' ranges bit for bit, as each profile declares them."""
+    return tuple(prof.pole_count(float(np.min(lines)), float(np.max(lines)), t)
+                 for prof, lines in ((spec.p, grid.zeta_lines), (spec.q, grid.eta_lines)))
 
 
 def pole_note(ing) -> str:
-    """The one pole rule, from the pole sweeps ``ing.poles`` of a bundle: a profile pole
+    """The one pole rule, from the pole counts ``ing.poles`` of a bundle: a profile pole
     inside the valid set fails the window, since the solution holds only between poles.
     A guard is how a spec cuts its poles out, so the rule holds for a spec without one."""
-    n = 0 if ing.spec.valid_mask is not None else sum(map(len, ing.poles))
-    return f"pole sweep intervals inside the window, which no guard cuts out: {n}" if n else ""
+    n = 0 if ing.spec.valid_mask is not None else sum(ing.poles)
+    return f"profile poles inside the window, which no guard cuts out: {n}" if n else ""
 
 
 @dataclass(frozen=True)
@@ -412,8 +388,8 @@ class AdmissibilityReport:
     or ``sign-violating``.  ``min_f_point`` is the (x, y, t) of the first grid
     point in raster order where |f| is ``min_abs_f``; ``sign_changes`` counts
     the x-neighbour and y-neighbour pairs inside the valid set where f changes
-    sign; ``pole_intervals_zeta`` and ``pole_intervals_eta`` are the suspect
-    intervals of the pole sweeps of p and q over the grid's zeta and eta.
+    sign; ``pole_intervals_zeta`` and ``pole_intervals_eta`` count the poles of
+    p and q over the grid's zeta and eta (:func:`pole_counts`).
     """
 
     verdict: str
@@ -422,8 +398,8 @@ class AdmissibilityReport:
     sign_changes: int
     sign_violations: int
     invalid_points: int
-    pole_intervals_zeta: tuple
-    pole_intervals_eta: tuple
+    pole_intervals_zeta: int
+    pole_intervals_eta: int
     note: str
 
 
@@ -431,8 +407,8 @@ def check_admissibility(ing) -> AdmissibilityReport:
     """Scan the grid of the bundle ``ing`` (:class:`~dsfield.auxiliary.Ingredients`) and
     classify the solution there at its time, from the bundle's profile jets on the grid
     rows: min |f| and its first point, the sign changes of f between neighbours, the
-    sign condition, max |U| against ``DEGENERATE_LEVEL``, and the bundle's pole sweeps
-    of p and q (:func:`pole_sweeps`) under :func:`pole_note`.
+    sign condition, max |U| against ``DEGENERATE_LEVEL``, and the bundle's pole counts
+    of p and q (:func:`pole_counts`) under :func:`pole_note`.
 
     Points outside ``grid.keep`` (known poles, say) are left out of the 2-D scan.
     """

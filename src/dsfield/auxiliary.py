@@ -40,8 +40,8 @@ import numpy as np
 
 from . import calculus as jc
 from .calculus import Jet
-from .ansatz import (SolutionSpec, drop_note, grid_rows, masked_stats, pole_note,
-                     pole_sweeps, row_window)
+from .ansatz import (SolutionSpec, drop_note, grid_rows, masked_stats, pole_counts,
+                     pole_note, row_window)
 
 __all__ = [
     "Auxiliaries",
@@ -129,7 +129,8 @@ class Ingredients:
     ``rz``, ``se`` from them, the phase pairs ``r`` = (r, r_t) and ``s`` =
     (s, s_t), the backgrounds ``p0``, ``q0``, the carriers ``P`` = p1 e^{ir}
     and ``Q`` = q1 e^{is}, whose product is the envelope g; ``rows(rows)``
-    reads them on grid rows, as attributes; ``poles``, the pole sweeps.  Each entry is
+    reads them on grid rows, as attributes; ``poles``, the pole counts of p and q
+    over the ranges of the lines (:func:`~dsfield.ansatz.pole_counts`).  Each entry is
     evaluated when first read, and one assigned before its first read
     replaces it.
     """
@@ -150,7 +151,7 @@ class Ingredients:
     q0 = _entry(lambda self: self.aux.q0(self.s[1], self.q1, self.se, self.t))
     P = _entry(lambda self: _carrier(self.p1, self.rz, self.r))
     Q = _entry(lambda self: _carrier(self.q1, self.se, self.s))
-    poles = _entry(lambda self: pole_sweeps(self.spec, self.grid, self.t))
+    poles = _entry(lambda self: pole_counts(self.spec, self.grid, self.t))
 
     def rows(self, rows=slice(None)) -> "_Rows":
         return _Rows(self, rows)

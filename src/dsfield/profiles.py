@@ -5,9 +5,11 @@ coordinate) and time.  Each family evaluates to a jet to the order or box
 its reader asks for: the verify ingredients, which differentiate profile
 derivatives once more, read order 3; phase nodes order 2; the pde2
 stencils the box (2, 0); U reads the box (1, 0), with U_t (1, 1); the peak
-ascent (3, 0); a pole sweep the value alone, order 0.  Two forms are open:
-an exponential sum covers localized and line-type data, and a
-``CustomProfile`` is any jet-valued formula of the seed jets.  The fixed
+ascent (3, 0).  Each family also counts its poles in a range in closed
+form, since its formula says where they are.  Two forms are open: an
+exponential sum, which has none, covers localized and line-type data, and
+a ``CustomProfile`` is any jet-valued formula of the seed jets with the
+pole count its caller declares.  The fixed
 families behind the breather, periodic and instanton catalog cases are
 values of these forms, or of ``InstantonPProfile``, in :data:`FAMILIES`.
 """
@@ -36,8 +38,8 @@ __all__ = [
 class ProfileFunction:
     """Common interface: ``jet3(x, t, order)`` returns a jet in (x, t) to
     ``order``, 3 by default, or a box such as ``(1, 0)``; each entry is
-    bitwise that of the order-3 jet.  ``magnitude_bound(lo, hi, t)`` bounds
-    |value| on [lo, hi] at t up to rounding, inf where no bound is known."""
+    bitwise that of the order-3 jet.  ``pole_count(lo, hi, t)`` is the number of
+    its singular points in [lo, hi] at t, found by arithmetic, never by listing them."""
 
     @property
     def family(self) -> str:
@@ -51,14 +53,11 @@ class ProfileFunction:
     def jet3(self, x, t, order=3) -> Jet:
         raise NotImplementedError
 
-    def magnitude_bound(self, lo, hi, t) -> float:
-        return math.inf
-
 
 @dataclass(frozen=True)
 class ExpSumProfile(ProfileFunction):
-    """Sum of exponentials sum_i A_i exp(K_i x + L_i t + theta_i); on [lo, hi] its
-    magnitude bound is sum_i |A_i| exp(max(K_i lo, K_i hi) + L_i t + theta_i)."""
+    """Sum of exponentials sum_i A_i exp(K_i x + L_i t + theta_i), an entire function:
+    it has no pole, however large it grows."""
 
     A: tuple
     K: tuple
@@ -89,18 +88,17 @@ class ExpSumProfile(ProfileFunction):
             total = term if total is None else total + term
         return total
 
-    def magnitude_bound(self, lo, hi, t) -> float:
-        # each exponent rounds as jet3 rounds it at the end of larger K_i x; inf on overflow
-        with np.errstate(over="ignore", invalid="ignore"):
-            e = np.exp(np.outer(self.K, (lo, hi)).max(1) + np.multiply(self.L, t) + self.theta)
-            return float(np.abs(self.A) @ e)
+    def pole_count(self, lo, hi, t) -> int:
+        return 0
 
 
 @dataclass(frozen=True)
 class CustomProfile(ProfileFunction):
-    """Caller-supplied evaluator mapping seed jets (x, t) to a jet of them."""
+    """Caller-supplied evaluator mapping seed jets (x, t) to a jet of them, and the
+    caller's count ``pole_count(lo, hi, t)`` of its singular points in [lo, hi] at t."""
 
     fn: Callable[[Jet, Jet], Jet]
+    pole_count: Callable[[float, float, float], int]
 
     def jet3(self, x, t, order=3) -> Jet:
         xj, tj = jc.variables(np.asarray(x, dtype=float) if np.ndim(x) else float(x),
@@ -127,6 +125,9 @@ class InstantonPProfile(ProfileFunction):
         bump = jc.exp(-w + 2.0 * tj + 1.0)
         return FAMILIES["instanton_q"].jet3(x, t, order) + bump
 
+    def pole_count(self, lo, hi, t) -> int:
+        return int(lo <= -1.0 <= hi)
+
 
 def _breather_p(x, t):
     """1 + exp(x cos^2 t): spatial decay rate oscillates in time."""
@@ -140,16 +141,27 @@ def _breather_q(x, t):
     return jc.exp(x + c * c)
 
 
+def _no_poles(lo, hi, t):
+    return 0
+
+
 def _tancos(x, t):
     """1 + exp(tan(x) cos(t) + 1), periodic in both arguments."""
     return 1.0 + jc.exp(jc.tan(x) * jc.cos(t) + 1.0)
 
 
+def _tan_poles(lo, hi, t):
+    """The points pi/2 + k pi in [lo, hi]: tan's poles, which tan(x) cos(t) keeps at
+    every float t, since no float t makes cos(t) 0."""
+    return max(math.floor((hi - math.pi / 2) / math.pi)
+               - math.ceil((lo - math.pi / 2) / math.pi) + 1, 0)
+
+
 # the fixed families of the catalog cases and of spec files, by name
 FAMILIES = {
-    "breather_p": CustomProfile(_breather_p),
-    "breather_q": CustomProfile(_breather_q),
-    "tancos": CustomProfile(_tancos),
+    "breather_p": CustomProfile(_breather_p, _no_poles),
+    "breather_q": CustomProfile(_breather_q, _no_poles),
+    "tancos": CustomProfile(_tancos, _tan_poles),
     "instanton_p": InstantonPProfile(),
     "instanton_q": ExpSumProfile(A=(1.0, 1.0), K=(1.0, 1.0), L=(2.0, 1.0), theta=(1.0, 1.0)),
 }

@@ -18,8 +18,8 @@ Three independent suites certify a solution spec:
   fixed order per block of grid rows (the package's only finite
   differences, their weights kept here);
 * the window scan, :func:`~dsfield.ansatz.check_admissibility`: zeros of
-  f from f's value alone, the sign condition, and profile poles from
-  sweeps of profile values alone.
+  f from f's value alone, the sign condition, and profile poles from the
+  counts each profile family declares in closed form.
 
 Every check but ``pde2``, the consistency check among them, reads the
 :class:`~dsfield.auxiliary.Ingredients` bundle of its window grid, each
@@ -27,7 +27,7 @@ line entry evaluated once per line; ``pde2`` reads the spec, the time and
 its own grid of the bundle grid's window.  One pole rule,
 :func:`~dsfield.ansatz.pole_note`, fails both the window scan and the
 consistency check where, on a spec without a guard, the bundle's pole
-sweeps find a pole (grid lines can step over one).  Each check fills its residual
+counts hold a pole (grid lines can step over one).  Each check fills its residual
 grid from row windows by :func:`~dsfield.ansatz.fill_rows`, as the renders
 do, and reduces its finite samples inside the grid's ``keep`` by
 ``masked_stats`` under ``drop_note``: a residual is non-finite exactly
@@ -335,6 +335,5 @@ def run_checks(ing: Ingredients, names) -> dict:
             ("min_abs_f", f"{rep.min_abs_f:.6e}"),
             ("sign_changes", str(rep.sign_changes)),
             ("sign_violations", str(rep.sign_violations)),
-            ("pole_intervals",
-             str(len(rep.pole_intervals_zeta) + len(rep.pole_intervals_eta)))], rep.note)
+            ("pole_intervals", str(rep.pole_intervals_zeta + rep.pole_intervals_eta))], rep.note)
     return checks

@@ -15,7 +15,7 @@ from dsfield.ansatz import (
     eval_intensity,
     eval_phi,
     grid_intensity,
-    pole_sweep,
+    pole_counts,
     rotate,
     window_grid,
 )
@@ -580,105 +580,32 @@ def test_admissibility_and_scan_assemble_f_once(name, monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# the pole sweep
+# the pole counts
 
 
-def whole_array_sweep(profile, coords, t, n=65537):
-    """The pole sweep without blocks or a magnitude bound: one jet3 call on
-    all ``n`` samples, suspect where non-finite or over the pole magnitude."""
-    x = np.linspace(float(np.min(coords)), float(np.max(coords)), n)
-    with np.errstate(invalid="ignore", over="ignore", under="ignore", divide="ignore"):
-        v = np.asarray(profile.jet3(x, t, order=0).value, dtype=float)
-        suspect = ~np.isfinite(v) | (np.abs(v) > ansatz._POLE_MAGNITUDE)
-    if not suspect.any():
-        return ()
-    idx = np.nonzero(suspect)[0]
-    gaps = np.nonzero(np.diff(idx) > 1)[0]
-    starts = np.concatenate(([0], gaps + 1))
-    ends = np.concatenate((gaps, [len(idx) - 1]))
-    return tuple((float(x[idx[s]]), float(x[idx[e]])) for s, e in zip(starts, ends))
+def denominator_sign_changes(profile, lo, hi, n=200001):
+    """Poles counted from outside the profiles: the sign changes, over n samples of
+    [lo, hi], of the denominator behind each catalog family's pole, cos x under
+    tan x and x^3 + 1 under the instanton bump; the other families have none."""
+    den = {"tancos": np.cos, "instanton_p": lambda x: x ** 3 + 1.0}.get(profile.family)
+    if den is None:
+        return 0
+    sign = np.sign(den(np.linspace(lo, hi, n)))
+    return int(np.count_nonzero(sign[1:] * sign[:-1] < 0))
 
 
 @pytest.mark.parametrize("name", case_names())
 @pytest.mark.parametrize("window", ["case", ((-4.0, 4.0), (-4.0, 4.0))])
-def test_pole_sweep_is_the_whole_array_sweep_on_the_catalog(name, window):
-    # -4:4:-4:4 holds the instanton pole at zeta = -1 and tan's at +-pi/2
+def test_pole_counts_are_the_sign_changes_of_the_denominators(name, window):
+    # -4:4:-4:4 holds the instanton pole at zeta = -1 and tan's at +-pi/2 and
+    # +-3pi/2; the counts cover the ranges of the grid's lines at every t,
+    # 1.5707 beside pi/2 too, where cos t is small
     e = build_case(name)
     g = window_grid(e.window if window == "case" else window, 48)
     found = 0
-    for t in (0.0, 0.3, 1.1, 2.7):
-        for profile, lines in ((e.spec.p, g.zeta_lines), (e.spec.q, g.eta_lines)):
-            want = whole_array_sweep(profile, lines, t)
-            assert pole_sweep(profile, lines, t) == want
-            found += len(want)
+    for t in (0.0, 0.3, 1.1, 1.5707, 2.7):
+        want = tuple(denominator_sign_changes(prof, np.min(lines), np.max(lines))
+                     for prof, lines in ((e.spec.p, g.zeta_lines), (e.spec.q, g.eta_lines)))
+        assert pole_counts(e.spec, g, t) == want, t
+        found += sum(want)
     assert (found > 0) == (name in ("periodic", "double_instanton"))
-
-
-def test_pole_sweep_is_the_whole_array_sweep_on_random_exponential_sums():
-    # both branches: a bound under half the pole magnitude skips the sweep
-    # (about 2/3 of this draw), the rest sweep and nearly all find suspects; a
-    # swept profile without suspects is rare here, the control below is one
-    rng = np.random.default_rng(33)
-    certified = suspects = 0
-    for _ in range(300):
-        m = int(rng.integers(1, 5))
-        profile = ExpSumProfile(*(tuple(rng.uniform(-s, s, m)) for s in (3.0, 60.0, 2.0, 5.0)))
-        lo, hi = np.sort(rng.uniform(-12.0, 12.0, 2))
-        t = float(rng.uniform(-3.0, 3.0))
-        want = whole_array_sweep(profile, (lo, hi), t)
-        assert pole_sweep(profile, (lo, hi), t) == want
-        if profile.magnitude_bound(lo, hi, t) < ansatz._POLE_MAGNITUDE / 2:
-            certified += 1
-            assert want == ()
-        else:
-            suspects += bool(want)
-    assert certified > 100 and suspects > 50, (certified, suspects)
-
-
-@pytest.mark.parametrize("name", case_names())
-def test_admissibility_sweeps_a_shared_profile_once(name, monkeypatch):
-    # periodic's tancos pair and dromion's one profile span equal zeta
-    # and eta ranges on their square windows: q takes p's sweep
-    e = build_case(name)
-    swept = []
-
-    def counting(profile, coords, t, sweep=pole_sweep):
-        swept.append(profile)
-        return sweep(profile, coords, t)
-
-    monkeypatch.setattr(ansatz, "pole_sweep", counting)
-    g = window_grid(e.window, 33, e.valid_mask)
-    rep = check_admissibility(Ingredients(e.spec, g, 0.3))
-    assert len(swept) == (1 if name in ("periodic", "dromion") else 2)
-    assert rep.pole_intervals_eta == pole_sweep(e.spec.q, g.eta_lines, 0.3)
-
-
-@pytest.mark.parametrize("above", [True, False])
-def test_pole_sweep_skips_only_a_certified_profile(above, monkeypatch):
-    # exp(x + theta) on [0, 1] peaks at its bound exp(1 + theta); set just above
-    # half the pole magnitude, no sample is suspect, yet the sweep runs in full
-    half = ansatz._POLE_MAGNITUDE / 2
-    theta = math.log(half) - 1.0 + (1e-9 if above else -1e-9)
-    profile = ExpSumProfile(A=(1.0,), K=(1.0,), L=(0.0,), theta=(theta,))
-    assert (profile.magnitude_bound(0.0, 1.0, 0.0) >= half) == above
-    calls = []
-
-    def counting(self, x, t, order=3, jet3=ExpSumProfile.jet3):
-        calls.append(np.size(x))
-        return jet3(self, x, t, order)
-
-    monkeypatch.setattr(ExpSumProfile, "jet3", counting)
-    assert pole_sweep(profile, (0.0, 1.0), 0.0) == ()
-    assert whole_array_sweep(profile, (0.0, 1.0), 0.0) == ()
-    blocks = ansatz.batches(65537, 1, ansatz._ROW_BLOCK)
-    assert calls == ([len(range(65537)[b]) for b in blocks] if above else []) + [65537]
-
-
-@pytest.mark.parametrize("name", ["breather", "periodic", "double_instanton"])
-def test_pole_sweep_holds_one_block_of_temporaries(name):
-    # the 65,537 samples (0.5 MB) and one block of each temporary: 0.7-0.9 MB;
-    # one jet3 call on all samples peaked at 1.7-3.2 MB
-    e = build_case(name)
-    lines = window_grid(e.window, 48).zeta_lines
-    pole_sweep(e.spec.p, lines, 0.3)
-    assert traced_peak(pole_sweep, e.spec.p, lines, 0.3) <= 1.2e6

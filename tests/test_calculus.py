@@ -275,7 +275,7 @@ def phase_rule(integrand, a, b):
     """The integral of ``integrand`` over [a, b] by the cumulative
     Gauss-Legendre rule of the phases: phase_r anchored at a, with the
     integrand as its gradient."""
-    lin = CustomProfile(lambda xj, tj: xj + 0.0 * tj)
+    lin = CustomProfile(lambda xj, tj: xj + 0.0 * tj, lambda lo, hi, t: 0)
     aux = Auxiliaries(SolutionSpec(SeparationCoefficients(1, 1, 1, 2), lin, lin))
     aux.anchor_zeta = a
     # the profile is zeta itself, so its jet's value is the node

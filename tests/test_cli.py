@@ -117,8 +117,8 @@ def test_dumps_spec_refuses_a_profile_that_is_no_table_value():
     # equal formulas do not make a table value: only FAMILIES' own values and
     # exponential sums have a file form
     fixed = profiles.FAMILIES
-    for prof in (profiles.CustomProfile(lambda xj, tj: xj * tj),
-                 profiles.CustomProfile(fixed["tancos"].fn),
+    for prof in (profiles.CustomProfile(lambda xj, tj: xj * tj, lambda lo, hi, t: 0),
+                 profiles.CustomProfile(fixed["tancos"].fn, fixed["tancos"].pole_count),
                  profiles.InstantonPProfile()):
         spec = SolutionSpec(SeparationCoefficients(2.0, 1.0, 2.0, 2.0), fixed["tancos"], prof)
         with pytest.raises(SpecFileError, match="profile family 'custom' has no file form"):
@@ -518,15 +518,15 @@ def test_verify_periodic_where_cos_t_is_negative(tmp_path, t, res):
 
 
 # the note of the one pole rule on periodic.cfg's window -3:3:-3:3
-POLES_4 = "pole sweep intervals inside the window, which no guard cuts out: 4"
+POLES_4 = "profile poles inside the window, which no guard cuts out: 4"
 
 
 @pytest.mark.parametrize("res", ["48", "64"])
 def test_verify_periodic_config_takes_no_division_guard(tmp_path, res):
     # beyond the tan poles |det q_e| exceeds 1e12 at 31 samples; the
     # amplitude factors no longer divide, so none of them is dropped.  The
-    # config carries no guard, so the four pole intervals of the sweeps (at
-    # zeta = +-pi/2 and at eta = +-pi/2) lie inside the valid set, and the one
+    # config carries no guard, so the four profile poles (at zeta = +-pi/2 and
+    # at eta = +-pi/2) lie inside the valid set, and the one
     # pole rule fails admissibility (singular) and consistency at any --res.
     # At res 48 no grid line comes near enough a pole to lose a phase gradient
     # and every other check passes; at res 64 the gradients are not finite on
@@ -557,6 +557,44 @@ def test_verify_periodic_config_takes_no_division_guard(tmp_path, res):
             assert rep[f"check.{check}.notes"] == "82 samples not finite inside the valid set"
         assert rep["check.consistency.notes"] == (
             "82 samples not finite inside the valid set; " + POLES_4)
+
+
+@pytest.mark.parametrize("res", ["48", "64"])
+@pytest.mark.parametrize("t", ["0.3", "1.55", "1.5707"])
+def test_verify_periodic_config_counts_its_four_poles_at_every_time(tmp_path, t, res):
+    # tan x cos t has its poles at +-pi/2 at every t; near t = pi/2, where cos t
+    # is small, the profile stays finite and small on all but a sliver beside
+    # each pole, yet the window still holds four poles and no solution
+    out = tmp_path / "r.txt"
+    assert run("verify", "--spec", os.path.join(CONFIGS, "periodic.cfg"),
+               "--window=-3:3:-3:3", "--res", res, "--t", t,
+               "--checks", "consistency,admissibility", "--out", str(out)) == 1
+    rep = dict(ln.split(": ", 1) for ln in out.read_text().splitlines())
+    assert (rep["check.admissibility.pole_intervals"], rep["check.admissibility.verdict"]) == (
+        "4", "singular")
+    assert rep["check.admissibility.notes"] == POLES_4
+    assert rep["check.consistency.notes"].endswith(POLES_4)
+
+
+def test_verify_overflow_is_not_a_pole(tmp_path):
+    # p = exp(60 zeta) passes 1e150 and overflows on this window, but an
+    # exponential sum has no pole: admissibility and consistency pass, and the
+    # residual checks fail on the samples they drop where p overflows
+    spec = tmp_path / "steep.cfg"
+    spec.write_text("[coeffs]\na0 = 2\na1 = 1\na2 = 1\na3 = 2\n"
+                    "[p]\nfamily = expsum\nA = 1\nK = 60\nL = 0\ntheta = 0\n"
+                    "[q]\nfamily = expsum\nA = 1\nK = 1\nL = 1\ntheta = 0\n")
+    code, rep = _verify_report(tmp_path, "--spec", str(spec), "--window=-8:8:-8:8",
+                               "--t", "0.3", "--res", "48")
+    assert code == 1
+    assert (rep["check.admissibility.verdict"], rep["check.admissibility.pole_intervals"]) == (
+        "admissible", "0")
+    assert rep["check.consistency.status"] == "pass"
+    assert "check.consistency.notes" not in rep and "check.admissibility.notes" not in rep
+    assert {k for k, v in rep.items() if v == "fail"} == {
+        "check.bilinear1.status", "check.pde1.status", "check.pde2.status", "overall"}
+    for check, n in (("bilinear1", 405), ("pde1", 405), ("pde2", 78)):
+        assert rep[f"check.{check}.notes"] == f"{n} samples not finite inside the valid set"
 
 
 def test_verify_keeps_the_plus_branch_where_p_z_turns_negative_off_the_window(tmp_path):
@@ -884,7 +922,7 @@ def test_verify_admissibility_counts_poles_without_a_second_scan(
     e = build_case(name)
     t = e.reference_times[0]
     scan = verify.singularity_scan(e.spec, e.window, t, 48)
-    expected = len(scan.pole_intervals_zeta) + len(scan.pole_intervals_eta)
+    expected = scan.pole_intervals_zeta + scan.pole_intervals_eta
 
     def no_scan(*args, **kwargs):
         raise AssertionError("verify ran the 2-D singularity scan")
@@ -898,11 +936,10 @@ def test_verify_admissibility_counts_poles_without_a_second_scan(
 @pytest.mark.parametrize("name", case_names())
 def test_verify_admissibility_takes_pole_ranges_from_window_corners(
         tmp_path, monkeypatch, name):
-    # the sweeps cover the zeta and eta ranges of the admissibility grid,
-    # which is the only window grid built; the count equals that of sweeps
-    # over the grid's own coordinates
+    # the counts cover the zeta and eta ranges of the admissibility grid,
+    # which is the only window grid built; the count equals that over the
+    # ranges of the grid's own coordinates
     import dsfield.ansatz as ansatz
-    from dsfield.ansatz import pole_sweep
     e = build_case(name)
     t = e.reference_times[-1]
     orig = ansatz.window_grid
@@ -914,7 +951,8 @@ def test_verify_admissibility_takes_pole_ranges_from_window_corners(
 
     g = orig(e.window, 40)
     zeta, eta = rotate(g.X, g.Y)
-    expected = len(pole_sweep(e.spec.p, zeta, t)) + len(pole_sweep(e.spec.q, eta, t))
+    expected = (e.spec.p.pole_count(np.min(zeta), np.max(zeta), t)
+                + e.spec.q.pole_count(np.min(eta), np.max(eta), t))
     # every module's binding, so a grid built anywhere counts
     for modname, mod in list(sys.modules.items()):
         if modname.split(".")[0] == "dsfield" and getattr(mod, "window_grid", None) is orig:
@@ -1030,13 +1068,10 @@ def test_verify_and_render_evaluate_each_profile_jet_once(tmp_path, monkeypatch)
     # one ingredient bundle per grid, on its lines: a six-check verify
     # evaluates each profile's jet, and p1 and q1, once on the 127 line
     # coordinates of the --res 64 grid and no bundle entry on its 64^2
-    # points; the pole sweeps read profile values alone, in blocks of at most
-    # _ROW_BLOCK points that cover each profile's 65,537 sweep points once; a
-    # phi render evaluates each profile once on its lines
+    # points; a phi render evaluates each profile once on its lines
     from dsfield.auxiliary import Auxiliaries
     e = build_case("breather")
     on_lines, on_points, amplitudes = [], [], []
-    sweeps = {}
     for cls in {type(e.spec.p), type(e.spec.q)}:
         def counting(self, x, t, *args, jet3=cls.jet3, **kwargs):
             out = jet3(self, x, t, *args, **kwargs)
@@ -1044,8 +1079,6 @@ def test_verify_and_render_evaluate_each_profile_jet_once(tmp_path, monkeypatch)
                 on_lines.append(self.family)
             if np.shape(x) == (64, 64):
                 on_points.append(self.family)
-            if sys._getframe(1).f_code.co_name == "pole_sweep":
-                sweeps.setdefault(self.family, []).append((x, len(out.entries)))
             return out
         monkeypatch.setattr(cls, "jet3", counting)
     for attr in ("p1_jet", "q1_jet", "r_zeta_jet", "s_eta_jet", "phase_r", "phase_s",
@@ -1062,12 +1095,6 @@ def test_verify_and_render_evaluate_each_profile_jet_once(tmp_path, monkeypatch)
                "--checks", ALL, "--out", str(tmp_path / "r.txt")) == 0
     assert sorted(on_lines) == ["breather_p", "breather_q"]
     assert sorted(amplitudes) == ["p1_jet", "q1_jet"]
-    assert sorted(sweeps) == ["breather_p", "breather_q"]
-    for calls in sweeps.values():
-        assert {entries for _, entries in calls} == {1}
-        assert max(np.size(x) for x, _ in calls) <= ansatz._ROW_BLOCK
-        xs = np.concatenate([x for x, _ in calls])
-        assert np.array_equal(xs, np.linspace(xs[0], xs[-1], 65537))
     assert on_points == []
     on_lines.clear()
     assert run("render", "--case", "breather", "--t", "0.3", "--which", "phi",
@@ -1217,7 +1244,7 @@ def _reader(frame) -> str:
 
 def test_each_reader_asks_its_profiles_for_the_entries_it_reads(tmp_path, monkeypatch):
     # U reads the box (1, 0) of each profile jet and U_t the box (1, 1), the
-    # peak ascent (3, 0), a pole sweep the value, the verify bundle order 3,
+    # peak ascent (3, 0), the verify bundle order 3,
     # the pde2 stencils and phase nodes order 2, and the
     # amplitude branch s(t) the box (1, 0) at the anchor; each call is
     # booked to its first caller outside the profiles
@@ -1249,19 +1276,51 @@ def test_each_reader_asks_its_profiles_for_the_entries_it_reads(tmp_path, monkey
         assert asked == want, argv
     asked.clear()
     assert run("verify", "--t", "0.3", "--checks", ALL, *common) == 0
-    assert asked == {"Ingredients.<lambda>": {3}, "pole_sweep": {0},
+    assert asked == {"Ingredients.<lambda>": {3},
                      "_pde2_field.<locals>.on_stencil": {(2, 0)},
                      "_integrate_from_anchor": {2}, "Auxiliaries.branch": {(1, 0)}}
     assert not {grid, rate, "_log_intensity_jets", "_statistic"} & set(asked)
+    assert 0 not in set().union(*asked.values())      # no reader asks for the value alone
+
+
+def test_six_check_verify_evaluates_profiles_on_lines_phase_nodes_and_stencils(
+        tmp_path, monkeypatch):
+    # the points a six-check verify hands each profile are exactly the grid's
+    # line coordinates, the phase nodes (quad_n Gauss-Legendre nodes in each gap
+    # between neighbouring breakpoints, the line coordinates and the anchor) and
+    # the pde2 stencil points (the lines of its 24^2 grid shifted by -h, 0, h at
+    # h and h/2); the amplitude branch reads the anchor, a line coordinate here
+    from dsfield.auxiliary import Auxiliaries, _gauss_legendre
+    from dsfield.verify import _PDE2_H
+    e = build_case("breather")
+    seen = {"zeta": [], "eta": []}
+
+    def counting(self, x, t, order=3, jet3=type(e.spec.p).jet3):
+        seen["zeta" if self is e.spec.p else "eta"].append(np.ravel(x))
+        return jet3(self, x, t, order)
+    monkeypatch.setattr(type(e.spec.p), "jet3", counting)
+    assert type(e.spec.q) is type(e.spec.p)
+    assert run("verify", "--case", "breather", "--t", "0.3", "--res", "32",
+               "--checks", ALL, "--out", str(tmp_path / "r.txt")) == 0
+
+    g, g2 = window_grid(e.window, 32), window_grid(e.window, 24)
+    x = _gauss_legendre(Auxiliaries.quad_n)[0]
+    for side, lines, on_stencil in (("zeta", g.zeta_lines, rotate(g2.X, g2.Y)[0]),
+                                    ("eta", g.eta_lines, rotate(g2.X, g2.Y)[1])):
+        assert 0.0 in lines
+        pts = np.union1d(lines, 0.0)
+        half = 0.5 * np.diff(pts)
+        nodes = (pts[:-1] + half)[:, None] + half[:, None] * x
+        stencil = [on_stencil + d for h in (_PDE2_H, _PDE2_H / 2) for d in (-h, 0.0, h)]
+        want = np.unique(np.concatenate([lines, nodes.ravel(), *map(np.ravel, stencil)]))
+        assert np.array_equal(np.unique(np.concatenate(seen[side])), want), side
 
 
 def test_verify_consistency_evaluates_profiles_only_on_the_bundle_lines(tmp_path, monkeypatch):
     # consistency reads the bundle's entries: each profile is evaluated once on
     # the 2N - 1 lines of its coordinate, beside them only at the anchors of
-    # the amplitude branch s(t), one point each per amplitude factor, and in
-    # the bundle's pole sweep, which admissibility reads too: breather's
-    # profiles have no magnitude bound, so each is swept in full
-    from dsfield.ansatz import _POLE_SAMPLES
+    # the amplitude branch s(t), one point each per amplitude factor; the pole
+    # counts evaluate no profile
     e = build_case("breather")
     asked = []
     for cls in {type(e.spec.p), type(e.spec.q)}:
@@ -1271,15 +1330,12 @@ def test_verify_consistency_evaluates_profiles_only_on_the_bundle_lines(tmp_path
         monkeypatch.setattr(cls, "jet3", counting)
     assert run("verify", "--case", "breather", "--t", "0.3", "--res", "24",
                "--checks", "consistency", "--out", str(tmp_path / "r.txt")) == 0
-    swept = sum(n for caller, n in asked if caller == "pole_sweep")
-    assert swept == 2 * _POLE_SAMPLES
-    assert sorted(a for a in asked if a[0] != "pole_sweep") == (
-        [("<lambda>", 2 * 24 - 1)] * 2 + [("branch", 1)] * 4)
+    assert sorted(asked) == [("<lambda>", 2 * 24 - 1)] * 2 + [("branch", 1)] * 4
 
 
 def test_verify_periodic_config_fails_consistency_on_its_poles_at_every_res(tmp_path):
     # grid samples beside a tan pole lose c1 at some --res and not at others;
-    # the pole rule reads the sweeps, not the grid, and fails the check at all
+    # the pole rule reads the counts, not the grid, and fails the check at all
     for res in range(40, 70, 2):
         out = tmp_path / "r.txt"
         assert run("verify", "--spec", os.path.join(CONFIGS, "periodic.cfg"),
@@ -1296,7 +1352,7 @@ def test_verify_double_instanton_config_fails_beside_its_pole(tmp_path):
     # the window holds no solution, and admissibility and consistency say so
     code, rep = _verify_report(tmp_path, "--spec", os.path.join(CONFIGS, "double_instanton.cfg"),
                                "--window=-3:3:-3:3", "--res", "64", "--t", "0.3")
-    note = "pole sweep intervals inside the window, which no guard cuts out: 1"
+    note = "profile poles inside the window, which no guard cuts out: 1"
     assert code == 1 and rep["check.admissibility.pole_intervals"] == "1"
     assert rep["check.admissibility.verdict"] == "singular"
     assert rep["check.admissibility.notes"] == note
@@ -1308,8 +1364,8 @@ def test_verify_double_instanton_config_fails_beside_its_pole(tmp_path):
 
 
 def test_verify_periodic_config_fails_admissibility_on_its_poles(tmp_path):
-    # periodic.cfg carries no guard; on its default window at t = 0 the sweeps
-    # find 16 pole intervals, which fail the window scan even on a 9^2 grid
+    # periodic.cfg carries no guard; its default window at t = 0 holds 16
+    # profile poles, 8 on each axis, which fail the window scan even on a 9^2 grid
     out = tmp_path / "r.txt"
     assert run("verify", "--spec", os.path.join(CONFIGS, "periodic.cfg"), "--t", "0",
                "--res", "9", "--checks", "admissibility", "--out", str(out)) == 1
@@ -1317,13 +1373,13 @@ def test_verify_periodic_config_fails_admissibility_on_its_poles(tmp_path):
     assert (rep["check.admissibility.verdict"], rep["check.admissibility.pole_intervals"]) == (
         "singular", "16")
     assert rep["check.admissibility.notes"] == (
-        "pole sweep intervals inside the window, which no guard cuts out: 16")
+        "profile poles inside the window, which no guard cuts out: 16")
 
 
 @pytest.mark.parametrize("name,poles", [("periodic", "4"), ("double_instanton", "1")])
 def test_guarded_catalog_cases_stay_admissible_beside_their_poles(tmp_path, name, poles):
     # a guard is how a spec cuts its poles out: the catalog cases keep their
-    # verdicts and print the sweeps' intervals, which the rule does not read
+    # verdicts and print the pole counts, which the rule does not read
     out = tmp_path / "r.txt"
     assert run("verify", "--case", name, "--t", "0", "--checks", "consistency,admissibility",
                "--out", str(out)) == 0

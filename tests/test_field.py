@@ -529,7 +529,8 @@ def test_batched_l2_series_raises_where_a_time_is_singular():
     from dsfield.profiles import CustomProfile
     e = build_case("dromion")
     spec = SolutionSpec(e.spec.coeffs, e.spec.p,
-                        CustomProfile(lambda x, t: jc.exp(x) * jc.sqrt(1.0 - t)))
+                        CustomProfile(lambda x, t: jc.exp(x) * jc.sqrt(1.0 - t),
+                                      lambda lo, hi, t: 0))
     bad = np.array([0.0, 0.5, 2.0])
 
     def batched(spec, window, times, grid_n):
@@ -551,7 +552,8 @@ def test_statistic_rate_raises_where_a_time_is_singular(statistic):
     from dsfield.profiles import CustomProfile
     e = build_case("dromion")
     spec = SolutionSpec(e.spec.coeffs, e.spec.p,
-                        CustomProfile(lambda x, t: jc.exp(x) * jc.sqrt(1.0 - t)))
+                        CustomProfile(lambda x, t: jc.exp(x) * jc.sqrt(1.0 - t),
+                                      lambda lo, hi, t: 0))
     grid = analysis_grid(spec, e.window, 32)
     with pytest.raises(SingularWindowError):
         _statistic(spec, grid, np.array([0.0, 0.5, 2.0]), statistic, rate=True)

@@ -14,6 +14,8 @@ from dsfield.profiles import (
     TimeFunction,
 )
 
+NO_POLES = lambda lo, hi, t: 0     # noqa: E731, the count of a profile without poles
+
 ALL_FAMILIES = [ExpSumProfile((1.0, -0.5), (1.0, -0.7), (0.5, 1.2), (0.0, 0.3)),
                 *FAMILIES.values()]
 
@@ -54,7 +56,7 @@ BOX_PROFILES = (
     [p for name in case_names() for p in (build_case(name).spec.p, build_case(name).spec.q)]
     + [ExpSumProfile((1.0, -0.5, 2.0, 0.25), (1.0, -0.7, 0.0, 1.3), (0.5, 1.2, -0.4, 0.0),
                      (0.0, 0.3, -1.0, 0.2)),
-       CustomProfile(lambda xj, tj: jc.sin(xj * tj) + jc.exp(xj) * tj * tj)])
+       CustomProfile(lambda xj, tj: jc.sin(xj * tj) + jc.exp(xj) * tj * tj, NO_POLES)])
 
 
 @pytest.mark.parametrize("prof", BOX_PROFILES, ids=lambda p: p.family)
@@ -114,12 +116,12 @@ def test_breather_spatial_derivative_vanishes_at_half_pi():
 
 
 def test_custom_profile_roundtrip():
-    lin = CustomProfile(lambda xj, tj: xj + 0.0 * tj)
+    lin = CustomProfile(lambda xj, tj: xj + 0.0 * tj, NO_POLES)
     j = lin.jet3(2.5, 1.0)
     assert j.value == 2.5 and j[1, 0] == 1.0 and j[2, 0] == 0.0
 
     with pytest.raises(TypeError):
-        CustomProfile(lambda xj, tj: 1.0).jet3(0.0, 0.0)
+        CustomProfile(lambda xj, tj: 1.0, NO_POLES).jet3(0.0, 0.0)
 
 
 def test_timefunction_polynomial_jets():
@@ -143,16 +145,33 @@ def test_family_is_the_table_key_of_the_table_value_alone():
     q = FAMILIES["instanton_q"]
     twin = ExpSumProfile(q.A, q.K, q.L, q.theta)
     assert twin == q and twin.family == "expsum"
-    assert CustomProfile(FAMILIES["tancos"].fn).family == "custom"
+    tancos = FAMILIES["tancos"]
+    assert CustomProfile(tancos.fn, tancos.pole_count).family == "custom"
     assert InstantonPProfile().family == "custom"
 
 
-def test_instanton_q_keeps_its_exponential_sum_bound():
-    # exp(x+2t+1) + exp(x+t+1) on [lo, hi] is largest at hi: on the
-    # double_instanton window far under the pole magnitude, so q's pole sweep
-    # is skipped
-    q = FAMILIES["instanton_q"]
-    lo, hi, t = -11.3, 11.3, 6.0
-    want = math.exp(hi + 2 * t + 1) + math.exp(hi + t + 1)
-    assert q.magnitude_bound(lo, hi, t) == pytest.approx(want, rel=1e-15)
-    assert want < 1e20
+@pytest.mark.parametrize("family", ["expsum", "breather_p", "breather_q", "instanton_q"])
+def test_profiles_without_poles_count_none_on_random_ranges(family):
+    # exponential sums are entire and the breather pair is exp of a polynomial
+    # in x, so no range holds a pole, not even where the value overflows: the
+    # random sums reach exp(60 * 12) = inf on half these ranges
+    rng = np.random.default_rng(53)
+    overflowed = 0
+    for _ in range(200):
+        lo, hi = np.sort(rng.uniform(-12.0, 12.0, 2))
+        t = float(rng.uniform(-3.0, 3.0))
+        prof = FAMILIES.get(family) or ExpSumProfile(
+            *(tuple(rng.uniform(-s, s, 3)) for s in (3.0, 60.0, 2.0, 5.0)))
+        with np.errstate(over="ignore", invalid="ignore"):
+            v = prof.jet3(np.linspace(lo, hi, 257), t, order=0).value
+        overflowed += not np.all(np.abs(v) < 1e150)
+        assert prof.pole_count(lo, hi, t) == 0
+    assert (overflowed > 50) == (family == "expsum"), overflowed
+
+
+def test_custom_profile_declares_its_pole_count():
+    # a custom formula has no count to fall back on: the caller states it
+    with pytest.raises(TypeError):
+        CustomProfile(lambda xj, tj: xj)
+    three = CustomProfile(lambda xj, tj: xj, lambda lo, hi, t: 3)
+    assert three.pole_count(0.0, 1.0, 0.5) == 3

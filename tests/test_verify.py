@@ -13,7 +13,6 @@ from dsfield.ansatz import (
     eval_f,
     eval_intensity,
     eval_phi,
-    pole_sweep,
     rotate,
     window_grid,
 )
@@ -607,7 +606,7 @@ def test_scan_dromion_positive():
     rep = singularity_scan(build_case("dromion").spec, ((-8, 8), (-8, 8)), 0.0, 64)
     assert rep.min_abs_f > 1.0
     assert rep.sign_changes == 0
-    assert rep.pole_intervals_zeta == ()
+    assert rep.pole_intervals_zeta == 0
 
 
 def test_scan_resonant_reports_sign_changes():
@@ -616,26 +615,35 @@ def test_scan_resonant_reports_sign_changes():
     assert rep.sign_changes > 0
 
 
-def test_scan_detects_tan_poles():
+@pytest.mark.parametrize("t", [0.3, 1.5707])
+def test_scan_counts_tan_poles(t):
+    # tan x cos t has its poles at pi/2 + k pi at every t, at t = 1.5707 too,
+    # where cos t is 9.6e-5: the window -4:4:-4:4 spans +-pi/2 and +-3pi/2 on
+    # both axes, and a bracket of +-1e-9 counts each of them and nothing between.
+    # The count is arithmetic, so a range of 1e300 counts its 6e299 poles at once
     e = build_case("periodic")
-    rep = singularity_scan(e.spec, ((-4, 4), (-4, 4)), 0.0, 32)
-    assert len(rep.pole_intervals_zeta) >= 2     # poles at +-pi/2 in range
-    lo, hi = rep.pole_intervals_zeta[0]
-    assert any(abs(abs(0.5 * (a + b)) - math.pi / 2) < 0.05
-               for a, b in rep.pole_intervals_zeta)
+    rep = singularity_scan(e.spec, ((-4, 4), (-4, 4)), t, 32)
+    assert (rep.pole_intervals_zeta, rep.pole_intervals_eta) == (4, 4)
+    tancos, poles = e.spec.p, [k * math.pi / 2 for k in (-3, -1, 1, 3)]
+    for x in poles:
+        assert tancos.pole_count(x - 1e-9, x + 1e-9, t) == 1
+    for a, b in zip([-5.0] + poles, poles + [5.0]):
+        assert tancos.pole_count(a + 1e-9, b - 1e-9, t) == 0
+    assert tancos.pole_count(-1e300, 1e300, t) == pytest.approx(2e300 / math.pi, rel=1e-12)
 
 
-def test_scan_detects_instanton_pole():
+def test_scan_counts_the_instanton_pole():
     e = build_case("double_instanton")
     rep = singularity_scan(e.spec, ((-4, 4), (-4, 4)), 0.0, 32)
-    assert len(rep.pole_intervals_zeta) == 1
-    lo, hi = rep.pole_intervals_zeta[0]
-    assert lo <= -1.0 <= hi + 0.01
+    assert (rep.pole_intervals_zeta, rep.pole_intervals_eta) == (1, 0)
+    p = e.spec.p
+    assert p.pole_count(-1.0 - 1e-9, -1.0 + 1e-9, 0.0) == 1
+    assert p.pole_count(-5.0, -1.0 - 1e-9, 0.0) == p.pole_count(-1.0 + 1e-9, 5.0, 0.0) == 0
 
 
 @pytest.mark.parametrize("guarded", [False, True])
-def test_one_pole_rule_reads_the_bundle_sweeps(guarded):
-    # the rule reads the bundle's pole sweeps alone: a sweep interval put into a
+def test_one_pole_rule_reads_the_bundle_counts(guarded):
+    # the rule reads the bundle's pole counts alone: a pole counted into a
     # dromion bundle before its first read fails the window scan and the
     # consistency check of the spec without a guard, and neither of a spec with
     # one, since a guard is how a spec cuts its poles out
@@ -643,18 +651,18 @@ def test_one_pole_rule_reads_the_bundle_sweeps(guarded):
     spec = (dataclasses.replace(e.spec, valid_mask=lambda z, h: np.ones(np.shape(z), bool))
             if guarded else e.spec)
     ing = bundle(spec, e.window, 0.0, 32, spec.valid_mask)
-    ing.poles = (((0.5, 0.6),), ())
+    ing.poles = (1, 0)
     rep, crep = check_admissibility(ing), consistency_c1_c2(ing)
-    note = "" if guarded else "pole sweep intervals inside the window, which no guard cuts out: 1"
+    note = "" if guarded else "profile poles inside the window, which no guard cuts out: 1"
     assert (rep.verdict, rep.note, crep.note) == (
         "admissible" if guarded else "singular", note, note)
-    assert rep.pole_intervals_zeta == ((0.5, 0.6),)
+    assert rep.pole_intervals_zeta == 1
     assert crep.max_variation <= 1e-8 and crep.dropped == 0
 
 
 @pytest.mark.parametrize("name", case_names())
 def test_admissibility_is_the_one_window_scan(name):
-    # the pole sweeps run over the grid's own zeta and eta, the sign changes
+    # the pole counts cover the grid's own zeta and eta, the sign changes
     # are the x-neighbour and y-neighbour pairs inside keep where the f that
     # the scan reads from the bundle changes sign, the worst point is the first
     # min |f| of that f in raster order (dromion's is a tie of two), and
@@ -665,8 +673,8 @@ def test_admissibility_is_the_one_window_scan(name):
     zeta, eta = rotate(g.X, g.Y)
     ing = Ingredients(e.spec, g, t)
     rep = check_admissibility(ing)
-    assert rep.pole_intervals_zeta == pole_sweep(e.spec.p, zeta, t)
-    assert rep.pole_intervals_eta == pole_sweep(e.spec.q, eta, t)
+    assert rep.pole_intervals_zeta == e.spec.p.pole_count(np.min(zeta), np.max(zeta), t)
+    assert rep.pole_intervals_eta == e.spec.q.pole_count(np.min(eta), np.max(eta), t)
     assert singularity_scan(e.spec, e.window, t, 48) == rep
 
     f = eval_f(e.spec, ing.rows().pj, ing.rows().qj, order=0).value
