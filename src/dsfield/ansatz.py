@@ -370,12 +370,18 @@ def pole_counts(spec: SolutionSpec, grid: WindowGrid, t: float):
                  for prof, lines in ((spec.p, grid.zeta_lines), (spec.q, grid.eta_lines)))
 
 
+def count_text(n: int) -> str:
+    """A count as reports print it: exact below 2^53, else to a double's 17 digits."""
+    return str(n) if n < 2 ** 53 else f"{n:.17g}"
+
+
 def pole_note(ing) -> str:
     """The one pole rule, from the pole counts ``ing.poles`` of a bundle: a profile pole
     inside the valid set fails the window, since the solution holds only between poles.
     A guard is how a spec cuts its poles out, so the rule holds for a spec without one."""
     n = 0 if ing.spec.valid_mask is not None else sum(ing.poles)
-    return f"profile poles inside the window, which no guard cuts out: {n}" if n else ""
+    return (f"profile poles inside the window, which no guard cuts out: {count_text(n)}"
+            if n else "")
 
 
 @dataclass(frozen=True)

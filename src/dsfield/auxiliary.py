@@ -20,9 +20,10 @@ Given the profile pair the construction determines, in order:
 The consistency report evaluates the two bracket ratios c1(t), c2(t) that
 the separation needs to be time functions alone, from a bundle's line
 entries on every sample of its grid; spatial variation in them flags an
-inconsistent configuration.  A profile pole inside the valid set, which grid
-lines can step over, fails it by the one pole rule, the window scan's
-:func:`~dsfield.ansatz.pole_note`.
+inconsistent configuration; their :func:`bracket` is also the imaginary
+part of the envelope equation's line term.  A profile pole inside the valid
+set, which grid lines can step over, fails it by the one pole rule, the
+window scan's :func:`~dsfield.ansatz.pole_note`.
 
 The amplitude and gradient jets take the profile jet of their coordinate,
 so a caller evaluates each profile once for all of them.  An
@@ -48,6 +49,7 @@ __all__ = [
     "Ingredients",
     "ConsistencyReport",
     "consistency_c1_c2",
+    "bracket",
 ]
 
 
@@ -122,17 +124,14 @@ def _entry(fn):
 class Ingredients:
     """The one-variable ingredients of ``spec`` on one window grid at ``t``.
 
-    Every check and render on the grid reads this one evaluation: the
-    formulas ``aux``, the :class:`Auxiliaries` of ``spec``; the profile
-    jets ``pj``, ``qj`` on the grid's zeta and eta lines (on the lattice,
-    once per line), the amplitude jets ``p1``, ``q1`` and gradient jets
-    ``rz``, ``se`` from them, the phase pairs ``r`` = (r, r_t) and ``s`` =
-    (s, s_t), the backgrounds ``p0``, ``q0``, the carriers ``P`` = p1 e^{ir}
-    and ``Q`` = q1 e^{is}, whose product is the envelope g; ``rows(rows)``
-    reads them on grid rows, as attributes; ``poles``, the pole counts of p and q
-    over the ranges of the lines (:func:`~dsfield.ansatz.pole_counts`).  Each entry is
-    evaluated when first read, and one assigned before its first read
-    replaces it.
+    Every check and render on the grid reads this one evaluation: the formulas ``aux``,
+    the :class:`Auxiliaries` of ``spec``; the profile jets ``pj``, ``qj`` on the grid's
+    zeta and eta lines (on the lattice, once per line), the amplitude jets ``p1``, ``q1``
+    and gradient jets ``rz``, ``se`` from them, the phase pairs ``r`` = (r, r_t) and
+    ``s`` = (s, s_t), the backgrounds ``p0``, ``q0``; ``rows(rows)`` reads them on grid
+    rows, as attributes; ``poles``, the pole counts of p and q over the ranges of the
+    lines (:func:`~dsfield.ansatz.pole_counts`).  Each entry is evaluated when first
+    read, and one assigned before its first read replaces it.
     """
 
     def __init__(self, spec: SolutionSpec, grid, t: float):
@@ -149,23 +148,14 @@ class Ingredients:
     s = _entry(lambda self: self.aux.phase_s(self.grid.eta_lines, self.t))
     p0 = _entry(lambda self: self.aux.p0(self.r[1], self.p1, self.rz, self.t))
     q0 = _entry(lambda self: self.aux.q0(self.s[1], self.q1, self.se, self.t))
-    P = _entry(lambda self: _carrier(self.p1, self.rz, self.r))
-    Q = _entry(lambda self: _carrier(self.q1, self.se, self.s))
     poles = _entry(lambda self: pole_counts(self.spec, self.grid, self.t))
 
     def rows(self, rows=slice(None)) -> "_Rows":
         return _Rows(self, rows)
 
 
-_LINES = {**dict.fromkeys(("pj", "p1", "rz", "r", "p0", "P"), "zeta_lines"),
-          **dict.fromkeys(("qj", "q1", "se", "s", "q0", "Q"), "eta_lines")}
-
-
-def _carrier(amp: Jet, g: Jet, phase) -> Jet:
-    """amp e^{ir}, an order-2 jet in (own coordinate, t), from r's gradient jet ``g`` and
-    ``phase`` = (r, r_t); the quadrature gives no r_tt, so that entry is NaN."""
-    (r, r_t), lay = phase, jc.layout(2, 2)
-    return amp * jc.exp(1j * Jet((r, g.value, r_t, g[1, 0], g[0, 1], math.nan), lay))
+_LINES = {**dict.fromkeys(("pj", "p1", "rz", "r", "p0"), "zeta_lines"),
+          **dict.fromkeys(("qj", "q1", "se", "s", "q0"), "eta_lines")}
 
 
 class _Rows:
@@ -264,6 +254,12 @@ class ConsistencyReport:
         return float(np.maximum(self.c1_variation, self.c2_variation))
 
 
+def bracket(amp: Jet, grad: Jet, beta):
+    """amp_t/amp + beta (amp_z grad/amp + grad_z/2): Im (i P_t + beta P_zz/2)/P, P = amp e^{ir}."""
+    return (amp[0, 1] / amp.value
+            + beta * (amp[1, 0] * grad.value / amp.value + 0.5 * grad[1, 0]))
+
+
 def consistency_c1_c2(ing: Ingredients) -> ConsistencyReport:
     """The bracket ratios c1, c2 of the bundle ``ing`` on its lines, from its amplitude,
     gradient and profile jets, windowed onto its grid and reduced inside ``keep``; the
@@ -273,14 +269,9 @@ def consistency_c1_c2(ing: Ingredients) -> ConsistencyReport:
     if a.a3 == 0.0:
         return ConsistencyReport(False, math.nan, math.nan, note="not applicable: a3 = 0")
     beta, gamma = spec.funcs.beta(t), spec.funcs.gamma(t)
-
-    def bracket(amp, grad):
-        return (amp[0, 1] / amp.value
-                + beta * (amp[1, 0] * grad.value / amp.value + 0.5 * grad[1, 0]))
-
     with np.errstate(divide="ignore", invalid="ignore", over="ignore", under="ignore"):
-        c1 = (bracket(ing.p1, ing.rz) - gamma) / (a.a3 * (a.a2 + a.a3 * ing.pj.value))
-        c2 = -bracket(ing.q1, ing.se) / (a.a3 * (a.a1 + a.a3 * ing.qj.value))
+        c1 = (bracket(ing.p1, ing.rz, beta) - gamma) / (a.a3 * (a.a2 + a.a3 * ing.pj.value))
+        c2 = -bracket(ing.q1, ing.se, beta) / (a.a3 * (a.a1 + a.a3 * ing.qj.value))
     kept = 2 * int(np.count_nonzero(grid.keep))
     stats = [masked_stats(v, grid.keep & np.isfinite(v)) for v in
              (row_window(grid, grid.zeta_lines, c1), row_window(grid, grid.eta_lines, c2))]

@@ -9,8 +9,8 @@ Three independent suites certify a solution spec:
 * the governing equations in the rotated frame: the envelope equation, as
   line 1 of the bilinear form and as the u-form with the forcing field, one
   residual in exact arithmetic that both report, assembled per block of grid
-  rows from terms evaluated once per line from the bundle's line carriers,
-  profile jets and backgrounds, with no jet in (zeta, eta, t); and the
+  rows from line identities (the background relation and the separation
+  bracket) read once per line from the bundle's entries, building no jet; and the
   forcing-field constraint by one second-order central-difference stencil
   of the jet-computed fields at its step h and at h/2 and the order they
   show, from each profile once per stencil line on the entries U and phi
@@ -53,6 +53,7 @@ from .ansatz import (
     SolutionSpec,
     _assemble,
     check_admissibility,
+    count_text,
     drop_note,
     eval_f,
     eval_intensity,
@@ -64,7 +65,7 @@ from .ansatz import (
     row_window,
     window_grid,
 )
-from .auxiliary import Ingredients, consistency_c1_c2
+from .auxiliary import Ingredients, bracket, consistency_c1_c2
 
 __all__ = [
     "ResidualReport",
@@ -109,16 +110,16 @@ def _report(name, resid_abs, grid, t) -> ResidualReport:
 # envelope equation
 
 
-def _line_terms(P, pj, p0, beta, gamma, a, own, other):
-    """(X0, X1, p, p_z, |P|^2) on one coordinate's lines from its carrier P, profile
-    jet ``pj`` and background ``p0``: X0 = L (a0 + own p) + own k and
-    X1 = L (other + a3 p) + a3 k, with L = i P_t/P + beta (P_zz/(2 P) + p0) - i gamma/2
-    and k = -i p_t - beta (P_z/P) p_z + beta p_zz/2."""
-    p, p_z = pj.value, pj[1, 0]
-    L = 1j * P[0, 1] / P.value + beta * (0.5 * P[2, 0] / P.value + p0) - 0.5j * gamma
-    k = -1j * pj[0, 1] - beta * (P[1, 0] / P.value) * p_z + 0.5 * beta * pj[2, 0]
-    return (L * (a.a0 + own * p) + own * k, L * (other + a.a3 * p) + a.a3 * k, p, p_z,
-            np.abs(P.value) ** 2)
+def _line_terms(amp, grad, pj, r_t, p0, beta, gamma, a, own, other):
+    """(X0, X1, p, p_z, |P|^2) on one coordinate's lines for P = p1 e^{ir}, from the jets p1
+    (``amp``), r_z (``grad``), ``pj`` and from r_t, ``p0``: X0 = L (a0 + own p) + own k and
+    X1 = L (other + a3 p) + a3 k, with L = [beta p0 - r_t + (beta/2)(p1_zz/p1 - r_z^2)]
+    + i [bracket - gamma/2] and k = -i p_t - beta (p1_z/p1 + i r_z) p_z + beta p_zz/2."""
+    p, p_z, p1, r_z = pj.value, pj[1, 0], amp.value, grad.value
+    L = (beta * p0 - r_t + 0.5 * beta * (amp[2, 0] / p1 - r_z ** 2)
+         + 1j * (bracket(amp, grad, beta) - 0.5 * gamma))
+    k = -1j * pj[0, 1] - beta * (amp[1, 0] / p1 + 1j * r_z) * p_z + 0.5 * beta * pj[2, 0]
+    return L * (a.a0 + own * p) + own * k, L * (other + a.a3 * p) + a.a3 * k, p, p_z, p1 * p1
 
 
 def envelope_residuals(ing: Ingredients):
@@ -152,10 +153,10 @@ def _envelope_field(ing: Ingredients):
     grid, t, a = ing.grid, ing.t, ing.spec.coeffs
     beta, gamma = ing.spec.funcs.beta(t), ing.spec.funcs.gamma(t)
     with np.errstate(invalid="ignore", over="ignore", under="ignore", divide="ignore"):
-        zeta = row_window(grid, grid.zeta_lines,
-                          _line_terms(ing.P, ing.pj, ing.p0, beta, gamma, a, a.a1, a.a2))
-        eta = row_window(grid, grid.eta_lines,
-                         _line_terms(ing.Q, ing.qj, ing.q0, beta, gamma, a, a.a2, a.a1))
+        zeta = row_window(grid, grid.zeta_lines, _line_terms(
+            ing.p1, ing.rz, ing.pj, ing.r[1], ing.p0, beta, gamma, a, a.a1, a.a2))
+        eta = row_window(grid, grid.eta_lines, _line_terms(
+            ing.q1, ing.se, ing.qj, ing.s[1], ing.q0, beta, gamma, a, a.a2, a.a1))
 
         def on_rows(rows):
             (X0, X1, p, p_z, P2), (Y0, Y1, q, q_e, Q2) = grid_rows((zeta, eta), rows)
@@ -335,5 +336,6 @@ def run_checks(ing: Ingredients, names) -> dict:
             ("min_abs_f", f"{rep.min_abs_f:.6e}"),
             ("sign_changes", str(rep.sign_changes)),
             ("sign_violations", str(rep.sign_violations)),
-            ("pole_intervals", str(rep.pole_intervals_zeta + rep.pole_intervals_eta))], rep.note)
+            ("pole_intervals", count_text(rep.pole_intervals_zeta + rep.pole_intervals_eta))],
+            rep.note)
     return checks

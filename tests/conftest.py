@@ -17,6 +17,7 @@ from dsfield.ansatz import (
     rotate,
     window_grid,
 )
+from dsfield import calculus as jc
 from dsfield.auxiliary import Auxiliaries, Ingredients
 from dsfield.field import refined_global_max, to_csv, to_pgm16
 from dsfield.profiles import ExpSumProfile
@@ -109,6 +110,15 @@ def hirota_cross(tau):
     return 2.0 * (tau.value * tau[1, 1, 0] - tau[1, 0, 0] * tau[0, 1, 0])
 
 
+def carriers(b):
+    """The carriers P = p1 e^{ir} and Q = q1 e^{is} on the row entries ``b``, order-2
+    jets in (own coordinate, t) whose product is the envelope g: the input of the plane
+    envelope oracle.  The quadrature gives no r_tt, so that entry is NaN."""
+    lay = jc.layout(2, 2)
+    return tuple(amp * jc.exp(1j * jc.Jet((r, g.value, r_t, g[1, 0], g[0, 1], math.nan), lay))
+                 for amp, g, (r, r_t) in ((b.p1, b.rz, b.r), (b.q1, b.se, b.s)))
+
+
 # the entries of g = P Q and of f that the plane envelope oracle reads, in (zeta, eta, t)
 _G_READS = ((0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1), (2, 0, 0), (0, 2, 0))
 _F_READS = ((0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1), (2, 0, 0), (1, 1, 0), (0, 2, 0))
@@ -116,12 +126,13 @@ _F_READS = ((0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1), (2, 0, 0), (1, 1, 0), (0
 
 def plane_pde1_field(spec, t, b):
     """|i u_t + (beta/2)(u_zz + u_ee) + beta (phi - |u|^2/2) u - i gamma u| for
-    u = g / f from jets in (zeta, eta, t) of the envelope g = P Q and of f on the row
-    entries ``b``, phi by :func:`~dsfield.ansatz.eval_phi`: the envelope residual as
-    first written, an oracle of verify's separated form."""
+    u = g / f from jets in (zeta, eta, t) of the envelope g = P Q (:func:`carriers`)
+    and of f on the row entries ``b``, phi by :func:`~dsfield.ansatz.eval_phi`: the
+    envelope residual as first written, an oracle of verify's separated form."""
     with np.errstate(invalid="ignore", over="ignore", under="ignore", divide="ignore"):
-        g = (b.P.shift(order=_G_READS, axes=(0, 2), n=3)
-             * b.Q.shift(order=_G_READS, axes=(1, 2), n=3))
+        P, Q = carriers(b)
+        g = (P.shift(order=_G_READS, axes=(0, 2), n=3)
+             * Q.shift(order=_G_READS, axes=(1, 2), n=3))
         g, g_z, g_e, g_t, g_zz, g_ee = map(g.__getitem__, _G_READS)
         tau = eval_f(spec, b.pj, b.qj, _F_READS)
         f, f_z, f_e, f_t, f_zz, _, f_ee = map(tau.__getitem__, _F_READS)

@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 import dsfield
 from dsfield import ansatz, profiles
 from dsfield.ansatz import (CoefficientFunctions, SeparationCoefficients, SolutionSpec, batches,
-                            rotate, window_grid)
+                            count_text, rotate, window_grid)
 from dsfield.calculus import DIV_GUARD, Jet
 from dsfield.cli import build_parser, main, parse_time, parse_window
 from dsfield.profiles import TimeFunction
@@ -547,7 +547,7 @@ def test_verify_periodic_config_takes_no_division_guard(tmp_path, res):
         assert counts == [str(2 * n * n), "0", "0"]
         assert rep["check.consistency.notes"] == POLES_4
         assert [rep[f"check.{c}.max_abs"] for c in ("bilinear2", "bilinear1", "pde1")] == [
-            "6.203448e-16", "4.880017e-14", "4.880017e-14"]
+            "6.203448e-16", "3.880543e-14", "3.880543e-14"]
     else:
         assert [k for k, v in rep.items() if v == "fail"] == [
             "check.bilinear1.status", "check.pde1.status", "check.consistency.status",
@@ -574,6 +574,23 @@ def test_verify_periodic_config_counts_its_four_poles_at_every_time(tmp_path, t,
         "4", "singular")
     assert rep["check.admissibility.notes"] == POLES_4
     assert rep["check.consistency.notes"].endswith(POLES_4)
+
+
+def test_verify_prints_a_far_window_pole_count_to_a_double_digits(tmp_path):
+    # periodic.cfg on a window at 1e300 holds about 9e299 tan poles; a count at
+    # or above 2^53 prints to the 17 significant digits a double carries, by
+    # one rule for the report line and both notes
+    out = tmp_path / "r.txt"
+    assert run("verify", "--spec", os.path.join(CONFIGS, "periodic.cfg"), "--t", "0.3",
+               "--window=1e300:2e300:1e300:2e300", "--res", "16",
+               "--checks", "admissibility,consistency", "--out", str(out)) == 1
+    rep = dict(ln.split(": ", 1) for ln in out.read_text().splitlines())
+    count = "9.0031631615710617e+299"
+    note = "profile poles inside the window, which no guard cuts out: " + count
+    assert rep["check.admissibility.pole_intervals"] == count
+    assert rep["check.admissibility.notes"] == rep["check.consistency.notes"] == note
+    assert [count_text(n) for n in (4, 2 ** 53 - 1, 2 ** 53 + 1, 10 ** 20)] == [
+        "4", "9007199254740991", "9007199254740992", "1e+20"]
 
 
 def test_verify_overflow_is_not_a_pole(tmp_path):

@@ -189,3 +189,27 @@ def test_envelope_residual_separates_into_line_terms():
     F = sp.Symbol("F")
     gap = sp.expand(F ** 3 * (residual - separated).xreplace({f: F}))
     assert sp.expand(gap.subs(F, f)) == 0
+
+
+def test_carrier_line_terms_are_the_line_identities():
+    # for the carrier P = a e^{ir} of real line functions a, r, the line terms
+    # L = i P_t/P + beta (P_zz/(2 P) + p0) - i gamma/2 and
+    # k = -i p_t - beta (P_z/P) p_z + beta p_zz/2, and |P|^2, are the forms verify
+    # reads from the line entries: Re L = beta p0 - r_t + (beta/2)(a_zz/a - r_z^2),
+    # the background relation; Im L = a_t/a + beta (a_z r_z/a + r_zz/2) - gamma/2,
+    # the separation bracket less gamma/2; P_z/P = a_z/a + i r_z; and a^2
+    a, r, p, p0 = (sp.Function(n, real=True)(Z, T) for n in ("a", "r", "p", "p0"))
+    beta, gamma = sp.symbols("beta gamma", real=True)
+    d = sp.diff
+    P = a * sp.exp(sp.I * r)
+    carrier = (sp.I * d(P, T) / P + beta * (d(P, Z, 2) / P / 2 + p0) - sp.I * gamma / 2,
+               -sp.I * d(p, T) - beta * d(P, Z) / P * d(p, Z) + beta * d(p, Z, 2) / 2,
+               P * sp.conjugate(P))
+    bracket = d(a, T) / a + beta * (d(a, Z) * d(r, Z) / a + d(r, Z, 2) / 2)
+    lines = (beta * p0 - d(r, T) + beta / 2 * (d(a, Z, 2) / a - d(r, Z) ** 2)
+             + sp.I * (bracket - gamma / 2),
+             -sp.I * d(p, T) - beta * (d(a, Z) / a + sp.I * d(r, Z)) * d(p, Z)
+             + beta * d(p, Z, 2) / 2,
+             a ** 2)
+    for got, want in zip(carrier, lines):
+        assert sp.simplify(sp.expand(got - want)) == 0
